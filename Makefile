@@ -10,7 +10,7 @@ BENCH_JSON  ?= BENCH_$(BENCH_DATE).json
 # scheduler (see `make cover`).
 COVER_MIN ?= 85
 
-.PHONY: build test vet race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover verify bench bench-check
+.PHONY: build test vet race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke calls-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover verify bench bench-check
 
 # The darwin cross-build keeps the portable (non-linux) data plane
 # compiling: batch_other.go must satisfy the same interfaces as the
@@ -52,6 +52,16 @@ shard-smoke:
 # gets==puts ownership check on every socket opened.
 udp-smoke:
 	$(GO) test -race -run 'TestLoopbackSoak' -count=1 ./internal/pbx/
+
+# A call costs the same whatever came before it, under the race
+# detector: the pbxd wiring in one process (relay legs from the
+# transport leg pool) driven closed-loop with zero-hold calls for about
+# five seconds. Fails if the completion rate decays over the run, if
+# the calls still lingering at the end pin more than kilobytes each, or
+# if channels, call spans, pooled buffers or — after the linger —
+# transactions do not return to zero.
+calls-smoke:
+	$(GO) test -race -run 'TestCallsSmoke' -count=1 ./internal/pbx/
 
 # The sharded registrar under the race detector: concurrent
 # register/refresh/expire/lookup workers against the live expiry wheel
@@ -130,9 +140,9 @@ lint-metrics:
 
 # The pre-merge gate: build (native + darwin cross), vet, full tests,
 # race tests, chaos smoke, crash smoke, sharded-engine smoke, real-UDP
-# soak, registrar smoke, fuzz smoke, telemetry smoke, QoS smoke,
-# degradation smoke, metric-name lint, coverage floors.
-verify: build vet test race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover
+# soak, zero-hold call soak, registrar smoke, fuzz smoke, telemetry
+# smoke, QoS smoke, degradation smoke, metric-name lint, coverage floors.
+verify: build vet test race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke calls-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover
 	@echo "verify: all gates passed"
 
 # Benchmark snapshot: full-experiment benches (one experiment per

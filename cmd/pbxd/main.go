@@ -25,6 +25,12 @@ import (
 	"repro/internal/transport"
 )
 
+// mSIPActiveTransactions is registered here, on the wall-clock wiring
+// only: the wire then shows what in-process runs read off
+// Endpoint.ActiveTransactions, and the simulator's telemetry snapshots
+// keep their families.
+const mSIPActiveTransactions = "sip_active_transactions"
+
 // dumpFlight writes the flight-recorder ring as JSON — the crash-path
 // twin of /debug/flight. Best-effort: a failed dump must not mask the
 // panic that triggered it.
@@ -73,6 +79,8 @@ func main() {
 	reg := telemetry.NewRegistry()
 	ep.UseTelemetry(reg)
 	transport.PublishTelemetry(reg, "sip", tr)
+	reg.GaugeFunc(mSIPActiveTransactions, "live client and server transactions, lingering ones included",
+		func() float64 { return float64(ep.ActiveTransactions()) })
 
 	var dir *directory.Directory
 	if *dirShards > 0 {
@@ -85,13 +93,11 @@ func main() {
 	dir.AddUser(directory.User{Username: "uas", Password: "pw-uas"})
 
 	host, _, _ := strings.Cut(tr.LocalAddr(), ":")
-	// Relay legs are per-call, so they trade receive-side aggregation
-	// (GRO needs 64KB buffers) for bounded memory: a small batch of
-	// small buffers still amortizes syscalls and sends with GSO.
-	relayCfg := transport.UDPConfig{BatchSize: 8, BufferSize: transport.MaxDatagram}
-	factory := func(port int) (transport.Transport, error) {
-		return transport.ListenUDPConfig(fmt.Sprintf("%s:%d", host, port), relayCfg)
-	}
+	// Calls borrow their relay legs from one pool, which owns the
+	// sockets and the buffers and keeps released sockets bound for the
+	// next call on the port.
+	legs := transport.NewLegPool(host)
+	legs.PublishTelemetry(reg)
 	cfg := pbx.Config{
 		MaxChannels: *capacity,
 		RelayRTP:    *relay,
@@ -132,7 +138,7 @@ func main() {
 	if *degrade {
 		cfg.Degradation = pbx.DegradationConfig{Enabled: true}
 	}
-	server := pbx.New(ep, dir, factory, cfg)
+	server := pbx.New(ep, dir, legs.Listen, cfg)
 	fmt.Printf("pbxd: listening on %s (%d shard(s), batched=%v), capacity %d, %d users, relay=%v, admission=%s, degrade=%v\n",
 		tr.LocalAddr(), tr.NumShards(), tr.Batched(),
 		*capacity, dir.Users(), *relay, server.AdmissionPolicyName(), *degrade)
@@ -193,11 +199,13 @@ func main() {
 			}
 		case <-stop:
 			server.Close()
+			legs.Close()
 			c := server.CountersSnapshot()
 			st := tr.Stats()
 			gets, puts := tr.PoolStats()
 			fmt.Printf("\npbxd: final counters: %+v\n", c)
 			fmt.Printf("pbxd: sip transport: %+v pool gets=%d puts=%d\n", st, gets, puts)
+			fmt.Printf("pbxd: relay legs: %+v\n", legs.Stats())
 			return
 		}
 	}

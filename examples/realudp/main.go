@@ -45,14 +45,9 @@ func main() {
 	dir.AddUser(directory.User{Username: "alice", Password: "pw-alice"})
 	dir.AddUser(directory.User{Username: "bob", Password: "pw-bob"})
 	host, _, _ := strings.Cut(pbxTr.LocalAddr(), ":")
-	relayCfg := transport.UDPConfig{BatchSize: 8, BufferSize: transport.MaxDatagram}
-	factory := func(port int) (transport.Transport, error) {
-		if port == 0 {
-			return transport.ListenUDPConfig(host+":0", relayCfg)
-		}
-		return transport.ListenUDPConfig(fmt.Sprintf("%s:%d", host, port), relayCfg)
-	}
-	server := pbx.New(sip.NewEndpoint(pbxTr, clock), dir, factory, pbx.Config{
+	legs := transport.NewLegPool(host)
+	defer legs.Close()
+	server := pbx.New(sip.NewEndpoint(pbxTr, clock), dir, legs.Listen, pbx.Config{
 		RelayRTP:    true,
 		RTPPortBase: 17000,
 		Telemetry:   reg,

@@ -118,6 +118,9 @@ type Result struct {
 	// Leak detectors, read after the post-run drain.
 	ActiveChannels     int
 	ActiveTransactions int
+	// UnackedInvites is the size of the endpoint's 2xx-ACK index; its
+	// entries are server transactions, so it drains with them.
+	UnackedInvites int
 	// ActiveSpans counts call trace spans still open after the drain —
 	// a span leak means some INVITE path never reached traceEnd.
 	ActiveSpans int
@@ -274,6 +277,7 @@ func Run(sc Scenario) (*Result, error) {
 		NoRoute:            net.NoRoute(),
 		ActiveChannels:     server.ActiveChannels(),
 		ActiveTransactions: server.ActiveTransactions(),
+		UnackedInvites:     server.UnackedInvites(),
 		ActiveSpans:        server.ActiveSpans(),
 		CPULo:              lo,
 		CPUMean:            mean,
@@ -314,7 +318,8 @@ func (r *Result) Goodput(minMOS float64) int {
 // These must hold for every scenario, however hostile:
 //
 //   - no channel leak: every admitted call released its channel;
-//   - no transaction leak after the drain tail;
+//   - no transaction leak after the drain tail, and with it an empty
+//     2xx-ACK index;
 //   - no span leak: every traced INVITE reached a terminal outcome;
 //   - CDRs balance the counters: completed CDRs == Completed,
 //     established CDRs == Established;
@@ -334,6 +339,9 @@ func (r *Result) CheckInvariants() []string {
 	}
 	if r.ActiveTransactions != 0 {
 		bad = append(bad, fmt.Sprintf("transaction leak: %d transactions alive after drain", r.ActiveTransactions))
+	}
+	if r.UnackedInvites != 0 {
+		bad = append(bad, fmt.Sprintf("ACK index leak: %d un-ACKed INVITEs indexed after drain", r.UnackedInvites))
 	}
 	if r.ActiveSpans != 0 {
 		bad = append(bad, fmt.Sprintf("span leak: %d call trace spans still open after drain", r.ActiveSpans))

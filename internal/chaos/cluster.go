@@ -97,6 +97,7 @@ type BackendReport struct {
 	// Leak detectors, summed across incarnations after the drain.
 	ActiveChannels     int
 	ActiveTransactions int
+	UnackedInvites     int
 	ActiveSpans        int
 }
 
@@ -250,6 +251,7 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 			rep.Counters.Failed += c.Failed
 			rep.Counters.DrainRejected += c.DrainRejected
 			rep.ActiveTransactions += srv.ActiveTransactions()
+			rep.UnackedInvites += srv.UnackedInvites()
 			rep.ActiveSpans += srv.ActiveSpans()
 		}
 		rep.Crashes = len(cl.Incarnations(i)) - 1
@@ -293,6 +295,9 @@ func (r *ClusterResult) CheckInvariants() []string {
 		}
 		if b.ActiveTransactions != 0 {
 			bad = append(bad, fmt.Sprintf("%s: transaction leak: %d alive after drain", b.Host, b.ActiveTransactions))
+		}
+		if b.UnackedInvites != 0 {
+			bad = append(bad, fmt.Sprintf("%s: ACK index leak: %d un-ACKed INVITEs indexed after drain", b.Host, b.UnackedInvites))
 		}
 		if b.ActiveSpans != 0 {
 			bad = append(bad, fmt.Sprintf("%s: span leak: %d spans open across incarnations", b.Host, b.ActiveSpans))

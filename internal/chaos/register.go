@@ -74,6 +74,7 @@ type RegistrationResult struct {
 	DirShards    int
 	// Leak detectors and conservation counters, read after the drain.
 	ActiveTransactions int
+	UnackedInvites     int
 	PoolGets, PoolPuts uint64
 	NoRoute            uint64
 	// Telemetry is the end-of-run metrics snapshot.
@@ -200,6 +201,7 @@ func RunRegistration(sc RegistrationScenario) (*RegistrationResult, error) {
 		LiveBindings:       liveBindings,
 		DirShards:          dirShards,
 		ActiveTransactions: live.ActiveTransactions(),
+		UnackedInvites:     live.UnackedInvites(),
 		PoolGets:           gets,
 		PoolPuts:           puts,
 		NoRoute:            net.NoRoute(),
@@ -284,6 +286,9 @@ func (r *RegistrationResult) CheckInvariants() []string {
 	}
 	if r.ActiveTransactions != 0 {
 		bad = append(bad, fmt.Sprintf("transaction leak: %d alive after drain", r.ActiveTransactions))
+	}
+	if r.UnackedInvites != 0 {
+		bad = append(bad, fmt.Sprintf("ACK index leak: %d un-ACKed INVITEs indexed after drain", r.UnackedInvites))
 	}
 	if r.PoolGets != r.PoolPuts {
 		bad = append(bad, fmt.Sprintf("packet pool leak: %d gets vs %d puts", r.PoolGets, r.PoolPuts))

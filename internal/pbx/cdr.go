@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/mos"
@@ -51,9 +52,11 @@ type CDR struct {
 
 // buildCDR snapshots a bridge at teardown. Callers hold s.mu.
 func (s *Server) buildCDR(br *bridge, completed bool) CDR {
+	// The record outlives the call by the whole run; the names are
+	// substrings of the parsed INVITE and would keep its text alive.
 	cdr := CDR{
-		Caller:      br.caller,
-		Callee:      br.callee,
+		Caller:      strings.Clone(br.caller),
+		Callee:      strings.Clone(br.callee),
 		StartedAt:   br.startedAt,
 		Established: br.establishedAt > 0,
 		Completed:   completed,

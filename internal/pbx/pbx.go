@@ -36,8 +36,10 @@ import (
 	"repro/internal/transport"
 )
 
-// TransportFactory opens an additional datagram socket on the PBX
-// host, used to allocate the per-call RTP relay ports.
+// TransportFactory returns a datagram transport bound to port on the
+// PBX host, for a call's RTP relay legs. The server Closes it when the
+// call ends; a factory that owns its sockets (transport.LegPool.Listen)
+// may keep the port bound for the next call that is given the number.
 type TransportFactory func(port int) (transport.Transport, error)
 
 // Config tunes the server.
@@ -627,6 +629,10 @@ func (s *Server) SignalingStats() sip.Stats { return s.ep.StatsSnapshot() }
 // ActiveTransactions returns the number of live SIP transactions —
 // a leak detector for chaos-test invariants.
 func (s *Server) ActiveTransactions() int { return s.ep.ActiveTransactions() }
+
+// UnackedInvites returns the size of the SIP endpoint's 2xx-ACK index,
+// which must be empty whenever ActiveTransactions is zero.
+func (s *Server) UnackedInvites() int { return s.ep.UnackedInvites() }
 
 // allocRelayPortLocked reserves one relay port number.
 func (s *Server) allocRelayPortLocked() int {

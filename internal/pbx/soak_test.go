@@ -42,23 +42,10 @@ func TestLoopbackSoak(t *testing.T) {
 	dir.AddUser(directory.User{Username: "uas", Password: "pw-uas"})
 	host, _, _ := strings.Cut(pbxTr.LocalAddr(), ":")
 
-	// Capture the relay legs so their pool invariant is checkable after
-	// the calls release them. Same bounded per-call config as pbxd.
-	var (
-		legMu sync.Mutex
-		legs  []*transport.UDPTransport
-	)
-	relayCfg := transport.UDPConfig{BatchSize: 8, BufferSize: transport.MaxDatagram}
-	factory := func(port int) (transport.Transport, error) {
-		tr, err := transport.ListenUDPConfig(fmt.Sprintf("%s:%d", host, port), relayCfg)
-		if err == nil {
-			legMu.Lock()
-			legs = append(legs, tr)
-			legMu.Unlock()
-		}
-		return tr, err
-	}
-	server := New(sip.NewEndpoint(pbxTr, clock), dir, factory,
+	// Relay legs come from the pool pbxd uses; its shared buffer pool
+	// carries the ownership invariant for every leg the run opened.
+	legs := transport.NewLegPool(host)
+	server := New(sip.NewEndpoint(pbxTr, clock), dir, legs.Listen,
 		Config{MaxChannels: capacity, RelayRTP: true, RTPPortBase: nextPortBase(), Seed: 7})
 	defer server.Close()
 
@@ -213,15 +200,13 @@ func TestLoopbackSoak(t *testing.T) {
 	if gets, puts := pbxTr.PoolStats(); gets != puts {
 		t.Errorf("pbx pool leak: gets=%d puts=%d", gets, puts)
 	}
-	legMu.Lock()
-	defer legMu.Unlock()
-	if len(legs) == 0 {
-		t.Error("no relay legs were opened")
+	if st := legs.Stats(); st.Binds == 0 || st.Reuses == 0 {
+		t.Errorf("relay legs: %+v, want sockets bound and reused", st)
 	}
-	for i, tr := range legs {
-		tr.Close()
-		if gets, puts := tr.PoolStats(); gets != puts {
-			t.Errorf("relay leg %d pool leak: gets=%d puts=%d", i, gets, puts)
-		}
+	if err := legs.Close(); err != nil {
+		t.Errorf("leg pool close: %v", err)
+	}
+	if gets, puts := legs.PoolStats(); gets != puts {
+		t.Errorf("relay leg pool leak: gets=%d puts=%d", gets, puts)
 	}
 }

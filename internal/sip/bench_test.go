@@ -1,6 +1,7 @@
 package sip
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -30,4 +31,32 @@ func BenchmarkMessageRoundTrip(b *testing.B) {
 		buf = msg.Append(buf[:0])
 	}
 	_ = buf
+}
+
+// BenchmarkEndpointAck2xx times the endpoint's handling of one 2xx ACK
+// (parse, match to its INVITE server transaction, start the linger)
+// with lingering answered transactions already in the table. The match
+// is an index lookup, so ns/op must not grow with the table.
+func BenchmarkEndpointAck2xx(b *testing.B) {
+	for _, lingering := range []int{0, 16384} {
+		b.Run(fmt.Sprintf("lingering=%d", lingering), func(b *testing.B) {
+			r := newUASRig()
+			r.linger(lingering)
+			acks := make([][]byte, b.N)
+			for i := range acks {
+				id := fmt.Sprintf("call-%d", i)
+				r.ep.handleData("a:5060", wireRequest(INVITE, id, "inv-"+id))
+				acks[i] = wireRequest(ACK, id, "ack-"+id)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, ack := range acks {
+				r.ep.handleData("a:5060", ack)
+			}
+			b.StopTimer()
+			if got := r.ep.UnackedInvites(); got != 0 {
+				b.Fatalf("%d INVITEs left un-ACKed", got)
+			}
+		})
+	}
 }

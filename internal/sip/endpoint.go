@@ -2,6 +2,7 @@ package sip
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/transport"
@@ -23,6 +24,45 @@ type Stats struct {
 	Timeouts        uint64
 }
 
+// msgTally counts messages on the hot path without allocating:
+// requests by method, responses by status code. StatsSnapshot turns it
+// into the string-keyed form of Stats.
+type msgTally struct {
+	req  map[Method]uint64
+	resp map[int]uint64
+}
+
+func newMsgTally() msgTally {
+	return msgTally{req: make(map[Method]uint64), resp: make(map[int]uint64)}
+}
+
+func (t msgTally) add(m *Message) {
+	if m.IsRequest() {
+		t.req[m.Method]++
+	} else {
+		t.resp[m.StatusCode]++
+	}
+}
+
+func (t msgTally) snapshot() map[string]uint64 {
+	out := make(map[string]uint64, len(t.req)+len(t.resp))
+	for k, v := range t.req {
+		out[string(k)] = v
+	}
+	for k, v := range t.resp {
+		out[strconv.Itoa(k)] = v
+	}
+	return out
+}
+
+// ackKey names the INVITE a 2xx ACK acknowledges. That ACK is its own
+// transaction with a fresh branch (RFC 3261 13.2.2.4), so Call-ID and
+// CSeq number are all it shares with the INVITE.
+type ackKey struct {
+	callID string
+	seq    uint32
+}
+
 // Endpoint is the SIP transaction layer bound to one transport: it
 // owns client and server transactions, retransmission timers, and
 // message identifiers. User agents (softphones, the PBX) build on it.
@@ -34,10 +74,15 @@ type Endpoint struct {
 	handler   RequestHandler
 	clientTxs map[string]*ClientTx
 	serverTxs map[string]*ServerTx
+	// unacked indexes the INVITE server transactions no ACK has reached
+	// yet, so matching a 2xx ACK is one lookup however many
+	// transactions linger in serverTxs.
+	unacked map[ackKey]*ServerTx
 
-	idCounter uint64
-	stats     Stats
-	tm        *epMetrics // nil until UseTelemetry
+	idCounter  uint64
+	sent, recv msgTally
+	stats      Stats      // Sent and Received stay nil; see StatsSnapshot
+	tm         *epMetrics // nil until UseTelemetry
 }
 
 // NewEndpoint creates an endpoint on the given transport and clock and
@@ -48,10 +93,9 @@ func NewEndpoint(tr transport.Transport, clock transport.Clock) *Endpoint {
 		clock:     clock,
 		clientTxs: make(map[string]*ClientTx),
 		serverTxs: make(map[string]*ServerTx),
-		stats: Stats{
-			Sent:     make(map[string]uint64),
-			Received: make(map[string]uint64),
-		},
+		unacked:   make(map[ackKey]*ServerTx),
+		sent:      newMsgTally(),
+		recv:      newMsgTally(),
 	}
 	tr.SetReceiver(ep.handleData)
 	return ep
@@ -99,6 +143,7 @@ func (ep *Endpoint) Crash() {
 	}
 	ep.clientTxs = make(map[string]*ClientTx)
 	ep.serverTxs = make(map[string]*ServerTx)
+	ep.unacked = make(map[ackKey]*ServerTx)
 	ep.mu.Unlock()
 	ep.tr.Close()
 }
@@ -159,18 +204,11 @@ func (ep *Endpoint) SendACK(dst string, ack *Message) {
 
 // sendWireLocked transmits and counts an outbound message.
 func (ep *Endpoint) sendWireLocked(dst string, wire []byte, m *Message) {
-	ep.stats.Sent[statKey(m)]++
+	ep.sent.add(m)
 	if ep.tm != nil {
 		ep.tm.sent[kindOf(m)].Inc()
 	}
 	ep.tr.Send(dst, wire)
-}
-
-func statKey(m *Message) string {
-	if m.IsRequest() {
-		return string(m.Method)
-	}
-	return fmt.Sprintf("%d", m.StatusCode)
 }
 
 // handleData is the transport receiver: parse, demux to transactions,
@@ -188,7 +226,7 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 	}
 
 	ep.mu.Lock()
-	ep.stats.Received[statKey(msg)]++
+	ep.recv.add(msg)
 	if ep.tm != nil {
 		ep.tm.recv[kindOf(msg)].Inc()
 	}
@@ -212,19 +250,8 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 			// transaction, RFC 3261 13.2.2.4): quiet the matching
 			// INVITE server transaction's 2xx retransmissions, then
 			// hand the ACK to the TU for dialog confirmation.
-			for _, tx := range ep.serverTxs {
-				if tx.isInvite && !tx.acked &&
-					tx.req.CallID == msg.CallID && tx.req.CSeq.Seq == msg.CSeq.Seq {
-					tx.acked = true
-					tx.stopTimersLocked()
-					key := tx.key
-					tx.destroyTm = ep.clock.AfterFunc(CompletedLinger, func() {
-						ep.mu.Lock()
-						delete(ep.serverTxs, key)
-						ep.mu.Unlock()
-					})
-					break
-				}
+			if tx, ok := ep.unacked[ackKey{msg.CallID, msg.CSeq.Seq}]; ok {
+				tx.ackedLocked()
 			}
 			if ep.handler != nil {
 				h := ep.handler
@@ -267,6 +294,9 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 				isInvite: msg.Method == INVITE,
 			}
 			ep.serverTxs[key] = tx
+			if tx.isInvite {
+				ep.unacked[ackKey{msg.CallID, msg.CSeq.Seq}] = tx
+			}
 			if ep.handler != nil {
 				h := ep.handler
 				after = func() { h(tx, msg, src) }
@@ -283,20 +313,9 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 func (ep *Endpoint) StatsSnapshot() Stats {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	out := Stats{
-		Sent:            make(map[string]uint64, len(ep.stats.Sent)),
-		Received:        make(map[string]uint64, len(ep.stats.Received)),
-		ParseErrors:     ep.stats.ParseErrors,
-		StrayResponses:  ep.stats.StrayResponses,
-		Retransmissions: ep.stats.Retransmissions,
-		Timeouts:        ep.stats.Timeouts,
-	}
-	for k, v := range ep.stats.Sent {
-		out.Sent[k] = v
-	}
-	for k, v := range ep.stats.Received {
-		out.Received[k] = v
-	}
+	out := ep.stats
+	out.Sent = ep.sent.snapshot()
+	out.Received = ep.recv.snapshot()
 	return out
 }
 
@@ -306,4 +325,13 @@ func (ep *Endpoint) ActiveTransactions() int {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	return len(ep.clientTxs) + len(ep.serverTxs)
+}
+
+// UnackedInvites reports the size of the 2xx-ACK index. Every entry is
+// also a server transaction, so it must read zero whenever
+// ActiveTransactions does.
+func (ep *Endpoint) UnackedInvites() int {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return len(ep.unacked)
 }

@@ -40,7 +40,8 @@ type ClientTx struct {
 func (tx *ClientTx) Request() *Message { return tx.req }
 
 // ServerTx is a server transaction: one received request and the
-// response retransmission state.
+// response retransmission state. Once it lingers (lingerLocked) it is a
+// tombstone: key, source and the last response's wire bytes.
 type ServerTx struct {
 	ep        *Endpoint
 	key       string
@@ -57,7 +58,8 @@ type ServerTx struct {
 	destroyTm transport.Timer
 }
 
-// Request returns the request that opened the transaction.
+// Request returns the request that opened the transaction, or nil once
+// the transaction lingers.
 func (tx *ServerTx) Request() *Message { return tx.req }
 
 // Source returns the network source of the request, which is where
@@ -101,17 +103,43 @@ func (tx *ServerTx) respondLocked(resp *Message) {
 		tx.destroyTm = tx.ep.clock.AfterFunc(TransactionTimeout, func() {
 			tx.ep.mu.Lock()
 			tx.stopTimersLocked()
+			tx.forgetUnackedLocked()
 			delete(tx.ep.serverTxs, tx.key)
 			tx.ep.mu.Unlock()
 		})
 	} else {
 		// Non-INVITE: linger in Completed to absorb request
 		// retransmissions, then vanish (Timer J).
-		tx.destroyTm = tx.ep.clock.AfterFunc(CompletedLinger, func() {
-			tx.ep.mu.Lock()
-			delete(tx.ep.serverTxs, tx.key)
-			tx.ep.mu.Unlock()
-		})
+		tx.lingerLocked()
+	}
+}
+
+// lingerLocked enters the Completed linger (final response sent for a
+// non-INVITE, ACK seen for an INVITE): the transaction stays findable
+// by key to absorb retransmissions, then vanishes. From here on it is a
+// tombstone. The request and the TU's callbacks are dropped, so nothing
+// that lingers can pin a parsed message or what a callback captured —
+// for the PBX a bridge, its relay and their sockets.
+func (tx *ServerTx) lingerLocked() {
+	tx.forgetUnackedLocked()
+	tx.req, tx.onAck, tx.onCancel = nil, nil, nil
+	tx.destroyTm = tx.ep.clock.AfterFunc(CompletedLinger, func() {
+		tx.ep.mu.Lock()
+		delete(tx.ep.serverTxs, tx.key)
+		tx.ep.mu.Unlock()
+	})
+}
+
+// forgetUnackedLocked takes an INVITE transaction out of the 2xx-ACK
+// index, unless a later INVITE of the same dialog and CSeq replaced it
+// there.
+func (tx *ServerTx) forgetUnackedLocked() {
+	if !tx.isInvite || tx.req == nil {
+		return
+	}
+	k := ackKey{tx.req.CallID, tx.req.CSeq.Seq}
+	if tx.ep.unacked[k] == tx {
+		delete(tx.ep.unacked, k)
 	}
 }
 
@@ -144,18 +172,21 @@ func (tx *ServerTx) stopTimersLocked() {
 	}
 }
 
-// handleAckLocked consumes an ACK matching this INVITE transaction.
-func (tx *ServerTx) handleAckLocked(ack *Message) func() {
+// ackedLocked quiets an INVITE transaction that an ACK of either kind
+// has reached: no more response retransmissions, and a brief linger to
+// absorb duplicate ACKs and requests.
+func (tx *ServerTx) ackedLocked() {
 	tx.acked = true
 	tx.stopTimersLocked()
-	// Leave the tx in place briefly to absorb duplicate ACKs.
-	tx.destroyTm = tx.ep.clock.AfterFunc(CompletedLinger, func() {
-		tx.ep.mu.Lock()
-		delete(tx.ep.serverTxs, tx.key)
-		tx.ep.mu.Unlock()
-	})
-	if tx.onAck != nil {
-		fn := tx.onAck
+	tx.lingerLocked()
+}
+
+// handleAckLocked consumes an ACK matching this INVITE transaction by
+// branch (the ACK for a non-2xx final).
+func (tx *ServerTx) handleAckLocked(ack *Message) func() {
+	fn := tx.onAck
+	tx.ackedLocked()
+	if fn != nil {
 		return func() { fn(ack) }
 	}
 	return nil

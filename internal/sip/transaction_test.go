@@ -115,6 +115,11 @@ func TestInviteNon2xxAutoAck(t *testing.T) {
 	if bStats.Retransmissions != 0 {
 		t.Errorf("response retransmitted %d times despite prompt ACK", bStats.Retransmissions)
 	}
+	// The same-branch ACK took the INVITE out of the 2xx-ACK index, and
+	// the linger has run out.
+	if tx, idx := epB.ActiveTransactions(), epB.UnackedInvites(); tx != 0 || idx != 0 {
+		t.Errorf("after the linger: %d transactions, %d indexed", tx, idx)
+	}
 }
 
 func TestInvite2xxRetransmitsUntilAck(t *testing.T) {
@@ -156,6 +161,14 @@ func TestInvite2xxRetransmitsUntilAck(t *testing.T) {
 	if finals != 1 {
 		t.Errorf("TU saw %d finals, want 1", finals)
 	}
+	// Timer H gives up on the ACK and takes the index entry with it.
+	if epB.UnackedInvites() != 1 {
+		t.Errorf("un-ACKed INVITE not indexed while retransmitting")
+	}
+	sched.Run(time.Minute)
+	if tx, idx := epB.ActiveTransactions(), epB.UnackedInvites(); tx != 0 || idx != 0 {
+		t.Errorf("after Timer H: %d transactions, %d indexed", tx, idx)
+	}
 }
 
 func TestServerTxAbsorbsDuplicateRequests(t *testing.T) {
@@ -182,6 +195,12 @@ func TestServerTxAbsorbsDuplicateRequests(t *testing.T) {
 	sched.Run(time.Second)
 	if calls != 1 {
 		t.Errorf("TU saw %d requests, want 1 (duplicates absorbed)", calls)
+	}
+	// The final response made the transaction a tombstone at once; both
+	// duplicates were answered from its stored response.
+	if st := epB.StatsSnapshot(); st.Retransmissions != 2 || st.Sent["200"] != 1 || st.Received["OPTIONS"] != 3 {
+		t.Errorf("replays = %d (want 2), 200s sent = %d (want 1), OPTIONS received = %d (want 3)",
+			st.Retransmissions, st.Sent["200"], st.Received["OPTIONS"])
 	}
 }
 

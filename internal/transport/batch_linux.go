@@ -306,7 +306,8 @@ func (t *UDPTransport) runBatch() bool {
 			continue
 		}
 		t.rxBatches.Add(1)
-		recv, hook := t.handlers()
+		t.mu.RLock()
+		recv, hook := t.recv, t.batchEnd
 		pkts := 0
 		for i := 0; i < n; i++ {
 			src := t.addrs.intern(br.src(i))
@@ -336,6 +337,7 @@ func (t *UDPTransport) runBatch() bool {
 		if hook != nil {
 			hook()
 		}
+		t.mu.RUnlock()
 	}
 }
 
@@ -531,19 +533,29 @@ func (q *sendQueue) flushLocked() {
 	q.pending = 0
 }
 
-// close abandons any pending tail (the socket is already gone when
-// the transport closes) and returns the slot buffers to the pool.
+// drop abandons any pending tail, counting it as dropped.
+func (q *sendQueue) drop() {
+	q.mu.Lock()
+	q.dropLocked()
+	q.mu.Unlock()
+}
+
+func (q *sendQueue) dropLocked() {
+	q.t.txDropped.Add(uint64(q.pending))
+	q.pending = 0
+}
+
+// close drops the tail (the socket is already gone when the transport
+// closes) and returns the slot buffers to the pool.
 func (q *sendQueue) close() {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		return
 	}
 	q.closed = true
-	q.t.txDropped.Add(uint64(q.pending))
-	q.pending = 0
+	q.dropLocked()
 	for _, b := range q.bufs {
 		q.pool.Put(b)
 	}
-	q.mu.Unlock()
 }

@@ -34,4 +34,5 @@ func newSendQueue(t *UDPTransport) (*sendQueue, error) { return nil, nil }
 
 func (q *sendQueue) queue(ap netip.AddrPort, data []byte) {}
 func (q *sendQueue) flush()                               {}
+func (q *sendQueue) drop()                                {}
 func (q *sendQueue) close()                               {}

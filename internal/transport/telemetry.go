@@ -16,6 +16,11 @@ const (
 	mUDPTxDropped = "udp_tx_dropped_total"
 	mUDPPoolGets  = "udp_pool_gets_total"
 	mUDPPoolPuts  = "udp_pool_puts_total"
+
+	mLegBinds          = "udp_leg_binds_total"
+	mLegReuses         = "udp_leg_reuses_total"
+	mLegOverflowCloses = "udp_leg_overflow_closes_total"
+	mLegsParked        = "udp_legs_parked"
 )
 
 // StatsSource is anything exposing wire-transport counters —
@@ -75,8 +80,28 @@ func PublishTelemetry(reg *telemetry.Registry, name string, src StatsSource) {
 		reg.CounterFunc(mUDPTxDropped, "datagrams abandoned on send errors",
 			func() float64 { return float64(src.Stats().TxDropped) }, l)
 	}
+	publishPool(reg, l, src.PoolStats)
+}
+
+func publishPool(reg *telemetry.Registry, l telemetry.Label, stats func() (gets, puts uint64)) {
 	reg.CounterFunc(mUDPPoolGets, "buffer-pool gets (must equal puts when idle)",
-		func() float64 { gets, _ := src.PoolStats(); return float64(gets) }, l)
+		func() float64 { gets, _ := stats(); return float64(gets) }, l)
 	reg.CounterFunc(mUDPPoolPuts, "buffer-pool puts (must equal gets when idle)",
-		func() float64 { _, puts := src.PoolStats(); return float64(puts) }, l)
+		func() float64 { _, puts := stats(); return float64(puts) }, l)
+}
+
+// PublishTelemetry registers the pool's socket counters and its shared
+// buffer pool's gets and puts as live funcs in the style of the
+// package-level PublishTelemetry, under the transport label "relay".
+func (p *LegPool) PublishTelemetry(reg *telemetry.Registry) {
+	l := telemetry.L("transport", "relay")
+	reg.CounterFunc(mLegBinds, "relay legs opened with a fresh socket",
+		func() float64 { return float64(p.Stats().Binds) }, l)
+	reg.CounterFunc(mLegReuses, "relay legs served from a parked socket",
+		func() float64 { return float64(p.Stats().Reuses) }, l)
+	reg.CounterFunc(mLegOverflowCloses, "released relay sockets closed because the pool was full",
+		func() float64 { return float64(p.Stats().OverflowCloses) }, l)
+	reg.GaugeFunc(mLegsParked, "idle relay sockets kept bound",
+		func() float64 { return float64(p.Stats().Parked) }, l)
+	publishPool(reg, l, p.PoolStats)
 }

@@ -67,8 +67,8 @@ type UDPConfig struct {
 	// the platform default: MaxDatagram, or 64KB on the batched path
 	// so a full GRO aggregate fits (which is what arms receive-side
 	// segment coalescing). The read loop and send queue each hold
-	// BatchSize such buffers, so per-call transports (RTP relay legs)
-	// set this low to bound memory, trading away GRO.
+	// BatchSize such buffers, so the many sockets of a LegPool (RTP
+	// relay legs) set this low to bound memory, trading away GRO.
 	BufferSize int
 }
 
@@ -100,9 +100,18 @@ type UDPTransport struct {
 	batch int // datagrams per syscall; 0 = portable path
 	v6    bool
 
+	// mu guards the handlers. The read loop holds it shared while it
+	// delivers a batch, so a writer — SetReceiver, SetBatchEnd, a leg
+	// pool parking the socket — returns only once no batch is still
+	// being delivered to the handlers it replaced.
 	mu       sync.RWMutex
 	recv     Receiver
 	batchEnd func()
+
+	// Set on a relay leg: the pool that owns the socket, and whether it
+	// is parked there (guarded by mu).
+	legs   *LegPool
+	parked bool
 
 	done      chan struct{}
 	loopDone  chan struct{}
@@ -216,22 +225,15 @@ func (t *UDPTransport) runFallback() {
 		}
 		t.rxPackets.Add(1)
 		t.rxBatches.Add(1)
-		recv, hook := t.handlers()
-		if recv != nil {
-			recv(t.addrs.intern(src), buf[:n])
+		t.mu.RLock()
+		if t.recv != nil {
+			t.recv(t.addrs.intern(src), buf[:n])
 		}
-		if hook != nil {
-			hook()
+		if t.batchEnd != nil {
+			t.batchEnd()
 		}
+		t.mu.RUnlock()
 	}
-}
-
-// handlers snapshots the receiver and batch-end hook.
-func (t *UDPTransport) handlers() (Receiver, func()) {
-	t.mu.RLock()
-	r, h := t.recv, t.batchEnd
-	t.mu.RUnlock()
-	return r, h
 }
 
 func (t *UDPTransport) closing() bool {
@@ -304,7 +306,9 @@ func (t *UDPTransport) Batched() bool { return t.batch > 0 }
 // LocalAddr returns the bound socket address.
 func (t *UDPTransport) LocalAddr() string { return t.conn.LocalAddr().String() }
 
-// SetReceiver installs the inbound handler.
+// SetReceiver installs the inbound handler. Like Close and SetBatchEnd
+// it waits for a batch in delivery to end, so none of the three may be
+// called from the transport's own Receiver.
 func (t *UDPTransport) SetReceiver(r Receiver) {
 	t.mu.Lock()
 	t.recv = r
@@ -328,8 +332,17 @@ func (t *UDPTransport) PoolStats() (gets, puts uint64) { return t.pool.Stats() }
 
 // Close stops the read loop, releases the socket and returns every
 // pooled buffer. It is idempotent and must not be called from the
-// transport's own Receiver (it waits for the read loop to exit).
+// transport's own Receiver (it waits for the read loop to exit). A
+// relay leg is handed back to its LegPool instead, which may keep the
+// socket bound; either way the caller is done with the transport.
 func (t *UDPTransport) Close() error {
+	if t.legs != nil {
+		return t.legs.release(t)
+	}
+	return t.destroy()
+}
+
+func (t *UDPTransport) destroy() error {
 	var err error
 	t.closeOnce.Do(func() {
 		close(t.done)
