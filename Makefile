@@ -13,8 +13,9 @@ COVER_MIN ?= 85
 .PHONY: build test vet race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke calls-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover verify bench bench-check
 
 # The darwin cross-build keeps the portable (non-linux) data plane
-# compiling: batch_other.go must satisfy the same interfaces as the
-# recvmmsg/sendmmsg/GSO path behind the linux build tag.
+# compiling: batch_other.go and legpool_other.go must satisfy the same
+# interfaces as the recvmmsg/sendmmsg/GSO path and the leg pool's epoll
+# loop behind the linux build tag.
 build:
 	$(GO) build ./...
 	GOOS=darwin $(GO) build ./...
@@ -47,9 +48,11 @@ shard-smoke:
 	$(GO) test -race -run 'TestShardedChaosSmoke' -count=1 ./internal/netsim/difftest/
 
 # The real-socket data plane under the race detector: an in-process
-# pbxd+sipload soak — sharded REUSEPORT listener, batched read loops,
-# GSO send queues, RTP relay cut-through — ending with the buffer-pool
-# gets==puts ownership check on every socket opened.
+# pbxd+sipload soak — sharded REUSEPORT listener with batched read
+# loops and GSO send queues for SIP, the leg pool's one epoll loop
+# relaying the media — which must drop and reject nothing, read every
+# leg from that one goroutine, and end with the buffer-pool gets==puts
+# ownership check on every socket opened.
 udp-smoke:
 	$(GO) test -race -run 'TestLoopbackSoak' -count=1 ./internal/pbx/
 

@@ -25,11 +25,14 @@ import (
 	"repro/internal/transport"
 )
 
-// mSIPActiveTransactions is registered here, on the wall-clock wiring
-// only: the wire then shows what in-process runs read off
-// Endpoint.ActiveTransactions, and the simulator's telemetry snapshots
-// keep their families.
-const mSIPActiveTransactions = "sip_active_transactions"
+// These families are registered here, on the wall-clock wiring only:
+// the wire then shows what in-process runs read off
+// Endpoint.ActiveTransactions and Counters.RejectedPackets, and the
+// simulator's telemetry snapshots keep their families.
+const (
+	mSIPActiveTransactions = "sip_active_transactions"
+	mRelayRejected         = "rtp_relay_rejected_total"
+)
 
 // dumpFlight writes the flight-recorder ring as JSON — the crash-path
 // twin of /debug/flight. Best-effort: a failed dump must not mask the
@@ -94,8 +97,8 @@ func main() {
 
 	host, _, _ := strings.Cut(tr.LocalAddr(), ":")
 	// Calls borrow their relay legs from one pool, which owns the
-	// sockets and the buffers and keeps released sockets bound for the
-	// next call on the port.
+	// sockets, reads all of them from one loop and keeps released
+	// sockets bound for the next call on the port.
 	legs := transport.NewLegPool(host)
 	legs.PublishTelemetry(reg)
 	cfg := pbx.Config{
@@ -139,6 +142,9 @@ func main() {
 		cfg.Degradation = pbx.DegradationConfig{Enabled: true}
 	}
 	server := pbx.New(ep, dir, legs.Listen, cfg)
+	reg.CounterFunc(mRelayRejected, "datagrams at a relay port refused, by reason",
+		func() float64 { return float64(server.CountersSnapshot().RejectedPackets) },
+		telemetry.L("reason", "source"))
 	fmt.Printf("pbxd: listening on %s (%d shard(s), batched=%v), capacity %d, %d users, relay=%v, admission=%s, degrade=%v\n",
 		tr.LocalAddr(), tr.NumShards(), tr.Batched(),
 		*capacity, dir.Users(), *relay, server.AdmissionPolicyName(), *degrade)

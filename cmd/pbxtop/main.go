@@ -224,9 +224,19 @@ func render(w *strings.Builder, base string, frame int, prev, cur scrape) {
 	fmt.Fprintf(w, "TRANSPORT  rx/s %7.0f   tx/s %7.0f   drops %.0f   rx pkts/syscall %.1f%s\n",
 		rate(prev, cur, "udp_rx_packets_total"), rate(prev, cur, "udp_tx_packets_total"),
 		ix.Sum("udp_tx_dropped_total"), perBatch, shardTxt)
-	fmt.Fprintf(w, "RELAY      rtp/s %6.0f   rtcp/s %5.0f   relay drops %.0f\n",
+	// The relay legs' own row: they are read by the leg pool's loop, not
+	// by the listener's sockets above.
+	perWakeup := 0.0
+	if wakeups := ix.Sum("udp_leg_rx_wakeups_total"); wakeups > 0 {
+		perWakeup = ix.Sum("udp_leg_rx_packets_total") / wakeups
+	}
+	fmt.Fprintf(w, "  relay    rx/s %7.0f   tx/s %7.0f   drops %.0f   rx pkts/wake-up %.1f   legs %.0f (%.0f parked)\n",
+		rate(prev, cur, "udp_leg_rx_packets_total"), rate(prev, cur, "udp_leg_tx_packets_total"),
+		ix.Sum("udp_leg_tx_dropped_total"), perWakeup,
+		ix.Sum("udp_legs_open"), ix.Sum("udp_legs_parked"))
+	fmt.Fprintf(w, "RELAY      rtp/s %6.0f   rtcp/s %5.0f   relay drops %.0f   rejected by source %.0f\n",
 		rate(prev, cur, "rtp_relay_packets_total"), rate(prev, cur, "rtp_relay_rtcp_total"),
-		ix.Sum("rtp_relay_dropped_total"))
+		ix.Sum("rtp_relay_dropped_total"), ix.Sum("rtp_relay_rejected_total"))
 
 	fmt.Fprintf(w, "\nRECENT CALLS (%d in ring)\n", len(cur.calls))
 	tail := cur.calls

@@ -24,6 +24,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -160,6 +161,11 @@ type Counters struct {
 	DroppedPackets uint64 // RTP packets dropped by overload
 	PeakChannels   int    // high-water mark of concurrent calls
 
+	// RejectedPackets counts datagrams that reached a live relay port
+	// from an address no party's SDP named: neither observed nor
+	// forwarded. Counted as they arrive, not at teardown.
+	RejectedPackets uint64
+
 	TranscodedCalls uint64 // answered calls whose legs negotiated different codecs
 	CodecRejected   uint64 // INVITEs 488'd for lacking any supported codec
 	QualityRejected uint64 // INVITEs shed by the quality floor (subset of Blocked)
@@ -241,6 +247,10 @@ type Server struct {
 	// callEvents retains the recent wide-event call records and owns
 	// the JSONL sink (its own lock; see callevent.go).
 	callEvents callEventLog
+
+	// rejectedPkts is Counters.RejectedPackets, kept off mu: it is the
+	// one counter a stranger can drive.
+	rejectedPkts atomic.Uint64
 
 	tm *pbxMetrics // nil when Config.Telemetry is nil
 }
@@ -597,7 +607,9 @@ func (s *Server) CPUBand() (float64, float64, float64) {
 func (s *Server) CountersSnapshot() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counters
+	c := s.counters
+	c.RejectedPackets = s.rejectedPkts.Load()
+	return c
 }
 
 // ActiveChannels returns the number of calls currently holding a

@@ -2,6 +2,9 @@ package pbx
 
 import (
 	"fmt"
+	"net"
+	"net/netip"
+	"strconv"
 	"sync"
 
 	"repro/internal/codec"
@@ -24,11 +27,13 @@ type relay struct {
 	aPort, bPort int
 	aTr, bTr     transport.Transport
 
-	// mu guards the mutable fields below: over real UDP each relay
-	// port has its own read-loop goroutine, racing the signalling
-	// goroutine that learns media addresses and tears the call down.
+	// mu guards the mutable fields below: over real UDP the transport's
+	// reader races the signalling goroutine that learns media addresses
+	// and tears the call down.
 	mu sync.Mutex
-	// Party media addresses, learned from SDP.
+	// Party media addresses, learned from SDP, in the form a transport
+	// reports a datagram's source in (see mediaAddr): where the party's
+	// media is sent, and the only address it is accepted from.
 	callerAddr string
 	calleeAddr string
 
@@ -115,7 +120,7 @@ func (s *Server) newRelay(br *bridge, offer *sdp.Session) (*relay, error) {
 		aTr:        aTr,
 		bTr:        bTr,
 		aCallID:    callID,
-		callerAddr: fmt.Sprintf("%s:%d", offer.Host, offer.Port),
+		callerAddr: mediaAddr(offer.Host, offer.Port),
 		fromCaller: media.NewQoSMeter(s.cfg.ScoreCodec),
 		fromCallee: media.NewQoSMeter(s.cfg.ScoreCodec),
 	}
@@ -134,12 +139,24 @@ func (s *Server) newRelay(br *bridge, offer *sdp.Session) (*relay, error) {
 	// Caller RTP arrives on the A port and leaves toward the callee
 	// from the B port, and vice versa.
 	aTr.SetReceiver(func(src string, data []byte) {
-		r.forward(data, r.fromCaller, r.sendToCallee, false)
+		r.forward(src, data, r.fromCaller, r.sendToCallee, false)
 	})
 	bTr.SetReceiver(func(src string, data []byte) {
-		r.forward(data, r.fromCallee, r.sendToCaller, true)
+		r.forward(src, data, r.fromCallee, r.sendToCaller, true)
 	})
 	return r, nil
+}
+
+// mediaAddr is the address an SDP named, spelled the way transports
+// spell a datagram's source — canonical for an IP literal, as given for
+// a netsim host name — so that checking a packet's source is one string
+// compare.
+func mediaAddr(host string, port int) string {
+	addr := net.JoinHostPort(host, strconv.Itoa(port))
+	if ap, err := netip.ParseAddrPort(addr); err == nil {
+		return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()).String()
+	}
+	return addr
 }
 
 // sendVia returns a leg's transmit function: queued on transports
@@ -208,20 +225,28 @@ func syntheticFrame(n int) []byte {
 // arrives.
 func (r *relay) setCalleeMedia(host string, port int) {
 	r.mu.Lock()
-	r.calleeAddr = fmt.Sprintf("%s:%d", host, port)
+	r.calleeAddr = mediaAddr(host, port)
 	r.mu.Unlock()
 }
 
-// forward observes and forwards one RTP packet, applying the overload
-// drop model. toCaller selects the output direction.
-func (r *relay) forward(data []byte, obs *media.QoSMeter, out func(string, []byte), toCaller bool) {
+// forward observes and forwards one RTP packet that arrived from src,
+// applying the overload drop model. toCaller selects the output
+// direction. Media is accepted only from the address the sending
+// party's SDP named: anything else that finds the port is counted and
+// goes no further — it is not shown to the QoS sensor either.
+func (r *relay) forward(src string, data []byte, obs *media.QoSMeter, out func(string, []byte), toCaller bool) {
 	r.mu.Lock()
-	dst := r.calleeAddr
+	from, dst := r.callerAddr, r.calleeAddr
 	if toCaller {
-		dst = r.callerAddr
+		from, dst = dst, from
 	}
 	if r.closed || dst == "" {
 		r.mu.Unlock()
+		return
+	}
+	if src != from {
+		r.mu.Unlock()
+		r.s.rejectedPkts.Add(1)
 		return
 	}
 	now := r.s.ep.Clock().Now()

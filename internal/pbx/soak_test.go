@@ -1,7 +1,10 @@
 package pbx
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -18,10 +21,13 @@ import (
 // PBX on real loopback sockets, seeded Poisson call arrivals against a
 // small channel capacity, bidirectional G.711 RTP on every established
 // call. It is the `make udp-smoke` gate — short enough for CI, real
-// enough to exercise the batched data plane (recvmmsg read loops, GSO
-// send queues, REUSEPORT shards, relay cut-through batching) under
-// -race, and it closes by checking the buffer-pool ownership invariant
-// on every socket the run opened.
+// enough to exercise the wire data plane under -race: the SIP
+// listener's REUSEPORT shards with their recvmmsg read loops and GSO
+// send queues, and the leg pool's one epoll loop relaying every call's
+// media with a recvmmsg and a sendto a packet. It checks that the loop
+// is the only goroutine reading relay legs however many calls are up,
+// that it dropped and rejected nothing, and closes with the buffer-pool
+// ownership invariant on every socket the run opened.
 func TestLoopbackSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
@@ -42,8 +48,8 @@ func TestLoopbackSoak(t *testing.T) {
 	dir.AddUser(directory.User{Username: "uas", Password: "pw-uas"})
 	host, _, _ := strings.Cut(pbxTr.LocalAddr(), ":")
 
-	// Relay legs come from the pool pbxd uses; its shared buffer pool
-	// carries the ownership invariant for every leg the run opened.
+	// Relay legs come from the pool pbxd uses; its buffer pool carries
+	// the ownership invariant for the loop that reads them all.
 	legs := transport.NewLegPool(host)
 	server := New(sip.NewEndpoint(pbxTr, clock), dir, legs.Listen,
 		Config{MaxChannels: capacity, RelayRTP: true, RTPPortBase: nextPortBase(), Seed: 7})
@@ -131,7 +137,16 @@ func TestLoopbackSoak(t *testing.T) {
 			established++
 			mu.Unlock()
 			s = startMedia(c)
-			time.AfterFunc(hold, func() { uac.Hangup(c) })
+			// Like a phone, stop talking before hanging up: pbx hands the
+			// relay ports to the next call at the BYE, and a packet still
+			// in flight would be a stranger's there (and counted as one).
+			// The uas hears the BYE before that call's INVITE.
+			time.AfterFunc(hold, func() {
+				if s != nil {
+					s.Stop()
+				}
+				uac.Hangup(c)
+			})
 		}, func(c *sip.Call) {
 			endMedia(s)
 			switch c.Cause() {
@@ -155,10 +170,14 @@ func TestLoopbackSoak(t *testing.T) {
 
 	rng := stats.NewRNG(42)
 	deadline := time.Now().Add(window)
+	legReaders := -1 // goroutines reading relay legs with every channel busy
 	for time.Now().Before(deadline) {
 		time.Sleep(time.Duration(rng.Exp(1/rate) * float64(time.Second)))
 		if !time.Now().Before(deadline) {
 			break
+		}
+		if legReaders < 0 && server.ActiveChannels() == capacity {
+			legReaders = goroutinesIn("transport.(*LegPool).loop", "transport.(*leg).read")
 		}
 		mu.Lock()
 		attempts++
@@ -187,20 +206,29 @@ func TestLoopbackSoak(t *testing.T) {
 	}
 	mu.Unlock()
 
-	if c := server.CountersSnapshot(); c.RelayedPackets == 0 {
-		t.Error("no RTP crossed the relay")
-	}
-
 	// Teardown in dependency order, then verify the ownership
 	// invariant: every buffer the pools handed out came back.
 	server.Close()
+	c, st := server.CountersSnapshot(), legs.Stats()
+	if c.RelayedPackets == 0 {
+		t.Error("no RTP crossed the relay")
+	}
+	if c.RejectedPackets != 0 {
+		t.Errorf("the relay rejected %d of the phones' own packets by source", c.RejectedPackets)
+	}
+	if st.TxDropped != 0 || st.RxPackets < c.RelayedPackets || st.TxPackets < c.RelayedPackets {
+		t.Errorf("relay legs: %+v, want no dropped send and at least the %d relayed packets each way", st, c.RelayedPackets)
+	}
+	if legReaders != 1 && runtime.GOOS == "linux" { // elsewhere every leg has a reader of its own
+		t.Errorf("%d goroutines were reading relay legs with %d calls up (-1: never that busy), want the pool's one loop", legReaders, capacity)
+	}
 	if err := pbxTr.Close(); err != nil {
 		t.Errorf("pbx transport close: %v", err)
 	}
 	if gets, puts := pbxTr.PoolStats(); gets != puts {
 		t.Errorf("pbx pool leak: gets=%d puts=%d", gets, puts)
 	}
-	if st := legs.Stats(); st.Binds == 0 || st.Reuses == 0 {
+	if st.Binds == 0 || st.Reuses == 0 {
 		t.Errorf("relay legs: %+v, want sockets bound and reused", st)
 	}
 	if err := legs.Close(); err != nil {
@@ -209,4 +237,21 @@ func TestLoopbackSoak(t *testing.T) {
 	if gets, puts := legs.PoolStats(); gets != puts {
 		t.Errorf("relay leg pool leak: gets=%d puts=%d", gets, puts)
 	}
+}
+
+// goroutinesIn counts the goroutines with any of the named functions on
+// their stack.
+func goroutinesIn(funcs ...string) int {
+	var buf bytes.Buffer
+	pprof.Lookup("goroutine").WriteTo(&buf, 2) // one stack per goroutine, blank line between
+	n := 0
+	for _, stack := range strings.Split(buf.String(), "\n\n") {
+		for _, fn := range funcs {
+			if strings.Contains(stack, fn) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }

@@ -164,9 +164,11 @@ func sockaddrToAddrPort(rsa *syscall.RawSockaddrInet6) netip.AddrPort {
 // batchReader owns the recvmmsg scatter state for one read loop: K
 // pooled buffers, their iovecs and sockaddr slots, wired once at
 // construction so the per-batch work is one namelen reset pass and one
-// syscall.
+// syscall. A UDPTransport's loop reads its one socket through the
+// runtime netpoller (rc, read); a LegPool's loop owns its fds and calls
+// recv on whichever is ready.
 type batchReader struct {
-	rc    syscall.RawConn
+	rc    syscall.RawConn // nil when the owner polls for itself
 	pool  *BufPool
 	bufs  [][]byte
 	iovs  []syscall.Iovec
@@ -181,13 +183,8 @@ type batchReader struct {
 	rErr   syscall.Errno
 }
 
-func newBatchReader(conn *net.UDPConn, pool *BufPool, k int) (*batchReader, error) {
-	rc, err := conn.SyscallConn()
-	if err != nil {
-		return nil, err
-	}
+func newBatchReader(pool *BufPool, k int) *batchReader {
 	br := &batchReader{
-		rc:    rc,
 		pool:  pool,
 		bufs:  make([][]byte, k),
 		iovs:  make([]syscall.Iovec, k),
@@ -207,39 +204,57 @@ func newBatchReader(conn *net.UDPConn, pool *BufPool, k int) (*batchReader, erro
 		br.msgs[i].hdr.Control = &br.ctrls[i][0]
 	}
 	br.readFn = br.readRaw
-	return br, nil
+	return br
 }
 
-// readRaw is the netpoller callback: one recvmmsg attempt, parking on
-// EAGAIN. Results are reported through rN/rErr.
-func (br *batchReader) readRaw(fd uintptr) bool {
+// arm resets what the kernel wrote back into the slots on the last
+// receive, ready for the next.
+func (br *batchReader) arm() {
+	for i := range br.msgs {
+		br.msgs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+		br.msgs[i].hdr.SetControllen(len(br.ctrls[i]))
+	}
+}
+
+// recvmmsg is one non-blocking receive on fd into armed slots. It
+// returns the datagrams received, or 0 and the error (EAGAIN when
+// nothing is queued).
+func (br *batchReader) recvmmsg(fd uintptr) (int, syscall.Errno) {
 	for {
 		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
 			uintptr(unsafe.Pointer(&br.msgs[0])), uintptr(len(br.msgs)),
 			syscall.MSG_DONTWAIT, 0, 0)
 		switch errno {
 		case 0:
-			br.rN, br.rErr = int(r1), 0
-			return true
+			return int(r1), 0
 		case syscall.EINTR:
 			continue
-		case syscall.EAGAIN:
-			return false // park in the netpoller until readable
 		default:
-			br.rN, br.rErr = 0, errno
-			return true
+			return 0, errno
 		}
 	}
+}
+
+// recv drains up to K datagrams queued on fd without blocking; a
+// transient per-datagram error (e.g. a queued ICMP) reads as none.
+func (br *batchReader) recv(fd int) int {
+	br.arm()
+	n, _ := br.recvmmsg(uintptr(fd))
+	return n
+}
+
+// readRaw is the netpoller callback: one recvmmsg attempt, parking on
+// EAGAIN. Results are reported through rN/rErr.
+func (br *batchReader) readRaw(fd uintptr) bool {
+	br.rN, br.rErr = br.recvmmsg(fd)
+	return br.rErr != syscall.EAGAIN // EAGAIN: park in the netpoller until readable
 }
 
 // read blocks until at least one datagram is available (via the
 // runtime netpoller) and drains up to K in one recvmmsg. It returns
 // the number received; err is non-nil only when the socket is gone.
 func (br *batchReader) read() (int, error) {
-	for i := range br.msgs {
-		br.msgs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
-		br.msgs[i].hdr.SetControllen(len(br.ctrls[i]))
-	}
+	br.arm()
 	if err := br.rc.Read(br.readFn); err != nil {
 		return 0, err
 	}
@@ -283,10 +298,12 @@ func (br *batchReader) close() {
 // runBatch is the batched read loop. It reports false if batch setup
 // failed, in which case the caller falls back to the portable loop.
 func (t *UDPTransport) runBatch() bool {
-	br, err := newBatchReader(t.conn, t.pool, t.batch)
+	rc, err := t.conn.SyscallConn()
 	if err != nil {
 		return false
 	}
+	br := newBatchReader(t.pool, t.batch)
+	br.rc = rc
 	defer br.close()
 	if t.pool.Size() >= maxUDPPayload {
 		// Buffers can hold a full aggregate, so let the kernel deliver
@@ -533,20 +550,9 @@ func (q *sendQueue) flushLocked() {
 	q.pending = 0
 }
 
-// drop abandons any pending tail, counting it as dropped.
-func (q *sendQueue) drop() {
-	q.mu.Lock()
-	q.dropLocked()
-	q.mu.Unlock()
-}
-
-func (q *sendQueue) dropLocked() {
-	q.t.txDropped.Add(uint64(q.pending))
-	q.pending = 0
-}
-
-// close drops the tail (the socket is already gone when the transport
-// closes) and returns the slot buffers to the pool.
+// close drops the pending tail, counting it as dropped (the socket is
+// already gone when the transport closes), and returns the slot buffers
+// to the pool.
 func (q *sendQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -554,7 +560,8 @@ func (q *sendQueue) close() {
 		return
 	}
 	q.closed = true
-	q.dropLocked()
+	q.t.txDropped.Add(uint64(q.pending))
+	q.pending = 0
 	for _, b := range q.bufs {
 		q.pool.Put(b)
 	}

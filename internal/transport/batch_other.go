@@ -34,5 +34,4 @@ func newSendQueue(t *UDPTransport) (*sendQueue, error) { return nil, nil }
 
 func (q *sendQueue) queue(ap netip.AddrPort, data []byte) {}
 func (q *sendQueue) flush()                               {}
-func (q *sendQueue) drop()                                {}
 func (q *sendQueue) close()                               {}

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,14 +12,13 @@ import (
 
 // openLeg binds a fresh leg on an ephemeral port and returns it with
 // the port it is parked under.
-func openLeg(t *testing.T, p *LegPool) (*UDPTransport, int) {
+func openLeg(t *testing.T, p *LegPool) (Transport, int) {
 	t.Helper()
 	tr, err := p.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg := tr.(*UDPTransport)
-	return leg, leg.conn.LocalAddr().(*net.UDPAddr).Port
+	return tr, tr.(*leg).port
 }
 
 // waitFor polls cond for up to 5 s.
@@ -44,9 +44,19 @@ func closePool(t *testing.T, p *LegPool) {
 	}
 }
 
+// portFree reports whether nothing is bound to the loopback port.
+func portFree(port int) bool {
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port})
+	if err != nil {
+		return false
+	}
+	c.Close()
+	return true
+}
+
 // TestLegPoolParkedDatagramsAreDropped: what arrives at a parked port
-// is read and dropped by the parked socket's own read loop, so the next
-// owner of the port starts with a clean socket — the same socket.
+// is read and dropped by the pool's reader, so the next owner of the
+// port starts with a clean socket — the same socket.
 func TestLegPoolParkedDatagramsAreDropped(t *testing.T) {
 	p := NewLegPool("127.0.0.1")
 	defer closePool(t, p)
@@ -55,11 +65,21 @@ func TestLegPoolParkedDatagramsAreDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sender.Close()
+	echoed := make(chan string, 1)
+	sender.SetReceiver(func(_ string, data []byte) { echoed <- string(data) })
 
 	leg, port := openLeg(t, p)
 	var first atomic.Uint64
 	leg.SetReceiver(func(string, []byte) { first.Add(1) })
 	leg.Send(sender.LocalAddr(), []byte("warm")) // the first owner's own traffic
+	select {
+	case msg := <-echoed:
+		if msg != "warm" {
+			t.Errorf("the leg sent %q", msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the leg's Send went nowhere")
+	}
 	if err := leg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +91,13 @@ func TestLegPoolParkedDatagramsAreDropped(t *testing.T) {
 	for i := 0; i < stale; i++ {
 		sender.Send(leg.LocalAddr(), []byte("stale"))
 	}
-	waitFor(t, "the parked socket to drain", func() bool { return leg.Stats().RxPackets >= stale })
+	waitFor(t, "the parked socket to drain", func() bool { return p.Stats().RxPackets >= stale })
 
 	tr, err := p.Listen(port)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.(*UDPTransport) != leg {
+	if tr != leg {
 		t.Fatal("the port was bound afresh instead of reusing the parked socket")
 	}
 	got := make(chan string, stale+1)
@@ -97,8 +117,14 @@ func TestLegPoolParkedDatagramsAreDropped(t *testing.T) {
 	if first.Load() != 0 {
 		t.Errorf("first owner's receiver saw %d datagrams sent after its Close", first.Load())
 	}
-	if st := p.Stats(); st.Binds != 1 || st.Reuses != 1 || st.Parked != 0 || st.OverflowCloses != 0 {
-		t.Errorf("stats = %+v, want 1 bind, 1 reuse, nothing parked", st)
+	// The reader counts a wake-up's datagrams once it has delivered them.
+	waitFor(t, "the reader to count the last datagram", func() bool { return p.Stats().RxPackets > stale })
+	st := p.Stats()
+	if st.Binds != 1 || st.Reuses != 1 || st.Parked != 0 || st.Open != 1 || st.OverflowCloses != 0 {
+		t.Errorf("stats = %+v, want 1 bind, 1 reuse, 1 open, nothing parked", st)
+	}
+	if st.RxPackets != stale+1 || st.RxWakeups == 0 || st.RxWakeups > st.RxPackets || st.TxPackets != 1 || st.TxDropped != 0 {
+		t.Errorf("stats = %+v, want %d datagrams read in at most as many wake-ups, 1 sent, none dropped", st, stale+1)
 	}
 	tr.Close()
 }
@@ -150,11 +176,6 @@ func TestLegPoolCloseRacesReadLoop(t *testing.T) {
 				late.Add(1)
 			}
 		})
-		tr.(BatchEndNotifier).SetBatchEnd(func() {
-			if closed.Load() {
-				late.Add(1)
-			}
-		})
 		time.Sleep(100 * time.Microsecond)
 		tr.Close()
 		closed.Store(true)
@@ -173,88 +194,31 @@ func TestLegPoolCloseRacesReadLoop(t *testing.T) {
 	}
 }
 
-// TestLegPoolParkDropsSendTail: datagrams queued but not flushed when
-// the leg is released are dropped and counted, as a closing send queue
-// does, and never leave on the next owner's flush.
-func TestLegPoolParkDropsSendTail(t *testing.T) {
-	p := NewLegPool("127.0.0.1")
-	defer closePool(t, p)
-	sink, err := ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	got := make(chan string, 8)
-	sink.SetReceiver(func(_ string, data []byte) { got <- string(data) })
-
-	leg, port := openLeg(t, p)
-	if !leg.Batched() {
-		t.Skip("no send queue on this platform")
-	}
-	for i := 0; i < 3; i++ {
-		leg.QueueSend(sink.LocalAddr(), []byte("tail"))
-	}
-	leg.Close()
-	if st := leg.Stats(); st.TxDropped != 3 || st.TxPackets != 0 {
-		t.Errorf("after park: TxDropped=%d TxPackets=%d, want 3 and 0", st.TxDropped, st.TxPackets)
-	}
-
-	tr, err := p.Listen(port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := tr.(BatchSender)
-	bs.QueueSend(sink.LocalAddr(), []byte("next"))
-	bs.Flush()
-	select {
-	case msg := <-got:
-		if msg != "next" {
-			t.Errorf("sink received %q", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the reused leg's flush sent nothing")
-	}
-	tr.Close()
-	time.Sleep(10 * time.Millisecond)
-	if n := len(got); n != 0 {
-		t.Errorf("%d datagrams of the dropped tail were sent after all", n)
-	}
-}
-
 // TestLegPoolBoundAndClose: the pool keeps at most maxParkedLegs idle
-// sockets and really closes the rest; after Close it binds nothing,
-// closes legs still out when they come back, and every buffer is home.
+// sockets and really closes the rest; its Close closes every socket,
+// the ones still out included, brings every buffer home, and leaves no
+// reader behind.
 func TestLegPoolBoundAndClose(t *testing.T) {
+	before := runtime.NumGoroutine()
 	p := NewLegPool("127.0.0.1")
 	const extra = 3
-	legs := make([]*UDPTransport, maxParkedLegs+extra)
+	legs := make([]Transport, maxParkedLegs+extra)
+	ports := make([]int, len(legs))
 	for i := range legs {
-		legs[i], _ = openLeg(t, p)
+		legs[i], ports[i] = openLeg(t, p)
 	}
-	out, _ := openLeg(t, p) // stays out past the pool's Close
+	out, outPort := openLeg(t, p) // stays out past the pool's Close
 	for _, leg := range legs {
 		leg.Close()
 	}
-	if st := p.Stats(); st.Parked != maxParkedLegs || st.OverflowCloses != extra || st.Binds != uint64(len(legs)+1) {
-		t.Errorf("stats = %+v, want %d parked, %d overflow closes, %d binds", st, maxParkedLegs, extra, len(legs)+1)
+	if st := p.Stats(); st.Parked != maxParkedLegs || st.Open != maxParkedLegs+1 || st.OverflowCloses != extra || st.Binds != uint64(len(legs)+1) {
+		t.Errorf("stats = %+v, want %d parked, %d open, %d overflow closes, %d binds", st, maxParkedLegs, maxParkedLegs+1, extra, len(legs)+1)
 	}
-	for i, leg := range legs {
-		closed := false
-		select {
-		case <-leg.loopDone:
-			closed = true
-		default:
+	// A parked port is still bound; a really closed one can be bound again.
+	for i, port := range ports {
+		if free, want := portFree(port), i >= maxParkedLegs; free != want {
+			t.Errorf("leg %d: port free = %v, want %v", i, free, want)
 		}
-		if want := i >= maxParkedLegs; closed != want {
-			t.Errorf("leg %d: closed = %v, want %v", i, closed, want)
-		}
-	}
-	// A really closed port can be bound again.
-	c, err := net.ListenUDP("udp", legs[len(legs)-1].conn.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Errorf("overflowed leg's port still bound: %v", err)
-	} else {
-		c.Close()
 	}
 
 	if err := p.Close(); err != nil {
@@ -263,19 +227,141 @@ func TestLegPoolBoundAndClose(t *testing.T) {
 	if _, err := p.Listen(0); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("Listen on a closed pool: err = %v, want net.ErrClosed", err)
 	}
-	if gets, puts := p.PoolStats(); gets == puts {
-		t.Error("buffers balanced while a leg is still out")
-	}
-	out.Close()
-	select {
-	case <-out.loopDone:
-	default:
-		t.Error("a leg released after the pool's Close was parked, not closed")
-	}
 	if gets, puts := p.PoolStats(); gets != puts {
 		t.Errorf("leg pool leaked buffers: gets=%d puts=%d", gets, puts)
 	}
-	if st := p.Stats(); st.Parked != 0 || st.OverflowCloses != extra {
+	for _, port := range append(ports[:maxParkedLegs:maxParkedLegs], outPort) {
+		if !portFree(port) {
+			t.Errorf("port %d still bound after the pool's Close", port)
+		}
+	}
+	// The leg that was out is dead, not dangerous.
+	out.Send("127.0.0.1:9", []byte("late"))
+	if err := out.Close(); err != nil {
+		t.Errorf("closing a leg after its pool: %v", err)
+	}
+	if st := p.Stats(); st.Parked != 0 || st.Open != 0 || st.OverflowCloses != extra || st.TxDropped != 1 {
 		t.Errorf("after Close: stats = %+v", st)
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("second pool close: %v", err)
+	}
+	waitFor(t, "the pool's readers to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestLegPoolSendNeverBlocks: a leg's Send is the relay's transmit path
+// and runs on the pool's reader, so it may not wait for anything. A
+// peer that never reads costs the sender nothing on loopback (the
+// kernel accepts the datagram and drops it at the full receive queue);
+// a datagram the kernel refuses is dropped and counted, at once.
+func TestLegPoolSendNeverBlocks(t *testing.T) {
+	p := NewLegPool("127.0.0.1")
+	defer closePool(t, p)
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	peer.SetReadBuffer(1) // the kernel's minimum: a couple of datagrams
+
+	leg, _ := openLeg(t, p)
+	defer leg.Close()
+	const n = 5000
+	payload := make([]byte, 1024)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		leg.Send(peer.LocalAddr().String(), payload)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("%d sends to a deaf peer took %v", n, took)
+	}
+	st := p.Stats()
+	if st.TxPackets+st.TxDropped != n {
+		t.Errorf("stats = %+v, want every one of %d sends counted once", st, n)
+	}
+
+	leg.Send(peer.LocalAddr().String(), make([]byte, 1<<16)) // EMSGSIZE
+	leg.Send("[::1]:9", payload)                             // no route from a v4 socket
+	if got := p.Stats().TxDropped - st.TxDropped; got != 2 {
+		t.Errorf("an oversized and an unroutable datagram counted %d drops, want 2", got)
+	}
+}
+
+// TestLegPoolConcurrentUse: Listen, Send from several goroutines,
+// SetReceiver and Close on many legs while datagrams arrive, then the
+// pool's Close under all of it. The race detector and the buffer
+// invariant are the assertions.
+func TestLegPoolConcurrentUse(t *testing.T) {
+	p := NewLegPool("127.0.0.1")
+	sink, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	var sunk atomic.Uint64
+	sink.SetReceiver(func(string, []byte) { sunk.Add(1) })
+
+	var echoed atomic.Uint64
+	var owners sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		owners.Add(1)
+		go func() {
+			defer owners.Done()
+			port := 0
+			for {
+				tr, err := p.Listen(port)
+				if errors.Is(err, net.ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				port = tr.(*leg).port // next round takes the parked socket back
+				tr.SetReceiver(func(src string, data []byte) {
+					echoed.Add(1)
+					tr.Send(sink.LocalAddr(), data) // what the relay does: send from a receiver
+				})
+				var senders sync.WaitGroup
+				for s := 0; s < 3; s++ {
+					senders.Add(1)
+					go func() {
+						defer senders.Done()
+						for i := 0; i < 20; i++ {
+							tr.Send(tr.LocalAddr(), []byte("to myself"))
+							tr.Send(sink.LocalAddr(), []byte("to the sink"))
+						}
+					}()
+				}
+				senders.Wait()
+				tr.Close()
+			}
+		}()
+	}
+	waitFor(t, "traffic through the legs", func() bool { return echoed.Load() > 500 && sunk.Load() > 500 })
+	closePool(t, p)
+	owners.Wait()
+}
+
+// TestLegPoolIPv6: the host may be a v6 literal; addresses then read
+// "[::1]:port" in both directions.
+func TestLegPoolIPv6(t *testing.T) {
+	p := NewLegPool("::1")
+	defer closePool(t, p)
+	a, err := p.Listen(0)
+	if err != nil {
+		t.Skipf("no IPv6 loopback: %v", err)
+	}
+	b, _ := openLeg(t, p)
+	from := make(chan string, 1)
+	b.SetReceiver(func(src string, _ []byte) { from <- src })
+	a.Send(b.LocalAddr(), []byte("six"))
+	select {
+	case src := <-from:
+		if src != a.LocalAddr() {
+			t.Errorf("datagram from %s arrived as from %s", a.LocalAddr(), src)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("nothing crossed from %s to %s", a.LocalAddr(), b.LocalAddr())
 	}
 }

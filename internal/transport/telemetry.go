@@ -21,6 +21,11 @@ const (
 	mLegReuses         = "udp_leg_reuses_total"
 	mLegOverflowCloses = "udp_leg_overflow_closes_total"
 	mLegsParked        = "udp_legs_parked"
+	mLegsOpen          = "udp_legs_open"
+	mLegRxPackets      = "udp_leg_rx_packets_total"
+	mLegRxWakeups      = "udp_leg_rx_wakeups_total"
+	mLegTxPackets      = "udp_leg_tx_packets_total"
+	mLegTxDropped      = "udp_leg_tx_dropped_total"
 )
 
 // StatsSource is anything exposing wire-transport counters —
@@ -90,9 +95,12 @@ func publishPool(reg *telemetry.Registry, l telemetry.Label, stats func() (gets,
 		func() float64 { _, puts := stats(); return float64(puts) }, l)
 }
 
-// PublishTelemetry registers the pool's socket counters and its shared
-// buffer pool's gets and puts as live funcs in the style of the
+// PublishTelemetry registers the pool's socket and datagram counters and
+// its buffer pool's gets and puts as live funcs in the style of the
 // package-level PublishTelemetry, under the transport label "relay".
+// The datagram families are udp_leg_*, not udp_rx_* / udp_tx_* with
+// another label: readers sum those over every label as the SIP
+// listener's.
 func (p *LegPool) PublishTelemetry(reg *telemetry.Registry) {
 	l := telemetry.L("transport", "relay")
 	reg.CounterFunc(mLegBinds, "relay legs opened with a fresh socket",
@@ -103,5 +111,15 @@ func (p *LegPool) PublishTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(p.Stats().OverflowCloses) }, l)
 	reg.GaugeFunc(mLegsParked, "idle relay sockets kept bound",
 		func() float64 { return float64(p.Stats().Parked) }, l)
+	reg.GaugeFunc(mLegsOpen, "relay sockets bound, parked ones included",
+		func() float64 { return float64(p.Stats().Open) }, l)
+	reg.CounterFunc(mLegRxPackets, "datagrams read from relay sockets",
+		func() float64 { return float64(p.rxPackets.Load()) }, l)
+	reg.CounterFunc(mLegRxWakeups, "wake-ups of the relay reader that moved at least one datagram",
+		func() float64 { return float64(p.rxWakeups.Load()) }, l)
+	reg.CounterFunc(mLegTxPackets, "datagrams sent from relay sockets",
+		func() float64 { return float64(p.txPackets.Load()) }, l)
+	reg.CounterFunc(mLegTxDropped, "relay sends the kernel refused",
+		func() float64 { return float64(p.txDropped.Load()) }, l)
 	publishPool(reg, l, p.PoolStats)
 }

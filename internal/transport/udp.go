@@ -67,8 +67,8 @@ type UDPConfig struct {
 	// the platform default: MaxDatagram, or 64KB on the batched path
 	// so a full GRO aggregate fits (which is what arms receive-side
 	// segment coalescing). The read loop and send queue each hold
-	// BatchSize such buffers, so the many sockets of a LegPool (RTP
-	// relay legs) set this low to bound memory, trading away GRO.
+	// BatchSize such buffers, so a caller with many sockets sets this
+	// low to bound memory, trading away GRO.
 	BufferSize int
 }
 
@@ -101,17 +101,12 @@ type UDPTransport struct {
 	v6    bool
 
 	// mu guards the handlers. The read loop holds it shared while it
-	// delivers a batch, so a writer — SetReceiver, SetBatchEnd, a leg
-	// pool parking the socket — returns only once no batch is still
-	// being delivered to the handlers it replaced.
+	// delivers a batch, so a writer — SetReceiver, SetBatchEnd — returns
+	// only once no batch is still being delivered to the handlers it
+	// replaced.
 	mu       sync.RWMutex
 	recv     Receiver
 	batchEnd func()
-
-	// Set on a relay leg: the pool that owns the socket, and whether it
-	// is parked there (guarded by mu).
-	legs   *LegPool
-	parked bool
 
 	done      chan struct{}
 	loopDone  chan struct{}
@@ -332,17 +327,8 @@ func (t *UDPTransport) PoolStats() (gets, puts uint64) { return t.pool.Stats() }
 
 // Close stops the read loop, releases the socket and returns every
 // pooled buffer. It is idempotent and must not be called from the
-// transport's own Receiver (it waits for the read loop to exit). A
-// relay leg is handed back to its LegPool instead, which may keep the
-// socket bound; either way the caller is done with the transport.
+// transport's own Receiver (it waits for the read loop to exit).
 func (t *UDPTransport) Close() error {
-	if t.legs != nil {
-		return t.legs.release(t)
-	}
-	return t.destroy()
-}
-
-func (t *UDPTransport) destroy() error {
 	var err error
 	t.closeOnce.Do(func() {
 		close(t.done)
