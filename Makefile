@@ -10,7 +10,7 @@ BENCH_JSON  ?= BENCH_$(BENCH_DATE).json
 # scheduler (see `make cover`).
 COVER_MIN ?= 85
 
-.PHONY: build test vet race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke calls-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover verify bench bench-check
+.PHONY: build test vet race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke calls-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover verify bench bench-check wire-profile
 
 # The darwin cross-build keeps the portable (non-linux) data plane
 # compiling: batch_other.go and legpool_other.go must satisfy the same
@@ -184,3 +184,11 @@ bench-check:
 	set -- $$files; \
 	if [ $$# -lt 2 ]; then echo "bench-check: need two BENCH_*.json snapshots, have: $$files"; exit 0; fi; \
 	$(GO) run ./cmd/benchdiff $$1 $$2
+
+# Where pbxd's CPU goes under load: one untraced benchmark workload
+# (W=wire_calls, wire_register or wire_media) with a CPU profile pulled
+# from the child pbxd inside the saturated phase, written to
+# benchmark/out/profile-$(W).pprof and printed as `pprof -top -cum`.
+# A reading aid, not a verify gate.
+wire-profile:
+	GO=$(GO) ./wire-profile.sh $(W)

@@ -27,11 +27,14 @@ import (
 
 // These families are registered here, on the wall-clock wiring only:
 // the wire then shows what in-process runs read off
-// Endpoint.ActiveTransactions and Counters.RejectedPackets, and the
-// simulator's telemetry snapshots keep their families.
+// Endpoint.ActiveTransactions, LingeringTransactions and ReaperRuns and
+// Counters.RejectedPackets, and the simulator's telemetry snapshots
+// keep their families.
 const (
-	mSIPActiveTransactions = "sip_active_transactions"
-	mRelayRejected         = "rtp_relay_rejected_total"
+	mSIPActiveTransactions    = "sip_active_transactions"
+	mSIPLingeringTransactions = "sip_lingering_transactions"
+	mSIPReaperRuns            = "sip_tx_reaper_runs_total"
+	mRelayRejected            = "rtp_relay_rejected_total"
 )
 
 // dumpFlight writes the flight-recorder ring as JSON — the crash-path
@@ -84,6 +87,10 @@ func main() {
 	transport.PublishTelemetry(reg, "sip", tr)
 	reg.GaugeFunc(mSIPActiveTransactions, "live client and server transactions, lingering ones included",
 		func() float64 { return float64(ep.ActiveTransactions()) })
+	reg.GaugeFunc(mSIPLingeringTransactions, "transactions in their Completed linger, queued for the reaper",
+		func() float64 { return float64(ep.LingeringTransactions()) })
+	reg.CounterFunc(mSIPReaperRuns, "sweeps of the lingering-transaction reaper",
+		func() float64 { return float64(ep.ReaperRuns()) })
 
 	var dir *directory.Directory
 	if *dirShards > 0 {

@@ -43,9 +43,9 @@ func TestGoldenDeterminism(t *testing.T) {
 				return ExperimentConfig{Workload: 200, Capacity: 165, Seed: seed}
 			},
 			rows: []goldenRow{
-				{1, "events=5882 captureTotal=3557 blocking=0.16613418530351437 mosN=261 mosSum=1136.1811313065698"},
-				{42, "events=5704 captureTotal=3433 blocking=0.17704918032786884 mosN=251 mosSum=1092.6492871952071"},
-				{160, "events=6169 captureTotal=3739 blocking=0.19287833827893175 mosN=272 mosSum=1182.4768512120031"},
+				{1, "events=5845 captureTotal=3557 blocking=0.16613418530351437 mosN=261 mosSum=1136.1811313065698"},
+				{42, "events=5683 captureTotal=3433 blocking=0.17704918032786884 mosN=251 mosSum=1092.6492871952071"},
+				{160, "events=6136 captureTotal=3739 blocking=0.19287833827893175 mosN=272 mosSum=1182.4768512120031"},
 			},
 		},
 		{
@@ -54,9 +54,9 @@ func TestGoldenDeterminism(t *testing.T) {
 				return ExperimentConfig{Workload: 12, Capacity: 165, Media: sipp.MediaNone, Seed: seed}
 			},
 			rows: []goldenRow{
-				{1, "events=915 captureTotal=216 blocking=0 mosN=16 mosSum=70.058432778993662"},
-				{42, "events=934 captureTotal=229 blocking=0 mosN=17 mosSum=74.437084827680764"},
-				{160, "events=1133 captureTotal=372 blocking=0 mosN=28 mosSum=122.60225736323891"},
+				{1, "events=913 captureTotal=216 blocking=0 mosN=16 mosSum=70.058432778993662"},
+				{42, "events=932 captureTotal=229 blocking=0 mosN=17 mosSum=74.437084827680764"},
+				{160, "events=1131 captureTotal=372 blocking=0 mosN=28 mosSum=122.60225736323891"},
 			},
 		},
 		{
@@ -65,9 +65,9 @@ func TestGoldenDeterminism(t *testing.T) {
 				return ExperimentConfig{Workload: 12, Capacity: 165, Media: sipp.MediaPacketized, Seed: seed}
 			},
 			rows: []goldenRow{
-				{1, "events=576947 captureTotal=216 blocking=0 mosN=16 mosSum=70.057201531372186"},
-				{42, "events=612968 captureTotal=229 blocking=0 mosN=17 mosSum=74.435892108248225"},
-				{160, "events=1009189 captureTotal=372 blocking=0 mosN=28 mosSum=122.600232871578"},
+				{1, "events=576945 captureTotal=216 blocking=0 mosN=16 mosSum=70.057201531372186"},
+				{42, "events=612966 captureTotal=229 blocking=0 mosN=17 mosSum=74.435892108248225"},
+				{160, "events=1009187 captureTotal=372 blocking=0 mosN=28 mosSum=122.600232871578"},
 			},
 		},
 	}

@@ -17,9 +17,9 @@ import (
 // must fire exactly the events the single-threaded engine fires, not
 // merely agree with a fresh legacy run.
 var goldenEvents = map[string]map[uint64]uint64{
-	"signalling-200E": {1: 5882, 42: 5704, 160: 6169},
-	"flow-model-12E":  {1: 915, 42: 934, 160: 1133},
-	"packetized-12E":  {1: 576947, 42: 612968, 160: 1009189},
+	"signalling-200E": {1: 5845, 42: 5683, 160: 6136},
+	"flow-model-12E":  {1: 913, 42: 932, 160: 1131},
+	"packetized-12E":  {1: 576945, 42: 612966, 160: 1009187},
 }
 
 func goldenConfigs() map[string]func(seed uint64) core.ExperimentConfig {

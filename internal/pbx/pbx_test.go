@@ -23,7 +23,7 @@ type rig struct {
 	phones []*sip.Phone
 }
 
-func newRig(t *testing.T, nPhones int, cfg Config) *rig {
+func newRig(t testing.TB, nPhones int, cfg Config) *rig {
 	t.Helper()
 	sched := netsim.NewScheduler()
 	net := netsim.NewNetwork(sched, stats.NewRNG(31))

@@ -87,33 +87,46 @@ func (s *Session) PayloadName(pt int) (string, bool) {
 
 // Marshal renders the session in wire form.
 func (s *Session) Marshal() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v=0\r\n")
-	fmt.Fprintf(&b, "o=%s %d %d IN IP4 %s\r\n", nonEmpty(s.Origin, "-"), s.SessionID, s.Version, s.Host)
-	fmt.Fprintf(&b, "s=call\r\n")
-	fmt.Fprintf(&b, "c=IN IP4 %s\r\n", s.Host)
-	fmt.Fprintf(&b, "t=0 0\r\n")
-	fmt.Fprintf(&b, "m=audio %d RTP/AVP", s.Port)
-	for _, pt := range s.PayloadTypes {
-		fmt.Fprintf(&b, " %d", pt)
+	origin := s.Origin
+	if origin == "" {
+		origin = "-"
 	}
-	b.WriteString("\r\n")
+	// Sized for the usual two-codec offer, so the appends below
+	// allocate once.
+	b := make([]byte, 0, 160+len(origin)+2*len(s.Host))
+	b = append(b, "v=0\r\no="...)
+	b = append(b, origin...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, s.SessionID, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, s.Version, 10)
+	b = append(b, " IN IP4 "...)
+	b = append(b, s.Host...)
+	b = append(b, "\r\ns=call\r\nc=IN IP4 "...)
+	b = append(b, s.Host...)
+	b = append(b, "\r\nt=0 0\r\nm=audio "...)
+	b = strconv.AppendInt(b, int64(s.Port), 10)
+	b = append(b, " RTP/AVP"...)
+	for _, pt := range s.PayloadTypes {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(pt), 10)
+	}
+	b = append(b, "\r\n"...)
 	for _, pt := range s.PayloadTypes {
 		if name, ok := s.PayloadName(pt); ok {
-			fmt.Fprintf(&b, "a=rtpmap:%d %s\r\n", pt, name)
+			b = append(b, "a=rtpmap:"...)
+			b = strconv.AppendInt(b, int64(pt), 10)
+			b = append(b, ' ')
+			b = append(b, name...)
+			b = append(b, "\r\n"...)
 		}
 	}
 	if s.Ptime > 0 {
-		fmt.Fprintf(&b, "a=ptime:%d\r\n", s.Ptime)
+		b = append(b, "a=ptime:"...)
+		b = strconv.AppendInt(b, int64(s.Ptime), 10)
+		b = append(b, "\r\n"...)
 	}
-	return []byte(b.String())
-}
-
-func nonEmpty(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
+	return b
 }
 
 // Errors returned by Parse.

@@ -2,6 +2,8 @@ package sdp
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -148,5 +150,60 @@ func TestSDPParserNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fmtMarshal is Marshal as it was written with fmt, kept as the
+// reference the append-based one must match byte for byte.
+func fmtMarshal(s *Session) []byte {
+	var b strings.Builder
+	origin := s.Origin
+	if origin == "" {
+		origin = "-"
+	}
+	fmt.Fprintf(&b, "v=0\r\n")
+	fmt.Fprintf(&b, "o=%s %d %d IN IP4 %s\r\n", origin, s.SessionID, s.Version, s.Host)
+	fmt.Fprintf(&b, "s=call\r\n")
+	fmt.Fprintf(&b, "c=IN IP4 %s\r\n", s.Host)
+	fmt.Fprintf(&b, "t=0 0\r\n")
+	fmt.Fprintf(&b, "m=audio %d RTP/AVP", s.Port)
+	for _, pt := range s.PayloadTypes {
+		fmt.Fprintf(&b, " %d", pt)
+	}
+	b.WriteString("\r\n")
+	for _, pt := range s.PayloadTypes {
+		if name, ok := s.PayloadName(pt); ok {
+			fmt.Fprintf(&b, "a=rtpmap:%d %s\r\n", pt, name)
+		}
+	}
+	if s.Ptime > 0 {
+		fmt.Fprintf(&b, "a=ptime:%d\r\n", s.Ptime)
+	}
+	return []byte(b.String())
+}
+
+func TestMarshalMatchesFmtReference(t *testing.T) {
+	long := strings.Repeat("h", 300)
+	for name, s := range map[string]*Session{
+		"g711 offer":     NewG711Session("alice", "10.0.0.5", 4000),
+		"empty origin":   NewSessionWith("", "pbx", 10002, []int{0}),
+		"every codec":    NewSessionWith("u", "127.0.0.1", 65535, []int{0, 3, 8, 9, 18, 97}),
+		"unknown pt":     NewSessionWith("u", "h", 1, []int{0, 96, 127}),
+		"no codecs":      NewSessionWith("u", "h", 0, nil),
+		"parsed rtpmap":  {Origin: "o", SessionID: 7, Version: 8, Host: "h", Port: 9, PayloadTypes: []int{96, 0}, Rtpmap: map[int]string{96: "opus/48000/2", 0: "pcmu/8000"}},
+		"ptime":          {Origin: "o", SessionID: 1, Version: 2, Host: "h", Port: 9, PayloadTypes: []int{18}, Ptime: 30},
+		"negative ids":   {Origin: "o", SessionID: -1 << 63, Version: -5, Host: "h", Port: -1, PayloadTypes: []int{-3}, Ptime: -1},
+		"past the guess": {Origin: long, SessionID: 1<<63 - 1, Version: 1<<63 - 1, Host: long, Port: 4000, PayloadTypes: []int{0, 8}},
+	} {
+		if got, want := s.Marshal(), fmtMarshal(s); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %q\nwant %q", name, got, want)
+		}
+	}
+}
+
+func TestMarshalAllocatesOnce(t *testing.T) {
+	s := NewG711Session("alice", "10.0.0.5", 4000)
+	if n := testing.AllocsPerRun(100, func() { s.Marshal() }); n != 1 {
+		t.Errorf("Marshal of a two-codec offer: %v allocs, want 1", n)
 	}
 }

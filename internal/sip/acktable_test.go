@@ -18,6 +18,7 @@ type uasRig struct {
 	sched *netsim.Scheduler
 	ep    *Endpoint
 	oks   map[string]int // 200 responses seen at a:5060, by Call-ID
+	raw   [][]byte       // every datagram seen at a:5060
 	// served counts the requests the TU answered, tuAcks the ACKs it got.
 	served, tuAcks int
 }
@@ -27,6 +28,7 @@ func newUASRig() *uasRig {
 	net := netsim.NewNetwork(r.sched, stats.NewRNG(1))
 	net.SetDuplexLink("a", "b", netsim.LinkProfile{})
 	transport.NewSim(net, "a:5060").SetReceiver(func(_ string, data []byte) {
+		r.raw = append(r.raw, append([]byte(nil), data...))
 		if m, err := Parse(data); err == nil && m.StatusCode == StatusOK {
 			r.oks[m.CallID]++
 		}
@@ -138,23 +140,36 @@ func TestTombstoneDropsRequestAndCallbacks(t *testing.T) {
 		t.Fatal("request dropped before the ACK")
 	}
 	r.ep.handleData("a:5060", wireRequest(ACK, "call-1", "ack1"))
-	if invTx.req != nil || invTx.onAck != nil || invTx.onCancel != nil {
-		t.Errorf("lingering transaction still holds req=%v onAck=%v onCancel=%v",
-			invTx.req != nil, invTx.onAck != nil, invTx.onCancel != nil)
+	if invTx.req != nil || invTx.onAck != nil || invTx.onCancel != nil || invTx.retrans != nil || invTx.destroyTm != nil {
+		t.Errorf("lingering transaction still holds req=%v onAck=%v onCancel=%v timers=%v",
+			invTx.req != nil, invTx.onAck != nil, invTx.onCancel != nil, invTx.retrans != nil || invTx.destroyTm != nil)
 	}
-	if invTx.lastWire == nil || invTx.key == "" || invTx.src == "" {
+	if invTx.lastWire == nil || invTx.key == (txKey{}) || invTx.src == "" {
 		t.Error("tombstone lost its key, source or last response")
 	}
 }
 
 func TestCrashEmptiesAckIndex(t *testing.T) {
 	r := newUASRig()
+	r.linger(100)
 	r.ep.handleData("a:5060", wireRequest(INVITE, "call-1", "inv1"))
-	if r.ep.UnackedInvites() != 1 {
-		t.Fatal("INVITE not indexed")
+	r.sched.Run(time.Second)
+	if r.ep.UnackedInvites() != 1 || r.ep.LingeringTransactions() != 100 {
+		t.Fatalf("%d INVITEs indexed, %d transactions lingering; want 1 and 100",
+			r.ep.UnackedInvites(), r.ep.LingeringTransactions())
 	}
 	r.ep.Crash()
-	if tx, idx := r.ep.ActiveTransactions(), r.ep.UnackedInvites(); tx != 0 || idx != 0 {
-		t.Errorf("after Crash: %d transactions, %d indexed", tx, idx)
+	if tx, idx, q := r.ep.ActiveTransactions(), r.ep.UnackedInvites(), r.ep.LingeringTransactions(); tx != 0 || idx != 0 || q != 0 {
+		t.Errorf("after Crash: %d transactions, %d indexed, %d lingering", tx, idx, q)
+	}
+	// Mid-linger and mid-retransmission, nothing is left armed: not the
+	// reaper, not Timer G or H.
+	if n := r.sched.Pending(); n != 0 {
+		t.Errorf("after Crash: %d events still scheduled", n)
+	}
+	fired := r.sched.Fired()
+	r.sched.Run(time.Minute)
+	if r.sched.Fired() != fired {
+		t.Errorf("after Crash: %d events fired", r.sched.Fired()-fired)
 	}
 }

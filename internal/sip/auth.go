@@ -48,48 +48,58 @@ func (c DigestCredentials) Header() string {
 // ParseDigestChallenge extracts realm and nonce from a
 // WWW-Authenticate header value.
 func ParseDigestChallenge(v string) (DigestChallenge, bool) {
-	params, ok := digestParams(v)
-	if !ok {
-		return DigestChallenge{}, false
-	}
-	c := DigestChallenge{
-		Realm: params["realm"],
-		Nonce: params["nonce"],
-		Stale: strings.EqualFold(params["stale"], "true"),
+	rest, ok := strings.CutPrefix(strings.TrimSpace(v), "Digest ")
+	var c DigestChallenge
+	for ok && rest != "" {
+		var k, val string
+		k, val, rest = digestParam(rest)
+		switch {
+		case strings.EqualFold(k, "realm"):
+			c.Realm = val
+		case strings.EqualFold(k, "nonce"):
+			c.Nonce = val
+		case strings.EqualFold(k, "stale"):
+			c.Stale = strings.EqualFold(val, "true")
+		}
 	}
 	return c, c.Realm != "" && c.Nonce != ""
 }
 
 // ParseDigestCredentials extracts the fields of an Authorization value.
 func ParseDigestCredentials(v string) (DigestCredentials, bool) {
-	params, ok := digestParams(v)
-	if !ok {
-		return DigestCredentials{}, false
-	}
-	c := DigestCredentials{
-		Username: params["username"],
-		Realm:    params["realm"],
-		Nonce:    params["nonce"],
-		URI:      params["uri"],
-		Response: params["response"],
+	rest, ok := strings.CutPrefix(strings.TrimSpace(v), "Digest ")
+	var c DigestCredentials
+	for ok && rest != "" {
+		var k, val string
+		k, val, rest = digestParam(rest)
+		switch {
+		case strings.EqualFold(k, "username"):
+			c.Username = val
+		case strings.EqualFold(k, "realm"):
+			c.Realm = val
+		case strings.EqualFold(k, "nonce"):
+			c.Nonce = val
+		case strings.EqualFold(k, "uri"):
+			c.URI = val
+		case strings.EqualFold(k, "response"):
+			c.Response = val
+		}
 	}
 	return c, c.Username != "" && c.Response != ""
 }
 
-func digestParams(v string) (map[string]string, bool) {
-	rest, ok := strings.CutPrefix(strings.TrimSpace(v), "Digest ")
-	if !ok {
-		return nil, false
+// digestParam cuts the next parameter off a Digest header value and
+// splits it at "=": the key as written (matched case-insensitively by
+// the callers, the last duplicate winning) and the value without its
+// quotes. A parameter with no "=" comes back with an empty key. The cut
+// is at every comma, quoted or not.
+func digestParam(rest string) (k, val, tail string) {
+	part, tail, _ := strings.Cut(rest, ",")
+	k, val, found := strings.Cut(strings.TrimSpace(part), "=")
+	if !found {
+		return "", "", tail
 	}
-	params := make(map[string]string)
-	for _, part := range strings.Split(rest, ",") {
-		k, val, found := strings.Cut(strings.TrimSpace(part), "=")
-		if !found {
-			continue
-		}
-		params[strings.ToLower(k)] = strings.Trim(val, `"`)
-	}
-	return params, true
+	return k, strings.Trim(val, `"`), tail
 }
 
 // DigestResponse computes the expected response hash.
@@ -174,4 +184,3 @@ func hexEncode(dst, src []byte) {
 		dst[2*i+1] = hexDigits[b&0x0f]
 	}
 }
-

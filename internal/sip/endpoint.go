@@ -1,9 +1,10 @@
 package sip
 
 import (
-	"fmt"
 	"strconv"
+	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -63,21 +64,68 @@ type ackKey struct {
 	seq    uint32
 }
 
+// txKey identifies a transaction by the RFC 3261 (17.1.3/17.2.3) branch
+// rule — top Via branch plus CSeq method — as a comparable value, so
+// finding a transaction builds no string.
+type txKey struct {
+	branch string
+	method Method
+}
+
+// key returns the message's own transaction key: for an ACK or CANCEL
+// that is its own transaction, not the INVITE's (see inviteKey).
+func (m *Message) key() txKey { return txKey{m.branch(), m.CSeq.Method} }
+
+// inviteKey returns the key of the INVITE transaction an ACK or CANCEL
+// request targets: same branch, method INVITE.
+func (m *Message) inviteKey() txKey { return txKey{m.branch(), INVITE} }
+
+// owned returns k with storage of its own. A parsed message's strings
+// are views into its text, and a key kept in a transaction table must
+// not pin that text for as long as the transaction lingers.
+func (k txKey) owned() txKey {
+	k.branch = strings.Clone(k.branch)
+	for _, m := range [...]Method{INVITE, ACK, BYE, CANCEL, REGISTER, OPTIONS, MESSAGE} {
+		if k.method == m {
+			k.method = m // the constant, not the view equal to it
+			return k
+		}
+	}
+	k.method = Method(strings.Clone(string(k.method)))
+	return k
+}
+
 // Endpoint is the SIP transaction layer bound to one transport: it
-// owns client and server transactions, retransmission timers, and
-// message identifiers. User agents (softphones, the PBX) build on it.
+// owns client and server transactions — their wire bytes and their
+// deadlines — and message identifiers. User agents (softphones, the
+// PBX) build on it.
 type Endpoint struct {
 	mu    sync.Mutex
 	tr    transport.Transport
 	clock transport.Clock
 
 	handler   RequestHandler
-	clientTxs map[string]*ClientTx
-	serverTxs map[string]*ServerTx
+	clientTxs map[txKey]*ClientTx
+	serverTxs map[txKey]*ServerTx
 	// unacked indexes the INVITE server transactions no ACK has reached
 	// yet, so matching a 2xx ACK is one lookup however many
 	// transactions linger in serverTxs.
 	unacked map[ackKey]*ServerTx
+
+	// scratch is where every outbound message is rendered, once, and
+	// sent from; transactions keep an exact-size copy only of what RFC
+	// 3261 has them send again.
+	scratch []byte
+
+	// lingerQ is a ring (its length a power of two) of the lingerN
+	// transactions in their Completed linger, oldest at lingerHead.
+	// Every linger lasts CompletedLinger, so arrival order is expiry
+	// order and one timer — armed only while the queue is non-empty —
+	// reaps them all.
+	lingerQ             []lingerEntry
+	lingerHead, lingerN int
+	reaper              transport.RearmTimer
+	reaperRuns          uint64
 
 	idCounter  uint64
 	sent, recv msgTally
@@ -91,12 +139,13 @@ func NewEndpoint(tr transport.Transport, clock transport.Clock) *Endpoint {
 	ep := &Endpoint{
 		tr:        tr,
 		clock:     clock,
-		clientTxs: make(map[string]*ClientTx),
-		serverTxs: make(map[string]*ServerTx),
+		clientTxs: make(map[txKey]*ClientTx),
+		serverTxs: make(map[txKey]*ServerTx),
 		unacked:   make(map[ackKey]*ServerTx),
 		sent:      newMsgTally(),
 		recv:      newMsgTally(),
 	}
+	ep.reaper = transport.NewRearmTimer(clock, ep.reap)
 	tr.SetReceiver(ep.handleData)
 	return ep
 }
@@ -116,8 +165,13 @@ func (ep *Endpoint) Addr() string { return ep.tr.LocalAddr() }
 // Clock returns the endpoint's clock, for user-agent timers.
 func (ep *Endpoint) Clock() transport.Clock { return ep.clock }
 
-// Close releases the transport.
-func (ep *Endpoint) Close() error { return ep.tr.Close() }
+// Close disarms the reaper and releases the transport.
+func (ep *Endpoint) Close() error {
+	ep.mu.Lock()
+	ep.reaper.Stop()
+	ep.mu.Unlock()
+	return ep.tr.Close()
+}
 
 // Crash simulates abrupt process death: every client and server
 // transaction is dropped on the floor — no farewell responses, no
@@ -128,51 +182,64 @@ func (ep *Endpoint) Crash() {
 	ep.mu.Lock()
 	for _, tx := range ep.clientTxs {
 		tx.terminated = true
-		if tx.retransmit != nil {
-			tx.retransmit.Stop()
-		}
-		if tx.timeout != nil {
-			tx.timeout.Stop()
-		}
-		if tx.linger != nil {
-			tx.linger.Stop()
-		}
+		tx.stopTimersLocked()
 	}
 	for _, tx := range ep.serverTxs {
 		tx.stopTimersLocked()
 	}
-	ep.clientTxs = make(map[string]*ClientTx)
-	ep.serverTxs = make(map[string]*ServerTx)
+	ep.clientTxs = make(map[txKey]*ClientTx)
+	ep.serverTxs = make(map[txKey]*ServerTx)
 	ep.unacked = make(map[ackKey]*ServerTx)
+	ep.lingerQ, ep.lingerHead, ep.lingerN = nil, 0, 0
+	ep.reaper.Stop()
 	ep.mu.Unlock()
 	ep.tr.Close()
 }
 
+// nextID returns the next value of the counter every identifier the
+// endpoint mints is numbered from.
+func (ep *Endpoint) nextID() uint64 {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	ep.idCounter++
+	return ep.idCounter
+}
+
 // NewBranch returns a fresh RFC 3261 branch token.
-func (ep *Endpoint) NewBranch() string {
-	ep.mu.Lock()
-	ep.idCounter++
-	n := ep.idCounter
-	ep.mu.Unlock()
-	return fmt.Sprintf("%s-%s-%d", BranchPrefix, ep.tr.LocalAddr(), n)
+func (ep *Endpoint) NewBranch() string { return branchToken(ep.tr.LocalAddr(), ep.nextID()) }
+
+// branchToken renders "z9hG4bK-<addr>-<n>".
+func branchToken(addr string, n uint64) string {
+	var a [64]byte // on the stack: the string is the one allocation
+	b := append(a[:0], BranchPrefix...)
+	b = append(b, '-')
+	b = append(b, addr...)
+	b = append(b, '-')
+	return string(strconv.AppendUint(b, n, 10))
 }
 
-// NewTag returns a fresh dialog tag.
-func (ep *Endpoint) NewTag() string {
-	ep.mu.Lock()
-	ep.idCounter++
-	n := ep.idCounter
-	ep.mu.Unlock()
-	return fmt.Sprintf("t%d-%s", n, ep.tr.LocalAddr())
+// NewTag returns a fresh dialog tag, "t<n>-<addr>".
+func (ep *Endpoint) NewTag() string { return ep.newID('t', '-') }
+
+// NewCallID returns a fresh Call-ID, "c<n>@<addr>".
+func (ep *Endpoint) NewCallID() string { return ep.newID('c', '@') }
+
+func (ep *Endpoint) newID(prefix, sep byte) string {
+	var a [64]byte
+	b := append(a[:0], prefix)
+	b = strconv.AppendUint(b, ep.nextID(), 10)
+	b = append(b, sep)
+	return string(append(b, ep.tr.LocalAddr()...))
 }
 
-// NewCallID returns a fresh Call-ID.
-func (ep *Endpoint) NewCallID() string {
-	ep.mu.Lock()
+// topViaLocked puts a fresh Via on a request that has none.
+func (ep *Endpoint) topViaLocked(req *Message) {
+	if len(req.Via) != 0 {
+		return
+	}
 	ep.idCounter++
-	n := ep.idCounter
-	ep.mu.Unlock()
-	return fmt.Sprintf("c%d@%s", n, ep.tr.LocalAddr())
+	addr := ep.tr.LocalAddr()
+	req.Via = []Via{{Transport: "UDP", SentBy: addr, Branch: branchToken(addr, ep.idCounter)}}
 }
 
 // SendRequest opens a client transaction for req toward dst, placing a
@@ -181,11 +248,7 @@ func (ep *Endpoint) NewCallID() string {
 func (ep *Endpoint) SendRequest(dst string, req *Message, onResponse func(*Message)) *ClientTx {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if len(req.Via) == 0 {
-		ep.idCounter++
-		branch := fmt.Sprintf("%s-%s-%d", BranchPrefix, ep.tr.LocalAddr(), ep.idCounter)
-		req.Via = []Via{{Transport: "UDP", SentBy: ep.tr.LocalAddr(), Branch: branch}}
-	}
+	ep.topViaLocked(req)
 	return ep.startClientTxLocked(dst, req, onResponse)
 }
 
@@ -194,19 +257,29 @@ func (ep *Endpoint) SendRequest(dst string, req *Message, onResponse func(*Messa
 func (ep *Endpoint) SendACK(dst string, ack *Message) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if len(ack.Via) == 0 {
-		ep.idCounter++
-		branch := fmt.Sprintf("%s-%s-%d", BranchPrefix, ep.tr.LocalAddr(), ep.idCounter)
-		ack.Via = []Via{{Transport: "UDP", SentBy: ep.tr.LocalAddr(), Branch: branch}}
-	}
-	ep.sendWireLocked(dst, ack.Marshal(), ack)
+	ep.topViaLocked(ack)
+	ep.sendLocked(dst, ack)
 }
 
-// sendWireLocked transmits and counts an outbound message.
-func (ep *Endpoint) sendWireLocked(dst string, wire []byte, m *Message) {
+// sendLocked renders m into the endpoint's scratch buffer, transmits it
+// from there and counts it. The returned bytes are the scratch buffer:
+// valid until the next send, so a transaction that must send them again
+// copies them.
+func (ep *Endpoint) sendLocked(dst string, m *Message) []byte {
+	ep.scratch = m.Append(ep.scratch[:0])
 	ep.sent.add(m)
 	if ep.tm != nil {
 		ep.tm.sent[kindOf(m)].Inc()
+	}
+	ep.tr.Send(dst, ep.scratch)
+	return ep.scratch
+}
+
+// resendLocked retransmits or replays a transaction's stored bytes.
+func (ep *Endpoint) resendLocked(dst string, wire []byte) {
+	ep.stats.Retransmissions++
+	if ep.tm != nil {
+		ep.tm.retrans.Inc()
 	}
 	ep.tr.Send(dst, wire)
 }
@@ -225,16 +298,23 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 		return
 	}
 
+	// What to call once ep.mu is released: the TU's handler with a new
+	// request (tx stays nil for a 2xx ACK), or a transaction's callback
+	// with the response, ACK or CANCEL that matched it.
+	var (
+		h  RequestHandler
+		tx *ServerTx
+		cb func(*Message)
+	)
 	ep.mu.Lock()
 	ep.recv.add(msg)
 	if ep.tm != nil {
 		ep.tm.recv[kindOf(msg)].Inc()
 	}
-	var after func()
 	switch {
 	case msg.IsResponse():
-		if tx, ok := ep.clientTxs[msg.TransactionKey()]; ok {
-			after = tx.handleResponseLocked(msg)
+		if ctx, ok := ep.clientTxs[msg.key()]; ok {
+			cb = ctx.handleResponseLocked(msg)
 		} else {
 			ep.stats.StrayResponses++
 			if ep.tm != nil {
@@ -242,70 +322,129 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 			}
 		}
 	case msg.Method == ACK:
-		if tx, ok := ep.serverTxs[msg.MatchingInviteKey()]; ok && tx.isInvite {
+		if inv, ok := ep.serverTxs[msg.inviteKey()]; ok && inv.isInvite {
 			// ACK for a non-2xx final: same branch as the INVITE.
-			after = tx.handleAckLocked(msg)
+			cb = inv.onAck
+			inv.ackedLocked()
 		} else {
 			// ACK for a 2xx carries a new branch (it is its own
 			// transaction, RFC 3261 13.2.2.4): quiet the matching
 			// INVITE server transaction's 2xx retransmissions, then
 			// hand the ACK to the TU for dialog confirmation.
-			if tx, ok := ep.unacked[ackKey{msg.CallID, msg.CSeq.Seq}]; ok {
-				tx.ackedLocked()
+			if inv, ok := ep.unacked[ackKey{msg.CallID, msg.CSeq.Seq}]; ok {
+				inv.ackedLocked()
 			}
-			if ep.handler != nil {
-				h := ep.handler
-				after = func() { h(nil, msg, src) }
-			}
+			h = ep.handler
 		}
 	case msg.Method == CANCEL:
 		// CANCEL matches the INVITE transaction by branch (RFC 3261
 		// 9.2). The transaction layer answers the CANCEL with 200 (or
 		// 481 when nothing matches); the TU then rejects the INVITE.
 		resp := msg.Response(StatusOK)
-		if tx, ok := ep.serverTxs[msg.MatchingInviteKey()]; ok && tx.isInvite {
-			ep.sendWireLocked(src, resp.Marshal(), resp)
-			if tx.lastCode < 200 && tx.onCancel != nil {
-				fn := tx.onCancel
-				after = func() { fn(msg) }
+		if inv, ok := ep.serverTxs[msg.inviteKey()]; ok && inv.isInvite {
+			if inv.lastCode < 200 {
+				cb = inv.onCancel
 			}
 		} else {
 			resp.StatusCode = 481
 			resp.ReasonStr = "Call/Transaction Does Not Exist"
-			ep.sendWireLocked(src, resp.Marshal(), resp)
 		}
+		ep.sendLocked(src, resp)
 	default:
-		key := msg.TransactionKey()
-		if tx, ok := ep.serverTxs[key]; ok {
+		key := msg.key()
+		if old, ok := ep.serverTxs[key]; ok {
 			// Request retransmission: replay the last response.
-			if tx.lastWire != nil {
-				ep.stats.Retransmissions++
-				if ep.tm != nil {
-					ep.tm.retrans.Inc()
-				}
-				ep.tr.Send(tx.src, tx.lastWire)
+			if old.lastWire != nil {
+				ep.resendLocked(old.src, old.lastWire)
 			}
 		} else {
-			tx := &ServerTx{
+			tx = &ServerTx{
 				ep:       ep,
-				key:      key,
+				key:      key.owned(),
 				req:      msg,
 				src:      src,
 				isInvite: msg.Method == INVITE,
 			}
-			ep.serverTxs[key] = tx
+			ep.serverTxs[tx.key] = tx
 			if tx.isInvite {
 				ep.unacked[ackKey{msg.CallID, msg.CSeq.Seq}] = tx
 			}
-			if ep.handler != nil {
-				h := ep.handler
-				after = func() { h(tx, msg, src) }
-			}
+			h = ep.handler
 		}
 	}
 	ep.mu.Unlock()
-	if after != nil {
-		after()
+	switch {
+	case h != nil:
+		h(tx, msg, src)
+	case cb != nil:
+		cb(msg)
+	}
+}
+
+// lingerEntry is one queue entry: a transaction (exactly one of the two)
+// and the time its linger runs out.
+type lingerEntry struct {
+	due    time.Duration
+	server *ServerTx
+	client *ClientTx
+}
+
+const (
+	// lingerSweep is the least the reaper waits between two sweeps, so
+	// a stream of transactions that expire microseconds apart costs ten
+	// timer firings a second, not one each.
+	lingerSweep = 100 * time.Millisecond
+	// reapChunk bounds the deletions done in one hold of ep.mu.
+	reapChunk = 1024
+)
+
+// lingerLocked queues a transaction entering its Completed linger and
+// arms the reaper if the queue was empty.
+func (ep *Endpoint) lingerLocked(e lingerEntry) {
+	e.due = ep.clock.Now() + CompletedLinger
+	if ep.lingerN == 0 {
+		ep.reaper.Schedule(CompletedLinger)
+	}
+	if ep.lingerN == len(ep.lingerQ) {
+		// Full: a ring twice the size, the oldest in slot 0.
+		q := make([]lingerEntry, max(64, 2*len(ep.lingerQ)))
+		n := copy(q, ep.lingerQ[ep.lingerHead:])
+		copy(q[n:], ep.lingerQ[:ep.lingerHead])
+		ep.lingerQ, ep.lingerHead = q, 0
+	}
+	ep.lingerQ[(ep.lingerHead+ep.lingerN)&(len(ep.lingerQ)-1)] = e
+	ep.lingerN++
+}
+
+// reap is the reaper timer's callback: it removes every transaction
+// whose linger has run out, letting ep.mu go between chunks, and
+// re-arms for the oldest one left — or not at all when none is.
+func (ep *Endpoint) reap() {
+	for more := true; more; {
+		ep.mu.Lock()
+		ep.reaperRuns++
+		now := ep.clock.Now()
+		n := 0
+		for ; n < reapChunk && ep.lingerN > 0 && ep.lingerQ[ep.lingerHead].due <= now; n++ {
+			e := &ep.lingerQ[ep.lingerHead]
+			if e.server != nil {
+				delete(ep.serverTxs, e.server.key)
+			} else if !e.client.terminated { // Terminate may have come first
+				e.client.terminateLocked()
+			}
+			*e = lingerEntry{}
+			ep.lingerHead = (ep.lingerHead + 1) & (len(ep.lingerQ) - 1)
+			ep.lingerN--
+		}
+		more = n == reapChunk
+		if !more && ep.lingerN > 0 {
+			wait := ep.lingerQ[ep.lingerHead].due - now
+			if wait < lingerSweep {
+				wait = lingerSweep
+			}
+			ep.reaper.Schedule(wait)
+		}
+		ep.mu.Unlock()
 	}
 }
 
@@ -325,6 +464,21 @@ func (ep *Endpoint) ActiveTransactions() int {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	return len(ep.clientTxs) + len(ep.serverTxs)
+}
+
+// LingeringTransactions reports how many of the active transactions
+// are in their Completed linger, waiting for the reaper.
+func (ep *Endpoint) LingeringTransactions() int {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.lingerN
+}
+
+// ReaperRuns counts the reaper's sweeps (one per hold of the lock).
+func (ep *Endpoint) ReaperRuns() uint64 {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.reaperRuns
 }
 
 // UnackedInvites reports the size of the 2xx-ACK index. Every entry is

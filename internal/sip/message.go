@@ -138,11 +138,11 @@ type Message struct {
 	StatusCode int
 	ReasonStr  string
 	// Headers.
-	Via         []Via // topmost first
-	From, To    NameAddr
-	CallID      string
-	CSeq        CSeq
-	Contact     *NameAddr
+	Via      []Via // topmost first
+	From, To NameAddr
+	CallID   string
+	CSeq     CSeq
+	Contact  *NameAddr
 	// ContactStar marks the RFC 3261 10.2.2 wildcard "Contact: *",
 	// which (with Expires: 0) unregisters every contact of the
 	// address-of-record. Mutually exclusive with Contact.
@@ -153,7 +153,7 @@ type Message struct {
 	ContactExpires int
 	MaxForwards    int
 	Expires        int // -1 when absent
-	ContentType string
+	ContentType    string
 	// RetryAfter is the Retry-After value in seconds on 503 (and other
 	// rejection) responses — the overload-control feedback channel of
 	// RFC 3261 21.5.4. Zero means the header is absent: a zero-second
@@ -225,27 +225,21 @@ func (m *Message) TopVia() *Via {
 	return &m.Via[0]
 }
 
-// TransactionKey identifies the transaction a message belongs to per
-// the RFC 3261 (17.1.3/17.2.3) branch rule: the top Via branch plus
-// the CSeq method. ACK and CANCEL requests keep their own method here
-// (a CANCEL is its own transaction); use MatchingInviteKey to locate
-// the INVITE transaction they refer to.
+// TransactionKey names the transaction a message belongs to per the
+// RFC 3261 (17.1.3/17.2.3) branch rule: the top Via branch plus the
+// CSeq method. ACK and CANCEL requests keep their own method here (a
+// CANCEL is its own transaction). The endpoint matches on the same
+// pair as a struct (txKey); this string form is for observers.
 func (m *Message) TransactionKey() string {
-	branch := ""
-	if v := m.TopVia(); v != nil {
-		branch = v.Branch
-	}
-	return branch + "|" + string(m.CSeq.Method)
+	return m.branch() + "|" + string(m.CSeq.Method)
 }
 
-// MatchingInviteKey returns the key of the INVITE transaction an ACK
-// or CANCEL request targets: same branch, method INVITE.
-func (m *Message) MatchingInviteKey() string {
-	branch := ""
-	if v := m.TopVia(); v != nil {
-		branch = v.Branch
+// branch returns the top Via's branch, "" when there is none.
+func (m *Message) branch() string {
+	if len(m.Via) == 0 {
+		return ""
 	}
-	return branch + "|" + string(INVITE)
+	return m.Via[0].Branch
 }
 
 // DialogID returns the dialog identifier from this message's

@@ -254,30 +254,30 @@ func TestLooksLikeSIP(t *testing.T) {
 func TestTransactionKey(t *testing.T) {
 	req := buildInvite()
 	resp := req.Response(StatusOK)
-	if req.TransactionKey() != resp.TransactionKey() {
+	if req.TransactionKey() != resp.TransactionKey() || req.key() != resp.key() {
 		t.Error("request and its response have different keys")
 	}
-	// ACK and CANCEL are their own transactions, but their
-	// MatchingInviteKey locates the INVITE they refer to.
+	// ACK and CANCEL are their own transactions, but their inviteKey
+	// locates the INVITE they refer to.
 	ack := NewRequest(ACK, req.RequestURI, req.From, req.To, req.CallID, req.CSeq.Seq)
 	ack.CSeq.Method = ACK
 	ack.Via = []Via{req.Via[0]}
-	if ack.TransactionKey() == req.TransactionKey() {
+	if ack.TransactionKey() == req.TransactionKey() || ack.key() == req.key() {
 		t.Error("ACK transaction key should differ from INVITE's")
 	}
-	if ack.MatchingInviteKey() != req.TransactionKey() {
-		t.Error("ACK MatchingInviteKey does not locate the INVITE")
+	if ack.inviteKey() != req.key() {
+		t.Error("ACK inviteKey does not locate the INVITE")
 	}
 	cancel := NewRequest(CANCEL, req.RequestURI, req.From, req.To, req.CallID, req.CSeq.Seq)
 	cancel.CSeq.Method = CANCEL
 	cancel.Via = []Via{req.Via[0]}
-	if cancel.MatchingInviteKey() != req.TransactionKey() {
-		t.Error("CANCEL MatchingInviteKey does not locate the INVITE")
+	if cancel.inviteKey() != req.key() {
+		t.Error("CANCEL inviteKey does not locate the INVITE")
 	}
 	// BYE with its own branch must not match.
 	bye := NewRequest(BYE, req.RequestURI, req.From, req.To, req.CallID, 2)
 	bye.Via = []Via{{SentBy: "a", Branch: "z9hG4bK-other"}}
-	if bye.TransactionKey() == req.TransactionKey() {
+	if bye.TransactionKey() == req.TransactionKey() || bye.key() == req.key() {
 		t.Error("BYE collides with INVITE key")
 	}
 }

@@ -1,7 +1,7 @@
 package sip
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -313,8 +313,7 @@ func (p *Phone) localURI() URI {
 
 func portOf(addr string) int {
 	_, portStr, _ := strings.Cut(addr, ":")
-	var port int
-	fmt.Sscanf(portStr, "%d", &port)
+	port, _ := strconv.Atoi(portStr)
 	return port
 }
 

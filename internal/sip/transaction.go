@@ -21,7 +21,7 @@ const (
 // and the responses that match its branch.
 type ClientTx struct {
 	ep         *Endpoint
-	key        string
+	key        txKey
 	req        *Message
 	wire       []byte
 	dst        string
@@ -31,7 +31,6 @@ type ClientTx struct {
 	interval   time.Duration
 	retransmit transport.Timer
 	timeout    transport.Timer
-	linger     transport.Timer
 	finalSeen  bool
 	terminated bool
 }
@@ -44,10 +43,11 @@ func (tx *ClientTx) Request() *Message { return tx.req }
 // tombstone: key, source and the last response's wire bytes.
 type ServerTx struct {
 	ep        *Endpoint
-	key       string
+	key       txKey // owns its strings, see txKey.owned
 	req       *Message
 	src       string
 	isInvite  bool
+	lingering bool
 	lastWire  []byte
 	lastCode  int
 	acked     bool
@@ -55,7 +55,7 @@ type ServerTx struct {
 	onCancel  func(*Message)
 	retrans   transport.Timer
 	interval  time.Duration
-	destroyTm transport.Timer
+	destroyTm transport.Timer // Timer H
 }
 
 // Request returns the request that opened the transaction, or nil once
@@ -88,9 +88,10 @@ func (tx *ServerTx) Respond(resp *Message) {
 }
 
 func (tx *ServerTx) respondLocked(resp *Message) {
-	tx.lastWire = resp.Marshal()
+	// The copy kept for replays reuses the last one's capacity: a final
+	// usually follows a provisional of about its size.
+	tx.lastWire = append(tx.lastWire[:0], tx.ep.sendLocked(tx.src, resp)...)
 	tx.lastCode = resp.StatusCode
-	tx.ep.sendWireLocked(tx.src, tx.lastWire, resp)
 	if resp.StatusCode < 200 {
 		return
 	}
@@ -116,18 +117,20 @@ func (tx *ServerTx) respondLocked(resp *Message) {
 
 // lingerLocked enters the Completed linger (final response sent for a
 // non-INVITE, ACK seen for an INVITE): the transaction stays findable
-// by key to absorb retransmissions, then vanishes. From here on it is a
-// tombstone. The request and the TU's callbacks are dropped, so nothing
-// that lingers can pin a parsed message or what a callback captured —
-// for the PBX a bridge, its relay and their sockets.
+// by key to absorb retransmissions until the endpoint's reaper removes
+// it. From here on it is a tombstone. The request, the TU's callbacks
+// and the (stopped) timers are dropped, so nothing that lingers can pin
+// a parsed message or what a callback captured — for the PBX a bridge,
+// its relay and their sockets. A transaction lingers once: a later
+// final response replaces the stored bytes, not the deadline.
 func (tx *ServerTx) lingerLocked() {
+	if tx.lingering {
+		return
+	}
+	tx.lingering = true
 	tx.forgetUnackedLocked()
-	tx.req, tx.onAck, tx.onCancel = nil, nil, nil
-	tx.destroyTm = tx.ep.clock.AfterFunc(CompletedLinger, func() {
-		tx.ep.mu.Lock()
-		delete(tx.ep.serverTxs, tx.key)
-		tx.ep.mu.Unlock()
-	})
+	tx.req, tx.onAck, tx.onCancel, tx.retrans, tx.destroyTm = nil, nil, nil, nil, nil
+	tx.ep.lingerLocked(lingerEntry{server: tx})
 }
 
 // forgetUnackedLocked takes an INVITE transaction out of the 2xx-ACK
@@ -150,11 +153,7 @@ func (tx *ServerTx) armRetransmitLocked() {
 		if tx.acked || tx.lastWire == nil {
 			return
 		}
-		tx.ep.stats.Retransmissions++
-		if tx.ep.tm != nil {
-			tx.ep.tm.retrans.Inc()
-		}
-		tx.ep.tr.Send(tx.src, tx.lastWire)
+		tx.ep.resendLocked(tx.src, tx.lastWire)
 		tx.interval *= 2
 		if tx.interval > T2 {
 			tx.interval = T2
@@ -181,31 +180,19 @@ func (tx *ServerTx) ackedLocked() {
 	tx.lingerLocked()
 }
 
-// handleAckLocked consumes an ACK matching this INVITE transaction by
-// branch (the ACK for a non-2xx final).
-func (tx *ServerTx) handleAckLocked(ack *Message) func() {
-	fn := tx.onAck
-	tx.ackedLocked()
-	if fn != nil {
-		return func() { fn(ack) }
-	}
-	return nil
-}
-
 // startClientTxLocked sends req as a new client transaction.
 func (ep *Endpoint) startClientTxLocked(dst string, req *Message, onResponse func(*Message)) *ClientTx {
 	tx := &ClientTx{
 		ep:         ep,
-		key:        req.TransactionKey(),
+		key:        req.key(),
 		req:        req,
 		dst:        dst,
 		isInvite:   req.Method == INVITE,
 		onResponse: onResponse,
 		interval:   T1,
 	}
-	tx.wire = req.Marshal()
 	ep.clientTxs[tx.key] = tx
-	ep.sendWireLocked(dst, tx.wire, req)
+	tx.wire = append([]byte(nil), ep.sendLocked(dst, req)...)
 	tx.armRetransmitLocked()
 	tx.timeout = ep.clock.AfterFunc(TransactionTimeout, func() {
 		ep.mu.Lock()
@@ -239,11 +226,7 @@ func (tx *ClientTx) armRetransmitLocked() {
 		if tx.terminated || tx.finalSeen {
 			return
 		}
-		tx.ep.stats.Retransmissions++
-		if tx.ep.tm != nil {
-			tx.ep.tm.retrans.Inc()
-		}
-		tx.ep.tr.Send(tx.dst, tx.wire)
+		tx.ep.resendLocked(tx.dst, tx.wire)
 		tx.interval *= 2
 		if !tx.isInvite && tx.interval > T2 {
 			tx.interval = T2
@@ -267,34 +250,32 @@ func (tx *ClientTx) Terminate() {
 
 func (tx *ClientTx) terminateLocked() {
 	tx.terminated = true
+	tx.stopTimersLocked()
+	delete(tx.ep.clientTxs, tx.key)
+}
+
+func (tx *ClientTx) stopTimersLocked() {
 	if tx.retransmit != nil {
 		tx.retransmit.Stop()
 	}
 	if tx.timeout != nil {
 		tx.timeout.Stop()
 	}
-	if tx.linger != nil {
-		tx.linger.Stop()
-	}
-	delete(tx.ep.clientTxs, tx.key)
 }
 
 // handleResponseLocked processes a response matched to this
-// transaction, returning the TU callback to run after unlock.
-func (tx *ClientTx) handleResponseLocked(resp *Message) func() {
+// transaction, returning the TU callback to hand it to after unlock
+// (nil for none).
+func (tx *ClientTx) handleResponseLocked(resp *Message) func(*Message) {
 	if tx.terminated {
 		return nil
 	}
-	cb := tx.onResponse
 	if resp.StatusCode < 200 {
 		// Provisional: stop retransmitting (Timer A only; keep B).
 		if tx.retransmit != nil {
 			tx.retransmit.Stop()
 		}
-		if cb == nil {
-			return nil
-		}
-		return func() { cb(resp) }
+		return tx.onResponse
 	}
 	if tx.finalSeen {
 		// Retransmitted final response: re-ACK non-2xx, swallow.
@@ -304,28 +285,16 @@ func (tx *ClientTx) handleResponseLocked(resp *Message) func() {
 		return nil
 	}
 	tx.finalSeen = true
-	if tx.retransmit != nil {
-		tx.retransmit.Stop()
-	}
-	if tx.timeout != nil {
-		tx.timeout.Stop()
-	}
+	tx.stopTimersLocked()
 	if tx.isInvite && resp.StatusCode >= 300 {
 		// The transaction layer ACKs non-2xx finals (RFC 3261 17.1.1.3)
 		// and lingers to absorb retransmissions.
 		tx.ep.sendAckForLocked(tx, resp)
-		tx.linger = tx.ep.clock.AfterFunc(CompletedLinger, func() {
-			tx.ep.mu.Lock()
-			tx.terminateLocked()
-			tx.ep.mu.Unlock()
-		})
+		tx.ep.lingerLocked(lingerEntry{client: tx})
 	} else {
 		tx.terminateLocked()
 	}
-	if cb == nil {
-		return nil
-	}
-	return func() { cb(resp) }
+	return tx.onResponse
 }
 
 // sendAckForLocked emits the transaction-layer ACK for a non-2xx final
@@ -334,5 +303,5 @@ func (ep *Endpoint) sendAckForLocked(tx *ClientTx, resp *Message) {
 	ack := NewRequest(ACK, tx.req.RequestURI, tx.req.From, resp.To, tx.req.CallID, tx.req.CSeq.Seq)
 	ack.CSeq.Method = ACK
 	ack.Via = []Via{tx.req.Via[0]}
-	ep.sendWireLocked(tx.dst, ack.Marshal(), ack)
+	ep.sendLocked(tx.dst, ack)
 }

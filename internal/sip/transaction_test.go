@@ -1,6 +1,9 @@
 package sip
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,11 +229,46 @@ func TestIDGeneratorsUnique(t *testing.T) {
 	_, epA, _ := simPair(t, netsim.LinkProfile{})
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
-		for _, id := range []string{epA.NewBranch(), epA.NewTag(), epA.NewCallID()} {
+		ids := []string{epA.NewBranch(), epA.NewTag(), epA.NewCallID()}
+		for _, id := range ids {
 			if seen[id] {
 				t.Fatalf("duplicate id %q", id)
 			}
 			seen[id] = true
+		}
+		// Byte for byte what Sprintf used to render, off one counter.
+		n := 3*i + 1
+		want := []string{fmt.Sprintf("%s-%s-%d", BranchPrefix, "a:5060", n),
+			fmt.Sprintf("t%d-%s", n+1, "a:5060"), fmt.Sprintf("c%d@%s", n+2, "a:5060")}
+		if !reflect.DeepEqual(ids, want) {
+			t.Fatalf("ids %q, want %q", ids, want)
+		}
+	}
+	// The Via SendRequest and SendACK put on top is numbered the same way.
+	for i, send := range []func(*Message){
+		func(m *Message) { epA.SendRequest("b:5060", m, nil) },
+		func(m *Message) { epA.SendACK("b:5060", m) },
+	} {
+		m := options("a", "b")
+		send(m)
+		want := Via{Transport: "UDP", SentBy: "a:5060", Branch: fmt.Sprintf("%s-a:5060-%d", BranchPrefix, 3001+i)}
+		if len(m.Via) != 1 || m.Via[0] != want {
+			t.Errorf("top Via %+v, want %+v", m.Via, want)
+		}
+	}
+}
+
+// TestHostPort pins the strings Sprintf("%s:%d") used to produce.
+func TestHostPort(t *testing.T) {
+	long := strings.Repeat("h", 80) // past the stack buffer
+	for want, u := range map[string]URI{
+		"pbx:5060":        NewURI("u", "pbx", 0),
+		"127.0.0.1:65535": NewURI("u", "127.0.0.1", 65535),
+		long + ":7":       NewURI("", long, 7),
+		":-1":             NewURI("", "", -1),
+	} {
+		if got := u.HostPort(); got != want {
+			t.Errorf("HostPort(%+v) = %q, want %q", u, got, want)
 		}
 	}
 }

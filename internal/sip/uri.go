@@ -45,7 +45,10 @@ func (u URI) HostPort() string {
 	if p == 0 {
 		p = DefaultPort
 	}
-	return fmt.Sprintf("%s:%d", u.Host, p)
+	var a [64]byte // on the stack: the string is the one allocation
+	b := append(a[:0], u.Host...)
+	b = append(b, ':')
+	return string(strconv.AppendInt(b, int64(p), 10))
 }
 
 // AppendTo appends the wire form of the URI to dst.

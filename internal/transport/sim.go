@@ -19,8 +19,15 @@ func (c SimClock) Now() time.Duration { return c.Sched.Now() }
 
 // AfterFunc schedules fn on the simulation event loop.
 func (c SimClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return c.Sched.After(d, func(time.Duration) { fn() })
+	return c.Sched.AtTimer(c.Sched.Now()+d, simFunc(fn))
 }
+
+// simFunc runs a plain func as a scheduler event, sparing AfterFunc a
+// closure around each one.
+type simFunc func()
+
+// RunEvent implements netsim.Runner.
+func (f simFunc) RunEvent(time.Duration) { f() }
 
 // simRearm is a reusable timer on the simulation scheduler. It
 // implements netsim.Runner, so re-arming schedules no closure: the

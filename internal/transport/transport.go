@@ -108,7 +108,9 @@ type BatchEndNotifier interface {
 // Transport sends and receives datagrams.
 type Transport interface {
 	// Send transmits data to dst ("host:port"). Datagram transports
-	// are lossy by nature; Send does not report delivery.
+	// are lossy by nature; Send does not report delivery. data is read
+	// only during the call: the caller may reuse the buffer as soon as
+	// Send returns, and the SIP endpoint sends every message from one.
 	Send(dst string, data []byte)
 	// LocalAddr returns this endpoint's own address.
 	LocalAddr() string

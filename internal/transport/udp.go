@@ -95,6 +95,7 @@ type TransportStats struct {
 // ownership contract: valid only for the duration of the call.
 type UDPTransport struct {
 	conn  *net.UDPConn
+	local string // conn's address, formatted once at bind
 	pool  *BufPool
 	addrs *addrCache
 	batch int // datagrams per syscall; 0 = portable path
@@ -149,6 +150,7 @@ func listenUDP(addr string, cfg UDPConfig, reuse bool, pool *BufPool, addrs *add
 	}
 	t := &UDPTransport{
 		conn:     conn,
+		local:    conn.LocalAddr().String(),
 		pool:     pool,
 		addrs:    addrs,
 		done:     make(chan struct{}),
@@ -299,7 +301,7 @@ func (t *UDPTransport) SetBatchEnd(fn func()) {
 func (t *UDPTransport) Batched() bool { return t.batch > 0 }
 
 // LocalAddr returns the bound socket address.
-func (t *UDPTransport) LocalAddr() string { return t.conn.LocalAddr().String() }
+func (t *UDPTransport) LocalAddr() string { return t.local }
 
 // SetReceiver installs the inbound handler. Like Close and SetBatchEnd
 // it waits for a batch in delivery to end, so none of the three may be
