@@ -1,16 +1,10 @@
 GO ?= go
 
-# Benchmark harness knobs: repetitions per benchmark and the dated
-# snapshot the results land in (see `make bench` / `make bench-check`).
-BENCH_COUNT ?= 3
-BENCH_DATE  ?= $(shell date +%Y%m%d)
-BENCH_JSON  ?= BENCH_$(BENCH_DATE).json
-
 # Coverage floor for the codec negotiation plane and the shard
 # scheduler (see `make cover`).
 COVER_MIN ?= 85
 
-.PHONY: build test vet race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke calls-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover verify bench bench-check wire-profile
+.PHONY: build test vet race fuzz-smoke telemetry-smoke lint-metrics cover verify bench bench-check wire-profile
 
 # The darwin cross-build keeps the portable (non-linux) data plane
 # compiling: batch_other.go and legpool_other.go must satisfy the same
@@ -29,51 +23,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pass of the cheap end-to-end chaos scenario (seeded, virtual
-# clock): every subsystem touched in about a second of wall time.
-chaos-smoke:
-	$(GO) test -run 'TestSmokeScenario' -count=1 ./internal/chaos/
-
-# The server-failure drill under the race detector: crash one of
-# three backends at peak, verify probe markdown, failover, restart
-# re-admission and crash-consistent CDR recovery.
-chaos-crash-smoke:
-	$(GO) test -race -run 'TestCrashFailoverScenario' -count=1 ./internal/chaos/
-
-# The sharded engine under the race detector: the cheap chaos scenario
-# on a 4-shard group, its invariants (including packet-pool gets==puts)
-# checked, and its results diffed bit-for-bit against the
-# single-scheduler engine.
-shard-smoke:
-	$(GO) test -race -run 'TestShardedChaosSmoke' -count=1 ./internal/netsim/difftest/
-
-# The real-socket data plane under the race detector: an in-process
-# pbxd+sipload soak — sharded REUSEPORT listener with batched read
-# loops and GSO send queues for SIP, the leg pool's one epoll loop
-# relaying the media — which must drop and reject nothing, read every
-# leg from that one goroutine, and end with the buffer-pool gets==puts
-# ownership check on every socket opened.
-udp-smoke:
-	$(GO) test -race -run 'TestLoopbackSoak' -count=1 ./internal/pbx/
-
-# A call costs the same whatever came before it, under the race
-# detector: the pbxd wiring in one process (relay legs from the
-# transport leg pool) driven closed-loop with zero-hold calls for about
-# five seconds. Fails if the completion rate decays over the run, if
-# the calls still lingering at the end pin more than kilobytes each, or
-# if channels, call spans, pooled buffers or — after the linger —
-# transactions do not return to zero.
-calls-smoke:
-	$(GO) test -race -run 'TestCallsSmoke' -count=1 ./internal/pbx/
-
-# The sharded registrar under the race detector: concurrent
-# register/refresh/expire/lookup workers against the live expiry wheel
-# on the real clock, ending with the binding-count conservation check
-# (raw shard walk == LiveBindings gauge), plus the avalanche scenario's
-# own invariants (drain time, 503 peak, transaction/pool leaks).
-register-smoke:
-	$(GO) test -race -run 'TestRegistrarStress' -count=1 ./internal/directory/
-	$(GO) test -race -run 'TestRegisterAvalancheScenario' -count=1 ./internal/chaos/
+# test and race between them run every test in the tree plain and under
+# the race detector — the chaos catalog and its crash / avalanche /
+# degradation drills, the sharded-engine differential suite, the
+# loopback soaks on pbxd's wiring, the registrar stress, the QoS
+# goldens — so no gate below names a test. To drive one by hand:
+# `go test -race -count=1 -run <Test> ./internal/<pkg>/`.
 
 # Short coverage-guided fuzz of the SIP parser, the SDP offer/answer
 # engine and the registrar's REGISTER handling; regression seeds live
@@ -121,69 +76,28 @@ telemetry-smoke:
 	$(GO) run ./cmd/capacity -telemetry-out .telemetry-smoke.json
 	@rm -f .telemetry-smoke.json
 
-# The measured-QoS plane: per-stream sensor estimators (jitter/loss
-# property tests, RTCP RTT pairing, zero-alloc observe) and the pinned
-# end-to-end QoS goldens (measured MOS histogram + SLO verdicts).
-qos-smoke:
-	$(GO) test -run 'TestQoS' -count=1 ./internal/media/
-	$(GO) test -run 'TestRTCPInfo' -count=1 ./internal/rtp/
-	$(GO) test -run 'TestGoldenQoSSnapshot' -count=1 ./internal/core/
-
-# The graceful-degradation ladder under the race detector: a sustained
-# surge must walk the controller up to upstream-throttle, shed load
-# client-side via the advertised overload window, relax back down the
-# hysteresis band, and never renegotiate an established call.
-degradation-smoke:
-	$(GO) test -race -run 'TestDegradationSurge' -count=1 ./internal/chaos/
-
 # Telemetry naming rule: every registered family name is a snake_case
 # const declared exactly once (see cmd/lintmetrics).
 lint-metrics:
 	$(GO) run ./cmd/lintmetrics
 
-# The pre-merge gate: build (native + darwin cross), vet, full tests,
-# race tests, chaos smoke, crash smoke, sharded-engine smoke, real-UDP
-# soak, zero-hold call soak, registrar smoke, fuzz smoke, telemetry
-# smoke, QoS smoke, degradation smoke, metric-name lint, coverage floors.
-verify: build vet test race chaos-smoke chaos-crash-smoke shard-smoke udp-smoke calls-smoke register-smoke fuzz-smoke telemetry-smoke qos-smoke degradation-smoke lint-metrics cover
+# The pre-merge gate: build (native + darwin cross), vet, every test
+# plain and under the race detector, fuzz smoke, telemetry smoke,
+# metric-name lint, coverage floors.
+verify: build vet test race fuzz-smoke telemetry-smoke lint-metrics cover
 	@echo "verify: all gates passed"
 
-# Benchmark snapshot: full-experiment benches (one experiment per
-# iteration) plus the per-packet micro-benches, parsed into a dated
-# JSON file for benchdiff. Compare two snapshots with `make
-# bench-check`; a >10% drop in events/sec or rise in allocs/op fails.
+# The repository benchmark (benchmark/README.md): four workloads end to
+# end plus their traced per-layer runs, written to a host-fingerprinted
+# result file under benchmark/out/. Allocations per operation on the hot
+# paths are not its business: testing.AllocsPerRun tests pin them
+# exactly, next to the micro-benchmarks, and `make test` runs them.
 bench:
-	@rm -f .bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkExperimentSignalling|BenchmarkExperimentPacketized|BenchmarkTableIFlow' \
-		-benchmem -benchtime 1x -count $(BENCH_COUNT) . | tee -a .bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerCycle|BenchmarkSchedulerMixedHorizon|BenchmarkNetworkSend$$' \
-		-benchtime 10000x -count $(BENCH_COUNT) ./internal/netsim/ | tee -a .bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRelayForward' \
-		-benchtime 10000x -count $(BENCH_COUNT) ./internal/pbx/ | tee -a .bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkUDPTransport' \
-		-benchtime 10000x -count $(BENCH_COUNT) ./internal/transport/ | tee -a .bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkSessionFrameExchange' \
-		-benchtime 10000x -count $(BENCH_COUNT) ./internal/media/ | tee -a .bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkMessageRoundTrip' \
-		-benchtime 10000x -count $(BENCH_COUNT) ./internal/sip/ | tee -a .bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry' \
-		-benchtime 10000x -count $(BENCH_COUNT) ./internal/telemetry/ | tee -a .bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRegistrarRegister|BenchmarkNonceCacheHit' \
-		-benchmem -benchtime 10000x -count $(BENCH_COUNT) ./internal/directory/ | tee -a .bench.out
-	$(GO) run ./cmd/benchdiff -parse -o $(BENCH_JSON) .bench.out
-	@rm -f .bench.out
-	@echo "bench: wrote $(BENCH_JSON)"
+	$(GO) run ./benchmark -seed 1
 
-# Compare the two most recent snapshots (or BENCH_OLD/BENCH_NEW when
-# given). Exits non-zero on a >10% events/sec or allocs/op regression.
+# Compare two result files; refuses to compare across hosts.
 bench-check:
-	@files="$(BENCH_OLD) $(BENCH_NEW)"; \
-	if [ -z "$(BENCH_OLD)" ]; then \
-		files=$$(ls BENCH_*.json 2>/dev/null | sort | tail -2); \
-	fi; \
-	set -- $$files; \
-	if [ $$# -lt 2 ]; then echo "bench-check: need two BENCH_*.json snapshots, have: $$files"; exit 0; fi; \
-	$(GO) run ./cmd/benchdiff $$1 $$2
+	$(GO) run ./benchmark -compare $(BENCH_OLD) $(BENCH_NEW)
 
 # Where pbxd's CPU goes under load: one untraced benchmark workload
 # (W=wire_calls, wire_register or wire_media) with a CPU profile pulled

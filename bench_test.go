@@ -197,7 +197,10 @@ func BenchmarkAblationHoldTime(b *testing.B) {
 func BenchmarkClusterScaling(b *testing.B) {
 	var cs bench.ClusterScaling
 	for i := 0; i < b.N; i++ {
-		cs = bench.RunClusterScaling(240, 165, 3, uint64(i)+1)
+		var err error
+		if cs, err = bench.RunClusterScaling(240, 165, 3, uint64(i)+1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, p := range cs.Points {
 		if p.Servers == 2 && p.Policy.String() == "least-busy" {
@@ -246,8 +249,8 @@ func BenchmarkExperimentPacketized(b *testing.B) {
 // at the Table I saturation point (A=200 E, packetized RTP). Each shard
 // count replicates the workload across that many isolated islands — one
 // island per shard — so the per-shard work is identical and events/sec
-// is the honest throughput metric. shards=1 is the classic
-// single-scheduler engine, the baseline bench-check tracks.
+// is the honest throughput metric. shards=1 is the baseline: a group
+// of one, run on the calling goroutine.
 func BenchmarkExperimentPacketizedSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -49,7 +49,7 @@ func main() {
 		registrar = flag.Bool("registrar", false, "registrar throughput and avalanche-drain vs location-store shard count")
 		regWire   = flag.Bool("registrar-wire", false, "add the loopback-UDP column to -registrar (real sockets)")
 		capacity  = flag.Int("capacity", 165, "PBX channel capacity")
-		shards    = flag.Int("shards", 0, "run experiments on the partitioned engine with N shards (0 = classic engine)")
+		shards    = flag.Int("shards", 0, "partition each experiment across N schedulers (0 or 1 = one, on the calling goroutine)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel experiment workers")
 		seed      = flag.Uint64("seed", 20150525, "base RNG seed")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -148,7 +148,12 @@ func main() {
 		fmt.Fprintln(out)
 		bench.WriteHoldAblation(out, bench.RunHoldAblation(200, reps, *seed))
 		fmt.Fprintln(out)
-		bench.WriteClusterScaling(out, bench.RunClusterScaling(240, 165, 3, *seed))
+		cs, err := bench.RunClusterScaling(240, 165, 3, *seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "capacity: cluster scaling:", err)
+			os.Exit(1)
+		}
+		bench.WriteClusterScaling(out, cs)
 		fmt.Fprintln(out)
 	}
 	if *all || *frontier {

@@ -14,27 +14,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"repro/internal/directory"
-	"repro/internal/monitor"
 	"repro/internal/pbx"
-	"repro/internal/sip"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
-)
-
-// These families are registered here, on the wall-clock wiring only:
-// the wire then shows what in-process runs read off
-// Endpoint.ActiveTransactions, LingeringTransactions and ReaperRuns and
-// Counters.RejectedPackets, and the simulator's telemetry snapshots
-// keep their families.
-const (
-	mSIPActiveTransactions    = "sip_active_transactions"
-	mSIPLingeringTransactions = "sip_lingering_transactions"
-	mSIPReaperRuns            = "sip_tx_reaper_runs_total"
-	mRelayRejected            = "rtp_relay_rejected_total"
 )
 
 // dumpFlight writes the flight-recorder ring as JSON — the crash-path
@@ -73,25 +57,6 @@ func main() {
 	)
 	flag.Parse()
 
-	// The SIP listener runs the batched data plane; with -shards > 1
-	// the kernel spreads inbound flows across N sockets on the port.
-	tr, err := transport.ListenUDPSharded(*addr, *shards, transport.UDPConfig{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pbxd:", err)
-		os.Exit(1)
-	}
-	clock := transport.NewRealClock()
-	ep := sip.NewEndpoint(tr, clock)
-	reg := telemetry.NewRegistry()
-	ep.UseTelemetry(reg)
-	transport.PublishTelemetry(reg, "sip", tr)
-	reg.GaugeFunc(mSIPActiveTransactions, "live client and server transactions, lingering ones included",
-		func() float64 { return float64(ep.ActiveTransactions()) })
-	reg.GaugeFunc(mSIPLingeringTransactions, "transactions in their Completed linger, queued for the reaper",
-		func() float64 { return float64(ep.LingeringTransactions()) })
-	reg.CounterFunc(mSIPReaperRuns, "sweeps of the lingering-transaction reaper",
-		func() float64 { return float64(ep.ReaperRuns()) })
-
 	var dir *directory.Directory
 	if *dirShards > 0 {
 		dir = directory.NewSharded(*dirShards)
@@ -102,12 +67,6 @@ func main() {
 	dir.AddUser(directory.User{Username: "uac", Password: "pw-uac"})
 	dir.AddUser(directory.User{Username: "uas", Password: "pw-uas"})
 
-	host, _, _ := strings.Cut(tr.LocalAddr(), ":")
-	// Calls borrow their relay legs from one pool, which owns the
-	// sockets, reads all of them from one loop and keeps released
-	// sockets bound for the next call on the port.
-	legs := transport.NewLegPool(host)
-	legs.PublishTelemetry(reg)
 	cfg := pbx.Config{
 		MaxChannels: *capacity,
 		RelayRTP:    *relay,
@@ -116,7 +75,6 @@ func main() {
 		RemoteMediaClocks: true,
 		RTPPortBase:       *rtpBase,
 		Seed:              uint64(time.Now().UnixNano()),
-		Telemetry:         reg,
 		Instance:          *instance,
 	}
 	if *registrar {
@@ -148,10 +106,12 @@ func main() {
 	if *degrade {
 		cfg.Degradation = pbx.DegradationConfig{Enabled: true}
 	}
-	server := pbx.New(ep, dir, legs.Listen, cfg)
-	reg.CounterFunc(mRelayRejected, "datagrams at a relay port refused, by reason",
-		func() float64 { return float64(server.CountersSnapshot().RejectedPackets) },
-		telemetry.L("reason", "source"))
+	w, err := pbx.ListenWire(*addr, *shards, dir, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pbxd:", err)
+		os.Exit(1)
+	}
+	server, tr := w.Server, w.Listener
 	fmt.Printf("pbxd: listening on %s (%d shard(s), batched=%v), capacity %d, %d users, relay=%v, admission=%s, degrade=%v\n",
 		tr.LocalAddr(), tr.NumShards(), tr.Batched(),
 		*capacity, dir.Users(), *relay, server.AdmissionPolicyName(), *degrade)
@@ -172,19 +132,11 @@ func main() {
 		}()
 	}
 
-	// The same per-second sampler + SLO evaluator the simulator runs,
-	// on the wall clock: breach counters and the active-breach gauge
-	// land in /metrics for pbxtop and any scraper.
-	sampler := monitor.NewSampler(reg, clock)
-	slo := monitor.NewSLO(reg, monitor.DefaultSLORules())
-	sampler.SetObserver(slo.Observe)
-	sampler.Start()
-
 	if *admin != "" {
 		// /healthz doubles as the load-balancer readiness signal: it
 		// flips to 503 the moment a drain starts, before the last call
 		// ends, so orchestrators stop routing while calls finish.
-		bound, err := startAdmin(*admin, reg,
+		bound, err := startAdmin(*admin, w.Registry,
 			func() bool { return !server.Draining() },
 			func() { server.Drain() },
 			server.RecentCalls, server.TraceEvents)
@@ -211,14 +163,13 @@ func main() {
 					st.RxPackets, st.RxBatches, st.TxPackets)
 			}
 		case <-stop:
-			server.Close()
-			legs.Close()
+			w.Close()
 			c := server.CountersSnapshot()
 			st := tr.Stats()
 			gets, puts := tr.PoolStats()
 			fmt.Printf("\npbxd: final counters: %+v\n", c)
 			fmt.Printf("pbxd: sip transport: %+v pool gets=%d puts=%d\n", st, gets, puts)
-			fmt.Printf("pbxd: relay legs: %+v\n", legs.Stats())
+			fmt.Printf("pbxd: relay legs: %+v\n", w.Legs.Stats())
 			return
 		}
 	}

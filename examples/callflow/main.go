@@ -15,16 +15,15 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
+	"repro/internal/rig"
 	"repro/internal/sip"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
 func main() {
-	sched := netsim.NewScheduler()
-	net := netsim.NewNetwork(sched, stats.NewRNG(1))
-	net.SetDefaultProfile(netsim.LinkProfile{Delay: 2 * time.Millisecond})
-	clock := transport.SimClock{Sched: sched}
+	r := rig.NewSim(1, 0, nil, stats.NewRNG(1), netsim.LinkProfile{Delay: 2 * time.Millisecond})
+	sched, net, clock := r.Group, r.Net, r.Clock("asterisk")
 
 	trace := monitor.NewFlowTrace()
 	net.AddTap(trace.Tap())
@@ -32,7 +31,7 @@ func main() {
 	dir := directory.New()
 	dir.AddUser(directory.User{Username: "generator", Password: "pw-generator"})
 	dir.AddUser(directory.User{Username: "receiver", Password: "pw-receiver"})
-	server := pbx.New(sip.NewEndpoint(transport.NewSim(net, "asterisk:5060"), clock), dir, nil, pbx.Config{})
+	server := r.PBX("asterisk", dir, pbx.Config{})
 	defer server.Close()
 
 	mk := func(host, user string) *sip.Phone {

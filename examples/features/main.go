@@ -28,25 +28,21 @@ import (
 	"repro/internal/media"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
+	"repro/internal/rig"
 	"repro/internal/sip"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
 func main() {
-	sched := netsim.NewScheduler()
-	net := netsim.NewNetwork(sched, stats.NewRNG(2))
-	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
-	clock := transport.SimClock{Sched: sched}
+	r := rig.NewSim(1, 0, nil, stats.NewRNG(2), netsim.LinkProfile{Delay: time.Millisecond})
+	sched, net, clock := r.Group, r.Net, r.Clock("pbx")
 
 	dir := directory.New()
 	for _, u := range []string{"alice", "bob", "carol"} {
 		dir.AddUser(directory.User{Username: u, Password: "pw-" + u})
 	}
-	factory := func(port int) (transport.Transport, error) {
-		return transport.NewSim(net, fmt.Sprintf("pbx:%d", port)), nil
-	}
-	server := pbx.New(sip.NewEndpoint(transport.NewSim(net, "pbx:5060"), clock), dir, factory, pbx.Config{
+	server := r.PBX("pbx", dir, pbx.Config{
 		RelayRTP:             true,
 		Voicemail:            true,
 		StoreOfflineMessages: true,
@@ -138,7 +134,7 @@ func main() {
 
 	// 6. The CDR log.
 	fmt.Println("\nCDR export (Master.csv layout):")
-	if err := pbx.WriteCSV(os.Stdout, server.CDRs()); err != nil {
+	if err := pbx.WriteCSV(os.Stdout, server.Journal().Committed()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

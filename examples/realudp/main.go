@@ -20,7 +20,6 @@ import (
 	"repro/internal/mos"
 	"repro/internal/pbx"
 	"repro/internal/sip"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -35,24 +34,16 @@ func must[T any](v T, err error) T {
 func main() {
 	clock := transport.NewRealClock()
 
-	// PBX on an ephemeral loopback port: two SO_REUSEPORT shards, each
-	// with its own batched read loop, presented as one Transport. The
+	// PBX on an ephemeral loopback port, wired as pbxd wires it: two
+	// SO_REUSEPORT shards, each with its own batched read loop,
+	// presented as one Transport; relay legs from the leg pool. The
 	// registry exposes the data-plane counters next to the SIP ones.
-	pbxTr := must(transport.ListenUDPSharded("127.0.0.1:0", 2, transport.UDPConfig{}))
-	reg := telemetry.NewRegistry()
-	transport.PublishTelemetry(reg, "sip", pbxTr)
 	dir := directory.New()
 	dir.AddUser(directory.User{Username: "alice", Password: "pw-alice"})
 	dir.AddUser(directory.User{Username: "bob", Password: "pw-bob"})
-	host, _, _ := strings.Cut(pbxTr.LocalAddr(), ":")
-	legs := transport.NewLegPool(host)
-	defer legs.Close()
-	server := pbx.New(sip.NewEndpoint(pbxTr, clock), dir, legs.Listen, pbx.Config{
-		RelayRTP:    true,
-		RTPPortBase: 17000,
-		Telemetry:   reg,
-	})
-	defer server.Close()
+	w := must(pbx.ListenWire("127.0.0.1:0", 2, dir, pbx.Config{RelayRTP: true, RTPPortBase: 17000}))
+	defer w.Close()
+	server, pbxTr, reg := w.Server, w.Listener, w.Registry
 	fmt.Printf("PBX listening on %s (%d shards, batched=%v)\n",
 		pbxTr.LocalAddr(), pbxTr.NumShards(), pbxTr.Batched())
 
@@ -145,9 +136,9 @@ func main() {
 		fmt.Printf("bob media:   sent %d pkts, received %d, loss %.2f%%, jitter %v, MOS %.2f\n",
 			r.Sent, r.Stream.Received, r.EffectiveLoss*100, r.Stream.Jitter.Round(time.Microsecond), r.MOS)
 	}
-	for _, cdr := range server.CDRs() {
-		fmt.Printf("PBX CDR: %s → %s, %v, completed=%v, relay MOS %.2f\n",
-			cdr.Caller, cdr.Callee, cdr.Duration.Round(time.Millisecond), cdr.Completed, cdr.MOS)
+	for _, ev := range server.RecentCalls() {
+		fmt.Printf("PBX call record: %s → %s, %.3f s, %s, relay MOS %.2f\n",
+			ev.Caller, ev.Callee, ev.DurationS, ev.Disposition, ev.MOS)
 	}
 	c := server.CountersSnapshot()
 	fmt.Printf("PBX relayed %d RTP packets\n", c.RelayedPackets)

@@ -262,7 +262,10 @@ func TestClusterScalingStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state cluster sweeps are slow")
 	}
-	cs := RunClusterScaling(50, 30, 2, 41)
+	cs, err := RunClusterScaling(50, 30, 2, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cs.Points) != 3 {
 		t.Fatalf("points = %d", len(cs.Points))
 	}

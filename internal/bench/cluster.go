@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/directory"
 	"repro/internal/erlang"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
+	"repro/internal/rig"
 	"repro/internal/sipp"
 	"repro/internal/stats"
-	"repro/internal/transport"
 )
 
 // ClusterPoint is one (servers, policy) cell of the scale-out study.
@@ -36,7 +35,7 @@ type ClusterScaling struct {
 
 // RunClusterScaling measures blocking for k = 1..maxServers clusters
 // of perServer-channel PBXes at offered load a (steady state).
-func RunClusterScaling(a float64, perServer, maxServers int, seed uint64) ClusterScaling {
+func RunClusterScaling(a float64, perServer, maxServers int, seed uint64) (ClusterScaling, error) {
 	out := ClusterScaling{Workload: a, PerServer: perServer}
 	hold := 20 * time.Second
 	for k := 1; k <= maxServers; k++ {
@@ -44,7 +43,10 @@ func RunClusterScaling(a float64, perServer, maxServers int, seed uint64) Cluste
 			if k == 1 && policy == cluster.LeastBusy {
 				continue // identical to round-robin with one server
 			}
-			measured := runClusterOnce(a, perServer, k, policy, hold, seed+uint64(k)*31)
+			measured, err := runClusterOnce(a, perServer, k, policy, hold, seed+uint64(k)*31)
+			if err != nil {
+				return out, err
+			}
 			out.Points = append(out.Points, ClusterPoint{
 				Servers:       k,
 				Policy:        policy,
@@ -54,40 +56,34 @@ func RunClusterScaling(a float64, perServer, maxServers int, seed uint64) Cluste
 			})
 		}
 	}
-	return out
+	return out, nil
 }
 
-func runClusterOnce(a float64, perServer, servers int, policy cluster.Policy, hold time.Duration, seed uint64) float64 {
-	sched := netsim.NewScheduler()
-	net := netsim.NewNetwork(sched, stats.NewRNG(seed))
-	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
-	clock := transport.SimClock{Sched: sched}
-	cl := cluster.New(net, clock, cluster.Config{
+func runClusterOnce(a float64, perServer, servers int, policy cluster.Policy, hold time.Duration, seed uint64) (float64, error) {
+	r := rig.NewSim(1, seed, nil, stats.NewRNG(seed), netsim.LinkProfile{Delay: time.Millisecond})
+	cl := cluster.New(r, cluster.Config{
 		Servers:   servers,
 		PerServer: pbx.Config{MaxChannels: perServer, Seed: seed},
 		Policy:    policy,
 	})
 	defer cl.Close()
-	cl.Directory().AddUser(directory.User{Username: "uac", Password: "pw-uac"})
-	cl.Directory().AddUser(directory.User{Username: "uas", Password: "pw-uas"})
+	if err := rig.AddUsers(cl.Directory(), "uac", "uas"); err != nil {
+		return 0, err
+	}
 
-	gen := sipp.New(net, "sippc", "sipps", cl.Addr(), sipp.Config{
+	gen := sipp.New(r.Net, "sippc", "sipps", cl.Addr(), sipp.Config{
 		Rate:   a / hold.Seconds(),
 		Window: 150 * time.Second,
 		Warmup: 60 * time.Second,
 		Hold:   hold,
 		Seed:   seed ^ 0xc1,
 	})
-	var res sipp.Results
-	done := false
-	gen.Start(func(r sipp.Results) { res = r; done = true })
-	for i := 0; i < 50 && !done; i++ {
-		sched.Run(sched.Now() + 10*time.Minute)
+	var res *sipp.Results
+	gen.Start(func(got sipp.Results) { res = &got })
+	if err := r.RunUntil(func() bool { return res != nil }, 10*time.Minute); err != nil {
+		return 0, fmt.Errorf("bench: cluster experiment: %w", err)
 	}
-	if !done {
-		panic("bench: cluster experiment did not converge")
-	}
-	return res.BlockingProbability
+	return res.BlockingProbability, nil
 }
 
 // WriteClusterScaling renders the study.

@@ -86,7 +86,7 @@ func frontierRow(strategy string, res *chaos.Result) StrategyFrontierRow {
 		Goodput:     res.Goodput(chaos.GoodMOS),
 		CPUMean:     res.CPUMean,
 	}
-	for _, cdr := range res.CDRs {
+	for _, cdr := range res.Committed {
 		if !cdr.Established {
 			continue
 		}

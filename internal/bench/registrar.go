@@ -146,26 +146,21 @@ func storeRegisterRate(shards int, dur time.Duration) float64 {
 }
 
 // wireRegisterRate measures the full-stack REGISTER rate over loopback
-// UDP: an in-process registrar on a real socket, N phones each looping
+// UDP: pbxd's wiring in-process on a real socket, N phones each looping
 // digest-authenticated registrations (first round pays the 401 detour,
-// every refresh rides the nonce cache preemptively).
+// every refresh rides the nonce cache preemptively). Every socket and
+// read loop it opens is closed before it returns.
 func wireRegisterRate(shards, endpoints int, dur time.Duration) (float64, error) {
-	tr, err := transport.ListenUDP("127.0.0.1:0")
+	dir := directory.NewSharded(shards)
+	dir.Provision("w", 0, endpoints)
+	w, err := pbx.ListenWire("127.0.0.1:0", 1, dir, pbx.Config{
+		Registrar: pbx.RegistrarConfig{Enabled: true},
+	})
 	if err != nil {
 		return 0, err
 	}
+	defer w.Close()
 	clock := transport.NewRealClock()
-	ep := sip.NewEndpoint(tr, clock)
-	dir := directory.NewSharded(shards)
-	dir.Provision("w", 0, endpoints)
-	factory := func(port int) (transport.Transport, error) {
-		return transport.ListenUDP(fmt.Sprintf("127.0.0.1:%d", port))
-	}
-	server := pbx.New(ep, dir, factory, pbx.Config{
-		Registrar: pbx.RegistrarConfig{Enabled: true},
-	})
-	defer server.Close()
-	proxy := tr.LocalAddr()
 
 	phones := make([]*sip.Phone, 0, endpoints)
 	for i := 0; i < endpoints; i++ {
@@ -174,8 +169,10 @@ func wireRegisterRate(shards, endpoints int, dur time.Duration) (float64, error)
 			return 0, err
 		}
 		user := fmt.Sprintf("w%d", i)
-		phones = append(phones, sip.NewPhone(sip.NewEndpoint(ptr, clock),
-			sip.PhoneConfig{User: user, Password: "pw-" + user, Proxy: proxy}))
+		phone := sip.NewPhone(sip.NewEndpoint(ptr, clock),
+			sip.PhoneConfig{User: user, Password: "pw-" + user, Proxy: w.Listener.LocalAddr()})
+		defer phone.Endpoint().Close()
+		phones = append(phones, phone)
 	}
 
 	deadline := time.Now().Add(dur)

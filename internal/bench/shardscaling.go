@@ -46,8 +46,8 @@ type ShardScalingOptions struct {
 }
 
 // ShardScalingTable measures simulator throughput at each shard count.
-// shards=1 is the classic single-scheduler engine; every other row
-// runs k islands on k shards. The workload per island is identical, so
+// shards=1 is one island on a group of one; every other row runs k
+// islands on k shards. The workload per island is identical, so
 // events/sec is the honest throughput metric across rows.
 func ShardScalingTable(opts ShardScalingOptions) ShardScaling {
 	if opts.Workload == 0 {

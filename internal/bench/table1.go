@@ -25,8 +25,8 @@ type TableIOptions struct {
 	Workers int
 	// Seed is the base seed.
 	Seed uint64
-	// Shards > 1 runs each experiment on the partitioned engine; the
-	// results are bit-identical to the classic engine either way.
+	// Shards > 1 partitions each experiment across that many
+	// schedulers; the results are bit-identical at any count.
 	Shards int
 }
 

@@ -2,9 +2,9 @@
 // PBX: it composes netsim link impairments (loss, jitter, rate limits,
 // duplication, reordering) and control-plane faults (network
 // partitions) into named scenarios, drives full SIPp→PBX→SIPp call
-// flows through them on the virtual clock, and checks the invariants
-// that must survive any fault — no leaked channels, balanced CDRs,
-// conserved call accounting.
+// flows through them on the virtual clock (on a rig.Sim), and checks
+// the invariants that must survive any fault (rig.Invariants) — nothing
+// leaked, the CDR journal balanced, every attempt ending in one outcome.
 //
 // Everything runs on the discrete-event scheduler with seeded RNGs:
 // a scenario is a pure function of its seed, so every run is
@@ -21,11 +21,11 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
+	"repro/internal/rig"
 	"repro/internal/sip"
 	"repro/internal/sipp"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // Host names of the fixed three-node topology (Fig. 1 of the paper:
@@ -73,7 +73,7 @@ type Scenario struct {
 	Load sipp.Config
 	// Shards, when > 1, runs the scenario on the partitioned engine
 	// (generator bank and PBX on separate schedulers); results are
-	// bit-identical to the single-scheduler run. Faulted links whose
+	// bit-identical to the one-shard run. Faulted links whose
 	// jitter reaches their delay leave no guaranteed cross-shard
 	// lookahead, so those scenarios collapse to a single host group.
 	Shards int
@@ -97,9 +97,10 @@ type Result struct {
 	Scenario string
 	// Load is the generator's per-call view.
 	Load sipp.Results
-	// Counters/CDRs are the server's view.
-	Counters pbx.Counters
-	CDRs     []pbx.CDR
+	// Books is the server's view after the drain: counters, leak
+	// detectors, and the journal whose Committed records are the run's
+	// CDRs.
+	rig.Books
 	// Signaling holds the server endpoint's wire counters
 	// (retransmissions, timeouts, parse errors).
 	Signaling sip.Stats
@@ -115,15 +116,6 @@ type Result struct {
 	// over shards; a run that completes its drain with gets != puts has
 	// leaked packet buffers across a shard boundary (ownership bug).
 	PoolGets, PoolPuts uint64
-	// Leak detectors, read after the post-run drain.
-	ActiveChannels     int
-	ActiveTransactions int
-	// UnackedInvites is the size of the endpoint's 2xx-ACK index; its
-	// entries are server transactions, so it drains with them.
-	UnackedInvites int
-	// ActiveSpans counts call trace spans still open after the drain —
-	// a span leak means some INVITE path never reached traceEnd.
-	ActiveSpans int
 	// CPU band (lo, mean, hi) over the busy plateau.
 	CPULo, CPUMean, CPUHi float64
 	// Degradation is the ladder's transition timeline (empty when the
@@ -135,55 +127,36 @@ type Result struct {
 	Series    []monitor.Sample
 }
 
-// drainTail is how long the harness keeps the clock running after the
-// last call ends: past the 32 s transaction timeout and the 5 s
-// completed-transaction linger, so any leaked transaction is a real
-// leak and not a timer still draining.
-const drainTail = 40 * time.Second
+// provision gives the generator's caller and its target (default
+// "uas") their accounts.
+func provision(dir *directory.Directory, target string) error {
+	if target == "" {
+		target = "uas"
+	}
+	if err := rig.AddUsers(dir, "uac", target); err != nil {
+		return fmt.Errorf("chaos: %w", err)
+	}
+	return nil
+}
 
 // Run executes one scenario to completion and returns the observation.
 func Run(sc Scenario) (*Result, error) {
-	k := sc.Shards
-	if k < 1 {
-		k = 1
-	}
-	group := netsim.NewShardGroup(k)
-	hostShard := netsim.AssignShards(sc.Seed, sc.placementGroups(), k)
-	net := netsim.NewShardedNetwork(group, stats.NewRNG(sc.Seed^0xc4a05), hostShard)
-	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
+	r := rig.NewSim(sc.Shards, sc.Seed, sc.placementGroups(), stats.NewRNG(sc.Seed^0xc4a05),
+		netsim.LinkProfile{Delay: time.Millisecond})
+	net := r.Net
 	if sc.Fault.ClientLink != (netsim.LinkProfile{}) {
 		net.SetDuplexLink(ClientHost, PBXHost, sc.Fault.ClientLink)
 	}
 	if sc.Fault.ServerLink != (netsim.LinkProfile{}) {
 		net.SetDuplexLink(PBXHost, ServerHost, sc.Fault.ServerLink)
 	}
+	capture := rig.PerShard(r, monitor.NewCapture, nil)
+	timeline := rig.PerShard(r, monitor.NewTimeline, nil)
 
-	// Wire observation: one capture/timeline per shard (each packet is
-	// tapped exactly once, on its sender's shard), merged after the run.
-	captures := make([]*monitor.Capture, k)
-	timelines := make([]*monitor.Timeline, k)
-	for s := 0; s < k; s++ {
-		captures[s] = monitor.NewCapture()
-		timelines[s] = monitor.NewTimeline()
-		net.AddShardTap(s, captures[s].Tap())
-		net.AddShardTap(s, timelines[s].Tap())
-	}
-	capture, timeline := captures[0], timelines[0]
-
-	pbxSched := net.SchedulerFor(PBXHost)
-	clock := transport.SimClock{Sched: pbxSched}
-
-	// Observation plane, same shape as a core experiment: one shared
-	// registry, scheduler pull-metrics, and a per-second sampler.
-	reg := telemetry.NewRegistry()
-	monitor.RegisterScheduler(reg, group)
 	dir := directory.New()
-	dir.AddUser(directory.User{Username: "uac", Password: "pw-uac"})
-	target := sc.Load.Target
-	if target == "" {
-		target = "uas"
+	if err := provision(dir, sc.Load.Target); err != nil {
+		return nil, err
 	}
-	dir.AddUser(directory.User{Username: target, Password: "pw-" + target})
 
 	pbxCfg := sc.PBX
 	if pbxCfg.Seed == 0 {
@@ -192,24 +165,19 @@ func Run(sc Scenario) (*Result, error) {
 	if sc.Load.Media == sipp.MediaPacketized {
 		pbxCfg.RelayRTP = true
 	}
-	pbxCfg.Telemetry = reg
-	factory := func(port int) (transport.Transport, error) {
-		return transport.NewSim(net, fmt.Sprintf("%s:%d", PBXHost, port)), nil
-	}
-	pbxAddr := PBXHost + ":5060"
-	pbxEP := sip.NewEndpoint(transport.NewSim(net, pbxAddr), clock)
-	pbxEP.UseTelemetry(reg)
-	server := pbx.New(pbxEP, dir, factory, pbxCfg)
+	pbxCfg.Telemetry = r.Reg
+	server := r.PBX(PBXHost, dir, pbxCfg)
 
 	loadCfg := sc.Load
 	if loadCfg.Seed == 0 {
 		loadCfg.Seed = sc.Seed ^ 0x51
 	}
-	loadCfg.Telemetry = reg
-	gen := sipp.New(net, ClientHost, ServerHost, pbxAddr, loadCfg)
+	loadCfg.Telemetry = r.Reg
+	gen := sipp.New(net, ClientHost, ServerHost, server.Addr(), loadCfg)
 
 	// Partitions: save the signalling binding, drop it for the window,
 	// restore it afterwards. Times are absolute virtual time.
+	pbxSched := net.SchedulerFor(PBXHost)
 	sigAddr := netsim.Addr{Host: PBXHost, Port: 5060}
 	for _, p := range sc.Fault.Partitions {
 		p := p
@@ -225,68 +193,37 @@ func Run(sc Scenario) (*Result, error) {
 		})
 	}
 
-	sampler := monitor.NewSampler(reg, clock)
+	sampler := monitor.NewSampler(r.Reg, r.Clock(PBXHost))
 	sampler.Start()
 
-	genSched := net.SchedulerFor(ClientHost)
-	genShard := net.ShardOf(ClientHost)
-	var out sipp.Results
-	done := false
-	gen.Start(func(r sipp.Results) {
-		out = r
-		done = true
-		// The sampler lives on the PBX shard; stopping it from the
-		// generator's completion event is staged as a barrier control,
-		// stamped with the decision time (see Sampler.StopAt).
-		doneAt := genSched.Now()
-		group.Control(genShard, func() { sampler.StopAt(doneAt) })
+	var out *sipp.Results
+	gen.Start(func(res sipp.Results) {
+		out = &res
+		r.Decide(ClientHost, sampler.StopAt)
 	})
-	for i := 0; i < 200 && !done; i++ {
-		if err := group.Run(group.Now() + 10*time.Minute); err != nil {
-			return nil, err
-		}
+	if err := r.RunUntil(func() bool { return out != nil }, 10*time.Minute); err != nil {
+		return nil, fmt.Errorf("chaos: scenario %q: %w", sc.Name, err)
 	}
-	if !done {
-		return nil, fmt.Errorf("chaos: scenario %q did not finish", sc.Name)
-	}
-	// Let retransmission timers, lingering transactions and in-flight
-	// packets drain so the leak checks below measure leaks, not timing.
-	if err := group.Run(group.Now() + drainTail); err != nil {
+	if err := r.Drain(); err != nil {
 		return nil, err
 	}
 	server.Close()
-	for _, c := range captures[1:] {
-		capture.Merge(c)
-	}
-	for _, tl := range timelines[1:] {
-		timeline.Merge(tl)
-	}
 
-	lo, mean, hi := server.CPUBand()
-	gets, puts := net.PoolStats()
 	res := &Result{
-		Scenario:           sc.Name,
-		Load:               out,
-		PoolGets:           gets,
-		PoolPuts:           puts,
-		Counters:           server.CountersSnapshot(),
-		CDRs:               server.CDRs(),
-		Signaling:          server.SignalingStats(),
-		Timeline:           timeline,
-		Capture:            capture,
-		NoRoute:            net.NoRoute(),
-		ActiveChannels:     server.ActiveChannels(),
-		ActiveTransactions: server.ActiveTransactions(),
-		UnackedInvites:     server.UnackedInvites(),
-		ActiveSpans:        server.ActiveSpans(),
-		CPULo:              lo,
-		CPUMean:            mean,
-		CPUHi:              hi,
-		Degradation:        server.DegradationTimeline(),
-		Telemetry:          reg.Snapshot(),
-		Series:             sampler.Samples(),
-		Links:              map[string]netsim.LinkStats{},
+		Scenario:    sc.Name,
+		Load:        *out,
+		Books:       rig.Audit("", server),
+		Signaling:   server.SignalingStats(),
+		Timeline:    timeline(),
+		Capture:     capture(),
+		NoRoute:     net.NoRoute(),
+		Degradation: server.DegradationTimeline(),
+		Telemetry:   r.Reg.Snapshot(),
+		Series:      sampler.Samples(),
+		Links:       map[string]netsim.LinkStats{},
 	}
+	res.PoolGets, res.PoolPuts = net.PoolStats()
+	res.CPULo, res.CPUMean, res.CPUHi = server.CPUBand()
 	for _, pair := range [][2]string{
 		{ClientHost, PBXHost}, {PBXHost, ClientHost},
 		{PBXHost, ServerHost}, {ServerHost, PBXHost},
@@ -314,63 +251,8 @@ func (r *Result) Goodput(minMOS float64) int {
 	return n
 }
 
-// CheckInvariants returns the violated invariants (empty = healthy).
-// These must hold for every scenario, however hostile:
-//
-//   - no channel leak: every admitted call released its channel;
-//   - no transaction leak after the drain tail, and with it an empty
-//     2xx-ACK index;
-//   - no span leak: every traced INVITE reached a terminal outcome;
-//   - CDRs balance the counters: completed CDRs == Completed,
-//     established CDRs == Established;
-//   - generator accounting conserves calls:
-//     Attempts == Established + Blocked + Abandoned + Failed + Throttled;
-//   - the packet pool balances: every packet taken from the pool went
-//     back exactly once, whichever shard released it;
-//   - no mid-call renegotiation: the degradation ladder only shapes
-//     calls at admission, so the renegotiation sentinel must read zero.
+// CheckInvariants returns the violated invariants (empty = healthy):
+// rig.Invariants over the one server's books.
 func (r *Result) CheckInvariants() []string {
-	var bad []string
-	if r.PoolGets != r.PoolPuts {
-		bad = append(bad, fmt.Sprintf("packet pool leak: %d gets vs %d puts", r.PoolGets, r.PoolPuts))
-	}
-	if r.ActiveChannels != 0 {
-		bad = append(bad, fmt.Sprintf("channel leak: %d channels still held", r.ActiveChannels))
-	}
-	if r.ActiveTransactions != 0 {
-		bad = append(bad, fmt.Sprintf("transaction leak: %d transactions alive after drain", r.ActiveTransactions))
-	}
-	if r.UnackedInvites != 0 {
-		bad = append(bad, fmt.Sprintf("ACK index leak: %d un-ACKed INVITEs indexed after drain", r.UnackedInvites))
-	}
-	if r.ActiveSpans != 0 {
-		bad = append(bad, fmt.Sprintf("span leak: %d call trace spans still open after drain", r.ActiveSpans))
-	}
-	completed, established := 0, 0
-	for _, c := range r.CDRs {
-		if c.Completed {
-			completed++
-		}
-		if c.Established {
-			established++
-		}
-	}
-	if uint64(completed) != r.Counters.Completed {
-		bad = append(bad, fmt.Sprintf("CDR imbalance: %d completed CDRs vs Completed=%d",
-			completed, r.Counters.Completed))
-	}
-	if uint64(established) != r.Counters.Established {
-		bad = append(bad, fmt.Sprintf("CDR imbalance: %d established CDRs vs Established=%d",
-			established, r.Counters.Established))
-	}
-	l := r.Load
-	if l.Attempts != l.Established+l.Blocked+l.Abandoned+l.Failed+l.Throttled {
-		bad = append(bad, fmt.Sprintf("call accounting: %d attempts != %d+%d+%d+%d+%d",
-			l.Attempts, l.Established, l.Blocked, l.Abandoned, l.Failed, l.Throttled))
-	}
-	if r.Counters.Renegotiations != 0 {
-		bad = append(bad, fmt.Sprintf("mid-call renegotiation: sentinel=%d (must be 0)",
-			r.Counters.Renegotiations))
-	}
-	return bad
+	return rig.Invariants(r.PoolGets, r.PoolPuts, r.Load, r.Books)
 }

@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/directory"
 	"repro/internal/erlang"
 	"repro/internal/pbx"
 )
@@ -183,5 +185,15 @@ func TestDirtyLinkKeepsBooksBalanced(t *testing.T) {
 	// absorbed by the transaction layer rather than double-counted.
 	if res.Timeline.Totals().Retrans == 0 {
 		t.Error("timeline saw no wire duplicates on a 5% duplicating link")
+	}
+}
+
+// TestRunSurfacesProvisioningErrors: a scenario whose target is the
+// caller's own account cannot be provisioned, and Run says so.
+func TestRunSurfacesProvisioningErrors(t *testing.T) {
+	sc := Smoke(1)
+	sc.Load.Target = "uac"
+	if _, err := Run(sc); !errors.Is(err, directory.ErrDuplicateUser) {
+		t.Errorf("target uac: err = %v, want %v", err, directory.ErrDuplicateUser)
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/directory"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
+	"repro/internal/rig"
 	"repro/internal/sipp"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // OpKind is a process-level fault operation.
@@ -73,32 +72,23 @@ type ClusterScenario struct {
 	// Shards, when > 1, runs the scenario on the partitioned engine:
 	// the balancer and its backends share one shard (placement reads
 	// backend state synchronously), the generator banks another.
-	// Results are bit-identical to the single-scheduler run.
+	// Results are bit-identical to the one-shard run.
 	Shards int
 }
 
-// BackendReport is one backend's post-run accounting, aggregated
-// across every incarnation a crash/restart cycle produced.
+// BackendReport is one backend's post-run accounting: its books summed
+// across every incarnation a crash/restart cycle produced — the view an
+// external collector keeps even when the process dies — plus the crash
+// ledger.
 type BackendReport struct {
-	Host string
-	// Counters sums the PBX counters of all incarnations — the view an
-	// external collector keeps even when the process dies.
-	Counters pbx.Counters
-	// Journal is the CDR WAL's record totals; Committed its durable
-	// records (normal ends plus LOST recoveries); Recovered just the
-	// LOST records closed by restart (or post-mortem) recovery.
-	Journal   pbx.JournalStats
-	Committed []pbx.CDR
+	rig.Books
+	// Recovered is just the LOST records closed by restart (or
+	// post-mortem) recovery.
 	Recovered []pbx.CDR
 	// OpenAtCrash is how many calls were in flight at the most recent
 	// crash — each must reappear as exactly one LOST record.
 	OpenAtCrash int
 	Crashes     int
-	// Leak detectors, summed across incarnations after the drain.
-	ActiveChannels     int
-	ActiveTransactions int
-	UnackedInvites     int
-	ActiveSpans        int
 }
 
 // ClusterResult is everything a cluster chaos run observed.
@@ -122,10 +112,6 @@ type ClusterResult struct {
 
 // RunCluster executes one cluster scenario to completion.
 func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
-	k := sc.Shards
-	if k < 1 {
-		k = 1
-	}
 	// The balancer and every backend share a shard: placement decisions
 	// read backend channel occupancy synchronously. The generator banks
 	// take another; all cross-shard traffic rides default 1 ms links.
@@ -133,16 +119,9 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 	for i := 0; i < sc.Servers; i++ {
 		farm = append(farm, fmt.Sprintf("pbx%d", i+1))
 	}
-	groups := [][]string{farm, {ClientHost, ServerHost}}
-	group := netsim.NewShardGroup(k)
-	hostShard := netsim.AssignShards(sc.Seed, groups, k)
-	net := netsim.NewShardedNetwork(group, stats.NewRNG(sc.Seed^0xc4a05), hostShard)
-	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
-	farmSched := net.SchedulerFor("balancer")
-	clock := transport.SimClock{Sched: farmSched}
-
-	reg := telemetry.NewRegistry()
-	monitor.RegisterScheduler(reg, group)
+	r := rig.NewSim(sc.Shards, sc.Seed, [][]string{farm, {ClientHost, ServerHost}},
+		stats.NewRNG(sc.Seed^0xc4a05), netsim.LinkProfile{Delay: time.Millisecond})
+	net, clock := r.Net, r.Clock("balancer")
 
 	pbxCfg := sc.PerServer
 	if pbxCfg.Seed == 0 {
@@ -151,34 +130,30 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 	if sc.Load.Media == sipp.MediaPacketized {
 		pbxCfg.RelayRTP = true
 	}
-	pbxCfg.Telemetry = reg
+	pbxCfg.Telemetry = r.Reg
 
-	cl := cluster.New(net, clock, cluster.Config{
+	cl := cluster.New(r, cluster.Config{
 		Servers:   sc.Servers,
 		PerServer: pbxCfg,
 		Policy:    sc.Policy,
 		Health:    sc.Health,
-		Journal:   true,
 		Seed:      sc.Seed ^ 0xba1a,
-		Telemetry: reg,
+		Telemetry: r.Reg,
 	})
-	cl.Directory().AddUser(directory.User{Username: "uac", Password: "pw-uac"})
-	target := sc.Load.Target
-	if target == "" {
-		target = "uas"
+	if err := provision(cl.Directory(), sc.Load.Target); err != nil {
+		return nil, err
 	}
-	cl.Directory().AddUser(directory.User{Username: target, Password: "pw-" + target})
 
 	loadCfg := sc.Load
 	if loadCfg.Seed == 0 {
 		loadCfg.Seed = sc.Seed ^ 0x51
 	}
-	loadCfg.Telemetry = reg
+	loadCfg.Telemetry = r.Reg
 	gen := sipp.New(net, ClientHost, ServerHost, cl.Addr(), loadCfg)
 
 	for _, op := range sc.Ops {
 		op := op
-		farmSched.At(op.At, func(time.Duration) {
+		clock.Sched.At(op.At, func(time.Duration) {
 			switch op.Kind {
 			case CrashServer:
 				cl.CrashBackend(op.Backend)
@@ -190,45 +165,32 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 		})
 	}
 
-	sampler := monitor.NewSampler(reg, clock)
+	sampler := monitor.NewSampler(r.Reg, clock)
 	sampler.Start()
 
-	genSched := net.SchedulerFor(ClientHost)
-	genShard := net.ShardOf(ClientHost)
-	var out sipp.Results
-	done := false
-	gen.Start(func(r sipp.Results) {
-		out = r
-		done = true
-		// The sampler lives on the farm shard; stop it via a barrier
-		// control stamped with the decision time (see Sampler.StopAt).
-		doneAt := genSched.Now()
-		group.Control(genShard, func() { sampler.StopAt(doneAt) })
+	var out *sipp.Results
+	gen.Start(func(res sipp.Results) {
+		out = &res
+		r.Decide(ClientHost, sampler.StopAt)
 	})
-	for i := 0; i < 200 && !done; i++ {
-		if err := group.Run(group.Now() + 10*time.Minute); err != nil {
-			return nil, err
-		}
-	}
-	if !done {
-		return nil, fmt.Errorf("chaos: cluster scenario %q did not finish", sc.Name)
+	if err := r.RunUntil(func() bool { return out != nil }, 10*time.Minute); err != nil {
+		return nil, fmt.Errorf("chaos: cluster scenario %q: %w", sc.Name, err)
 	}
 	// Stop the probe plane before the drain tail: its steady OPTIONS
 	// traffic keeps lingering server transactions alive on every
 	// backend, which would read as a leak below.
 	cl.StopProbes()
-	if err := group.Run(group.Now() + drainTail); err != nil {
+	if err := r.Drain(); err != nil {
 		return nil, err
 	}
 
 	res := &ClusterResult{
 		Scenario: sc.Name,
-		Load:     out,
+		Load:     *out,
 		NoRoute:  net.NoRoute(),
 	}
 	res.PoolGets, res.PoolPuts = net.PoolStats()
 	for i := 0; i < sc.Servers; i++ {
-		rep := BackendReport{Host: fmt.Sprintf("pbx%d", i+1)}
 		recovered := cl.Recovered(i)
 		if cl.Crashed(i) {
 			// The scenario ended with the backend still dead: run the
@@ -238,97 +200,36 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 			cl.Backends()[i].RecordRecovered(lost)
 			recovered = append(recovered, lost...)
 		}
-		rep.Recovered = recovered
-		rep.OpenAtCrash = cl.OpenAtCrash(i)
-		for _, srv := range cl.Incarnations(i) {
-			c := srv.CountersSnapshot()
-			rep.Counters.Attempts += c.Attempts
-			rep.Counters.Established += c.Established
-			rep.Counters.Blocked += c.Blocked
-			rep.Counters.Rejected += c.Rejected
-			rep.Counters.Completed += c.Completed
-			rep.Counters.Canceled += c.Canceled
-			rep.Counters.Failed += c.Failed
-			rep.Counters.DrainRejected += c.DrainRejected
-			rep.ActiveTransactions += srv.ActiveTransactions()
-			rep.UnackedInvites += srv.UnackedInvites()
-			rep.ActiveSpans += srv.ActiveSpans()
-		}
-		rep.Crashes = len(cl.Incarnations(i)) - 1
-		live := cl.Backends()[i]
-		rep.ActiveChannels = live.ActiveChannels()
-		if j := cl.Journal(i); j != nil {
-			rep.Journal = j.Stats()
-			rep.Committed = j.Committed()
-		}
-		res.Backends = append(res.Backends, rep)
+		res.Backends = append(res.Backends, BackendReport{
+			Books:       rig.Audit(fmt.Sprintf("pbx%d", i+1), cl.Incarnations(i)...),
+			Recovered:   recovered,
+			OpenAtCrash: cl.OpenAtCrash(i),
+			Crashes:     len(cl.Incarnations(i)) - 1,
+		})
 	}
 	// Snapshot balancer state before Close (Close terminates probes).
 	res.Balancer = cl.CountersSnapshot()
 	res.Events = cl.Events()
 	cl.Close()
-	res.Telemetry = reg.Snapshot()
+	res.Telemetry = r.Reg.Snapshot()
 	res.Series = sampler.Samples()
 	return res, nil
 }
 
-// CheckInvariants returns the violated invariants (empty = healthy).
-// Beyond the single-server harness's leak checks, the cluster run
-// must prove crash-consistent accounting:
-//
-//   - no channel, transaction or span leak on any incarnation of any
-//     backend — a crash must not strand a span in "open";
-//   - the CDR journal balances: every begin has exactly one end
-//     (normal or LOST), no entry is still open after recovery, and no
-//     record was ever double-ended;
-//   - the calls in flight at a crash reappear as exactly that many
-//     LOST records;
-//   - generator accounting conserves calls.
+// CheckInvariants returns the violated invariants (empty = healthy):
+// rig.Invariants over every backend's books, and crash-consistent
+// accounting on top — the calls a journal closed as LOST are exactly
+// the ones recovery handed back.
 func (r *ClusterResult) CheckInvariants() []string {
-	var bad []string
-	if r.PoolGets != r.PoolPuts {
-		bad = append(bad, fmt.Sprintf("packet pool leak: %d gets vs %d puts", r.PoolGets, r.PoolPuts))
+	books := make([]rig.Books, len(r.Backends))
+	for i, b := range r.Backends {
+		books[i] = b.Books
 	}
+	bad := rig.Invariants(r.PoolGets, r.PoolPuts, r.Load, books...)
 	for _, b := range r.Backends {
-		if b.ActiveChannels != 0 {
-			bad = append(bad, fmt.Sprintf("%s: channel leak: %d channels still held", b.Host, b.ActiveChannels))
+		if uint64(len(b.Recovered)) != b.Journal.Lost {
+			bad = append(bad, fmt.Sprintf("%s: %d recovered records vs journal lost=%d", b.Host, len(b.Recovered), b.Journal.Lost))
 		}
-		if b.ActiveTransactions != 0 {
-			bad = append(bad, fmt.Sprintf("%s: transaction leak: %d alive after drain", b.Host, b.ActiveTransactions))
-		}
-		if b.UnackedInvites != 0 {
-			bad = append(bad, fmt.Sprintf("%s: ACK index leak: %d un-ACKed INVITEs indexed after drain", b.Host, b.UnackedInvites))
-		}
-		if b.ActiveSpans != 0 {
-			bad = append(bad, fmt.Sprintf("%s: span leak: %d spans open across incarnations", b.Host, b.ActiveSpans))
-		}
-		j := b.Journal
-		if j.Open != 0 {
-			bad = append(bad, fmt.Sprintf("%s: journal has %d entries still open after recovery", b.Host, j.Open))
-		}
-		if j.DoubleEnds != 0 {
-			bad = append(bad, fmt.Sprintf("%s: %d CDRs double-ended", b.Host, j.DoubleEnds))
-		}
-		if j.Begins != j.Ends {
-			bad = append(bad, fmt.Sprintf("%s: journal imbalance: %d begins vs %d ends", b.Host, j.Begins, j.Ends))
-		}
-		if uint64(len(b.Recovered)) != j.Lost {
-			bad = append(bad, fmt.Sprintf("%s: %d recovered records vs journal lost=%d", b.Host, len(b.Recovered), j.Lost))
-		}
-		lost := 0
-		for _, c := range b.Committed {
-			if c.Lost {
-				lost++
-			}
-		}
-		if uint64(lost) != j.Lost {
-			bad = append(bad, fmt.Sprintf("%s: %d LOST CDRs committed vs journal lost=%d", b.Host, lost, j.Lost))
-		}
-	}
-	l := r.Load
-	if l.Attempts != l.Established+l.Blocked+l.Abandoned+l.Failed {
-		bad = append(bad, fmt.Sprintf("call accounting: %d attempts != %d+%d+%d+%d",
-			l.Attempts, l.Established, l.Blocked, l.Abandoned, l.Failed))
 	}
 	return bad
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/sipp"
 	"repro/internal/telemetry"
 )
 
@@ -19,6 +20,21 @@ func mustRunCluster(t *testing.T, sc ClusterScenario) *ClusterResult {
 		t.Fatalf("cluster scenario %s violated invariants: %v", sc.Name, bad)
 	}
 	return res
+}
+
+// TestClusterConservationCountsThrottled: a call the client held back
+// on an advertised overload window is one of an attempt's outcomes in
+// a cluster run as in a single-server one (ladder rung 3 behind a
+// balancer).
+func TestClusterConservationCountsThrottled(t *testing.T) {
+	res := &ClusterResult{Load: sipp.Results{Attempts: 3, Established: 2, Throttled: 1}}
+	if bad := res.CheckInvariants(); len(bad) > 0 {
+		t.Errorf("attempts 3 = established 2 + throttled 1: %v", bad)
+	}
+	res.Load.Throttled = 0
+	if bad := res.CheckInvariants(); len(bad) != 1 {
+		t.Errorf("attempts 3 with 2 outcomes: %v", bad)
+	}
 }
 
 // eventAt returns the first event of the given kind for the given

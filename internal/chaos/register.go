@@ -8,11 +8,10 @@ import (
 	"repro/internal/directory"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
-	"repro/internal/sip"
+	"repro/internal/rig"
 	"repro/internal/sipp"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // RegistrarCrash schedules the cold-restart fault of a registration
@@ -53,7 +52,7 @@ type RegistrationScenario struct {
 	MaxDrain   time.Duration
 	MaxPeak503 int
 	// Shards > 1 runs on the partitioned engine (client bank and PBX on
-	// separate schedulers), bit-identical to the single-scheduler run.
+	// separate schedulers), bit-identical to the one-shard run.
 	Shards int
 }
 
@@ -72,9 +71,9 @@ type RegistrationResult struct {
 	Registered   int
 	LiveBindings int64
 	DirShards    int
-	// Leak detectors and conservation counters, read after the drain.
-	ActiveTransactions int
-	UnackedInvites     int
+	// PBX is the registrar's books over its incarnations; with the
+	// pool counters, what rig.Invariants reads after the drain.
+	PBX                rig.Books
 	PoolGets, PoolPuts uint64
 	NoRoute            uint64
 	// Telemetry is the end-of-run metrics snapshot.
@@ -89,22 +88,15 @@ type RegistrationResult struct {
 // The topology is two hosts — the endpoint bank and the registrar —
 // on the default clean 1 ms link.
 func RunRegistration(sc RegistrationScenario) (*RegistrationResult, error) {
-	k := sc.Shards
-	if k < 1 {
-		k = 1
-	}
-	group := netsim.NewShardGroup(k)
-	hostShard := netsim.AssignShards(sc.Seed, [][]string{{ClientHost}, {PBXHost}}, k)
-	net := netsim.NewShardedNetwork(group, stats.NewRNG(sc.Seed^0xc4a05), hostShard)
-	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
+	r := rig.NewSim(sc.Shards, sc.Seed, [][]string{{ClientHost}, {PBXHost}},
+		stats.NewRNG(sc.Seed^0xc4a05), netsim.LinkProfile{Delay: time.Millisecond})
+	net := r.Net
 
-	pbxSched := net.SchedulerFor(PBXHost)
-	clock := transport.SimClock{Sched: pbxSched}
-
-	// Observation plane: the PBX + SIP families only. Scheduler pull
-	// metrics are deliberately absent — their event counts vary with
-	// DirShards (one expiry timer per shard), and the whole point of
-	// the battery is that nothing externally visible does.
+	// Observation plane: the PBX + SIP families only, on a registry of
+	// the run's own. The rig's scheduler families are deliberately
+	// absent — their event counts vary with DirShards (one expiry timer
+	// per shard), and the whole point of the battery is that nothing
+	// externally visible does.
 	reg := telemetry.NewRegistry()
 
 	dirShards := sc.DirShards
@@ -125,25 +117,16 @@ func RunRegistration(sc RegistrationScenario) (*RegistrationResult, error) {
 		pbxCfg.Seed = sc.Seed ^ 0x9b
 	}
 	pbxCfg.Telemetry = reg
-	factory := func(port int) (transport.Transport, error) {
-		return transport.NewSim(net, fmt.Sprintf("%s:%d", PBXHost, port)), nil
-	}
-	pbxAddr := PBXHost + ":5060"
-	newServer := func(cfg pbx.Config) *pbx.Server {
-		ep := sip.NewEndpoint(transport.NewSim(net, pbxAddr), clock)
-		ep.UseTelemetry(reg)
-		return pbx.New(ep, dir, factory, cfg)
-	}
-	server := newServer(pbxCfg)
-	incarnations := []*pbx.Server{server}
+	incarnations := []*pbx.Server{r.PBX(PBXHost, dir, pbxCfg)}
 
 	loadCfg := sc.Load
 	if loadCfg.Seed == 0 {
 		loadCfg.Seed = sc.Seed ^ 0x51
 	}
-	gen := sipp.NewRegister(net, ClientHost, pbxAddr, loadCfg)
+	gen := sipp.NewRegister(net, ClientHost, incarnations[0].Addr(), loadCfg)
 
 	if c := sc.Crash; c != nil {
+		pbxSched := net.SchedulerFor(PBXHost)
 		pbxSched.At(c.At, func(time.Duration) {
 			incarnations[0].Crash()
 		})
@@ -154,62 +137,48 @@ func RunRegistration(sc RegistrationScenario) (*RegistrationResult, error) {
 			// cluster journal's durability line.
 			cfg2 := pbxCfg
 			cfg2.Seed = pbxCfg.Seed ^ 0x2
-			srv := newServer(cfg2)
-			incarnations = append(incarnations, srv)
+			incarnations = append(incarnations, r.PBX(PBXHost, dir, cfg2))
 		})
-		genSched := net.SchedulerFor(ClientHost)
-		genSched.At(c.AvalancheAt, func(time.Duration) {
+		net.SchedulerFor(ClientHost).At(c.AvalancheAt, func(time.Duration) {
 			gen.Avalanche(c.Spread)
 		})
 	}
 
-	var out sipp.RegisterResults
-	done := false
-	gen.Start(func(r sipp.RegisterResults) {
-		out = r
-		done = true
-	})
-	// One-second chunks, so the clock stops near the generator's
+	var out *sipp.RegisterResults
+	gen.Start(func(res sipp.RegisterResults) { out = &res })
+	// One-second steps, so the clock stops near the generator's
 	// completion instant and the store can be observed while the
-	// population's bindings are still live (a 10-minute chunk would
+	// population's bindings are still live (a 10-minute step would
 	// overshoot into TTL expiry before the post-run reads).
-	for i := 0; i < 7200 && !done; i++ {
-		if err := group.Run(group.Now() + time.Second); err != nil {
-			return nil, err
-		}
-	}
-	if !done {
-		return nil, fmt.Errorf("chaos: registration scenario %q did not finish", sc.Name)
+	if err := r.RunUntil(func() bool { return out != nil }, time.Second); err != nil {
+		return nil, fmt.Errorf("chaos: registration scenario %q: %w", sc.Name, err)
 	}
 	// Read the store at the end of the loaded interval, while the
 	// population's bindings are still in their refresh windows — the
 	// drain tail below deliberately lets TTLs run out.
-	registered := dir.Registered(group.Now())
+	registered := dir.Registered(r.Group.Now())
 	liveBindings := dir.LiveBindings()
-	if err := group.Run(group.Now() + drainTail); err != nil {
+	if err := r.Drain(); err != nil {
 		return nil, err
 	}
 	live := incarnations[len(incarnations)-1]
 	live.Close()
 
-	gets, puts := net.PoolStats()
 	res := &RegistrationResult{
-		Scenario:           sc.Name,
-		Load:               out,
-		Nonces:             live.NonceStats(),
-		Registered:         registered,
-		LiveBindings:       liveBindings,
-		DirShards:          dirShards,
-		ActiveTransactions: live.ActiveTransactions(),
-		UnackedInvites:     live.UnackedInvites(),
-		PoolGets:           gets,
-		PoolPuts:           puts,
-		NoRoute:            net.NoRoute(),
-		Telemetry:          reg.Snapshot(),
-		maxDrain:           sc.MaxDrain,
-		maxPeak503:         sc.MaxPeak503,
-		crashed:            sc.Crash != nil,
+		Scenario:     sc.Name,
+		Load:         *out,
+		Nonces:       live.NonceStats(),
+		Registered:   registered,
+		LiveBindings: liveBindings,
+		DirShards:    dirShards,
+		PBX:          rig.Audit("", incarnations...),
+		NoRoute:      net.NoRoute(),
+		Telemetry:    reg.Snapshot(),
+		maxDrain:     sc.MaxDrain,
+		maxPeak503:   sc.MaxPeak503,
+		crashed:      sc.Crash != nil,
 	}
+	res.PoolGets, res.PoolPuts = net.PoolStats()
 	for _, srv := range incarnations {
 		res.Counters = append(res.Counters, srv.CountersSnapshot())
 	}
@@ -242,13 +211,13 @@ func (r *RegistrationResult) TimelineSummary() string {
 //   - every endpoint completed its initial registration and none
 //     exhausted its retries — shedding delays, it must not strand;
 //   - the store agrees: one live binding per endpoint at the end;
-//   - REGISTER accounting conserves: successes = initial + refreshes
-//     + re-registrations;
+//   - REGISTER accounting conserves: successes are the sum of initial
+//     registrations, refreshes and re-registrations;
 //   - after a cold restart the avalanche drains completely, within
 //     MaxDrain, and the 503 peak stays under MaxPeak503 (Retry-After
 //     spreading must prevent a synchronized retry storm);
-//   - no transaction leak after the drain tail, and the packet pool
-//     balances.
+//   - rig.Invariants: nothing left open on any incarnation after the
+//     drain tail, and the packet pool balances.
 func (r *RegistrationResult) CheckInvariants() []string {
 	var bad []string
 	l := r.Load
@@ -284,16 +253,7 @@ func (r *RegistrationResult) CheckInvariants() []string {
 			bad = append(bad, fmt.Sprintf("avalanche: 503 peak %d/s, ceiling %d/s", l.PeakShedPerSec, r.maxPeak503))
 		}
 	}
-	if r.ActiveTransactions != 0 {
-		bad = append(bad, fmt.Sprintf("transaction leak: %d alive after drain", r.ActiveTransactions))
-	}
-	if r.UnackedInvites != 0 {
-		bad = append(bad, fmt.Sprintf("ACK index leak: %d un-ACKed INVITEs indexed after drain", r.UnackedInvites))
-	}
-	if r.PoolGets != r.PoolPuts {
-		bad = append(bad, fmt.Sprintf("packet pool leak: %d gets vs %d puts", r.PoolGets, r.PoolPuts))
-	}
-	return bad
+	return append(bad, rig.Invariants(r.PoolGets, r.PoolPuts, sipp.Results{}, r.PBX)...)
 }
 
 // RegisterStorm is the steady-state registration scenario: a

@@ -38,8 +38,8 @@ import (
 	"time"
 
 	"repro/internal/directory"
-	"repro/internal/netsim"
 	"repro/internal/pbx"
+	"repro/internal/rig"
 	"repro/internal/sip"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -152,7 +152,7 @@ type Cluster struct {
 	ep     *sip.Endpoint
 	policy Policy
 	dir    *directory.Directory
-	net    *netsim.Network
+	rig    *rig.Sim
 	clock  transport.Clock
 	cfg    Config
 	health HealthConfig
@@ -180,9 +180,6 @@ type Config struct {
 	Policy Policy
 	// Health tunes liveness probing (see HealthConfig).
 	Health HealthConfig
-	// Journal gives each backend a crash-consistent CDR journal that
-	// survives CrashBackend/RestartBackend cycles.
-	Journal bool
 	// Seed drives the balancer's randomness (slow-start admission).
 	Seed uint64
 	// Telemetry, when non-nil, registers the balancer's metric
@@ -190,10 +187,11 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// New builds a cluster on net: backends at pbx1..pbxk:5060, balancer
-// at balancer:5060, all sharing one directory. Provision users through
-// Directory().
-func New(net *netsim.Network, clock transport.Clock, cfg Config) *Cluster {
+// New builds a cluster on r: backends at pbx1..pbxk:5060, balancer at
+// balancer:5060 and on its clock — the caller places them all on one
+// shard, because placement reads backend occupancy synchronously — all
+// sharing one directory. Provision users through Directory().
+func New(r *rig.Sim, cfg Config) *Cluster {
 	if cfg.Servers <= 0 {
 		cfg.Servers = 2
 	}
@@ -217,8 +215,8 @@ func New(net *netsim.Network, clock transport.Clock, cfg Config) *Cluster {
 	c := &Cluster{
 		policy: cfg.Policy,
 		dir:    dir,
-		net:    net,
-		clock:  clock,
+		rig:    r,
+		clock:  r.Clock("balancer"),
 		cfg:    cfg,
 		health: h,
 		rng:    stats.NewRNG(cfg.Seed ^ 0xc1a57e12),
@@ -228,10 +226,9 @@ func New(net *netsim.Network, clock transport.Clock, cfg Config) *Cluster {
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		host := fmt.Sprintf("pbx%d", i+1)
-		n := &node{idx: i, host: host, addr: host + ":5060", up: true}
-		if cfg.Journal {
-			n.journal = pbx.NewCDRJournal()
-		}
+		// The journal is the backend's durable disk: one per slot,
+		// threaded through every incarnation a restart produces.
+		n := &node{idx: i, host: host, addr: host + ":5060", up: true, journal: pbx.NewCDRJournal()}
 		n.srv = c.buildServer(n)
 		c.nodes = append(c.nodes, n)
 		c.backends = append(c.backends, n.srv)
@@ -239,7 +236,7 @@ func New(net *netsim.Network, clock transport.Clock, cfg Config) *Cluster {
 			c.tm.backendUp[i].Set(1)
 		}
 	}
-	c.ep = sip.NewEndpoint(transport.NewSim(net, "balancer:5060"), clock)
+	c.ep = sip.NewEndpoint(transport.NewSim(r.Net, "balancer:5060"), c.clock)
 	c.ep.Handle(c.handleRequest)
 	if !h.Disabled {
 		for _, n := range c.nodes {
@@ -253,15 +250,10 @@ func New(net *netsim.Network, clock transport.Clock, cfg Config) *Cluster {
 // transport's bind-replaces semantics make re-binding pbxN:5060 after
 // a crash the same call as the first bind.
 func (c *Cluster) buildServer(n *node) *pbx.Server {
-	host := n.host
 	sCfg := c.cfg.PerServer
 	sCfg.Seed = c.cfg.PerServer.Seed + uint64(n.idx)*7919
 	sCfg.Journal = n.journal
-	factory := func(port int) (transport.Transport, error) {
-		return transport.NewSim(c.net, fmt.Sprintf("%s:%d", host, port)), nil
-	}
-	ep := sip.NewEndpoint(transport.NewSim(c.net, n.addr), c.clock)
-	return pbx.New(ep, c.dir, factory, sCfg)
+	return c.rig.PBX(n.host, c.dir, sCfg)
 }
 
 // Addr returns the balancer's signalling address, the proxy phones use.
@@ -287,7 +279,7 @@ func (c *Cluster) Incarnations(i int) []*pbx.Server {
 	return append(append([]*pbx.Server(nil), n.past...), n.srv)
 }
 
-// Journal returns backend i's CDR journal (nil unless Config.Journal).
+// Journal returns backend i's CDR journal.
 func (c *Cluster) Journal(i int) *pbx.CDRJournal {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -360,18 +352,7 @@ func (c *Cluster) TotalCounters() pbx.Counters {
 	var total pbx.Counters
 	for _, n := range c.nodes {
 		for _, srv := range append(append([]*pbx.Server(nil), n.past...), n.srv) {
-			s := srv.CountersSnapshot()
-			total.Attempts += s.Attempts
-			total.Established += s.Established
-			total.Blocked += s.Blocked
-			total.Rejected += s.Rejected
-			total.Completed += s.Completed
-			total.Canceled += s.Canceled
-			total.Failed += s.Failed
-			total.RelayedPackets += s.RelayedPackets
-			total.DroppedPackets += s.DroppedPackets
-			total.PeakChannels += s.PeakChannels
-			total.DrainRejected += s.DrainRejected
+			total.Add(srv.CountersSnapshot())
 		}
 	}
 	return total
@@ -436,12 +417,10 @@ func (c *Cluster) CrashBackend(i int) {
 	c.eventLocked(i, "crash")
 	c.mu.Unlock()
 	srv.Crash()
-	if n.journal != nil {
-		open := n.journal.Open()
-		c.mu.Lock()
-		n.openAtCrash = open
-		c.mu.Unlock()
-	}
+	open := n.journal.Open()
+	c.mu.Lock()
+	n.openAtCrash = open
+	c.mu.Unlock()
 }
 
 // RestartBackend brings a crashed backend i back: a fresh endpoint
@@ -459,11 +438,8 @@ func (c *Cluster) RestartBackend(i int) []pbx.CDR {
 	c.mu.Unlock()
 
 	srv := c.buildServer(n)
-	var recovered []pbx.CDR
-	if n.journal != nil {
-		recovered = n.journal.Recover(c.clock.Now())
-		srv.RecordRecovered(recovered)
-	}
+	recovered := n.journal.Recover(c.clock.Now())
+	srv.RecordRecovered(recovered)
 
 	c.mu.Lock()
 	n.past = append(n.past, old)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/erlang"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
+	"repro/internal/rig"
 	"repro/internal/sip"
 	"repro/internal/sipp"
 	"repro/internal/stats"
@@ -18,11 +19,9 @@ import (
 // at the balancer.
 func clusterRig(t *testing.T, servers, perServerChannels int, policy Policy, genCfg sipp.Config) (*netsim.Scheduler, *Cluster, *sipp.Generator) {
 	t.Helper()
-	sched := netsim.NewScheduler()
-	net := netsim.NewNetwork(sched, stats.NewRNG(91))
-	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
-	clock := transport.SimClock{Sched: sched}
-	cl := New(net, clock, Config{
+	r := rig.NewSim(1, 0, nil, stats.NewRNG(91), netsim.LinkProfile{Delay: time.Millisecond})
+	sched, net := r.Group.Shard(0), r.Net
+	cl := New(r, Config{
 		Servers:   servers,
 		PerServer: pbx.Config{MaxChannels: perServerChannels},
 		Policy:    policy,
@@ -150,10 +149,9 @@ func TestClusterScalingReducesBlocking(t *testing.T) {
 }
 
 func TestBalancerRejectsUnknownMethods(t *testing.T) {
-	sched := netsim.NewScheduler()
-	net := netsim.NewNetwork(sched, stats.NewRNG(5))
-	clock := transport.SimClock{Sched: sched}
-	cl := New(net, clock, Config{Servers: 1})
+	r := rig.NewSim(1, 0, nil, stats.NewRNG(5), netsim.LinkProfile{})
+	sched, net, clock := r.Group.Shard(0), r.Net, r.Clock("x")
+	cl := New(r, Config{Servers: 1})
 	defer cl.Close()
 	ep := sip.NewEndpoint(transport.NewSim(net, "x:5060"), clock)
 	bye := sip.NewRequest(sip.BYE, sip.NewURI("u", "balancer", 5060),

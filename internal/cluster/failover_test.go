@@ -7,6 +7,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
+	"repro/internal/rig"
 	"repro/internal/sip"
 	"repro/internal/stats"
 	"repro/internal/transport"
@@ -16,15 +17,12 @@ import (
 // for exercising the liveness plane directly.
 func failoverRig(t *testing.T, servers int) (*netsim.Scheduler, *netsim.Network, *Cluster) {
 	t.Helper()
-	sched := netsim.NewScheduler()
-	net := netsim.NewNetwork(sched, stats.NewRNG(17))
-	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
-	clock := transport.SimClock{Sched: sched}
-	cl := New(net, clock, Config{
+	r := rig.NewSim(1, 0, nil, stats.NewRNG(17), netsim.LinkProfile{Delay: time.Millisecond})
+	sched, net := r.Group.Shard(0), r.Net
+	cl := New(r, Config{
 		Servers:   servers,
 		PerServer: pbx.Config{MaxChannels: 10},
 		Policy:    LeastBusy,
-		Journal:   true,
 		Health: HealthConfig{
 			ProbeInterval: time.Second,
 			ProbeTimeout:  time.Second,

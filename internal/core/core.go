@@ -21,11 +21,10 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
-	"repro/internal/sip"
+	"repro/internal/rig"
 	"repro/internal/sipp"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // ExperimentConfig describes one empirical run.
@@ -91,14 +90,14 @@ type ExperimentConfig struct {
 	// many schedulers running on dedicated goroutines, synchronized
 	// with conservative lookahead on the minimum cross-shard link
 	// delay. The event order — and therefore every result field — is
-	// bit-identical to the single-threaded engine. 0 or 1 runs the
-	// classic single-scheduler engine.
+	// the same at every shard count. 0 or 1 is a group of one, run on
+	// the calling goroutine.
 	Shards int
 	// Islands, when > 1, replicates the whole workload that many times
 	// in one simulation: island 0 keeps the canonical host names and
 	// seeds and is the one the result reports; the replicas only add
-	// events. With Shards > 1 each island is placed whole on one shard
-	// (no cross-shard traffic), which is the near-linear-scaling
+	// events. Each island is placed whole on one shard (no cross-shard
+	// traffic), which with Shards > 1 is the near-linear-scaling
 	// configuration the engine benchmarks use.
 	Islands int
 }
@@ -121,10 +120,7 @@ const (
 	StrategyLadder = "ladder"
 )
 
-// applyStrategy overlays the named strategy onto the PBX config. Run
-// and runSharded both route through this single mapping, which is what
-// keeps a strategy's behaviour engine-invariant (and therefore
-// shard-count-invariant).
+// applyStrategy overlays the named strategy onto the PBX config.
 func applyStrategy(cfg ExperimentConfig, pc pbx.Config) pbx.Config {
 	switch cfg.Strategy {
 	case "":
@@ -221,130 +217,171 @@ func (r ExperimentResult) AnalyticalBlocking(n int) float64 {
 	return erlang.B(r.Config.Workload, n)
 }
 
-// Run executes one experiment to completion and returns its results.
-func Run(cfg ExperimentConfig) ExperimentResult {
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
+// islandSalt decorrelates the replica workloads' seeds. Island 0 uses
+// salt 0, keeping the canonical seeds.
+func islandSalt(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 }
+
+// islandHosts returns the host names of one workload replica. Island 0
+// keeps the canonical names, so its traffic, telemetry and capture are
+// byte-identical to a single-island run.
+func islandHosts(i int) (pbxHost, callerHost, calleeHost string) {
+	if i == 0 {
+		return "pbx", "sippc", "sipps"
 	}
+	return fmt.Sprintf("pbx%d", i), fmt.Sprintf("sippc%d", i), fmt.Sprintf("sipps%d", i)
+}
+
+// Run executes one experiment to completion and returns its results.
+// Every observable field is bit-identical at any shard count for the
+// same config and seed (the difftest package pins this); only Elapsed
+// differs.
+func Run(cfg ExperimentConfig) ExperimentResult {
 	cfg = cfg.withDefaults()
 	start := time.Now()
+	nIslands := cfg.Islands
+	if nIslands < 1 {
+		nIslands = 1
+	}
 
-	sched := netsim.NewScheduler()
-	rng := stats.NewRNG(cfg.Seed)
-	net := netsim.NewNetwork(sched, rng.Split())
-	net.SetDefaultProfile(netsim.LinkProfile{
+	// Placement: a lone island splits into {generator pair} and {pbx}
+	// so the signalling and media paths actually cross shards; replica
+	// islands are placed whole (they never talk to each other, which
+	// unbounds the lookahead and is what makes them scale).
+	var groups [][]string
+	for i := 0; i < nIslands; i++ {
+		p, c, s := islandHosts(i)
+		if nIslands > 1 {
+			groups = append(groups, []string{p, c, s})
+		} else {
+			groups = append(groups, []string{c, s}, []string{p})
+		}
+	}
+	r := rig.NewSim(cfg.Shards, cfg.Seed, groups, stats.NewRNG(cfg.Seed).Split(), netsim.LinkProfile{
 		Delay:  cfg.LinkDelay,
 		Jitter: cfg.LinkJitter,
 		Loss:   cfg.LinkLoss,
 	})
-	clock := transport.SimClock{Sched: sched}
 
-	// Observation plane: one registry shared by every subsystem, plus
-	// the scheduler's pull-style families.
-	reg := telemetry.NewRegistry()
-	monitor.RegisterScheduler(reg, sched)
-
-	// Measurement tap: the mirrored switch port of the testbed.
-	capture := monitor.NewCapture()
-	net.AddTap(capture.Tap())
-
-	// The PBX host and its directory.
-	dir := directory.New()
-	for _, u := range []string{"uac", "uas"} {
-		if err := dir.AddUser(directory.User{Username: u, Password: "pw-" + u}); err != nil {
-			panic(fmt.Sprintf("core: provisioning %s: %v", u, err))
+	// Measurement tap: the mirrored switch port of the testbed. With
+	// replicas present it keeps island-0 senders only, so the capture
+	// equals the single-island one.
+	var island0 func(*netsim.Packet) bool
+	if nIslands > 1 {
+		r.Net.SetIsolatedShards()
+		island0 = func(pkt *netsim.Packet) bool {
+			switch pkt.Src.Host {
+			case "pbx", "sippc", "sipps":
+				return true
+			}
+			return false
 		}
 	}
-	factory := func(port int) (transport.Transport, error) {
-		return transport.NewSim(net, fmt.Sprintf("pbx:%d", port)), nil
-	}
-	pbxEP := sip.NewEndpoint(transport.NewSim(net, "pbx:5060"), clock)
-	pbxEP.UseTelemetry(reg)
-	server := pbx.New(
-		pbxEP,
-		dir, factory,
-		applyStrategy(cfg, pbx.Config{
+	capture := rig.PerShard(r, monitor.NewCapture, island0)
+
+	var server0 *pbx.Server
+	results := make([]*sipp.Results, nIslands)
+	var sampler *monitor.Sampler
+	var slo *monitor.SLO
+	for i := 0; i < nIslands; i++ {
+		i := i
+		pbxHost, callerHost, calleeHost := islandHosts(i)
+		// Only island 0 is observed: one registry shared by every
+		// subsystem, next to the scheduler's pull-style families.
+		var reg *telemetry.Registry
+		if i == 0 {
+			reg = r.Reg
+		}
+
+		// The PBX host and its directory.
+		dir := directory.New()
+		if err := rig.AddUsers(dir, "uac", "uas"); err != nil {
+			panic(fmt.Sprintf("core: %v", err))
+		}
+		server := r.PBX(pbxHost, dir, applyStrategy(cfg, pbx.Config{
 			MaxChannels:     cfg.Capacity,
 			CPUAdmission:    cfg.CPUAdmission,
 			CPUThreshold:    cfg.CPUThreshold,
 			RelayRTP:        cfg.Media == sipp.MediaPacketized,
 			Codecs:          cfg.PBXCodecs,
 			QualityFloorMOS: cfg.QualityFloorMOS,
-			Seed:            cfg.Seed ^ 0x9bd1,
+			Seed:            cfg.Seed ^ 0x9bd1 ^ islandSalt(i),
 			Telemetry:       reg,
 		}))
 
-	// The SIPp pair (Fig. 4: generator client and server machines).
-	gen := sipp.New(net, "sippc", "sipps", "pbx:5060", sipp.Config{
-		Rate:         cfg.ArrivalRate(),
-		Window:       cfg.Window,
-		Warmup:       cfg.Warmup,
-		Hold:         cfg.Hold,
-		Arrivals:     cfg.Arrivals,
-		HoldDist:     cfg.HoldDist,
-		Media:        cfg.Media,
-		CodecMix:     cfg.CodecMix,
-		CalleeCodecs: cfg.CalleeCodecs,
-		Target:       "uas",
-		Seed:         cfg.Seed ^ 0x51bb01,
-		Telemetry:    reg,
-	})
+		// The SIPp pair (Fig. 4: generator client and server machines).
+		gen := sipp.New(r.Net, callerHost, calleeHost, pbxHost+":5060", sipp.Config{
+			Rate:         cfg.ArrivalRate(),
+			Window:       cfg.Window,
+			Warmup:       cfg.Warmup,
+			Hold:         cfg.Hold,
+			Arrivals:     cfg.Arrivals,
+			HoldDist:     cfg.HoldDist,
+			Media:        cfg.Media,
+			CodecMix:     cfg.CodecMix,
+			CalleeCodecs: cfg.CalleeCodecs,
+			Target:       "uas",
+			Seed:         cfg.Seed ^ 0x51bb01 ^ islandSalt(i),
+			Telemetry:    reg,
+		})
 
-	// Per-second time series, stopped with the traffic so the drain
-	// tail does not pad the series. The SLO evaluator rides the
-	// sampler's tick hook, judging each finished second.
-	sampler := monitor.NewSampler(reg, clock)
-	rules := monitor.DefaultSLORules()
-	if cfg.SLO != nil {
-		rules = *cfg.SLO
+		if i == 0 {
+			server0 = server
+			// Per-second time series, ticking as an event on the PBX's
+			// shard (whole-second window splits make each tick's
+			// cross-shard counter reads deterministic). The SLO evaluator
+			// rides the sampler's tick hook, judging each finished second.
+			sampler = monitor.NewSampler(reg, r.Clock(pbxHost))
+			rules := monitor.DefaultSLORules()
+			if cfg.SLO != nil {
+				rules = *cfg.SLO
+			}
+			slo = monitor.NewSLO(reg, rules)
+			sampler.SetObserver(slo.Observe)
+			sampler.Start()
+		}
+
+		gen.Start(func(res sipp.Results) {
+			results[i] = &res
+			// Stop the sampler with the traffic, so the drain tail does
+			// not pad the series, and freeze the CPU meter so the
+			// reported band spans the loaded interval.
+			r.Decide(callerHost, func(at time.Duration) {
+				if i == 0 {
+					sampler.StopAt(at)
+				}
+				server.Close()
+			})
+		})
 	}
-	slo := monitor.NewSLO(reg, rules)
-	sampler.SetObserver(slo.Observe)
-	sampler.Start()
-
-	var results sipp.Results
-	finished := false
-	gen.Start(func(r sipp.Results) {
-		results = r
-		finished = true
-		sampler.Stop()
-		// Freeze the CPU meter at end of traffic so the reported band
-		// spans the loaded interval, not the idle drain tail.
-		server.Close()
-	})
 
 	// Horizon: registration + window + the longest possible call tail
-	// plus transaction timeouts.
-	horizon := cfg.Window + 10*cfg.Hold + 5*time.Minute
-	if _, err := sched.Run(horizon); err != nil {
-		panic(fmt.Sprintf("core: scheduler: %v", err))
-	}
-	if !finished {
-		// Exponential hold times can exceed the 10·h allowance;
-		// extend until the generator completes.
-		for i := 0; i < 64 && !finished; i++ {
-			if _, err := sched.Run(sched.Now() + horizon); err != nil {
-				panic(fmt.Sprintf("core: scheduler: %v", err))
+	// plus transaction timeouts. Exponential hold times can exceed the
+	// 10·h allowance; RunUntil extends until every generator completes.
+	allDone := func() bool {
+		for _, res := range results {
+			if res == nil {
+				return false
 			}
 		}
-		if !finished {
-			panic("core: experiment did not converge")
-		}
+		return true
+	}
+	if err := r.RunUntil(allDone, cfg.Window+10*cfg.Hold+5*time.Minute); err != nil {
+		panic(fmt.Sprintf("core: %v", err))
 	}
 
 	res := ExperimentResult{
 		Config:       cfg,
-		Load:         results,
-		Server:       server.CountersSnapshot(),
-		Capture:      capture.Row(),
-		ChannelsUsed: server.CountersSnapshot().PeakChannels,
-		Events:       sched.Fired(),
+		Load:         *results[0],
+		Server:       server0.CountersSnapshot(),
+		Capture:      capture().Row(),
+		ChannelsUsed: server0.CountersSnapshot().PeakChannels,
+		Events:       r.Group.Fired(),
 		Elapsed:      time.Since(start),
+		CDRs:         server0.Journal().Committed(),
 	}
-	res.CPULo, res.CPUMean, res.CPUHi = server.CPUBand()
-	res.MOS = collectMOS(cfg, server, results)
-	res.CDRs = server.CDRs()
-	res.Telemetry = reg.Snapshot()
+	res.CPULo, res.CPUMean, res.CPUHi = server0.CPUBand()
+	res.MOS = collectMOS(res)
+	res.Telemetry = r.Reg.Snapshot()
 	res.Series = sampler.Samples()
 	res.SLOBreaches = slo.Breaches()
 	return res
@@ -354,19 +391,19 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 // VoIPmonitor position on the server; signalling-only mode evaluates
 // the flow model per completed call with the path the run configured
 // plus the CPU model's overload drop rate.
-func collectMOS(cfg ExperimentConfig, server *pbx.Server, results sipp.Results) stats.Summary {
+func collectMOS(res ExperimentResult) stats.Summary {
+	cfg := res.Config
 	var s stats.Summary
 	if cfg.Media == sipp.MediaPacketized {
-		for _, cdr := range server.CDRs() {
+		for _, cdr := range res.CDRs {
 			if cdr.Completed && cdr.MOS > 0 {
 				s.Add(cdr.MOS)
 			}
 		}
 		return s
 	}
-	_, meanUtil, _ := server.CPUBand()
-	drop := serverDropAt(meanUtil)
-	for _, rec := range results.Records {
+	drop := serverDropAt(res.CPUMean)
+	for _, rec := range res.Load.Records {
 		if !rec.Established {
 			continue
 		}

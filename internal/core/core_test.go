@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -153,6 +154,31 @@ func TestRunDeterministicBySeed(t *testing.T) {
 	if c.Load.Attempts == a.Load.Attempts && c.Load.Blocked == a.Load.Blocked &&
 		c.Load.Established == a.Load.Established {
 		t.Log("different seed produced identical aggregate; suspicious but possible")
+	}
+}
+
+// TestIslandsOnOneShard: replicas are honoured at any shard count. On a
+// single shard island 0 reports exactly what it reports alone, and the
+// replica's events are fired beside it.
+func TestIslandsOnOneShard(t *testing.T) {
+	cfg := ExperimentConfig{Workload: 12, Capacity: 165, Media: sipp.MediaPacketized, Seed: 42}
+	alone := Run(cfg)
+	cfg.Islands, cfg.Shards = 2, 1
+	both := Run(cfg)
+	if !reflect.DeepEqual(both.Load, alone.Load) {
+		t.Error("island 0's generator results differ from the lone run's")
+	}
+	if both.Capture != alone.Capture {
+		t.Errorf("island 0's capture: %+v, alone %+v", both.Capture, alone.Capture)
+	}
+	if len(alone.CDRs) == 0 || !reflect.DeepEqual(both.CDRs, alone.CDRs) {
+		t.Errorf("island 0's CDRs: %d records, alone %d", len(both.CDRs), len(alone.CDRs))
+	}
+	if !reflect.DeepEqual(both.Series, alone.Series) {
+		t.Error("island 0's per-second series differs from the lone run's")
+	}
+	if both.Events <= alone.Events {
+		t.Errorf("the replica fired nothing: %d events with it, %d alone", both.Events, alone.Events)
 	}
 }
 

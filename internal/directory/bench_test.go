@@ -48,6 +48,16 @@ func BenchmarkRegistrarRegister(b *testing.B) {
 // pure MD5 check against the stored HA1 — it must stay at zero
 // allocations per op, or a refresh storm turns into GC pressure.
 func BenchmarkNonceCacheHit(b *testing.B) {
+	hit := nonceCacheHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit(i)
+	}
+}
+
+// nonceCacheHit returns the i-th verification of a cached nonce.
+func nonceCacheHit(tb testing.TB) func(i int) {
 	c := NewNonceCache(16, 0, 0)
 	ha1 := sip.DigestHA1("alice", "pbx", "secret")
 	const uri = "sip:pbx:5060"
@@ -59,12 +69,40 @@ func BenchmarkNonceCacheHit(b *testing.B) {
 		ch := sip.DigestChallenge{Realm: "pbx", Nonce: nonces[i]}
 		responses[i] = ch.Answer("alice", "secret", sip.REGISTER, uri).Response
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		k := i & 63
 		if v := c.Verify(nonces[k], "alice", sip.REGISTER, uri, responses[k], 0); v != NonceHit {
-			b.Fatalf("verdict %v, want hit", v)
+			tb.Fatalf("verdict %v, want hit", v)
+		}
+	}
+}
+
+// TestRegistrarAllocs pins the two operations a refresh storm is made
+// of — the binding refresh in the store and the preemptive digest check
+// against a cached nonce — at no allocation, or the storm turns into
+// collector pressure.
+func TestRegistrarAllocs(t *testing.T) {
+	const users = 4096
+	d := NewSharded(16)
+	names := d.Provision("u", 0, users)
+	for _, u := range names { // first lap: every later Register is a refresh
+		if err := d.Register(u, "10.0.0.1:5060", 0, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := nonceCacheHit(t)
+	i := 0
+	for name, op := range map[string]func(){
+		"Directory.Register refresh": func() {
+			if err := d.Register(names[i&(users-1)], "10.0.0.1:5060", time.Duration(i), time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		},
+		"NonceCache hit": func() { hit(i); i++ },
+	} {
+		if n := testing.AllocsPerRun(10000, op); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
 		}
 	}
 }

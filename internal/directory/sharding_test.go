@@ -305,7 +305,7 @@ func TestNewShardedRejectsBadCounts(t *testing.T) {
 	}
 }
 
-// TestRegistrarStress is the `make verify` register-smoke: every
+// TestRegistrarStress is the registrar's `make race` drill: every
 // shard-visible operation hammered from GOMAXPROCS-scaled writers
 // under -race, with the expiry wheel running on the real clock. The
 // assertions are conservation properties: the live-binding gauge must

@@ -15,6 +15,31 @@ import (
 // per-call steady-state cost of the packetized media model.
 func BenchmarkSessionFrameExchange(b *testing.B) {
 	b.ReportAllocs()
+	op, done := sessionFrameExchange(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	done(b.N)
+}
+
+// TestSessionFrameExchangeAllocs pins a call's steady state — a frame
+// sent and a frame received by each party every 20 ms — at no
+// allocation.
+func TestSessionFrameExchangeAllocs(t *testing.T) {
+	op, done := sessionFrameExchange(t)
+	const frames = 10000
+	if n := testing.AllocsPerRun(frames, op); n != 0 {
+		t.Errorf("%v allocs per frame interval, want 0", n)
+	}
+	done(frames)
+}
+
+// sessionFrameExchange starts two sessions sending to each other. op
+// runs one frame interval; done stops them and checks that each sent at
+// least n frames.
+func sessionFrameExchange(tb testing.TB) (op func(), done func(n int)) {
 	sched := netsim.NewScheduler()
 	net := netsim.NewNetwork(sched, stats.NewRNG(1))
 	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
@@ -26,17 +51,17 @@ func BenchmarkSessionFrameExchange(b *testing.B) {
 		SessionConfig{Remote: "a:4000", SSRC: 0xB})
 	a.Start()
 	z.Start()
-	frame := 20 * time.Millisecond
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.Run(sched.Now() + frame); err != nil {
-			b.Fatal(err)
+	op = func() {
+		if _, err := sched.Run(sched.Now() + 20*time.Millisecond); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	a.Stop()
-	z.Stop()
-	if a.SentPackets() < uint64(b.N) || z.SentPackets() < uint64(b.N) {
-		b.Fatalf("sent %d/%d frames, want >= %d", a.SentPackets(), z.SentPackets(), b.N)
+	done = func(n int) {
+		a.Stop()
+		z.Stop()
+		if a.SentPackets() < uint64(n) || z.SentPackets() < uint64(n) {
+			tb.Fatalf("sent %d/%d frames, want >= %d", a.SentPackets(), z.SentPackets(), n)
+		}
 	}
+	return op, done
 }

@@ -1,9 +1,7 @@
 package monitor
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
+	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -78,6 +76,10 @@ type Sampler struct {
 	// the hook the SLO evaluator rides on.
 	observer func(Sample)
 
+	// mu orders a tick against Stop: on the wall clock the tick runs on
+	// a timer goroutine and Stop on the caller's. In the simulator both
+	// are events of one shard and the lock is never contended.
+	mu      sync.Mutex
 	start   time.Duration
 	lastT   time.Duration
 	samples []Sample
@@ -143,6 +145,8 @@ func (sp *Sampler) Start() {
 }
 
 func (sp *Sampler) tick() {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
 	if sp.stopped {
 		return
 	}
@@ -215,6 +219,8 @@ func (sp *Sampler) Stop() { sp.StopAt(sp.clock.Now()) }
 // decision by the time it applies; passing the decision time keeps the
 // flushed sample identical to the single-threaded engine's.
 func (sp *Sampler) StopAt(now time.Duration) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
 	if sp.stopped {
 		return
 	}
@@ -229,43 +235,6 @@ func (sp *Sampler) StopAt(now time.Duration) {
 
 // Samples returns the collected series.
 func (sp *Sampler) Samples() []Sample { return sp.samples }
-
-// WriteSamplesCSV exports a series with one row per second.
-func WriteSamplesCSV(w io.Writer, samples []Sample) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"t", "offered", "blocked", "answered", "active",
-		"retrans", "rtp", "drops", "blocking", "setup_n", "setup_p50", "setup_p90", "setup_p99",
-		"mos_n", "mos_p50",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		rec := []string{
-			fmt.Sprintf("%.3f", s.T),
-			fmt.Sprintf("%d", s.Offered),
-			fmt.Sprintf("%d", s.Blocked),
-			fmt.Sprintf("%d", s.Answered),
-			fmt.Sprintf("%d", s.Active),
-			fmt.Sprintf("%d", s.Retrans),
-			fmt.Sprintf("%d", s.RTP),
-			fmt.Sprintf("%d", s.Drops),
-			fmt.Sprintf("%.4f", s.Blocking),
-			fmt.Sprintf("%d", s.SetupN),
-			fmt.Sprintf("%.4f", s.SetupP50),
-			fmt.Sprintf("%.4f", s.SetupP90),
-			fmt.Sprintf("%.4f", s.SetupP99),
-			fmt.Sprintf("%d", s.MeasuredN),
-			fmt.Sprintf("%.2f", s.MeasuredP50),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // SchedStatser is anything exposing scheduler counters: a single
 // netsim.Scheduler or a netsim.ShardGroup summing across shards.

@@ -7,26 +7,33 @@ import (
 	"repro/internal/stats"
 )
 
-// BenchmarkSchedulerCycle measures one schedule/fire plus one
-// schedule/stop cycle — the scheduler's contribution to every simulated
-// packet (each hop is one scheduled delivery, and SIP transactions arm
-// and cancel retransmission timers constantly).
-func BenchmarkSchedulerCycle(b *testing.B) {
-	b.ReportAllocs()
+// schedulerCycle returns one schedule/fire plus one schedule/stop cycle
+// — the scheduler's contribution to every simulated packet (each hop is
+// one scheduled delivery, and SIP transactions arm and cancel
+// retransmission timers constantly) — and the count of events fired.
+func schedulerCycle(tb testing.TB) (op func(), fired *int) {
 	s := NewScheduler()
-	fired := 0
-	ev := func(time.Duration) { fired++ }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	fired = new(int)
+	ev := func(time.Duration) { *fired++ }
+	return func() {
 		s.After(time.Millisecond, ev)
 		tm := s.After(time.Hour, ev) // far-future timer, cancelled like a SIP timer
 		tm.Stop()
 		if _, err := s.Run(s.Now() + time.Millisecond); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}, fired
+}
+
+func BenchmarkSchedulerCycle(b *testing.B) {
+	b.ReportAllocs()
+	op, fired := schedulerCycle(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
-	if fired != b.N {
-		b.Fatalf("fired %d, want %d", fired, b.N)
+	if *fired != b.N {
+		b.Fatalf("fired %d, want %d", *fired, b.N)
 	}
 }
 
@@ -51,26 +58,46 @@ func BenchmarkSchedulerMixedHorizon(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkSend measures the full per-packet network path: Send
-// through a link profile, scheduled delivery, handler dispatch.
-func BenchmarkNetworkSend(b *testing.B) {
-	b.ReportAllocs()
+// networkSend returns one G.711-sized datagram sent over a 1 ms link
+// and delivered to its handler, and the count delivered.
+func networkSend(tb testing.TB) (op func(), got *int) {
 	s := NewScheduler()
 	n := NewNetwork(s, stats.NewRNG(1))
 	n.SetDefaultProfile(LinkProfile{Delay: time.Millisecond})
 	src := Addr{Host: "a", Port: 1}
 	dst := Addr{Host: "b", Port: 2}
-	var got int
-	n.Bind(dst, HandlerFunc(func(time.Duration, *Packet) { got++ }))
+	got = new(int)
+	n.Bind(dst, HandlerFunc(func(time.Duration, *Packet) { *got++ }))
 	payload := make([]byte, 172) // 12-byte RTP header + 160-byte G.711 frame
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		n.Send(src, dst, payload)
 		if _, err := s.Run(s.Now() + 2*time.Millisecond); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}, got
+}
+
+func BenchmarkNetworkSend(b *testing.B) {
+	b.ReportAllocs()
+	op, got := networkSend(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
-	if got != b.N {
-		b.Fatalf("delivered %d, want %d", got, b.N)
+	if *got != b.N {
+		b.Fatalf("delivered %d, want %d", *got, b.N)
+	}
+}
+
+// TestEngineAllocs pins what the simulator pays per event: nothing. A
+// packetized Table I cell fires tens of millions of events, so one
+// allocation here is the whole run's garbage.
+func TestEngineAllocs(t *testing.T) {
+	cycle, _ := schedulerCycle(t)
+	send, _ := networkSend(t)
+	for name, op := range map[string]func(){"schedule + fire": cycle, "Network.Send to deliver": send} {
+		if n := testing.AllocsPerRun(10000, op); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package difftest is the determinism-differential harness of the
-// sharded engine: it executes the same experiment once on the classic
-// single-scheduler engine and once on the partitioned engine, then
-// compares every externally observable artifact — generator results,
+// sharded engine: it executes the same experiment once on a group of
+// one shard and once partitioned across several, then compares every
+// externally observable artifact — generator results,
 // PBX counters, the CDR stream, the wire capture, the telemetry
 // snapshot, the per-second series — demanding bit-identical output.
 //
@@ -32,19 +32,30 @@ func (d *diff) eq(name string, a, b interface{}) {
 	}
 }
 
+// healthy adds the invariants either run violated: two runs that agree
+// on a leak are not a pass.
+func (d *diff) healthy(a, b interface{ CheckInvariants() []string }) {
+	for _, v := range a.CheckInvariants() {
+		d.fields = append(d.fields, "shards=1 invariant: "+v)
+	}
+	for _, v := range b.CheckInvariants() {
+		d.fields = append(d.fields, "sharded invariant: "+v)
+	}
+}
+
 func (d *diff) json(name string, a, b []byte) {
 	if string(a) != string(b) {
 		d.fields = append(d.fields, fmt.Sprintf("%s: %d vs %d bytes (content differs)", name, len(a), len(b)))
 	}
 }
 
-// DiffExperiment runs cfg on both engines — cfg.Shards forced to 0
-// (legacy) and to shards — and returns one entry per differing result
-// field (empty = bit-identical). Elapsed and Config are excluded: wall
-// time legitimately differs, and Config records the Shards knob itself.
+// DiffExperiment runs cfg at both shard counts — cfg.Shards forced to 1
+// and to shards — and returns one entry per differing result field
+// (empty = bit-identical). Elapsed and Config are excluded: wall time
+// legitimately differs, and Config records the Shards knob itself.
 func DiffExperiment(cfg core.ExperimentConfig, shards int) []string {
 	single := cfg
-	single.Shards = 0
+	single.Shards = 1
 	sharded := cfg
 	sharded.Shards = shards
 
@@ -69,14 +80,14 @@ func DiffExperiment(cfg core.ExperimentConfig, shards int) []string {
 	return d.fields
 }
 
-// ExperimentEvents runs cfg on the engine selected by cfg.Shards and
-// returns the fired-event count, for pinning sharded runs against the
-// golden totals of the single-threaded engine.
+// ExperimentEvents runs cfg at the shard count it names and returns the
+// fired-event count, for pinning sharded runs against the golden totals
+// internal/core pins at one shard.
 func ExperimentEvents(cfg core.ExperimentConfig) uint64 {
 	return core.Run(cfg).Events
 }
 
-// DiffScenario runs a chaos scenario on both engines and compares every
+// DiffScenario runs a chaos scenario at both shard counts and compares every
 // observation the harness records, including the fault-plane artifacts
 // (link counters, no-route drops, leak detectors).
 func DiffScenario(sc chaos.Scenario, shards int) []string {
@@ -92,17 +103,15 @@ func DiffScenario(sc chaos.Scenario, shards int) []string {
 	}
 
 	var d diff
+	d.healthy(a, b)
 	d.eq("Load", a.Load, b.Load)
-	d.eq("Counters", a.Counters, b.Counters)
-	d.eq("CDRs", a.CDRs, b.CDRs)
+	d.eq("Books", a.Books, b.Books)
 	d.eq("Signaling", a.Signaling, b.Signaling)
 	d.eq("Capture", a.Capture.Row(), b.Capture.Row())
 	d.eq("Timeline", a.Timeline.Buckets(), b.Timeline.Buckets())
 	d.eq("TimelineTotals", a.Timeline.Totals(), b.Timeline.Totals())
 	d.eq("Links", a.Links, b.Links)
 	d.eq("NoRoute", a.NoRoute, b.NoRoute)
-	d.eq("Leaks", [3]int{a.ActiveChannels, a.ActiveTransactions, a.ActiveSpans},
-		[3]int{b.ActiveChannels, b.ActiveTransactions, b.ActiveSpans})
 	d.eq("CPUBand", [3]float64{a.CPULo, a.CPUMean, a.CPUHi}, [3]float64{b.CPULo, b.CPUMean, b.CPUHi})
 	d.eq("Degradation", a.Degradation, b.Degradation)
 	d.eq("Series", a.Series, b.Series)
@@ -113,7 +122,7 @@ func DiffScenario(sc chaos.Scenario, shards int) []string {
 	return d.fields
 }
 
-// DiffRegistration runs a registration chaos scenario on both engines
+// DiffRegistration runs a registration chaos scenario at both shard counts
 // and compares the generator's view, every incarnation's counters, the
 // nonce-cache counters, the location store's end state and the
 // telemetry snapshot.
@@ -130,13 +139,14 @@ func DiffRegistration(sc chaos.RegistrationScenario, shards int) []string {
 	}
 
 	var d diff
+	d.healthy(a, b)
 	d.eq("TimelineSummary", a.TimelineSummary(), b.TimelineSummary())
 	d.eq("Load", a.Load, b.Load)
 	d.eq("Counters", a.Counters, b.Counters)
 	d.eq("Nonces", a.Nonces, b.Nonces)
 	d.eq("Store", [2]int64{int64(a.Registered), a.LiveBindings}, [2]int64{int64(b.Registered), b.LiveBindings})
 	d.eq("NoRoute", a.NoRoute, b.NoRoute)
-	d.eq("Leaks", a.ActiveTransactions, b.ActiveTransactions)
+	d.eq("PBX", a.PBX, b.PBX)
 	aj, ajErr := a.Telemetry.MarshalIndent()
 	bj, bjErr := b.Telemetry.MarshalIndent()
 	d.eq("Telemetry marshal error", ajErr, bjErr)
@@ -144,7 +154,7 @@ func DiffRegistration(sc chaos.RegistrationScenario, shards int) []string {
 	return d.fields
 }
 
-// DiffCluster runs a cluster chaos scenario on both engines and
+// DiffCluster runs a cluster chaos scenario at both shard counts and
 // compares the failover timeline, balancer counters, per-backend
 // accounting and the observation plane.
 func DiffCluster(sc chaos.ClusterScenario, shards int) []string {
@@ -160,6 +170,7 @@ func DiffCluster(sc chaos.ClusterScenario, shards int) []string {
 	}
 
 	var d diff
+	d.healthy(a, b)
 	d.eq("TimelineSummary", a.TimelineSummary(), b.TimelineSummary())
 	d.eq("Load", a.Load, b.Load)
 	d.eq("Balancer", a.Balancer, b.Balancer)

@@ -12,10 +12,9 @@ import (
 	"repro/internal/sipp"
 )
 
-// goldenEvents pins the sharded engine directly against the event
-// totals of internal/core's TestGoldenDeterminism: the partitioned run
-// must fire exactly the events the single-threaded engine fires, not
-// merely agree with a fresh legacy run.
+// goldenEvents pins every shard count directly against the event totals
+// of internal/core's TestGoldenDeterminism: a partitioned run must fire
+// exactly those events, not merely agree with a fresh one-shard run.
 var goldenEvents = map[string]map[uint64]uint64{
 	"signalling-200E": {1: 5845, 42: 5683, 160: 6136},
 	"flow-model-12E":  {1: 913, 42: 932, 160: 1131},
@@ -38,17 +37,18 @@ func goldenConfigs() map[string]func(seed uint64) core.ExperimentConfig {
 
 // TestDiffGoldenConfigs runs every golden configuration at three seeds
 // under shards=2 and shards=4, demanding bit-identical results against
-// the single-threaded engine and the pinned golden event totals. The
-// flow-model seed-1 cell doubles as the telemetry-snapshot golden
-// (core pins its JSON byte-for-byte; the diff harness pins sharded ==
-// legacy, so the sharded snapshot is transitively pinned to the file).
+// the one-shard run and the pinned golden event totals. The flow-model
+// seed-1 cell doubles as the telemetry-snapshot golden (core pins its
+// JSON byte-for-byte at one shard; the diff harness pins sharded ==
+// one shard, so the sharded snapshot is transitively pinned to the
+// file).
 func TestDiffGoldenConfigs(t *testing.T) {
 	for name, mk := range goldenConfigs() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{1, 42, 160} {
-				for _, shards := range []int{1, 2, 4} {
+				for _, shards := range []int{2, 4} {
 					cfg := mk(seed)
 					if diffs := DiffExperiment(cfg, shards); len(diffs) > 0 {
 						for _, d := range diffs {
@@ -80,7 +80,7 @@ func TestDiffCodecMix(t *testing.T) {
 		CalleeCodecs: []int{0, 8},
 		Seed:         42,
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range []int{2, 4} {
 		for _, d := range DiffExperiment(cfg, shards) {
 			t.Errorf("shards=%d %s", shards, d)
 		}
@@ -89,7 +89,7 @@ func TestDiffCodecMix(t *testing.T) {
 
 // TestDiffIslands checks the replicated-workload placement: island 0 of
 // a 4-island, 4-shard run must report exactly what a single-island
-// single-thread run reports, while the replicas only add events.
+// one-shard run reports, while the replicas only add events.
 func TestDiffIslands(t *testing.T) {
 	base := core.ExperimentConfig{Workload: 12, Capacity: 10, Seed: 7}
 	single := core.Run(base)
@@ -192,8 +192,7 @@ func TestDiffDegradationTimeline(t *testing.T) {
 
 // TestDiffRegistration is the registrar's determinism gate: the
 // 10k-endpoint cold-restart avalanche must be bit-identical between
-// the single-scheduler engine and the partitioned engine at shards
-// {2,4} for seeds {1,42,160} — the generator's per-second timeline,
+// one shard and shards {2,4} for seeds {1,42,160} — the generator's per-second timeline,
 // both incarnations' counters, the nonce-cache stats, the location
 // store's end state and the registrar telemetry JSON all compared
 // field by field.
@@ -245,8 +244,8 @@ func TestDiffClusterScenarios(t *testing.T) {
 	}
 }
 
-// TestShardedChaosSmoke is the `make verify` gate: the cheap end-to-end
-// scenario on a 4-shard group (usually under -race via the Makefile),
+// TestShardedChaosSmoke is the cheap end-to-end scenario on a 4-shard
+// group (under -race in `make race`),
 // with the scenario's own invariants — including the packet-pool
 // gets==puts balance — checked on the sharded run.
 func TestShardedChaosSmoke(t *testing.T) {

@@ -211,7 +211,6 @@ func newNetShard(sched *Scheduler, n int) *netShard {
 // and setup must finish before the group first runs.
 type Network struct {
 	shards    []*netShard
-	group     *ShardGroup
 	hostShard map[string]int
 	defaults  LinkProfile
 	// linkSeed derives the per-link RNG streams: each (src, dst) pair
@@ -241,7 +240,6 @@ func NewNetwork(s *Scheduler, rng *stats.RNG) *Network {
 func NewShardedNetwork(g *ShardGroup, rng *stats.RNG, hostShard map[string]int) *Network {
 	n := &Network{
 		shards:    make([]*netShard, g.N()),
-		group:     g,
 		hostShard: hostShard,
 		linkSeed:  rng.Uint64(),
 	}
@@ -639,6 +637,3 @@ func (n *Network) PoolStats() (gets, puts uint64) {
 // Scheduler returns the scheduler driving shard 0 — the only scheduler
 // of a classic single-shard network.
 func (n *Network) Scheduler() *Scheduler { return n.shards[0].sched }
-
-// Group returns the shard group of a sharded network, or nil.
-func (n *Network) Group() *ShardGroup { return n.group }

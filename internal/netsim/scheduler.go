@@ -271,14 +271,6 @@ func (s *Scheduler) AtRunner(at time.Duration, r Runner) {
 	s.schedule(at, nil, r)
 }
 
-// AfterRunner schedules r after delay d, see AtRunner.
-func (s *Scheduler) AfterRunner(d time.Duration, r Runner) {
-	if d < 0 {
-		d = 0
-	}
-	s.schedule(s.now+d, nil, r)
-}
-
 // AtTimer is AtRunner with a cancellation handle, for reusable timers.
 func (s *Scheduler) AtTimer(at time.Duration, r Runner) Timer {
 	if at < s.now {

@@ -800,7 +800,6 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 		s.counters.Completed++
 	}
 	cdr := s.buildCDR(br, completed && wasEstablished)
-	s.cdrs = append(s.cdrs, cdr)
 	s.recordCDRMetricsLocked(cdr)
 	// Feed the ladder's quality sensor: measured (sensor) MOS when the
 	// relay scored the call, the E-model estimate otherwise. Averaged

@@ -2,7 +2,6 @@ package pbx
 
 import (
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,36 +9,29 @@ import (
 
 	"repro/internal/directory"
 	"repro/internal/sip"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
-// callRig is cmd/pbxd's wiring in one process — SIP listener on
-// loopback, relay legs borrowed from a transport.LegPool, telemetry on
-// — with the generator pair uac/uas registered at it.
+// callRig is cmd/pbxd's wiring in one process (ListenWire on loopback)
+// with the generator pair uac/uas registered at it.
 type callRig struct {
-	server   *Server
-	listener *transport.UDPTransport
-	legs     *transport.LegPool
-	uac      *sip.Phone
+	*Wire
+	uac *sip.Phone
 }
 
 func newCallRig(t *testing.T) *callRig {
 	t.Helper()
 	clock := transport.NewRealClock()
-	listener, err := transport.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := directory.New()
 	dir.AddUser(directory.User{Username: "uac", Password: "pw-uac"})
 	dir.AddUser(directory.User{Username: "uas", Password: "pw-uas"})
-	host, _, _ := strings.Cut(listener.LocalAddr(), ":")
-	r := &callRig{listener: listener, legs: transport.NewLegPool(host)}
-	r.server = New(sip.NewEndpoint(listener, clock), dir, r.legs.Listen, Config{
-		RelayRTP: true, RemoteMediaClocks: true, RTPPortBase: nextPortBase(),
-		Seed: 7, Telemetry: telemetry.NewRegistry(),
+	w, err := ListenWire("127.0.0.1:0", 1, dir, Config{
+		RelayRTP: true, RemoteMediaClocks: true, RTPPortBase: nextPortBase(), Seed: 7,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &callRig{Wire: w}
 
 	regOK := make(chan bool, 2)
 	mk := func(user string) *sip.Phone {
@@ -48,7 +40,7 @@ func newCallRig(t *testing.T) *callRig {
 			t.Fatal(err)
 		}
 		phone := sip.NewPhone(sip.NewEndpoint(tr, clock), sip.PhoneConfig{
-			User: user, Password: "pw-" + user, Proxy: listener.LocalAddr(), MediaPort: nextPortBase(),
+			User: user, Password: "pw-" + user, Proxy: w.Listener.LocalAddr(), MediaPort: nextPortBase(),
 		})
 		t.Cleanup(func() { phone.Endpoint().Close() })
 		phone.Register(time.Hour, func(ok bool) { regOK <- ok })
@@ -95,21 +87,17 @@ func (r *callRig) zeroHoldCalls(outstanding int, more func() bool, ended func(*s
 	wg.Wait()
 }
 
-// close shuts the server side down in dependency order and checks that
-// every pooled buffer came home.
+// close shuts the server side down and checks that every pooled buffer
+// came home.
 func (r *callRig) close(t *testing.T) {
 	t.Helper()
-	r.server.Close()
-	if err := r.listener.Close(); err != nil {
-		t.Errorf("listener close: %v", err)
+	if err := r.Close(); err != nil {
+		t.Errorf("wire close: %v", err)
 	}
-	if gets, puts := r.listener.PoolStats(); gets != puts {
+	if gets, puts := r.Listener.PoolStats(); gets != puts {
 		t.Errorf("listener pool leak: gets=%d puts=%d", gets, puts)
 	}
-	if err := r.legs.Close(); err != nil {
-		t.Errorf("leg pool close: %v", err)
-	}
-	if gets, puts := r.legs.PoolStats(); gets != puts {
+	if gets, puts := r.Legs.PoolStats(); gets != puts {
 		t.Errorf("leg pool leak: gets=%d puts=%d", gets, puts)
 	}
 }
@@ -166,11 +154,11 @@ func TestBackToBackCallsReuseLegsAndPinNothing(t *testing.T) {
 	if took := time.Since(start); took >= sip.CompletedLinger {
 		t.Skipf("calls took %v: the linger ran out before the heap was read", took)
 	}
-	if n := r.server.ActiveTransactions(); n < calls {
+	if n := r.Server.ActiveTransactions(); n < calls {
 		t.Errorf("only %d transactions linger; the heap bound above proves nothing", n)
 	}
 
-	st := r.legs.Stats()
+	st := r.Legs.Stats()
 	// A call's BYE is answered before its relay is released, so the
 	// next INVITE can overtake the release and bind a second pair.
 	if st.Binds > 4 || st.Binds+st.Reuses != 2*calls {
@@ -179,8 +167,9 @@ func TestBackToBackCallsReuseLegsAndPinNothing(t *testing.T) {
 	r.close(t)
 }
 
-// TestCallsSmoke is `make calls-smoke`: about five seconds of closed-
-// loop zero-hold calls against the pbxd wiring. A call must cost the
+// TestCallsSmoke is about five seconds of closed-loop zero-hold calls
+// against the pbxd wiring, plain in `make test` and under the detector
+// in `make race`. A call must cost the
 // same whether it is the first or the ten-thousandth, and leave nothing
 // behind: the rate holds, the heap stays small (under -race on two
 // vCPUs, below 64 MB in all; the bound is per call so that a faster
@@ -223,20 +212,20 @@ func TestCallsSmoke(t *testing.T) {
 
 	// The far leg's BYE transaction ends a moment after the last call.
 	deadline := time.Now().Add(2 * time.Second)
-	for r.server.ActiveChannels() != 0 && time.Now().Before(deadline) {
+	for r.Server.ActiveChannels() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := r.server.ActiveChannels(); n != 0 {
+	if n := r.Server.ActiveChannels(); n != 0 {
 		t.Errorf("%d channels still held", n)
 	}
-	if n := r.server.ActiveSpans(); n != 0 {
+	if n := r.Server.ActiveSpans(); n != 0 {
 		t.Errorf("%d call spans still open", n)
 	}
 	deadline = time.Now().Add(sip.CompletedLinger + 3*time.Second)
-	for r.server.ActiveTransactions() != 0 && time.Now().Before(deadline) {
+	for r.Server.ActiveTransactions() != 0 && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Millisecond)
 	}
-	if tx, idx := r.server.ActiveTransactions(), r.server.UnackedInvites(); tx != 0 || idx != 0 {
+	if tx, idx := r.Server.ActiveTransactions(), r.Server.UnackedInvites(); tx != 0 || idx != 0 {
 		t.Errorf("after the linger: %d transactions, %d un-ACKed INVITEs indexed", tx, idx)
 	}
 	r.close(t)

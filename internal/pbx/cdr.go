@@ -104,12 +104,6 @@ func worseMOS(a, b float64) float64 {
 	}
 }
 
-// scoreStreams computes the call MOS with the configured default
-// codec profile (voicemail and recovery paths).
-func (s *Server) scoreStreams(a, b rtp.Stats) float64 {
-	return s.scoreStreamsAs(s.cfg.ScoreCodec, a, b)
-}
-
 // scoreStreamsAs computes the call MOS as the minimum of the two
 // directions' E-model scores under the given codec profile, using the
 // relay's view of loss, jitter and transit.
@@ -144,13 +138,6 @@ func (s *Server) scoreStreamsAs(profile mos.Codec, a, b rtp.Stats) float64 {
 	default:
 		return mb
 	}
-}
-
-// CDRs returns a copy of the records written so far.
-func (s *Server) CDRs() []CDR {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]CDR(nil), s.cdrs...)
 }
 
 // Disposition returns the Asterisk-style CDR disposition string.

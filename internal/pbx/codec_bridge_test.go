@@ -73,7 +73,7 @@ func startMedia(r *rig, c *sip.Call) *media.Session {
 // the transcode CPU surcharge for the call's lifetime, and release it
 // at teardown.
 func TestTranscodingBridgeEndToEnd(t *testing.T) {
-	r := newCodecRig(t, Config{RelayRTP: true, Codecs: codec.AllPayloadTypes()},
+	r := newCodecRig(t, Config{RelayRTP: true, Codecs: codec.AllPayloadTypes(), Journal: NewCDRJournal()},
 		[]int{18}, []int{0, 8})
 	caller, callee := r.phones[0], r.phones[1]
 
@@ -129,7 +129,7 @@ func TestTranscodingBridgeEndToEnd(t *testing.T) {
 	}
 	// The CDR is scored with the G.729>G.711 tandem profile: capped
 	// below a clean single-encode G.711 call.
-	cdr := r.server.CDRs()[0]
+	cdr := r.cdrs()[0]
 	if cdr.MOS <= 2 || cdr.MOS >= 4.2 {
 		t.Errorf("tandem CDR MOS = %v, want in (2, 4.2)", cdr.MOS)
 	}
@@ -140,7 +140,7 @@ func TestTranscodingBridgeEndToEnd(t *testing.T) {
 // through untouched while still observing the stream (the pt >= 96
 // audio carve-out), and no transcode surcharge may be charged.
 func TestPassthroughDynamicPayloadType(t *testing.T) {
-	r := newCodecRig(t, Config{RelayRTP: true, Codecs: codec.AllPayloadTypes()},
+	r := newCodecRig(t, Config{RelayRTP: true, Codecs: codec.AllPayloadTypes(), Journal: NewCDRJournal()},
 		[]int{97}, []int{97, 0})
 	caller, callee := r.phones[0], r.phones[1]
 
@@ -178,7 +178,7 @@ func TestPassthroughDynamicPayloadType(t *testing.T) {
 	}
 	// The dynamic-PT stream must be observed, not skipped as
 	// telephone-events: the CDR carries its statistics and a real score.
-	cdr := r.server.CDRs()[0]
+	cdr := r.cdrs()[0]
 	if cdr.FromCaller.Received < 1400 || cdr.FromCallee.Received < 1400 {
 		t.Errorf("iLBC stream not observed: %d / %d",
 			cdr.FromCaller.Received, cdr.FromCallee.Received)

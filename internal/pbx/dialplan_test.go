@@ -109,6 +109,7 @@ func TestDialplanRejectDefaultStatus(t *testing.T) {
 // the telephone-exchange gateway, and the call completes end to end.
 func TestTrunkCallReachesExchange(t *testing.T) {
 	r := newRig(t, 1, Config{
+		Journal: NewCDRJournal(),
 		Dialplan: &Dialplan{Rules: []Rule{
 			{Pattern: "_85XXXXXX", Kind: RouteTrunk, Trunk: "exchange:5060"},
 		}},
@@ -138,7 +139,7 @@ func TestTrunkCallReachesExchange(t *testing.T) {
 	if c.TrunkCalls != 1 || c.Completed != 1 {
 		t.Errorf("counters: %+v", c)
 	}
-	cdr := r.server.CDRs()[0]
+	cdr := r.cdrs()[0]
 	if cdr.Callee != "85123456" || !cdr.Completed {
 		t.Errorf("CDR: %+v", cdr)
 	}

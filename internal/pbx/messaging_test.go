@@ -234,7 +234,7 @@ func TestVoicemailAbandonedDepositReaped(t *testing.T) {
 }
 
 func TestCDRCSVExport(t *testing.T) {
-	r := newRig(t, 2, Config{})
+	r := newRig(t, 2, Config{Journal: NewCDRJournal()})
 	call := r.phones[0].Invite("u1")
 	call.OnEstablished = func(c *sip.Call) {
 		r.clock.AfterFunc(10*time.Second, func() { r.phones[0].Hangup(c) })
@@ -242,7 +242,7 @@ func TestCDRCSVExport(t *testing.T) {
 	r.sched.Run(r.sched.Now() + 2*time.Minute)
 
 	var sb strings.Builder
-	if err := WriteCSV(&sb, r.server.CDRs()); err != nil {
+	if err := WriteCSV(&sb, r.cdrs()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

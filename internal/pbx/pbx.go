@@ -192,6 +192,42 @@ type Counters struct {
 	RegisterRemovals   uint64 // bindings removed by Expires:0 or the Contact:* wildcard
 }
 
+// Add folds o into c: the totals an outside collector keeps across the
+// incarnations of a crash / restart cycle, or across a farm's
+// backends. PeakChannels adds too — an upper bound on the joint peak.
+func (c *Counters) Add(o Counters) {
+	c.Attempts += o.Attempts
+	c.Established += o.Established
+	c.Blocked += o.Blocked
+	c.Rejected += o.Rejected
+	c.Completed += o.Completed
+	c.Canceled += o.Canceled
+	c.Failed += o.Failed
+	c.RelayedPackets += o.RelayedPackets
+	c.DroppedPackets += o.DroppedPackets
+	c.PeakChannels += o.PeakChannels
+	c.RejectedPackets += o.RejectedPackets
+	c.TranscodedCalls += o.TranscodedCalls
+	c.CodecRejected += o.CodecRejected
+	c.QualityRejected += o.QualityRejected
+	c.TranscodedPkts += o.TranscodedPkts
+	c.MessagesRouted += o.MessagesRouted
+	c.MessagesStored += o.MessagesStored
+	c.VoicemailDeposits += o.VoicemailDeposits
+	c.TrunkCalls += o.TrunkCalls
+	c.DrainRejected += o.DrainRejected
+	c.DegradeBlocked += o.DegradeBlocked
+	c.TranscodeRefused += o.TranscodeRefused
+	c.ThrottleSignals += o.ThrottleSignals
+	c.Renegotiations += o.Renegotiations
+	c.Registers += o.Registers
+	c.RegisterChallenges += o.RegisterChallenges
+	c.RegisterStale += o.RegisterStale
+	c.RegisterAuthFail += o.RegisterAuthFail
+	c.RegisterShed += o.RegisterShed
+	c.RegisterRemovals += o.RegisterRemovals
+}
+
 // Server is the PBX.
 type Server struct {
 	ep      *sip.Endpoint
@@ -213,7 +249,6 @@ type Server struct {
 	nextPort      int
 	freePorts     []int
 	counters      Counters
-	cdrs          []CDR
 	meter         *cpu.Meter
 	cpuSamples    []cpuSample
 	rng           *stats.RNG
@@ -226,10 +261,10 @@ type Server struct {
 	// registersWindow meters REGISTER arrivals for the registrar's
 	// per-second admission lane (reset each sampler tick).
 	registersWindow uint64
-	attemptsEWMA   float64
-	errorsEWMA     float64
-	channelsEWMA   float64 // dampened occupancy for OccupancyPolicy
-	sampler        transport.Timer
+	attemptsEWMA    float64
+	errorsEWMA      float64
+	channelsEWMA    float64 // dampened occupancy for OccupancyPolicy
+	sampler         transport.Timer
 
 	// Degradation ladder (nil while Config.Degradation is disabled)
 	// plus the per-tick sensor deltas its signals are derived from.
@@ -343,6 +378,11 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 
 // Directory returns the server's user store.
 func (s *Server) Directory() *directory.Directory { return s.dir }
+
+// Journal returns Config.Journal, the server's call ledger: the server
+// itself keeps no call history beyond the RecentCalls ring, so that its
+// memory is flat in completed calls. Nil when none was attached.
+func (s *Server) Journal() *CDRJournal { return s.cfg.Journal }
 
 // Addr returns the PBX signalling address.
 func (s *Server) Addr() string { return s.ep.Addr() }
@@ -628,9 +668,6 @@ func (s *Server) TranscodeLoad() float64 {
 	return s.transcodeLoad
 }
 
-// SupportedCodecs returns the PBX's payload-type preference list.
-func (s *Server) SupportedCodecs() []int { return append([]int(nil), s.codecs...) }
-
 // AdmissionPolicyName names the active overload-control policy.
 func (s *Server) AdmissionPolicyName() string { return s.admission.Name() }
 
@@ -723,4 +760,3 @@ func (s *Server) countError() {
 	s.errorsWindow++
 	s.mu.Unlock()
 }
-

@@ -2,6 +2,7 @@ package pbx
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,6 +23,10 @@ type rig struct {
 	server *Server
 	phones []*sip.Phone
 }
+
+// cdrs is the call ledger of a rig built with Config.Journal set: the
+// server keeps no history of its own.
+func (r *rig) cdrs() []CDR { return r.server.Journal().Committed() }
 
 func newRig(t testing.TB, nPhones int, cfg Config) *rig {
 	t.Helper()
@@ -84,7 +89,7 @@ func TestRegistrarRequiresValidDigest(t *testing.T) {
 }
 
 func TestBridgedCallLifecycle(t *testing.T) {
-	r := newRig(t, 2, Config{})
+	r := newRig(t, 2, Config{Journal: NewCDRJournal()})
 	caller, callee := r.phones[0], r.phones[1]
 
 	var calleeGot *sip.Call
@@ -115,7 +120,7 @@ func TestBridgedCallLifecycle(t *testing.T) {
 	if r.server.ActiveChannels() != 0 {
 		t.Errorf("channels leaked: %d", r.server.ActiveChannels())
 	}
-	cdrs := r.server.CDRs()
+	cdrs := r.cdrs()
 	if len(cdrs) != 1 {
 		t.Fatalf("CDRs: %d", len(cdrs))
 	}
@@ -250,7 +255,7 @@ func TestUnregisteredCalleeGets404(t *testing.T) {
 }
 
 func TestRTPRelayCarriesMedia(t *testing.T) {
-	r := newRig(t, 2, Config{RelayRTP: true})
+	r := newRig(t, 2, Config{RelayRTP: true, Journal: NewCDRJournal()})
 	caller, callee := r.phones[0], r.phones[1]
 
 	var callerSess, calleeSess *media.Session
@@ -301,7 +306,7 @@ func TestRTPRelayCarriesMedia(t *testing.T) {
 	if c.RelayedPackets < 2800 || c.RelayedPackets > 3100 {
 		t.Errorf("relayed = %d, want ~3000", c.RelayedPackets)
 	}
-	cdr := r.server.CDRs()[0]
+	cdr := r.cdrs()[0]
 	if cdr.MOS < 4.2 {
 		t.Errorf("CDR MOS = %v", cdr.MOS)
 	}
@@ -382,7 +387,7 @@ func TestCPUMeterSamplesDuringRun(t *testing.T) {
 
 func TestConcurrentBridges(t *testing.T) {
 	const pairs = 20
-	r := newRig(t, pairs*2, Config{})
+	r := newRig(t, pairs*2, Config{Journal: NewCDRJournal()})
 	for i := 0; i < pairs; i++ {
 		caller := r.phones[i]
 		call := caller.Invite(fmt.Sprintf("u%d", i+pairs))
@@ -398,7 +403,7 @@ func TestConcurrentBridges(t *testing.T) {
 	if c.PeakChannels != pairs {
 		t.Errorf("peak channels = %d, want %d", c.PeakChannels, pairs)
 	}
-	if got := len(r.server.CDRs()); got != pairs {
+	if got := len(r.cdrs()); got != pairs {
 		t.Errorf("CDRs = %d", got)
 	}
 }
@@ -446,5 +451,27 @@ func TestRegistrationRefreshKeepsBindingAlive(t *testing.T) {
 	r.sched.Run(r.sched.Now() + 2*time.Minute)
 	if _, ok := r.server.Directory().Contact("fresh", r.sched.Now()); ok {
 		t.Error("binding alive after StopRefreshing + TTL")
+	}
+}
+
+// TestCountersAddCoversEveryField guards Add against a counter added to
+// the struct and forgotten in the sum.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var one Counters
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanUint() {
+			f.SetUint(1)
+		} else {
+			f.SetInt(1)
+		}
+	}
+	sum := one
+	sum.Add(one)
+	v = reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanUint() && f.Uint() != 2 || f.CanInt() && f.Int() != 2 {
+			t.Errorf("Add leaves %s out", v.Type().Field(i).Name)
+		}
 	}
 }

@@ -173,3 +173,35 @@ const (
 	maxAllocsPerRegister = 9
 	maxAllocsPerCall     = 204
 )
+
+// TestServerKeepsNoCallHistory: a server with no journal attached — as
+// pbxd runs — is as large after fifteen thousand calls as after ten
+// thousand. Three equal batches, each run past the transactions'
+// linger; the first warms the maps, the lingering ring, the recent-calls
+// ring and most of the simulator's timing wheel, whose slots are what
+// the slack is for (≈ 30 KB over the third batch). A record kept per
+// call is a third of a kilobyte each: 1.5 MB.
+func TestServerKeepsNoCallHistory(t *testing.T) {
+	const (
+		batch = 5000
+		slack = 64 << 10
+	)
+	p := newCallPlacer(t)
+	var heap [3]int64
+	for i := range heap {
+		for j := 0; j < batch; j++ {
+			p.place()
+		}
+		p.rig.sched.Run(p.rig.sched.Now() + sip.CompletedLinger + time.Second)
+		if n := p.rig.server.ActiveTransactions(); n != 0 {
+			t.Fatalf("%d transactions outlived the linger", n)
+		}
+		heap[i] = int64(liveHeap())
+	}
+	p.check(t)
+	t.Logf("live heap after each batch of %d calls: %d, %d, %d KB", batch, heap[0]>>10, heap[1]>>10, heap[2]>>10)
+	if grown := heap[2] - heap[1]; grown > slack {
+		t.Errorf("live heap grew %d KB over the third batch of %d calls (%d B a call), want ≤ %d KB in all",
+			grown>>10, batch, grown/batch, slack>>10)
+	}
+}

@@ -17,11 +17,11 @@ import (
 	"repro/internal/transport"
 )
 
-// TestLoopbackSoak is cmd/pbxd + cmd/sipload in one process: a sharded
-// PBX on real loopback sockets, seeded Poisson call arrivals against a
-// small channel capacity, bidirectional G.711 RTP on every established
-// call. It is the `make udp-smoke` gate — short enough for CI, real
-// enough to exercise the wire data plane under -race: the SIP
+// TestLoopbackSoak is cmd/pbxd + cmd/sipload in one process: pbxd's
+// wiring (ListenWire) on real loopback sockets, seeded Poisson call
+// arrivals against a small channel capacity, bidirectional G.711 RTP on
+// every established call. Short enough for CI, real enough to exercise
+// the wire data plane under `make race`: the SIP
 // listener's REUSEPORT shards with their recvmmsg read loops and GSO
 // send queues, and the leg pool's one epoll loop relaying every call's
 // media with a recvmmsg and a sendto a packet. It checks that the loop
@@ -39,21 +39,18 @@ func TestLoopbackSoak(t *testing.T) {
 		hold     = 400 * time.Millisecond
 	)
 	clock := transport.NewRealClock()
-	pbxTr, err := transport.ListenUDPSharded("127.0.0.1:0", 2, transport.UDPConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := directory.New()
 	dir.AddUser(directory.User{Username: "uac", Password: "pw-uac"})
 	dir.AddUser(directory.User{Username: "uas", Password: "pw-uas"})
-	host, _, _ := strings.Cut(pbxTr.LocalAddr(), ":")
 
-	// Relay legs come from the pool pbxd uses; its buffer pool carries
-	// the ownership invariant for the loop that reads them all.
-	legs := transport.NewLegPool(host)
-	server := New(sip.NewEndpoint(pbxTr, clock), dir, legs.Listen,
+	// pbxd's own wiring: relay legs come from its pool, whose buffer
+	// pool carries the ownership invariant for the loop that reads them.
+	w, err := ListenWire("127.0.0.1:0", 2, dir,
 		Config{MaxChannels: capacity, RelayRTP: true, RTPPortBase: nextPortBase(), Seed: 7})
-	defer server.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, pbxTr, legs := w.Server, w.Listener, w.Legs
 
 	mk := func(user string, mediaPort int) *sip.Phone {
 		tr, err := transport.ListenUDP("127.0.0.1:0")
@@ -206,9 +203,11 @@ func TestLoopbackSoak(t *testing.T) {
 	}
 	mu.Unlock()
 
-	// Teardown in dependency order, then verify the ownership
-	// invariant: every buffer the pools handed out came back.
-	server.Close()
+	// Tear down, then verify the ownership invariant: every buffer the
+	// pools handed out came back.
+	if err := w.Close(); err != nil {
+		t.Errorf("wire close: %v", err)
+	}
 	c, st := server.CountersSnapshot(), legs.Stats()
 	if c.RelayedPackets == 0 {
 		t.Error("no RTP crossed the relay")
@@ -222,17 +221,11 @@ func TestLoopbackSoak(t *testing.T) {
 	if legReaders != 1 && runtime.GOOS == "linux" { // elsewhere every leg has a reader of its own
 		t.Errorf("%d goroutines were reading relay legs with %d calls up (-1: never that busy), want the pool's one loop", legReaders, capacity)
 	}
-	if err := pbxTr.Close(); err != nil {
-		t.Errorf("pbx transport close: %v", err)
-	}
 	if gets, puts := pbxTr.PoolStats(); gets != puts {
 		t.Errorf("pbx pool leak: gets=%d puts=%d", gets, puts)
 	}
 	if st.Binds == 0 || st.Reuses == 0 {
 		t.Errorf("relay legs: %+v, want sockets bound and reused", st)
-	}
-	if err := legs.Close(); err != nil {
-		t.Errorf("leg pool close: %v", err)
 	}
 	if gets, puts := legs.PoolStats(); gets != puts {
 		t.Errorf("relay leg pool leak: gets=%d puts=%d", gets, puts)

@@ -43,7 +43,7 @@ func TestUDPBridgedCall(t *testing.T) {
 		return transport.ListenUDP(fmt.Sprintf("%s:%d", host, port))
 	}
 	server := New(sip.NewEndpoint(pbxTr, clock), dir, factory,
-		Config{RelayRTP: true, RTPPortBase: nextPortBase()})
+		Config{RelayRTP: true, RTPPortBase: nextPortBase(), Journal: NewCDRJournal()})
 	defer server.Close()
 
 	mk := func(user string, mediaPort int) *sip.Phone {
@@ -145,7 +145,7 @@ func TestUDPBridgedCall(t *testing.T) {
 	if c.RelayedPackets < 150 {
 		t.Errorf("relayed %d packets, want ~200", c.RelayedPackets)
 	}
-	cdrs := server.CDRs()
+	cdrs := server.Journal().Committed()
 	if len(cdrs) != 1 || !cdrs[0].Completed || cdrs[0].MOS < 3.3 {
 		t.Errorf("CDRs: %+v", cdrs)
 	}

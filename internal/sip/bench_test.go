@@ -18,19 +18,34 @@ var benchInvite = func() []byte {
 	return req.Marshal()
 }()
 
-// BenchmarkMessageRoundTrip is the endpoint hot path: parse a wire
-// message and marshal a message out again.
-func BenchmarkMessageRoundTrip(b *testing.B) {
-	b.ReportAllocs()
+// messageRoundTrip is the endpoint hot path: parse a wire message and
+// marshal a message out again.
+func messageRoundTrip(tb testing.TB) func() {
 	var buf []byte
-	for i := 0; i < b.N; i++ {
+	return func() {
 		msg, err := Parse(benchInvite)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		buf = msg.Append(buf[:0])
 	}
-	_ = buf
+}
+
+func BenchmarkMessageRoundTrip(b *testing.B) {
+	b.ReportAllocs()
+	op := messageRoundTrip(b)
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestMessageRoundTripAllocs pins the round trip at what Parse costs
+// today — the message text, the Message, its Via slice, the Contact and
+// the body — and Append at nothing.
+func TestMessageRoundTripAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, messageRoundTrip(t)); n != 5 {
+		t.Errorf("parse + marshal of an INVITE: %v allocs, want 5", n)
+	}
 }
 
 // BenchmarkEndpointAck2xx times the endpoint's handling of one 2xx ACK

@@ -217,14 +217,6 @@ func (m *Message) Reason() string {
 	return ReasonPhrase(m.StatusCode)
 }
 
-// TopVia returns the first Via, or nil if none.
-func (m *Message) TopVia() *Via {
-	if len(m.Via) == 0 {
-		return nil
-	}
-	return &m.Via[0]
-}
-
 // TransactionKey names the transaction a message belongs to per the
 // RFC 3261 (17.1.3/17.2.3) branch rule: the top Via branch plus the
 // CSeq method. ACK and CANCEL requests keep their own method here (a
@@ -240,16 +232,6 @@ func (m *Message) branch() string {
 		return ""
 	}
 	return m.Via[0].Branch
-}
-
-// DialogID returns the dialog identifier from this message's
-// perspective: Call-ID plus local/remote tags. For a UAS, local is the
-// To tag; for a UAC, local is the From tag.
-func (m *Message) DialogID(uas bool) string {
-	if uas {
-		return m.CallID + "|" + m.To.Tag + "|" + m.From.Tag
-	}
-	return m.CallID + "|" + m.From.Tag + "|" + m.To.Tag
 }
 
 // NewRequest builds a request with the mandatory headers filled in.

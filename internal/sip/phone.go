@@ -140,9 +140,6 @@ func (c *Call) RetryAfter() int { return c.retryAfter }
 // balancers withhold new work for the window (RFC 7339-style).
 func (c *Call) OverloadWindow() int { return c.overloadWindow }
 
-// Incoming reports whether this leg was received rather than placed.
-func (c *Call) Incoming() bool { return c.incoming }
-
 // SetupTime returns INVITE-to-establishment latency; zero until
 // established.
 func (c *Call) SetupTime() time.Duration {

@@ -62,10 +62,6 @@ type ServerTx struct {
 // the transaction lingers.
 func (tx *ServerTx) Request() *Message { return tx.req }
 
-// Source returns the network source of the request, which is where
-// responses are sent.
-func (tx *ServerTx) Source() string { return tx.src }
-
 // OnAck installs a callback invoked when the ACK for a final INVITE
 // response arrives on this transaction (non-2xx case; the 2xx ACK is a
 // separate transaction delivered to the endpoint handler).

@@ -264,10 +264,6 @@ func New(net *netsim.Network, callerHost, calleeHost, proxy string, cfg Config) 
 	return g
 }
 
-// Phones returns the generator's client and server phones (for user
-// provisioning).
-func (g *Generator) Phones() (client, server *sip.Phone) { return g.caller, g.callee }
-
 // Start registers both phones and schedules the arrival process. done
 // fires when the window has closed and every placed call has ended.
 func (g *Generator) Start(done func(Results)) {

@@ -256,58 +256,6 @@ func TestMeanHelper(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(42) // overflow
-	if h.Count() != 12 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Errorf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	r := NewRNG(23)
-	for i := 0; i < 100000; i++ {
-		h.Add(r.Float64() * 100)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		got := h.Quantile(q)
-		if math.Abs(got-q*100) > 1.5 {
-			t.Errorf("quantile(%v) = %v, want ~%v", q, got, q*100)
-		}
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestHistogramEdgeRounding(t *testing.T) {
-	h := NewHistogram(0, 0.3, 3)
-	// A value just under Hi must not index out of range.
-	h.Add(0.3 - 1e-17)
-	if h.Count() != 1 {
-		t.Error("edge sample lost")
-	}
-}
-
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {
