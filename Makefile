@@ -9,10 +9,15 @@ COVER_MIN ?= 85
 # The darwin cross-build keeps the portable (non-linux) data plane
 # compiling: batch_other.go and legpool_other.go must satisfy the same
 # interfaces as the recvmmsg/sendmmsg/GSO path and the leg pool's epoll
-# loop behind the linux build tag.
+# loop behind the linux build tag. The two daemons also build under the
+# race detector, so the binaries a wire drive uses (`-race` pbxd and
+# sipload against each other) cannot rot; what runs them under it is
+# `make race`, through pbx.ListenWire and sipp's wire tests.
 build:
 	$(GO) build ./...
 	GOOS=darwin $(GO) build ./...
+	$(GO) build -race -o /dev/null ./cmd/pbxd
+	$(GO) build -race -o /dev/null ./cmd/sipload
 
 vet:
 	$(GO) vet ./...
@@ -26,8 +31,9 @@ race:
 # test and race between them run every test in the tree plain and under
 # the race detector — the chaos catalog and its crash / avalanche /
 # degradation drills, the sharded-engine differential suite, the
-# loopback soaks on pbxd's wiring, the registrar stress, the QoS
-# goldens — so no gate below names a test. To drive one by hand:
+# loopback soaks on pbxd's wiring, the load generator on real sockets
+# (internal/sipp's wire tests: cmd/sipload is flags around it), the
+# registrar stress, the QoS goldens — so no gate below names a test. To drive one by hand:
 # `go test -race -count=1 -run <Test> ./internal/<pkg>/`.
 
 # Short coverage-guided fuzz of the SIP parser, the SDP offer/answer

@@ -1,38 +1,35 @@
-// Command sipload is the SIPp stand-in for real-UDP runs: it registers
-// a caller (uac) and an auto-answering callee (uas) against a pbxd
-// server, places calls at a Poisson rate for a window, holds each for
-// the configured duration, and prints the blocking rate — the paper's
-// empirical method (Fig. 5) on real sockets. With -media each
-// established call also runs bidirectional G.711 RTP through the
-// PBX relay, so the run reports packet rates and MOS alongside Pb;
-// with -json the summary is machine-readable for experiment scripts.
+// Command sipload is the SIPp stand-in for real-UDP runs: flags around
+// internal/sipp, the simulated experiments' generator, on the wall
+// clock and UDP sockets. It registers a caller (uac) and an
+// auto-answering callee (uas) against a pbxd server, places calls at a
+// Poisson rate for a window, holds each for the configured duration,
+// and prints the blocking rate — the paper's empirical method (Fig. 5)
+// on real sockets. With -media each established call also runs G.711
+// RTP both ways through the PBX relay, so the run reports packet rates
+// and MOS alongside Pb; -json makes the summary machine-readable.
 //
 //	pbxd -addr 127.0.0.1:5060 &
 //	sipload -proxy 127.0.0.1:5060 -rate 2 -window 30s -hold 10s -media -json
 //
 // With -register it becomes a registration-storm generator instead: N
-// endpoints (u0..uN-1) register over a ramp, refresh at 80% of the
-// granted lifetime for the window, and with -avalanche re-REGISTER all
-// at once at the end — restart pbxd first to reproduce the cold-start
-// wave:
+// endpoints (u0..uN-1) register through one socket over a ramp, refresh
+// at 80% of the granted lifetime for the window, and with -avalanche
+// re-REGISTER all at once at its end — restart pbxd first to reproduce
+// the cold-start wave:
 //
 //	sipload -register -endpoints 500 -expires 30s -window 60s -avalanche
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/media"
-	"repro/internal/mos"
-	"repro/internal/sip"
-	"repro/internal/stats"
+	"repro/internal/sipp"
 	"repro/internal/transport"
 )
 
@@ -50,6 +47,9 @@ type summary struct {
 	WindowS     float64 `json:"window_s"`
 	HoldS       float64 `json:"hold_s"`
 	ElapsedS    float64 `json:"elapsed_s"`
+	// LateP99Ms is how long after its due time the generator placed an
+	// arrival, 99th percentile; a run whose generator ran late is void.
+	LateP99Ms   float64 `json:"late_p99_ms"`
 	Media       bool    `json:"media"`
 	MediaLegs   int     `json:"media_legs,omitempty"`
 	RTPSent     uint64  `json:"rtp_sent,omitempty"`
@@ -73,371 +73,228 @@ type summary struct {
 	RTCPReceived uint64  `json:"rtcp_received,omitempty"`
 }
 
-// mediaAgg accumulates per-leg media outcomes as calls finish.
-type mediaAgg struct {
-	mu       sync.Mutex
-	legs     int
-	sent     uint64
-	received uint64
-	mosSum   float64
-	mosMin   float64
-	ssrc     uint32
-
-	jitterSum time.Duration
-	jitterMax time.Duration
-	lost      uint64 // network loss + late discards, across legs
-	expected  uint64
-	rttSum    time.Duration
-	rttMax    time.Duration
-	rttN      int
-	rtcpSent  uint64
-	rtcpRecv  uint64
+// registerSummary is the machine-readable result of a -register run.
+type registerSummary struct {
+	Endpoints    int     `json:"endpoints"`
+	Registered   int     `json:"registered"`
+	Failed       int     `json:"failed"`
+	Retries      int     `json:"retries"`
+	Registers    int     `json:"registers"` // total 200 OKs incl. refreshes
+	StaleRetries int     `json:"stale_retries"`
+	PerSec       float64 `json:"reg_per_sec"`
+	WindowS      float64 `json:"window_s"`
+	ExpiresS     float64 `json:"expires_s"`
+	Avalanche    bool    `json:"avalanche"`
+	DrainS       float64 `json:"drain_s,omitempty"`
+	Seed         uint64  `json:"seed"`
 }
 
-func (a *mediaAgg) nextSSRC() uint32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ssrc++
-	return a.ssrc
-}
+func ms(d time.Duration) float64 { return d.Seconds() * 1000 }
 
-// finish folds one ended leg's report into the aggregate and releases
-// the session.
-func (a *mediaAgg) finish(s *media.Session) {
-	if s == nil {
-		return
-	}
-	r := s.Report(mos.G711)
-	s.Close()
-	a.mu.Lock()
-	a.legs++
-	a.sent += r.Sent
-	a.received += r.Stream.Received
-	a.mosSum += r.MOS
-	if a.legs == 1 || r.MOS < a.mosMin {
-		a.mosMin = r.MOS
-	}
-	a.jitterSum += r.Stream.Jitter
-	if r.Stream.Jitter > a.jitterMax {
-		a.jitterMax = r.Stream.Jitter
-	}
-	if r.Stream.Expected > 0 {
-		a.lost += uint64(r.Stream.Lost) + r.Late
-		a.expected += uint64(r.Stream.Expected)
-	}
-	if r.RTT > 0 {
-		a.rttSum += r.RTT
-		a.rttN++
-		if r.RTT > a.rttMax {
-			a.rttMax = r.RTT
+// addMedia folds every media leg the records carry into the summary.
+func (s *summary) addMedia(records []sipp.CallRecord, elapsed time.Duration) {
+	var jitter, rtt time.Duration
+	var mosSum float64
+	var lost, expected, rtts uint64
+	leg := func(r media.Report) {
+		if r.Sent == 0 && r.Stream.Received == 0 {
+			return // no session on this leg
 		}
+		s.MediaLegs++
+		s.RTPSent += r.Sent
+		s.RTPReceived += r.Stream.Received
+		mosSum += r.MOS
+		if s.MediaLegs == 1 || r.MOS < s.MOSMin {
+			s.MOSMin = r.MOS
+		}
+		jitter += r.Stream.Jitter
+		s.JitterMaxMs = max(s.JitterMaxMs, ms(r.Stream.Jitter))
+		if r.Stream.Expected > 0 {
+			lost += uint64(r.Stream.Lost) + r.Late
+			expected += uint64(r.Stream.Expected)
+		}
+		if r.RTT > 0 {
+			rtt += r.RTT
+			rtts++
+			s.RTTMaxMs = max(s.RTTMaxMs, ms(r.RTT))
+		}
+		s.RTCPSent += r.RTCPSent
+		s.RTCPReceived += r.RTCPReceived
 	}
-	a.rtcpSent += r.RTCPSent
-	a.rtcpRecv += r.RTCPReceived
-	a.mu.Unlock()
+	for _, rec := range records {
+		leg(rec.CallerMedia)
+		leg(rec.CalleeMedia)
+	}
+	s.PPS = float64(s.RTPSent+s.RTPReceived) / elapsed.Seconds()
+	if s.MediaLegs > 0 {
+		s.MOSAvg = mosSum / float64(s.MediaLegs)
+		s.JitterAvgMs = ms(jitter) / float64(s.MediaLegs)
+	}
+	if expected > 0 {
+		s.LossRatio = float64(lost) / float64(expected)
+	}
+	if rtts > 0 {
+		s.RTTAvgMs = ms(rtt) / float64(rtts)
+	}
+}
+
+var (
+	proxy     = flag.String("proxy", "127.0.0.1:5060", "PBX address")
+	caller    = flag.String("caller-addr", "127.0.0.1:0", "caller UDP bind address (the one socket of -register)")
+	callee    = flag.String("callee-addr", "127.0.0.1:0", "callee UDP bind address")
+	rate      = flag.Float64("rate", 1, "call arrival rate (calls/second)")
+	window    = flag.Duration("window", 30*time.Second, "call placement window (-register: the storm after the ramp)")
+	hold      = flag.Duration("hold", 10*time.Second, "call hold time")
+	target    = flag.String("target", "uas", "extension to dial")
+	retries   = flag.Int("retries", 0, "max re-attempts after a 503/486 rejection; with -register, after a 503 or timeout, where 0 means the generator's default of 8")
+	retryBase = flag.Duration("retry-base", 500*time.Millisecond, "base for full-jitter retry backoff")
+	seed      = flag.Uint64("seed", 0, "RNG seed for arrivals and backoff jitter (0 = from wall clock)")
+	withMedia = flag.Bool("media", false, "run bidirectional G.711 RTP on every established call")
+	rtcp      = flag.Duration("rtcp", 2*time.Second, "RTCP sender-report interval on media legs, for RTT and loss feedback (0 = disabled)")
+	mediaPort = flag.Int("media-port", 41000, "uac RTP port base (uas uses +8192); 2 ports per concurrent call")
+	jsonOut   = flag.Bool("json", false, "print a JSON summary to stdout (progress goes to stderr)")
+	register  = flag.Bool("register", false, "registration-storm mode: N endpoints register and refresh instead of placing calls")
+	endpoints = flag.Int("endpoints", 100, "endpoint population for -register (pbxd must provision at least this many -users)")
+	expires   = flag.Duration("expires", 60*time.Second, "binding lifetime requested by -register endpoints")
+	regRamp   = flag.Duration("register-ramp", 2*time.Second, "spread of the initial REGISTERs in -register mode")
+	avalanche = flag.Bool("avalanche", false, "as the window closes, re-REGISTER the whole population at once and report drain time")
+)
+
+func fatal(args ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"sipload:"}, args...)...)
+	os.Exit(1)
+}
+
+// info prints progress: to stderr when stdout carries the JSON summary.
+func info(format string, args ...any) {
+	w := os.Stdout
+	if *jsonOut {
+		w = os.Stderr
+	}
+	fmt.Fprintf(w, format, args...)
+}
+
+// listen is the generator's substrate: one UDP socket per address. A
+// phone's SIP dialogue and a 50 pps stream gain nothing from syscall
+// batching, so they run the portable loop and its small buffers — the
+// batched data plane under test is the server's.
+func listen(addr string) (transport.Transport, error) {
+	return transport.ListenUDPConfig(addr, transport.UDPConfig{DisableBatch: true})
 }
 
 func main() {
-	var (
-		proxy     = flag.String("proxy", "127.0.0.1:5060", "PBX address")
-		caller    = flag.String("caller-addr", "127.0.0.1:0", "caller UDP bind address")
-		callee    = flag.String("callee-addr", "127.0.0.1:0", "callee UDP bind address")
-		rate      = flag.Float64("rate", 1, "call arrival rate (calls/second)")
-		window    = flag.Duration("window", 30*time.Second, "call placement window")
-		hold      = flag.Duration("hold", 10*time.Second, "call hold time")
-		target    = flag.String("target", "uas", "extension to dial")
-		retries   = flag.Int("retries", 0, "max re-attempts after a 503/486 rejection")
-		retryBase = flag.Duration("retry-base", 500*time.Millisecond, "base for full-jitter retry backoff")
-		seed      = flag.Uint64("seed", 0, "RNG seed for arrivals and backoff jitter (0 = from wall clock)")
-		withMedia = flag.Bool("media", false, "run bidirectional G.711 RTP on every established call")
-		rtcp      = flag.Duration("rtcp", 2*time.Second, "RTCP sender-report interval on media legs, for RTT and loss feedback (0 = disabled)")
-		mediaPort = flag.Int("media-port", 41000, "uac RTP port base (uas uses +8192); 2 ports per concurrent call")
-		jsonOut   = flag.Bool("json", false, "print a JSON summary to stdout (progress goes to stderr)")
-
-		register  = flag.Bool("register", false, "registration-storm mode: N endpoints register and refresh instead of placing calls")
-		endpoints = flag.Int("endpoints", 100, "endpoint population for -register (pbxd must provision at least this many -users)")
-		expires   = flag.Duration("expires", 60*time.Second, "binding lifetime requested by -register endpoints")
-		regRamp   = flag.Duration("register-ramp", 2*time.Second, "spread of the initial REGISTERs in -register mode")
-		avalanche = flag.Bool("avalanche", false, "after the window, re-REGISTER the whole population at once and report drain time")
-	)
 	flag.Parse()
-
-	if *register {
-		if *seed == 0 {
-			*seed = uint64(time.Now().UnixNano())
-		}
-		host, _, _ := strings.Cut(*caller, ":")
-		runRegister(registerOptions{
-			proxy: *proxy, bindHost: host, endpoints: *endpoints,
-			expires: *expires, ramp: *regRamp, window: *window,
-			avalanche: *avalanche, retries: *retries, retryBase: *retryBase,
-			seed: *seed, jsonOut: *jsonOut,
-		})
-		return
-	}
-
-	info := func(format string, args ...any) {
-		w := os.Stdout
-		if *jsonOut {
-			w = os.Stderr
-		}
-		fmt.Fprintf(w, format, args...)
-	}
-
-	clock := transport.NewRealClock()
-	mkPhone := func(addr, user string, mediaBase int) *sip.Phone {
-		tr, err := transport.ListenUDP(addr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sipload:", err)
-			os.Exit(1)
-		}
-		return sip.NewPhone(sip.NewEndpoint(tr, clock),
-			sip.PhoneConfig{User: user, Password: "pw-" + user, Proxy: *proxy,
-				MediaPort: mediaBase})
-	}
-	uac := mkPhone(*caller, "uac", *mediaPort)
-	uas := mkPhone(*callee, *target, *mediaPort+8192)
-
-	agg := &mediaAgg{}
-	// startMedia opens this leg's negotiated RTP socket and starts a
-	// paced G.711 session toward the peer (through the PBX relay). A
-	// single 50 pps stream gains nothing from syscall batching, so the
-	// phone side runs the portable loop and its small buffers — the
-	// batched data plane under test is the server's.
-	startMedia := func(c *sip.Call) *media.Session {
-		mi := c.Media()
-		tr, err := transport.ListenUDPConfig(
-			fmt.Sprintf("%s:%d", mi.LocalHost, mi.LocalPort),
-			transport.UDPConfig{DisableBatch: true})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sipload: media bind:", err)
-			return nil
-		}
-		sess := media.NewSession(tr, clock, media.SessionConfig{
-			Remote:       fmt.Sprintf("%s:%d", mi.RemoteHost, mi.RemotePort),
-			SSRC:         agg.nextSSRC(),
-			RTCPInterval: *rtcp,
-		})
-		sess.Start()
-		return sess
-	}
-	if *withMedia {
-		uas.Sync(func() {
-			uas.OnIncoming = func(c *sip.Call) {
-				var sess *media.Session
-				c.OnEstablished = func(c *sip.Call) { sess = startMedia(c) }
-				c.OnEnded = func(*sip.Call) {
-					if sess != nil {
-						sess.Stop()
-						agg.finish(sess)
-					}
-				}
-			}
-		})
-	}
-
-	reg := make(chan bool, 2)
-	uac.Register(time.Hour, func(ok bool) { reg <- ok })
-	uas.Register(time.Hour, func(ok bool) { reg <- ok })
-	for i := 0; i < 2; i++ {
-		select {
-		case ok := <-reg:
-			if !ok {
-				fmt.Fprintln(os.Stderr, "sipload: registration failed (is pbxd running?)")
-				os.Exit(1)
-			}
-		case <-time.After(5 * time.Second):
-			fmt.Fprintln(os.Stderr, "sipload: registration timeout (is pbxd running?)")
-			os.Exit(1)
-		}
-	}
-	info("sipload: registered uac and %s at %s; λ=%.2f/s window=%v hold=%v (A=%.1f E)\n",
-		*target, *proxy, *rate, *window, *hold, *rate*hold.Seconds())
-
-	var (
-		mu          sync.Mutex
-		attempts    int
-		established int
-		blocked     int
-		failed      int
-		throttled   int
-		retried     int
-		wg          sync.WaitGroup
-
-		// Server overload feedback (X-Overload-Window): arrivals inside
-		// the window are paced past its edge with full jitter; a window
-		// that re-arms sheds the deferred arrival client-side.
-		throttleUntil time.Time
-		lastWindow    int
-	)
-	noteOverload := func(c *sip.Call) {
-		w := c.OverloadWindow()
-		if w <= 0 {
-			return
-		}
-		mu.Lock()
-		if until := time.Now().Add(time.Duration(w) * time.Second); until.After(throttleUntil) {
-			throttleUntil = until
-		}
-		lastWindow = w
-		mu.Unlock()
-	}
 	if *seed == 0 {
 		*seed = uint64(time.Now().UnixNano())
 	}
-	rng := stats.NewRNG(*seed)
-
-	// place dials once; on a capacity rejection (503/486) with retry
-	// budget left it backs off with AWS-style full jitter — the
-	// server's Retry-After floor plus U(0, base·2^try) — and tries
-	// again. Full jitter desynchronizes the retry herd: deterministic
-	// exponential delays make every rejected caller return in the same
-	// tick and re-collide.
-	var place func(try int)
-	place = func(try int) {
-		var sess *media.Session
-		uac.InviteWithHandlers(*target, nil, func(c *sip.Call) {
-			noteOverload(c)
-			mu.Lock()
-			established++
-			mu.Unlock()
-			if *withMedia {
-				sess = startMedia(c)
-			}
-			time.AfterFunc(*hold, func() { uac.Hangup(c) })
-		}, func(c *sip.Call) {
-			if sess != nil {
-				sess.Stop()
-				agg.finish(sess)
-				sess = nil
-			}
-			noteOverload(c)
-			capacity := false
-			if c.Cause() == sip.EndRejected {
-				capacity = c.RejectStatus() == sip.StatusServiceUnavailable ||
-					c.RejectStatus() == sip.StatusBusyHere
-			}
-			if capacity && try < *retries {
-				mu.Lock()
-				retried++
-				mu.Unlock()
-				window := *retryBase << uint(try)
-				delay := time.Duration(c.RetryAfter()) * time.Second
-				delay += time.Duration(rng.Float64() * float64(window))
-				time.AfterFunc(delay, func() { place(try + 1) })
-				return
-			}
-			if c.Cause() == sip.EndRejected {
-				mu.Lock()
-				if capacity {
-					blocked++
-				} else {
-					failed++
-				}
-				mu.Unlock()
-			} else if c.Cause() == sip.EndTimeout {
-				mu.Lock()
-				failed++
-				mu.Unlock()
-			}
-			wg.Done()
-		})
+	clock := transport.NewRealClock()
+	var s any
+	if *register {
+		s = runRegister(clock)
+	} else {
+		s = runCalls(clock)
 	}
-
-	start := time.Now()
-	deadline := start.Add(*window)
-	for time.Now().Before(deadline) {
-		gap := time.Duration(rng.Exp(1 / *rate) * float64(time.Second))
-		time.Sleep(gap)
-		if !time.Now().Before(deadline) {
-			break
+	if *jsonOut {
+		if err := json.NewEncoder(os.Stdout).Encode(s); err != nil {
+			fatal(err)
 		}
-		// Honor the server's overload window: pace this arrival past the
-		// window edge plus a full-jitter draw (the same seeded RNG as the
-		// retry backoff); if the window re-armed while we slept, shed the
-		// call client-side as throttled instead of placing it.
-		mu.Lock()
-		until, w := throttleUntil, lastWindow
-		mu.Unlock()
-		if now := time.Now(); now.Before(until) {
-			jitter := time.Duration(rng.Float64() * float64(time.Duration(w)*time.Second))
-			time.Sleep(until.Sub(now) + jitter)
-			mu.Lock()
-			still := time.Now().Before(throttleUntil)
-			if still {
-				attempts++
-				throttled++
-			}
-			mu.Unlock()
-			if still {
-				continue
-			}
-		}
-		mu.Lock()
-		attempts++
-		mu.Unlock()
-		wg.Add(1)
-		place(0)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	// Let the callee legs' OnEnded handlers drain before reading agg.
-	time.Sleep(200 * time.Millisecond)
+}
 
-	pb := 0.0
-	if attempts > 0 {
-		pb = float64(blocked) / float64(attempts)
-	}
-	s := summary{
-		Attempts: attempts, Established: established, Blocked: blocked,
-		Failed: failed, Throttled: throttled, Retries: retried, Pb: pb, Seed: *seed,
-		Rate: *rate, WindowS: window.Seconds(), HoldS: hold.Seconds(),
-		ElapsedS: elapsed.Seconds(), Media: *withMedia,
+func runCalls(clock transport.Clock) summary {
+	cfg := sipp.Config{
+		Rate: *rate, Window: *window, Hold: *hold, Target: *target,
+		RetryMax: *retries, RetryBase: *retryBase, Seed: *seed,
 	}
 	if *withMedia {
-		agg.mu.Lock()
-		s.MediaLegs = agg.legs
-		s.RTPSent = agg.sent
-		s.RTPReceived = agg.received
-		if elapsed > 0 {
-			s.PPS = float64(agg.sent+agg.received) / elapsed.Seconds()
-		}
-		if agg.legs > 0 {
-			s.MOSAvg = agg.mosSum / float64(agg.legs)
-			s.MOSMin = agg.mosMin
-			s.JitterAvgMs = agg.jitterSum.Seconds() * 1000 / float64(agg.legs)
-			s.JitterMaxMs = agg.jitterMax.Seconds() * 1000
-		}
-		if agg.expected > 0 {
-			s.LossRatio = float64(agg.lost) / float64(agg.expected)
-		}
-		if agg.rttN > 0 {
-			s.RTTAvgMs = agg.rttSum.Seconds() * 1000 / float64(agg.rttN)
-			s.RTTMaxMs = agg.rttMax.Seconds() * 1000
-		}
-		s.RTCPSent = agg.rtcpSent
-		s.RTCPReceived = agg.rtcpRecv
-		agg.mu.Unlock()
+		cfg.Media, cfg.RTCPInterval = sipp.MediaPacketized, *rtcp
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(s); err != nil {
-			fmt.Fprintln(os.Stderr, "sipload:", err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("sipload: attempts=%d established=%d blocked=%d failed=%d throttled=%d retries=%d Pb=%.2f%%\n",
-			attempts, established, blocked, failed, throttled, retried, pb*100)
+	gen, err := sipp.New(clock, listen, sipp.Bind{Addr: *caller, MediaPort: *mediaPort},
+		sipp.Bind{Addr: *callee, MediaPort: *mediaPort + 8192}, *proxy, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	info("sipload: uac and %s at %s; λ=%.2f/s window=%v hold=%v (A=%.1f E)\n",
+		*target, *proxy, *rate, *window, *hold, *rate*hold.Seconds())
+	done := make(chan error, 1)
+	start := time.Now()
+	gen.Start(func(_ sipp.Results, err error) { done <- err })
+	err = <-done
+	elapsed := time.Since(start)
+	if errors.Is(err, sipp.ErrNotRegistered) {
+		fatal("registration failed (is pbxd running?)")
+	} else if err != nil {
+		fatal(err)
+	}
+	if *withMedia {
+		// The callee hears each BYE after the caller's 200: let the last
+		// callee legs file their reports, which what done received lacks.
+		time.Sleep(200 * time.Millisecond)
+	}
+	res := gen.Results()
+	s := summary{
+		Attempts: res.Attempts, Established: res.Established, Blocked: res.Blocked,
+		Failed: res.Failed + res.Abandoned, Throttled: res.Throttled, Retries: res.Retries,
+		Pb: res.BlockingProbability, Seed: *seed, Rate: *rate, WindowS: window.Seconds(),
+		HoldS: hold.Seconds(), ElapsedS: elapsed.Seconds(), LateP99Ms: ms(res.LateP99), Media: *withMedia,
+	}
+	if *withMedia {
+		s.addMedia(res.Records, elapsed)
+	}
+	if !*jsonOut {
+		fmt.Printf("sipload: attempts=%d established=%d blocked=%d failed=%d throttled=%d retries=%d Pb=%.2f%% late_p99=%.1fms\n",
+			s.Attempts, s.Established, s.Blocked, s.Failed, s.Throttled, s.Retries, s.Pb*100, s.LateP99Ms)
 		if *withMedia {
 			fmt.Printf("sipload: media legs=%d rtp_sent=%d rtp_received=%d pps=%.0f mos_avg=%.2f mos_min=%.2f\n",
 				s.MediaLegs, s.RTPSent, s.RTPReceived, s.PPS, s.MOSAvg, s.MOSMin)
 			fmt.Printf("sipload: measured jitter_avg=%.2fms jitter_max=%.2fms loss=%.4f rtt_avg=%.1fms rtt_max=%.1fms rtcp=%d/%d\n",
-				s.JitterAvgMs, s.JitterMaxMs, s.LossRatio, s.RTTAvgMs, s.RTTMaxMs,
-				s.RTCPReceived, s.RTCPSent)
+				s.JitterAvgMs, s.JitterMaxMs, s.LossRatio, s.RTTAvgMs, s.RTTMaxMs, s.RTCPReceived, s.RTCPSent)
 		}
 	}
-	if math.IsNaN(pb) {
-		os.Exit(1)
+	return s
+}
+
+// runRegister is the simulator's registration storm, N logical endpoints
+// through one socket. Against a freshly restarted pbxd -avalanche is the
+// cold-restart wave: the restart emptied the nonce cache, so every
+// endpoint eats a stale=true re-challenge on top of the thundering herd.
+func runRegister(clock transport.Clock) registerSummary {
+	gen, err := sipp.NewRegister(clock, listen, *caller, *proxy, sipp.RegisterConfig{
+		Endpoints: *endpoints, Expires: *expires, Ramp: *regRamp, Window: *window,
+		RetryMax: *retries, RetryBase: *retryBase, Seed: *seed,
+	})
+	if err != nil {
+		fatal(err)
 	}
+	info("sipload: %d endpoints at %s; ramp=%v window=%v expires=%v\n", *endpoints, *proxy, *regRamp, *window, *expires)
+	done := make(chan sipp.RegisterResults, 1)
+	start := time.Now()
+	gen.Start(func(res sipp.RegisterResults) { done <- res })
+	if *avalanche {
+		// Just inside the window, so that the generator holds the run
+		// open until the wave has drained.
+		clock.AfterFunc(*regRamp+*window-100*time.Millisecond, func() {
+			info("sipload: avalanche: re-registering all %d endpoints at once\n", *endpoints)
+			gen.Avalanche(0)
+		})
+	}
+	res := <-done
+	if res.Registers == 0 {
+		fatal("no endpoint registered (is pbxd running with enough -users?)")
+	}
+	s := registerSummary{
+		Endpoints: res.Endpoints, Registered: res.Initial, Failed: res.Failed,
+		Retries: res.Retries, Registers: res.Registers, StaleRetries: res.StaleRetries,
+		PerSec: float64(res.Registers) / time.Since(start).Seconds(), WindowS: window.Seconds(),
+		ExpiresS: expires.Seconds(), Avalanche: *avalanche, DrainS: res.DrainTime.Seconds(), Seed: *seed,
+	}
+	if !*jsonOut {
+		fmt.Printf("sipload: registers=%d (initial %d, failed %d, retries %d, stale %d) rate=%.0f/s",
+			s.Registers, s.Registered, s.Failed, s.Retries, s.StaleRetries, s.PerSec)
+		if *avalanche {
+			fmt.Printf(" drain=%.3fs", s.DrainS)
+		}
+		fmt.Println()
+	}
+	return s
 }

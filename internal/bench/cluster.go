@@ -71,16 +71,15 @@ func runClusterOnce(a float64, perServer, servers int, policy cluster.Policy, ho
 		return 0, err
 	}
 
-	gen := sipp.New(r.Net, "sippc", "sipps", cl.Addr(), sipp.Config{
+	gen := r.Generator("sippc", "sipps", cl.Addr(), sipp.Config{
 		Rate:   a / hold.Seconds(),
 		Window: 150 * time.Second,
 		Warmup: 60 * time.Second,
 		Hold:   hold,
 		Seed:   seed ^ 0xc1,
 	})
-	var res *sipp.Results
-	gen.Start(func(got sipp.Results) { res = &got })
-	if err := r.RunUntil(func() bool { return res != nil }, 10*time.Minute); err != nil {
+	res, err := r.RunLoad(gen, nil)
+	if err != nil {
 		return 0, fmt.Errorf("bench: cluster experiment: %w", err)
 	}
 	return res.BlockingProbability, nil

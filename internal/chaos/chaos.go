@@ -173,7 +173,7 @@ func Run(sc Scenario) (*Result, error) {
 		loadCfg.Seed = sc.Seed ^ 0x51
 	}
 	loadCfg.Telemetry = r.Reg
-	gen := sipp.New(net, ClientHost, ServerHost, server.Addr(), loadCfg)
+	gen := r.Generator(ClientHost, ServerHost, server.Addr(), loadCfg)
 
 	// Partitions: save the signalling binding, drop it for the window,
 	// restore it afterwards. Times are absolute virtual time.
@@ -196,12 +196,8 @@ func Run(sc Scenario) (*Result, error) {
 	sampler := monitor.NewSampler(r.Reg, r.Clock(PBXHost))
 	sampler.Start()
 
-	var out *sipp.Results
-	gen.Start(func(res sipp.Results) {
-		out = &res
-		r.Decide(ClientHost, sampler.StopAt)
-	})
-	if err := r.RunUntil(func() bool { return out != nil }, 10*time.Minute); err != nil {
+	load, err := r.RunLoad(gen, func() { r.Decide(ClientHost, sampler.StopAt) })
+	if err != nil {
 		return nil, fmt.Errorf("chaos: scenario %q: %w", sc.Name, err)
 	}
 	if err := r.Drain(); err != nil {
@@ -211,7 +207,7 @@ func Run(sc Scenario) (*Result, error) {
 
 	res := &Result{
 		Scenario:    sc.Name,
-		Load:        *out,
+		Load:        load,
 		Books:       rig.Audit("", server),
 		Signaling:   server.SignalingStats(),
 		Timeline:    timeline(),

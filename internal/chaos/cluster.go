@@ -149,7 +149,7 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 		loadCfg.Seed = sc.Seed ^ 0x51
 	}
 	loadCfg.Telemetry = r.Reg
-	gen := sipp.New(net, ClientHost, ServerHost, cl.Addr(), loadCfg)
+	gen := r.Generator(ClientHost, ServerHost, cl.Addr(), loadCfg)
 
 	for _, op := range sc.Ops {
 		op := op
@@ -168,12 +168,8 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 	sampler := monitor.NewSampler(r.Reg, clock)
 	sampler.Start()
 
-	var out *sipp.Results
-	gen.Start(func(res sipp.Results) {
-		out = &res
-		r.Decide(ClientHost, sampler.StopAt)
-	})
-	if err := r.RunUntil(func() bool { return out != nil }, 10*time.Minute); err != nil {
+	load, err := r.RunLoad(gen, func() { r.Decide(ClientHost, sampler.StopAt) })
+	if err != nil {
 		return nil, fmt.Errorf("chaos: cluster scenario %q: %w", sc.Name, err)
 	}
 	// Stop the probe plane before the drain tail: its steady OPTIONS
@@ -186,7 +182,7 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 
 	res := &ClusterResult{
 		Scenario: sc.Name,
-		Load:     *out,
+		Load:     load,
 		NoRoute:  net.NoRoute(),
 	}
 	res.PoolGets, res.PoolPuts = net.PoolStats()

@@ -123,7 +123,7 @@ func RunRegistration(sc RegistrationScenario) (*RegistrationResult, error) {
 	if loadCfg.Seed == 0 {
 		loadCfg.Seed = sc.Seed ^ 0x51
 	}
-	gen := sipp.NewRegister(net, ClientHost, incarnations[0].Addr(), loadCfg)
+	gen := r.RegisterGenerator(ClientHost, incarnations[0].Addr(), loadCfg)
 
 	if c := sc.Crash; c != nil {
 		pbxSched := net.SchedulerFor(PBXHost)

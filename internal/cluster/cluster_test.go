@@ -20,7 +20,7 @@ import (
 func clusterRig(t *testing.T, servers, perServerChannels int, policy Policy, genCfg sipp.Config) (*netsim.Scheduler, *Cluster, *sipp.Generator) {
 	t.Helper()
 	r := rig.NewSim(1, 0, nil, stats.NewRNG(91), netsim.LinkProfile{Delay: time.Millisecond})
-	sched, net := r.Group.Shard(0), r.Net
+	sched := r.Group.Shard(0)
 	cl := New(r, Config{
 		Servers:   servers,
 		PerServer: pbx.Config{MaxChannels: perServerChannels},
@@ -28,7 +28,7 @@ func clusterRig(t *testing.T, servers, perServerChannels int, policy Policy, gen
 	})
 	cl.Directory().AddUser(directory.User{Username: "uac", Password: "pw-uac"})
 	cl.Directory().AddUser(directory.User{Username: "uas", Password: "pw-uas"})
-	gen := sipp.New(net, "sippc", "sipps", cl.Addr(), genCfg)
+	gen := r.Generator("sippc", "sipps", cl.Addr(), genCfg)
 	return sched, cl, gen
 }
 
@@ -36,7 +36,12 @@ func run(t *testing.T, sched *netsim.Scheduler, gen *sipp.Generator) sipp.Result
 	t.Helper()
 	var out sipp.Results
 	done := false
-	gen.Start(func(r sipp.Results) { out = r; done = true })
+	gen.Start(func(r sipp.Results, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		out, done = r, true
+	})
 	for i := 0; i < 50 && !done; i++ {
 		sched.Run(sched.Now() + 10*time.Minute)
 	}

@@ -309,7 +309,7 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 		}))
 
 		// The SIPp pair (Fig. 4: generator client and server machines).
-		gen := sipp.New(r.Net, callerHost, calleeHost, pbxHost+":5060", sipp.Config{
+		gen := r.Generator(callerHost, calleeHost, pbxHost+":5060", sipp.Config{
 			Rate:         cfg.ArrivalRate(),
 			Window:       cfg.Window,
 			Warmup:       cfg.Warmup,
@@ -340,7 +340,10 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 			sampler.Start()
 		}
 
-		gen.Start(func(res sipp.Results) {
+		gen.Start(func(res sipp.Results, err error) {
+			if err != nil {
+				panic(fmt.Sprintf("core: %v", err))
+			}
 			results[i] = &res
 			// Stop the sampler with the traffic, so the drain tail does
 			// not pad the series, and freeze the CPU meter so the

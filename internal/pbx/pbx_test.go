@@ -424,36 +424,6 @@ func TestByeForUnknownDialogCounted(t *testing.T) {
 	}
 }
 
-func TestRegistrationRefreshKeepsBindingAlive(t *testing.T) {
-	r := newRig(t, 1, Config{})
-	// A phone with a short binding and auto-refresh: its contact must
-	// remain resolvable well past the original TTL. The user is its
-	// own (not a rig phone's): the directory stores one binding per
-	// contact, so a rig phone's hour-long binding would keep the user
-	// reachable after this phone's short binding lapses.
-	if err := r.server.Directory().AddUser(directory.User{Username: "fresh", Password: "pw-fresh"}); err != nil {
-		t.Fatal(err)
-	}
-	phone := sip.NewPhone(
-		sip.NewEndpoint(transport.NewSim(r.net, "fresh:5060"), r.clock),
-		sip.PhoneConfig{User: "fresh", Password: "pw-fresh", Proxy: "pbx:5060",
-			RefreshRegistration: true})
-	phone.Register(30*time.Second, nil)
-	r.sched.Run(r.sched.Now() + 5*time.Minute)
-
-	if phone.Registers() < 8 {
-		t.Errorf("refreshes = %d over 5 min with 30s TTL, want >= 8", phone.Registers())
-	}
-	if _, ok := r.server.Directory().Contact("fresh", r.sched.Now()); !ok {
-		t.Error("binding expired despite refresh loop")
-	}
-	phone.StopRefreshing()
-	r.sched.Run(r.sched.Now() + 2*time.Minute)
-	if _, ok := r.server.Directory().Contact("fresh", r.sched.Now()); ok {
-		t.Error("binding alive after StopRefreshing + TTL")
-	}
-}
-
 // TestCountersAddCoversEveryField guards Add against a counter added to
 // the struct and forgotten in the sum.
 func TestCountersAddCoversEveryField(t *testing.T) {

@@ -67,6 +67,54 @@ func (r *Sim) Clock(host string) transport.SimClock {
 	return transport.SimClock{Sched: r.Net.SchedulerFor(host)}
 }
 
+// listen binds a port of the simulated network; it cannot fail (a
+// malformed address panics in transport.NewSim), hence must below.
+func (r *Sim) listen(addr string) (transport.Transport, error) {
+	return transport.NewSim(r.Net, addr), nil
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// Generator is the paper's SIPp pair under the testbed's conventions:
+// signalling on callerHost:5060 and calleeHost:5060, RTP from ports
+// 20000 and 30000, timers on callerHost's shard — so both hosts must be
+// placed on one shard. Seeds and salts stay with the caller, in cfg.
+func (r *Sim) Generator(callerHost, calleeHost, proxy string, cfg sipp.Config) *sipp.Generator {
+	return must(sipp.New(r.Clock(callerHost), r.listen,
+		sipp.Bind{Addr: callerHost + ":5060", MediaPort: 20000},
+		sipp.Bind{Addr: calleeHost + ":5060", MediaPort: 30000}, proxy, cfg))
+}
+
+// RegisterGenerator is a registration storm from host:5062 (5060 is
+// left to a call generator sharing the host).
+func (r *Sim) RegisterGenerator(host, proxy string, cfg sipp.RegisterConfig) *sipp.RegisterGenerator {
+	return must(sipp.NewRegister(r.Clock(host), r.listen, host+":5062", proxy, cfg))
+}
+
+// RunLoad starts gen and advances the clock, ten minutes at a time,
+// until it is done; atDone, when not nil, runs at that instant as part
+// of the generator's last event. It returns the generator's books and
+// its error, or the scheduler's.
+func (r *Sim) RunLoad(gen *sipp.Generator, atDone func()) (sipp.Results, error) {
+	var out *sipp.Results
+	var genErr error
+	gen.Start(func(res sipp.Results, err error) {
+		out, genErr = &res, err
+		if atDone != nil {
+			atDone()
+		}
+	})
+	if err := r.RunUntil(func() bool { return out != nil }, 10*time.Minute); err != nil {
+		return sipp.Results{}, err
+	}
+	return *out, genErr
+}
+
 // AddUsers gives each name an account under the testbed's password
 // convention, "pw-<name>", which the generators and phones assume.
 func AddUsers(dir *directory.Directory, names ...string) error {
@@ -92,7 +140,7 @@ func (r *Sim) PBX(host string, dir *directory.Directory, cfg pbx.Config) *pbx.Se
 		cfg.Journal = pbx.NewCDRJournal()
 	}
 	return pbx.New(ep, dir, func(port int) (transport.Transport, error) {
-		return transport.NewSim(r.Net, fmt.Sprintf("%s:%d", host, port)), nil
+		return r.listen(fmt.Sprintf("%s:%d", host, port))
 	}, cfg)
 }
 

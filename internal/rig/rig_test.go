@@ -25,12 +25,17 @@ func testbed(t *testing.T, shards int) (r *Sim, server *pbx.Server, done func() 
 		t.Fatal(err)
 	}
 	server = r.PBX("pbx", dir, pbx.Config{MaxChannels: 10, RelayRTP: true, Seed: 3, Telemetry: r.Reg})
-	gen := sipp.New(r.Net, "sippc", "sipps", server.Addr(), sipp.Config{
+	gen := r.Generator("sippc", "sipps", server.Addr(), sipp.Config{
 		Rate: 1, Window: 10 * time.Second, Hold: 5 * time.Second,
 		Media: sipp.MediaPacketized, Seed: 3, Telemetry: r.Reg,
 	})
 	var out *sipp.Results
-	gen.Start(func(res sipp.Results) { out = &res })
+	gen.Start(func(res sipp.Results, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		out = &res
+	})
 	return r, server, func() bool { return out != nil }
 }
 

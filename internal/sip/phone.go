@@ -197,10 +197,6 @@ type PhoneConfig struct {
 	// AutoAnswer, when false, leaves answering to the application via
 	// OnIncoming (the default true matches the SIPp UAS scenario).
 	AutoAnswerDisabled bool
-	// RefreshRegistration, when true, re-REGISTERs at 80% of the
-	// granted binding lifetime so the contact never expires — what a
-	// deployed softphone does.
-	RefreshRegistration bool
 	// Codecs is the RTP payload-type preference list this phone offers
 	// in outgoing calls and accepts on incoming ones. Empty means the
 	// paper's G.711 pair {0, 8}.
@@ -219,24 +215,19 @@ type Phone struct {
 	// use Sync to install callbacks from other goroutines.
 	cbMu sync.Mutex
 
-	mu           sync.Mutex
-	calls        map[string]*Call // by Call-ID
-	portNext     int
-	portFree     []int
-	registered   bool
-	refreshTimer transport.Timer
-	registers    int // completed REGISTER round-trips (incl. refreshes)
-	// challenge caches the registrar's last digest challenge so
-	// refreshes authorize preemptively (one round trip instead of a
+	mu         sync.Mutex
+	calls      map[string]*Call // by Call-ID
+	portNext   int
+	portFree   []int
+	registered bool
+	// challenge caches the registrar's last digest challenge so a
+	// re-REGISTER authorizes preemptively (one round trip instead of a
 	// 401 detour) while the nonce stays inside the replay window.
 	challenge     DigestChallenge
 	haveChallenge bool
-	staleRetries  int // REGISTERs re-challenged with stale=true
 
 	// OnIncoming fires for each new incoming call before ringing.
 	OnIncoming func(c *Call)
-	// OnRegistered fires when a REGISTER round-trip succeeds.
-	OnRegistered func()
 	// OnMessage fires for each received instant message (RFC 3428);
 	// from is the sender's username.
 	OnMessage func(from, body string)
@@ -318,27 +309,10 @@ func portOf(addr string) int {
 // a digest challenge automatically. done (optional) receives the final
 // outcome.
 func (p *Phone) Register(expires time.Duration, done func(ok bool)) {
-	p.sendRegister(int(expires/time.Second), false, func(ok bool) {
-		if ok {
-			p.noteRegistered(expires)
-		}
-		if done != nil {
-			done(ok)
-		}
-	})
-}
-
-// UnregisterAll sends the RFC 3261 10.2.2 wildcard unregistration
-// ("Contact: *" with "Expires: 0"), clearing every binding of this
-// user at the registrar.
-func (p *Phone) UnregisterAll(done func(ok bool)) {
-	p.sendRegister(0, true, func(ok bool) {
+	p.sendRegister(int(expires/time.Second), func(ok bool) {
 		if ok {
 			p.mu.Lock()
-			p.registered = false
-			if p.refreshTimer != nil {
-				p.refreshTimer.Stop()
-			}
+			p.registered = true
 			p.mu.Unlock()
 		}
 		if done != nil {
@@ -352,18 +326,14 @@ func (p *Phone) UnregisterAll(done func(ok bool)) {
 // and one more for a stale=true re-challenge when a preemptively
 // answered nonce has aged out of the registrar's replay window (or the
 // registrar restarted and lost its nonce cache).
-func (p *Phone) sendRegister(expiresSec int, wildcard bool, done func(ok bool)) {
+func (p *Phone) sendRegister(expiresSec int, done func(ok bool)) {
 	proxyHost, _, _ := strings.Cut(p.cfg.Proxy, ":")
 	req := NewRequest(REGISTER, NewURI("", proxyHost, portOf(p.cfg.Proxy)),
 		NameAddr{URI: p.localURI(), Tag: p.ep.NewTag()},
 		NameAddr{URI: p.localURI()},
 		p.ep.NewCallID(), 1)
-	if wildcard {
-		req.ContactStar = true
-	} else {
-		contact := NameAddr{URI: p.localURI()}
-		req.Contact = &contact
-	}
+	contact := NameAddr{URI: p.localURI()}
+	req.Contact = &contact
 	req.Expires = expiresSec
 
 	// Preemptive authorization: a cached challenge lets a refresh
@@ -386,13 +356,9 @@ func (p *Phone) sendRegister(expiresSec int, wildcard bool, done func(ok bool)) 
 			}
 			p.mu.Lock()
 			p.challenge, p.haveChallenge = ch, true
-			if ch.Stale {
-				p.staleRetries++
-			}
 			p.mu.Unlock()
 			retry := NewRequest(REGISTER, req.RequestURI, req.From, req.To, req.CallID, req.CSeq.Seq+1)
 			retry.Contact = req.Contact
-			retry.ContactStar = req.ContactStar
 			retry.Expires = req.Expires
 			creds := ch.Answer(p.cfg.User, p.cfg.Password, REGISTER, req.RequestURI.String())
 			retry.Authorization = creds.Header()
@@ -406,54 +372,6 @@ func (p *Phone) sendRegister(expiresSec int, wildcard bool, done func(ok bool)) 
 		}
 	}
 	p.ep.SendRequest(p.cfg.Proxy, req, func(resp *Message) { handle(req, 1, resp) })
-}
-
-// StaleRetries returns how many REGISTERs were re-challenged with a
-// stale nonce (registrar restart or replay-window ageout).
-func (p *Phone) StaleRetries() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.staleRetries
-}
-
-// noteRegistered records a successful binding and schedules the next
-// refresh when configured.
-func (p *Phone) noteRegistered(expires time.Duration) {
-	p.mu.Lock()
-	p.registered = true
-	p.registers++
-	p.mu.Unlock()
-	if fn := loadCB(p, &p.OnRegistered); fn != nil {
-		fn()
-	}
-	if p.cfg.RefreshRegistration && expires > 0 {
-		refreshIn := expires * 8 / 10
-		p.mu.Lock()
-		if p.refreshTimer != nil {
-			p.refreshTimer.Stop()
-		}
-		p.refreshTimer = p.ep.Clock().AfterFunc(refreshIn, func() {
-			p.Register(expires, nil)
-		})
-		p.mu.Unlock()
-	}
-}
-
-// Registers returns the number of successful REGISTER round-trips,
-// counting automatic refreshes.
-func (p *Phone) Registers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.registers
-}
-
-// StopRefreshing cancels the automatic re-registration loop.
-func (p *Phone) StopRefreshing() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.refreshTimer != nil {
-		p.refreshTimer.Stop()
-	}
 }
 
 // Registered reports whether a REGISTER succeeded.

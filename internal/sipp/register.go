@@ -1,11 +1,11 @@
 package sipp
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/sip"
 	"repro/internal/stats"
 	"repro/internal/transport"
@@ -63,15 +63,15 @@ type RegisterSample struct {
 
 // RegisterResults aggregates a finished registration workload.
 type RegisterResults struct {
-	Endpoints   int
-	Registers   int // successful REGISTER round-trips, all kinds
-	Initial     int // first-time registrations
-	Refreshes   int // refresh round-trips
-	Reregisters int // avalanche re-registrations
+	Endpoints    int
+	Registers    int // successful REGISTER round-trips, all kinds
+	Initial      int // first-time registrations
+	Refreshes    int // refresh round-trips
+	Reregisters  int // avalanche re-registrations
 	StaleRetries int // 401 stale=true re-challenges absorbed
-	Shed        int // 503 responses received
-	Retries     int // re-attempts after 503/timeout
-	Failed      int // endpoints that exhausted their retries
+	Shed         int // 503 responses received
+	Retries      int // re-attempts after 503/timeout
+	Failed       int // endpoints that exhausted their retries
 	// PeakOKPerSec / PeakShedPerSec are the busiest seconds.
 	PeakOKPerSec   int
 	PeakShedPerSec int
@@ -100,12 +100,12 @@ type regEndpoint struct {
 }
 
 // RegisterGenerator drives a registration workload from one client
-// host against the PBX at proxy. All N logical endpoints share one SIP
-// endpoint (and its transaction layer); they are distinguished by
+// address against the PBX at proxy. All N logical endpoints share one
+// SIP endpoint (and its transaction layer); they are distinguished by
 // their account identity, which is what the registrar keys on.
 type RegisterGenerator struct {
+	serial
 	cfg   RegisterConfig
-	clock transport.SimClock
 	ep    *sip.Endpoint
 	proxy string
 	rng   *stats.RNG
@@ -121,9 +121,9 @@ type RegisterGenerator struct {
 	avalancheAt      time.Duration
 }
 
-// NewRegister creates a registration generator on clientHost signing
-// in to the PBX at proxy.
-func NewRegister(net *netsim.Network, clientHost, proxy string, cfg RegisterConfig) *RegisterGenerator {
+// NewRegister creates a registration generator listening at addr and
+// signing in to the PBX at proxy, its timers on clock.
+func NewRegister(clock transport.Clock, listen Listen, addr, proxy string, cfg RegisterConfig) (*RegisterGenerator, error) {
 	if cfg.Prefix == "" {
 		cfg.Prefix = "u"
 	}
@@ -145,20 +145,26 @@ func NewRegister(net *netsim.Network, clientHost, proxy string, cfg RegisterConf
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 500 * time.Millisecond
 	}
-	clock := transport.SimClock{Sched: net.SchedulerFor(clientHost)}
+	tr, err := listen(addr)
+	if err != nil {
+		return nil, fmt.Errorf("sipp: register: %w", err)
+	}
 	g := &RegisterGenerator{
-		cfg:   cfg,
-		clock: clock,
-		ep:    sip.NewEndpoint(transport.NewSim(net, clientHost+":5062"), clock),
-		proxy: proxy,
-		rng:   stats.NewRNG(cfg.Seed ^ 0x2e91),
+		serial: serial{clock: clock},
+		cfg:    cfg,
+		ep:     sip.NewEndpoint(tr, clock),
+		proxy:  proxy,
+		rng:    stats.NewRNG(cfg.Seed ^ 0x2e91),
 	}
 	g.eps = make([]regEndpoint, cfg.Endpoints)
 	for i := range g.eps {
 		g.eps[i].user = cfg.Prefix + strconv.Itoa(i)
 	}
-	return g
+	return g, nil
 }
+
+// Close releases the generator's socket.
+func (g *RegisterGenerator) Close() error { return g.ep.Close() }
 
 func regHostOf(addr string) string {
 	if i := strings.LastIndexByte(addr, ':'); i >= 0 {
@@ -180,31 +186,37 @@ func regPortOf(addr string) int {
 // window. done fires when the window has closed, every in-flight
 // REGISTER has resolved, and any avalanche wave has drained.
 func (g *RegisterGenerator) Start(done func(RegisterResults)) {
-	g.done = done
-	g.start = g.clock.Now()
-	g.results.Endpoints = g.cfg.Endpoints
-	for i := range g.eps {
-		i := i
-		delay := time.Duration(g.rng.Float64() * float64(g.cfg.Ramp))
-		g.clock.AfterFunc(delay, func() { g.register(i, regInitial, 0, 0) })
-	}
-	g.clock.AfterFunc(g.cfg.Ramp+g.cfg.Window, func() {
-		g.windowOver = true
+	g.do(func() {
+		g.done = done
+		g.start = g.clock.Now()
+		g.results.Endpoints = g.cfg.Endpoints
 		for i := range g.eps {
-			if g.eps[i].timer != nil {
-				g.eps[i].timer.Stop()
-			}
+			delay := time.Duration(g.rng.Float64() * float64(g.cfg.Ramp))
+			g.after(delay, func() { g.register(i, regInitial, 0, 0) })
 		}
-		g.maybeFinish()
+		g.after(g.cfg.Ramp+g.cfg.Window, func() {
+			g.windowOver = true
+			for i := range g.eps {
+				if g.eps[i].timer != nil {
+					g.eps[i].timer.Stop()
+				}
+			}
+			g.maybeFinish()
+		})
 	})
 }
 
 // Avalanche makes the whole population re-register, spread uniformly
-// over spread — the post-outage cold-restart wave. Call it on the
-// generator's scheduler (e.g. from a timer) after crashing/restarting
-// the registrar; pending refresh timers are cancelled so the drain
-// measurement sees only the wave.
+// over spread — the post-outage cold-restart wave. Call it, while the
+// window is open, after crashing/restarting the registrar (in the
+// simulator, from an event on the generator's scheduler); pending
+// refresh timers are cancelled so the drain measurement sees only the
+// wave.
 func (g *RegisterGenerator) Avalanche(spread time.Duration) {
+	g.do(func() { g.avalanche(spread) })
+}
+
+func (g *RegisterGenerator) avalanche(spread time.Duration) {
 	g.avalancheAt = g.clock.Now()
 	g.results.AvalancheAt = g.avalancheAt - g.start
 	g.avalanchePending = 0
@@ -220,9 +232,9 @@ func (g *RegisterGenerator) Avalanche(spread time.Duration) {
 		e.gen++
 		e.pending = true
 		g.avalanchePending++
-		i, gen := i, e.gen
+		gen := e.gen
 		delay := time.Duration(g.rng.Float64() * float64(spread))
-		g.clock.AfterFunc(delay, func() { g.register(i, regAvalanche, 0, gen) })
+		g.after(delay, func() { g.register(i, regAvalanche, 0, gen) })
 	}
 }
 
@@ -261,6 +273,11 @@ func (g *RegisterGenerator) register(i int, kind regKind, try int, gen uint32) {
 		req.Authorization = creds.Header()
 	}
 
+	// handle runs under the lock: it is only ever a transaction's
+	// response callback, which send makes an entry point.
+	send := func(req *sip.Message, onResponse func(*sip.Message)) {
+		g.ep.SendRequest(g.proxy, req, func(resp *sip.Message) { g.do(func() { onResponse(resp) }) })
+	}
 	var handle func(req *sip.Message, round int, resp *sip.Message)
 	handle = func(req *sip.Message, round int, resp *sip.Message) {
 		if e.gen != gen {
@@ -286,7 +303,7 @@ func (g *RegisterGenerator) register(i int, kind regKind, try int, gen uint32) {
 			retry.Expires = req.Expires
 			creds := ch.Answer(e.user, "pw-"+e.user, sip.REGISTER, req.RequestURI.String())
 			retry.Authorization = creds.Header()
-			g.ep.SendRequest(g.proxy, retry, func(r2 *sip.Message) { handle(retry, round+1, r2) })
+			send(retry, func(r2 *sip.Message) { handle(retry, round+1, r2) })
 		case resp.StatusCode == sip.StatusOK:
 			g.bumpSample(true)
 			g.finishOp(i, kind, true)
@@ -303,7 +320,7 @@ func (g *RegisterGenerator) register(i int, kind regKind, try int, gen uint32) {
 				delay := time.Duration(resp.RetryAfter) * time.Second
 				delay += time.Duration(g.rng.Float64() * float64(g.cfg.RetryBase<<uint(try)))
 				g.outstanding--
-				g.clock.AfterFunc(delay, func() { g.register(i, kind, try+1, gen) })
+				g.after(delay, func() { g.register(i, kind, try+1, gen) })
 				return
 			}
 			g.finishOp(i, kind, false)
@@ -311,7 +328,7 @@ func (g *RegisterGenerator) register(i int, kind regKind, try int, gen uint32) {
 			g.finishOp(i, kind, false)
 		}
 	}
-	g.ep.SendRequest(g.proxy, req, func(resp *sip.Message) { handle(req, 1, resp) })
+	send(req, func(resp *sip.Message) { handle(req, 1, resp) })
 }
 
 // finishOp settles one endpoint's REGISTER operation. Callers have
@@ -359,7 +376,7 @@ func (g *RegisterGenerator) scheduleRefresh(i int) {
 		return
 	}
 	gen := e.gen
-	e.timer = g.clock.AfterFunc(delay, func() { g.register(i, regRefresh, 0, gen) })
+	e.timer = g.after(delay, func() { g.register(i, regRefresh, 0, gen) })
 }
 
 // bumpSample files one outcome into the per-second series.
@@ -388,7 +405,7 @@ func (g *RegisterGenerator) maybeFinish() {
 	if !g.windowOver || g.outstanding > 0 || g.avalanchePending > 0 || g.done == nil {
 		return
 	}
-	done := g.done
+	done, res := g.done, g.results
 	g.done = nil
-	done(g.results)
+	g.fin = func() { done(res) }
 }

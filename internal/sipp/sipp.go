@@ -10,13 +10,14 @@
 package sipp
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/media"
 	"repro/internal/mos"
-	"repro/internal/netsim"
 	"repro/internal/sip"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -137,6 +138,9 @@ type Config struct {
 	// CalleeCodecs is the answering bank's supported payload-type
 	// list. Empty keeps the G.711 default.
 	CalleeCodecs []int
+	// RTCPInterval, when positive, has every media leg send RTCP sender
+	// reports at that interval (media.SessionConfig.RTCPInterval).
+	RTCPInterval time.Duration
 	// Seed drives arrivals and hold sampling.
 	Seed uint64
 	// Telemetry, when non-nil, registers shared media-plane counters
@@ -148,8 +152,12 @@ type Config struct {
 type CallRecord struct {
 	ID int
 	// Codec is the CodecShare name this call drew ("" without a mix).
-	Codec       string
-	PlacedAt    time.Duration
+	Codec    string
+	PlacedAt time.Duration
+	// Late is how long after its due time the arrival was placed: zero
+	// on a virtual clock, the generator's own scheduling delay on a wall
+	// clock.
+	Late        time.Duration
 	Established bool
 	Blocked     bool // rejected with 486/503 (capacity)
 	Abandoned   bool // caller gave up ringing (CANCEL)
@@ -196,30 +204,88 @@ type Results struct {
 	// PeakConcurrent tracks simultaneous established calls at the
 	// generator.
 	PeakConcurrent int
-	Records        []CallRecord
+	// LateP99 is the 99th percentile of CallRecord.Late over every
+	// arrival: a run whose generator ran late offered less than asked.
+	LateP99 time.Duration
+	Records []CallRecord
+}
+
+// ErrNotRegistered ends a run whose caller or callee the PBX refused to
+// register or never answered: is it up, are uac and the target provisioned?
+var ErrNotRegistered = errors.New("sipp: a phone failed to register")
+
+// Listen binds addr ("host:port") on the substrate a generator runs
+// over: a port of the simulated network, or a UDP socket.
+type Listen func(addr string) (transport.Transport, error)
+
+// Bind places one phone of the pair: its SIP address and the first RTP
+// port it advertises (each concurrent call takes the next even one).
+type Bind struct {
+	Addr      string
+	MediaPort int
+}
+
+// serial is what lets a generator run on any clock. Every entry point
+// — a clock callback, a phone or transaction callback, an exported
+// method — runs inside do, under one lock: uncontended on the virtual
+// clock, and on the wall clock what orders timers, the phones' read
+// loops and transaction timeouts. Phone callbacks run outside the
+// phone's locks and Invite / Hangup / Cancel only send, so nothing
+// re-enters.
+type serial struct {
+	mu    sync.Mutex
+	clock transport.Clock
+	// fin, set by a generator as it finishes, runs once the lock is
+	// released: the caller's done never runs under it.
+	fin func()
+}
+
+func (s *serial) do(fn func()) {
+	s.mu.Lock()
+	fn()
+	fin := s.fin
+	s.fin = nil
+	s.mu.Unlock()
+	if fin != nil {
+		fin()
+	}
+}
+
+// after runs fn on the clock, d from now, as an entry point.
+func (s *serial) after(d time.Duration, fn func()) transport.Timer {
+	return s.clock.AfterFunc(d, func() { s.do(fn) })
 }
 
 // Generator drives one scenario: a caller phone bank and an answering
 // phone, both behind the PBX under test.
 type Generator struct {
+	serial
 	cfg    Config
-	net    *netsim.Network
-	clock  transport.SimClock
+	listen Listen
 	caller *sip.Phone
 	callee *sip.Phone
 	rng    *stats.RNG
-
-	callerHost, calleeHost string
 
 	media *media.Metrics // nil without Config.Telemetry
 
 	placed      int
 	active      int
 	results     Results
-	done        func(Results)
+	done        func(Results, error)
+	err         error // the first failure to register or to bind a media leg
 	outstanding int
 	windowOver  bool
 	windowStart time.Duration
+
+	// Arrivals are placed at absolute due times (windowStart + Σ gaps),
+	// so a timer that fires late delays one call, not every later one.
+	// pending is true while an arrival's timer is armed.
+	due     time.Duration
+	pending bool
+
+	// early holds callee-leg reports that arrived before their caller's
+	// record was filed (on the wire either leg can end first).
+	early []media.Report
 
 	// Upstream-throttle state (rung 3 of the degradation ladder): any
 	// response carrying X-Overload-Window: W extends throttleUntil to
@@ -229,90 +295,122 @@ type Generator struct {
 	lastWindow    int // seconds, sizes the jitter spread
 }
 
-// New creates a generator whose phones live on callerHost and
-// calleeHost and sign in to the PBX at proxy. Register the phones (via
-// Start) before traffic begins.
-func New(net *netsim.Network, callerHost, calleeHost, proxy string, cfg Config) *Generator {
+// New creates a generator whose phones listen at caller.Addr and
+// callee.Addr and sign in to the PBX at proxy; every timer runs on
+// clock and every media leg is bound through listen. On a sharded
+// simulated network both addresses must live on the shard clock
+// belongs to: the phones share the generator's state.
+func New(clock transport.Clock, listen Listen, caller, callee Bind, proxy string, cfg Config) (*Generator, error) {
 	if cfg.Target == "" {
 		cfg.Target = "uas"
 	}
 	if cfg.ScoreCodec.Name == "" {
 		cfg.ScoreCodec = mos.G711PLC
 	}
-	// Both phones share the generator's state maps and this one clock,
-	// so callerHost and calleeHost must live on the same shard of a
-	// sharded network (their shared scheduler).
-	clock := transport.SimClock{Sched: net.SchedulerFor(callerHost)}
 	g := &Generator{
-		cfg:        cfg,
-		net:        net,
-		clock:      clock,
-		rng:        stats.NewRNG(cfg.Seed ^ 0x51bb),
-		callerHost: callerHost,
-		calleeHost: calleeHost,
+		serial: serial{clock: clock},
+		cfg:    cfg,
+		listen: listen,
+		rng:    stats.NewRNG(cfg.Seed ^ 0x51bb),
 	}
 	if cfg.Telemetry != nil {
 		g.media = media.NewMetrics(cfg.Telemetry)
 	}
-	g.caller = sip.NewPhone(
-		sip.NewEndpoint(transport.NewSim(net, callerHost+":5060"), clock),
-		sip.PhoneConfig{User: "uac", Password: "pw-uac", Proxy: proxy, MediaPort: 20000})
-	g.callee = sip.NewPhone(
-		sip.NewEndpoint(transport.NewSim(net, calleeHost+":5060"), clock),
+	callerTr, err := listen(caller.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("sipp: caller: %w", err)
+	}
+	calleeTr, err := listen(callee.Addr)
+	if err != nil {
+		callerTr.Close()
+		return nil, fmt.Errorf("sipp: callee: %w", err)
+	}
+	g.caller = sip.NewPhone(sip.NewEndpoint(callerTr, clock),
+		sip.PhoneConfig{User: "uac", Password: "pw-uac", Proxy: proxy, MediaPort: caller.MediaPort})
+	g.callee = sip.NewPhone(sip.NewEndpoint(calleeTr, clock),
 		sip.PhoneConfig{User: cfg.Target, Password: "pw-" + cfg.Target, Proxy: proxy,
-			MediaPort: 30000, AnswerDelay: cfg.AnswerDelay, Codecs: cfg.CalleeCodecs})
-	return g
+			MediaPort: callee.MediaPort, AnswerDelay: cfg.AnswerDelay, Codecs: cfg.CalleeCodecs})
+	if cfg.Media == MediaPacketized {
+		g.callee.Sync(g.wireCalleeMedia)
+	}
+	return g, nil
+}
+
+// Close releases the two phones' sockets.
+func (g *Generator) Close() error {
+	return errors.Join(g.caller.Endpoint().Close(), g.callee.Endpoint().Close())
 }
 
 // Start registers both phones and schedules the arrival process. done
-// fires when the window has closed and every placed call has ended.
-func (g *Generator) Start(done func(Results)) {
-	g.done = done
+// fires when the window has closed and every placed call has ended, or
+// at once, with the error, when a phone fails to register. A run that
+// could not bind a media leg finishes with that error beside its
+// results.
+func (g *Generator) Start(done func(Results, error)) {
 	registered := 0
 	onReg := func(ok bool) {
-		if !ok {
-			panic("sipp: phone registration failed; provision uac/" + g.cfg.Target)
-		}
-		registered++
-		if registered == 2 {
-			g.wireCalleeMedia()
-			g.windowStart = g.clock.Now()
-			g.scheduleNextArrival()
-			g.clock.AfterFunc(g.cfg.Window, func() {
-				g.windowOver = true
-				g.maybeFinish()
-			})
-		}
+		g.do(func() {
+			if !ok {
+				g.err = ErrNotRegistered
+				g.finish()
+				return
+			}
+			registered++
+			if registered == 2 {
+				g.windowStart = g.clock.Now()
+				g.due = g.windowStart
+				g.scheduleNextArrival()
+				g.after(g.cfg.Window, func() {
+					g.windowOver = true
+					g.maybeFinish()
+				})
+			}
+		})
 	}
-	g.caller.Register(time.Hour, onReg)
-	g.callee.Register(time.Hour, onReg)
+	g.do(func() {
+		g.done = done
+		g.caller.Register(time.Hour, onReg)
+		g.callee.Register(time.Hour, onReg)
+	})
+}
+
+// Results is a snapshot of the books so far. On a wall clock read the
+// run's outcome here, not from the value done received: a callee leg's
+// report can land after done, on another goroutine.
+func (g *Generator) Results() Results {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.summarize()
+	res := g.results
+	res.Records = append([]CallRecord(nil), res.Records...)
+	return res
 }
 
 // wireCalleeMedia makes the answering phone start an RTP session per
 // call in packetized mode.
 func (g *Generator) wireCalleeMedia() {
-	if g.cfg.Media != MediaPacketized {
-		return
-	}
 	g.callee.OnIncoming = func(c *sip.Call) {
 		var sess *media.Session
-		c.OnEstablished = func(c *sip.Call) {
-			sess = g.newSession(g.calleeHost, c)
-			sess.Start()
-			if g.cfg.MediaTimeout > 0 {
+		c.OnEstablished = g.onCall(func(c *sip.Call) {
+			sess = g.startSession(c)
+			if sess != nil && g.cfg.MediaTimeout > 0 {
 				g.watchCalleeMedia(c, sess)
 			}
-		}
-		c.OnEnded = func(c *sip.Call) {
+		})
+		c.OnEnded = g.onCall(func(c *sip.Call) {
 			if sess != nil {
 				// Keep receiving briefly for in-flight packets, then
 				// close and file the report with the matching record.
-				report := sess.Report(g.scoreProfile(c))
-				g.attachCalleeReport(c.CallID, report)
+				g.attachCalleeReport(sess.Report(g.scoreProfile(c)))
 				sess.Close()
 			}
-		}
+		})
 	}
+}
+
+// onCall makes a call callback an entry point.
+func (g *Generator) onCall(fn func(*sip.Call)) func(*sip.Call) {
+	return func(c *sip.Call) { g.do(func() { fn(c) }) }
 }
 
 // watchCalleeMedia polls an established callee leg's inbound packet
@@ -332,19 +430,29 @@ func (g *Generator) watchCalleeMedia(c *sip.Call, sess *media.Session) {
 			return
 		}
 		last = got
-		g.clock.AfterFunc(g.cfg.MediaTimeout, poll)
+		g.after(g.cfg.MediaTimeout, poll)
 	}
-	g.clock.AfterFunc(g.cfg.MediaTimeout, poll)
+	g.after(g.cfg.MediaTimeout, poll)
 }
 
-func (g *Generator) newSession(host string, c *sip.Call) *media.Session {
+// startSession binds the leg's negotiated RTP port and starts sending.
+// A port that cannot be bound leaves the call without media and the
+// run with an error.
+func (g *Generator) startSession(c *sip.Call) *media.Session {
 	mi := c.Media()
-	tr := transport.NewSim(g.net, fmt.Sprintf("%s:%d", host, mi.LocalPort))
+	tr, err := g.listen(fmt.Sprintf("%s:%d", mi.LocalHost, mi.LocalPort))
+	if err != nil {
+		if g.err == nil {
+			g.err = fmt.Errorf("sipp: media leg: %w", err)
+		}
+		return nil
+	}
 	sc := media.SessionConfig{
-		Remote:      fmt.Sprintf("%s:%d", mi.RemoteHost, mi.RemotePort),
-		PayloadType: uint8(mi.PayloadType),
-		SSRC:        uint32(mi.LocalPort)<<8 | 1,
-		Metrics:     g.media,
+		Remote:       fmt.Sprintf("%s:%d", mi.RemoteHost, mi.RemotePort),
+		PayloadType:  uint8(mi.PayloadType),
+		SSRC:         uint32(mi.LocalPort)<<8 | 1,
+		RTCPInterval: g.cfg.RTCPInterval,
+		Metrics:      g.media,
 	}
 	// Size frames for the negotiated codec (a no-op for G.711, whose
 	// 160-byte/20 ms defaults the session already uses).
@@ -352,7 +460,9 @@ func (g *Generator) newSession(host string, c *sip.Call) *media.Session {
 		sc.FrameMs = cd.PtimeMs
 		sc.PayloadBytes = cd.PayloadBytes
 	}
-	return media.NewSession(tr, g.clock, sc)
+	sess := media.NewSession(tr, g.clock, sc)
+	sess.Start()
+	return sess
 }
 
 // scoreProfile picks the E-model profile for one leg's report: the
@@ -389,12 +499,11 @@ func (g *Generator) drawCodec() CodecShare {
 	return mix[len(mix)-1]
 }
 
-// attachCalleeReport files the callee-side media report on the record
-// whose caller leg shares... the B2BUA gives each leg its own Call-ID,
-// so records are matched positionally: callee call k belongs to the
-// k-th established record. The generator serializes inside the event
-// loop, so a simple FIFO suffices.
-func (g *Generator) attachCalleeReport(callID string, rep media.Report) {
+// attachCalleeReport files a callee-side media report. The B2BUA gives
+// each leg its own Call-ID, so records are matched positionally: callee
+// call k belongs to the k-th established record. A report whose
+// caller's record is not filed yet waits in early for it.
+func (g *Generator) attachCalleeReport(rep media.Report) {
 	for i := range g.results.Records {
 		r := &g.results.Records[i]
 		if r.Established && r.CalleeMedia.Sent == 0 && r.CalleeMedia.Stream.Received == 0 {
@@ -404,10 +513,11 @@ func (g *Generator) attachCalleeReport(callID string, rep media.Report) {
 			return
 		}
 	}
+	g.early = append(g.early, rep)
 }
 
-// scheduleNextArrival plants the next call placement, stopping once
-// the next arrival would land past the placement window.
+// scheduleNextArrival plants the next call placement at its due time,
+// stopping once the next arrival would land past the placement window.
 func (g *Generator) scheduleNextArrival() {
 	if g.cfg.Rate <= 0 {
 		return
@@ -419,10 +529,13 @@ func (g *Generator) scheduleNextArrival() {
 	default:
 		gap = time.Duration(g.rng.Exp(1/g.cfg.Rate) * float64(time.Second))
 	}
-	if g.clock.Now()+gap > g.windowStart+g.cfg.Window {
+	if g.due+gap > g.windowStart+g.cfg.Window {
 		return
 	}
-	g.clock.AfterFunc(gap, func() {
+	g.due += gap
+	g.pending = true
+	g.after(max(0, g.due-g.clock.Now()), func() {
+		g.pending = false
 		g.placeCall()
 		g.scheduleNextArrival()
 	})
@@ -433,8 +546,9 @@ func (g *Generator) placeCall() {
 	id := g.placed
 	g.placed++
 	g.outstanding++
-	rec := CallRecord{ID: id, PlacedAt: g.clock.Now()}
-	rec.warmup = g.clock.Now() < g.windowStart+g.cfg.Warmup
+	now := g.clock.Now()
+	rec := CallRecord{ID: id, PlacedAt: now, Late: now - g.due}
+	rec.warmup = now < g.windowStart+g.cfg.Warmup
 
 	hold := g.cfg.Hold
 	if g.cfg.HoldDist == HoldExponential {
@@ -484,7 +598,7 @@ func (g *Generator) maybePlace(rec CallRecord, hold time.Duration, offer []int, 
 	}
 	spread := time.Duration(g.lastWindow) * time.Second
 	delay := g.throttleUntil - now + time.Duration(g.rng.Float64()*float64(spread))
-	g.clock.AfterFunc(delay, func() { g.maybePlace(rec, hold, offer, true) })
+	g.after(delay, func() { g.maybePlace(rec, hold, offer, true) })
 }
 
 // attempt places one INVITE for the logical call rec. A capacity
@@ -494,16 +608,8 @@ func (g *Generator) maybePlace(rec CallRecord, hold time.Duration, offer []int, 
 // instead of having it hammer back immediately.
 func (g *Generator) attempt(rec CallRecord, try int, hold time.Duration, offer []int) {
 	rec.Retries = try
-	call := g.caller.InviteCodecs(g.cfg.Target, offer)
-	if g.cfg.Patience > 0 {
-		g.clock.AfterFunc(g.cfg.Patience, func() {
-			if call.State() != sip.CallEstablished && call.State() != sip.CallTerminated {
-				g.caller.Cancel(call)
-			}
-		})
-	}
 	var sess *media.Session
-	call.OnEstablished = func(c *sip.Call) {
+	onEstablished := g.onCall(func(c *sip.Call) {
 		g.noteOverload(c)
 		rec.Established = true
 		rec.SetupTime = c.SetupTime()
@@ -512,12 +618,11 @@ func (g *Generator) attempt(rec CallRecord, try int, hold time.Duration, offer [
 			g.results.PeakConcurrent = g.active
 		}
 		if g.cfg.Media == MediaPacketized {
-			sess = g.newSession(g.callerHost, c)
-			sess.Start()
+			sess = g.startSession(c)
 		}
-		g.clock.AfterFunc(hold, func() { g.caller.Hangup(c) })
-	}
-	call.OnEnded = func(c *sip.Call) {
+		g.after(hold, func() { g.caller.Hangup(c) })
+	})
+	onEnded := g.onCall(func(c *sip.Call) {
 		if rec.Established {
 			g.active--
 			rec.Duration = c.Duration()
@@ -539,7 +644,7 @@ func (g *Generator) attempt(rec CallRecord, try int, hold time.Duration, offer [
 				window := base << uint(try)
 				delay := time.Duration(c.RetryAfter()) * time.Second
 				delay += time.Duration(g.rng.Float64() * float64(window))
-				g.clock.AfterFunc(delay, func() { g.attempt(rec, try+1, hold, offer) })
+				g.after(delay, func() { g.attempt(rec, try+1, hold, offer) })
 				return
 			}
 			switch {
@@ -559,11 +664,31 @@ func (g *Generator) attempt(rec CallRecord, try int, hold time.Duration, offer [
 			sess.Close()
 		}
 		g.record(rec)
+	})
+	// The call is placed inside Sync so that no response — a read loop
+	// can have one before InviteCodecs returns — is processed before
+	// its callbacks are installed.
+	var call *sip.Call
+	g.caller.Sync(func() {
+		call = g.caller.InviteCodecs(g.cfg.Target, offer)
+		call.OnEstablished, call.OnEnded = onEstablished, onEnded
+	})
+	if g.cfg.Patience > 0 {
+		g.after(g.cfg.Patience, func() {
+			if call.State() != sip.CallEstablished && call.State() != sip.CallTerminated {
+				g.caller.Cancel(call)
+			}
+		})
 	}
 }
 
 func (g *Generator) record(rec CallRecord) {
 	g.results.Records = append(g.results.Records, rec)
+	if rec.Established && len(g.early) > 0 {
+		rep := g.early[0]
+		g.early = g.early[1:]
+		g.attachCalleeReport(rep)
+	}
 	g.outstanding--
 	if rec.warmup {
 		g.maybeFinish()
@@ -591,13 +716,38 @@ func (g *Generator) record(rec CallRecord) {
 }
 
 func (g *Generator) maybeFinish() {
-	if !g.windowOver || g.outstanding > 0 || g.done == nil {
+	if !g.windowOver || g.outstanding > 0 {
 		return
 	}
-	if g.results.Attempts > 0 {
-		g.results.BlockingProbability = float64(g.results.Blocked) / float64(g.results.Attempts)
+	// An arrival whose due time has passed and whose timer has yet to
+	// fire is as good as placed: a late wake-up must not end the run
+	// under it. A virtual timer fires when due, so there this never holds.
+	if g.pending && g.due < g.clock.Now() {
+		return
 	}
-	done := g.done
+	g.finish()
+}
+
+// summarize brings the derived figures up to date with the counts.
+func (g *Generator) summarize() {
+	r := &g.results
+	if r.Attempts > 0 {
+		r.BlockingProbability = float64(r.Blocked) / float64(r.Attempts)
+	}
+	late := make([]float64, len(r.Records))
+	for i := range r.Records {
+		late[i] = float64(r.Records[i].Late)
+	}
+	r.LateP99 = time.Duration(stats.Percentile(late, 99))
+}
+
+// finish hands the books to done, once, after the lock is released.
+func (g *Generator) finish() {
+	if g.done == nil {
+		return
+	}
+	g.summarize()
+	done, res, err := g.done, g.results, g.err
 	g.done = nil
-	done(g.results)
+	g.fin = func() { done(res, err) }
 }

@@ -17,6 +17,13 @@ import (
 // testbed builds network + PBX + generator, provisioned and ready.
 func testbed(t *testing.T, pbxCfg pbx.Config, genCfg Config) (*netsim.Scheduler, *pbx.Server, *Generator) {
 	t.Helper()
+	return testbedOn(t, func(c transport.Clock) transport.Clock { return c }, pbxCfg, genCfg)
+}
+
+// testbedOn is testbed with the generator's timers (not the PBX's) on
+// genClock(the virtual clock).
+func testbedOn(t *testing.T, genClock func(transport.Clock) transport.Clock, pbxCfg pbx.Config, genCfg Config) (*netsim.Scheduler, *pbx.Server, *Generator) {
+	t.Helper()
 	sched := netsim.NewScheduler()
 	net := netsim.NewNetwork(sched, stats.NewRNG(77))
 	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
@@ -29,15 +36,33 @@ func testbed(t *testing.T, pbxCfg pbx.Config, genCfg Config) (*netsim.Scheduler,
 		return transport.NewSim(net, fmt.Sprintf("pbx:%d", port)), nil
 	}
 	server := pbx.New(sip.NewEndpoint(transport.NewSim(net, "pbx:5060"), clock), dir, factory, pbxCfg)
-	gen := New(net, "sippc", "sipps", "pbx:5060", genCfg)
-	return sched, server, gen
+	return sched, server, newGen(t, net, genClock(clock), genCfg)
+}
+
+// newGen puts a generator on the simulated network the way internal/rig
+// does (which this package cannot import), its timers on clock.
+func newGen(t *testing.T, net *netsim.Network, clock transport.Clock, cfg Config) *Generator {
+	t.Helper()
+	listen := func(addr string) (transport.Transport, error) {
+		return transport.NewSim(net, addr), nil
+	}
+	gen, err := New(clock, listen, Bind{"sippc:5060", 20000}, Bind{"sipps:5060", 30000}, "pbx:5060", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
 }
 
 func runToCompletion(t *testing.T, sched *netsim.Scheduler, gen *Generator) Results {
 	t.Helper()
 	var out Results
 	done := false
-	gen.Start(func(r Results) { out = r; done = true })
+	gen.Start(func(r Results, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		out, done = r, true
+	})
 	for i := 0; i < 50 && !done; i++ {
 		sched.Run(sched.Now() + 10*time.Minute)
 	}
@@ -385,5 +410,52 @@ func TestRetryHonorsServerRetryAfterHint(t *testing.T) {
 	if int(srv.Blocked) <= res.Blocked {
 		t.Errorf("server blocked %d, generator %d: retries should add rejected INVITEs",
 			srv.Blocked, res.Blocked)
+	}
+}
+
+// lateClock fires every timer by after it is due: a wall clock's
+// wake-up latency, on the virtual clock.
+type lateClock struct {
+	transport.Clock
+	by time.Duration
+}
+
+func (c lateClock) AfterFunc(d time.Duration, fn func()) transport.Timer {
+	return c.Clock.AfterFunc(d+c.by, fn)
+}
+
+// TestLateTimersDoNotThinTheOfferedLoad: arrivals are due at absolute
+// times, so a generator whose timers all fire 2 ms late still places
+// every arrival the window holds (a chain of relative sleeps places
+// about 5/(5+2) of them) and says how late it ran. At 20 ms it falls
+// seconds behind, and against one channel — most calls are refused in a
+// round trip, so none is outstanding between two placements — it still
+// does not finish under an arrival that is overdue.
+func TestLateTimersDoNotThinTheOfferedLoad(t *testing.T) {
+	cfg := Config{Rate: 200, Window: 5 * time.Second, Seed: 9}
+	sched, _, gen := testbed(t, pbx.Config{}, cfg)
+	want := runToCompletion(t, sched, gen)
+	if want.Attempts < 900 || want.LateP99 != 0 {
+		t.Fatalf("on time: %d attempts, late p99 %v; want ~1000 and 0", want.Attempts, want.LateP99)
+	}
+
+	for _, tc := range []struct {
+		by       time.Duration
+		channels int
+	}{{2 * time.Millisecond, 0}, {20 * time.Millisecond, 1}} {
+		late := func(c transport.Clock) transport.Clock { return lateClock{c, tc.by} }
+		sched, _, gen := testbedOn(t, late, pbx.Config{MaxChannels: tc.channels}, cfg)
+		got := runToCompletion(t, sched, gen)
+		if got.Attempts != want.Attempts || tc.channels == 0 && got.Established != want.Established {
+			t.Errorf("timers %v late: %d attempts, %d established; on time %d, %d",
+				tc.by, got.Attempts, got.Established, want.Attempts, want.Established)
+		}
+		if got.LateP99 < tc.by {
+			t.Errorf("late p99 = %v with every timer %v late", got.LateP99, tc.by)
+		}
+		sched.Run(sched.Now() + time.Minute)
+		if after := gen.Results(); after.Attempts != got.Attempts {
+			t.Errorf("timers %v late: done fired at %d attempts, the run went on to %d", tc.by, got.Attempts, after.Attempts)
+		}
 	}
 }
