@@ -1,7 +1,7 @@
 GO ?= go
 
-# Coverage floor for the codec negotiation plane and the shard
-# scheduler (see `make cover`).
+# Coverage floor for the codec negotiation plane, the simulation engine
+# and the location store (see `make cover`).
 COVER_MIN ?= 85
 
 .PHONY: build test vet race fuzz-smoke telemetry-smoke lint-metrics cover verify bench bench-check wire-profile
@@ -19,8 +19,11 @@ build:
 	$(GO) build -race -o /dev/null ./cmd/pbxd
 	$(GO) build -race -o /dev/null ./cmd/sipload
 
+# vet also fails on gofmt drift: a file out of format is named and the
+# gate exits non-zero.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt: files out of format:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -47,10 +50,11 @@ fuzz-smoke:
 
 # Coverage gate on the codec negotiation plane: the registry and the
 # SDP offer/answer engine guard the golden-determinism contract, so
-# their statement coverage must not decay below COVER_MIN. The shard
-# scheduler (internal/netsim/shard.go) carries the same floor — it is
-# the one component where an untested branch can silently break
-# determinism, so its statements are measured across both the netsim
+# their statement coverage must not decay below COVER_MIN. The
+# simulation engine carries the same floor, file by file: the shard
+# group (shard.go), the timing wheel (scheduler.go) and the packet path
+# (network.go) are where an untested branch can silently break
+# determinism, so their statements are measured across both the netsim
 # unit tests and the difftest differential suite. The sharded location
 # store (internal/directory) carries the floor too: a binding the
 # registrar silently drops or leaks is a reachability bug the call
@@ -63,11 +67,14 @@ cover:
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }'
 	@$(GO) test -coverprofile=.cover-shard.out -coverpkg=./internal/netsim/ \
 		./internal/netsim/ ./internal/netsim/difftest/ > /dev/null
-	@shard=$$(awk '/internal\/netsim\/shard\.go:/ { stmts[$$1]=$$2; if ($$3 > 0) cov[$$1]=1 } \
-		END { for (k in stmts) { t += stmts[k]; if (k in cov) c += stmts[k] } printf "%.1f", 100*c/t }' .cover-shard.out); \
+	@fail=0; for f in shard scheduler network; do \
+		pct=$$(awk -v f="internal/netsim/$$f.go:" 'index($$1, f) { stmts[$$1]=$$2; if ($$3 > 0) cov[$$1]=1 } \
+			END { for (k in stmts) { t += stmts[k]; if (k in cov) c += stmts[k] } printf "%.1f", 100*c/t }' .cover-shard.out); \
+		echo "cover: internal/netsim/$$f.go statements $$pct% (floor $(COVER_MIN)%)"; \
+		awk -v t="$$pct" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }' || fail=1; \
+	done; \
 	rm -f .cover-shard.out; \
-	echo "cover: internal/netsim/shard.go statements $$shard% (floor $(COVER_MIN)%)"; \
-	awk -v t="$$shard" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }'
+	exit $$fail
 	@$(GO) test -coverprofile=.cover-dir.out ./internal/directory/ > /dev/null
 	@dir=$$($(GO) tool cover -func=.cover-dir.out | awk '/^total:/ { gsub(/%/,"",$$3); print $$3 }'); \
 	rm -f .cover-dir.out; \

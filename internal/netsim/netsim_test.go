@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -534,4 +535,274 @@ func BenchmarkNetworkSendDeliver(b *testing.B) {
 		}
 	}
 	s.Drain(uint64(b.N))
+}
+
+// countHandler counts deliveries; a pointer to it is comparable, so a
+// test can check which handler Network.Handler returns.
+type countHandler struct{ n int }
+
+func (c *countHandler) HandlePacket(time.Duration, *Packet) { c.n++ }
+
+// TestRouteSeesRebind pins the route contract: a route resolved once
+// holds the destination's binding slot, and the slot follows Unbind and
+// Bind — so a cached route sees a partition or a rebind at delivery
+// time, exactly as a per-packet lookup would.
+func TestRouteSeesRebind(t *testing.T) {
+	s, n := newTestNet()
+	src, dst := Addr{"a", 1}, Addr{"b", 9}
+	// Resolved before anything is bound: the empty slot fills on Bind.
+	r := n.Resolve(0, src, dst)
+	first, second := &countHandler{}, &countHandler{}
+	n.Bind(dst, first)
+	n.SendRoute(&r, []byte("x"))
+	s.Run(s.Now() + time.Second)
+	if first.n != 1 {
+		t.Fatalf("first handler got %d, want 1", first.n)
+	}
+
+	n.Unbind(dst)
+	if h := n.Handler(dst); h != nil {
+		t.Fatalf("Handler after Unbind = %v, want nil", h)
+	}
+	n.SendRoute(&r, []byte("x"))
+	s.Run(s.Now() + time.Second)
+	if first.n != 1 || n.NoRoute() != 1 {
+		t.Fatalf("after Unbind: first=%d noRoute=%d, want 1/1", first.n, n.NoRoute())
+	}
+
+	n.Bind(dst, second)
+	if h := n.Handler(dst); h != Handler(second) {
+		t.Fatalf("Handler after rebind = %v, want the new handler", h)
+	}
+	n.SendRoute(&r, []byte("x"))
+	s.Run(s.Now() + time.Second)
+	if first.n != 1 || second.n != 1 || n.NoRoute() != 1 {
+		t.Errorf("after rebind: first=%d second=%d noRoute=%d, want 1/1/1", first.n, second.n, n.NoRoute())
+	}
+}
+
+// TestRouteCrossShard checks a route between hosts of different shards:
+// it holds no binding slot (no shard reads another shard's map), so the
+// destination shard looks the binding up at delivery and counts a
+// stray there after Unbind.
+func TestRouteCrossShard(t *testing.T) {
+	g := NewShardGroup(2)
+	n := NewShardedNetwork(g, stats.NewRNG(1), map[string]int{"a": 0, "b": 1})
+	n.SetDefaultProfile(LinkProfile{Delay: time.Millisecond})
+	src, dst := Addr{"a", 1}, Addr{"b", 9}
+	h := &countHandler{}
+	n.Bind(dst, h)
+	r := n.Resolve(n.ShardOf("a"), src, dst)
+	if r.port != nil {
+		t.Fatal("cross-shard route holds the destination shard's binding slot")
+	}
+	send := func(at time.Duration) {
+		g.Shard(0).At(at, func(time.Duration) { n.SendRoute(&r, []byte("x")) })
+	}
+	send(10 * time.Millisecond)
+	if err := g.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if h.n != 1 {
+		t.Fatalf("delivered %d, want 1", h.n)
+	}
+	n.Unbind(dst)
+	send(1100 * time.Millisecond)
+	if err := g.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if h.n != 1 || n.shards[1].noRoute != 1 || n.shards[0].noRoute != 0 {
+		t.Errorf("after Unbind: delivered=%d noRoute shard0=%d shard1=%d, want 1/0/1",
+			h.n, n.shards[0].noRoute, n.shards[1].noRoute)
+	}
+	if gets, puts := n.PoolStats(); gets != puts {
+		t.Errorf("packet pool leak: %d gets vs %d puts", gets, puts)
+	}
+}
+
+// orderKey is the reference model's copy of the scheduler's total
+// order: timestamp, scheduling time, then the ordinal — local items
+// (class 0) before handoffs from another shard (class 1, whose shard
+// tag is higher), each class in the order it was scheduled.
+type orderKey struct {
+	at, schedAt time.Duration
+	class, n    int
+}
+
+func (a orderKey) less(b orderKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.schedAt != b.schedAt {
+		return a.schedAt < b.schedAt
+	}
+	if a.class != b.class {
+		return a.class < b.class
+	}
+	return a.n < b.n
+}
+
+// orderEvent is a Runner recording its id when it fires.
+type orderEvent struct {
+	id   int
+	fire func(id int, now time.Duration)
+}
+
+func (e *orderEvent) RunEvent(now time.Duration) { e.fire(e.id, now) }
+
+// TestSchedulerOrderMatchesReference drives a seeded random mix of At,
+// AtTimer, Stop and ScheduleHandoff — from setup, from inside firing
+// events (same-tick inserts included) and at window barriers, with
+// handoffs whose older schedAt sorts them into the middle of a slot's
+// tail, and delays reaching past the wheel horizon into the overflow
+// heap — and demands the exact firing order of a reference that sorts
+// every live item by (at, schedAt, ord).
+func TestSchedulerOrderMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		rng := stats.NewRNG(seed)
+		s := NewScheduler()
+		s.setShardTag(0)
+		var (
+			keys     []orderKey
+			stopped  []bool
+			firedAt  []time.Duration
+			fired    []int
+			timers   []Timer
+			timerIDs []int
+			locals   int
+			handoffs int
+		)
+		const budget = 4000
+		// delay draws on a 100 µs grid, so equal timestamps are common;
+		// a quarter land in the cursor's own tick, a few beyond the
+		// ~2.15 s wheel horizon.
+		delay := func() time.Duration {
+			switch k := rng.Intn(8); {
+			case k < 2:
+				return time.Duration(rng.Intn(10)) * 100 * time.Microsecond
+			case k < 7:
+				return time.Duration(rng.Intn(400)) * 100 * time.Microsecond
+			default:
+				return time.Duration(rng.Intn(40000)) * 100 * time.Microsecond
+			}
+		}
+		var op func()
+		onFire := func(id int, now time.Duration) {
+			fired = append(fired, id)
+			firedAt = append(firedAt, now)
+			for k := rng.Intn(3); k > 0 && len(keys) < budget; k-- {
+				op()
+			}
+		}
+		newID := func(k orderKey) int {
+			keys = append(keys, k)
+			stopped = append(stopped, false)
+			return len(keys) - 1
+		}
+		local := func(at time.Duration) int {
+			locals++
+			return newID(orderKey{at: at, schedAt: s.Now(), class: 0, n: locals})
+		}
+		handoff := func(at, schedAt time.Duration) {
+			handoffs++
+			id := newID(orderKey{at: at, schedAt: schedAt, class: 1, n: handoffs})
+			s.ScheduleHandoff(at, schedAt, ordTag(1)|uint64(handoffs), &orderEvent{id: id, fire: onFire})
+		}
+		op = func() {
+			now := s.Now()
+			switch k := rng.Intn(10); {
+			case k < 3:
+				at := now + delay()
+				id := local(at)
+				tm := s.At(at, func(now time.Duration) { onFire(id, now) })
+				timers, timerIDs = append(timers, tm), append(timerIDs, id)
+			case k < 6:
+				at := now + delay()
+				id := local(at)
+				tm := s.AtTimer(at, &orderEvent{id: id, fire: onFire})
+				timers, timerIDs = append(timers, tm), append(timerIDs, id)
+			case k < 8:
+				// A handoff strictly in the future, scheduled by a
+				// sender whose clock read up to 50 ms earlier.
+				at := now + 1 + delay()
+				schedAt := now - time.Duration(rng.Intn(500))*100*time.Microsecond
+				if schedAt < 0 {
+					schedAt = 0
+				}
+				handoff(at, schedAt)
+			default:
+				if len(timers) == 0 {
+					return
+				}
+				i := rng.Intn(len(timers))
+				id := timerIDs[i]
+				wasLive := !stopped[id]
+				for _, f := range fired {
+					if f == id {
+						wasLive = false
+					}
+				}
+				if got := timers[i].Stop(); got != wasLive {
+					t.Fatalf("seed %d: Stop of item %d = %v, want %v", seed, id, got, wasLive)
+				}
+				if wasLive {
+					stopped[id] = true
+				}
+			}
+		}
+
+		for i := 0; i < 300; i++ {
+			op()
+		}
+		// Windows, as a shard runs them: events strictly before the
+		// bound, then barrier handoffs at or after it — some into ticks
+		// the cursor has already moved past, which clamp into its slot.
+		for len(keys) < budget {
+			bound := s.Now() + 1 + delay()
+			if _, _, err := s.RunBefore(bound); err != nil {
+				t.Fatal(err)
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				at := bound + time.Duration(rng.Intn(30))*100*time.Microsecond
+				schedAt := bound - 1 - time.Duration(rng.Intn(500))*100*time.Microsecond
+				if schedAt < 0 {
+					schedAt = 0
+				}
+				handoff(at, schedAt)
+			}
+			s.AdvanceTo(bound - 1)
+		}
+		if _, err := s.Run(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+
+		var want []int
+		for id := range keys {
+			if !stopped[id] {
+				want = append(want, id)
+			}
+		}
+		slices.SortFunc(want, func(a, b int) int {
+			if keys[a].less(keys[b]) {
+				return -1
+			}
+			return 1
+		})
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %d events, want %d", seed, len(fired), len(want))
+		}
+		for i, id := range want {
+			if fired[i] != id {
+				t.Fatalf("seed %d: event %d fired item %d %+v, want item %d %+v",
+					seed, i, fired[i], keys[fired[i]], id, keys[id])
+			}
+			if firedAt[i] != keys[id].at {
+				t.Fatalf("seed %d: item %d fired at %v, want %v", seed, id, firedAt[i], keys[id].at)
+			}
+		}
+		if s.Pending() != 0 {
+			t.Errorf("seed %d: %d events still pending", seed, s.Pending())
+		}
+		t.Logf("seed %d: %d items (%d handoffs), %d fired", seed, len(keys), handoffs, len(fired))
+	}
 }

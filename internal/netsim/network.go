@@ -44,6 +44,7 @@ type Packet struct {
 	shard  int32 // shard whose pool receives the packet on release
 	rated  bool  // holds a same-shard serialization queue slot to release
 	srcStr string
+	port   *port  // destination binding slot; nil on a cross-shard route
 	buf    []byte // backing array for Payload, reused across lives
 }
 
@@ -68,6 +69,27 @@ func (p *Packet) RunEvent(now time.Duration) {
 	n := p.n
 	n.deliver(p.l, p, now)
 	n.release(p)
+}
+
+// port is one address's binding slot on the shard owning its host.
+// Slots are never deleted: Unbind clears the handler and Bind refills
+// the same slot, so a Route holding the slot sees a partition or a
+// rebind at delivery time, exactly as a lookup by address would.
+type port struct {
+	h Handler
+}
+
+// Route is a resolved src→dst path: the interned source string, the
+// link and, when both hosts live on one shard, the destination's
+// binding slot. A sender whose peer never changes resolves once and
+// sends on the route for the rest of its life (SendRoute). A route
+// keeps the link it resolved, so link profiles are setup state.
+type Route struct {
+	src, dst Addr
+	srcStr   string
+	l        *link
+	port     *port // nil on a cross-shard route: the destination shard looks it up
+	shard    int   // the sending shard
 }
 
 // Handler receives packets delivered to a bound port.
@@ -182,7 +204,7 @@ type handoff struct {
 type netShard struct {
 	sched    *Scheduler
 	links    map[[2]string]*link // links whose source host lives here
-	bindings map[Addr]Handler    // addresses whose host lives here
+	bindings map[Addr]*port      // addresses whose host lives here; never deleted
 	taps     []Tap
 	pktFree  []*Packet
 	addrStrs map[Addr]string
@@ -197,7 +219,7 @@ func newNetShard(sched *Scheduler, n int) *netShard {
 	return &netShard{
 		sched:    sched,
 		links:    make(map[[2]string]*link),
-		bindings: make(map[Addr]Handler),
+		bindings: make(map[Addr]*port),
 		addrStrs: make(map[Addr]string),
 		outbox:   make([][]handoff, n),
 	}
@@ -289,7 +311,7 @@ func (sh *netShard) newPacket() *Packet {
 // keeping its payload buffer for the next life.
 func (n *Network) release(p *Packet) {
 	p.Payload = nil
-	p.n, p.l = nil, nil
+	p.n, p.l, p.port = nil, nil, nil
 	sh := n.shards[p.shard]
 	sh.puts++
 	sh.pktFree = append(sh.pktFree, p)
@@ -309,6 +331,8 @@ func (sh *netShard) addrString(a Addr) string {
 func (n *Network) SetDefaultProfile(p LinkProfile) { n.defaults = p }
 
 // SetLink installs a unidirectional link profile from src to dst hosts.
+// Call it before traffic flows: a Route resolved earlier keeps the link
+// it found.
 func (n *Network) SetLink(srcHost, dstHost string, p LinkProfile) {
 	sh := n.shards[n.ShardOf(srcHost)]
 	sh.links[[2]string{srcHost, dstHost}] = n.newLink(srcHost, dstHost, p)
@@ -320,23 +344,40 @@ func (n *Network) SetDuplexLink(a, b string, p LinkProfile) {
 	n.SetLink(b, a, p)
 }
 
+// portFor returns addr's binding slot, creating an empty one on first
+// use. addr's host must live on this shard.
+func (sh *netShard) portFor(addr Addr) *port {
+	pt, ok := sh.bindings[addr]
+	if !ok {
+		pt = &port{}
+		sh.bindings[addr] = pt
+	}
+	return pt
+}
+
 // Bind attaches a handler to an address. Binding an already bound
 // address replaces the previous handler, matching UDP rebind semantics
 // in the tests.
 func (n *Network) Bind(addr Addr, h Handler) {
-	n.shards[n.ShardOf(addr.Host)].bindings[addr] = h
+	n.shards[n.ShardOf(addr.Host)].portFor(addr).h = h
 }
 
 // Unbind removes a binding; packets to it are then dropped and counted.
+// The slot stays, empty, for the routes that hold it.
 func (n *Network) Unbind(addr Addr) {
-	delete(n.shards[n.ShardOf(addr.Host)].bindings, addr)
+	if pt := n.shards[n.ShardOf(addr.Host)].bindings[addr]; pt != nil {
+		pt.h = nil
+	}
 }
 
 // Handler returns the handler bound at addr, or nil when unbound —
 // lets fault injectors save a binding across an Unbind/Bind partition
 // window without owning the endpoint.
 func (n *Network) Handler(addr Addr) Handler {
-	return n.shards[n.ShardOf(addr.Host)].bindings[addr]
+	if pt := n.shards[n.ShardOf(addr.Host)].bindings[addr]; pt != nil {
+		return pt.h
+	}
+	return nil
 }
 
 // AddTap registers an observer for all sent packets. On a sharded
@@ -355,36 +396,48 @@ func (n *Network) AddShardTap(shard int, t Tap) {
 	n.shards[shard].taps = append(n.shards[shard].taps, t)
 }
 
-// Send queues a datagram for delivery, resolving the sending shard from
-// the source host. The payload is copied into a pooled buffer, so the
-// caller may reuse its slice as soon as Send returns; conversely,
-// receivers only own the delivered Payload for the duration of their
-// HandlePacket call. Loss, jitter and rate limiting are applied per the
-// link profile between the source and destination hosts.
+// Send queues a datagram for delivery, resolving the route on every
+// call. The payload is copied into a pooled buffer, so the caller may
+// reuse its slice as soon as Send returns; conversely, receivers only
+// own the delivered Payload for the duration of their HandlePacket
+// call. Loss, jitter and rate limiting are applied per the link profile
+// between the source and destination hosts.
 func (n *Network) Send(src, dst Addr, payload []byte) {
-	n.SendFrom(n.ShardOf(src.Host), src, dst, payload)
+	r := n.Resolve(n.ShardOf(src.Host), src, dst)
+	n.SendRoute(&r, payload)
 }
 
-// SendFrom is Send with the source host's shard already resolved —
-// the allocation-free hot path for transports that cached it at bind
-// time. Must execute on that shard.
-func (n *Network) SendFrom(shard int, src, dst Addr, payload []byte) {
+// Resolve looks up everything a src→dst datagram needs once, for a
+// sender on shard (the source host's) to keep and pass to SendRoute.
+// Must execute on that shard: it may create the link and, for a
+// same-shard destination, the destination's binding slot. A cross-shard
+// route holds no slot — no shard ever reads another shard's bindings.
+func (n *Network) Resolve(shard int, src, dst Addr) Route {
 	sh := n.shards[shard]
+	r := Route{
+		src:    src,
+		dst:    dst,
+		srcStr: sh.addrString(src),
+		l:      sh.linkFor(n, src.Host, dst.Host),
+		shard:  shard,
+	}
+	if !r.l.crossShard {
+		r.port = sh.portFor(dst)
+	}
+	return r
+}
+
+// SendRoute is Send on an already resolved route — the hot path for
+// transports whose peer does not change. Must execute on the route's
+// sending shard.
+func (n *Network) SendRoute(r *Route, payload []byte) {
+	sh := n.shards[r.shard]
 	now := sh.sched.Now()
-	pkt := sh.newPacket()
-	pkt.Src, pkt.Dst = src, dst
-	pkt.buf = append(pkt.buf[:0], payload...)
-	pkt.Payload = pkt.buf
-	pkt.SentAt = now
-	pkt.n = n
-	pkt.shard = int32(shard)
-	pkt.rated = false
-	pkt.srcStr = sh.addrString(src)
+	pkt := n.packetOn(sh, r, payload, now)
 	for _, t := range sh.taps {
 		t(now, pkt)
 	}
-	l := sh.linkFor(n, src.Host, dst.Host)
-	pkt.l = l
+	l := r.l
 	l.sent++
 	p := l.profile
 
@@ -459,17 +512,24 @@ func (n *Network) SendFrom(shard int, src, dst Addr, payload []byte) {
 		if dupDelay <= 0 {
 			dupDelay = time.Millisecond
 		}
-		dup := sh.newPacket()
-		dup.Src, dup.Dst = src, dst
-		dup.buf = append(dup.buf[:0], payload...)
-		dup.Payload = dup.buf
-		dup.SentAt = now
-		dup.n, dup.l = n, l
-		dup.shard = int32(shard)
-		dup.rated = false
-		dup.srcStr = pkt.srcStr
+		dup := n.packetOn(sh, r, payload, now)
 		n.dispatch(sh, l, dup, now, depart+delay+dupDelay, false)
 	}
+}
+
+// packetOn takes a packet from sh's pool and fills it with a copy of
+// payload for one trip along r, sent at now.
+func (n *Network) packetOn(sh *netShard, r *Route, payload []byte, now time.Duration) *Packet {
+	pkt := sh.newPacket()
+	pkt.Src, pkt.Dst = r.src, r.dst
+	pkt.buf = append(pkt.buf[:0], payload...)
+	pkt.Payload = pkt.buf
+	pkt.SentAt = now
+	pkt.n, pkt.l, pkt.port = n, r.l, r.port
+	pkt.shard = int32(r.shard)
+	pkt.rated = false
+	pkt.srcStr = r.srcStr
+	return pkt
 }
 
 // dispatch schedules a delivery: directly on the local scheduler for a
@@ -554,16 +614,19 @@ func (n *Network) lookaheadQuantum() (time.Duration, error) {
 }
 
 // deliver hands a packet to its destination binding, counting strays.
-// Runs on the destination host's shard.
+// Runs on the destination host's shard: a same-shard packet carries its
+// route's slot, a handoff looks the slot up in that shard's own map.
 func (n *Network) deliver(l *link, pkt *Packet, at time.Duration) {
-	sh := n.shards[pkt.shard]
-	h, ok := sh.bindings[pkt.Dst]
-	if !ok {
-		sh.noRoute++
+	pt := pkt.port
+	if pt == nil {
+		pt = n.shards[pkt.shard].bindings[pkt.Dst]
+	}
+	if pt == nil || pt.h == nil {
+		n.shards[pkt.shard].noRoute++
 		return
 	}
 	l.delivered++
-	h.HandlePacket(at, pkt)
+	pt.h.HandlePacket(at, pkt)
 }
 
 func (n *Network) newLink(src, dst string, p LinkProfile) *link {

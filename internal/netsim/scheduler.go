@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"time"
 )
 
@@ -71,12 +70,34 @@ type schedItem struct {
 func (it *schedItem) cancelled() bool { return it.fn == nil && it.r == nil }
 
 // slot is one wheel bucket. Items [0:idx) have been consumed; the
-// pending tail [idx:] is sorted by (at, schedAt, ord) lazily, just
-// before the cursor consumes it.
+// pending tail [idx:] is kept sorted by (at, schedAt, ord) on every
+// insert (push), so the cursor consumes it front to back.
 type slot struct {
-	items  []*schedItem
-	idx    int
-	sorted bool
+	items []*schedItem
+	idx   int
+}
+
+// push inserts it into the pending tail at its (at, schedAt, ord)
+// position. A slot interleaves several sorted runs — 1 ms link
+// deliveries beside 20 ms frame timers — so an item often sorts last
+// and appends; otherwise it binary-searches the tail and shifts.
+func (sl *slot) push(it *schedItem) {
+	items := append(sl.items, it)
+	n := len(items) - 1
+	if n > sl.idx && itemLess(it, items[n-1]) {
+		lo, hi := sl.idx, n-1
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if itemLess(it, items[m]) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		copy(items[lo+1:], items[lo:n])
+		items[lo] = it
+	}
+	sl.items = items
 }
 
 // Timer is a handle to a scheduled event that can be stopped before it
@@ -134,7 +155,7 @@ type Scheduler struct {
 	cancelledWheel int
 	pendingTotal   int // wheel + overflow items (incl. cancelled wheel items)
 
-	overflow []*schedItem // binary heap by (at, seq)
+	overflow []*schedItem // binary heap by (at, schedAt, ord)
 	free     []*schedItem
 }
 
@@ -233,9 +254,7 @@ func (s *Scheduler) insert(it *schedItem) {
 		}
 	}
 	if t-s.cursorTick < wheelSize {
-		sl := &s.slots[t&wheelMask]
-		sl.items = append(sl.items, it)
-		sl.sorted = len(sl.items)-sl.idx <= 1
+		s.slots[t&wheelMask].push(it)
 		s.occ[(t&wheelMask)>>6] |= 1 << uint(t&63)
 		s.wheelCount++
 	} else {
@@ -294,20 +313,6 @@ func itemLess(a, b *schedItem) bool {
 	return a.ord < b.ord
 }
 
-// sortPending orders the unconsumed tail of a slot by (at, schedAt,
-// ord). Items are appended in insertion order, so the sort is
-// near-sorted and cheap; it is what preserves the documented
-// determinism contract inside a tick.
-func sortPending(sl *slot) {
-	slices.SortFunc(sl.items[sl.idx:], func(a, b *schedItem) int {
-		if itemLess(a, b) {
-			return -1
-		}
-		return 1
-	})
-	sl.sorted = true
-}
-
 // nextOccupied returns the first occupied slot tick strictly after
 // cursorTick within the wheel horizon, scanning the occupancy bitmap.
 func (s *Scheduler) nextOccupied() (int64, bool) {
@@ -353,10 +358,7 @@ func (s *Scheduler) advanceCursor() bool {
 				if t >= limit || (ok && t > next) {
 					break
 				}
-				it := s.overflowPop()
-				sl := &s.slots[t&wheelMask]
-				sl.items = append(sl.items, it)
-				sl.sorted = len(sl.items)-sl.idx <= 1
+				s.slots[t&wheelMask].push(s.overflowPop())
 				s.occ[(t&wheelMask)>>6] |= 1 << uint(t&63)
 				s.wheelCount++
 				if !ok || t < next {
@@ -379,9 +381,6 @@ func (s *Scheduler) peek() *schedItem {
 	for {
 		sl := &s.slots[s.cursorTick&wheelMask]
 		for sl.idx < len(sl.items) {
-			if !sl.sorted {
-				sortPending(sl)
-			}
 			it := sl.items[sl.idx]
 			if it.cancelled() {
 				sl.items[sl.idx] = nil
@@ -398,7 +397,6 @@ func (s *Scheduler) peek() *schedItem {
 			// Slot fully consumed: reset for its next revolution.
 			sl.items = sl.items[:0]
 			sl.idx = 0
-			sl.sorted = false
 			s.occ[(s.cursorTick&wheelMask)>>6] &^= 1 << uint(s.cursorTick&63)
 		}
 		if !s.advanceCursor() {

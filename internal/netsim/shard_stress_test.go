@@ -77,7 +77,7 @@ func runEchoWorkload(t *testing.T, seed uint64, shards, hosts int) echoLog {
 				return
 			}
 			next := names[(idx+int(path)%(hosts-1)+1)%hosts]
-			net.SendFrom(net.ShardOf(host), Addr{Host: host, Port: 9}, Addr{Host: next, Port: 9},
+			net.Send(Addr{Host: host, Port: 9}, Addr{Host: next, Port: 9},
 				[]byte{hops - 1, path})
 		}))
 	}
@@ -91,7 +91,7 @@ func runEchoWorkload(t *testing.T, seed uint64, shards, hosts int) echoLog {
 			start := time.Duration(1+topo.Intn(2000)) * time.Millisecond
 			sched.At(start, func(now time.Duration) {
 				next := names[(i+int(path)%(hosts-1)+1)%hosts]
-				net.SendFrom(net.ShardOf(host), Addr{Host: host, Port: 9}, Addr{Host: next, Port: 9},
+				net.Send(Addr{Host: host, Port: 9}, Addr{Host: next, Port: 9},
 					[]byte{8, path})
 			})
 		}

@@ -1,10 +1,16 @@
 package sip
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/netsim"
+	"repro/internal/stats"
 )
 
 // The parser sits directly on the network: arbitrary datagrams must
@@ -95,21 +101,15 @@ func TestEndpointSurvivesGarbageFlood(t *testing.T) {
 	}
 }
 
-// FuzzSIPParse is the native fuzz target (run a smoke pass with
-// `go test -run=^$ -fuzz=FuzzSIPParse -fuzztime=10s ./internal/sip/`).
-// The seed corpus covers the historically dangerous shapes: malformed
-// Retry-After values, folded (continuation-line) headers, and
-// truncated INVITEs.
-func FuzzSIPParse(f *testing.F) {
+// sipParseSeeds is FuzzSIPParse's seed corpus: the historically
+// dangerous shapes — malformed Retry-After values, folded
+// (continuation-line) headers, and truncated INVITEs.
+func sipParseSeeds() [][]byte {
 	base := buildInvite().Marshal()
-	f.Add(base)
 	resp := buildInvite().Response(StatusServiceUnavailable)
 	resp.RetryAfter = 30
-	f.Add(resp.Marshal())
 	// Truncated INVITEs: mid-header, mid-start-line, mid-body.
-	f.Add(base[:len(base)/2])
-	f.Add(base[:9])
-	f.Add(base[:len(base)-10])
+	seeds := [][]byte{base, resp.Marshal(), base[:len(base)/2], base[:9], base[:len(base)-10]}
 	// Malformed Retry-After variants.
 	frame := func(retryAfter string) []byte {
 		return []byte("SIP/2.0 503 Service Unavailable\r\n" +
@@ -119,18 +119,28 @@ func FuzzSIPParse(f *testing.F) {
 			"Retry-After: " + retryAfter + "\r\n\r\n")
 	}
 	for _, v := range []string{"-1", "1e9", "2147483648", " 5 ;duration", "(now)", "5 5 5", "\x00"} {
-		f.Add(frame(v))
+		seeds = append(seeds, frame(v))
 	}
-	// Folded headers (RFC 3261 permits them; this parser rejects them,
-	// but must do so without panicking).
-	f.Add([]byte("INVITE sip:b@h SIP/2.0\r\n" +
-		"Via: SIP/2.0/UDP h:5060\r\n ;branch=z9hG4bK1\r\n" +
-		"From: <sip:a@h>\r\n\t;tag=1\r\n" +
-		"To: <sip:b@h>\r\nCall-ID: c1\r\nCSeq: 1 INVITE\r\n\r\n"))
-	// CRLF pathologies.
-	f.Add([]byte("INVITE sip:b@h SIP/2.0\r\n\r\n\r\n"))
-	f.Add([]byte("SIP/2.0 \r\n\r\n"))
+	return append(seeds,
+		// Folded headers (RFC 3261 permits them; this parser rejects
+		// them, but must do so without panicking).
+		[]byte("INVITE sip:b@h SIP/2.0\r\n"+
+			"Via: SIP/2.0/UDP h:5060\r\n ;branch=z9hG4bK1\r\n"+
+			"From: <sip:a@h>\r\n\t;tag=1\r\n"+
+			"To: <sip:b@h>\r\nCall-ID: c1\r\nCSeq: 1 INVITE\r\n\r\n"),
+		// CRLF pathologies.
+		[]byte("INVITE sip:b@h SIP/2.0\r\n\r\n\r\n"),
+		[]byte("SIP/2.0 \r\n\r\n"),
+	)
+}
 
+// FuzzSIPParse is the native fuzz target (run a smoke pass with
+// `go test -run=^$ -fuzz=FuzzSIPParse -fuzztime=10s ./internal/sip/`),
+// seeded by sipParseSeeds and testdata/fuzz/FuzzSIPParse.
+func FuzzSIPParse(f *testing.F) {
+	for _, seed := range sipParseSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Parse(data)
 		if err != nil {
@@ -147,4 +157,92 @@ func FuzzSIPParse(f *testing.F) {
 			t.Fatalf("re-parse of marshalled message failed: %v\n%q", err, wire)
 		}
 	})
+}
+
+// looksLikeSIPReference is LooksLikeSIP before its first-byte reject:
+// the classification the fast path must reproduce exactly.
+func looksLikeSIPReference(data []byte) bool {
+	if len(data) < 12 {
+		return false
+	}
+	if string(data[:8]) == "SIP/2.0 " {
+		return true
+	}
+	sp := bytes.IndexByte(data[:min(len(data), 64)], ' ')
+	if sp <= 0 {
+		return false
+	}
+	switch string(data[:sp]) {
+	case "INVITE", "ACK", "BYE", "CANCEL", "REGISTER", "OPTIONS", "MESSAGE":
+		return true
+	}
+	return false
+}
+
+// TestLooksLikeSIPMatchesReference checks the first-byte reject changes
+// no answer: over the FuzzSIPParse corpus (seeds and testdata), RTP-shaped
+// buffers of every valid first byte, method- and status-prefixed
+// strings, and random ASCII.
+func TestLooksLikeSIPMatchesReference(t *testing.T) {
+	inputs := sipParseSeeds()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzSIPParse", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(string(raw), "\n")
+		lit = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(lit), "[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		inputs = append(inputs, []byte(data))
+	}
+	if len(files) == 0 {
+		t.Fatal("no FuzzSIPParse corpus files")
+	}
+
+	rng := stats.NewRNG(0x51b)
+	randomASCII := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(0x20 + rng.Intn(0x5f))
+		}
+		return b
+	}
+	for first := 0x80; first <= 0xbf; first++ {
+		for _, n := range []int{11, 12, 20, 172} {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = byte(rng.Intn(256))
+			}
+			b[0] = byte(first)
+			inputs = append(inputs, b)
+		}
+	}
+	prefixes := []string{"SIP/2.0 ", "SIP/2.0", "INVITE ", "ACK ", "BYE ", "CANCEL ", "REGISTER ",
+		"OPTIONS ", "MESSAGE ", "INFO ", "invite ", "GET ", " INVITE ", "INVITEX "}
+	for i := 0; i < 5000; i++ {
+		tail := randomASCII(rng.Intn(80))
+		inputs = append(inputs, append([]byte(prefixes[rng.Intn(len(prefixes))]), tail...))
+		inputs = append(inputs, randomASCII(rng.Intn(80)))
+	}
+
+	hits := 0
+	for _, in := range inputs {
+		want := looksLikeSIPReference(in)
+		if got := LooksLikeSIP(in); got != want {
+			t.Fatalf("LooksLikeSIP(%q) = %v, reference %v", in, got, want)
+		}
+		if want {
+			hits++
+		}
+	}
+	if hits == 0 || hits == len(inputs) {
+		t.Fatalf("%d of %d inputs classified SIP: the corpus exercises only one answer", hits, len(inputs))
+	}
 }

@@ -59,14 +59,18 @@ func (c SimClock) NewRearmTimer(fn func()) RearmTimer {
 }
 
 // SimTransport binds a host:port on a simulated network. The shard
-// owning the host is resolved once at bind time, so the per-packet send
-// path skips the host→shard lookup.
+// owning the host is resolved once at bind time, and the route to the
+// last destination is kept: a media leg or a session sends to one peer
+// all its life, so the per-packet send path neither parses the address
+// nor looks anything up.
 type SimTransport struct {
 	net   *netsim.Network
 	addr  netsim.Addr
 	recv  Receiver
 	local string
 	shard int
+	dst   string // destination the route was resolved for
+	route netsim.Route
 }
 
 // NewSim binds addr ("host:port") on n. It panics on a malformed
@@ -87,11 +91,15 @@ func NewSim(n *netsim.Network, addr string) *SimTransport {
 
 // Send queues a datagram on the simulated network.
 func (t *SimTransport) Send(dst string, data []byte) {
-	da, err := parseAddr(dst)
-	if err != nil {
-		return // invalid destination: datagram semantics, drop
+	if dst != t.dst || t.dst == "" {
+		da, err := parseAddr(dst)
+		if err != nil {
+			return // invalid destination: datagram semantics, drop
+		}
+		t.route = t.net.Resolve(t.shard, t.addr, da)
+		t.dst = dst
 	}
-	t.net.SendFrom(t.shard, t.addr, da, data)
+	t.net.SendRoute(&t.route, data)
 }
 
 // LocalAddr returns the bound address.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -88,6 +89,35 @@ func TestSimTransportClose(t *testing.T) {
 	sched.Run(time.Second)
 	if got != 0 {
 		t.Errorf("closed transport received %d", got)
+	}
+}
+
+// TestSimTransportSwitchesRoute checks the one-entry route cache: a
+// transport sending A → B → A, with an invalid destination in between,
+// delivers every packet to the port it named.
+func TestSimTransportSwitchesRoute(t *testing.T) {
+	sched := netsim.NewScheduler()
+	net := netsim.NewNetwork(sched, stats.NewRNG(1))
+	src := NewSim(net, "hostS:5060")
+	got := map[string][]string{}
+	for _, addr := range []string{"hostA:5060", "hostB:7000"} {
+		addr := addr
+		NewSim(net, addr).SetReceiver(func(from string, data []byte) {
+			got[addr] = append(got[addr], string(data))
+			if from != "hostS:5060" {
+				t.Errorf("%s: source %q", addr, from)
+			}
+		})
+	}
+	for i, dst := range []string{"hostA:5060", "hostB:7000", "bad", "hostA:5060", "hostA:5060", "", "hostB:7000"} {
+		src.Send(dst, []byte{'0' + byte(i)})
+		sched.Run(sched.Now() + 10*time.Millisecond)
+	}
+	if a, b := strings.Join(got["hostA:5060"], ","), strings.Join(got["hostB:7000"], ","); a != "0,3,4" || b != "1,6" {
+		t.Errorf("A got %q, B got %q; want \"0,3,4\" and \"1,6\"", a, b)
+	}
+	if net.NoRoute() != 0 {
+		t.Errorf("NoRoute = %d, want 0", net.NoRoute())
 	}
 }
 
