@@ -1,7 +1,7 @@
 GO ?= go
 
-# Coverage floor for the codec negotiation plane, the simulation engine
-# and the location store (see `make cover`).
+# Coverage floor for the codec negotiation plane, the simulation engine,
+# the location store and the INVITE admission files (see `make cover`).
 COVER_MIN ?= 85
 
 .PHONY: build test vet race fuzz-smoke telemetry-smoke lint-metrics cover verify bench bench-check wire-profile
@@ -58,7 +58,9 @@ fuzz-smoke:
 # unit tests and the difftest differential suite. The sharded location
 # store (internal/directory) carries the floor too: a binding the
 # registrar silently drops or leaks is a reachability bug the call
-# path never notices.
+# path never notices. The PBX's admission row (overload.go) and
+# degradation ladder (degrade.go) carry it file by file: between them
+# they decide which INVITE gets a 503.
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null
 	@total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { gsub(/%/,"",$$3); print $$3 }'); \
@@ -80,6 +82,15 @@ cover:
 	rm -f .cover-dir.out; \
 	echo "cover: internal/directory statements $$dir% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$dir" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }'
+	@$(GO) test -coverprofile=.cover-pbx.out ./internal/pbx/ > /dev/null
+	@fail=0; for f in overload degrade; do \
+		pct=$$(awk -v f="internal/pbx/$$f.go:" 'index($$1, f) { stmts[$$1]=$$2; if ($$3 > 0) cov[$$1]=1 } \
+			END { for (k in stmts) { t += stmts[k]; if (k in cov) c += stmts[k] } printf "%.1f", 100*c/t }' .cover-pbx.out); \
+		echo "cover: internal/pbx/$$f.go statements $$pct% (floor $(COVER_MIN)%)"; \
+		awk -v t="$$pct" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }' || fail=1; \
+	done; \
+	rm -f .cover-pbx.out; \
+	exit $$fail
 
 # One instrumented overload run dumped to JSON and validated on
 # re-read: proves the metrics registry, tracer and sampler stay wired

@@ -101,10 +101,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pbxd: -occupancy must be in (0,1]")
 			os.Exit(1)
 		}
-		cfg.Admission = pbx.OccupancyPolicy{Max: *capacity, Target: *occ}
+		cfg.Admission.ShedAt = *occ
 	}
 	if *degrade {
-		cfg.Degradation = pbx.DegradationConfig{Enabled: true}
+		cfg.Degradation = &pbx.DegradationConfig{}
 	}
 	w, err := pbx.ListenWire(*addr, *shards, dir, cfg)
 	if err != nil {
@@ -114,7 +114,7 @@ func main() {
 	server, tr := w.Server, w.Listener
 	fmt.Printf("pbxd: listening on %s (%d shard(s), batched=%v), capacity %d, %d users, relay=%v, admission=%s, degrade=%v\n",
 		tr.LocalAddr(), tr.NumShards(), tr.Batched(),
-		*capacity, dir.Users(), *relay, server.AdmissionPolicyName(), *degrade)
+		*capacity, dir.Users(), *relay, server.AdmissionName(), *degrade)
 	if *registrar {
 		fmt.Printf("pbxd: registrar on: %d location shards, register rate cap %d/s\n",
 			dir.Shards(), *regRate)

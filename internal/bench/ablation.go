@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/erlang"
 	"repro/internal/media"
+	"repro/internal/pbx"
 	"repro/internal/sipp"
 )
 
@@ -29,7 +30,7 @@ func RunAdmissionAblation(a float64, seed uint64) AdmissionAblation {
 			Workload: erlang.Erlangs(a), Capacity: 165, Seed: seed,
 		}),
 		CPUAdmitted: core.Run(core.ExperimentConfig{
-			Workload: erlang.Erlangs(a), CPUAdmission: true, CPUThreshold: 50, Seed: seed,
+			Workload: erlang.Erlangs(a), Admission: pbx.Admission{CPUPercent: 50}, Seed: seed,
 		}),
 	}
 }

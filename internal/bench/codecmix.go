@@ -9,6 +9,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/erlang"
+	"repro/internal/pbx"
 	"repro/internal/sipp"
 )
 
@@ -87,13 +88,12 @@ func CodecMixTable(opts CodecMixOptions) []CodecMixRow {
 			defer wg.Done()
 			defer func() { <-sem }()
 			cfg := core.ExperimentConfig{
-				Workload:     erlang.Erlangs(opts.Workload),
-				Capacity:     opts.Capacity,
-				CPUAdmission: true,
-				CPUThreshold: opts.CPUThreshold,
-				Media:        sipp.MediaPacketized,
-				CodecMix:     rows[i].Mix,
-				Seed:         opts.Seed,
+				Workload:  erlang.Erlangs(opts.Workload),
+				Capacity:  opts.Capacity,
+				Admission: pbx.Admission{CPUPercent: opts.CPUThreshold},
+				Media:     sipp.MediaPacketized,
+				CodecMix:  rows[i].Mix,
+				Seed:      opts.Seed,
 			}
 			if !rows[i].Baseline {
 				cfg.PBXCodecs = codec.AllPayloadTypes()
@@ -113,7 +113,7 @@ func WriteCodecMix(w io.Writer, rows []CodecMixRow) {
 	}
 	cfg := rows[0].Result.Config
 	fmt.Fprintf(w, "Mixed-codec capacity at A=%.0f Erlangs, %d channels, CPU threshold %.0f%% (packetized)\n",
-		float64(cfg.Workload), cfg.Capacity, cfg.CPUThreshold)
+		float64(cfg.Workload), cfg.Capacity, cfg.Admission.CPUPercent)
 	fmt.Fprintf(w, "%-20s%12s%12s%12s%8s%14s\n",
 		"mix", "peak calls", "blocked %", "CPU mean", "MOS", "transcoded")
 	for _, row := range rows {

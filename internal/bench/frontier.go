@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/pbx"
 )
 
@@ -46,13 +45,11 @@ type StrategyFrontierTable struct {
 }
 
 // FrontierStrategies is the comparison order: the classical baseline
-// first, then each refinement.
-var FrontierStrategies = []string{
-	core.StrategyStatic,
-	core.StrategyOccupancy,
-	core.StrategyQuality,
-	core.StrategyLadder,
-}
+// first, then each refinement — the names chaos.FrontierScenario maps:
+// the hard cap, the occupancy controller shedding at 70% of the pool,
+// the cap plus the E-model quality floor, and the occupancy controller
+// under the full degradation ladder.
+var FrontierStrategies = []string{"static", "occupancy", "quality", "ladder"}
 
 // RunStrategyFrontier runs all four strategies against the same seed
 // and offered load (chaos.FrontierScenario: a sustained 1.5×-capacity

@@ -4,7 +4,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/pbx"
 )
 
@@ -21,8 +20,8 @@ func TestLadderDominatesStatic(t *testing.T) {
 		}
 		WriteStrategyFrontier(os.Stderr, tbl)
 
-		static := tbl.Row(core.StrategyStatic)
-		ladder := tbl.Row(core.StrategyLadder)
+		static := tbl.Row("static")
+		ladder := tbl.Row("ladder")
 		if static == nil || ladder == nil {
 			t.Fatalf("seed %d: missing frontier rows: %+v", seed, tbl.Rows)
 		}

@@ -9,7 +9,7 @@
 // Everything runs on the discrete-event scheduler with seeded RNGs:
 // a scenario is a pure function of its seed, so every run is
 // bit-reproducible and every failure is replayable. This is the
-// harness the overload-control layer (pbx.AdmissionPolicy +
+// harness the overload-control layer (pbx.Admission +
 // client-side Retry-After backoff) is proven with.
 package chaos
 

@@ -78,7 +78,6 @@ func OverloadBaseline(seed uint64) Scenario {
 		PBX: pbx.Config{
 			MaxChannels: OverloadChannels,
 			CPU:         overloadCPU(),
-			Admission:   pbx.ChannelCapPolicy{Max: OverloadChannels},
 		},
 		Load: overloadLoad(),
 	}
@@ -102,10 +101,7 @@ func OverloadControlled(seed uint64) Scenario {
 		PBX: pbx.Config{
 			MaxChannels: OverloadChannels,
 			CPU:         overloadCPU(),
-			Admission: pbx.OccupancyPolicy{
-				Max: OverloadChannels, Target: 0.7,
-				RetryAfterMin: 1, RetryAfterMax: 8,
-			},
+			Admission:   pbx.Admission{ShedAt: 0.7},
 		},
 		Load: load,
 	}
@@ -132,7 +128,6 @@ func DirtyLink(seed uint64) Scenario {
 		Fault: Fault{ClientLink: dirty, ServerLink: dirty},
 		PBX: pbx.Config{
 			MaxChannels: 10,
-			Admission:   pbx.ChannelCapPolicy{Max: 10},
 		},
 		Load: sipp.Config{
 			Rate:     1,
@@ -158,7 +153,6 @@ func SignalingPartition(seed uint64) Scenario {
 		},
 		PBX: pbx.Config{
 			MaxChannels: 50,
-			Admission:   pbx.ChannelCapPolicy{Max: 50},
 		},
 		Load: sipp.Config{
 			Rate:     1,
@@ -214,7 +208,7 @@ func Smoke(seed uint64) Scenario {
 		Fault: Fault{ClientLink: netsim.LinkProfile{Delay: time.Millisecond, Loss: 0.01}},
 		PBX: pbx.Config{
 			MaxChannels: 10,
-			Admission:   pbx.OccupancyPolicy{Max: 10, Target: 0.8},
+			Admission:   pbx.Admission{ShedAt: 0.8},
 		},
 		Load: load,
 	}
@@ -225,9 +219,8 @@ func Smoke(seed uint64) Scenario {
 // utilization, so the thresholds sit below the defaults: the ladder
 // walks to upstream-throttle during the surge plateau while the block
 // rung stays reserved for pathology (0.97).
-func surgeDegradation() pbx.DegradationConfig {
-	return pbx.DegradationConfig{
-		Enabled:        true,
+func surgeDegradation() *pbx.DegradationConfig {
+	return &pbx.DegradationConfig{
 		Enter:          [4]float64{0.60, 0.66, 0.72, 0.97},
 		Exit:           [4]float64{0.50, 0.56, 0.62, 0.87},
 		EscalateTicks:  2,
@@ -269,7 +262,6 @@ func DegradationSurge(seed uint64) Scenario {
 		PBX: pbx.Config{
 			MaxChannels: OverloadChannels,
 			CPU:         overloadCPU(),
-			Admission:   pbx.ChannelCapPolicy{Max: OverloadChannels},
 			Degradation: surgeDegradation(),
 		},
 		Load: load,
@@ -280,9 +272,9 @@ func DegradationSurge(seed uint64) Scenario {
 // point: the DegradationSurge offered load (1.5× capacity with retries,
 // the 80/20 G.711/G.729 mix, 2% lossy links — the scaled equivalent of
 // the paper's A≈245 Erlangs against its 165-channel host) against one
-// named overload-control strategy. The strategy names match the
-// core engine's Strategy knob: "static", "occupancy", "quality",
-// "ladder".
+// named overload-control strategy: "static", "occupancy", "quality"
+// or "ladder" (bench.FrontierStrategies). This switch is the one place
+// a strategy name maps onto the PBX's admission row and ladder.
 func FrontierScenario(strategy string, seed uint64) Scenario {
 	sc := DegradationSurge(seed)
 	sc.Name = "frontier-" + strategy
@@ -299,27 +291,20 @@ func FrontierScenario(strategy string, seed uint64) Scenario {
 	sc.Load.RetryMax = 3
 	sc.PBX.CPU = frontierCPU()
 	sc.PBX.MaxChannels = frontierChannels
-	sc.PBX.Admission = pbx.ChannelCapPolicy{Max: frontierChannels}
-	sc.PBX.Degradation = pbx.DegradationConfig{}
+	sc.PBX.Degradation = nil
 	switch strategy {
 	case "static":
 		// The hard cap alone: admit to the pool, 503 the rest.
 	case "occupancy":
-		sc.PBX.Admission = pbx.OccupancyPolicy{
-			Max: frontierChannels, Target: 0.7,
-			RetryAfterMin: 1, RetryAfterMax: 8,
-		}
+		sc.PBX.Admission.ShedAt = 0.7
 	case "quality":
-		sc.PBX.QualityFloorMOS = 3.5
+		sc.PBX.Admission.MOSFloor = 3.5
 	case "ladder":
 		// The ladder layers over the occupancy controller's early
 		// shed — "degrade before you block" is relative to the same
 		// admission baseline — and adds the codec/passthrough rungs
 		// plus the closed-loop upstream throttle.
-		sc.PBX.Admission = pbx.OccupancyPolicy{
-			Max: frontierChannels, Target: 0.7,
-			RetryAfterMin: 1, RetryAfterMax: 8,
-		}
+		sc.PBX.Admission.ShedAt = 0.7
 		sc.PBX.Degradation = frontierDegradation()
 	default:
 		panic("chaos: unknown frontier strategy " + strategy)
@@ -349,7 +334,7 @@ func frontierCPU() cpu.Model {
 // shorter (3 s) — rung 3 fires in brief pulses that quench the retry
 // storm without wholesale-shedding fresh arrivals the pool could
 // still carry.
-func frontierDegradation() pbx.DegradationConfig {
+func frontierDegradation() *pbx.DegradationConfig {
 	d := surgeDegradation()
 	d.Enter[2], d.Exit[2] = 0.76, 0.66
 	d.ThrottleWindow = 3

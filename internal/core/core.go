@@ -44,10 +44,9 @@ type ExperimentConfig struct {
 	// Capacity is the PBX channel cap (paper's host: ≈165). Zero
 	// means unlimited.
 	Capacity int
-	// CPUAdmission switches to CPU-threshold admission (ablation).
-	CPUAdmission bool
-	// CPUThreshold is the admission limit when CPUAdmission is set.
-	CPUThreshold float64
+	// Admission is the PBX's admission row over the Capacity pool; the
+	// zero value is the hard cap, CPUPercent the CPU-threshold ablation.
+	Admission pbx.Admission
 	// Media selects packetized RTP or signalling-only with flow-model
 	// quality.
 	Media sipp.MediaMode
@@ -70,17 +69,6 @@ type ExperimentConfig struct {
 	// CalleeCodecs is the answering bank's supported list (empty:
 	// G.711 µ/A).
 	CalleeCodecs []int
-	// QualityFloorMOS, when positive, layers quality-aware admission
-	// over the configured policy: calls whose predicted E-model MOS
-	// falls below the floor are shed with 503.
-	QualityFloorMOS float64
-	// Strategy names the overload-control strategy under test — the
-	// knob the bench frontier sweeps head-to-head. "" keeps the legacy
-	// per-field knobs (Capacity/CPUAdmission/QualityFloorMOS) exactly
-	// as configured; the named strategies overlay the admission and
-	// degradation fields through one shared mapping, so the two
-	// engines (and therefore every shard count) agree bit-for-bit.
-	Strategy string
 	// SLO overrides the service-level rules the per-second series is
 	// judged against; nil applies monitor.DefaultSLORules().
 	SLO *monitor.SLORules
@@ -100,53 +88,6 @@ type ExperimentConfig struct {
 	// traffic), which with Shards > 1 is the near-linear-scaling
 	// configuration the engine benchmarks use.
 	Islands int
-}
-
-// Overload-control strategies selectable via ExperimentConfig.Strategy.
-const (
-	// StrategyStatic is the classical hard channel cap: admit to the
-	// pool limit, 503 the rest (the paper's measured behaviour).
-	StrategyStatic = "static"
-	// StrategyOccupancy sheds early at 70% of the pool with the
-	// EWMA-damped occupancy controller (503 + Retry-After).
-	StrategyOccupancy = "occupancy"
-	// StrategyQuality is the static cap plus the E-model quality
-	// floor: predicted-MOS-below-floor calls are shed with 503.
-	StrategyQuality = "quality"
-	// StrategyLadder is the full graceful-degradation ladder — codec
-	// downgrade → passthrough-only → upstream throttle → block —
-	// layered over the occupancy controller's early shed ("degrade
-	// before you block" is relative to the same admission baseline).
-	StrategyLadder = "ladder"
-)
-
-// applyStrategy overlays the named strategy onto the PBX config.
-func applyStrategy(cfg ExperimentConfig, pc pbx.Config) pbx.Config {
-	switch cfg.Strategy {
-	case "":
-		// Legacy knobs only.
-	case StrategyStatic:
-		pc.Admission = pbx.ChannelCapPolicy{Max: cfg.Capacity}
-	case StrategyOccupancy:
-		pc.Admission = pbx.OccupancyPolicy{
-			Max: cfg.Capacity, Target: 0.7,
-			RetryAfterMin: 1, RetryAfterMax: 8,
-		}
-	case StrategyQuality:
-		pc.Admission = pbx.ChannelCapPolicy{Max: cfg.Capacity}
-		if pc.QualityFloorMOS == 0 {
-			pc.QualityFloorMOS = 3.5
-		}
-	case StrategyLadder:
-		pc.Admission = pbx.OccupancyPolicy{
-			Max: cfg.Capacity, Target: 0.7,
-			RetryAfterMin: 1, RetryAfterMax: 8,
-		}
-		pc.Degradation = pbx.DegradationConfig{Enabled: true}
-	default:
-		panic(fmt.Sprintf("core: unknown strategy %q", cfg.Strategy))
-	}
-	return pc
 }
 
 // withDefaults fills the paper's parameter values.
@@ -297,16 +238,14 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 		if err := rig.AddUsers(dir, "uac", "uas"); err != nil {
 			panic(fmt.Sprintf("core: %v", err))
 		}
-		server := r.PBX(pbxHost, dir, applyStrategy(cfg, pbx.Config{
-			MaxChannels:     cfg.Capacity,
-			CPUAdmission:    cfg.CPUAdmission,
-			CPUThreshold:    cfg.CPUThreshold,
-			RelayRTP:        cfg.Media == sipp.MediaPacketized,
-			Codecs:          cfg.PBXCodecs,
-			QualityFloorMOS: cfg.QualityFloorMOS,
-			Seed:            cfg.Seed ^ 0x9bd1 ^ islandSalt(i),
-			Telemetry:       reg,
-		}))
+		server := r.PBX(pbxHost, dir, pbx.Config{
+			MaxChannels: cfg.Capacity,
+			Admission:   cfg.Admission,
+			RelayRTP:    cfg.Media == sipp.MediaPacketized,
+			Codecs:      cfg.PBXCodecs,
+			Seed:        cfg.Seed ^ 0x9bd1 ^ islandSalt(i),
+			Telemetry:   reg,
+		})
 
 		// The SIPp pair (Fig. 4: generator client and server machines).
 		gen := r.Generator(callerHost, calleeHost, pbxHost+":5060", sipp.Config{

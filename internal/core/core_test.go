@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/erlang"
+	"repro/internal/pbx"
 	"repro/internal/sipp"
 )
 
@@ -233,14 +234,13 @@ func TestArrivalRateDerivation(t *testing.T) {
 	}
 }
 
-func TestCPUAdmissionAblation(t *testing.T) {
+func TestCPUPercentAblation(t *testing.T) {
 	// CPU-based admission with a threshold near the calibrated model's
 	// ~165-call plateau produces a capacity knee like the channel cap.
 	r := Run(ExperimentConfig{
-		Workload:     240,
-		CPUAdmission: true,
-		CPUThreshold: 50,
-		Seed:         11,
+		Workload:  240,
+		Admission: pbx.Admission{CPUPercent: 50},
+		Seed:      11,
 	})
 	if r.Load.Blocked == 0 {
 		t.Error("CPU admission never blocked at A=240")

@@ -121,9 +121,6 @@ func (mt *Meter) SampleWith(activeCalls int, attemptsPerSec, errorsPerSec, extra
 	return u
 }
 
-// Current returns the most recent sample.
-func (mt *Meter) Current() float64 { return mt.current }
-
 // DropProbability returns the drop probability at the current sample.
 func (mt *Meter) DropProbability() float64 { return mt.model.DropProbability(mt.current) }
 

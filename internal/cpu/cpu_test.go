@@ -105,9 +105,6 @@ func TestMeterBand(t *testing.T) {
 	if mt.Samples() != 11 {
 		t.Errorf("samples = %d", mt.Samples())
 	}
-	if mt.Current() != mt.Sample(45, 0.33, 0) {
-		t.Error("Current should track last sample")
-	}
 }
 
 func TestMeterDropFollowsCurrent(t *testing.T) {

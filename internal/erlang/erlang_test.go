@@ -2,6 +2,7 @@ package erlang
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -78,14 +79,30 @@ func TestBDegenerate(t *testing.T) {
 	}
 }
 
+// below reports whether lo < hi, strictly while hi is
+// representable: deep in the tail both blocking probabilities underflow
+// to 0 and only lo <= hi can hold.
+func below(lo, hi float64) bool {
+	if hi > 0 {
+		return lo < hi
+	}
+	return lo <= hi
+}
+
+// fixedQuick is a quick.Check config with a fixed seed, so a property
+// test draws the same cases on every run.
+func fixedQuick() *quick.Config {
+	return &quick.Config{Rand: rand.New(rand.NewSource(1))}
+}
+
 func TestBMonotoneInChannels(t *testing.T) {
 	// Property: for fixed A, adding channels strictly reduces blocking.
 	f := func(aRaw uint16, nRaw uint8) bool {
 		a := Erlangs(1 + float64(aRaw%300))
 		n := 1 + int(nRaw%200)
-		return B(a, n+1) < B(a, n)
+		return below(B(a, n+1), B(a, n))
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, fixedQuick()); err != nil {
 		t.Error(err)
 	}
 }
@@ -95,9 +112,9 @@ func TestBMonotoneInTraffic(t *testing.T) {
 	f := func(aRaw uint16, nRaw uint8) bool {
 		a := 0.5 + float64(aRaw%200)
 		n := 1 + int(nRaw%150)
-		return B(Erlangs(a+1), n) > B(Erlangs(a), n)
+		return below(B(Erlangs(a), n), B(Erlangs(a+1), n))
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, fixedQuick()); err != nil {
 		t.Error(err)
 	}
 }

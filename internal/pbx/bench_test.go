@@ -23,7 +23,7 @@ import (
 // transcode the bridge is armed for G.711→G.729 payload rewriting — the
 // packet-path cost a transcoding call adds on top of plain forwarding.
 // op relays packet i; check verifies that n of them were accounted for.
-func relayForward(tb testing.TB, transcode bool) (op func(i int), check func(n int)) {
+func relayForward(tb testing.TB, transcode bool) (s *Server, op func(i int), check func(n int)) {
 	sched := netsim.NewScheduler()
 	net := netsim.NewNetwork(sched, stats.NewRNG(1))
 	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
@@ -31,7 +31,7 @@ func relayForward(tb testing.TB, transcode bool) (op func(i int), check func(n i
 	factory := func(port int) (transport.Transport, error) {
 		return transport.NewSim(net, fmt.Sprintf("pbx:%d", port)), nil
 	}
-	s := New(sip.NewEndpoint(transport.NewSim(net, "pbx:5060"), clock),
+	s = New(sip.NewEndpoint(transport.NewSim(net, "pbx:5060"), clock),
 		directory.New(), factory, Config{RelayRTP: true})
 
 	r, err := s.newRelay(nil, &sdp.Session{Host: "caller", Port: 4000})
@@ -76,12 +76,12 @@ func relayForward(tb testing.TB, transcode bool) (op func(i int), check func(n i
 				fwd, drop, trans, delivered, n)
 		}
 	}
-	return op, check
+	return s, op, check
 }
 
 func benchmarkRelayForward(b *testing.B, transcode bool) {
 	b.ReportAllocs()
-	op, check := relayForward(b, transcode)
+	_, op, check := relayForward(b, transcode)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op(i)
@@ -98,11 +98,26 @@ func BenchmarkRelayForwardTranscode(b *testing.B) { benchmarkRelayForward(b, tru
 // and marshal buffers are preallocated at negotiation.
 func TestRelayForwardAllocs(t *testing.T) {
 	for _, transcode := range []bool{false, true} {
-		op, check := relayForward(t, transcode)
+		_, op, check := relayForward(t, transcode)
 		i := 0
 		if n := testing.AllocsPerRun(10000, func() { op(i); i++ }); n != 0 {
 			t.Errorf("transcode=%v: %v allocs/packet, want 0", transcode, n)
 		}
 		check(i)
 	}
+}
+
+// TestRelayForwardsWithoutServerLock: below the overload knee the
+// relay decides a packet's fate without the server lock, so media keeps
+// flowing while signalling holds it.
+func TestRelayForwardsWithoutServerLock(t *testing.T) {
+	s, op, check := relayForward(t, false)
+	s.mu.Lock()
+	release := time.AfterFunc(5*time.Second, s.mu.Unlock)
+	op(0)
+	if !release.Stop() {
+		t.Fatal("relay waited for the server lock with no overload drop in force")
+	}
+	s.mu.Unlock()
+	check(1)
 }

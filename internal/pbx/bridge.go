@@ -50,10 +50,8 @@ type bridge struct {
 	callee        string
 	caller        string
 
-	// Wide-event fields: the admission policy that admitted the call
-	// and the E-model MOS it predicted at that moment — compared
-	// against the measured score in the teardown call event.
-	admission    string
+	// predictedMOS is the E-model MOS admission predicted for the call,
+	// compared against the measured score in the teardown call event.
 	predictedMOS float64
 
 	// degradeStage is the ladder rung active when the call was
@@ -95,20 +93,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 	// Administrative drain: shed new work, keep established calls.
 	if draining {
 		s.mu.Lock()
-		s.counters.Blocked++
-		s.counters.DrainRejected++
-		s.errorsWindow++
-		ra := s.drainRetryAfterLocked()
-		s.mu.Unlock()
-		if s.tm != nil {
-			s.tm.blocked.Inc()
-			s.tm.drainRejects.Inc()
-		}
-		s.traceEnd(req.CallID, telemetry.OutcomeBlocked)
-		resp := req.Response(sip.StatusServiceUnavailable)
-		resp.To.Tag = s.ep.NewTag()
-		resp.RetryAfter = ra
-		tx.Respond(resp)
+		s.shedLocked(tx, req, shedDrain, drainRetryAfter, 0)
 		return
 	}
 
@@ -195,7 +180,6 @@ func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calle
 		callee:    callee,
 		startedAt: s.ep.Clock().Now(),
 
-		admission:    s.admission.Name(),
 		predictedMOS: predicted,
 		degradeStage: stage,
 	}
@@ -305,71 +289,34 @@ func (s *Server) cancelBLeg(br *bridge) {
 }
 
 // admitCall runs admission control — where blocked calls (Table I)
-// happen — charging one channel on success. On rejection it answers
-// the INVITE with 503 (plus the policy's Retry-After backoff hint)
-// and reports false. The caller's SDP offer feeds the quality-aware
-// policies; nil is allowed for offer-less admission points. The second
-// return is the admission-time E-model prediction — always computed
-// now (pure per-INVITE math, no randomness) because the wide-event
+// happen — charging one channel on success. The ladder's Block rung
+// refuses first, then the admission row decides; a refusal is answered
+// by shedLocked and reported as false. The caller's SDP offer feeds the
+// quality floor; nil is allowed for offer-less admission points. The
+// second return is the admission-time E-model prediction — always
+// computed (pure per-INVITE math, no randomness) because the wide-event
 // call record compares it against the measured score at teardown.
 func (s *Server) admitCall(tx *sip.ServerTx, req *sip.Message, offer *sdp.Session) (bool, float64, DegradationStage) {
 	s.mu.Lock()
-	projected := s.cfg.CPU.UtilizationWith(s.channels+1,
-		float64(s.attemptsWindow), float64(s.errorsWindow), s.transcodeLoad)
-	st := AdmissionState{
+	st := admissionState{
 		Channels:      s.channels,
-		MaxChannels:   s.cfg.MaxChannels,
-		Utilization:   s.meter.Current(),
-		ProjectedCPU:  projected,
+		OccupancyEWMA: s.channelsEWMA,
 		AttemptsRate:  s.attemptsEWMA,
 		ErrorsRate:    s.errorsEWMA,
-		TranscodeLoad: s.transcodeLoad,
-		OccupancyEWMA: s.channelsEWMA,
+		ProjectedCPU: s.cfg.CPU.UtilizationWith(s.channels+1,
+			float64(s.attemptsWindow), float64(s.errorsWindow), s.transcodeLoad),
 	}
-	st.PredictedMOS = s.predictMOSLocked(offer, projected)
+	st.PredictedMOS = s.predictMOSLocked(offer, st.ProjectedCPU)
 	stage := s.degradeStageLocked()
 	window := s.overloadWindowLocked()
-	blockStage := stage >= StageBlock
-	dec := AdmissionDecision{}
-	if blockStage {
-		// The ladder's last rung: the classic 503 block, with the
-		// backoff window as the Retry-After hint.
-		dec.RetryAfter = window
-		s.counters.DegradeBlocked++
-	} else {
-		dec = s.admission.Admit(st)
+	// The ladder's last rung: the classic 503 block, with the backoff
+	// window as the Retry-After hint.
+	reason, retryAfter := shedBlock, window
+	if stage < StageBlock {
+		reason, retryAfter = s.cfg.Admission.decide(s.cfg.MaxChannels, st)
 	}
-	if !dec.Admit {
-		s.counters.Blocked++
-		if qf, ok := s.admission.(QualityFloorPolicy); ok && !blockStage && st.PredictedMOS < qf.Floor {
-			s.counters.QualityRejected++
-		}
-		if window > 0 {
-			s.counters.ThrottleSignals++
-		}
-		s.errorsWindow++
-		s.mu.Unlock()
-		if s.tm != nil {
-			s.tm.admitNo.Inc()
-			s.tm.blocked.Inc()
-		}
-		s.traceEnd(req.CallID, telemetry.OutcomeBlocked)
-		resp := req.Response(sip.StatusServiceUnavailable)
-		resp.To.Tag = s.ep.NewTag()
-		resp.RetryAfter = dec.RetryAfter
-		if window > 0 {
-			// Rung 3: explicit upstream feedback on the rejection —
-			// Retry-After paces the one caller, X-Overload-Window tells
-			// generators and balancers to withhold new work.
-			if resp.RetryAfter == 0 {
-				resp.RetryAfter = window
-			}
-			resp.SetOverloadWindow(window)
-			if s.tm != nil && s.tm.throttleSignals != nil {
-				s.tm.throttleSignals.Inc()
-			}
-		}
-		tx.Respond(resp)
+	if reason != admitted {
+		s.shedLocked(tx, req, reason, retryAfter, window)
 		return false, st.PredictedMOS, stage
 	}
 	s.channels++
@@ -388,6 +335,52 @@ func (s *Server) admitCall(tx *sip.ServerTx, req *sip.Message, offer *sdp.Sessio
 	return true, st.PredictedMOS, stage
 }
 
+// shedLocked refuses an INVITE for reason: it counts Blocked and the
+// reason's subset counter, then answers 503 with the Retry-After hint
+// and, while the ladder throttles (window > 0), the X-Overload-Window
+// stamp. Callers hold s.mu; shedLocked releases it before answering.
+func (s *Server) shedLocked(tx *sip.ServerTx, req *sip.Message, reason shedReason, retryAfter, window int) {
+	s.counters.Blocked++
+	switch reason {
+	case shedDrain:
+		s.counters.DrainRejected++
+	case shedBlock:
+		s.counters.DegradeBlocked++
+	case shedFloor:
+		s.counters.QualityRejected++
+	}
+	if window > 0 {
+		s.counters.ThrottleSignals++
+	}
+	s.errorsWindow++
+	s.mu.Unlock()
+	if s.tm != nil {
+		s.tm.blocked.Inc()
+		if reason == shedDrain {
+			s.tm.drainRejects.Inc()
+		} else {
+			s.tm.admitNo.Inc()
+		}
+	}
+	s.traceEnd(req.CallID, telemetry.OutcomeBlocked)
+	resp := req.Response(sip.StatusServiceUnavailable)
+	resp.To.Tag = s.ep.NewTag()
+	resp.RetryAfter = retryAfter
+	if window > 0 {
+		// Rung 3: explicit upstream feedback on the rejection —
+		// Retry-After paces the one caller, X-Overload-Window tells
+		// generators and balancers to withhold new work.
+		if resp.RetryAfter == 0 {
+			resp.RetryAfter = window
+		}
+		resp.SetOverloadWindow(window)
+		if s.tm != nil && s.tm.throttleSignals != nil {
+			s.tm.throttleSignals.Inc()
+		}
+	}
+	tx.Respond(resp)
+}
+
 // predictMOSNominalDelay is the mouth-to-ear delay assumed when
 // predicting a new call's MOS at admission time: one packetization
 // interval, the 40 ms playout buffer, and ~20 ms of network transit.
@@ -397,7 +390,7 @@ const predictMOSNominalDelay = 80 * time.Millisecond
 // get if admitted now: the offered codec's quality profile under the
 // RTP loss the CPU model would impose at the projected utilization.
 // Transcoding (if the callee forces it) can only lower the real score,
-// so the prediction is optimistic — a floor policy built on it sheds
+// so the prediction is optimistic — the quality floor built on it sheds
 // late rather than early. Callers hold s.mu.
 func (s *Server) predictMOSLocked(offer *sdp.Session, projectedCPU float64) float64 {
 	profile := s.cfg.ScoreCodec

@@ -30,7 +30,7 @@ type CallEvent struct {
 	CodecB     string `json:"codec_b,omitempty"`
 	Transcoded bool   `json:"transcoded,omitempty"`
 
-	// Admission names the policy that admitted the call; Backend is the
+	// Admission names the server's admission row; Backend is the
 	// serving instance (Config.Instance — the shard/backend in a
 	// cluster deployment).
 	Admission string `json:"admission,omitempty"`
@@ -129,7 +129,7 @@ func (s *Server) buildCallEventLocked(br *bridge, cdr CDR) CallEvent {
 		Caller:       br.caller,
 		Callee:       br.callee,
 		Transcoded:   br.codecBr.Transcode,
-		Admission:    br.admission,
+		Admission:    s.admissionName,
 		Backend:      s.cfg.Instance,
 		DurationS:    cdr.Duration.Seconds(),
 		JitterS:      maxFloat(cdr.FromCaller.Jitter.Seconds(), cdr.FromCallee.Jitter.Seconds()),

@@ -203,7 +203,7 @@ func TestQualityFloorAdmission(t *testing.T) {
 	floor := (g729 + g711) / 2
 
 	r := newCodecRig(t, Config{RelayRTP: true, Codecs: codec.AllPayloadTypes(),
-		QualityFloorMOS: floor},
+		Admission: Admission{MOSFloor: floor}},
 		[]int{18}, []int{0, 8}, []int{0, 8}, []int{0, 8})
 
 	var g729Status int

@@ -60,13 +60,11 @@ func (st DegradationStage) String() string {
 	}
 }
 
-// DegradationConfig tunes the ladder controller. The zero value is
-// disabled; set Enabled and leave the rest zero for the defaults.
+// DegradationConfig tunes the ladder controller; zero fields take the
+// defaults. A server runs the ladder only when Config.Degradation is
+// non-nil — without it there is no per-tick evaluation, no header and
+// no extra RNG draw, so existing goldens stay bit-identical.
 type DegradationConfig struct {
-	// Enabled turns the controller on. Off, the server behaves exactly
-	// as before: no per-tick evaluation, no headers, no extra RNG
-	// draws — existing goldens stay bit-identical.
-	Enabled bool
 	// Enter[i] is the pressure at or above which the ladder escalates
 	// from stage i to stage i+1 (after EscalateTicks consecutive
 	// ticks). Defaults: 0.70, 0.78, 0.86, 0.94.

@@ -9,7 +9,6 @@ import (
 // spaced thresholds so each transition is reachable in a short script.
 func tickCfg() DegradationConfig {
 	return DegradationConfig{
-		Enabled:       true,
 		Enter:         [4]float64{0.50, 0.60, 0.70, 0.80},
 		Exit:          [4]float64{0.40, 0.50, 0.60, 0.70},
 		EscalateTicks: 2,
@@ -136,7 +135,7 @@ func TestDegradationHysteresisBand(t *testing.T) {
 // TestDegradationPressureTerms checks that each sensor dimension can
 // drive the pressure on its own, and that the max wins.
 func TestDegradationPressureTerms(t *testing.T) {
-	d := NewDegradationController(DegradationConfig{Enabled: true})
+	d := NewDegradationController(DegradationConfig{})
 	cfg := d.Config()
 
 	cases := []struct {
@@ -169,7 +168,7 @@ func closeTo(a, b, eps float64) bool {
 // TestDegradationDefaults checks the documented default tuning and the
 // Enter/Exit band invariant.
 func TestDegradationDefaults(t *testing.T) {
-	cfg := NewDegradationController(DegradationConfig{Enabled: true}).Config()
+	cfg := NewDegradationController(DegradationConfig{}).Config()
 	if cfg.Enter != [4]float64{0.70, 0.78, 0.86, 0.94} {
 		t.Errorf("default Enter = %v", cfg.Enter)
 	}
@@ -185,16 +184,15 @@ func TestDegradationDefaults(t *testing.T) {
 }
 
 // TestOccupancyMonotoneInLoad is the property test for the EWMA-damped
-// occupancy policy: the admit verdict must be monotone non-increasing
+// occupancy controller (Admission.ShedAt): the admit verdict must be monotone non-increasing
 // in both the instantaneous channel count and the occupancy EWMA —
 // raising either load dimension can only flip admit→reject, never
 // reject→admit.
 func TestOccupancyMonotoneInLoad(t *testing.T) {
-	p := OccupancyPolicy{Max: 100, Target: 0.7, RetryAfterMin: 1, RetryAfterMax: 8}
+	row := Admission{ShedAt: 0.7}
 	admit := func(ch int, ewma float64) bool {
-		return p.Admit(AdmissionState{
-			Channels: ch, MaxChannels: 100, OccupancyEWMA: ewma,
-		}).Admit
+		reason, _ := row.decide(100, admissionState{Channels: ch, OccupancyEWMA: ewma})
+		return reason == admitted
 	}
 	for ch := 0; ch <= 100; ch += 5 {
 		for e := 0.0; e <= 100; e += 2.5 {
@@ -215,5 +213,19 @@ func TestOccupancyMonotoneInLoad(t *testing.T) {
 				t.Fatalf("EWMA=%v above target did not gate admission", e)
 			}
 		}
+	}
+}
+
+// TestDegradationStageNames pins the rung labels that telemetry, call
+// events and timelines carry.
+func TestDegradationStageNames(t *testing.T) {
+	want := []string{"normal", "codec-downgrade", "passthrough-only", "upstream-throttle", "block"}
+	for st := StageNormal; st <= StageBlock; st++ {
+		if got := st.String(); got != want[st] {
+			t.Errorf("stage %d: String() = %q, want %q", int(st), got, want[st])
+		}
+	}
+	if got := DegradationStage(degradationStageCount).String(); got != "unknown" {
+		t.Errorf("out-of-range stage: String() = %q, want \"unknown\"", got)
 	}
 }

@@ -30,7 +30,7 @@ func drainHistCount(reg *telemetry.Registry, t *testing.T) uint64 {
 // span stays open.
 func TestDrainSemantics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r := newRig(t, 3, Config{DrainRetryAfter: 7, Telemetry: reg})
+	r := newRig(t, 3, Config{Telemetry: reg})
 	caller, second := r.phones[0], r.phones[2]
 
 	// Establish a call, then drain mid-call.
@@ -67,8 +67,8 @@ func TestDrainSemantics(t *testing.T) {
 		t.Fatalf("drained INVITE: cause=%v status=%d, want rejected/503",
 			rejected.Cause(), rejected.RejectStatus())
 	}
-	if rejected.RetryAfter() != 7 {
-		t.Errorf("Retry-After = %d, want configured 7", rejected.RetryAfter())
+	if rejected.RetryAfter() != drainRetryAfter {
+		t.Errorf("Retry-After = %d, want %d", rejected.RetryAfter(), drainRetryAfter)
 	}
 	// The established call is still up: drain is graceful.
 	if r.server.ActiveChannels() != 1 {

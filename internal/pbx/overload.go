@@ -1,239 +1,148 @@
 package pbx
 
-import "strings"
+// Overload control: one admission row deciding, per INVITE, whether the
+// PBX takes the call or sheds it with 503 + Retry-After. The SIP
+// overload-control literature (Hong et al., "A Comparative Study of SIP
+// Overload Control Algorithms") shows that a server that only rejects
+// at its hard capacity limit collapses under sustained overload: every
+// rejected INVITE still costs CPU, retransmissions amplify the offered
+// load, and the calls that are admitted run on a saturated host with
+// degraded media. Shedding *early* — below the capacity knee — and
+// telling clients how long to back off keeps the host in the flat part
+// of its load curve and preserves goodput.
 
-// Overload control: pluggable admission policies deciding, per INVITE,
-// whether the PBX takes the call or sheds it with 503 + Retry-After.
-// The SIP overload-control literature (Hong et al., "A Comparative
-// Study of SIP Overload Control Algorithms") shows that a server that
-// only rejects at its hard capacity limit collapses under sustained
-// overload: every rejected INVITE still costs CPU, retransmissions
-// amplify the offered load, and the calls that are admitted run on a
-// saturated host with degraded media. Shedding *early* — below the
-// capacity knee — and telling clients how long to back off keeps the
-// host in the flat part of its load curve and preserves goodput.
+// Admission is the INVITE admission row: a handful of thresholds, each
+// measured against Config.MaxChannels and the server's load, checked in
+// a fixed order — quality floor, channel pool, projected CPU — with the
+// first failing check shedding the call. The zero value is the classical
+// Asterisk behaviour and the paper's operating model: admit until the
+// channel pool is exhausted, then 503 (MaxChannels 0 admits every call).
+type Admission struct {
+	// MOSFloor, when > 0, sheds a call whose predicted E-model MOS falls
+	// below it (e.g. 3.6, the bottom of G.107 Annex B's "medium" band):
+	// admitting it would both deliver a call the user scores as poor and
+	// push loss onto every established call. A G.729 caller, whose codec
+	// has a lower MOS ceiling and a tandem penalty when transcoded, hits
+	// the floor earlier than a G.711 caller at the same host load.
+	MOSFloor float64
+	// ShedAt, when > 0, turns the pool check into the occupancy
+	// controller: shed at ShedAt·MaxChannels channels (0 < ShedAt <= 1) —
+	// before the pool, and with it the CPU knee, is reached — with a
+	// Retry-After graded by how hard the server is being hit, so clients
+	// spread their retries instead of hammering a saturated host in
+	// lockstep.
+	ShedAt float64
+	// CPUPercent, when > 0, sheds a call whose admission would push the
+	// modelled CPU utilization past it. With the channel pool it forms
+	// the paper's host: a 165-channel plateau and a CPU budget that
+	// transcoding calls drain faster than passthrough calls.
+	CPUPercent float64
+}
 
-// AdmissionState is the load snapshot a policy decides on. All fields
-// are read under the server lock at INVITE arrival.
-type AdmissionState struct {
+// shedReason is why an INVITE was refused; admitted means it was not.
+type shedReason uint8
+
+const (
+	admitted  shedReason = iota
+	shedDrain            // administrative drain
+	shedBlock            // the degradation ladder's Block rung
+	shedFloor            // Admission.MOSFloor
+	shedPool             // the channel pool or the occupancy controller
+	shedCPU              // Admission.CPUPercent
+)
+
+// Retry-After hints (seconds) on the 503s the server sends: a quality
+// shed, a draining server, and the occupancy controller's graded band.
+const (
+	floorRetryAfter = 4
+	drainRetryAfter = 10
+	retryAfterMin   = 1
+	retryAfterMax   = 8
+)
+
+// admissionState is the load snapshot the row decides on, read under
+// the server lock at INVITE arrival.
+type admissionState struct {
 	// Channels is the number of calls currently holding a channel.
 	Channels int
-	// MaxChannels is the configured pool size (0 = unlimited).
-	MaxChannels int
-	// Utilization is the last sampled CPU meter reading (percent).
-	Utilization float64
-	// ProjectedCPU is the modelled utilization with one more call
-	// admitted, using the raw per-second attempt/error windows (the
-	// projection the legacy CPUAdmission mode used).
-	ProjectedCPU float64
+	// OccupancyEWMA is the smoothed channel occupancy (EWMA of Channels
+	// over the meter's 1 s samples).
+	OccupancyEWMA float64
 	// AttemptsRate and ErrorsRate are the smoothed per-second INVITE
 	// arrival and error rates (EWMA over the meter's 1 s samples).
 	AttemptsRate float64
 	ErrorsRate   float64
-	// TranscodeLoad is the extra CPU percentage currently charged by
-	// active transcoding bridges (included in ProjectedCPU).
-	TranscodeLoad float64
-	// OccupancyEWMA is the smoothed channel occupancy (EWMA of Channels
-	// over the meter's 1 s samples). Occupancy-based policies decide on
-	// max(Channels, OccupancyEWMA): the instantaneous count still caps
-	// a sudden spike, while the smoothed term keeps a just-drained pool
-	// shedding for a few seconds instead of flapping open at the
-	// boundary on every teardown.
-	OccupancyEWMA float64
+	// ProjectedCPU is the modelled utilization with one more call
+	// admitted, from the raw per-second attempt/error windows.
+	ProjectedCPU float64
 	// PredictedMOS is the E-model score this call is predicted to get if
-	// admitted: the offered codec's profile evaluated at a nominal
-	// mouth-to-ear delay and the RTP loss the CPU model would impose at
-	// ProjectedCPU. Quality-aware policies reject calls that would be
-	// admitted onto a host too loaded to carry them well.
+	// admitted: the offered codec's profile at a nominal mouth-to-ear
+	// delay and the RTP loss the CPU model would impose at ProjectedCPU.
 	PredictedMOS float64
 }
 
-// AdmissionDecision is a policy's verdict on one INVITE.
-type AdmissionDecision struct {
-	// Admit accepts the call, charging one channel.
-	Admit bool
-	// RetryAfter, when rejecting, is the Retry-After hint in seconds
-	// carried on the 503. Zero omits the header.
-	RetryAfter int
-}
-
-// AdmissionPolicy decides call admission. Implementations must be
-// pure functions of the state (no locking, no clock access): they run
-// under the server lock on the INVITE hot path.
-type AdmissionPolicy interface {
-	Name() string
-	Admit(st AdmissionState) AdmissionDecision
-}
-
-// ChannelCapPolicy is the classical Asterisk behaviour and the paper's
-// operating model: admit until the channel pool is exhausted, then
-// 503. Max <= 0 admits unconditionally.
-type ChannelCapPolicy struct {
-	Max int
-}
-
-// Name implements AdmissionPolicy.
-func (p ChannelCapPolicy) Name() string { return "channel-cap" }
-
-// Admit implements AdmissionPolicy.
-func (p ChannelCapPolicy) Admit(st AdmissionState) AdmissionDecision {
-	if p.Max > 0 && st.Channels >= p.Max {
-		return AdmissionDecision{}
+// decide runs the row's checks in order and returns the first failing
+// one with its Retry-After hint in seconds (0 omits the header), or
+// admitted. It is pure: no locking, no clock, no randomness.
+func (a Admission) decide(maxChannels int, st admissionState) (shedReason, int) {
+	if st.PredictedMOS < a.MOSFloor {
+		return shedFloor, floorRetryAfter
 	}
-	return AdmissionDecision{Admit: true}
-}
-
-// CPUThresholdPolicy reproduces the legacy CPUAdmission mode: reject
-// when the modelled utilization with one more call would exceed
-// Threshold.
-type CPUThresholdPolicy struct {
-	Threshold float64
-}
-
-// Name implements AdmissionPolicy.
-func (p CPUThresholdPolicy) Name() string { return "cpu-threshold" }
-
-// Admit implements AdmissionPolicy.
-func (p CPUThresholdPolicy) Admit(st AdmissionState) AdmissionDecision {
-	if st.ProjectedCPU > p.Threshold {
-		return AdmissionDecision{}
-	}
-	return AdmissionDecision{Admit: true}
-}
-
-// AllOfPolicy admits a call only when every member policy admits it;
-// the first rejection wins and supplies the Retry-After hint. It
-// composes a hard resource bound with a load-sensitive one — the
-// paper's host has both: a 165-channel plateau and a CPU budget that
-// transcoding calls drain faster than passthrough calls.
-type AllOfPolicy struct {
-	Policies []AdmissionPolicy
-}
-
-// Name implements AdmissionPolicy.
-func (p AllOfPolicy) Name() string {
-	names := make([]string, len(p.Policies))
-	for i, m := range p.Policies {
-		names[i] = m.Name()
-	}
-	return strings.Join(names, "+")
-}
-
-// Admit implements AdmissionPolicy.
-func (p AllOfPolicy) Admit(st AdmissionState) AdmissionDecision {
-	for _, m := range p.Policies {
-		if d := m.Admit(st); !d.Admit {
-			return d
+	if maxChannels > 0 {
+		occ, limit := float64(st.Channels), maxChannels
+		if a.ShedAt > 0 {
+			// Decide on the dampened occupancy: the worse of the
+			// instantaneous channel count and its EWMA. Rising load is
+			// capped immediately (Channels dominates); falling load
+			// re-opens only after the EWMA decays below the limit, so
+			// decisions don't flap with every teardown at the boundary.
+			// Rejection stays monotone in both inputs — see
+			// TestOccupancyMonotoneInLoad.
+			occ = max(occ, st.OccupancyEWMA)
+			limit = max(1, int(float64(maxChannels)*min(a.ShedAt, 1)))
+		}
+		if occ >= float64(limit) {
+			if a.ShedAt > 0 {
+				return shedPool, gradedRetryAfter(st)
+			}
+			return shedPool, 0
 		}
 	}
-	return AdmissionDecision{Admit: true}
+	if a.CPUPercent > 0 && st.ProjectedCPU > a.CPUPercent {
+		return shedCPU, 0
+	}
+	return admitted, 0
 }
 
-// OccupancyPolicy is the overload controller: it sheds load at
-// Target·Max channels — before the pool (and with it the CPU knee) is
-// reached — and grades its Retry-After hint by how hard the server is
-// being hit, so clients spread their retries instead of hammering a
-// saturated host in lockstep.
-type OccupancyPolicy struct {
-	// Max is the channel pool size the occupancy is measured against.
-	Max int
-	// Target is the occupancy fraction at which shedding starts
-	// (0 < Target <= 1). The default 0.8 keeps the host below the CPU
-	// knee of the default model.
-	Target float64
-	// RetryAfterMin/Max bound the Retry-After hint in seconds.
-	// Defaults 1 and 8.
-	RetryAfterMin int
-	RetryAfterMax int
-}
-
-// Name implements AdmissionPolicy.
-func (p OccupancyPolicy) Name() string { return "occupancy" }
-
-// Admit implements AdmissionPolicy.
-func (p OccupancyPolicy) Admit(st AdmissionState) AdmissionDecision {
-	max := p.Max
-	if max <= 0 {
-		max = st.MaxChannels
-	}
-	target := p.Target
-	if target <= 0 || target > 1 {
-		target = 0.8
-	}
-	limit := int(float64(max) * target)
-	if limit < 1 {
-		limit = 1
-	}
-	// Decide on the dampened occupancy: the worse of the instantaneous
-	// channel count and its EWMA. Rising load is capped immediately
-	// (Channels dominates); falling load re-opens only after the EWMA
-	// decays below the limit, so decisions don't flap with every
-	// teardown at the boundary. Rejection stays monotone in both
-	// inputs — see TestOccupancyMonotoneInLoad.
-	occ := float64(st.Channels)
-	if st.OccupancyEWMA > occ {
-		occ = st.OccupancyEWMA
-	}
-	if max <= 0 || occ < float64(limit) {
-		return AdmissionDecision{Admit: true}
-	}
-	return AdmissionDecision{RetryAfter: p.retryAfter(st)}
-}
-
-// QualityFloorPolicy is quality-aware admission: it rejects a call
-// whose predicted E-model MOS falls below Floor — admitting it would
-// both deliver a call the user scores as poor and push loss onto every
-// established call — and otherwise defers to Base (nil Base admits).
-// This is the codec-aware refinement of CPU-threshold admission: a
-// G.729 caller, whose codec has both a lower MOS ceiling and a tandem
-// penalty when transcoded, hits the floor earlier than a G.711 caller
-// at the same host load.
-type QualityFloorPolicy struct {
-	// Floor is the minimum acceptable predicted MOS (e.g. 3.6, the
-	// bottom of the "medium" band of G.107 Annex B).
-	Floor float64
-	// Base, when non-nil, must also admit the call.
-	Base AdmissionPolicy
-	// RetryAfter is the backoff hint on quality rejections (seconds);
-	// zero omits the header.
-	RetryAfter int
-}
-
-// Name implements AdmissionPolicy.
-func (p QualityFloorPolicy) Name() string { return "quality-floor" }
-
-// Admit implements AdmissionPolicy.
-func (p QualityFloorPolicy) Admit(st AdmissionState) AdmissionDecision {
-	if st.PredictedMOS < p.Floor {
-		return AdmissionDecision{RetryAfter: p.RetryAfter}
-	}
-	if p.Base != nil {
-		return p.Base.Admit(st)
-	}
-	return AdmissionDecision{Admit: true}
-}
-
-// retryAfter maps rejection pressure — the fraction of recent work
-// that was errors (mostly rejected INVITEs) — into the configured
-// Retry-After band. A lightly loaded shed returns the minimum; a
-// server rejecting most of its arrivals returns the maximum.
-func (p OccupancyPolicy) retryAfter(st AdmissionState) int {
-	min, max := p.RetryAfterMin, p.RetryAfterMax
-	if min <= 0 {
-		min = 1
-	}
-	if max < min {
-		max = 8
-		if max < min {
-			max = min
-		}
-	}
+// gradedRetryAfter maps rejection pressure — the fraction of recent
+// work that was errors (mostly rejected INVITEs) — into the
+// [retryAfterMin, retryAfterMax] band. A lightly loaded shed returns
+// the minimum; a server rejecting most of its arrivals the maximum.
+func gradedRetryAfter(st admissionState) int {
 	severity := 0.0
 	if total := st.AttemptsRate + st.ErrorsRate; total > 0 {
-		severity = st.ErrorsRate / total
+		severity = min(st.ErrorsRate/total, 1)
 	}
-	if severity > 1 {
-		severity = 1
+	return retryAfterMin + int(severity*(retryAfterMax-retryAfterMin)+0.5)
+}
+
+// name labels the row for pbx_admission_total{policy} and the wide call
+// event: "quality-floor" when the floor is set, else the pool check
+// ("channel-cap" or "occupancy") and the CPU check ("cpu-threshold")
+// joined by "+", the pool left out when it admits everything.
+func (a Admission) name(maxChannels int) string {
+	if a.MOSFloor > 0 {
+		return "quality-floor"
 	}
-	return min + int(severity*float64(max-min)+0.5)
+	pool := "channel-cap"
+	if a.ShedAt > 0 {
+		pool = "occupancy"
+	}
+	switch {
+	case a.CPUPercent <= 0:
+		return pool
+	case maxChannels <= 0 && a.ShedAt <= 0:
+		return "cpu-threshold"
+	}
+	return pool + "+cpu-threshold"
 }

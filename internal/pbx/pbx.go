@@ -22,6 +22,7 @@ package pbx
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,22 +51,11 @@ type Config struct {
 	// MaxChannels caps concurrent calls; 0 means unlimited. The
 	// paper's host measured ≈165.
 	MaxChannels int
-	// CPUAdmission, when true, adds admission control on projected CPU
-	// utilization (the ablation of DESIGN.md): an INVITE is rejected
-	// when utilization would exceed CPUThreshold. With MaxChannels
-	// zero it replaces the channel cap; with both set the call must
-	// clear both bounds.
-	CPUAdmission bool
-	// CPUThreshold is the admission limit for CPUAdmission mode.
-	CPUThreshold float64
 	// CPU is the host load model; the zero value selects DefaultModel.
 	CPU cpu.Model
-	// Admission selects the overload-control policy explicitly. When
-	// nil, the legacy fields above choose one: CPUAdmission maps to
-	// CPUThresholdPolicy (wrapped with ChannelCapPolicy in an
-	// AllOfPolicy when MaxChannels is also set), otherwise MaxChannels
-	// maps to ChannelCapPolicy.
-	Admission AdmissionPolicy
+	// Admission is the INVITE admission row, measured against
+	// MaxChannels (see overload.go). The zero value is the hard cap.
+	Admission Admission
 	// RelayRTP enables per-packet media relay through dedicated relay
 	// ports (packetized mode). When false the PBX only handles
 	// signalling and the flow-level media model supplies call quality.
@@ -94,16 +84,12 @@ type Config struct {
 	// that bridges any two codecs in the registry at a per-call CPU
 	// surcharge.
 	Codecs []int
-	// QualityFloorMOS, when > 0, wraps the admission policy in a
-	// QualityFloorPolicy: INVITEs whose predicted E-model MOS falls
-	// below the floor are shed even when capacity remains.
-	QualityFloorMOS float64
-	// Degradation, when Enabled, runs the graceful-degradation ladder
+	// Degradation, when non-nil, runs the graceful-degradation ladder
 	// (see degrade.go): the per-second sampler feeds a hysteresis state
 	// machine whose rungs re-order new calls' codec preference, refuse
 	// transcoded bridges, advertise an upstream backoff window, and
-	// finally block. Disabled, the server behaves exactly as before.
-	Degradation DegradationConfig
+	// finally block. Nil, the server behaves exactly as before.
+	Degradation *DegradationConfig
 	// ScoreCodec selects the E-model codec profile for CDR MOS values.
 	// Default is mos.G711PLC, matching VoIPmonitor's concealment-aware
 	// G.711 scoring.
@@ -121,9 +107,6 @@ type Config struct {
 	// durable disk: it is owned by the caller and survives Server
 	// instances across a crash/restart cycle.
 	Journal *CDRJournal
-	// DrainRetryAfter is the Retry-After hint (seconds) on the 503s a
-	// draining server sends to new INVITEs; 0 selects 10.
-	DrainRetryAfter int
 	// Registrar tunes the REGISTER plane (admission lane, nonce cache,
 	// event-driven binding expiry, registrar telemetry). The zero value
 	// keeps the pre-registrar behavior: REGISTERs are never shed and
@@ -243,7 +226,7 @@ type Server struct {
 	vmNotified    map[string]bool
 	vmSessions    map[string]*vmSession
 	channels      int
-	admission     AdmissionPolicy
+	admissionName string  // Config.Admission's label, for metrics and call events
 	codecs        []int   // supported payload types (Config.Codecs or {0,8})
 	transcodeLoad float64 // CPU percent charged by active transcoding bridges
 	nextPort      int
@@ -263,10 +246,10 @@ type Server struct {
 	registersWindow uint64
 	attemptsEWMA    float64
 	errorsEWMA      float64
-	channelsEWMA    float64 // dampened occupancy for OccupancyPolicy
+	channelsEWMA    float64 // dampened occupancy for Admission.ShedAt
 	sampler         transport.Timer
 
-	// Degradation ladder (nil while Config.Degradation is disabled)
+	// Degradation ladder (nil while Config.Degradation is nil)
 	// plus the per-tick sensor deltas its signals are derived from.
 	degrade      *DegradationController
 	lastRelayed  uint64  // counters.RelayedPackets at the previous tick
@@ -286,6 +269,10 @@ type Server struct {
 	// rejectedPkts is Counters.RejectedPackets, kept off mu: it is the
 	// one counter a stranger can drive.
 	rejectedPkts atomic.Uint64
+	// dropP is the relay's overload drop probability (float64 bits),
+	// published by the sampler tick: the relay reads it without mu and
+	// takes mu only to draw against a non-zero probability.
+	dropP atomic.Uint64
 
 	tm *pbxMetrics // nil when Config.Telemetry is nil
 }
@@ -301,9 +288,6 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	}
 	if cfg.CPU == (cpu.Model{}) {
 		cfg.CPU = cpu.DefaultModel()
-	}
-	if cfg.CPUThreshold == 0 {
-		cfg.CPUThreshold = 50
 	}
 	if cfg.ScoreCodec.Name == "" {
 		cfg.ScoreCodec = mos.G711PLC
@@ -328,27 +312,9 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	if len(s.codecs) == 0 {
 		s.codecs = codec.DefaultPreference()
 	}
-	s.admission = cfg.Admission
-	if s.admission == nil {
-		if cfg.CPUAdmission {
-			s.admission = CPUThresholdPolicy{Threshold: cfg.CPUThreshold}
-			if cfg.MaxChannels > 0 {
-				// Both bounds configured: the call must clear the hard
-				// channel plateau and the CPU budget.
-				s.admission = AllOfPolicy{Policies: []AdmissionPolicy{
-					ChannelCapPolicy{Max: cfg.MaxChannels},
-					s.admission,
-				}}
-			}
-		} else {
-			s.admission = ChannelCapPolicy{Max: cfg.MaxChannels}
-		}
-	}
-	if cfg.QualityFloorMOS > 0 {
-		s.admission = QualityFloorPolicy{Floor: cfg.QualityFloorMOS, Base: s.admission, RetryAfter: 4}
-	}
-	if cfg.Degradation.Enabled {
-		s.degrade = NewDegradationController(cfg.Degradation)
+	s.admissionName = cfg.Admission.name(cfg.MaxChannels)
+	if cfg.Degradation != nil {
+		s.degrade = NewDegradationController(*cfg.Degradation)
 	}
 	// The nonce cache backs the strict registrar auth flow whether or
 	// not the registrar plane is tuned: a REGISTER must answer a nonce
@@ -361,7 +327,7 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 		dir.StartExpiry(ep.Clock())
 	}
 	if cfg.Telemetry != nil {
-		s.tm = newPBXMetrics(cfg.Telemetry, s.admission.Name())
+		s.tm = newPBXMetrics(cfg.Telemetry, s.admissionName)
 		if s.degrade != nil {
 			s.tm.registerDegradation(cfg.Telemetry)
 		}
@@ -448,14 +414,6 @@ func (s *Server) maybeFinishDrain() {
 	}
 }
 
-// drainRetryAfterLocked is the Retry-After hint for drain 503s.
-func (s *Server) drainRetryAfterLocked() int {
-	if s.cfg.DrainRetryAfter > 0 {
-		return s.cfg.DrainRetryAfter
-	}
-	return 10
-}
-
 // Crash simulates the process dying mid-flight: in-flight bridges and
 // voicemail deposits are dropped without CDRs or farewell signalling,
 // relay ports go dark, every trace span ends as "lost", and the SIP
@@ -527,6 +485,7 @@ func (s *Server) scheduleSample() {
 		s.errorsEWMA = (1-alpha)*s.errorsEWMA + alpha*float64(s.errorsWindow)
 		s.channelsEWMA = (1-alpha)*s.channelsEWMA + alpha*float64(s.channels)
 		u := s.meter.SampleWith(s.channels, s.attemptsEWMA, s.errorsEWMA, s.transcodeLoad)
+		s.dropP.Store(math.Float64bits(s.meter.DropProbability()))
 		s.cpuSamples = append(s.cpuSamples, cpuSample{util: u, channels: s.channels})
 		s.attemptsWindow = 0
 		s.errorsWindow = 0
@@ -668,8 +627,8 @@ func (s *Server) TranscodeLoad() float64 {
 	return s.transcodeLoad
 }
 
-// AdmissionPolicyName names the active overload-control policy.
-func (s *Server) AdmissionPolicyName() string { return s.admission.Name() }
+// AdmissionName names the server's admission row (see Admission).
+func (s *Server) AdmissionName() string { return s.admissionName }
 
 // SignalingStats returns the SIP endpoint's wire counters, including
 // the transaction layer's retransmission and timeout totals.
@@ -726,7 +685,6 @@ func (s *Server) handleRequest(tx *sip.ServerTx, req *sip.Message, src string) {
 		// established calls finish.
 		s.mu.Lock()
 		draining := s.draining
-		ra := s.drainRetryAfterLocked()
 		window := s.overloadWindowLocked()
 		if window > 0 {
 			s.counters.ThrottleSignals++
@@ -734,7 +692,7 @@ func (s *Server) handleRequest(tx *sip.ServerTx, req *sip.Message, src string) {
 		s.mu.Unlock()
 		if draining {
 			resp := req.Response(sip.StatusServiceUnavailable)
-			resp.RetryAfter = ra
+			resp.RetryAfter = drainRetryAfter
 			tx.Respond(resp)
 			return
 		}

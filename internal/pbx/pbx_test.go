@@ -349,11 +349,11 @@ func TestInviteAuthentication(t *testing.T) {
 	}
 }
 
-func TestCPUAdmissionMode(t *testing.T) {
+func TestCPUPercentAdmission(t *testing.T) {
 	// A tiny CPU budget admits only a handful of calls.
 	r := newRig(t, 20, Config{
-		CPUAdmission: true,
-		CPUThreshold: 15, // base 7% + ~0.2/call + 5%/attempt: admits ~1/burst
+		// base 7% + ~0.2/call + 5%/attempt: admits ~1/burst
+		Admission: Admission{CPUPercent: 15},
 	})
 	for i := 0; i < 10; i++ {
 		r.phones[i].Invite(fmt.Sprintf("u%d", i+10))

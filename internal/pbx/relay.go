@@ -2,6 +2,7 @@ package pbx
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"strconv"
@@ -337,14 +338,19 @@ func (r *relay) forward(src string, data []byte, obs *media.QoSMeter, out func(s
 	out(dst, wire)
 }
 
-// overloadDrop samples the CPU model's drop decision under the server
-// lock (meter and RNG are shared across relays).
+// overloadDrop samples the CPU model's drop decision. The probability
+// is the sampler's last publication; the server lock is taken only to
+// draw from the RNG the relays share, and only when there is a chance
+// of dropping.
 func (r *relay) overloadDrop() bool {
+	p := math.Float64frombits(r.s.dropP.Load())
+	if p <= 0 {
+		return false
+	}
 	s := r.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.meter.DropProbability()
-	return p > 0 && s.rng.Float64() < p
+	return s.rng.Float64() < p
 }
 
 // stats snapshots the relay counters.

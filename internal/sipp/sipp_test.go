@@ -336,7 +336,8 @@ func TestRetryAfterBackoffRecoversBlockedCalls(t *testing.T) {
 		Seed:     5,
 	}
 	pbxCfg := pbx.Config{
-		Admission: pbx.OccupancyPolicy{Max: 2, Target: 1.0},
+		MaxChannels: 2,
+		Admission:   pbx.Admission{ShedAt: 1},
 	}
 
 	sched, _, gen := testbed(t, pbxCfg, base)
@@ -394,7 +395,8 @@ func TestRetryHonorsServerRetryAfterHint(t *testing.T) {
 		Seed:      9,
 	}
 	sched, server, gen := testbed(t, pbx.Config{
-		Admission: pbx.OccupancyPolicy{Max: 3, Target: 1.0, RetryAfterMin: 2, RetryAfterMax: 2},
+		MaxChannels: 3,
+		Admission:   pbx.Admission{ShedAt: 1},
 	}, cfg)
 	res := runToCompletion(t, sched, gen)
 	if res.Retries == 0 {
