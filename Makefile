@@ -60,7 +60,9 @@ fuzz-smoke:
 # registrar silently drops or leaks is a reachability bug the call
 # path never notices. The PBX's admission row (overload.go) and
 # degradation ladder (degrade.go) carry it file by file: between them
-# they decide which INVITE gets a 503.
+# they decide which INVITE gets a 503. So do the call record (cdr.go)
+# and its journal (journal.go): every CSV, WAL, JSON and metric view of
+# a call is read from them.
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null
 	@total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { gsub(/%/,"",$$3); print $$3 }'); \
@@ -83,7 +85,7 @@ cover:
 	echo "cover: internal/directory statements $$dir% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$dir" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }'
 	@$(GO) test -coverprofile=.cover-pbx.out ./internal/pbx/ > /dev/null
-	@fail=0; for f in overload degrade; do \
+	@fail=0; for f in overload degrade cdr journal; do \
 		pct=$$(awk -v f="internal/pbx/$$f.go:" 'index($$1, f) { stmts[$$1]=$$2; if ($$3 > 0) cov[$$1]=1 } \
 			END { for (k in stmts) { t += stmts[k]; if (k in cov) c += stmts[k] } printf "%.1f", 100*c/t }' .cover-pbx.out); \
 		echo "cover: internal/pbx/$$f.go statements $$pct% (floor $(COVER_MIN)%)"; \

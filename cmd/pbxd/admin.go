@@ -17,7 +17,7 @@ import (
 //	/healthz      readiness probe (200 "ok", 503 while draining)
 //	/drain        POST: begin graceful drain (503 new calls, finish old)
 //	/debug/vars   the registry's JSON snapshot (expvar-style)
-//	/debug/calls  wide-event records of recently torn-down calls (JSON)
+//	/debug/calls  records of recently torn-down calls (JSON, CDR.MarshalJSON)
 //	/debug/flight the tracer's flight-recorder ring (JSON, oldest first)
 //	/debug/pprof  the standard Go profiling handlers
 //
@@ -26,7 +26,7 @@ import (
 // elsewhere cannot widen the surface. Returns the bound address
 // (useful with ":0").
 func startAdmin(addr string, reg *telemetry.Registry, healthy func() bool, drain func(),
-	calls func() []pbx.CallEvent, flight func() []telemetry.SpanEvent) (string, error) {
+	calls func() []pbx.CDR, flight func() []telemetry.SpanEvent) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -63,7 +63,7 @@ func startAdmin(addr string, reg *telemetry.Registry, healthy func() bool, drain
 		w.Write(out)
 	})
 	mux.HandleFunc("/debug/calls", func(w http.ResponseWriter, r *http.Request) {
-		ev := []pbx.CallEvent{}
+		ev := []pbx.CDR{}
 		if calls != nil {
 			if v := calls(); v != nil {
 				ev = v

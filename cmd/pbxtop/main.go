@@ -1,6 +1,6 @@
 // Command pbxtop is a live terminal dashboard for a running pbxd: it
 // polls the admin plane's /metrics (Prometheus text, parsed with the
-// repo's own parser) and /debug/calls (wide call events) once per
+// repo's own parser) and /debug/calls (call records) once per
 // interval and redraws a one-screen summary — call rates, blocking,
 // per-codec load, the measured-MOS distribution, SLO breach state,
 // transport batch efficiency and the most recent call records.
@@ -26,11 +26,23 @@ import (
 	"repro/internal/telemetry"
 )
 
+// call is the part of a /debug/calls record the dashboard shows.
+type call struct {
+	CallID      string  `json:"call_id"`
+	Caller      string  `json:"caller"`
+	Callee      string  `json:"callee"`
+	CodecA      string  `json:"codec_a"`
+	CodecB      string  `json:"codec_b"`
+	DurationS   float64 `json:"duration_s"`
+	MeasuredMOS float64 `json:"mos_measured"`
+	Disposition string  `json:"disposition"`
+}
+
 // scrape is one polled view of the server.
 type scrape struct {
 	at    time.Time
 	ix    telemetry.PromIndex
-	calls []pbx.CallEvent
+	calls []call
 	err   error
 }
 

@@ -136,9 +136,9 @@ func main() {
 		fmt.Printf("bob media:   sent %d pkts, received %d, loss %.2f%%, jitter %v, MOS %.2f\n",
 			r.Sent, r.Stream.Received, r.EffectiveLoss*100, r.Stream.Jitter.Round(time.Microsecond), r.MOS)
 	}
-	for _, ev := range server.RecentCalls() {
+	for _, cdr := range server.RecentCalls() {
 		fmt.Printf("PBX call record: %s → %s, %.3f s, %s, relay MOS %.2f\n",
-			ev.Caller, ev.Callee, ev.DurationS, ev.Disposition, ev.MOS)
+			cdr.Caller, cdr.Callee, cdr.Duration.Seconds(), cdr.Disposition, cdr.MOS)
 	}
 	c := server.CountersSnapshot()
 	fmt.Printf("PBX relayed %d RTP packets\n", c.RelayedPackets)

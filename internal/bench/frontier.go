@@ -84,7 +84,7 @@ func frontierRow(strategy string, res *chaos.Result) StrategyFrontierRow {
 		CPUMean:     res.CPUMean,
 	}
 	for _, cdr := range res.Committed {
-		if !cdr.Established {
+		if cdr.AnsweredAt == 0 {
 			continue
 		}
 		mos := cdr.MeasuredMOS

@@ -193,7 +193,9 @@ func Run(sc Scenario) (*Result, error) {
 		})
 	}
 
+	var series []monitor.Sample
 	sampler := monitor.NewSampler(r.Reg, r.Clock(PBXHost))
+	sampler.SetObserver(func(s monitor.Sample) { series = append(series, s) })
 	sampler.Start()
 
 	load, err := r.RunLoad(gen, func() { r.Decide(ClientHost, sampler.StopAt) })
@@ -215,7 +217,7 @@ func Run(sc Scenario) (*Result, error) {
 		NoRoute:     net.NoRoute(),
 		Degradation: server.DegradationTimeline(),
 		Telemetry:   r.Reg.Snapshot(),
-		Series:      sampler.Samples(),
+		Series:      series,
 		Links:       map[string]netsim.LinkStats{},
 	}
 	res.PoolGets, res.PoolPuts = net.PoolStats()

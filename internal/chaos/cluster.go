@@ -78,13 +78,10 @@ type ClusterScenario struct {
 
 // BackendReport is one backend's post-run accounting: its books summed
 // across every incarnation a crash/restart cycle produced — the view an
-// external collector keeps even when the process dies — plus the crash
-// ledger.
+// external collector keeps even when the process dies, LOST records of
+// restart or post-mortem recovery included — plus the crash ledger.
 type BackendReport struct {
 	rig.Books
-	// Recovered is just the LOST records closed by restart (or
-	// post-mortem) recovery.
-	Recovered []pbx.CDR
 	// OpenAtCrash is how many calls were in flight at the most recent
 	// crash — each must reappear as exactly one LOST record.
 	OpenAtCrash int
@@ -165,7 +162,9 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 		})
 	}
 
+	var series []monitor.Sample
 	sampler := monitor.NewSampler(r.Reg, clock)
+	sampler.SetObserver(func(s monitor.Sample) { series = append(series, s) })
 	sampler.Start()
 
 	load, err := r.RunLoad(gen, func() { r.Decide(ClientHost, sampler.StopAt) })
@@ -187,18 +186,14 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 	}
 	res.PoolGets, res.PoolPuts = net.PoolStats()
 	for i := 0; i < sc.Servers; i++ {
-		recovered := cl.Recovered(i)
 		if cl.Crashed(i) {
 			// The scenario ended with the backend still dead: run the
 			// post-mortem recovery pass so its interrupted calls are
 			// accounted for, exactly as a restart would have.
-			lost := cl.Journal(i).Recover(clock.Now())
-			cl.Backends()[i].RecordRecovered(lost)
-			recovered = append(recovered, lost...)
+			cl.Backends()[i].RecoverJournal(clock.Now())
 		}
 		res.Backends = append(res.Backends, BackendReport{
 			Books:       rig.Audit(fmt.Sprintf("pbx%d", i+1), cl.Incarnations(i)...),
-			Recovered:   recovered,
 			OpenAtCrash: cl.OpenAtCrash(i),
 			Crashes:     len(cl.Incarnations(i)) - 1,
 		})
@@ -208,26 +203,19 @@ func RunCluster(sc ClusterScenario) (*ClusterResult, error) {
 	res.Events = cl.Events()
 	cl.Close()
 	res.Telemetry = r.Reg.Snapshot()
-	res.Series = sampler.Samples()
+	res.Series = series
 	return res, nil
 }
 
 // CheckInvariants returns the violated invariants (empty = healthy):
-// rig.Invariants over every backend's books, and crash-consistent
-// accounting on top — the calls a journal closed as LOST are exactly
-// the ones recovery handed back.
+// rig.Invariants over every backend's books, which holds the LOST
+// records among them to the journal's count.
 func (r *ClusterResult) CheckInvariants() []string {
 	books := make([]rig.Books, len(r.Backends))
 	for i, b := range r.Backends {
 		books[i] = b.Books
 	}
-	bad := rig.Invariants(r.PoolGets, r.PoolPuts, r.Load, books...)
-	for _, b := range r.Backends {
-		if uint64(len(b.Recovered)) != b.Journal.Lost {
-			bad = append(bad, fmt.Sprintf("%s: %d recovered records vs journal lost=%d", b.Host, len(b.Recovered), b.Journal.Lost))
-		}
-	}
-	return bad
+	return rig.Invariants(r.PoolGets, r.PoolPuts, r.Load, books...)
 }
 
 // TimelineSummary renders the failure/recovery timeline and the

@@ -142,7 +142,6 @@ type node struct {
 	probeTx       *sip.ClientTx
 
 	openAtCrash int // journal entries open at the last crash
-	recovered   []pbx.CDR
 	crashes     int
 	restarts    int
 }
@@ -286,13 +285,6 @@ func (c *Cluster) Journal(i int) *pbx.CDRJournal {
 	return c.nodes[i].journal
 }
 
-// Recovered returns the LOST CDRs restarts of backend i recovered.
-func (c *Cluster) Recovered(i int) []pbx.CDR {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]pbx.CDR(nil), c.nodes[i].recovered...)
-}
-
 // OpenAtCrash returns the journal entries that were open (in-flight
 // calls) at backend i's most recent crash.
 func (c *Cluster) OpenAtCrash(i int) int {
@@ -417,7 +409,7 @@ func (c *Cluster) CrashBackend(i int) {
 	c.eventLocked(i, "crash")
 	c.mu.Unlock()
 	srv.Crash()
-	open := n.journal.Open()
+	open := n.journal.Stats().Open
 	c.mu.Lock()
 	n.openAtCrash = open
 	c.mu.Unlock()
@@ -438,8 +430,7 @@ func (c *Cluster) RestartBackend(i int) []pbx.CDR {
 	c.mu.Unlock()
 
 	srv := c.buildServer(n)
-	recovered := n.journal.Recover(c.clock.Now())
-	srv.RecordRecovered(recovered)
+	recovered := srv.RecoverJournal(c.clock.Now())
 
 	c.mu.Lock()
 	n.past = append(n.past, old)
@@ -447,7 +438,6 @@ func (c *Cluster) RestartBackend(i int) []pbx.CDR {
 	c.backends[i] = srv
 	n.crashed = false
 	n.restarts++
-	n.recovered = append(n.recovered, recovered...)
 	c.eventLocked(i, "restart")
 	c.mu.Unlock()
 	return recovered

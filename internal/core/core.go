@@ -223,6 +223,7 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 	results := make([]*sipp.Results, nIslands)
 	var sampler *monitor.Sampler
 	var slo *monitor.SLO
+	var series []monitor.Sample
 	for i := 0; i < nIslands; i++ {
 		i := i
 		pbxHost, callerHost, calleeHost := islandHosts(i)
@@ -275,7 +276,10 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 				rules = *cfg.SLO
 			}
 			slo = monitor.NewSLO(reg, rules)
-			sampler.SetObserver(slo.Observe)
+			sampler.SetObserver(func(s monitor.Sample) {
+				series = append(series, s)
+				slo.Observe(s)
+			})
 			sampler.Start()
 		}
 
@@ -324,7 +328,7 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 	res.CPULo, res.CPUMean, res.CPUHi = server0.CPUBand()
 	res.MOS = collectMOS(res)
 	res.Telemetry = r.Reg.Snapshot()
-	res.Series = sampler.Samples()
+	res.Series = series
 	res.SLOBreaches = slo.Breaches()
 	return res
 }
@@ -338,7 +342,7 @@ func collectMOS(res ExperimentResult) stats.Summary {
 	var s stats.Summary
 	if cfg.Media == sipp.MediaPacketized {
 		for _, cdr := range res.CDRs {
-			if cdr.Completed && cdr.MOS > 0 {
+			if cdr.Disposition == pbx.Answered && cdr.MOS > 0 {
 				s.Add(cdr.MOS)
 			}
 		}

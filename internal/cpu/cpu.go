@@ -139,6 +139,3 @@ func (mt *Meter) Band() (lo, mean, hi float64) {
 	}
 	return lo, mean, hi
 }
-
-// Samples returns the number of samples recorded.
-func (mt *Meter) Samples() int { return mt.samples.N() }

@@ -102,8 +102,8 @@ func TestMeterBand(t *testing.T) {
 	if !(lo < mean && mean < hi) {
 		t.Errorf("band [%v, %v, %v] not ordered", lo, mean, hi)
 	}
-	if mt.Samples() != 11 {
-		t.Errorf("samples = %d", mt.Samples())
+	if mt.samples.N() != 11 {
+		t.Errorf("samples = %d", mt.samples.N())
 	}
 }
 

@@ -36,11 +36,11 @@ type Sample struct {
 	MeasuredP50 float64 `json:"mos_p50"`
 }
 
-// Sampler polls a telemetry registry once per clock second and
-// accumulates the per-second series. It pre-resolves every handle at
-// construction — each tick is then a handful of atomic loads plus one
-// Sample append, cheap enough that the engine's allocs/op budget is
-// unaffected (a full Registry.Snapshot per tick would not be).
+// Sampler polls a telemetry registry once per clock second and hands
+// each Sample to its observer, keeping no series of its own. It
+// pre-resolves every handle at construction — each tick is then a
+// handful of atomic loads, cheap enough that the engine's allocs/op
+// budget is unaffected (a full Registry.Snapshot per tick would not be).
 //
 // The clock is the single time source shared with the PBX tracer and
 // the wire Timeline, so simulated and real-UDP runs yield comparable
@@ -73,7 +73,7 @@ type Sampler struct {
 	prevRetrans, prevRTP, prevDrops        float64
 
 	// observer, when set, sees every finished Sample in tick order —
-	// the hook the SLO evaluator rides on.
+	// the hook the SLO evaluator and the runs' series ride on.
 	observer func(Sample)
 
 	// mu orders a tick against Stop: on the wall clock the tick runs on
@@ -82,7 +82,6 @@ type Sampler struct {
 	mu      sync.Mutex
 	start   time.Duration
 	lastT   time.Duration
-	samples []Sample
 	stopped bool
 }
 
@@ -129,14 +128,14 @@ func NewSampler(reg *telemetry.Registry, clock transport.Clock) *Sampler {
 	return sp
 }
 
-// SetObserver installs a per-sample hook (e.g. the SLO evaluator),
-// invoked synchronously after each tick's Sample is complete. Must be
-// set before Start.
+// SetObserver installs the per-sample hook (the SLO evaluator, a run
+// collecting its series), invoked synchronously after each tick's
+// Sample is complete. Must be set before Start.
 func (sp *Sampler) SetObserver(fn func(Sample)) { sp.observer = fn }
 
 // Start begins per-second sampling at the next whole second. The tick
-// reuses one rearmed timer, so steady-state sampling allocates only
-// the appended Sample rows.
+// reuses one rearmed timer, so steady-state sampling allocates nothing
+// of its own.
 func (sp *Sampler) Start() {
 	sp.start = sp.clock.Now()
 	sp.lastT = sp.start
@@ -154,7 +153,7 @@ func (sp *Sampler) tick() {
 	sp.timer.Schedule(time.Second)
 }
 
-// observe appends one sample at virtual time now.
+// observe takes one sample at virtual time now.
 func (sp *Sampler) observe(now time.Duration) {
 	s := Sample{
 		T:      (now - sp.start).Seconds(),
@@ -202,7 +201,6 @@ func (sp *Sampler) observe(now time.Duration) {
 		sp.mPrevCount = count
 	}
 
-	sp.samples = append(sp.samples, s)
 	sp.lastT = now
 	if sp.observer != nil {
 		sp.observer(s)
@@ -232,9 +230,6 @@ func (sp *Sampler) StopAt(now time.Duration) {
 		sp.observe(now)
 	}
 }
-
-// Samples returns the collected series.
-func (sp *Sampler) Samples() []Sample { return sp.samples }
 
 // SchedStatser is anything exposing scheduler counters: a single
 // netsim.Scheduler or a netsim.ShardGroup summing across shards.

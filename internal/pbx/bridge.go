@@ -17,8 +17,11 @@ import (
 type bridge struct {
 	s *Server
 
+	// cdr is the call's record, filled as the call happens (see CDR);
+	// its CallID is the A leg's.
+	cdr CDR
+
 	// A leg (caller side).
-	aCallID   string
 	aTx       *sip.ServerTx
 	aInvite   *sip.Message
 	aLocalTag string // the PBX's To tag on the A leg
@@ -31,7 +34,6 @@ type bridge struct {
 	bRemoteTag string
 	bRemote    string // callee's signalling address
 	bSeq       uint32
-	bSDP       *sdp.Session
 	bTx        *sip.ClientTx // the outbound INVITE, for CANCEL
 
 	relay *relay
@@ -40,19 +42,10 @@ type bridge struct {
 	aOfferPTs     []int // caller's offered payload types
 	codecBr       codec.Bridge
 	transcodeCost float64   // CPU percent charged while this bridge transcodes
-	scoreProfile  mos.Codec // E-model profile for this call's CDR (zero = config default)
+	scoreProfile  mos.Codec // E-model profile for this call's CDR
 
-	state         bridgeState
-	canceled      bool
-	establishedAt time.Duration
-	ringingAt     time.Duration // first provisional >100 from the callee
-	startedAt     time.Duration
-	callee        string
-	caller        string
-
-	// predictedMOS is the E-model MOS admission predicted for the call,
-	// compared against the measured score in the teardown call event.
-	predictedMOS float64
+	state    bridgeState
+	canceled bool
 
 	// degradeStage is the ladder rung active when the call was
 	// admitted. Frozen here on purpose: codec actuators read this
@@ -169,19 +162,31 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 // registered contact or a trunk gateway). Admission must already have
 // been charged.
 func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calleeContact string, offer *sdp.Session, predicted float64, stage DegradationStage) {
+	// The record outlives the call, so its names must not keep the parsed
+	// INVITE's text alive: one copy holds all three.
+	ids := req.CallID + req.From.URI.User + callee
+	nCallID, nCaller := len(req.CallID), len(req.CallID)+len(req.From.URI.User)
 	br := &bridge{
-		s:         s,
-		aCallID:   req.CallID,
+		s: s,
+		cdr: CDR{
+			CallID:       ids[:nCallID],
+			Caller:       ids[nCallID:nCaller],
+			Callee:       ids[nCaller:],
+			StartedAt:    s.ep.Clock().Now(),
+			PredictedMOS: predicted,
+			Admission:    s.admissionName,
+			Backend:      s.cfg.Instance,
+		},
 		aTx:       tx,
 		aInvite:   req,
 		aLocalTag: s.ep.NewTag(),
 		aRemote:   src,
-		caller:    req.From.URI.User,
-		callee:    callee,
-		startedAt: s.ep.Clock().Now(),
 
-		predictedMOS: predicted,
+		scoreProfile: s.cfg.ScoreCodec,
 		degradeStage: stage,
+	}
+	if s.degrade != nil {
+		br.cdr.Degradation = stage.String()
 	}
 	br.aOfferPTs = offer.PayloadTypes
 	if req.Contact != nil {
@@ -264,11 +269,11 @@ func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calle
 	bInvite.Body = bOffer.Marshal()
 
 	s.mu.Lock()
-	s.bridges[br.aCallID] = br
+	s.bridges[br.cdr.CallID] = br
 	s.bridges[br.bCallID] = br
 	s.mu.Unlock()
 	if j := s.cfg.Journal; j != nil {
-		j.Begin(br.aCallID, br.caller, br.callee, br.startedAt)
+		j.Begin(br.cdr.CallID, br.cdr.Caller, br.cdr.Callee, br.cdr.StartedAt)
 	}
 
 	br.bTx = s.ep.SendRequest(calleeContact, bInvite, func(resp *sip.Message) {
@@ -488,10 +493,10 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 		fwd.ReasonStr = resp.ReasonStr
 		fwd.To.Tag = br.aLocalTag
 		br.aTx.Respond(fwd)
-		if br.ringingAt == 0 {
-			br.ringingAt = s.ep.Clock().Now()
+		if br.cdr.RingingAt == 0 {
+			br.cdr.RingingAt = s.ep.Clock().Now()
 		}
-		s.traceMark(br.aCallID, telemetry.StageRinging)
+		s.traceMark(br.cdr.CallID, telemetry.StageRinging)
 	case resp.StatusCode == sip.StatusOK:
 		br.bRemoteTag = resp.To.Tag
 		if resp.Contact != nil {
@@ -502,7 +507,6 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 			s.terminateBridge(br, true)
 			return
 		}
-		br.bSDP = answer
 		// Rung 2 backstop: the degraded B-leg offer already excluded the
 		// transcode fallbacks, so a transcoding answer should be
 		// impossible — but a callee answering off-offer must not light
@@ -527,9 +531,9 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 			br.relay.setCalleeMedia(answer.Host, answer.Port)
 		}
 		// ACK the B leg.
-		ack := sip.NewRequest(sip.ACK, sip.NewURI(br.callee, hostOf(br.bRemote), portOf(br.bRemote)),
+		ack := sip.NewRequest(sip.ACK, sip.NewURI(br.cdr.Callee, hostOf(br.bRemote), portOf(br.bRemote)),
 			sip.NameAddr{URI: br.aInvite.From.URI, Tag: br.bLocalTag},
-			sip.NameAddr{URI: sip.NewURI(br.callee, hostOf(br.bRemote), portOf(br.bRemote)), Tag: br.bRemoteTag},
+			sip.NameAddr{URI: sip.NewURI(br.cdr.Callee, hostOf(br.bRemote), portOf(br.bRemote)), Tag: br.bRemoteTag},
 			br.bCallID, br.bSeq)
 		ack.CSeq.Method = sip.ACK
 		s.ep.SendACK(br.bRemote, ack)
@@ -566,7 +570,7 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 			}
 		}
 		br.aTx.Respond(fwd)
-		s.traceMark(br.aCallID, telemetry.StageAnswered)
+		s.traceMark(br.cdr.CallID, telemetry.StageAnswered)
 		// Established is confirmed by the caller's ACK (handleAck).
 	default:
 		// Relay the rejection and release resources.
@@ -611,6 +615,7 @@ func (s *Server) negotiateBridgeCodecs(br *bridge, answer *sdp.Session) bool {
 		return false
 	}
 	br.codecBr = cbr
+	br.cdr.CodecA, br.cdr.CodecB, br.cdr.Transcoded = a.Name, b.Name, cbr.Transcode
 	if cbr.Transcode {
 		br.transcodeCost = codec.TranscodeCostPercent(a, b)
 		br.scoreProfile = mos.Tandem(a.MOS(), b.MOS())
@@ -680,21 +685,21 @@ func (s *Server) handleAck(req *sip.Message) {
 		s.ackVoicemail(req.CallID)
 		return
 	}
-	if br.state != bridgeProceeding || req.CallID != br.aCallID {
+	if br.state != bridgeProceeding || req.CallID != br.cdr.CallID {
 		return
 	}
 	br.state = bridgeEstablished
-	br.establishedAt = s.ep.Clock().Now()
+	br.cdr.AnsweredAt = s.ep.Clock().Now()
 	s.mu.Lock()
 	s.counters.Established++
 	s.mu.Unlock()
 	if j := s.cfg.Journal; j != nil {
-		j.Answer(br.aCallID, br.establishedAt)
+		j.Answer(br.cdr.CallID, br.cdr.AnsweredAt)
 	}
 	if s.tm != nil {
 		s.tm.established.Inc()
 	}
-	s.traceMark(br.aCallID, telemetry.StageAcked)
+	s.traceMark(br.cdr.CallID, telemetry.StageAcked)
 }
 
 // handleBye tears down the bridge from whichever leg hung up first.
@@ -709,8 +714,8 @@ func (s *Server) handleBye(tx *sip.ServerTx, req *sip.Message) {
 		}
 		return
 	}
-	fromA := req.CallID == br.aCallID
-	s.traceMark(br.aCallID, telemetry.StageBye)
+	fromA := req.CallID == br.cdr.CallID
+	s.traceMark(br.cdr.CallID, telemetry.StageBye)
 	s.forwardBye(br, fromA)
 	s.removeBridge(br, true)
 }
@@ -724,19 +729,19 @@ func (s *Server) forwardBye(br *bridge, hungUpA bool) {
 		// BYE toward the callee on the B leg.
 		br.bSeq++
 		bye := sip.NewRequest(sip.BYE,
-			sip.NewURI(br.callee, hostOf(br.bRemote), portOf(br.bRemote)),
+			sip.NewURI(br.cdr.Callee, hostOf(br.bRemote), portOf(br.bRemote)),
 			sip.NameAddr{URI: br.aInvite.From.URI, Tag: br.bLocalTag},
-			sip.NameAddr{URI: sip.NewURI(br.callee, hostOf(br.bRemote), portOf(br.bRemote)), Tag: br.bRemoteTag},
+			sip.NameAddr{URI: sip.NewURI(br.cdr.Callee, hostOf(br.bRemote), portOf(br.bRemote)), Tag: br.bRemoteTag},
 			br.bCallID, br.bSeq)
 		s.ep.SendRequest(br.bRemote, bye, nil)
 	} else {
 		// BYE toward the caller on the A leg (PBX is UAS there, so the
 		// dialog's From is the caller; our in-dialog request flips it).
 		bye := sip.NewRequest(sip.BYE,
-			sip.NewURI(br.caller, hostOf(br.aRemote), portOf(br.aRemote)),
+			sip.NewURI(br.cdr.Caller, hostOf(br.aRemote), portOf(br.aRemote)),
 			sip.NameAddr{URI: br.aInvite.To.URI, Tag: br.aLocalTag},
 			sip.NameAddr{URI: br.aInvite.From.URI, Tag: br.aInvite.From.Tag},
-			br.aCallID, 1)
+			br.cdr.CallID, 1)
 		s.ep.SendRequest(br.aRemote, bye, nil)
 	}
 }
@@ -751,12 +756,14 @@ func (s *Server) terminateBridge(br *bridge, failed bool) {
 	s.removeBridge(br, false)
 }
 
-// removeBridge releases the channel, closes the relay and writes a CDR.
+// removeBridge releases the channel and the relay, closes the call's
+// record and hands that one value to every sink: the metrics, the
+// ladder's MOS sensor, the recent-calls ring and call log, the journal
+// and the tracer.
 func (s *Server) removeBridge(br *bridge, completed bool) {
 	if br.state == bridgeTerminated {
 		return
 	}
-	wasEstablished := br.state == bridgeEstablished
 	br.state = bridgeTerminated
 
 	var relayFwd, relayDrop, relayTrans uint64
@@ -766,7 +773,7 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 		relayTrans = br.relay.transcodedPkts()
 	}
 	s.mu.Lock()
-	delete(s.bridges, br.aCallID)
+	delete(s.bridges, br.cdr.CallID)
 	delete(s.bridges, br.bCallID)
 	if s.channels > 0 {
 		s.channels--
@@ -789,15 +796,15 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 		releasedLoad = true
 	}
 	load := s.transcodeLoad
-	if completed && wasEstablished {
+	cdr := s.closeCDRLocked(br, completed)
+	if cdr.Disposition == Answered {
 		s.counters.Completed++
 	}
-	cdr := s.buildCDR(br, completed && wasEstablished)
 	s.recordCDRMetricsLocked(cdr)
 	// Feed the ladder's quality sensor: measured (sensor) MOS when the
 	// relay scored the call, the E-model estimate otherwise. Averaged
 	// per sampler tick in evaluateDegradationLocked.
-	if s.degrade != nil && wasEstablished {
+	if s.degrade != nil && cdr.AnsweredAt > 0 {
 		if m := cdr.MeasuredMOS; m > 0 {
 			s.mosTickSum += m
 			s.mosTickCalls++
@@ -807,26 +814,20 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 		}
 	}
 	s.updateChannelGaugesLocked()
-	ev := s.buildCallEventLocked(br, cdr)
 	s.mu.Unlock()
-	s.callEvents.append(ev)
+	s.calls.append(cdr)
 	if releasedLoad && s.tm != nil {
 		s.tm.transcodeLoad.Set(load)
 	}
 	if j := s.cfg.Journal; j != nil {
-		j.End(br.aCallID, cdr, s.ep.Clock().Now())
+		j.End(cdr)
 	}
 	s.maybeFinishDrain()
-	outcome := telemetry.OutcomeRejected
-	switch {
-	case completed && wasEstablished:
-		outcome = telemetry.OutcomeCompleted
-	case br.canceled:
+	outcome := cdr.Disposition.outcome()
+	if br.canceled {
 		outcome = telemetry.OutcomeCanceled
-	case wasEstablished:
-		outcome = telemetry.OutcomeFailed
 	}
-	s.traceEnd(br.aCallID, outcome)
+	s.traceEnd(cdr.CallID, outcome)
 }
 
 func hostOf(addr string) string {

@@ -140,7 +140,7 @@ func TestTrunkCallReachesExchange(t *testing.T) {
 		t.Errorf("counters: %+v", c)
 	}
 	cdr := r.cdrs()[0]
-	if cdr.Callee != "85123456" || !cdr.Completed {
+	if cdr.Callee != "85123456" || cdr.Disposition != Answered {
 		t.Errorf("CDR: %+v", cdr)
 	}
 }

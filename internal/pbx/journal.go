@@ -17,7 +17,7 @@ import (
 // appends a begin record at setup, an answer record at establishment,
 // and an end record (the durable CDR) at teardown. After a crash,
 // Recover scans for begins without a matching end and closes each as a
-// CDR with Lost set and the crash tick as its end time — every
+// LOST record with the crash tick as its end time — every
 // interrupted call is accounted for exactly once, never double-counted
 // and never dropped.
 //
@@ -40,21 +40,14 @@ import (
 // what recovery needs.
 type CDRJournal struct {
 	mu        sync.Mutex
-	open      map[string]*journalEntry
+	open      map[string]*CDR
 	order     []string // begin order, so recovery is deterministic
 	committed []CDR
-	lines     []string
+	wal       []byte // the on-disk text, one line per append
 
 	begins, answers, ends uint64
 	lost                  uint64
 	doubleEnds            uint64
-}
-
-// journalEntry is one in-flight call's WAL state.
-type journalEntry struct {
-	caller, callee string
-	startedAt      time.Duration
-	answeredAt     time.Duration // 0 = never answered
 }
 
 // JournalStats snapshots the journal's record totals.
@@ -67,56 +60,47 @@ type JournalStats struct {
 
 // NewCDRJournal returns an empty journal.
 func NewCDRJournal() *CDRJournal {
-	return &CDRJournal{open: make(map[string]*journalEntry)}
+	return &CDRJournal{open: make(map[string]*CDR)}
 }
 
 // Begin journals a call's admission.
 func (j *CDRJournal) Begin(callID, caller, callee string, at time.Duration) {
 	j.mu.Lock()
 	if _, dup := j.open[callID]; !dup {
-		j.open[callID] = &journalEntry{caller: caller, callee: callee, startedAt: at}
+		j.open[callID] = &CDR{CallID: callID, Caller: caller, Callee: callee, StartedAt: at}
 		j.order = append(j.order, callID)
 	}
 	j.begins++
-	j.lines = append(j.lines, fmt.Sprintf("B %d %s %s %s", at.Nanoseconds(), callID, caller, callee))
+	j.wal = fmt.Appendf(j.wal, "B %d %s %s %s\n", at.Nanoseconds(), callID, caller, callee)
 	j.mu.Unlock()
 }
 
 // Answer journals a call's establishment (the caller's ACK).
 func (j *CDRJournal) Answer(callID string, at time.Duration) {
 	j.mu.Lock()
-	if e, ok := j.open[callID]; ok && e.answeredAt == 0 {
-		e.answeredAt = at
+	if e, ok := j.open[callID]; ok && e.AnsweredAt == 0 {
+		e.AnsweredAt = at
 		j.answers++
-		j.lines = append(j.lines, fmt.Sprintf("A %d %s", at.Nanoseconds(), callID))
+		j.wal = fmt.Appendf(j.wal, "A %d %s\n", at.Nanoseconds(), callID)
 	}
 	j.mu.Unlock()
 }
 
-// End commits a call's CDR, closing its open entry. An End with no
-// matching Begin (possible only through misuse) is counted in
-// DoubleEnds and otherwise ignored, so a record can never be billed
-// twice.
-func (j *CDRJournal) End(callID string, cdr CDR, at time.Duration) {
+// End commits a finished call's record, closing the open entry of its
+// CallID at its EndedAt. An End with no matching Begin (possible only
+// through misuse) is counted in DoubleEnds and otherwise ignored, so a
+// record can never be billed twice.
+func (j *CDRJournal) End(cdr CDR) {
 	j.mu.Lock()
-	if _, ok := j.open[callID]; !ok {
-		j.doubleEnds++
-		j.mu.Unlock()
-		return
-	}
-	delete(j.open, callID)
-	j.ends++
-	j.committed = append(j.committed, cdr)
-	j.lines = append(j.lines, fmt.Sprintf("E %d %s %s %d",
-		at.Nanoseconds(), callID, dispositionToken(cdr), cdr.Duration.Nanoseconds()))
+	j.closeLocked(cdr)
 	j.mu.Unlock()
 }
 
-// Recover closes every open entry as a LOST CDR stamped with the
+// Recover closes every open entry as a LOST record stamped with the
 // crash tick: answered calls get their partial duration, unanswered
-// ones a zero-duration NO ANSWER-style record with Lost set. It
-// returns the recovered records in begin order; they are also appended
-// to Committed. Running Recover on a clean journal is a no-op.
+// ones a zero duration. It returns the recovered records in begin
+// order; they are also appended to Committed. Running Recover on a
+// clean journal is a no-op.
 func (j *CDRJournal) Recover(crashAt time.Duration) []CDR {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -126,26 +110,53 @@ func (j *CDRJournal) Recover(crashAt time.Duration) []CDR {
 		if !ok {
 			continue
 		}
-		delete(j.open, callID)
-		cdr := CDR{
-			Caller:      e.caller,
-			Callee:      e.callee,
-			StartedAt:   e.startedAt,
-			Established: e.answeredAt > 0,
-			Lost:        true,
+		rec := *e
+		rec.Disposition, rec.EndedAt = Lost, crashAt
+		if rec.AnsweredAt > 0 {
+			rec.Duration = crashAt - rec.AnsweredAt
 		}
-		if e.answeredAt > 0 {
-			cdr.Duration = crashAt - e.answeredAt
-		}
-		j.ends++
-		j.lost++
-		j.committed = append(j.committed, cdr)
-		j.lines = append(j.lines, fmt.Sprintf("L %d %s %s %d",
-			crashAt.Nanoseconds(), callID, dispositionToken(cdr), cdr.Duration.Nanoseconds()))
-		recovered = append(recovered, cdr)
+		j.closeLocked(rec)
+		recovered = append(recovered, rec)
 	}
 	j.order = j.order[:0]
 	return recovered
+}
+
+// closeLocked commits rec as the end of its CallID's open entry and
+// appends the end line: L for a LOST record, E otherwise. With no open
+// entry it only counts a double end. Callers hold j.mu.
+func (j *CDRJournal) closeLocked(rec CDR) {
+	if _, ok := j.open[rec.CallID]; !ok {
+		j.doubleEnds++
+		return
+	}
+	delete(j.open, rec.CallID)
+	j.ends++
+	kind := "E"
+	if rec.Disposition == Lost {
+		j.lost++
+		kind = "L"
+	}
+	j.committed = append(j.committed, rec)
+	j.wal = fmt.Appendf(j.wal, "%s %d %s %s %d\n", kind,
+		rec.EndedAt.Nanoseconds(), rec.CallID, rec.Disposition.token(), rec.Duration.Nanoseconds())
+}
+
+// RecoverJournal closes the attached journal's open records as LOST at
+// the crash tick and counts them in pbx_cdr_total, continuing the
+// crashed incarnation's series (the registry dedups by name and
+// labels). Nil without a journal.
+func (s *Server) RecoverJournal(at time.Duration) []CDR {
+	if s.cfg.Journal == nil {
+		return nil
+	}
+	lost := s.cfg.Journal.Recover(at)
+	s.mu.Lock()
+	for _, c := range lost {
+		s.recordCDRMetricsLocked(c)
+	}
+	s.mu.Unlock()
+	return lost
 }
 
 // Committed returns a copy of every durable CDR: normal ends plus the
@@ -154,14 +165,6 @@ func (j *CDRJournal) Committed() []CDR {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return append([]CDR(nil), j.committed...)
-}
-
-// Open returns the number of begins without a matching end — the
-// in-flight calls a crash right now would interrupt.
-func (j *CDRJournal) Open() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.open)
 }
 
 // Stats snapshots the journal's record totals.
@@ -174,25 +177,13 @@ func (j *CDRJournal) Stats() JournalStats {
 	}
 }
 
-// dispositionToken is the WAL-safe (space-free) disposition.
-func dispositionToken(c CDR) string {
-	return strings.ReplaceAll(c.Disposition(), " ", "-")
-}
-
 // WriteTo emits the journal in its on-disk text format.
 func (j *CDRJournal) WriteTo(w io.Writer) (int64, error) {
 	j.mu.Lock()
-	lines := append([]string(nil), j.lines...)
+	wal := j.wal // append-only: the bytes it holds never change
 	j.mu.Unlock()
-	var n int64
-	for _, ln := range lines {
-		m, err := fmt.Fprintln(w, ln)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	n, err := w.Write(wal)
+	return int64(n), err
 }
 
 // ReadJournal replays a WAL stream into a fresh journal, rebuilding
@@ -227,36 +218,21 @@ func ReadJournal(r io.Reader) (*CDRJournal, error) {
 		case "A":
 			j.Answer(callID, at)
 		case "E", "L":
-			if len(f) != 5 {
+			d, known := Disposition(0), false
+			if len(f) == 5 {
+				d, known = parseDisposition(f[3])
+			}
+			dur, err := strconv.ParseInt(f[len(f)-1], 10, 64)
+			if !known || err != nil {
 				return nil, fmt.Errorf("pbx: malformed end %q", line)
 			}
-			dur, err := strconv.ParseInt(f[4], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("pbx: bad duration in %q: %v", line, err)
-			}
 			j.mu.Lock()
-			e, ok := j.open[callID]
-			if !ok {
-				j.doubleEnds++
-				j.mu.Unlock()
-				continue
+			rec := CDR{CallID: callID}
+			if e, ok := j.open[callID]; ok {
+				rec = *e
 			}
-			delete(j.open, callID)
-			cdr := CDR{
-				Caller:      e.caller,
-				Callee:      e.callee,
-				StartedAt:   e.startedAt,
-				Established: e.answeredAt > 0,
-				Duration:    time.Duration(dur),
-				Completed:   f[3] == "ANSWERED",
-				Lost:        f[0] == "L",
-			}
-			j.ends++
-			if f[0] == "L" {
-				j.lost++
-			}
-			j.committed = append(j.committed, cdr)
-			j.lines = append(j.lines, line)
+			rec.Disposition, rec.EndedAt, rec.Duration = d, at, time.Duration(dur)
+			j.closeLocked(rec)
 			j.mu.Unlock()
 		default:
 			return nil, fmt.Errorf("pbx: unknown journal record %q", line)

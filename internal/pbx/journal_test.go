@@ -1,6 +1,7 @@
 package pbx
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,15 +11,15 @@ func TestJournalNormalLifecycleBalances(t *testing.T) {
 	j := NewCDRJournal()
 	j.Begin("c1", "u0", "u1", 1*time.Second)
 	j.Answer("c1", 2*time.Second)
-	j.End("c1", CDR{Caller: "u0", Callee: "u1", Established: true, Completed: true,
-		Duration: 8 * time.Second}, 10*time.Second)
+	j.End(CDR{CallID: "c1", Caller: "u0", Callee: "u1", AnsweredAt: 2 * time.Second,
+		EndedAt: 10 * time.Second, Duration: 8 * time.Second, Disposition: Answered})
 
 	st := j.Stats()
 	if st.Begins != 1 || st.Answers != 1 || st.Ends != 1 || st.Open != 0 ||
 		st.Lost != 0 || st.DoubleEnds != 0 {
 		t.Fatalf("unbalanced stats after clean lifecycle: %+v", st)
 	}
-	if got := j.Committed(); len(got) != 1 || got[0].Disposition() != "ANSWERED" {
+	if got := j.Committed(); len(got) != 1 || got[0].Disposition != Answered {
 		t.Fatalf("committed = %+v, want one ANSWERED record", got)
 	}
 	// Recover on a clean journal is a no-op.
@@ -35,23 +36,24 @@ func TestJournalRecoverClosesOpenEntriesAsLost(t *testing.T) {
 	j.Begin("ringing", "u2", "u3", 3*time.Second)
 	j.Begin("done", "u4", "u5", 4*time.Second)
 	j.Answer("done", 5*time.Second)
-	j.End("done", CDR{Established: true, Completed: true, Duration: time.Second}, 6*time.Second)
+	j.End(CDR{CallID: "done", AnsweredAt: 5 * time.Second, EndedAt: 6 * time.Second,
+		Duration: time.Second, Disposition: Answered})
 
 	rec := j.Recover(9 * time.Second)
 	if len(rec) != 2 {
 		t.Fatalf("recovered %d records, want 2", len(rec))
 	}
 	// Begin order is preserved: the answered call first.
-	if rec[0].Caller != "u0" || !rec[0].Established || !rec[0].Lost {
+	if rec[0].Caller != "u0" || rec[0].AnsweredAt == 0 || rec[0].Disposition != Lost {
 		t.Errorf("first recovered = %+v, want u0's established LOST record", rec[0])
 	}
 	if rec[0].Duration != 7*time.Second {
 		t.Errorf("answered-at-crash duration = %v, want crash-answer = 7s", rec[0].Duration)
 	}
-	if rec[0].Disposition() != "LOST" {
-		t.Errorf("disposition = %q, want LOST", rec[0].Disposition())
+	if rec[0].EndedAt != 9*time.Second {
+		t.Errorf("LOST record ended at %v, want the crash tick 9s", rec[0].EndedAt)
 	}
-	if rec[1].Caller != "u2" || rec[1].Established || rec[1].Duration != 0 {
+	if rec[1].Caller != "u2" || rec[1].AnsweredAt != 0 || rec[1].Duration != 0 {
 		t.Errorf("second recovered = %+v, want u2's unanswered zero-duration record", rec[1])
 	}
 
@@ -67,9 +69,9 @@ func TestJournalRecoverClosesOpenEntriesAsLost(t *testing.T) {
 func TestJournalDoubleEndNeverBillsTwice(t *testing.T) {
 	j := NewCDRJournal()
 	j.Begin("c1", "u0", "u1", time.Second)
-	j.End("c1", CDR{}, 2*time.Second)
-	j.End("c1", CDR{}, 3*time.Second) // replayed/duplicate end
-	j.End("ghost", CDR{}, 4*time.Second)
+	j.End(CDR{CallID: "c1", EndedAt: 2 * time.Second})
+	j.End(CDR{CallID: "c1", EndedAt: 3 * time.Second}) // replayed/duplicate end
+	j.End(CDR{CallID: "ghost", EndedAt: 4 * time.Second})
 
 	st := j.Stats()
 	if st.Ends != 1 || st.DoubleEnds != 2 {
@@ -88,8 +90,9 @@ func TestJournalWALRoundTrip(t *testing.T) {
 	j := NewCDRJournal()
 	j.Begin("c1", "u0", "u1", 1*time.Second)
 	j.Answer("c1", 2*time.Second)
-	j.End("c1", CDR{Caller: "u0", Callee: "u1", StartedAt: 1 * time.Second,
-		Established: true, Completed: true, Duration: 5 * time.Second}, 7*time.Second)
+	j.End(CDR{CallID: "c1", Caller: "u0", Callee: "u1", StartedAt: 1 * time.Second,
+		AnsweredAt: 2 * time.Second, EndedAt: 7 * time.Second, Duration: 5 * time.Second,
+		Disposition: Answered})
 	j.Begin("c2", "u2", "u3", 3*time.Second)
 	j.Answer("c2", 4*time.Second)
 	j.Recover(8 * time.Second)               // closes c2 as LOST
@@ -115,16 +118,13 @@ func TestJournalWALRoundTrip(t *testing.T) {
 	if len(wc) != len(gc) {
 		t.Fatalf("replayed %d committed records, want %d", len(gc), len(wc))
 	}
-	for i := range wc {
-		if wc[i].Caller != gc[i].Caller || wc[i].Established != gc[i].Established ||
-			wc[i].Completed != gc[i].Completed || wc[i].Lost != gc[i].Lost ||
-			wc[i].Duration != gc[i].Duration {
-			t.Errorf("committed[%d]: replayed %+v != original %+v", i, gc[i], wc[i])
-		}
+	// The WAL holds every field of these records: they replay whole.
+	if !reflect.DeepEqual(wc, gc) {
+		t.Errorf("committed: replayed %+v != original %+v", gc, wc)
 	}
 	// The replayed journal can itself recover the in-flight call.
 	rec := replayed.Recover(12 * time.Second)
-	if len(rec) != 1 || rec[0].Caller != "u4" || !rec[0].Lost {
+	if len(rec) != 1 || rec[0].Caller != "u4" || rec[0].Disposition != Lost {
 		t.Fatalf("replayed journal recovery = %+v, want u4's LOST record", rec)
 	}
 }
@@ -135,6 +135,7 @@ func TestJournalRejectsMalformedWAL(t *testing.T) {
 		"X 100 c1",               // unknown record
 		"B abc c1 u0 u1",         // bad timestamp
 		"E 100 c1 ANSWERED nope", // bad duration
+		"E 100 c1 BUSY 0",        // unknown disposition
 	} {
 		if _, err := ReadJournal(strings.NewReader(bad + "\n")); err == nil {
 			t.Errorf("ReadJournal accepted malformed line %q", bad)

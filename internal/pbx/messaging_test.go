@@ -264,19 +264,3 @@ func TestCDRCSVExport(t *testing.T) {
 		t.Errorf("reparse: %d rows, err=%v", len(rows), err)
 	}
 }
-
-func TestCDRDisposition(t *testing.T) {
-	cases := []struct {
-		cdr  CDR
-		want string
-	}{
-		{CDR{Completed: true, Established: true}, "ANSWERED"},
-		{CDR{Established: true}, "FAILED"},
-		{CDR{}, "NO ANSWER"},
-	}
-	for _, c := range cases {
-		if got := c.cdr.Disposition(); got != c.want {
-			t.Errorf("%+v -> %q, want %q", c.cdr, got, c.want)
-		}
-	}
-}

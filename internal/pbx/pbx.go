@@ -119,10 +119,10 @@ type Config struct {
 	// instrumentation entirely (record sites reduce to one nil check).
 	Telemetry *telemetry.Registry
 	// CallLog, when non-nil, receives one JSON line per bridged call at
-	// teardown — the wide-event record (CallEvent). Independent of the
-	// sink, the last events stay queryable via RecentCalls.
+	// teardown (CDR.MarshalJSON). Independent of the sink, the last
+	// records stay queryable via RecentCalls.
 	CallLog io.Writer
-	// Instance names this server in wide events (the backend/shard
+	// Instance names this server in call records (the backend/shard
 	// field of a cluster deployment). Empty omits the field.
 	Instance string
 }
@@ -226,7 +226,7 @@ type Server struct {
 	vmNotified    map[string]bool
 	vmSessions    map[string]*vmSession
 	channels      int
-	admissionName string  // Config.Admission's label, for metrics and call events
+	admissionName string  // Config.Admission's label, for metrics and call records
 	codecs        []int   // supported payload types (Config.Codecs or {0,8})
 	transcodeLoad float64 // CPU percent charged by active transcoding bridges
 	nextPort      int
@@ -262,9 +262,9 @@ type Server struct {
 	drainStart   time.Duration
 	drainDone    bool
 
-	// callEvents retains the recent wide-event call records and owns
-	// the JSONL sink (its own lock; see callevent.go).
-	callEvents callEventLog
+	// calls retains the recent call records and owns the call log's
+	// JSON-lines sink (its own lock; see cdr.go).
+	calls callLog
 
 	// rejectedPkts is Counters.RejectedPackets, kept off mu: it is the
 	// one counter a stranger can drive.
@@ -335,8 +335,7 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 			s.tm.registerRegistrar(cfg.Telemetry)
 		}
 	}
-	s.callEvents.sink = cfg.CallLog
-	s.callEvents.sinkOK = true
+	s.calls.sink = cfg.CallLog
 	ep.Handle(s.handleRequest)
 	s.scheduleSample()
 	return s
@@ -420,7 +419,7 @@ func (s *Server) maybeFinishDrain() {
 // endpoint's transactions and socket are torn down. Counters and the
 // journal survive — they model what an external observer (and the
 // durable disk) keeps; recovery of the journal's open entries happens
-// when a replacement server calls Journal.Recover.
+// when a replacement server calls RecoverJournal.
 func (s *Server) Crash() {
 	s.mu.Lock()
 	if s.crashed {
@@ -453,7 +452,7 @@ func (s *Server) Crash() {
 		if br.relay != nil {
 			br.relay.close()
 		}
-		s.traceEnd(br.aCallID, telemetry.OutcomeLost)
+		s.traceEnd(br.cdr.CallID, telemetry.OutcomeLost)
 	}
 	for callID, vm := range vms {
 		vm.close()

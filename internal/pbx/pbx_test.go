@@ -125,7 +125,7 @@ func TestBridgedCallLifecycle(t *testing.T) {
 		t.Fatalf("CDRs: %d", len(cdrs))
 	}
 	cdr := cdrs[0]
-	if cdr.Caller != "u0" || cdr.Callee != "u1" || !cdr.Completed {
+	if cdr.Caller != "u0" || cdr.Callee != "u1" || cdr.Disposition != Answered {
 		t.Errorf("CDR: %+v", cdr)
 	}
 	if cdr.Duration < 119*time.Second || cdr.Duration > 121*time.Second {

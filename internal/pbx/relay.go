@@ -112,7 +112,7 @@ func (s *Server) newRelay(br *bridge, offer *sdp.Session) (*relay, error) {
 
 	var callID string
 	if br != nil { // relay-only benches exercise the path without a bridge
-		callID = br.aCallID
+		callID = br.cdr.CallID
 	}
 	r := &relay{
 		s:          s,

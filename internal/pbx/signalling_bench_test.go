@@ -171,7 +171,7 @@ func TestSignallingAllocs(t *testing.T) {
 // and 411.
 const (
 	maxAllocsPerRegister = 9
-	maxAllocsPerCall     = 204
+	maxAllocsPerCall     = 203
 )
 
 // TestServerKeepsNoCallHistory: a server with no journal attached — as

@@ -64,9 +64,7 @@ type pbxMetrics struct {
 	active      *telemetry.Gauge
 	peak        *telemetry.Gauge
 
-	cdrAnswered *telemetry.Counter
-	cdrFailed   *telemetry.Counter
-	cdrNoAnswer *telemetry.Counter
+	cdrs        [numDispositions]*telemetry.Counter // by Disposition
 	jitter      *telemetry.Histogram
 	loss        *telemetry.Histogram
 	mosScore    *telemetry.Histogram
@@ -89,7 +87,6 @@ type pbxMetrics struct {
 	draining     *telemetry.Gauge
 	drainDur     *telemetry.Histogram
 	drainRejects *telemetry.Counter
-	cdrLost      *telemetry.Counter
 
 	// Degradation ladder (nil unless registerDegradation ran).
 	degradeStage       *telemetry.Gauge
@@ -167,12 +164,6 @@ func newPBXMetrics(reg *telemetry.Registry, policy string) *pbxMetrics {
 		active: reg.Gauge(mActive, "calls currently holding a channel"),
 		peak:   reg.Gauge(mPeak, "high-water mark of concurrent calls"),
 
-		cdrAnswered: reg.Counter(mCDR, "call detail records by disposition",
-			telemetry.L("disposition", "answered")),
-		cdrFailed: reg.Counter(mCDR, "call detail records by disposition",
-			telemetry.L("disposition", "failed")),
-		cdrNoAnswer: reg.Counter(mCDR, "call detail records by disposition",
-			telemetry.L("disposition", "no-answer")),
 		jitter: reg.Histogram(mJitter, "per-direction RFC 3550 jitter at CDR close",
 			telemetry.ExponentialBuckets(0.0005, 2, 12)), // 0.5ms .. ~1s
 		loss: reg.Histogram(mLoss, "per-direction RTP loss ratio at CDR close",
@@ -200,10 +191,12 @@ func newPBXMetrics(reg *telemetry.Registry, policy string) *pbxMetrics {
 		drainDur: reg.Histogram(mDrainDur,
 			"drain start to last channel released", telemetry.SetupBuckets),
 		drainRejects: reg.Counter(mDrainRejects, "INVITEs 503'd while draining"),
-		cdrLost: reg.Counter(mCDR, "call detail records by disposition",
-			telemetry.L("disposition", "lost")),
 
 		tracer: telemetry.NewTracer(reg, 0),
+	}
+	for d := range tm.cdrs {
+		tm.cdrs[d] = reg.Counter(mCDR, "call detail records by disposition",
+			telemetry.L("disposition", Disposition(d).label()))
 	}
 	tm.byCodec = make(map[int]*telemetry.Counter)
 	for _, c := range codec.Registry() {
@@ -257,16 +250,7 @@ func (s *Server) recordCDRMetricsLocked(cdr CDR) {
 	if s.tm == nil {
 		return
 	}
-	switch cdr.Disposition() {
-	case "ANSWERED":
-		s.tm.cdrAnswered.Inc()
-	case "FAILED":
-		s.tm.cdrFailed.Inc()
-	case "LOST":
-		s.tm.cdrLost.Inc()
-	default:
-		s.tm.cdrNoAnswer.Inc()
-	}
+	s.tm.cdrs[cdr.Disposition].Inc()
 	observe := func(st rtp.Stats) {
 		if st.Received == 0 {
 			return
@@ -284,19 +268,6 @@ func (s *Server) recordCDRMetricsLocked(cdr CDR) {
 	}
 	if cdr.RTT > 0 {
 		s.tm.rttHist.Observe(cdr.RTT.Seconds())
-	}
-}
-
-// RecordRecovered feeds journal-recovered CDRs into the disposition
-// counters, so an external scraper sees crash losses the same way it
-// sees normal teardowns. Called on the restarted incarnation after
-// journal recovery; the registry dedups families by name+labels, so
-// the counters continue the crashed incarnation's series.
-func (s *Server) RecordRecovered(cdrs []CDR) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range cdrs {
-		s.recordCDRMetricsLocked(c)
 	}
 }
 

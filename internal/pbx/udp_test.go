@@ -146,7 +146,7 @@ func TestUDPBridgedCall(t *testing.T) {
 		t.Errorf("relayed %d packets, want ~200", c.RelayedPackets)
 	}
 	cdrs := server.Journal().Committed()
-	if len(cdrs) != 1 || !cdrs[0].Completed || cdrs[0].MOS < 3.3 {
+	if len(cdrs) != 1 || cdrs[0].Disposition != Answered || cdrs[0].MOS < 3.3 {
 		t.Errorf("CDRs: %+v", cdrs)
 	}
 }

@@ -284,13 +284,13 @@ func Invariants(poolGets, poolPuts uint64, load sipp.Results, pbxes ...Books) []
 		j := b.Journal
 		var completed, established, lost uint64
 		for _, c := range b.Committed {
-			if c.Completed {
-				completed++
-			}
-			if c.Established {
+			if c.AnsweredAt > 0 {
 				established++
 			}
-			if c.Lost {
+			switch c.Disposition {
+			case pbx.Answered:
+				completed++
+			case pbx.Lost:
 				lost++
 			}
 		}

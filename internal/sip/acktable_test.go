@@ -149,6 +149,42 @@ func TestTombstoneDropsRequestAndCallbacks(t *testing.T) {
 	}
 }
 
+// TestSecondFinalKeepsOneTimerChain: a TU that answers an INVITE twice
+// (486, then 503) before any ACK replaces the bytes being retransmitted,
+// not the timers. One Timer G chain resends the 503 at T1 and 3·T1, and
+// Timer H plus that chain are all that stays scheduled.
+func TestSecondFinalKeepsOneTimerChain(t *testing.T) {
+	r := newUASRig()
+	r.ep.Handle(func(tx *ServerTx, req *Message, src string) {
+		busy := req.Response(StatusBusyHere)
+		busy.To.Tag = "bt"
+		tx.Respond(busy)
+		unavailable := req.Response(StatusServiceUnavailable)
+		unavailable.To.Tag = "bt"
+		tx.Respond(unavailable)
+	})
+	r.ep.handleData("a:5060", wireRequest(INVITE, "call-1", "inv1"))
+	r.sched.Run(3 * time.Second)
+	codes := map[int]int{}
+	for _, data := range r.raw {
+		if m, err := Parse(data); err == nil {
+			codes[m.StatusCode]++
+		}
+	}
+	if codes[StatusBusyHere] != 1 || codes[StatusServiceUnavailable] != 3 {
+		t.Errorf("sent 486 ×%d and 503 ×%d, want 1 and 3 (one Timer G chain)",
+			codes[StatusBusyHere], codes[StatusServiceUnavailable])
+	}
+	if n := r.sched.Pending(); n != 2 {
+		t.Errorf("%d events pending, want 2 (Timer G and Timer H)", n)
+	}
+	// Timer H still ends the transaction.
+	r.sched.Run(time.Minute)
+	if tx, idx := r.ep.ActiveTransactions(), r.ep.UnackedInvites(); tx != 0 || idx != 0 {
+		t.Errorf("after Timer H: %d transactions, %d indexed", tx, idx)
+	}
+}
+
 func TestCrashEmptiesAckIndex(t *testing.T) {
 	r := newUASRig()
 	r.linger(100)

@@ -92,6 +92,11 @@ func (tx *ServerTx) respondLocked(resp *Message) {
 		return
 	}
 	if tx.isInvite && !tx.acked {
+		if tx.destroyTm != nil {
+			// A later final replaces the bytes Timer G resends, not the
+			// timers: one chain and one Timer H, as lingerLocked keeps one.
+			return
+		}
 		// Retransmit the final response until ACK (Timer G/H). This
 		// deliberately covers 2xx as well: the B2BUA owns reliability
 		// for both, a documented simplification over RFC 3261 13.3.
