@@ -1,15 +1,16 @@
 GO ?= go
 
 # Coverage floor for the codec negotiation plane, the simulation engine,
-# the location store and the INVITE admission files (see `make cover`).
+# the location store, the INVITE admission files and the wire data plane
+# (see `make cover`).
 COVER_MIN ?= 85
 
 .PHONY: build test vet race fuzz-smoke telemetry-smoke lint-metrics cover verify bench bench-check wire-profile
 
 # The darwin cross-build keeps the portable (non-linux) data plane
 # compiling: batch_other.go and legpool_other.go must satisfy the same
-# interfaces as the recvmmsg/sendmmsg/GSO path and the leg pool's epoll
-# loop behind the linux build tag. The two daemons also build under the
+# interfaces as the recvmmsg read loop and the leg pool's epoll loop
+# behind the linux build tag. The two daemons also build under the
 # race detector, so the binaries a wire drive uses (`-race` pbxd and
 # sipload against each other) cannot rot; what runs them under it is
 # `make race`, through pbx.ListenWire and sipp's wire tests.
@@ -62,7 +63,10 @@ fuzz-smoke:
 # degradation ladder (degrade.go) carry it file by file: between them
 # they decide which INVITE gets a 503. So do the call record (cdr.go)
 # and its journal (journal.go): every CSV, WAL, JSON and metric view of
-# a call is read from them.
+# a call is read from them. So does the wire data plane, file by file:
+# the recvmmsg reader (batch_linux.go), the listener socket (udp.go,
+# sharded.go) and the relay's leg pool (legpool.go, legpool_linux.go)
+# move every datagram pbxd reads or sends.
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null
 	@total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { gsub(/%/,"",$$3); print $$3 }'); \
@@ -92,6 +96,15 @@ cover:
 		awk -v t="$$pct" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }' || fail=1; \
 	done; \
 	rm -f .cover-pbx.out; \
+	exit $$fail
+	@$(GO) test -coverprofile=.cover-udp.out ./internal/transport/ > /dev/null
+	@fail=0; for f in batch_linux udp sharded legpool legpool_linux; do \
+		pct=$$(awk -v f="internal/transport/$$f.go:" 'index($$1, f) { stmts[$$1]=$$2; if ($$3 > 0) cov[$$1]=1 } \
+			END { for (k in stmts) { t += stmts[k]; if (k in cov) c += stmts[k] } printf "%.1f", 100*c/t }' .cover-udp.out); \
+		echo "cover: internal/transport/$$f.go statements $$pct% (floor $(COVER_MIN)%)"; \
+		awk -v t="$$pct" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }' || fail=1; \
+	done; \
+	rm -f .cover-udp.out; \
 	exit $$fail
 
 # One instrumented overload run dumped to JSON and validated on

@@ -320,7 +320,7 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	// not the registrar plane is tuned: a REGISTER must answer a nonce
 	// this server actually issued.
 	s.nonces = directory.NewNonceCache(nonceShards(cfg.Registrar),
-		cfg.Registrar.NonceWindow, cfg.Registrar.NonceCap)
+		directory.DefaultNonceWindow, cfg.Registrar.NonceCap)
 	if cfg.Registrar.Enabled {
 		// Event-driven binding expiry on the server's clock: the sim
 		// timing wheel in scenarios, the wall clock in pbxd.

@@ -12,25 +12,19 @@ import (
 )
 
 // BenchmarkRelayForwardRealUDP is BenchmarkRelayForward over real
-// loopback sockets: caller bursts hit the relay's A port, cross the
-// observe/drop/forward path, leave the B port and land on a sink —
-// the wire-speed counterpart of the netsim number, measured once on
-// the batched data plane and once on the portable fallback. The
-// batched/fallback ratio quantifies what recvmmsg/sendmmsg + GSO/GRO
-// buy the relay's packets/sec when one socket is handed 32 packets at
-// once. The pool variant takes the relay's legs from a
-// transport.LegPool, as pbxd does: one sendto a packet and no GSO, so
-// on this shape — the only one segmentation offload wins — it reads
-// beside fallback, not batched. It is printed to say so; what the pool
-// is for, many 50 pps legs sharing a reader, is the wire_media workload
-// of ./benchmark.
+// loopback sockets: caller bursts of 32 packets hit the relay's A port,
+// cross the observe/drop/forward path, leave the B port with one sendto
+// each and land on a sink — the wire-speed counterpart of the netsim
+// number. The fallback variant gives each relay leg a portable
+// net.UDPConn read loop; the pool variant takes them from a
+// transport.LegPool, as pbxd does. What the pool is for, many 50 pps
+// legs sharing a reader, is the wire_media workload of ./benchmark.
 func BenchmarkRelayForwardRealUDP(b *testing.B) {
 	variants := []struct {
 		name string
 		cfg  transport.UDPConfig
 		pool bool // relay legs from a transport.LegPool; cfg is for the other sockets
 	}{
-		{"batched", transport.UDPConfig{}, false},
 		{"fallback", transport.UDPConfig{DisableBatch: true}, false},
 		{"pool", transport.UDPConfig{}, true},
 	}
@@ -103,9 +97,8 @@ func BenchmarkRelayForwardRealUDP(b *testing.B) {
 					pkt.Timestamp = uint32(seq * 160)
 					seq++
 					wire = pkt.Marshal(wire[:0])
-					sender.QueueSend(relayIn, wire)
+					sender.Send(relayIn, wire)
 				}
-				sender.Flush()
 				for i := 0; i < n; i++ {
 					<-tokens
 				}

@@ -24,68 +24,37 @@ type RegistrarConfig struct {
 	// Block rung — losing a refresh costs reachability, not just one
 	// call attempt.
 	MaxRegistersPerSec int
-	// RetryAfterMin/Max bound the uniform Retry-After (seconds) on
-	// shed REGISTERs. Spreading the hint de-synchronizes the retry
-	// wave that a fixed value would re-aggregate — the avalanche
-	// repeating itself Retry-After seconds later. Defaults 2 and 12.
-	RetryAfterMin int
-	RetryAfterMax int
-	// NonceWindow is how long an issued digest nonce stays answerable
-	// (default directory.DefaultNonceWindow).
-	NonceWindow time.Duration
 	// NonceCap bounds the nonce cache entries across shards (default
 	// directory.DefaultNonceCap).
 	NonceCap int
 	// NonceShards is the nonce cache's power-of-two shard count
 	// (default directory.DefaultShards).
 	NonceShards int
-	// DefaultExpires is the binding lifetime granted when the REGISTER
-	// names none (default 1h).
-	DefaultExpires time.Duration
-	// MinExpires/MaxExpires clamp the client-requested lifetime. The
-	// max clamp also guards the duration arithmetic against absurd
-	// Expires header values. Defaults 1s and 24h.
-	MinExpires time.Duration
-	MaxExpires time.Duration
 }
+
+const (
+	// registerRetryAfterMin/Max bound the uniform Retry-After (seconds)
+	// on shed REGISTERs. Spreading the hint de-synchronizes the retry
+	// wave that a fixed value would re-aggregate — the avalanche
+	// repeating itself Retry-After seconds later.
+	registerRetryAfterMin = 2
+	registerRetryAfterMax = 12
+
+	// defaultExpires is the binding lifetime granted when the REGISTER
+	// names none.
+	defaultExpires = time.Hour
+	// minExpires/maxExpires clamp the client-requested lifetime. The
+	// max clamp also guards the duration arithmetic against absurd
+	// Expires header values.
+	minExpires = time.Second
+	maxExpires = 24 * time.Hour
+)
 
 func nonceShards(rc RegistrarConfig) int {
 	if rc.NonceShards > 0 {
 		return rc.NonceShards
 	}
 	return directory.DefaultShards
-}
-
-func (rc RegistrarConfig) defaultExpires() time.Duration {
-	if rc.DefaultExpires > 0 {
-		return rc.DefaultExpires
-	}
-	return time.Hour
-}
-
-func (rc RegistrarConfig) minExpires() time.Duration {
-	if rc.MinExpires > 0 {
-		return rc.MinExpires
-	}
-	return time.Second
-}
-
-func (rc RegistrarConfig) maxExpires() time.Duration {
-	if rc.MaxExpires > 0 {
-		return rc.MaxExpires
-	}
-	return 24 * time.Hour
-}
-
-func (rc RegistrarConfig) retryAfterBounds() (int, int) {
-	lo, hi := rc.RetryAfterMin, rc.RetryAfterMax
-	if lo <= 0 {
-		lo = 2
-	}
-	if hi < lo {
-		hi = lo + 10
-	}
-	return lo, hi
 }
 
 // NonceStats exposes the digest nonce cache counters (hit rate, stale
@@ -124,8 +93,7 @@ func (s *Server) handleRegister(tx *sip.ServerTx, req *sip.Message, src string) 
 		var retryAfter int
 		if shed {
 			s.counters.RegisterShed++
-			lo, hi := s.cfg.Registrar.retryAfterBounds()
-			retryAfter = lo + int(s.rng.Uint64()%uint64(hi-lo+1))
+			retryAfter = registerRetryAfterMin + int(s.rng.Uint64()%(registerRetryAfterMax-registerRetryAfterMin+1))
 		} else {
 			s.registersWindow++
 		}
@@ -202,17 +170,11 @@ func (s *Server) handleRegister(tx *sip.ServerTx, req *sip.Message, src string) 
 	} else if req.Expires >= 0 {
 		expSec = req.Expires
 	}
-	rc := s.cfg.Registrar
 	if expSec < 0 {
-		expSec = int(rc.defaultExpires() / time.Second)
+		expSec = int(defaultExpires / time.Second)
 	}
 	if expSec > 0 {
-		if maxSec := int(rc.maxExpires() / time.Second); expSec > maxSec {
-			expSec = maxSec
-		}
-		if minSec := int(rc.minExpires() / time.Second); expSec < minSec {
-			expSec = minSec
-		}
+		expSec = min(max(expSec, int(minExpires/time.Second)), int(maxExpires/time.Second))
 	}
 	ttl := time.Duration(expSec) * time.Second
 	if err := s.dir.Register(user, contact, now, ttl); err != nil {

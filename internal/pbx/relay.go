@@ -73,12 +73,6 @@ type relay struct {
 	// observers read values only, so nothing aliases it after forward
 	// returns.
 	scratch rtp.Packet
-
-	// Per-direction transmit functions, bound once in newRelay: the
-	// outbound leg's QueueSend when it batches (flushed at the inbound
-	// leg's batch end), plain Send otherwise.
-	sendToCallee func(dst string, data []byte)
-	sendToCaller func(dst string, data []byte)
 }
 
 // newRelay opens the two relay ports for a call whose caller offered
@@ -127,23 +121,14 @@ func (s *Server) newRelay(br *bridge, offer *sdp.Session) (*relay, error) {
 	}
 	r.fromCaller.SetRemoteClocks(s.cfg.RemoteMediaClocks)
 	r.fromCallee.SetRemoteClocks(s.cfg.RemoteMediaClocks)
-	// Cut-through batching: each forwarded packet is queued on the
-	// opposite leg and the queue is flushed when the inbound leg's
-	// read batch ends — one sendmmsg per inbound burst, nothing held
-	// across bursts. The transmit functions are bound before the
-	// receivers are installed (SetReceiver publishes them safely).
-	r.sendToCallee = sendVia(bTr)
-	r.sendToCaller = sendVia(aTr)
-	wireBatch(aTr, bTr)
-	wireBatch(bTr, aTr)
 
 	// Caller RTP arrives on the A port and leaves toward the callee
-	// from the B port, and vice versa.
+	// from the B port, and vice versa: one send per forwarded packet.
 	aTr.SetReceiver(func(src string, data []byte) {
-		r.forward(src, data, r.fromCaller, r.sendToCallee, false)
+		r.forward(src, data, r.fromCaller, bTr.Send, false)
 	})
 	bTr.SetReceiver(func(src string, data []byte) {
-		r.forward(src, data, r.fromCallee, r.sendToCaller, true)
+		r.forward(src, data, r.fromCallee, aTr.Send, true)
 	})
 	return r, nil
 }
@@ -158,29 +143,6 @@ func mediaAddr(host string, port int) string {
 		return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()).String()
 	}
 	return addr
-}
-
-// sendVia returns a leg's transmit function: queued on transports
-// with a send queue, immediate otherwise (netsim, portable UDP).
-func sendVia(tr transport.Transport) func(string, []byte) {
-	if bs, ok := tr.(transport.BatchSender); ok {
-		return bs.QueueSend
-	}
-	return tr.Send
-}
-
-// wireBatch ties the inbound leg's batch boundary to the outbound
-// leg's flush, when both sides support it.
-func wireBatch(in, out transport.Transport) {
-	n, ok := in.(transport.BatchEndNotifier)
-	if !ok {
-		return
-	}
-	bs, ok := out.(transport.BatchSender)
-	if !ok {
-		return
-	}
-	n.SetBatchEnd(bs.Flush)
 }
 
 // setBridgeCodecs arms the relay with the negotiated bridge outcome.

@@ -22,9 +22,9 @@ import (
 // arrivals against a small channel capacity, bidirectional G.711 RTP on
 // every established call. Short enough for CI, real enough to exercise
 // the wire data plane under `make race`: the SIP
-// listener's REUSEPORT shards with their recvmmsg read loops and GSO
-// send queues, and the leg pool's one epoll loop relaying every call's
-// media with a recvmmsg and a sendto a packet. It checks that the loop
+// listener's REUSEPORT shards with their recvmmsg read loops, and the
+// leg pool's one epoll loop relaying every call's media with a
+// recvmmsg and a sendto a packet. It checks that the loop
 // is the only goroutine reading relay legs however many calls are up,
 // that it dropped and rejected nothing, and closes with the buffer-pool
 // ownership invariant on every socket the run opened.
@@ -66,7 +66,8 @@ func TestLoopbackSoak(t *testing.T) {
 	uac, uas := mk("uac", nextPortBase()), mk("uas", nextPortBase())
 
 	// Media legs run the portable loop like sipload's phones: one paced
-	// 50 pps stream per direction, batching under test on the PBX side.
+	// 50 pps stream per direction, the leg pool under test on the PBX
+	// side.
 	// Sessions close at call end so the phone can rebind the port slot
 	// for the next call that lands on it.
 	var (

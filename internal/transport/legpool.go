@@ -30,10 +30,11 @@ type LegPool struct {
 	pool  *BufPool
 	addrs *addrCache
 
-	rxPackets atomic.Uint64
-	rxWakeups atomic.Uint64
-	txPackets atomic.Uint64
-	txDropped atomic.Uint64
+	rxPackets   atomic.Uint64
+	rxWakeups   atomic.Uint64
+	rxTruncated atomic.Uint64
+	txPackets   atomic.Uint64
+	txDropped   atomic.Uint64
 
 	mu     sync.Mutex
 	addr   netip.Addr   // host, resolved by the first Listen
@@ -71,10 +72,11 @@ type LegPoolStats struct {
 	Parked         int    // idle sockets bound right now
 	Open           int    // sockets bound right now, parked ones included
 
-	RxPackets uint64 // datagrams read, those dropped on parked sockets included
-	RxWakeups uint64 // returns from the reader's wait that moved at least one datagram
-	TxPackets uint64 // datagrams sent
-	TxDropped uint64 // sends the kernel refused (full buffer, or an error)
+	RxPackets   uint64 // datagrams read, those dropped on parked sockets included
+	RxWakeups   uint64 // returns from the reader's wait that moved at least one datagram
+	RxTruncated uint64 // datagrams longer than MaxDatagram: dropped, not in RxPackets
+	TxPackets   uint64 // datagrams sent
+	TxDropped   uint64 // sends the kernel refused (full buffer, or an error)
 }
 
 // NewLegPool returns an empty pool whose legs bind on host: an IPv4 or
@@ -180,7 +182,7 @@ func (p *LegPool) Stats() LegPoolStats {
 	defer p.mu.Unlock()
 	s := p.stats
 	s.Open = len(p.legs)
-	s.RxPackets, s.RxWakeups = p.rxPackets.Load(), p.rxWakeups.Load()
+	s.RxPackets, s.RxWakeups, s.RxTruncated = p.rxPackets.Load(), p.rxWakeups.Load(), p.rxTruncated.Load()
 	s.TxPackets, s.TxDropped = p.txPackets.Load(), p.txDropped.Load()
 	return s
 }

@@ -199,7 +199,8 @@ func (p *LegPool) loop(io *legIO) {
 // the first filled every slot. More than that stays queued — the fd is
 // level-triggered, so the next epoll_wait reports it again, after the
 // other legs had their turn. A parked leg has no receiver and its
-// datagrams go nowhere.
+// datagrams go nowhere; a datagram cut short goes nowhere either, and
+// is counted but not returned.
 func (l *leg) drain(rd *batchReader) int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -209,12 +210,17 @@ func (l *leg) drain(rd *batchReader) int {
 	moved := 0
 	for pass := 0; pass < 2; pass++ {
 		n := rd.recv(l.fd)
-		if l.recv != nil {
-			for i := 0; i < n; i++ {
-				l.recv(l.p.addrs.intern(rd.src(i)), rd.datagram(i))
+		for i := 0; i < n; i++ {
+			data, ok := rd.datagram(i)
+			if !ok {
+				l.p.rxTruncated.Add(1)
+				continue
+			}
+			moved++
+			if l.recv != nil {
+				l.recv(l.p.addrs.intern(rd.src(i)), data)
 			}
 		}
-		moved += n
 		if n < legReadSlots {
 			break
 		}

@@ -36,18 +36,23 @@ func (p *LegPool) bind(port int) (*leg, error) {
 }
 
 // read is the leg's reader; every datagram is its own wake-up. A parked
-// leg has no receiver and its datagrams go nowhere.
+// leg has no receiver and its datagrams go nowhere; a datagram cut
+// short goes nowhere either, and is counted.
 func (l *leg) read() {
 	defer close(l.done)
 	buf := l.p.pool.Get()
 	defer l.p.pool.Put(buf)
 	for {
-		n, src, err := l.conn.ReadFromUDPAddrPort(buf)
+		n, _, flags, src, err := l.conn.ReadMsgUDPAddrPort(buf, nil)
 		if errors.Is(err, net.ErrClosed) {
 			return
 		}
 		if err != nil {
 			continue // transient error on a datagram socket
+		}
+		if flags&msgTrunc != 0 {
+			l.p.rxTruncated.Add(1)
+			continue
 		}
 		l.p.rxPackets.Add(1)
 		l.p.rxWakeups.Add(1)

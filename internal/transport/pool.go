@@ -11,7 +11,7 @@ import (
 // duration of the call, and every Get must be matched by exactly one
 // Put. The gets/puts counters make the contract checkable — with no
 // transport running, Stats must report gets == puts; a difference is a
-// buffer leak across a read-loop or send-queue boundary, the same
+// buffer leak across a read-loop boundary, the same
 // invariant the sharded sim engine pins with Network.PoolStats.
 type BufPool struct {
 	size int

@@ -8,9 +8,9 @@ import (
 // ShardedUDP is N UDP sockets bound to the same port via SO_REUSEPORT,
 // presented as one Transport. The kernel hashes each inbound flow's
 // 4-tuple to a socket, so every shard runs its own read loop (and, on
-// batch-capable platforms, its own recvmmsg buffers and send queue) —
-// the real-socket analogue of the sim engine's shard-per-core
-// scheduler. All shards share one buffer pool and one address cache.
+// batch-capable platforms, its own recvmmsg buffers) — the real-socket
+// analogue of the sim engine's shard-per-core scheduler. All shards
+// share one buffer pool and one address cache.
 //
 // Outbound datagrams rotate across shards; every shard's socket has
 // the same local port, so replies are indistinguishable to peers.
@@ -57,18 +57,12 @@ func (g *ShardedUDP) Send(dst string, data []byte) {
 	g.shard().Send(dst, data)
 }
 
-// QueueSend enqueues on the next shard in rotation; Flush drains every
-// shard's queue. Part of the BatchSender extension.
-func (g *ShardedUDP) QueueSend(dst string, data []byte) {
-	g.shard().QueueSend(dst, data)
-}
+// QueueSend is Send. Part of the BatchSender extension.
+func (g *ShardedUDP) QueueSend(dst string, data []byte) { g.Send(dst, data) }
 
-// Flush flushes all shards' send queues.
-func (g *ShardedUDP) Flush() {
-	for _, t := range g.shards {
-		t.Flush()
-	}
-}
+// Flush does nothing: QueueSend has already sent. Part of the
+// BatchSender extension.
+func (g *ShardedUDP) Flush() {}
 
 func (g *ShardedUDP) shard() *UDPTransport {
 	if len(g.shards) == 1 {
@@ -101,7 +95,7 @@ func (g *ShardedUDP) SetBatchEnd(fn func()) {
 // SO_REUSEPORT is unavailable).
 func (g *ShardedUDP) NumShards() int { return len(g.shards) }
 
-// Batched reports whether the shards run the batched-syscall path.
+// Batched reports whether the shards run the batched read loop.
 func (g *ShardedUDP) Batched() bool { return g.shards[0].Batched() }
 
 // ShardStats snapshots one listening socket's counters — the
@@ -116,8 +110,8 @@ func (g *ShardedUDP) Stats() TransportStats {
 		ts := t.Stats()
 		s.RxPackets += ts.RxPackets
 		s.RxBatches += ts.RxBatches
+		s.RxTruncated += ts.RxTruncated
 		s.TxPackets += ts.TxPackets
-		s.TxBatches += ts.TxBatches
 		s.TxDropped += ts.TxDropped
 	}
 	return s

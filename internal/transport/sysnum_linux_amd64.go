@@ -2,9 +2,7 @@
 
 package transport
 
-// Syscall numbers the stdlib syscall package does not export on this
-// architecture (golang.org/x/sys/unix carries the same values).
-const (
-	sysRecvmmsg = 299
-	sysSendmmsg = 307
-)
+// sysRecvmmsg is the recvmmsg syscall number, which the stdlib syscall
+// package does not export on this architecture (golang.org/x/sys/unix
+// carries the same value).
+const sysRecvmmsg = 299

@@ -9,13 +9,13 @@ import (
 // Transport telemetry family names (one snake_case const per family;
 // `make lint-metrics` enforces registration through these).
 const (
-	mUDPRxPackets = "udp_rx_packets_total"
-	mUDPRxBatches = "udp_rx_batches_total"
-	mUDPTxPackets = "udp_tx_packets_total"
-	mUDPTxBatches = "udp_tx_batches_total"
-	mUDPTxDropped = "udp_tx_dropped_total"
-	mUDPPoolGets  = "udp_pool_gets_total"
-	mUDPPoolPuts  = "udp_pool_puts_total"
+	mUDPRxPackets   = "udp_rx_packets_total"
+	mUDPRxBatches   = "udp_rx_batches_total"
+	mUDPRxTruncated = "udp_rx_truncated_total"
+	mUDPTxPackets   = "udp_tx_packets_total"
+	mUDPTxDropped   = "udp_tx_dropped_total"
+	mUDPPoolGets    = "udp_pool_gets_total"
+	mUDPPoolPuts    = "udp_pool_puts_total"
 
 	mLegBinds          = "udp_leg_binds_total"
 	mLegReuses         = "udp_leg_reuses_total"
@@ -24,6 +24,7 @@ const (
 	mLegsOpen          = "udp_legs_open"
 	mLegRxPackets      = "udp_leg_rx_packets_total"
 	mLegRxWakeups      = "udp_leg_rx_wakeups_total"
+	mLegRxTruncated    = "udp_leg_rx_truncated_total"
 	mLegTxPackets      = "udp_leg_tx_packets_total"
 	mLegTxDropped      = "udp_leg_tx_dropped_total"
 )
@@ -45,7 +46,7 @@ type ShardStatser interface {
 	ShardStats(i int) TransportStats
 }
 
-// PublishTelemetry registers src's datagram, syscall-batch and
+// PublishTelemetry registers src's datagram, read-batch and
 // buffer-pool counters on reg as live CounterFuncs, labelled with
 // name (e.g. "sip" for the signalling socket). The registry reads the
 // transport's atomics at scrape time, so the packet hot path carries
@@ -66,10 +67,10 @@ func PublishTelemetry(reg *telemetry.Registry, name string, src StatsSource) {
 				func() float64 { return float64(ss.ShardStats(i).RxPackets) }, l, ls)
 			reg.CounterFunc(mUDPRxBatches, "read syscalls that returned at least one datagram",
 				func() float64 { return float64(ss.ShardStats(i).RxBatches) }, l, ls)
+			reg.CounterFunc(mUDPRxTruncated, "datagrams longer than the receive buffer, dropped",
+				func() float64 { return float64(ss.ShardStats(i).RxTruncated) }, l, ls)
 			reg.CounterFunc(mUDPTxPackets, "datagrams transmitted by the wire transport",
 				func() float64 { return float64(ss.ShardStats(i).TxPackets) }, l, ls)
-			reg.CounterFunc(mUDPTxBatches, "sendmmsg flushes that moved at least one datagram",
-				func() float64 { return float64(ss.ShardStats(i).TxBatches) }, l, ls)
 			reg.CounterFunc(mUDPTxDropped, "datagrams abandoned on send errors",
 				func() float64 { return float64(ss.ShardStats(i).TxDropped) }, l, ls)
 		}
@@ -78,10 +79,10 @@ func PublishTelemetry(reg *telemetry.Registry, name string, src StatsSource) {
 			func() float64 { return float64(src.Stats().RxPackets) }, l)
 		reg.CounterFunc(mUDPRxBatches, "read syscalls that returned at least one datagram",
 			func() float64 { return float64(src.Stats().RxBatches) }, l)
+		reg.CounterFunc(mUDPRxTruncated, "datagrams longer than the receive buffer, dropped",
+			func() float64 { return float64(src.Stats().RxTruncated) }, l)
 		reg.CounterFunc(mUDPTxPackets, "datagrams transmitted by the wire transport",
 			func() float64 { return float64(src.Stats().TxPackets) }, l)
-		reg.CounterFunc(mUDPTxBatches, "sendmmsg flushes that moved at least one datagram",
-			func() float64 { return float64(src.Stats().TxBatches) }, l)
 		reg.CounterFunc(mUDPTxDropped, "datagrams abandoned on send errors",
 			func() float64 { return float64(src.Stats().TxDropped) }, l)
 	}
@@ -117,6 +118,8 @@ func (p *LegPool) PublishTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(p.rxPackets.Load()) }, l)
 	reg.CounterFunc(mLegRxWakeups, "wake-ups of the relay reader that moved at least one datagram",
 		func() float64 { return float64(p.rxWakeups.Load()) }, l)
+	reg.CounterFunc(mLegRxTruncated, "datagrams longer than the receive buffer at relay sockets, dropped",
+		func() float64 { return float64(p.rxTruncated.Load()) }, l)
 	reg.CounterFunc(mLegTxPackets, "datagrams sent from relay sockets",
 		func() float64 { return float64(p.txPackets.Load()) }, l)
 	reg.CounterFunc(mLegTxDropped, "relay sends the kernel refused",

@@ -82,12 +82,9 @@ func (t *afterFuncRearm) Stop() bool {
 // the buffer), so receivers that need the bytes later must copy them.
 type Receiver func(src string, data []byte)
 
-// BatchSender is an optional Transport extension for send-side
-// batching: QueueSend enqueues a datagram (copying data, so the
-// caller may reuse its buffer immediately, exactly as with Send) and
-// Flush transmits the queued run in as few syscalls as the platform
-// allows. Transports without a batched path implement QueueSend as an
-// immediate Send and Flush as a no-op, so callers can use the
+// BatchSender is an optional Transport extension with no batched send
+// behind it: UDPTransport and ShardedUDP implement QueueSend as an
+// immediate Send and Flush as a no-op, so a caller may use the
 // interface unconditionally.
 type BatchSender interface {
 	QueueSend(dst string, data []byte)
@@ -96,11 +93,7 @@ type BatchSender interface {
 
 // BatchEndNotifier is an optional Transport extension: SetBatchEnd
 // registers a hook the read loop invokes after delivering each
-// inbound batch. Pairing it with a BatchSender turns a forwarder into
-// a cut-through pipeline — the RTP relay queues every packet of an
-// inbound burst onto the opposite leg and flushes exactly once when
-// the burst ends, so batching adds no residency latency beyond the
-// burst itself.
+// inbound batch, after its last Receiver call.
 type BatchEndNotifier interface {
 	SetBatchEnd(fn func())
 }

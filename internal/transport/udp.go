@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,44 +43,44 @@ func (c *RealClock) NewRearmTimer(fn func()) RearmTimer {
 	return &realRearm{t: t}
 }
 
-// MaxDatagram is the receive buffer size; SIP messages and G.711 RTP
-// frames are far below it.
+// MaxDatagram is the receive buffer size. A datagram longer than it is
+// dropped and counted (RxTruncated), never delivered cut short. G.711
+// RTP frames are far below it, and RFC 3261 §18.1.1 moves any request
+// over 1300 bytes off UDP.
 const MaxDatagram = 8192
 
-// DefaultBatch is the default number of datagrams moved per
-// recvmmsg/sendmmsg syscall on the batched path.
+// DefaultBatch is the default number of datagrams moved per recvmmsg
+// syscall on the batched path.
 const DefaultBatch = 32
 
 // UDPConfig tunes a real-UDP transport. The zero value gives the
-// production defaults: batched syscalls where the platform supports
-// them (linux amd64/arm64) and a private buffer pool.
+// production defaults: batched receive where the platform supports it
+// (linux amd64/arm64) and a private buffer pool.
 type UDPConfig struct {
-	// DisableBatch forces the portable single-datagram read/write
-	// loop even on batch-capable platforms. The benchmarks use it to
-	// measure the batching win; everything else should leave it off.
+	// DisableBatch forces the portable single-datagram read loop even
+	// on batch-capable platforms, as a phone with one 50 pps stream
+	// has nothing to batch; pbxd leaves it off.
 	DisableBatch bool
-	// BatchSize is the number of datagrams per batched syscall
-	// (default DefaultBatch). Ignored on the portable path.
+	// BatchSize is the number of datagrams per recvmmsg (default
+	// DefaultBatch). Ignored on the portable path.
 	BatchSize int
-	// BufferSize is the per-slot receive/queue buffer size. 0 picks
-	// the platform default: MaxDatagram, or 64KB on the batched path
-	// so a full GRO aggregate fits (which is what arms receive-side
-	// segment coalescing). The read loop and send queue each hold
-	// BatchSize such buffers, so a caller with many sockets sets this
-	// low to bound memory, trading away GRO.
+	// BufferSize is the per-slot receive buffer size (default
+	// MaxDatagram). The read loop holds BatchSize such buffers.
 	BufferSize int
 }
 
 // TransportStats counts datagrams and syscalls through a UDP
-// transport. Batches count read/write syscalls that moved at least
-// one datagram, so RxPackets/RxBatches is the achieved inbound batch
-// width — 1.0 on the portable path, up to BatchSize under load on the
-// batched path.
+// transport. RxBatches counts read syscalls that moved at least one
+// datagram, so RxPackets/RxBatches is the achieved inbound batch width
+// — 1.0 on the portable path, up to BatchSize under load on the
+// batched path. Every send is its own syscall.
 type TransportStats struct {
 	RxPackets uint64
 	RxBatches uint64
-	TxPackets uint64
-	TxBatches uint64
+	// RxTruncated counts datagrams longer than the receive buffer:
+	// dropped, not delivered cut short, and not in RxPackets.
+	RxTruncated uint64
+	TxPackets   uint64
 	// TxDropped counts datagrams abandoned on a send error (UDP
 	// semantics: errors are not reported to the caller).
 	TxDropped uint64
@@ -89,17 +88,15 @@ type TransportStats struct {
 
 // UDPTransport implements Transport over a real UDP socket. One
 // dedicated goroutine runs the read loop; on batch-capable platforms
-// it drains the socket with recvmmsg into pooled buffers and the
-// optional QueueSend path coalesces outbound datagrams into sendmmsg
-// flushes. Inbound data handed to the Receiver follows the netsim
-// ownership contract: valid only for the duration of the call.
+// it drains the socket with recvmmsg into pooled buffers. Every send
+// is one sendto. Inbound data handed to the Receiver follows the
+// netsim ownership contract: valid only for the duration of the call.
 type UDPTransport struct {
 	conn  *net.UDPConn
 	local string // conn's address, formatted once at bind
 	pool  *BufPool
 	addrs *addrCache
-	batch int // datagrams per syscall; 0 = portable path
-	v6    bool
+	batch int // datagrams per recvmmsg; 0 = portable path
 
 	// mu guards the handlers. The read loop holds it shared while it
 	// delivers a batch, so a writer — SetReceiver, SetBatchEnd — returns
@@ -113,13 +110,11 @@ type UDPTransport struct {
 	loopDone  chan struct{}
 	closeOnce sync.Once
 
-	sq *sendQueue // nil on the portable path
-
-	rxPackets atomic.Uint64
-	rxBatches atomic.Uint64
-	txPackets atomic.Uint64
-	txBatches atomic.Uint64
-	txDropped atomic.Uint64
+	rxPackets   atomic.Uint64
+	rxBatches   atomic.Uint64
+	rxTruncated atomic.Uint64
+	txPackets   atomic.Uint64
+	txDropped   atomic.Uint64
 }
 
 // ListenUDP binds a UDP socket on addr (e.g. "127.0.0.1:5060";
@@ -156,32 +151,20 @@ func listenUDP(addr string, cfg UDPConfig, reuse bool, pool *BufPool, addrs *add
 		done:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	if la, ok := conn.LocalAddr().(*net.UDPAddr); ok {
-		t.v6 = la.IP.To4() == nil
-	}
 	if batchCapable && !cfg.DisableBatch {
 		t.batch = cfg.BatchSize
 		if t.batch <= 0 {
 			t.batch = DefaultBatch
-		}
-		if sq, err := newSendQueue(t); err == nil {
-			t.sq = sq
 		}
 	}
 	go t.run()
 	return t, nil
 }
 
-// poolFor sizes a buffer pool for cfg. The batched path defaults to
-// buffers large enough for a full GRO aggregate (the kernel can hand
-// us up to 64KB of coalesced same-flow datagrams in one delivery);
-// the portable path needs only one datagram.
+// poolFor sizes a buffer pool for cfg.
 func poolFor(cfg UDPConfig) *BufPool {
 	if cfg.BufferSize > 0 {
 		return NewBufPool(cfg.BufferSize)
-	}
-	if batchCapable && !cfg.DisableBatch {
-		return NewBufPool(batchBufSize)
 	}
 	return NewBufPool(MaxDatagram)
 }
@@ -212,7 +195,7 @@ func (t *UDPTransport) runFallback() {
 	buf := t.pool.Get()
 	defer t.pool.Put(buf)
 	for {
-		n, src, err := t.conn.ReadFromUDPAddrPort(buf)
+		n, _, flags, src, err := t.conn.ReadMsgUDPAddrPort(buf, nil)
 		if err != nil {
 			if t.closing() || errors.Is(err, net.ErrClosed) {
 				return
@@ -220,8 +203,12 @@ func (t *UDPTransport) runFallback() {
 			// Transient error on a datagram socket; keep reading.
 			continue
 		}
-		t.rxPackets.Add(1)
 		t.rxBatches.Add(1)
+		if flags&msgTrunc != 0 {
+			t.rxTruncated.Add(1)
+			continue
+		}
+		t.rxPackets.Add(1)
 		t.mu.RLock()
 		if t.recv != nil {
 			t.recv(t.addrs.intern(src), buf[:n])
@@ -251,11 +238,6 @@ func (t *UDPTransport) Send(dst string, data []byte) {
 	if !ok {
 		return
 	}
-	t.sendNow(ap, data)
-}
-
-// sendNow is the unbatched write.
-func (t *UDPTransport) sendNow(ap netip.AddrPort, data []byte) {
 	if _, err := t.conn.WriteToUDPAddrPort(data, ap); err != nil {
 		t.txDropped.Add(1)
 		return
@@ -263,41 +245,23 @@ func (t *UDPTransport) sendNow(ap netip.AddrPort, data []byte) {
 	t.txPackets.Add(1)
 }
 
-// QueueSend enqueues a datagram for the next Flush, copying data into
-// a pooled buffer (the caller keeps ownership of data, mirroring
-// Send). A full queue flushes inline; on platforms without sendmmsg it
-// degrades to an immediate Send. Part of the BatchSender extension.
-func (t *UDPTransport) QueueSend(dst string, data []byte) {
-	if t.sq == nil {
-		t.Send(dst, data)
-		return
-	}
-	ap, ok := t.addrs.toAddrPort(dst)
-	if !ok {
-		return
-	}
-	t.sq.queue(ap, data)
-}
+// QueueSend is Send. Part of the BatchSender extension.
+func (t *UDPTransport) QueueSend(dst string, data []byte) { t.Send(dst, data) }
 
-// Flush transmits all queued datagrams in as few syscalls as the
-// platform allows. Part of the BatchSender extension.
-func (t *UDPTransport) Flush() {
-	if t.sq != nil {
-		t.sq.flush()
-	}
-}
+// Flush does nothing: QueueSend has already sent. Part of the
+// BatchSender extension.
+func (t *UDPTransport) Flush() {}
 
 // SetBatchEnd installs fn, invoked by the read loop after each
 // delivered inbound batch (after the last Receiver call of the batch).
-// The RTP relay uses it to flush the opposite leg's send queue exactly
-// once per inbound burst. Part of the BatchEndNotifier extension.
+// Part of the BatchEndNotifier extension.
 func (t *UDPTransport) SetBatchEnd(fn func()) {
 	t.mu.Lock()
 	t.batchEnd = fn
 	t.mu.Unlock()
 }
 
-// Batched reports whether the transport runs the batched-syscall path.
+// Batched reports whether the transport runs the batched read loop.
 func (t *UDPTransport) Batched() bool { return t.batch > 0 }
 
 // LocalAddr returns the bound socket address.
@@ -315,11 +279,11 @@ func (t *UDPTransport) SetReceiver(r Receiver) {
 // Stats snapshots the transport's datagram and syscall counters.
 func (t *UDPTransport) Stats() TransportStats {
 	return TransportStats{
-		RxPackets: t.rxPackets.Load(),
-		RxBatches: t.rxBatches.Load(),
-		TxPackets: t.txPackets.Load(),
-		TxBatches: t.txBatches.Load(),
-		TxDropped: t.txDropped.Load(),
+		RxPackets:   t.rxPackets.Load(),
+		RxBatches:   t.rxBatches.Load(),
+		RxTruncated: t.rxTruncated.Load(),
+		TxPackets:   t.txPackets.Load(),
+		TxDropped:   t.txDropped.Load(),
 	}
 }
 
@@ -336,9 +300,6 @@ func (t *UDPTransport) Close() error {
 		close(t.done)
 		err = t.conn.Close()
 		<-t.loopDone
-		if t.sq != nil {
-			t.sq.close()
-		}
 	})
 	return err
 }

@@ -33,43 +33,12 @@ func BenchmarkUDPTransportSend(b *testing.B) {
 	b.ReportMetric(1, "events/run")
 }
 
-// BenchmarkUDPTransportQueueFlush measures the batched send path: 32
-// datagrams copied into the send queue and moved with one sendmmsg.
-// Must stay 0 allocs/op; ns/op is per datagram.
-func BenchmarkUDPTransportQueueFlush(b *testing.B) {
-	b.ReportAllocs()
-	a, err := ListenUDP("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer a.Close()
-	if !a.Batched() {
-		b.Skip("no batched send path on this platform")
-	}
-	sink, err := ListenUDP("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sink.Close()
-	dst := sink.LocalAddr()
-	payload := make([]byte, benchPayload)
-	a.Send(dst, payload) // prime the addr cache
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.QueueSend(dst, payload)
-	}
-	a.Flush()
-	b.StopTimer()
-	b.ReportMetric(1, "events/run")
-}
-
 // BenchmarkUDPTransportPipe measures delivered wire throughput
 // between two transports on loopback: bursts of 32 datagrams, each
 // burst fully drained by the receiver's read loop before the next is
 // offered (so socket buffers never overflow and every datagram is
 // accounted). ns/op is per delivered datagram; the batched/fallback
-// pair quantifies the recvmmsg/sendmmsg win.
+// pair quantifies the recvmmsg win.
 func BenchmarkUDPTransportPipe(b *testing.B) {
 	for name, cfg := range udpVariants() {
 		b.Run(name, func(b *testing.B) {
@@ -104,9 +73,8 @@ func BenchmarkUDPTransportPipe(b *testing.B) {
 					n = rem
 				}
 				for i := 0; i < n; i++ {
-					tx.QueueSend(dst, payload)
+					tx.Send(dst, payload)
 				}
-				tx.Flush()
 				drain(b, tokens, n)
 				done += n
 			}

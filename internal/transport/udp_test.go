@@ -80,18 +80,31 @@ func TestUDPVariantsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUDPQueueSendFlush checks the BatchSender path end to end: a run
-// of queued datagrams reaches the peer after Flush, and the sender's
-// syscall counters show coalescing on batch-capable platforms.
-func TestUDPQueueSendFlush(t *testing.T) {
+// TestQueueSendIsSend pins the BatchSender contract the wire
+// transports keep: QueueSend sends at once, with no Flush, and Flush
+// sends nothing — on every read-loop variant and on ShardedUDP.
+func TestQueueSendIsSend(t *testing.T) {
+	type queueSender interface {
+		Transport
+		BatchSender
+		StatsSource
+	}
+	senders := map[string]func() (queueSender, error){
+		// One shard, as pbxd runs its listener by default.
+		"sharded": func() (queueSender, error) { return ListenUDPSharded("127.0.0.1:0", 1, UDPConfig{}) },
+	}
 	for name, cfg := range udpVariants() {
+		cfg := cfg
+		senders[name] = func() (queueSender, error) { return ListenUDPConfig("127.0.0.1:0", cfg) }
+	}
+	for name, listen := range senders {
 		t.Run(name, func(t *testing.T) {
-			a, err := ListenUDPConfig("127.0.0.1:0", cfg)
+			a, err := listen()
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			b, err := ListenUDPConfig("127.0.0.1:0", cfg)
+			b, err := ListenUDP("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,37 +112,24 @@ func TestUDPQueueSendFlush(t *testing.T) {
 
 			var got atomic.Uint64
 			b.SetReceiver(func(string, []byte) { got.Add(1) })
-
-			const n = 24 // below one batch, so the tail needs the Flush
-			var bs BatchSender = a
+			const n = 24
 			for i := 0; i < n; i++ {
-				bs.QueueSend(b.LocalAddr(), []byte("queued"))
+				a.QueueSend(b.LocalAddr(), []byte("queued"))
 			}
-			bs.Flush()
-			deadline := time.Now().Add(5 * time.Second)
-			for got.Load() < n && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if got.Load() != n {
-				t.Fatalf("received %d/%d queued datagrams", got.Load(), n)
-			}
+			waitFor(t, "the queued datagrams without a Flush", func() bool { return got.Load() == n })
+			a.Flush()
 			if st := a.Stats(); st.TxPackets != n {
-				t.Errorf("TxPackets = %d, want %d", st.TxPackets, n)
-			}
-			if a.Batched() {
-				if st := a.Stats(); st.TxBatches != 1 {
-					t.Errorf("TxBatches = %d, want 1 (one sendmmsg flush)", st.TxBatches)
-				}
+				t.Errorf("TxPackets = %d after Flush, want %d", st.TxPackets, n)
 			}
 		})
 	}
 }
 
 // TestUDPPoolInvariantConcurrent hammers one transport pair with
-// concurrent immediate and queued sends while both read loops run,
-// then closes everything and checks the buffer pool's gets==puts
-// invariant — the transport equivalent of the netsim PoolStats check,
-// meaningful chiefly under -race.
+// concurrent sends both ways while both read loops run, then closes
+// everything and checks the buffer pool's gets==puts invariant — the
+// transport equivalent of the netsim PoolStats check, meaningful
+// chiefly under -race. The batch-end hooks must have run.
 func TestUDPPoolInvariantConcurrent(t *testing.T) {
 	for name, cfg := range udpVariants() {
 		t.Run(name, func(t *testing.T) {
@@ -142,12 +142,12 @@ func TestUDPPoolInvariantConcurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var rx atomic.Uint64
+			var rx, ends atomic.Uint64
 			sink := func(string, []byte) { rx.Add(1) }
 			a.SetReceiver(sink)
 			b.SetReceiver(sink)
-			a.SetBatchEnd(b.Flush) // cross-wire the flush hooks, as the relay does
-			b.SetBatchEnd(a.Flush)
+			a.SetBatchEnd(func() { ends.Add(1) })
+			b.SetBatchEnd(func() { ends.Add(1) })
 
 			const workers = 4
 			const perWorker = 200
@@ -158,17 +158,12 @@ func TestUDPPoolInvariantConcurrent(t *testing.T) {
 					defer wg.Done()
 					payload := []byte("pool-invariant-payload")
 					for i := 0; i < perWorker; i++ {
-						switch i % 3 {
-						case 0:
+						if i%2 == 0 {
 							a.Send(b.LocalAddr(), payload)
-						case 1:
-							a.QueueSend(b.LocalAddr(), payload)
-						default:
-							b.QueueSend(a.LocalAddr(), payload)
+						} else {
+							b.Send(a.LocalAddr(), payload)
 						}
 					}
-					a.Flush()
-					b.Flush()
 				}(w)
 			}
 			wg.Wait()
@@ -189,6 +184,9 @@ func TestUDPPoolInvariantConcurrent(t *testing.T) {
 			}
 			if rx.Load() == 0 {
 				t.Error("no datagrams delivered during the soak")
+			}
+			if ends.Load() == 0 {
+				t.Error("no batch-end hook ran during the soak")
 			}
 		})
 	}
@@ -212,11 +210,12 @@ func TestShardedUDP(t *testing.T) {
 		t.Fatalf("NumShards = %d, want %d", g.NumShards(), shards)
 	}
 
-	var rx atomic.Uint64
+	var rx, ends atomic.Uint64
 	g.SetReceiver(func(src string, data []byte) {
 		rx.Add(1)
 		g.Send(src, data) // echo
 	})
+	g.SetBatchEnd(func() { ends.Add(1) })
 
 	// Many distinct client sockets, so the kernel's 4-tuple hash has
 	// flows to spread across shards.
@@ -249,6 +248,19 @@ func TestShardedUDP(t *testing.T) {
 	if st := g.Stats(); st.RxPackets != want || st.TxPackets != want {
 		t.Errorf("group stats %+v, want rx=tx=%d", st, want)
 	}
+	var perShard uint64
+	for i := 0; i < g.NumShards(); i++ {
+		perShard += g.ShardStats(i).RxPackets
+	}
+	if perShard != want {
+		t.Errorf("shards received %d between them, want %d", perShard, want)
+	}
+	if ends.Load() == 0 {
+		t.Error("no shard ran the batch-end hook")
+	}
+	if g.Batched() != batchCapable {
+		t.Errorf("Batched() = %v on a platform where batchCapable = %v", g.Batched(), batchCapable)
+	}
 
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
@@ -279,13 +291,79 @@ func TestUDPSendSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { a.Send(dst, payload) }); n > 0 {
 		t.Errorf("Send allocates %.1f per op in steady state", n)
 	}
-	if a.Batched() {
-		if n := testing.AllocsPerRun(100, func() {
-			a.QueueSend(dst, payload)
-			a.Flush()
-		}); n > 0 {
-			t.Errorf("QueueSend+Flush allocates %.1f per op in steady state", n)
+}
+
+// readPaths returns a receiving socket on every read path: the two
+// read-loop variants and a leg of a LegPool. truncated reads the
+// path's RxTruncated counter.
+func readPaths() map[string]func(t *testing.T) (rx Transport, truncated func() uint64, done func()) {
+	paths := map[string]func(*testing.T) (Transport, func() uint64, func()){
+		"pool": func(t *testing.T) (Transport, func() uint64, func()) {
+			p := NewLegPool("127.0.0.1")
+			leg, _ := openLeg(t, p)
+			return leg, func() uint64 { return p.Stats().RxTruncated }, func() { closePool(t, p) }
+		},
+	}
+	for name, cfg := range udpVariants() {
+		cfg := cfg
+		paths[name] = func(t *testing.T) (Transport, func() uint64, func()) {
+			tr, err := ListenUDPConfig("127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr, func() uint64 { return tr.Stats().RxTruncated }, func() { tr.Close() }
 		}
+	}
+	return paths
+}
+
+// TestReadPathsDropTruncated: a datagram that fills MaxDatagram arrives
+// whole; one byte more and it is dropped and counted once, not
+// delivered cut short. Delivery stays allocation-free.
+func TestReadPathsDropTruncated(t *testing.T) {
+	for name, open := range readPaths() {
+		t.Run(name, func(t *testing.T) {
+			rx, truncated, done := open(t)
+			defer done()
+			tx, err := ListenUDP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Close()
+			got := make(chan int, 4)
+			rx.SetReceiver(func(_ string, data []byte) { got <- len(data) })
+			recv := func() int {
+				select {
+				case n := <-got:
+					return n
+				case <-time.After(5 * time.Second):
+					t.Fatal("nothing delivered")
+					return 0
+				}
+			}
+
+			dst := rx.LocalAddr()
+			tx.Send(dst, make([]byte, MaxDatagram))
+			if n := recv(); n != MaxDatagram {
+				t.Errorf("%d-byte datagram arrived as %d bytes", MaxDatagram, n)
+			}
+			tx.Send(dst, make([]byte, MaxDatagram+1))
+			tx.Send(dst, []byte("after")) // datagrams arrive in order on loopback
+			if n := recv(); n != len("after") {
+				t.Errorf("%d-byte datagram delivered as %d bytes", MaxDatagram+1, n)
+			}
+			if n := truncated(); n != 1 {
+				t.Errorf("RxTruncated = %d, want 1", n)
+			}
+
+			payload := make([]byte, 172)
+			if n := testing.AllocsPerRun(100, func() {
+				tx.Send(dst, payload)
+				<-got
+			}); n > 0 {
+				t.Errorf("a delivery allocates %.1f per datagram", n)
+			}
+		})
 	}
 }
 
