@@ -222,9 +222,6 @@ func Smoke(seed uint64) Scenario {
 func surgeDegradation() *pbx.DegradationConfig {
 	return &pbx.DegradationConfig{
 		Enter:          [4]float64{0.60, 0.66, 0.72, 0.97},
-		Exit:           [4]float64{0.50, 0.56, 0.62, 0.87},
-		EscalateTicks:  2,
-		RelaxTicks:     5,
 		ThrottleWindow: 5,
 	}
 }
@@ -336,7 +333,7 @@ func frontierCPU() cpu.Model {
 // still carry.
 func frontierDegradation() *pbx.DegradationConfig {
 	d := surgeDegradation()
-	d.Enter[2], d.Exit[2] = 0.76, 0.66
+	d.Enter[2] = 0.76
 	d.ThrottleWindow = 3
 	return d
 }

@@ -164,8 +164,6 @@ type Cluster struct {
 	events   []Event
 	rng      *stats.RNG
 	closed   bool
-
-	tm *clusterMetrics
 }
 
 // Config shapes a cluster.
@@ -220,9 +218,6 @@ func New(r *rig.Sim, cfg Config) *Cluster {
 		health: h,
 		rng:    stats.NewRNG(cfg.Seed ^ 0xc1a57e12),
 	}
-	if cfg.Telemetry != nil {
-		c.tm = newClusterMetrics(cfg.Telemetry, cfg.Servers)
-	}
 	for i := 0; i < cfg.Servers; i++ {
 		host := fmt.Sprintf("pbx%d", i+1)
 		// The journal is the backend's durable disk: one per slot,
@@ -231,9 +226,9 @@ func New(r *rig.Sim, cfg Config) *Cluster {
 		n.srv = c.buildServer(n)
 		c.nodes = append(c.nodes, n)
 		c.backends = append(c.backends, n.srv)
-		if c.tm != nil {
-			c.tm.backendUp[i].Set(1)
-		}
+	}
+	if cfg.Telemetry != nil {
+		c.publish(cfg.Telemetry)
 	}
 	c.ep = sip.NewEndpoint(transport.NewSim(r.Net, "balancer:5060"), c.clock)
 	c.ep.Handle(c.handleRequest)
@@ -543,9 +538,6 @@ func (c *Cluster) probeResult(n *node, ok bool, window int) {
 			n.overloadUntil = until
 		}
 		c.counters.OverloadSignals++
-		if c.tm != nil {
-			c.tm.overloads.Inc()
-		}
 	}
 	if ok {
 		n.consecFails = 0
@@ -554,25 +546,14 @@ func (c *Cluster) probeResult(n *node, ok bool, window int) {
 			n.slowUntil = now + c.health.SlowStart
 			c.counters.BackendUps++
 			c.eventLocked(n.idx, "up")
-			if c.tm != nil {
-				c.tm.backendUp[n.idx].Set(1)
-				c.tm.ups.Inc()
-			}
 		}
 	} else {
 		c.counters.ProbeFailures++
 		n.consecFails++
-		if c.tm != nil {
-			c.tm.probeFailures.Inc()
-		}
 		if n.up && n.consecFails >= c.health.FailThreshold {
 			n.up = false
 			c.counters.BackendDowns++
 			c.eventLocked(n.idx, "down")
-			if c.tm != nil {
-				c.tm.backendUp[n.idx].Set(0)
-				c.tm.downs.Inc()
-			}
 		}
 	}
 	c.mu.Unlock()
@@ -655,9 +636,6 @@ func (c *Cluster) backendFor(user string) *node {
 		if n.up {
 			if i > 0 {
 				c.counters.Repins++
-				if c.tm != nil {
-					c.tm.repins.Inc()
-				}
 			}
 			return n
 		}
@@ -740,12 +718,6 @@ func (c *Cluster) redirectInvite(tx *sip.ServerTx, req *sip.Message) {
 	}
 	if anyDown {
 		c.counters.Failovers++
-		if c.tm != nil {
-			c.tm.failovers.Inc()
-		}
-	}
-	if c.tm != nil {
-		c.tm.redirects.Inc()
 	}
 	addr := n.addr
 	c.mu.Unlock()

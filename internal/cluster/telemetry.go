@@ -1,24 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"repro/internal/telemetry"
-)
-
-// clusterMetrics holds the balancer's pre-resolved telemetry handles.
-// All registered once in New; record sites are nil-guarded.
-type clusterMetrics struct {
-	backendUp []*telemetry.Gauge // cluster_backend_up{backend="pbxN"}
-
-	redirects     *telemetry.Counter
-	failovers     *telemetry.Counter
-	repins        *telemetry.Counter
-	probeFailures *telemetry.Counter
-	downs         *telemetry.Counter
-	ups           *telemetry.Counter
-	overloads     *telemetry.Counter
-}
+import "repro/internal/telemetry"
 
 // Cluster telemetry family names.
 const (
@@ -31,23 +13,41 @@ const (
 	mClusterOverloads     = "cluster_overload_signals_total"
 )
 
-func newClusterMetrics(reg *telemetry.Registry, servers int) *clusterMetrics {
-	tm := &clusterMetrics{
-		redirects: reg.Counter(mClusterRedirects, "INVITEs answered with 302 toward a backend"),
-		failovers: reg.Counter(mClusterFailovers,
-			"redirects placed while at least one backend was marked down"),
-		repins: reg.Counter(mClusterRepins,
-			"REGISTERs re-pinned from a down backend to a live one"),
-		probeFailures: reg.Counter(mClusterProbeFailures, "health probes that timed out or got non-200"),
-		downs:         reg.Counter(mClusterTransitions, "backend liveness transitions", telemetry.L("to", "down")),
-		ups:           reg.Counter(mClusterTransitions, "backend liveness transitions", telemetry.L("to", "up")),
-		overloads: reg.Counter(mClusterOverloads,
-			"probe responses carrying an X-Overload-Window backoff hint"),
+// publish registers the balancer's families on reg: each reads
+// Counters, or a node's liveness, under c.mu at scrape time. Called
+// once from New, after the nodes exist.
+func (c *Cluster) publish(reg *telemetry.Registry) {
+	read := func(v func() float64) func() float64 {
+		return func() float64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return v()
+		}
 	}
-	for i := 0; i < servers; i++ {
-		tm.backendUp = append(tm.backendUp, reg.Gauge(mClusterBackendUp,
-			"1 while the backend is in placement rotation",
-			telemetry.L("backend", fmt.Sprintf("pbx%d", i+1))))
+	count := func(field *uint64) func() float64 {
+		return read(func() float64 { return float64(*field) })
 	}
-	return tm
+	reg.CounterFunc(mClusterRedirects, "INVITEs answered with 302 toward a backend",
+		count(&c.counters.Redirects))
+	reg.CounterFunc(mClusterFailovers, "redirects placed while at least one backend was marked down",
+		count(&c.counters.Failovers))
+	reg.CounterFunc(mClusterRepins, "REGISTERs re-pinned from a down backend to a live one",
+		count(&c.counters.Repins))
+	reg.CounterFunc(mClusterProbeFailures, "health probes that timed out or got non-200",
+		count(&c.counters.ProbeFailures))
+	reg.CounterFunc(mClusterTransitions, "backend liveness transitions",
+		count(&c.counters.BackendDowns), telemetry.L("to", "down"))
+	reg.CounterFunc(mClusterTransitions, "backend liveness transitions",
+		count(&c.counters.BackendUps), telemetry.L("to", "up"))
+	reg.CounterFunc(mClusterOverloads, "probe responses carrying an X-Overload-Window backoff hint",
+		count(&c.counters.OverloadSignals))
+	for _, n := range c.nodes {
+		reg.GaugeFunc(mClusterBackendUp, "1 while the backend is in placement rotation",
+			read(func() float64 {
+				if n.up {
+					return 1
+				}
+				return 0
+			}), telemetry.L("backend", n.host))
+	}
 }

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"strconv"
 	"time"
 
 	"repro/internal/netsim"
@@ -87,7 +88,7 @@ func (t *Timeline) Observe(now time.Duration, data []byte) {
 		if msg.IsRequest() {
 			key += "|" + string(msg.Method)
 		} else {
-			key += "|" + itoa(msg.StatusCode)
+			key += "|" + strconv.Itoa(msg.StatusCode)
 		}
 		if _, dup := t.seen[key]; dup {
 			b.Retrans++
@@ -144,19 +145,4 @@ func (t *Timeline) Totals() Second {
 		sum.add(t.buckets[i])
 	}
 	return sum
-}
-
-// itoa avoids importing strconv for three-digit status codes.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

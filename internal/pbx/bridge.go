@@ -78,9 +78,6 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 	s.attemptsWindow++
 	draining := s.draining
 	s.mu.Unlock()
-	if s.tm != nil {
-		s.tm.invites.Inc()
-	}
 	s.traceBegin(req.CallID)
 
 	// Administrative drain: shed new work, keep established calls.
@@ -100,7 +97,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 	// SDP offer from the caller.
 	offer, err := sdp.Parse(req.Body)
 	if err != nil {
-		s.rejectInvite(tx, req, sip.StatusInternalError, false)
+		s.rejectInvite(tx, req, req.Response(sip.StatusInternalError), false)
 		return
 	}
 
@@ -110,7 +107,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 		s.mu.Lock()
 		s.counters.CodecRejected++
 		s.mu.Unlock()
-		s.rejectInvite(tx, req, sip.StatusNotAcceptableHere, false)
+		s.rejectInvite(tx, req, req.Response(sip.StatusNotAcceptableHere), false)
 		return
 	}
 
@@ -130,7 +127,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 			s.bridgeTo(tx, req, src, route.Target, route.Trunk, offer, predicted, stage)
 			return
 		case RouteReject:
-			s.rejectInvite(tx, req, route.Status, false)
+			s.rejectInvite(tx, req, req.Response(route.Status), false)
 			return
 		default:
 			callee = route.Target
@@ -147,7 +144,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 			s.answerVoicemail(tx, req, src, callee, offer)
 			return
 		}
-		s.rejectInvite(tx, req, sip.StatusNotFound, false)
+		s.rejectInvite(tx, req, req.Response(sip.StatusNotFound), false)
 		return
 	}
 
@@ -219,7 +216,7 @@ func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calle
 		r, err := s.newRelay(br, offer)
 		if err != nil {
 			s.releaseChannel()
-			s.rejectInvite(tx, req, sip.StatusInternalError, true)
+			s.rejectInvite(tx, req, req.Response(sip.StatusInternalError), true)
 			return
 		}
 		br.relay = r
@@ -359,13 +356,8 @@ func (s *Server) shedLocked(tx *sip.ServerTx, req *sip.Message, reason shedReaso
 	}
 	s.errorsWindow++
 	s.mu.Unlock()
-	if s.tm != nil {
-		s.tm.blocked.Inc()
-		if reason == shedDrain {
-			s.tm.drainRejects.Inc()
-		} else {
-			s.tm.admitNo.Inc()
-		}
+	if s.tm != nil && reason != shedDrain {
+		s.tm.admitNo.Inc()
 	}
 	s.traceEnd(req.CallID, telemetry.OutcomeBlocked)
 	resp := req.Response(sip.StatusServiceUnavailable)
@@ -379,9 +371,6 @@ func (s *Server) shedLocked(tx *sip.ServerTx, req *sip.Message, reason shedReaso
 			resp.RetryAfter = window
 		}
 		resp.SetOverloadWindow(window)
-		if s.tm != nil && s.tm.throttleSignals != nil {
-			s.tm.throttleSignals.Inc()
-		}
 	}
 	tx.Respond(resp)
 }
@@ -413,34 +402,31 @@ func (s *Server) predictMOSLocked(offer *sdp.Session, projectedCPU float64) floa
 	})
 }
 
-// authorizeInvite challenges and verifies INVITE credentials.
-// It reports whether processing may continue.
+// authorizeInvite challenges and verifies INVITE credentials; the 401
+// challenge and the 403 both end the attempt as Rejected. It reports
+// whether processing may continue.
 func (s *Server) authorizeInvite(tx *sip.ServerTx, req *sip.Message) bool {
 	creds, have := sip.ParseDigestCredentials(req.Authorization)
 	if !have {
 		// The caller will retry this attempt with credentials and the
 		// same Call-ID; Begin then restarts its span.
-		s.traceEnd(req.CallID, telemetry.OutcomeRejected)
 		resp := req.Response(sip.StatusUnauthorized)
-		resp.To.Tag = s.ep.NewTag()
 		resp.WWWAuthenticate = sip.DigestChallenge{Realm: s.cfg.Realm, Nonce: s.newNonce()}.Header()
-		tx.Respond(resp)
+		s.rejectInvite(tx, req, resp, false)
 		return false
 	}
 	acct, err := s.dir.Lookup(creds.Username)
 	ch := sip.DigestChallenge{Realm: creds.Realm, Nonce: creds.Nonce}
 	if err != nil || creds.Realm != s.cfg.Realm || !ch.Verify(creds, acct.Password, sip.INVITE) {
-		s.countError()
-		s.traceEnd(req.CallID, telemetry.OutcomeRejected)
-		resp := req.Response(sip.StatusTemporarilyDenied)
-		resp.To.Tag = s.ep.NewTag()
-		tx.Respond(resp)
+		s.rejectInvite(tx, req, req.Response(sip.StatusTemporarilyDenied), false)
 		return false
 	}
 	return true
 }
 
-func (s *Server) rejectInvite(tx *sip.ServerTx, req *sip.Message, status int, blocked bool) {
+// rejectInvite counts a refused INVITE as Blocked or Rejected, ends its
+// span and sends resp with a fresh To tag.
+func (s *Server) rejectInvite(tx *sip.ServerTx, req *sip.Message, resp *sip.Message, blocked bool) {
 	s.mu.Lock()
 	if blocked {
 		s.counters.Blocked++
@@ -449,19 +435,11 @@ func (s *Server) rejectInvite(tx *sip.ServerTx, req *sip.Message, status int, bl
 	}
 	s.errorsWindow++
 	s.mu.Unlock()
-	if s.tm != nil {
-		if blocked {
-			s.tm.blocked.Inc()
-		} else {
-			s.tm.rejected.Inc()
-		}
-	}
 	if blocked {
 		s.traceEnd(req.CallID, telemetry.OutcomeBlocked)
 	} else {
 		s.traceEnd(req.CallID, telemetry.OutcomeRejected)
 	}
-	resp := req.Response(status)
 	resp.To.Tag = s.ep.NewTag()
 	tx.Respond(resp)
 }
@@ -565,9 +543,6 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 		s.mu.Unlock()
 		if window > 0 {
 			fwd.SetOverloadWindow(window)
-			if s.tm != nil && s.tm.throttleSignals != nil {
-				s.tm.throttleSignals.Inc()
-			}
 		}
 		br.aTx.Respond(fwd)
 		s.traceMark(br.cdr.CallID, telemetry.StageAnswered)
@@ -582,9 +557,6 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 		s.counters.Rejected++
 		s.errorsWindow++
 		s.mu.Unlock()
-		if s.tm != nil {
-			s.tm.rejected.Inc()
-		}
 		s.removeBridge(br, false)
 	}
 }
@@ -639,7 +611,6 @@ func (s *Server) negotiateBridgeCodecs(br *bridge, answer *sdp.Session) bool {
 			if cbr.BPayloadType != cbr.APayloadType {
 				s.tm.callsByCodec(b.PayloadType).Inc()
 			}
-			s.tm.transcoded.Inc()
 			s.tm.transcodeLoad.Set(load)
 		}
 	}
@@ -695,9 +666,6 @@ func (s *Server) handleAck(req *sip.Message) {
 	s.mu.Unlock()
 	if j := s.cfg.Journal; j != nil {
 		j.Answer(br.cdr.CallID, br.cdr.AnsweredAt)
-	}
-	if s.tm != nil {
-		s.tm.established.Inc()
 	}
 	s.traceMark(br.cdr.CallID, telemetry.StageAcked)
 }

@@ -66,53 +66,39 @@ func (st DegradationStage) String() string {
 // no extra RNG draw, so existing goldens stay bit-identical.
 type DegradationConfig struct {
 	// Enter[i] is the pressure at or above which the ladder escalates
-	// from stage i to stage i+1 (after EscalateTicks consecutive
-	// ticks). Defaults: 0.70, 0.78, 0.86, 0.94.
+	// from stage i to stage i+1 (after escalateTicks consecutive
+	// ticks); it relaxes back below Enter[i] − exitBand (after
+	// relaxTicks). Defaults: 0.70, 0.78, 0.86, 0.94.
 	Enter [4]float64
-	// Exit[i] is the pressure below which stage i+1 relaxes back to
-	// stage i (after RelaxTicks consecutive ticks). Each Exit must sit
-	// below its Enter — the hysteresis band that stops flapping.
-	// Defaults: Enter[i] − 0.10.
-	Exit [4]float64
-	// EscalateTicks / RelaxTicks are the consecutive-tick debounce on
-	// each direction. Escalation reacts fast (default 2); relaxation
-	// waits out transients (default 5).
-	EscalateTicks int
-	RelaxTicks    int
-	// MOSFloor is the measured-MOS level below which call quality
-	// contributes pressure (default 3.5, the top of G.107's "some
-	// users dissatisfied" band).
-	MOSFloor float64
-	// DropRef is the relay drop rate that saturates the drop-pressure
-	// term at 1.0 (default 0.25).
-	DropRef float64
 	// ThrottleWindow is the backoff window in seconds advertised via
 	// Retry-After/X-Overload-Window while at StageUpstreamThrottle or
 	// above (default 10).
 	ThrottleWindow int
 }
 
+// The ladder's fixed tuning.
+const (
+	// exitBand is the hysteresis band under each Enter threshold that
+	// stops the ladder flapping.
+	exitBand = 0.10
+	// escalateTicks / relaxTicks are the consecutive-tick debounce on
+	// each direction: escalation reacts fast, relaxation waits out
+	// transients.
+	escalateTicks = 2
+	relaxTicks    = 5
+	// mosFloor is the measured-MOS level below which call quality
+	// contributes pressure: the top of G.107's "some users
+	// dissatisfied" band.
+	mosFloor = 3.5
+	// dropRef is the relay drop rate that saturates the drop-pressure
+	// term at 1.0.
+	dropRef = 0.25
+)
+
 // withDefaults fills the zero fields.
 func (c DegradationConfig) withDefaults() DegradationConfig {
 	if c.Enter == [4]float64{} {
 		c.Enter = [4]float64{0.70, 0.78, 0.86, 0.94}
-	}
-	if c.Exit == [4]float64{} {
-		for i, e := range c.Enter {
-			c.Exit[i] = e - 0.10
-		}
-	}
-	if c.EscalateTicks <= 0 {
-		c.EscalateTicks = 2
-	}
-	if c.RelaxTicks <= 0 {
-		c.RelaxTicks = 5
-	}
-	if c.MOSFloor == 0 {
-		c.MOSFloor = 3.5
-	}
-	if c.DropRef == 0 {
-		c.DropRef = 0.25
 	}
 	if c.ThrottleWindow <= 0 {
 		c.ThrottleWindow = 10
@@ -150,7 +136,7 @@ type DegradationController struct {
 	cfg      DegradationConfig
 	stage    DegradationStage
 	hot      int // consecutive ticks at/above the next rung's Enter
-	cool     int // consecutive ticks below the current rung's Exit
+	cool     int // consecutive ticks below the current rung's exit threshold
 	timeline []DegradationTransition
 }
 
@@ -169,13 +155,13 @@ func (d *DegradationController) Config() DegradationConfig { return d.cfg }
 // be quality-degraded long before its CPU pegs.
 func (d *DegradationController) Pressure(sig DegradationSignals) float64 {
 	p := sig.CPU / 100
-	if dp := sig.DropRate / d.cfg.DropRef; dp > p {
+	if dp := sig.DropRate / dropRef; dp > p {
 		p = dp
 	}
-	if sig.MOS > 0 && sig.MOS < d.cfg.MOSFloor {
+	if sig.MOS > 0 && sig.MOS < mosFloor {
 		// Scale the deficit so MOS 1.0 (the E-model floor) is full
 		// pressure.
-		if mp := (d.cfg.MOSFloor - sig.MOS) / (d.cfg.MOSFloor - 1.0); mp > p {
+		if mp := (mosFloor - sig.MOS) / (mosFloor - 1.0); mp > p {
 			p = mp
 		}
 	}
@@ -187,9 +173,9 @@ func (d *DegradationController) Pressure(sig DegradationSignals) float64 {
 
 // Evaluate feeds one tick of signals and returns the (possibly new)
 // stage. The ladder moves at most one rung per tick, in either
-// direction, and only after the configured debounce: EscalateTicks
-// consecutive ticks at or above the next Enter threshold to climb,
-// RelaxTicks consecutive ticks below the current Exit threshold to
+// direction, and only after the debounce: escalateTicks consecutive
+// ticks at or above the next Enter threshold to climb, relaxTicks
+// consecutive ticks below the current rung's Enter − exitBand to
 // descend. Between the two thresholds — the hysteresis band — both
 // counters reset and the stage holds.
 func (d *DegradationController) Evaluate(now time.Duration, sig DegradationSignals) DegradationStage {
@@ -198,14 +184,14 @@ func (d *DegradationController) Evaluate(now time.Duration, sig DegradationSigna
 	case d.stage < StageBlock && p >= d.cfg.Enter[d.stage]:
 		d.cool = 0
 		d.hot++
-		if d.hot >= d.cfg.EscalateTicks {
+		if d.hot >= escalateTicks {
 			d.step(now, d.stage+1, p)
 			d.hot = 0
 		}
-	case d.stage > StageNormal && p < d.cfg.Exit[d.stage-1]:
+	case d.stage > StageNormal && p < d.cfg.Enter[d.stage-1]-exitBand:
 		d.hot = 0
 		d.cool++
-		if d.cool >= d.cfg.RelaxTicks {
+		if d.cool >= relaxTicks {
 			d.step(now, d.stage-1, p)
 			d.cool = 0
 		}

@@ -5,15 +5,11 @@ import (
 	"time"
 )
 
-// tickCfg is the test tuning: debounce of 2 up / 3 down and evenly
-// spaced thresholds so each transition is reachable in a short script.
+// tickCfg is the test tuning: evenly spaced thresholds so each
+// transition is reachable in a short script. The debounce is the
+// ladder's own: 2 ticks up, 5 down.
 func tickCfg() DegradationConfig {
-	return DegradationConfig{
-		Enter:         [4]float64{0.50, 0.60, 0.70, 0.80},
-		Exit:          [4]float64{0.40, 0.50, 0.60, 0.70},
-		EscalateTicks: 2,
-		RelaxTicks:    3,
-	}
+	return DegradationConfig{Enter: [4]float64{0.50, 0.60, 0.70, 0.80}}
 }
 
 // feed drives n ticks of constant CPU pressure (cpu is the raw percent)
@@ -34,7 +30,7 @@ func TestDegradationLadderTransitions(t *testing.T) {
 	d := NewDegradationController(tickCfg())
 	var at time.Duration
 
-	// Escalate one rung at a time. Each climb needs EscalateTicks=2
+	// Escalate one rung at a time. Each climb needs escalateTicks=2
 	// consecutive hot ticks; a single hot tick must not move the stage.
 	climbs := []struct {
 		cpu  float64
@@ -59,23 +55,23 @@ func TestDegradationLadderTransitions(t *testing.T) {
 		t.Fatalf("stage above StageBlock: %v", st)
 	}
 
-	// Relax one rung at a time. Each descent needs RelaxTicks=3
-	// consecutive cool ticks below the current rung's Exit.
+	// Relax one rung at a time. Each descent needs relaxTicks=5
+	// consecutive cool ticks below the current rung's Enter − 0.10.
 	descents := []struct {
 		cpu  float64
 		want DegradationStage
 	}{
-		{65, StageUpstreamThrottle}, // < Exit[3]=0.70
-		{55, StagePassthroughOnly},  // < Exit[2]=0.60
-		{45, StageCodecDowngrade},   // < Exit[1]=0.50
-		{35, StageNormal},           // < Exit[0]=0.40
+		{65, StageUpstreamThrottle}, // < Enter[3]−0.10 ≈ 0.70
+		{55, StagePassthroughOnly},  // < Enter[2]−0.10 = 0.60
+		{45, StageCodecDowngrade},   // < Enter[1]−0.10 = 0.50
+		{35, StageNormal},           // < Enter[0]−0.10 = 0.40
 	}
 	for _, c := range descents {
-		if st := feed(d, &at, c.cpu, 2); st != c.want+1 {
-			t.Fatalf("two cool ticks at cpu=%v moved stage to %v (relax debounce broken)", c.cpu, st)
+		if st := feed(d, &at, c.cpu, 4); st != c.want+1 {
+			t.Fatalf("four cool ticks at cpu=%v moved stage to %v (relax debounce broken)", c.cpu, st)
 		}
 		if st := feed(d, &at, c.cpu, 1); st != c.want {
-			t.Fatalf("three cool ticks at cpu=%v: stage=%v, want %v", c.cpu, st, c.want)
+			t.Fatalf("five cool ticks at cpu=%v: stage=%v, want %v", c.cpu, st, c.want)
 		}
 	}
 
@@ -110,7 +106,7 @@ func TestDegradationHysteresisBand(t *testing.T) {
 		t.Fatalf("setup failed: stage=%v", d.Stage())
 	}
 
-	// Band for stage 1 is [Exit[0], Enter[1]) = [0.40, 0.60).
+	// Band for stage 1 is [Enter[0]−0.10, Enter[1]) = [0.40, 0.60).
 	if st := feed(d, &at, 45, 20); st != StageCodecDowngrade {
 		t.Fatalf("stage moved inside hysteresis band: %v", st)
 	}
@@ -123,11 +119,11 @@ func TestDegradationHysteresisBand(t *testing.T) {
 		t.Fatalf("escalate debounce not reset by band tick: %v", st)
 	}
 
-	// Two cool ticks, a band tick, two cool ticks: no descent either.
+	// Four cool ticks, a band tick, four cool ticks: no descent either.
 	feed(d, &at, 45, 1) // clears the hot counter
-	feed(d, &at, 35, 2)
+	feed(d, &at, 35, 4)
 	feed(d, &at, 45, 1)
-	if st := feed(d, &at, 35, 2); st != StageCodecDowngrade {
+	if st := feed(d, &at, 35, 4); st != StageCodecDowngrade {
 		t.Fatalf("relax debounce not reset by band tick: %v", st)
 	}
 }
@@ -136,7 +132,6 @@ func TestDegradationHysteresisBand(t *testing.T) {
 // drive the pressure on its own, and that the max wins.
 func TestDegradationPressureTerms(t *testing.T) {
 	d := NewDegradationController(DegradationConfig{})
-	cfg := d.Config()
 
 	cases := []struct {
 		name string
@@ -144,12 +139,12 @@ func TestDegradationPressureTerms(t *testing.T) {
 		want float64
 	}{
 		{"cpu", DegradationSignals{CPU: 70}, 0.70},
-		{"drop", DegradationSignals{DropRate: cfg.DropRef / 2}, 0.50},
-		{"mos at floor", DegradationSignals{MOS: cfg.MOSFloor}, 0},
-		{"mos floor breach", DegradationSignals{MOS: (cfg.MOSFloor + 1.0) / 2},
+		{"drop", DegradationSignals{DropRate: dropRef / 2}, 0.50},
+		{"mos at floor", DegradationSignals{MOS: mosFloor}, 0},
+		{"mos floor breach", DegradationSignals{MOS: (mosFloor + 1.0) / 2},
 			0.5}, // halfway from floor to the E-model minimum
 		{"mos zero means unscored", DegradationSignals{MOS: 0}, 0},
-		{"max wins", DegradationSignals{CPU: 30, DropRate: cfg.DropRef}, 1.0},
+		{"max wins", DegradationSignals{CPU: 30, DropRate: dropRef}, 1.0},
 	}
 	for _, c := range cases {
 		if got := d.Pressure(c.sig); !closeTo(got, c.want, 1e-9) {
@@ -165,21 +160,14 @@ func closeTo(a, b, eps float64) bool {
 	return b-a <= eps
 }
 
-// TestDegradationDefaults checks the documented default tuning and the
-// Enter/Exit band invariant.
+// TestDegradationDefaults checks the documented default tuning.
 func TestDegradationDefaults(t *testing.T) {
 	cfg := NewDegradationController(DegradationConfig{}).Config()
 	if cfg.Enter != [4]float64{0.70, 0.78, 0.86, 0.94} {
 		t.Errorf("default Enter = %v", cfg.Enter)
 	}
-	for i := range cfg.Enter {
-		if cfg.Exit[i] >= cfg.Enter[i] {
-			t.Errorf("Exit[%d]=%v not below Enter[%d]=%v (no hysteresis band)",
-				i, cfg.Exit[i], i, cfg.Enter[i])
-		}
-	}
-	if cfg.EscalateTicks <= 0 || cfg.RelaxTicks <= 0 || cfg.ThrottleWindow <= 0 {
-		t.Errorf("defaults left a debounce or window at zero: %+v", cfg)
+	if cfg.ThrottleWindow != 10 {
+		t.Errorf("default ThrottleWindow = %d, want 10", cfg.ThrottleWindow)
 	}
 }
 

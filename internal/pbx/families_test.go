@@ -1,0 +1,61 @@
+package pbx_test
+
+import (
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/directory"
+	"repro/internal/monitor"
+	"repro/internal/netsim"
+	"repro/internal/pbx"
+	"repro/internal/rig"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
+)
+
+// TestWireFamiliesAreSimPlusFour pins the observability contract that
+// sim and wire export the same metric families: with one Config, the
+// pbx_*, sip_* and rtp_relay_* families of pbxd's wiring are the sim
+// rig's plus exactly the four that wire.go adds (an external test: rig
+// imports pbx).
+func TestWireFamiliesAreSimPlusFour(t *testing.T) {
+	cfg := pbx.Config{
+		RelayRTP:    true,
+		Registrar:   pbx.RegistrarConfig{Enabled: true},
+		Degradation: &pbx.DegradationConfig{},
+	}
+	families := func(reg *telemetry.Registry) []string {
+		var out []string
+		for _, f := range reg.Snapshot().Families {
+			for _, p := range []string{"pbx_", "sip_", "rtp_relay_"} {
+				if strings.HasPrefix(f.Name, p) {
+					out = append(out, f.Name)
+				}
+			}
+		}
+		return out
+	}
+
+	r := rig.NewSim(1, 0, nil, stats.NewRNG(1), netsim.LinkProfile{Delay: time.Millisecond})
+	simCfg := cfg
+	simCfg.Telemetry = r.Reg
+	r.PBX("pbx", directory.New(), simCfg).Close()
+	// The SLO evaluator core.Run attaches to a sim run, as ListenWire
+	// does to the wire.
+	monitor.NewSLO(r.Reg, monitor.DefaultSLORules())
+	want := append(families(r.Reg), "rtp_relay_rejected_total", "sip_active_transactions",
+		"sip_lingering_transactions", "sip_tx_reaper_runs_total")
+	sort.Strings(want)
+
+	w, err := pbx.ListenWire("127.0.0.1:0", 1, directory.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := families(w.Registry); !reflect.DeepEqual(got, want) {
+		t.Errorf("wire families:\n  %v\nwant the sim's plus wire.go's four:\n  %v", got, want)
+	}
+}

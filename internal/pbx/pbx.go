@@ -328,11 +328,12 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	}
 	if cfg.Telemetry != nil {
 		s.tm = newPBXMetrics(cfg.Telemetry, s.admissionName)
+		s.publishCounters(cfg.Telemetry)
 		if s.degrade != nil {
-			s.tm.registerDegradation(cfg.Telemetry)
+			s.registerDegradation(cfg.Telemetry)
 		}
 		if cfg.Registrar.Enabled {
-			s.tm.registerRegistrar(cfg.Telemetry)
+			s.registerRegistrar(cfg.Telemetry)
 		}
 	}
 	s.calls.sink = cfg.CallLog
@@ -522,13 +523,9 @@ func (s *Server) evaluateDegradationLocked(util float64) {
 		sig.MOS = s.mosTickSum / float64(s.mosTickCalls)
 		s.mosTickSum, s.mosTickCalls = 0, 0
 	}
-	prev := s.degrade.Stage()
 	stage := s.degrade.Evaluate(s.ep.Clock().Now(), sig)
 	if s.tm != nil && s.tm.degradeStage != nil {
 		s.tm.degradeStage.SetInt(int(stage))
-		if stage != prev {
-			s.tm.degradeTransitions.Inc()
-		}
 	}
 }
 
@@ -685,7 +682,7 @@ func (s *Server) handleRequest(tx *sip.ServerTx, req *sip.Message, src string) {
 		s.mu.Lock()
 		draining := s.draining
 		window := s.overloadWindowLocked()
-		if window > 0 {
+		if window > 0 && !draining {
 			s.counters.ThrottleSignals++
 		}
 		s.mu.Unlock()
@@ -701,9 +698,6 @@ func (s *Server) handleRequest(tx *sip.ServerTx, req *sip.Message, src string) {
 		resp := req.Response(sip.StatusOK)
 		if window > 0 {
 			resp.SetOverloadWindow(window)
-			if s.tm != nil && s.tm.throttleSignals != nil {
-				s.tm.throttleSignals.Inc()
-			}
 		}
 		tx.Respond(resp)
 	default:

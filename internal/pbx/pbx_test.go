@@ -12,6 +12,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sip"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -338,14 +339,24 @@ func TestCalleeHangupForwardsByeToCaller(t *testing.T) {
 func TestInviteAuthentication(t *testing.T) {
 	// With AuthInvites on, an INVITE without credentials is challenged
 	// with 401. Our phone does not retry INVITE auth, so the call is
-	// rejected — the test asserts the server-side policy.
-	r := newRig(t, 2, Config{AuthInvites: true})
+	// rejected — the test asserts the server-side policy. The challenge
+	// ends the attempt, so it is counted Rejected, in the same books
+	// the tracer's outcome reads.
+	reg := telemetry.NewRegistry()
+	r := newRig(t, 2, Config{AuthInvites: true, Telemetry: reg})
 	call := r.phones[0].Invite("u1")
 	var status int
 	call.OnEnded = func(c *sip.Call) { status = c.RejectStatus() }
 	r.sched.Run(30 * time.Second)
 	if status != sip.StatusUnauthorized {
 		t.Errorf("status = %d, want 401", status)
+	}
+	if c := r.server.CountersSnapshot(); c.Attempts != 1 || c.Rejected != 1 {
+		t.Errorf("Attempts=%d Rejected=%d, want 1/1", c.Attempts, c.Rejected)
+	}
+	snap := reg.Snapshot()
+	if got, traced := snap.Scalar(mRejected), series(snap, "pbx_calls_total", "outcome", "rejected"); got != 1 || got != traced {
+		t.Errorf("%s = %v, pbx_calls_total{outcome=\"rejected\"} = %v, want 1 and equal", mRejected, got, traced)
 	}
 }
 

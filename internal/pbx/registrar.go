@@ -99,9 +99,6 @@ func (s *Server) handleRegister(tx *sip.ServerTx, req *sip.Message, src string) 
 		}
 		s.mu.Unlock()
 		if shed {
-			if s.tm != nil && s.tm.registersShed != nil {
-				s.tm.registersShed.Inc()
-			}
 			resp := req.Response(sip.StatusServiceUnavailable)
 			resp.RetryAfter = retryAfter
 			tx.Respond(resp)
@@ -128,10 +125,6 @@ func (s *Server) handleRegister(tx *sip.ServerTx, req *sip.Message, src string) 
 		s.registerAuthFail(tx, req)
 		return
 	}
-	if s.tm != nil && s.tm.nonceHits != nil {
-		s.tm.nonceHits.Inc()
-	}
-
 	now := s.ep.Clock().Now()
 	if req.ContactStar {
 		// RFC 3261 10.2.2: the wildcard is only valid with Expires: 0.
@@ -149,7 +142,7 @@ func (s *Server) handleRegister(tx *sip.ServerTx, req *sip.Message, src string) 
 		s.counters.Registers++
 		s.counters.RegisterRemovals++
 		s.mu.Unlock()
-		s.recordRegisterAccepted(true)
+		s.recordRegisterAccepted()
 		resp := req.Response(sip.StatusOK)
 		resp.Expires = 0
 		tx.Respond(resp)
@@ -188,7 +181,7 @@ func (s *Server) handleRegister(tx *sip.ServerTx, req *sip.Message, src string) 
 		s.counters.RegisterRemovals++
 	}
 	s.mu.Unlock()
-	s.recordRegisterAccepted(ttl <= 0)
+	s.recordRegisterAccepted()
 	resp := req.Response(sip.StatusOK)
 	resp.Contact = req.Contact
 	resp.Expires = expSec
@@ -212,18 +205,6 @@ func (s *Server) challengeRegister(tx *sip.ServerTx, req *sip.Message, acct dire
 		s.counters.RegisterChallenges++
 	}
 	s.mu.Unlock()
-	if s.tm != nil {
-		if stale {
-			if s.tm.registersStale != nil {
-				s.tm.registersStale.Inc()
-			}
-			if s.tm.nonceStale != nil {
-				s.tm.nonceStale.Inc()
-			}
-		} else if s.tm.registersChallenged != nil {
-			s.tm.registersChallenged.Inc()
-		}
-	}
 	resp := req.Response(sip.StatusUnauthorized)
 	resp.WWWAuthenticate = sip.DigestChallenge{Realm: s.cfg.Realm, Nonce: nonce, Stale: stale}.Header()
 	tx.Respond(resp)
@@ -236,30 +217,12 @@ func (s *Server) registerAuthFail(tx *sip.ServerTx, req *sip.Message) {
 	s.mu.Lock()
 	s.counters.RegisterAuthFail++
 	s.mu.Unlock()
-	if s.tm != nil {
-		if s.tm.registersAuthFail != nil {
-			s.tm.registersAuthFail.Inc()
-		}
-		if s.tm.nonceBad != nil {
-			s.tm.nonceBad.Inc()
-		}
-	}
 	tx.Respond(req.Response(sip.StatusTemporarilyDenied))
 }
 
-// recordRegisterAccepted updates the registrar telemetry after a 200.
-func (s *Server) recordRegisterAccepted(removal bool) {
-	if s.tm == nil {
-		return
-	}
-	if removal {
-		if s.tm.registersRemoved != nil {
-			s.tm.registersRemoved.Inc()
-		}
-	} else if s.tm.registersAccepted != nil {
-		s.tm.registersAccepted.Inc()
-	}
-	if s.tm.bindings != nil {
+// recordRegisterAccepted refreshes the bindings gauge after a 200.
+func (s *Server) recordRegisterAccepted() {
+	if s.tm != nil && s.tm.bindings != nil {
 		s.tm.bindings.SetInt(int(s.dir.LiveBindings()))
 	}
 }

@@ -51,18 +51,16 @@ const (
 )
 
 // pbxMetrics holds the server's pre-resolved telemetry handles plus
-// the per-call tracer. All handles are registered once in New; record
-// sites are nil-guarded so a PBX without a registry pays only a
-// pointer check.
+// the per-call tracer: the levels, distributions and breakdowns that
+// Counters does not keep. The families that count what Counters
+// already counts are pull views of it (publishCounters). All are
+// registered once in New; record sites are nil-guarded so a PBX
+// without a registry pays only a pointer check.
 type pbxMetrics struct {
-	invites     *telemetry.Counter
-	blocked     *telemetry.Counter
-	rejected    *telemetry.Counter
-	established *telemetry.Counter
-	admitOK     *telemetry.Counter // admission verdicts for the active policy
-	admitNo     *telemetry.Counter
-	active      *telemetry.Gauge
-	peak        *telemetry.Gauge
+	admitOK *telemetry.Counter // admission verdicts for the active policy
+	admitNo *telemetry.Counter
+	active  *telemetry.Gauge
+	peak    *telemetry.Gauge
 
 	cdrs        [numDispositions]*telemetry.Counter // by Disposition
 	jitter      *telemetry.Histogram
@@ -77,86 +75,102 @@ type pbxMetrics struct {
 	relayTranscoded *telemetry.Counter
 	relayRTCP       *telemetry.Counter
 
-	// Codec plane: answered bridges by negotiated leg codec, active
-	// transcode surcharge, and transcoding-bridge count.
+	// Codec plane: answered bridges by negotiated leg codec and the
+	// active transcode surcharge.
 	byCodec       map[int]*telemetry.Counter
 	otherCodec    *telemetry.Counter
-	transcoded    *telemetry.Counter
 	transcodeLoad *telemetry.Gauge
 
-	draining     *telemetry.Gauge
-	drainDur     *telemetry.Histogram
-	drainRejects *telemetry.Counter
+	draining *telemetry.Gauge
+	drainDur *telemetry.Histogram
 
-	// Degradation ladder (nil unless registerDegradation ran).
-	degradeStage       *telemetry.Gauge
-	degradeTransitions *telemetry.Counter
-	callsByStage       [degradationStageCount]*telemetry.Counter
-	throttleSignals    *telemetry.Counter
+	// Degradation ladder (nil unless the ladder is enabled).
+	degradeStage *telemetry.Gauge
+	callsByStage [degradationStageCount]*telemetry.Counter
 
-	// Registrar plane (nil unless registerRegistrar ran).
-	registersAccepted   *telemetry.Counter
-	registersChallenged *telemetry.Counter
-	registersStale      *telemetry.Counter
-	registersAuthFail   *telemetry.Counter
-	registersShed       *telemetry.Counter
-	registersRemoved    *telemetry.Counter
-	bindings            *telemetry.Gauge
-	nonceHits           *telemetry.Counter
-	nonceStale          *telemetry.Counter
-	nonceBad            *telemetry.Counter
+	// Registrar plane (nil unless the registrar is enabled).
+	bindings *telemetry.Gauge
 
 	tracer *telemetry.Tracer
+}
+
+// read returns v evaluated under s.mu, at scrape time.
+func (s *Server) read(v func() float64) func() float64 {
+	return func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return v()
+	}
+}
+
+// count returns a reader of one Counters field.
+func (s *Server) count(field *uint64) func() float64 {
+	return s.read(func() float64 { return float64(*field) })
+}
+
+// publishCounters registers the families that read Counters. A second
+// server on the same registry — a farm's next backend, a crashed
+// server's restart — adds its reads to the same series.
+func (s *Server) publishCounters(reg *telemetry.Registry) {
+	reg.CounterFunc(mInvites, "new-call INVITEs received", s.count(&s.counters.Attempts))
+	reg.CounterFunc(mBlocked, "calls shed by admission control (503)", s.count(&s.counters.Blocked))
+	reg.CounterFunc(mRejected, "calls rejected for non-capacity reasons", s.count(&s.counters.Rejected))
+	reg.CounterFunc(mEstablished, "calls that reached ACK confirmation", s.count(&s.counters.Established))
+	reg.CounterFunc(mTranscoded, "bridges established with a transcoding media path",
+		s.count(&s.counters.TranscodedCalls))
+	reg.CounterFunc(mDrainRejects, "INVITEs 503'd while draining", s.count(&s.counters.DrainRejected))
 }
 
 // registerRegistrar adds the REGISTER-plane families. Called from New
 // only when Config.Registrar is enabled, so registrar-free servers
 // expose exactly the previous metric surface.
-func (tm *pbxMetrics) registerRegistrar(reg *telemetry.Registry) {
-	outcome := func(o string) *telemetry.Counter {
-		return reg.Counter(mRegisters, "REGISTER requests by outcome",
-			telemetry.L("outcome", o))
+func (s *Server) registerRegistrar(reg *telemetry.Registry) {
+	c := &s.counters
+	for _, o := range []struct {
+		label string
+		read  func() float64
+	}{
+		{"accepted", s.read(func() float64 { return float64(c.Registers - c.RegisterRemovals) })},
+		{"challenged", s.count(&c.RegisterChallenges)},
+		{"stale", s.count(&c.RegisterStale)},
+		{"authfail", s.count(&c.RegisterAuthFail)},
+		{"shed", s.count(&c.RegisterShed)},
+		{"removed", s.count(&c.RegisterRemovals)},
+	} {
+		reg.CounterFunc(mRegisters, "REGISTER requests by outcome", o.read, telemetry.L("outcome", o.label))
 	}
-	tm.registersAccepted = outcome("accepted")
-	tm.registersChallenged = outcome("challenged")
-	tm.registersStale = outcome("stale")
-	tm.registersAuthFail = outcome("authfail")
-	tm.registersShed = outcome("shed")
-	tm.registersRemoved = outcome("removed")
-	tm.bindings = reg.Gauge(mBindings, "contact bindings currently stored")
-	result := func(r string) *telemetry.Counter {
-		return reg.Counter(mNonceCache, "digest nonce-cache verification results",
-			telemetry.L("result", r))
-	}
-	tm.nonceHits = result("hit")
-	tm.nonceStale = result("stale")
-	tm.nonceBad = result("bad")
+	s.tm.bindings = reg.Gauge(mBindings, "contact bindings currently stored")
+	// A stale re-challenge is the nonce cache's stale verdict and a 403
+	// its bad one: the registrar counts both already.
+	result := func(r string) telemetry.Label { return telemetry.L("result", r) }
+	reg.CounterFunc(mNonceCache, "digest nonce-cache verification results",
+		func() float64 { return float64(s.nonces.Stats().Hits) }, result("hit"))
+	reg.CounterFunc(mNonceCache, "digest nonce-cache verification results",
+		s.count(&c.RegisterStale), result("stale"))
+	reg.CounterFunc(mNonceCache, "digest nonce-cache verification results",
+		s.count(&c.RegisterAuthFail), result("bad"))
 }
 
 // registerDegradation adds the ladder families. Called from New only
 // when Config.Degradation is enabled: a ladder-free server exposes
 // exactly the pre-ladder metric surface, keeping the golden telemetry
 // snapshots byte-identical.
-func (tm *pbxMetrics) registerDegradation(reg *telemetry.Registry) {
-	tm.degradeStage = reg.Gauge(mDegradeStage,
+func (s *Server) registerDegradation(reg *telemetry.Registry) {
+	s.tm.degradeStage = reg.Gauge(mDegradeStage,
 		"current degradation-ladder rung (0=normal .. 4=block)")
-	tm.degradeTransitions = reg.Counter(mDegradeTransitions,
-		"degradation-ladder stage transitions")
-	for i := range tm.callsByStage {
-		tm.callsByStage[i] = reg.Counter(mCallsByStage,
+	reg.CounterFunc(mDegradeTransitions, "degradation-ladder stage transitions",
+		s.read(func() float64 { return float64(len(s.degrade.timeline)) }))
+	for i := range s.tm.callsByStage {
+		s.tm.callsByStage[i] = reg.Counter(mCallsByStage,
 			"calls admitted by the ladder rung active at admission",
 			telemetry.L("stage", DegradationStage(i).String()))
 	}
-	tm.throttleSignals = reg.Counter(mThrottleSignals,
-		"responses stamped with the X-Overload-Window backoff hint")
+	reg.CounterFunc(mThrottleSignals, "responses stamped with the X-Overload-Window backoff hint",
+		s.count(&s.counters.ThrottleSignals))
 }
 
 func newPBXMetrics(reg *telemetry.Registry, policy string) *pbxMetrics {
 	tm := &pbxMetrics{
-		invites:     reg.Counter(mInvites, "new-call INVITEs received"),
-		blocked:     reg.Counter(mBlocked, "calls shed by admission control (503)"),
-		rejected:    reg.Counter(mRejected, "calls rejected for non-capacity reasons"),
-		established: reg.Counter(mEstablished, "calls that reached ACK confirmation"),
 		admitOK: reg.Counter(mAdmission, "admission decisions by policy and verdict",
 			telemetry.L("policy", policy), telemetry.L("verdict", "admit")),
 		admitNo: reg.Counter(mAdmission, "admission decisions by policy and verdict",
@@ -183,14 +197,12 @@ func newPBXMetrics(reg *telemetry.Registry, policy string) *pbxMetrics {
 
 		otherCodec: reg.Counter(mCallsByCodec, "answered bridges by negotiated leg codec",
 			telemetry.L("codec", "other")),
-		transcoded: reg.Counter(mTranscoded, "bridges established with a transcoding media path"),
 		transcodeLoad: reg.Gauge(mTranscodeLoad,
 			"CPU percent currently charged to active transcoding bridges"),
 
 		draining: reg.Gauge(mDraining, "1 while the server is in administrative drain"),
 		drainDur: reg.Histogram(mDrainDur,
 			"drain start to last channel released", telemetry.SetupBuckets),
-		drainRejects: reg.Counter(mDrainRejects, "INVITEs 503'd while draining"),
 
 		tracer: telemetry.NewTracer(reg, 0),
 	}

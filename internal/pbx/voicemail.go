@@ -97,7 +97,7 @@ func (s *Server) answerVoicemail(tx *sip.ServerTx, req *sip.Message, src, callee
 		s.mu.Unlock()
 		vm.close()
 		s.releaseChannel()
-		s.rejectInvite(tx, req, sip.StatusInternalError, false)
+		s.rejectInvite(tx, req, req.Response(sip.StatusInternalError), false)
 		return
 	}
 	ok := req.Response(sip.StatusOK)
@@ -133,9 +133,6 @@ func (s *Server) ackVoicemail(callID string) bool {
 	}
 	s.mu.Unlock()
 	if established {
-		if s.tm != nil {
-			s.tm.established.Inc()
-		}
 		s.traceMark(callID, telemetry.StageAcked)
 	}
 	return ok

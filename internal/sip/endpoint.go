@@ -15,7 +15,8 @@ type RequestHandler func(tx *ServerTx, req *Message, src string)
 
 // Stats counts endpoint-level protocol activity. The authoritative
 // Table I message counts come from the wire monitor; these counters
-// exist for debugging and the endpoint's own tests.
+// are the endpoint's own books, and its sip_* families read them
+// (UseTelemetry).
 type Stats struct {
 	Sent            map[string]uint64 // by method or status class, e.g. "INVITE", "200"
 	Received        map[string]uint64
@@ -129,8 +130,7 @@ type Endpoint struct {
 
 	idCounter  uint64
 	sent, recv msgTally
-	stats      Stats      // Sent and Received stay nil; see StatsSnapshot
-	tm         *epMetrics // nil until UseTelemetry
+	stats      Stats // Sent and Received stay nil; see StatsSnapshot
 }
 
 // NewEndpoint creates an endpoint on the given transport and clock and
@@ -268,9 +268,6 @@ func (ep *Endpoint) SendACK(dst string, ack *Message) {
 func (ep *Endpoint) sendLocked(dst string, m *Message) []byte {
 	ep.scratch = m.Append(ep.scratch[:0])
 	ep.sent.add(m)
-	if ep.tm != nil {
-		ep.tm.sent[kindOf(m)].Inc()
-	}
 	ep.tr.Send(dst, ep.scratch)
 	return ep.scratch
 }
@@ -278,9 +275,6 @@ func (ep *Endpoint) sendLocked(dst string, m *Message) []byte {
 // resendLocked retransmits or replays a transaction's stored bytes.
 func (ep *Endpoint) resendLocked(dst string, wire []byte) {
 	ep.stats.Retransmissions++
-	if ep.tm != nil {
-		ep.tm.retrans.Inc()
-	}
 	ep.tr.Send(dst, wire)
 }
 
@@ -291,9 +285,6 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 	if err != nil {
 		ep.mu.Lock()
 		ep.stats.ParseErrors++
-		if ep.tm != nil {
-			ep.tm.parseErr.Inc()
-		}
 		ep.mu.Unlock()
 		return
 	}
@@ -308,18 +299,12 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 	)
 	ep.mu.Lock()
 	ep.recv.add(msg)
-	if ep.tm != nil {
-		ep.tm.recv[kindOf(msg)].Inc()
-	}
 	switch {
 	case msg.IsResponse():
 		if ctx, ok := ep.clientTxs[msg.key()]; ok {
 			cb = ctx.handleResponseLocked(msg)
 		} else {
 			ep.stats.StrayResponses++
-			if ep.tm != nil {
-				ep.tm.stray.Inc()
-			}
 		}
 	case msg.Method == ACK:
 		if inv, ok := ep.serverTxs[msg.inviteKey()]; ok && inv.isInvite {

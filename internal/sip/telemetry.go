@@ -3,9 +3,8 @@ package sip
 import "repro/internal/telemetry"
 
 // msgKind buckets SIP messages for the sip_messages_total{dir,kind}
-// family. Using a fixed enum (not the raw method/status string) keeps
-// the record path allocation-free: the hot path indexes an array of
-// pre-registered counter handles instead of formatting a label value.
+// family: a fixed enum, so a scrape sums the endpoint's tallies into
+// fourteen series without formatting a label value.
 type msgKind int
 
 const (
@@ -31,42 +30,50 @@ var msgKindNames = [numMsgKinds]string{
 	"other", "1xx", "2xx", "3xx", "4xx", "5xx", "6xx",
 }
 
-// kindOf classifies without allocating.
-func kindOf(m *Message) msgKind {
-	if m.IsRequest() {
-		switch m.Method {
-		case INVITE:
-			return kindInvite
-		case ACK:
-			return kindAck
-		case BYE:
-			return kindBye
-		case CANCEL:
-			return kindCancel
-		case REGISTER:
-			return kindRegister
-		case MESSAGE:
-			return kindMessage
-		case OPTIONS:
-			return kindOptions
-		}
-		return kindOtherReq
+// methodKind classifies a request method without allocating.
+func methodKind(m Method) msgKind {
+	switch m {
+	case INVITE:
+		return kindInvite
+	case ACK:
+		return kindAck
+	case BYE:
+		return kindBye
+	case CANCEL:
+		return kindCancel
+	case REGISTER:
+		return kindRegister
+	case MESSAGE:
+		return kindMessage
+	case OPTIONS:
+		return kindOptions
 	}
-	switch c := m.StatusCode / 100; c {
+	return kindOtherReq
+}
+
+// statusKind classifies a response by its status class.
+func statusKind(code int) msgKind {
+	switch c := code / 100; c {
 	case 1, 2, 3, 4, 5, 6:
 		return kind1xx + msgKind(c-1)
 	}
 	return kindOtherReq
 }
 
-// epMetrics holds the endpoint's pre-resolved telemetry handles.
-type epMetrics struct {
-	sent     [numMsgKinds]*telemetry.Counter
-	recv     [numMsgKinds]*telemetry.Counter
-	retrans  *telemetry.Counter
-	timeouts *telemetry.Counter
-	parseErr *telemetry.Counter
-	stray    *telemetry.Counter
+// count sums the tally's messages of kind k.
+func (t msgTally) count(k msgKind) uint64 {
+	var n uint64
+	for m, v := range t.req {
+		if methodKind(m) == k {
+			n += v
+		}
+	}
+	for code, v := range t.resp {
+		if statusKind(code) == k {
+			n += v
+		}
+	}
+	return n
 }
 
 // SIP telemetry family names.
@@ -78,23 +85,32 @@ const (
 	mSIPMessages  = "sip_messages_total"
 )
 
-// UseTelemetry registers the endpoint's SIP-layer metric families on
-// reg and mirrors the existing Stats counters into them from then on.
-// Call it once, before traffic starts.
+// UseTelemetry publishes the endpoint's Stats on reg as the sip_*
+// families, read under the endpoint's lock at scrape time; another
+// endpoint on the same registry adds to the same series. Call it once
+// per endpoint: each call adds the endpoint's counts again.
 func (ep *Endpoint) UseTelemetry(reg *telemetry.Registry) {
-	tm := &epMetrics{
-		retrans:  reg.Counter(mSIPRetrans, "messages retransmitted or replayed by the transaction layer"),
-		timeouts: reg.Counter(mSIPTimeouts, "client transactions that timed out (synthesized 408)"),
-		parseErr: reg.Counter(mSIPParseErrs, "inbound datagrams that failed to parse"),
-		stray:    reg.Counter(mSIPStray, "responses matching no client transaction"),
+	read := func(field func() uint64) func() float64 {
+		return func() float64 {
+			ep.mu.Lock()
+			defer ep.mu.Unlock()
+			return float64(field())
+		}
 	}
+	reg.CounterFunc(mSIPRetrans, "messages retransmitted or replayed by the transaction layer",
+		read(func() uint64 { return ep.stats.Retransmissions }))
+	reg.CounterFunc(mSIPTimeouts, "client transactions that timed out (synthesized 408)",
+		read(func() uint64 { return ep.stats.Timeouts }))
+	reg.CounterFunc(mSIPParseErrs, "inbound datagrams that failed to parse",
+		read(func() uint64 { return ep.stats.ParseErrors }))
+	reg.CounterFunc(mSIPStray, "responses matching no client transaction",
+		read(func() uint64 { return ep.stats.StrayResponses }))
 	for k := msgKind(0); k < numMsgKinds; k++ {
-		tm.sent[k] = reg.Counter(mSIPMessages, "SIP messages by direction and kind",
+		reg.CounterFunc(mSIPMessages, "SIP messages by direction and kind",
+			read(func() uint64 { return ep.sent.count(k) }),
 			telemetry.L("dir", "sent"), telemetry.L("kind", msgKindNames[k]))
-		tm.recv[k] = reg.Counter(mSIPMessages, "SIP messages by direction and kind",
+		reg.CounterFunc(mSIPMessages, "SIP messages by direction and kind",
+			read(func() uint64 { return ep.recv.count(k) }),
 			telemetry.L("dir", "recv"), telemetry.L("kind", msgKindNames[k]))
 	}
-	ep.mu.Lock()
-	ep.tm = tm
-	ep.mu.Unlock()
 }

@@ -203,9 +203,6 @@ func (ep *Endpoint) startClientTxLocked(dst string, req *Message, onResponse fun
 		}
 		tx.terminateLocked()
 		ep.stats.Timeouts++
-		if ep.tm != nil {
-			ep.tm.timeouts.Inc()
-		}
 		cb := tx.onResponse
 		ep.mu.Unlock()
 		if cb != nil {

@@ -206,7 +206,10 @@ type metric struct {
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
-	fn     func() float64 // pull-style counter/gauge
+	// fns is a pull-style counter's or gauge's readers: the value is
+	// their sum. Registration swaps in a new slice, so a reader that
+	// ValueFunc handed out never races a later registration.
+	fns atomic.Pointer[[]func() float64]
 }
 
 // family groups the metrics sharing one name.
@@ -341,12 +344,18 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // CounterFunc registers a pull-style counter evaluated at snapshot
 // time — for subsystems that already keep their own counters (the
-// netsim scheduler) and must not pay per-event atomics.
+// netsim scheduler, a server's Counters) and must not pay per-event
+// atomics. Registering again on the same label set adds fn to the
+// sum: the backends of a farm, or a crashed server and its restart,
+// publish into one registry the total an outside collector would add
+// up.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	r.registerFunc(name, help, KindCounter, fn, labels)
 }
 
 // GaugeFunc registers a pull-style gauge evaluated at snapshot time.
+// Registering again on the same label set replaces the reader: a level
+// is not a sum.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.registerFunc(name, help, KindGauge, fn, labels)
 }
@@ -357,18 +366,29 @@ func (r *Registry) registerFunc(name, help string, kind Kind, fn func() float64,
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.getFamily(name, help, kind)
-	if m := f.find(sig); m != nil {
-		m.fn = fn
-		return
+	m := f.find(sig)
+	if m == nil {
+		m = &metric{labels: ls, sig: sig}
+		f.metrics = append(f.metrics, m)
 	}
-	f.metrics = append(f.metrics, &metric{labels: ls, sig: sig, fn: fn})
+	var fns []func() float64
+	if old := m.fns.Load(); old != nil && kind == KindCounter {
+		fns = append(fns, *old...)
+	}
+	fns = append(fns, fn)
+	m.fns.Store(&fns)
 }
 
 // value evaluates a scalar metric (counter, gauge or func).
 func (m *metric) value() float64 {
+	if fns := m.fns.Load(); fns != nil {
+		total := 0.0
+		for _, fn := range *fns {
+			total += fn()
+		}
+		return total
+	}
 	switch {
-	case m.fn != nil:
-		return m.fn()
 	case m.c != nil:
 		return float64(m.c.Value())
 	case m.g != nil:

@@ -396,3 +396,49 @@ func TestValueFuncAndFuncMetrics(t *testing.T) {
 		t.Fatalf("CounterFunc scalar = %v, want 11", got)
 	}
 }
+
+// TestFuncReregistration pins what a second registration on the same
+// label set does: a counter's readers add up (two servers publishing
+// into one registry count like one shared handle), a gauge's reader is
+// replaced (a level is not a sum). A ValueFunc taken before the second
+// registration sees it, and a concurrent registration does not race
+// the reads.
+func TestFuncReregistration(t *testing.T) {
+	reg := NewRegistry()
+	reg.CounterFunc("sum_total", "", func() float64 { return 3 }, L("k", "a"))
+	reg.GaugeFunc("level", "", func() float64 { return 3 }, L("k", "a"))
+	sum, level := reg.ValueFunc("sum_total"), reg.ValueFunc("level")
+	reg.CounterFunc("sum_total", "", func() float64 { return 4 }, L("k", "a"))
+	reg.GaugeFunc("level", "", func() float64 { return 4 }, L("k", "a"))
+	if got := sum(); got != 7 {
+		t.Errorf("second CounterFunc: ValueFunc = %v, want 3+4 = 7", got)
+	}
+	if got := reg.Snapshot().Scalar("sum_total"); got != 7 {
+		t.Errorf("second CounterFunc: snapshot = %v, want 7", got)
+	}
+	if got := level(); got != 4 {
+		t.Errorf("second GaugeFunc: ValueFunc = %v, want the replacement's 4", got)
+	}
+	if f := reg.Snapshot().Family("sum_total"); len(f.Metrics) != 1 {
+		t.Errorf("re-registration added a series: %d metrics, want 1", len(f.Metrics))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sum() }); allocs != 0 {
+		t.Errorf("summed CounterFunc read: %v allocs/op, want 0", allocs)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			reg.CounterFunc("sum_total", "", func() float64 { return 1 }, L("k", "a"))
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		sum()
+	}
+	wg.Wait()
+	if got := sum(); got != 107 {
+		t.Errorf("after 100 more registrations: %v, want 107", got)
+	}
+}
