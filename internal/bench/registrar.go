@@ -120,11 +120,13 @@ func RegistrarCapacityTable(opts RegistrarOptions) RegistrarCapacity {
 
 // storeRegisterRate hammers the bare location store from GOMAXPROCS
 // goroutines — the same steady-state refresh mix the micro-benchmark
-// runs, as ops/sec on this host.
+// runs, expiry heap on the wall clock as in pbxd, as ops/sec on this
+// host.
 func storeRegisterRate(shards int, dur time.Duration) float64 {
 	const users = 4096
 	d := directory.NewSharded(shards)
 	names := d.Provision("s", 0, users)
+	d.StartExpiry(transport.NewRealClock())
 	workers := runtime.GOMAXPROCS(0)
 	deadline := time.Now().Add(dur)
 	var ops atomic.Int64

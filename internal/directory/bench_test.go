@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/sip"
+	"repro/internal/transport"
 )
 
 // BenchmarkRegistrarRegister measures the register/refresh hot path
@@ -13,7 +14,8 @@ import (
 // refresh (same user+contact), which is the steady-state storm the
 // million-endpoint registrar sustains. The parallel variant is where
 // shard count matters — per-shard locks turn the REUSEPORT listener
-// fan-in into independent lock domains.
+// fan-in into independent lock domains. The expiry heap runs on the
+// wall clock, as it does in pbxd.
 func BenchmarkRegistrarRegister(b *testing.B) {
 	const users = 4096
 	for _, shards := range []int{1, 4, 16, 64} {
@@ -26,6 +28,7 @@ func BenchmarkRegistrarRegister(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			d.StartExpiry(transport.NewRealClock())
 			contact := "10.0.0.1:5060"
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -78,13 +81,14 @@ func nonceCacheHit(tb testing.TB) func(i int) {
 }
 
 // TestRegistrarAllocs pins the two operations a refresh storm is made
-// of — the binding refresh in the store and the preemptive digest check
-// against a cached nonce — at no allocation, or the storm turns into
-// collector pressure.
+// of — the binding refresh in the store, expiry heap included, and the
+// preemptive digest check against a cached nonce — at no allocation,
+// or the storm turns into collector pressure.
 func TestRegistrarAllocs(t *testing.T) {
 	const users = 4096
 	d := NewSharded(16)
 	names := d.Provision("u", 0, users)
+	d.StartExpiry(&fakeClock{})
 	for _, u := range names { // first lap: every later Register is a refresh
 		if err := d.Register(u, "10.0.0.1:5060", 0, time.Hour); err != nil {
 			t.Fatal(err)

@@ -8,15 +8,23 @@
 // power-of-two number of shards, each with its own lock, user map,
 // binding map and expiry heap, so concurrent REGISTER bursts from the
 // real-UDP listener shards do not serialize on one mutex. Binding
-// expiry is event-driven: each shard keeps a min-heap of deadlines and
-// arms one timer on the attached clock (the simulation timing wheel in
-// sim runs, the wall clock in pbxd) for the earliest one, instead of
-// scanning N bindings.
+// expiry is event-driven: each shard keeps its bindings in a min-heap
+// on their deadlines and arms one timer on the attached clock (the
+// simulation timing wheel in sim runs, the wall clock in pbxd) for the
+// earliest one, instead of scanning N bindings. A binding is one
+// record, in its user's list and at one heap position: a refresh moves
+// its deadline and fixes the heap in place, a removal takes it out, so
+// the store holds users × contacts records however often they refresh.
+// A record owns its strings — the provisioned username and a copy of
+// the contact — so no REGISTER's text outlives its transaction.
 package directory
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +42,14 @@ type User struct {
 	DisplayName string
 }
 
-// Binding is a registered contact: where to reach a user right now.
-type Binding struct {
-	Contact   string // transport address "host:port"
-	ExpiresAt time.Duration
+// binding is a registered contact: where to reach a user right now.
+type binding struct {
+	user      string // the provisioned User.Username
+	contact   string // transport address "host:port"
+	expiresAt time.Duration
+	// idx is the binding's position in its shard's expiry heap, or -1
+	// while it is in none (no clock attached, or removed).
+	idx int
 }
 
 // DefaultShards is the shard count used by New. Sixteen keeps the
@@ -45,22 +57,15 @@ type Binding struct {
 // per REUSEPORT listener shard) lock-free parallelism.
 const DefaultShards = 16
 
-// expiryEntry is one scheduled binding removal. Entries are never
-// deleted eagerly on refresh: a refreshed binding leaves its old entry
-// in the heap, and the pop path re-checks the live deadline, so a
-// refresh can never open a gap.
-type expiryEntry struct {
-	at      time.Duration
-	user    string
-	contact string
-}
-
 // shard is one lock domain of the directory.
 type shard struct {
-	mu       sync.Mutex
-	users    map[string]User
-	bindings map[string][]Binding
-	heap     []expiryEntry
+	mu    sync.Mutex
+	users map[string]User
+	// bindings lists each user's contacts, oldest registration first.
+	bindings map[string][]*binding
+	// heap holds every binding of the shard once while a clock is
+	// attached, earliest deadline first.
+	heap expiryHeap
 	// armedAt is the deadline the shard timer is currently set for,
 	// or -1 when no timer is pending.
 	armedAt time.Duration
@@ -106,7 +111,7 @@ func NewSharded(n int) *Directory {
 	for i := range d.shards {
 		d.shards[i] = &shard{
 			users:    make(map[string]User),
-			bindings: make(map[string][]Binding),
+			bindings: make(map[string][]*binding),
 			armedAt:  -1,
 		}
 	}
@@ -191,34 +196,45 @@ func (d *Directory) Authenticate(username, password string) bool {
 func (d *Directory) Register(username, contact string, now, ttl time.Duration) error {
 	s := d.shardFor(username)
 	s.mu.Lock()
-	if _, ok := s.users[username]; !ok {
+	u, ok := s.users[username]
+	if !ok {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoSuchUser, username)
 	}
+	// Key and record by the provisioned name: username may be a slice
+	// of the request's text.
+	username = u.Username
 	if ttl <= 0 {
 		d.removeContactLocked(s, username, contact)
 		s.mu.Unlock()
 		return nil
 	}
 	bs := s.bindings[username]
-	refreshed := false
+	var b *binding
 	for i := range bs {
-		if bs[i].Contact == contact {
+		if bs[i].contact == contact {
 			// Move the refreshed binding to the end: Contact()
 			// resolves to the most recently registered contact.
-			b := bs[i]
-			b.ExpiresAt = now + ttl
-			bs = append(append(bs[:i], bs[i+1:]...), b)
-			refreshed = true
+			b = bs[i]
+			copy(bs[i:], bs[i+1:])
+			bs[len(bs)-1] = b
 			break
 		}
 	}
-	if !refreshed {
-		bs = append(bs, Binding{Contact: contact, ExpiresAt: now + ttl})
+	if b == nil {
+		b = &binding{user: username, contact: strings.Clone(contact), idx: -1}
+		s.bindings[username] = append(bs, b)
 		d.live.Add(1)
 	}
-	s.bindings[username] = bs
-	d.scheduleExpiryLocked(s, expiryEntry{at: now + ttl, user: username, contact: contact})
+	b.expiresAt = now + ttl
+	if clock := d.expiryClock(); clock != nil {
+		if b.idx < 0 {
+			heap.Push(&s.heap, b)
+		} else {
+			heap.Fix(&s.heap, b.idx)
+		}
+		d.armLocked(s, clock.Now())
+	}
 	s.mu.Unlock()
 	return nil
 }
@@ -226,27 +242,29 @@ func (d *Directory) Register(username, contact string, now, ttl time.Duration) e
 // removeContactLocked drops one contact of username, or every contact
 // when contact is empty.
 func (d *Directory) removeContactLocked(s *shard, username, contact string) {
-	bs, ok := s.bindings[username]
-	if !ok {
-		return
-	}
-	if contact == "" {
-		d.live.Add(int64(-len(bs)))
-		delete(s.bindings, username)
-		return
-	}
-	for i := range bs {
-		if bs[i].Contact == contact {
-			bs = append(bs[:i], bs[i+1:]...)
-			d.live.Add(-1)
-			break
+	// Backwards: removing one binding shifts only those after it.
+	bs := s.bindings[username]
+	for i := len(bs) - 1; i >= 0; i-- {
+		if contact == "" || bs[i].contact == contact {
+			d.removeLocked(s, bs[i])
 		}
 	}
-	if len(bs) == 0 {
-		delete(s.bindings, username)
-	} else {
-		s.bindings[username] = bs
+}
+
+// removeLocked takes b out of the expiry heap and its user's list.
+func (d *Directory) removeLocked(s *shard, b *binding) {
+	if b.idx >= 0 {
+		heap.Remove(&s.heap, b.idx)
 	}
+	bs := s.bindings[b.user]
+	i := slices.Index(bs, b)
+	bs = slices.Delete(bs, i, i+1)
+	if len(bs) == 0 {
+		delete(s.bindings, b.user)
+	} else {
+		s.bindings[b.user] = bs
+	}
+	d.live.Add(-1)
 }
 
 // Contact resolves a username to its most recently registered,
@@ -257,8 +275,8 @@ func (d *Directory) Contact(username string, now time.Duration) (string, bool) {
 	defer s.mu.Unlock()
 	bs := s.bindings[username]
 	for i := len(bs) - 1; i >= 0; i-- {
-		if bs[i].ExpiresAt > now {
-			return bs[i].Contact, true
+		if bs[i].expiresAt > now {
+			return bs[i].contact, true
 		}
 	}
 	return "", false
@@ -272,8 +290,8 @@ func (d *Directory) Contacts(username string, now time.Duration) []string {
 	defer s.mu.Unlock()
 	var out []string
 	for _, b := range s.bindings[username] {
-		if b.ExpiresAt > now {
-			out = append(out, b.Contact)
+		if b.expiresAt > now {
+			out = append(out, b.contact)
 		}
 	}
 	return out
@@ -319,7 +337,7 @@ func (d *Directory) Registered(now time.Duration) int {
 		s.mu.Lock()
 		for _, bs := range s.bindings {
 			for _, b := range bs {
-				if b.ExpiresAt > now {
+				if b.expiresAt > now {
 					n++
 					break
 				}
@@ -344,26 +362,18 @@ func (d *Directory) StartExpiry(clock transport.Clock) {
 	now := clock.Now()
 	for _, s := range d.shards {
 		s.mu.Lock()
-		// Catch up deadlines registered before the clock attached.
-		for u, bs := range s.bindings {
+		// Catch up deadlines registered before the clock attached (or
+		// before a restarted server attached its own).
+		for _, bs := range s.bindings {
 			for _, b := range bs {
-				heapPush(&s.heap, expiryEntry{at: b.ExpiresAt, user: u, contact: b.Contact})
+				if b.idx < 0 {
+					heap.Push(&s.heap, b)
+				}
 			}
 		}
 		d.armLocked(s, now)
 		s.mu.Unlock()
 	}
-}
-
-// scheduleExpiryLocked records a deadline and (if a clock is attached)
-// arms or advances the shard timer. Called with s.mu held.
-func (d *Directory) scheduleExpiryLocked(s *shard, e expiryEntry) {
-	clock := d.expiryClock()
-	if clock == nil {
-		return
-	}
-	heapPush(&s.heap, e)
-	d.armLocked(s, clock.Now())
 }
 
 // armLocked makes sure the shard timer fires at the heap head. Called
@@ -373,7 +383,7 @@ func (d *Directory) armLocked(s *shard, now time.Duration) {
 	if clock == nil || len(s.heap) == 0 {
 		return
 	}
-	head := s.heap[0].at
+	head := s.heap[0].expiresAt
 	if s.armedAt >= 0 && s.armedAt <= head {
 		return // pending timer already fires early enough
 	}
@@ -388,22 +398,14 @@ func (d *Directory) armLocked(s *shard, now time.Duration) {
 	s.timer = clock.AfterFunc(delay, func() { d.expire(s, clock) })
 }
 
-// expire pops every due deadline on one shard and removes bindings
-// whose live deadline has actually passed. Entries superseded by a
-// refresh are skipped: the refreshed binding's later deadline has its
-// own heap entry.
+// expire removes every binding on one shard whose deadline has passed.
+// A refreshed binding sits in the heap at its new deadline only, so
+// everything popped is due.
 func (d *Directory) expire(s *shard, clock transport.Clock) {
 	now := clock.Now()
 	s.mu.Lock()
-	for len(s.heap) > 0 && s.heap[0].at <= now {
-		e := heapPop(&s.heap)
-		bs := s.bindings[e.user]
-		for i := range bs {
-			if bs[i].Contact == e.contact && bs[i].ExpiresAt <= now {
-				d.removeContactLocked(s, e.user, e.contact)
-				break
-			}
-		}
+	for len(s.heap) > 0 && s.heap[0].expiresAt <= now {
+		d.removeLocked(s, s.heap[0])
 	}
 	s.armedAt = -1
 	s.timer = nil
@@ -411,46 +413,30 @@ func (d *Directory) expire(s *shard, clock transport.Clock) {
 	s.mu.Unlock()
 }
 
-// heapPush / heapPop: a plain min-heap on at. Inlined rather than
-// container/heap to avoid the interface boxing on the registrar hot
-// path.
+// expiryHeap is a min-heap of bindings on their deadlines, for
+// container/heap; each binding keeps its own index so a refresh or a
+// removal finds it without a search.
+type expiryHeap []*binding
 
-func heapPush(h *[]expiryEntry, e expiryEntry) {
-	*h = append(*h, e)
-	hs := *h
-	i := len(hs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if hs[parent].at <= hs[i].at {
-			break
-		}
-		hs[parent], hs[i] = hs[i], hs[parent]
-		i = parent
-	}
+func (h expiryHeap) Len() int           { return len(h) }
+func (h expiryHeap) Less(i, j int) bool { return h[i].expiresAt < h[j].expiresAt }
+
+func (h expiryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
 }
 
-func heapPop(h *[]expiryEntry) expiryEntry {
-	hs := *h
-	top := hs[0]
-	n := len(hs) - 1
-	hs[0] = hs[n]
-	hs = hs[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && hs[l].at < hs[small].at {
-			small = l
-		}
-		if r < n && hs[r].at < hs[small].at {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		hs[i], hs[small] = hs[small], hs[i]
-		i = small
-	}
-	*h = hs
-	return top
+func (h *expiryHeap) Push(x any) {
+	b := x.(*binding)
+	b.idx = len(*h)
+	*h = append(*h, b)
+}
+
+func (h *expiryHeap) Pop() any {
+	old := *h
+	b := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	b.idx = -1
+	return b
 }

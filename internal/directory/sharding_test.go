@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/stats"
 	"repro/internal/transport"
@@ -142,6 +143,7 @@ func TestShardPlacementInvariance(t *testing.T) {
 						t.Fatalf("wildcard: %v", err)
 					}
 				}
+				checkHeaps(t, d)
 				states = append(states, visibleState(d, users, op.at))
 			}
 			// Probe through the quiet tail too: expiry ordering across
@@ -357,17 +359,135 @@ func TestRegistrarStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Conservation: the atomic gauge must agree with a raw walk of the
-	// shard maps.
-	raw := 0
+	// Conservation: the atomic gauge and the expiry heaps must agree
+	// with a raw walk of the shard maps. Every shard stays locked until
+	// the gauge is read, so no expiry timer still due from the run can
+	// remove a binding between the walk and the reads.
+	raw, heaped := 0, 0
 	for _, s := range d.shards {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		for _, bs := range s.bindings {
 			raw += len(bs)
 		}
-		s.mu.Unlock()
+		heaped += len(s.heap)
 	}
 	if int64(raw) != d.LiveBindings() {
 		t.Fatalf("gauge drift: %d stored bindings vs LiveBindings=%d", raw, d.LiveBindings())
+	}
+	if heaped != raw {
+		t.Fatalf("%d expiry heap entries for %d stored bindings", heaped, raw)
+	}
+}
+
+// checkHeaps fails t unless every shard's expiry heap holds exactly
+// its stored bindings, and returns the total.
+func checkHeaps(t *testing.T, d *Directory) int {
+	t.Helper()
+	total := 0
+	for i, s := range d.shards {
+		s.mu.Lock()
+		n := 0
+		for _, bs := range s.bindings {
+			n += len(bs)
+		}
+		h := len(s.heap)
+		s.mu.Unlock()
+		if h != n {
+			t.Fatalf("shard %d: %d expiry heap entries for %d bindings", i, h, n)
+		}
+		total += n
+	}
+	return total
+}
+
+// TestOneHeapEntryPerBinding: a binding sits in the expiry heap once,
+// however often it is refreshed, and every way out of the store —
+// Expires: 0, the wildcard, Unregister and expiry — takes it out.
+func TestOneHeapEntryPerBinding(t *testing.T) {
+	clock := &fakeClock{}
+	d := NewSharded(4)
+	if err := d.AddUser(User{Username: "alice", Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	d.StartExpiry(clock)
+	const contact = "10.0.0.1:5060"
+	register := func(ttl time.Duration) {
+		t.Helper()
+		if err := d.Register("alice", contact, clock.Now(), ttl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(step string, n int) {
+		t.Helper()
+		if got := checkHeaps(t, d); got != n {
+			t.Fatalf("after %s: %d bindings in the heap, want %d", step, got, n)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		clock.Advance(clock.Now() + time.Millisecond)
+		register(time.Hour)
+	}
+	want("10 000 refreshes", 1)
+	register(0)
+	want("Expires: 0", 0)
+	register(time.Hour)
+	if err := d.UnregisterAll("alice"); err != nil {
+		t.Fatal(err)
+	}
+	want("the wildcard", 0)
+	register(time.Hour)
+	d.Unregister("alice")
+	want("Unregister", 0)
+	register(time.Minute)
+	clock.Advance(clock.Now() + time.Minute)
+	want("expiry", 0)
+	register(time.Minute)
+	want("registering after expiry", 1)
+}
+
+// TestBindingOwnsItsStrings: a REGISTER's username and contact arrive
+// as slices of its parsed text. The stored binding must keep neither:
+// its user (and map key) is the provisioned username and its contact a
+// copy, so the request's text is garbage once its transaction ends.
+func TestBindingOwnsItsStrings(t *testing.T) {
+	d := NewSharded(4)
+	if err := d.AddUser(User{Username: "alice", Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	d.StartExpiry(&fakeClock{})
+	buf := make([]byte, 4096)
+	copy(buf[100:], "alice")
+	copy(buf[200:], "10.0.0.9:5060")
+	copy(buf[300:], "10.0.0.7:5060")
+	text := string(buf)
+	user, first, second := text[100:105], text[200:213], text[300:313]
+	for _, contact := range []string{first, second, first} { // create, add, refresh
+		if err := d.Register(user, contact, 0, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	inText := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= lo && p < lo+uintptr(len(text))
+	}
+	s := d.shardFor("alice")
+	provisioned := unsafe.StringData(s.users["alice"].Username)
+	for key, bs := range s.bindings {
+		if unsafe.StringData(key) != provisioned {
+			t.Errorf("bindings map key %q is not the provisioned username", key)
+		}
+		for _, b := range bs {
+			if unsafe.StringData(b.user) != provisioned {
+				t.Errorf("binding user %q is not the provisioned username", b.user)
+			}
+			if inText(b.contact) {
+				t.Errorf("binding contact %q points into the request text", b.contact)
+			}
+		}
+	}
+	if got := d.Contacts("alice", 0); len(got) != 2 || got[0] != second || got[1] != first {
+		t.Fatalf("contacts = %v, want [%s %s]", got, second, first)
 	}
 }

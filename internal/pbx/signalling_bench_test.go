@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/directory"
 	"repro/internal/sip"
 )
 
@@ -18,18 +19,30 @@ import (
 // credentials per call of refresh — a nonce-cache hit, a TTL move and a
 // 200, in one round trip — from a bare socket, as hand-built wire bytes
 // with a fresh branch patched in, so nothing but the server allocates.
+// Each refresh moves the virtual clock refreshStep, so every
+// DefaultNonceWindow / refreshStep refreshes the nonce it answers ages
+// out; the 401 stale=true that follows is answered with the fresh nonce
+// and the refresh sent again, as a phone does.
 type registerRefresher struct {
 	rig    *fuzzRig
 	wire   []byte
 	branch []byte // the digits of the branch inside wire
 	n, oks int
+	// sent numbers the branches: a re-challenged refresh goes out twice.
+	sent int
+	// rechallenges counts the 401 stale=true answers.
+	rechallenges int
 }
+
+const (
+	refreshStep    = 5 * time.Millisecond
+	refreshContact = "Contact: <sip:u0@fuzz:5060>\r\nExpires: 3600\r\n"
+)
 
 func newRegisterRefresher(tb testing.TB) *registerRefresher {
 	tb.Helper()
 	r := &registerRefresher{rig: newFuzzRig()}
-	const hdr = "Contact: <sip:u0@fuzz:5060>\r\nExpires: 3600\r\n"
-	r.rig.tr.Send("pbx:5060", fuzzRegister(hdr))
+	r.rig.tr.Send("pbx:5060", fuzzRegister(refreshContact))
 	r.rig.sched.Run(r.rig.sched.Now() + time.Second)
 	if len(r.rig.resps) != 1 || r.rig.resps[0].StatusCode != sip.StatusUnauthorized {
 		tb.Fatalf("first REGISTER: %v, want one 401", r.rig.resps)
@@ -38,33 +51,79 @@ func newRegisterRefresher(tb testing.TB) *registerRefresher {
 	if !ok {
 		tb.Fatalf("challenge %q", r.rig.resps[0].WWWAuthenticate)
 	}
-	auth := ch.Answer("u0", "pw-u0", sip.REGISTER, "sip:pbx:5060").Header()
-	r.wire = fuzzRegister(hdr + "Authorization: " + auth + "\r\n")
-	const mark = "branch=z9hG4bKf1"
-	r.wire = bytes.Replace(r.wire, []byte(mark), []byte("branch=z9hG4bK00000000"), 1)
-	at := bytes.Index(r.wire, []byte("z9hG4bK00000000")) + len("z9hG4bK")
-	r.branch = r.wire[at : at+8]
+	r.answer(ch)
 	r.rig.tr.SetReceiver(func(_ string, data []byte) {
-		if bytes.HasPrefix(data, []byte("SIP/2.0 200 ")) {
+		switch {
+		case bytes.HasPrefix(data, []byte("SIP/2.0 200 ")):
 			r.oks++
+		case bytes.HasPrefix(data, []byte("SIP/2.0 401 ")):
+			m, err := sip.Parse(data)
+			if err != nil {
+				return
+			}
+			if ch, ok := sip.ParseDigestChallenge(m.WWWAuthenticate); ok && ch.Stale {
+				r.answer(ch)
+				r.rechallenges++
+				r.send()
+			}
 		}
 	})
 	return r
 }
 
+// answer builds the refresh's wire bytes with credentials for ch.
+func (r *registerRefresher) answer(ch sip.DigestChallenge) {
+	auth := ch.Answer("u0", "pw-u0", sip.REGISTER, "sip:pbx:5060").Header()
+	r.wire = fuzzRegister(refreshContact + "Authorization: " + auth + "\r\n")
+	const mark = "branch=z9hG4bKf1"
+	r.wire = bytes.Replace(r.wire, []byte(mark), []byte("branch=z9hG4bK00000000"), 1)
+	at := bytes.Index(r.wire, []byte("z9hG4bK00000000")) + len("z9hG4bK")
+	r.branch = r.wire[at : at+8]
+}
+
 func (r *registerRefresher) refresh() {
 	r.n++
-	for i, v := len(r.branch)-1, r.n; i >= 0; i, v = i-1, v/10 {
+	r.send()
+	r.rig.sched.Run(r.rig.sched.Now() + refreshStep)
+}
+
+// send sends the refresh on a branch of its own.
+func (r *registerRefresher) send() {
+	r.sent++
+	for i, v := len(r.branch)-1, r.sent; i >= 0; i, v = i-1, v/10 {
 		r.branch[i] = byte('0' + v%10)
 	}
 	r.rig.tr.Send("pbx:5060", r.wire)
-	r.rig.sched.Run(r.rig.sched.Now() + 5*time.Millisecond)
 }
 
+// check fails tb unless every refresh was answered 200, after at most
+// one stale re-challenge per replay window.
 func (r *registerRefresher) check(tb testing.TB) {
 	tb.Helper()
-	if r.oks != r.n {
-		tb.Fatalf("%d of %d refreshes answered 200", r.oks, r.n)
+	perWindow := int(directory.DefaultNonceWindow / refreshStep)
+	if r.oks != r.n || r.rechallenges > r.n/perWindow+1 {
+		tb.Fatalf("%d of %d refreshes answered 200, after %d stale re-challenges (≤ %d expected)",
+			r.oks, r.n, r.rechallenges, r.n/perWindow+1)
+	}
+}
+
+// TestRefresherOutlivesNonceWindow drives the refresher past its
+// nonce's replay window: each refresh moves the clock refreshStep, so
+// 70 000 of them span 350 s against the registrar's 300 s. The refresh
+// that answers the aged-out nonce is re-challenged once and then
+// answered 200, as BenchmarkEndpointRegister needs once b.N passes
+// about 60 000.
+func TestRefresherOutlivesNonceWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("70 000 refreshes")
+	}
+	r := newRegisterRefresher(t)
+	for i := 0; i < 70000; i++ {
+		r.refresh()
+	}
+	r.check(t)
+	if r.rechallenges != 1 {
+		t.Fatalf("%d stale re-challenges over %s, want 1", r.rechallenges, time.Duration(r.n)*refreshStep)
 	}
 }
 
