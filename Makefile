@@ -61,9 +61,11 @@ fuzz-smoke:
 # registrar silently drops or leaks is a reachability bug the call
 # path never notices. The PBX's admission row (overload.go) and
 # degradation ladder (degrade.go) carry it file by file: between them
-# they decide which INVITE gets a 503. So do the call record (cdr.go)
-# and its journal (journal.go): every CSV, WAL, JSON and metric view of
-# a call is read from them. So does the wire data plane, file by file:
+# they decide which INVITE gets a 503. So do the call record (cdr.go),
+# its journal (journal.go) and the file where each attempt ends
+# (outcome.go: the outcome counts, the call-timing histograms, the
+# flight recorder): every CSV, WAL, JSON and metric view of a call is
+# read from them. So does the wire data plane, file by file:
 # the recvmmsg reader (batch_linux.go), the listener socket (udp.go,
 # sharded.go) and the relay's leg pool (legpool.go, legpool_linux.go)
 # move every datagram pbxd reads or sends. So do the files that publish
@@ -71,7 +73,7 @@ fuzz-smoke:
 # (registry.go) that sums them: /metrics is read off them.
 # COVER_FILES lists package:file,file,… — each file measured from its
 # own package's tests.
-COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry \
+COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome \
 	transport:batch_linux,udp,sharded,legpool,legpool_linux \
 	sip:telemetry cluster:telemetry telemetry:registry
 cover:

@@ -18,7 +18,7 @@ import (
 //	/drain        POST: begin graceful drain (503 new calls, finish old)
 //	/debug/vars   the registry's JSON snapshot (expvar-style)
 //	/debug/calls  records of recently torn-down calls (JSON, CDR.MarshalJSON)
-//	/debug/flight the tracer's flight-recorder ring (JSON, oldest first)
+//	/debug/flight the flight recorder: each call's stages and outcome (JSON, oldest first)
 //	/debug/pprof  the standard Go profiling handlers
 //
 // The mux is private — none of this is registered on
@@ -26,7 +26,7 @@ import (
 // elsewhere cannot widen the surface. Returns the bound address
 // (useful with ":0").
 func startAdmin(addr string, reg *telemetry.Registry, healthy func() bool, drain func(),
-	calls func() []pbx.CDR, flight func() []telemetry.SpanEvent) (string, error) {
+	calls func() []pbx.CDR, flight func() []pbx.FlightEvent) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -73,7 +73,7 @@ func startAdmin(addr string, reg *telemetry.Registry, healthy func() bool, drain
 		json.NewEncoder(w).Encode(ev)
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		ev := []telemetry.SpanEvent{}
+		ev := []pbx.FlightEvent{}
 		if flight != nil {
 			if v := flight(); v != nil {
 				ev = v

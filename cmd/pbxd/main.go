@@ -18,13 +18,12 @@ import (
 
 	"repro/internal/directory"
 	"repro/internal/pbx"
-	"repro/internal/telemetry"
 )
 
 // dumpFlight writes the flight-recorder ring as JSON — the crash-path
 // twin of /debug/flight. Best-effort: a failed dump must not mask the
 // panic that triggered it.
-func dumpFlight(path string, events []telemetry.SpanEvent) {
+func dumpFlight(path string, events []pbx.FlightEvent) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pbxd: flight dump:", err)

@@ -264,8 +264,8 @@ func (c *Cluster) Backends() []*pbx.Server {
 }
 
 // Incarnations returns every server instance backend i has had, oldest
-// first, the live one last — so chaos invariants can sweep counters,
-// spans and transactions across a crash/restart cycle.
+// first, the live one last — so chaos invariants can sweep counters
+// and transactions across a crash/restart cycle.
 func (c *Cluster) Incarnations(i int) []*pbx.Server {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -42,8 +42,8 @@ type Sample struct {
 // handful of atomic loads, cheap enough that the engine's allocs/op
 // budget is unaffected (a full Registry.Snapshot per tick would not be).
 //
-// The clock is the single time source shared with the PBX tracer and
-// the wire Timeline, so simulated and real-UDP runs yield comparable
+// The clock is the single time source shared with the PBX's call
+// stamps and the wire Timeline, so simulated and real-UDP runs yield comparable
 // series.
 type Sampler struct {
 	clock transport.Clock

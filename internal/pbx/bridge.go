@@ -8,7 +8,6 @@ import (
 	"repro/internal/mos"
 	"repro/internal/sdp"
 	"repro/internal/sip"
-	"repro/internal/telemetry"
 )
 
 // bridge is one B2BUA call: the caller-facing leg (A, where the PBX is
@@ -18,8 +17,11 @@ type bridge struct {
 	s *Server
 
 	// cdr is the call's record, filled as the call happens (see CDR);
-	// its CallID is the A leg's.
-	cdr CDR
+	// its CallID is the A leg's. okAt (the 200 OK forwarded to the
+	// caller) and byeAt (the first BYE) complete the stamps the latency
+	// histograms read when the call ends (endLocked).
+	cdr         CDR
+	okAt, byeAt time.Duration
 
 	// A leg (caller side).
 	aTx       *sip.ServerTx
@@ -68,17 +70,27 @@ const (
 
 // handleInvite runs the paper's Fig. 2 flow from the PBX's seat.
 func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
+	now := s.ep.Clock().Now()
 	s.mu.Lock()
-	if _, dup := s.bridges[req.CallID]; dup {
-		// Retransmission that slipped past the transaction layer.
+	_, bridged := s.bridges[req.CallID]
+	_, depositing := s.vmSessions[req.CallID]
+	if bridged || depositing {
+		// An INVITE on a live Call-ID is no new call. Until in-dialog
+		// requests are relayed, refuse it and leave the session as it
+		// was (RFC 3261 §14.2): no attempt, no channel, no record.
 		s.mu.Unlock()
+		resp := req.Response(sip.StatusNotAcceptableHere)
+		if resp.To.Tag == "" {
+			resp.To.Tag = s.ep.NewTag()
+		}
+		tx.Respond(resp)
 		return
 	}
 	s.counters.Attempts++
 	s.attemptsWindow++
 	draining := s.draining
 	s.mu.Unlock()
-	s.traceBegin(req.CallID)
+	s.flight.record(now, req.CallID, stageInvite)
 
 	// Administrative drain: shed new work, keep established calls.
 	if draining {
@@ -124,7 +136,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 			s.mu.Lock()
 			s.counters.TrunkCalls++
 			s.mu.Unlock()
-			s.bridgeTo(tx, req, src, route.Target, route.Trunk, offer, predicted, stage)
+			s.bridgeTo(tx, req, src, route.Target, route.Trunk, offer, now, predicted, stage)
 			return
 		case RouteReject:
 			s.rejectInvite(tx, req, req.Response(route.Status), false)
@@ -133,7 +145,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 			callee = route.Target
 		}
 	}
-	calleeContact, registered := s.dir.Contact(callee, s.ep.Clock().Now())
+	calleeContact, registered := s.dir.Contact(callee, now)
 	if !registered {
 		// Unreachable user: voicemail answers when enabled and the
 		// user is provisioned; otherwise 404.
@@ -141,7 +153,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 			if ok, _, _ := s.admitCall(tx, req, offer); !ok {
 				return
 			}
-			s.answerVoicemail(tx, req, src, callee, offer)
+			s.answerVoicemail(tx, req, src, callee, offer, now)
 			return
 		}
 		s.rejectInvite(tx, req, req.Response(sip.StatusNotFound), false)
@@ -152,13 +164,13 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 	if !ok {
 		return
 	}
-	s.bridgeTo(tx, req, src, callee, calleeContact, offer, predicted, stage)
+	s.bridgeTo(tx, req, src, callee, calleeContact, offer, now, predicted, stage)
 }
 
 // bridgeTo runs the B2BUA flow toward a resolved destination (a
-// registered contact or a trunk gateway). Admission must already have
-// been charged.
-func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calleeContact string, offer *sdp.Session, predicted float64, stage DegradationStage) {
+// registered contact or a trunk gateway) for an INVITE that arrived at
+// start. Admission must already have been charged.
+func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calleeContact string, offer *sdp.Session, start time.Duration, predicted float64, stage DegradationStage) {
 	// The record outlives the call, so its names must not keep the parsed
 	// INVITE's text alive: one copy holds all three.
 	ids := req.CallID + req.From.URI.User + callee
@@ -169,7 +181,7 @@ func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calle
 			CallID:       ids[:nCallID],
 			Caller:       ids[nCallID:nCaller],
 			Callee:       ids[nCaller:],
-			StartedAt:    s.ep.Clock().Now(),
+			StartedAt:    start,
 			PredictedMOS: predicted,
 			Admission:    s.admissionName,
 			Backend:      s.cfg.Instance,
@@ -204,9 +216,6 @@ func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calle
 		terminated.To.Tag = br.aLocalTag
 		tx.Respond(terminated)
 		s.cancelBLeg(br)
-		s.mu.Lock()
-		s.counters.Canceled++
-		s.mu.Unlock()
 		br.canceled = true
 		s.removeBridge(br, false)
 	})
@@ -333,16 +342,16 @@ func (s *Server) admitCall(tx *sip.ServerTx, req *sip.Message, offer *sdp.Sessio
 			s.tm.callsByStage[stage].Inc()
 		}
 	}
-	s.traceMark(req.CallID, telemetry.StageAdmitted)
+	s.flight.record(s.ep.Clock().Now(), req.CallID, stageAdmitted)
 	return true, st.PredictedMOS, stage
 }
 
-// shedLocked refuses an INVITE for reason: it counts Blocked and the
-// reason's subset counter, then answers 503 with the Retry-After hint
-// and, while the ladder throttles (window > 0), the X-Overload-Window
-// stamp. Callers hold s.mu; shedLocked releases it before answering.
+// shedLocked refuses an INVITE for reason: it ends the attempt as
+// blocked and counts the reason's subset counter, then answers 503
+// with the Retry-After hint and, while the ladder throttles (window >
+// 0), the X-Overload-Window stamp. Callers hold s.mu; shedLocked releases it before answering.
 func (s *Server) shedLocked(tx *sip.ServerTx, req *sip.Message, reason shedReason, retryAfter, window int) {
-	s.counters.Blocked++
+	s.endLocked(req.CallID, outcomeBlocked, 0, 0, 0, 0)
 	switch reason {
 	case shedDrain:
 		s.counters.DrainRejected++
@@ -359,7 +368,6 @@ func (s *Server) shedLocked(tx *sip.ServerTx, req *sip.Message, reason shedReaso
 	if s.tm != nil && reason != shedDrain {
 		s.tm.admitNo.Inc()
 	}
-	s.traceEnd(req.CallID, telemetry.OutcomeBlocked)
 	resp := req.Response(sip.StatusServiceUnavailable)
 	resp.To.Tag = s.ep.NewTag()
 	resp.RetryAfter = retryAfter
@@ -408,8 +416,8 @@ func (s *Server) predictMOSLocked(offer *sdp.Session, projectedCPU float64) floa
 func (s *Server) authorizeInvite(tx *sip.ServerTx, req *sip.Message) bool {
 	creds, have := sip.ParseDigestCredentials(req.Authorization)
 	if !have {
-		// The caller will retry this attempt with credentials and the
-		// same Call-ID; Begin then restarts its span.
+		// The caller retries with credentials and the same Call-ID:
+		// a second attempt, with an outcome of its own.
 		resp := req.Response(sip.StatusUnauthorized)
 		resp.WWWAuthenticate = sip.DigestChallenge{Realm: s.cfg.Realm, Nonce: s.newNonce()}.Header()
 		s.rejectInvite(tx, req, resp, false)
@@ -424,22 +432,18 @@ func (s *Server) authorizeInvite(tx *sip.ServerTx, req *sip.Message) bool {
 	return true
 }
 
-// rejectInvite counts a refused INVITE as Blocked or Rejected, ends its
-// span and sends resp with a fresh To tag.
+// rejectInvite ends a refused INVITE's attempt as blocked, or as
+// rejected and counted in Rejected, and sends resp with a fresh To tag.
 func (s *Server) rejectInvite(tx *sip.ServerTx, req *sip.Message, resp *sip.Message, blocked bool) {
 	s.mu.Lock()
 	if blocked {
-		s.counters.Blocked++
+		s.endLocked(req.CallID, outcomeBlocked, 0, 0, 0, 0)
 	} else {
 		s.counters.Rejected++
+		s.endLocked(req.CallID, outcomeRejected, 0, 0, 0, 0)
 	}
 	s.errorsWindow++
 	s.mu.Unlock()
-	if blocked {
-		s.traceEnd(req.CallID, telemetry.OutcomeBlocked)
-	} else {
-		s.traceEnd(req.CallID, telemetry.OutcomeRejected)
-	}
 	resp.To.Tag = s.ep.NewTag()
 	tx.Respond(resp)
 }
@@ -473,8 +477,8 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 		br.aTx.Respond(fwd)
 		if br.cdr.RingingAt == 0 {
 			br.cdr.RingingAt = s.ep.Clock().Now()
+			s.flight.record(br.cdr.RingingAt, br.cdr.CallID, stageRinging)
 		}
-		s.traceMark(br.cdr.CallID, telemetry.StageRinging)
 	case resp.StatusCode == sip.StatusOK:
 		br.bRemoteTag = resp.To.Tag
 		if resp.Contact != nil {
@@ -540,12 +544,18 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 		if window > 0 {
 			s.counters.ThrottleSignals++
 		}
+		first := br.okAt == 0
+		if first {
+			br.okAt = s.ep.Clock().Now()
+		}
 		s.mu.Unlock()
 		if window > 0 {
 			fwd.SetOverloadWindow(window)
 		}
+		if first {
+			s.flight.record(br.okAt, br.cdr.CallID, stageAnswered)
+		}
 		br.aTx.Respond(fwd)
-		s.traceMark(br.cdr.CallID, telemetry.StageAnswered)
 		// Established is confirmed by the caller's ACK (handleAck).
 	default:
 		// Relay the rejection and release resources.
@@ -667,13 +677,17 @@ func (s *Server) handleAck(req *sip.Message) {
 	if j := s.cfg.Journal; j != nil {
 		j.Answer(br.cdr.CallID, br.cdr.AnsweredAt)
 	}
-	s.traceMark(br.cdr.CallID, telemetry.StageAcked)
+	s.flight.record(br.cdr.AnsweredAt, br.cdr.CallID, stageAcked)
 }
 
 // handleBye tears down the bridge from whichever leg hung up first.
 func (s *Server) handleBye(tx *sip.ServerTx, req *sip.Message) {
 	s.mu.Lock()
 	br := s.bridges[req.CallID]
+	first := br != nil && br.byeAt == 0 // both legs may hang up at once
+	if first {
+		br.byeAt = s.ep.Clock().Now()
+	}
 	s.mu.Unlock()
 	tx.Respond(req.Response(sip.StatusOK))
 	if br == nil {
@@ -682,9 +696,10 @@ func (s *Server) handleBye(tx *sip.ServerTx, req *sip.Message) {
 		}
 		return
 	}
-	fromA := req.CallID == br.cdr.CallID
-	s.traceMark(br.cdr.CallID, telemetry.StageBye)
-	s.forwardBye(br, fromA)
+	if first {
+		s.flight.record(br.byeAt, br.cdr.CallID, stageBye)
+	}
+	s.forwardBye(br, req.CallID == br.cdr.CallID)
 	s.removeBridge(br, true)
 }
 
@@ -725,9 +740,9 @@ func (s *Server) terminateBridge(br *bridge, failed bool) {
 }
 
 // removeBridge releases the channel and the relay, closes the call's
-// record and hands that one value to every sink: the metrics, the
-// ladder's MOS sensor, the recent-calls ring and call log, the journal
-// and the tracer.
+// record, ends its attempt and hands that one record to every sink: the
+// metrics, the ladder's MOS sensor, the recent-calls ring and call log
+// and the journal.
 func (s *Server) removeBridge(br *bridge, completed bool) {
 	if br.state == bridgeTerminated {
 		return
@@ -765,9 +780,11 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 	}
 	load := s.transcodeLoad
 	cdr := s.closeCDRLocked(br, completed)
-	if cdr.Disposition == Answered {
-		s.counters.Completed++
+	o := cdr.Disposition.outcome()
+	if br.canceled {
+		o = outcomeCanceled
 	}
+	s.endLocked(cdr.CallID, o, cdr.StartedAt, cdr.RingingAt, br.okAt, br.byeAt)
 	s.recordCDRMetricsLocked(cdr)
 	// Feed the ladder's quality sensor: measured (sensor) MOS when the
 	// relay scored the call, the E-model estimate otherwise. Averaged
@@ -791,11 +808,6 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 		j.End(cdr)
 	}
 	s.maybeFinishDrain()
-	outcome := cdr.Disposition.outcome()
-	if br.canceled {
-		outcome = telemetry.OutcomeCanceled
-	}
-	s.traceEnd(cdr.CallID, outcome)
 }
 
 func hostOf(addr string) string {

@@ -218,8 +218,8 @@ func TestCallsSmoke(t *testing.T) {
 	if n := r.Server.ActiveChannels(); n != 0 {
 		t.Errorf("%d channels still held", n)
 	}
-	if n := r.Server.ActiveSpans(); n != 0 {
-		t.Errorf("%d call spans still open", n)
+	if c := r.Server.CountersSnapshot(); c.Ended() != c.Attempts {
+		t.Errorf("%d attempts, %d outcomes: calls still open", c.Attempts, c.Ended())
 	}
 	deadline = time.Now().Add(sip.CompletedLinger + 3*time.Second)
 	for r.Server.ActiveTransactions() != 0 && time.Now().Before(deadline) {

@@ -1,16 +1,22 @@
 package pbx
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/sip"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
+// TestCancelPropagatesThroughBridge: a caller that gives up while the
+// callee rings cancels both legs and ends its attempt "canceled" —
+// rung, never set up — and the channel is free for the next call.
 func TestCancelPropagatesThroughBridge(t *testing.T) {
 	// A callee that rings for 20 s leaves room to cancel.
-	r2 := newRigWithAnswerDelay(t, 20*time.Second)
+	reg := telemetry.NewRegistry()
+	r2 := newRigWithAnswerDelay(t, 20*time.Second, Config{Telemetry: reg})
 	caller := r2.phones[0]
 
 	var calleeCall *sip.Call
@@ -38,6 +44,16 @@ func TestCancelPropagatesThroughBridge(t *testing.T) {
 	if r2.server.ActiveChannels() != 0 {
 		t.Errorf("channel leaked after cancel: %d", r2.server.ActiveChannels())
 	}
+	if n := series(reg.Snapshot(), mCallsTotal, "outcome", "canceled"); n != 1 {
+		t.Errorf("%s{outcome=\"canceled\"} = %v", mCallsTotal, n)
+	}
+	wantTiming(t, reg, mPostDial, 1, 0.002)
+	wantTiming(t, reg, mCallSetup, 0, 0)
+	wantTiming(t, reg, mCallTeardown, 0, 0)
+	if got := stagesOf(r2.server, call.CallID); !slices.Equal(got, []string{"invite", "admitted", "ringing", "canceled"}) {
+		t.Errorf("flight stages %v", got)
+	}
+	checkConserved(t, r2.server, reg)
 	// The channel must be reusable immediately.
 	again := caller.Invite("u1")
 	var ok bool
@@ -48,11 +64,11 @@ func TestCancelPropagatesThroughBridge(t *testing.T) {
 	}
 }
 
-// newRigWithAnswerDelay builds a 2-phone rig whose callee rings for
-// the given delay before auto-answering.
-func newRigWithAnswerDelay(t *testing.T, delay time.Duration) *rig {
+// newRigWithAnswerDelay builds a 2-phone rig on a server configured by
+// cfg whose callee rings for the given delay before auto-answering.
+func newRigWithAnswerDelay(t *testing.T, delay time.Duration, cfg Config) *rig {
 	t.Helper()
-	r := newRig(t, 1, Config{})
+	r := newRig(t, 1, cfg)
 	host := "slowhost"
 	user := "u1"
 	r.server.Directory().Provision("u", 1, 1)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/mos"
 	"repro/internal/rtp"
-	"repro/internal/telemetry"
 )
 
 // CDR is a call detail record, the PBX feature the paper lists among
@@ -30,7 +29,7 @@ type CDR struct {
 	Caller string
 	Callee string
 
-	// StartedAt is the admission tick, RingingAt the first provisional
+	// StartedAt is the INVITE's arrival, RingingAt the first provisional
 	// above 100 from the callee, AnsweredAt the caller's ACK and EndedAt
 	// the teardown — for a LOST record, the crash tick. Zero means the
 	// call never got there.
@@ -78,7 +77,7 @@ type CDR struct {
 // Disposition is what happened to a call, decided once: at teardown,
 // or by journal recovery (LOST, this model's extension). Its views are
 // the CSV string (String), the WAL token, the metric label and the
-// tracer outcome.
+// call's outcome.
 type Disposition uint8
 
 const (
@@ -100,12 +99,11 @@ func (d Disposition) token() string { return strings.ReplaceAll(d.String(), " ",
 // label is the pbx_cdr_total{disposition} value.
 func (d Disposition) label() string { return strings.ToLower(d.token()) }
 
-// outcome is the tracer's span outcome. A NO ANSWER call the caller
+// outcome is the call's outcome. A NO ANSWER call the caller
 // abandoned ends "canceled" instead (removeBridge).
-func (d Disposition) outcome() telemetry.Outcome {
-	return [numDispositions]telemetry.Outcome{
-		telemetry.OutcomeRejected, telemetry.OutcomeCompleted,
-		telemetry.OutcomeFailed, telemetry.OutcomeLost,
+func (d Disposition) outcome() outcome {
+	return [numDispositions]outcome{
+		outcomeRejected, outcomeCompleted, outcomeFailed, outcomeLost,
 	}[d]
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/media"
 	"repro/internal/netsim"
 	"repro/internal/sip"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -197,18 +196,18 @@ func TestCallRecordViewsPinned(t *testing.T) {
 }
 
 // TestCDRDisposition: each disposition's four views — the CSV string,
-// the WAL token, the pbx_cdr_total label and the tracer outcome — and
+// the WAL token, the pbx_cdr_total label and the call's outcome — and
 // the WAL token reads back.
 func TestCDRDisposition(t *testing.T) {
 	cases := []struct {
 		d               Disposition
 		csv, wal, label string
-		outcome         telemetry.Outcome
+		outcome         outcome
 	}{
-		{NoAnswer, "NO ANSWER", "NO-ANSWER", "no-answer", telemetry.OutcomeRejected},
-		{Answered, "ANSWERED", "ANSWERED", "answered", telemetry.OutcomeCompleted},
-		{Failed, "FAILED", "FAILED", "failed", telemetry.OutcomeFailed},
-		{Lost, "LOST", "LOST", "lost", telemetry.OutcomeLost},
+		{NoAnswer, "NO ANSWER", "NO-ANSWER", "no-answer", outcomeRejected},
+		{Answered, "ANSWERED", "ANSWERED", "answered", outcomeCompleted},
+		{Failed, "FAILED", "FAILED", "failed", outcomeFailed},
+		{Lost, "LOST", "LOST", "lost", outcomeLost},
 	}
 	if len(cases) != int(numDispositions) {
 		t.Fatalf("%d cases for %d dispositions", len(cases), numDispositions)
@@ -224,7 +223,7 @@ func TestCDRDisposition(t *testing.T) {
 			t.Errorf("%s: metric label %q, want %q", c.d, got, c.label)
 		}
 		if got := c.d.outcome(); got != c.outcome {
-			t.Errorf("%s: tracer outcome %v, want %v", c.d, got, c.outcome)
+			t.Errorf("%s: outcome %s, want %s", c.d, outcomeNames[got], outcomeNames[c.outcome])
 		}
 		if got, ok := parseDisposition(c.wal); !ok || got != c.d {
 			t.Errorf("parseDisposition(%q) = %v, %v", c.wal, got, ok)

@@ -100,8 +100,8 @@ func TestDrainSemantics(t *testing.T) {
 	if got := drainHistCount(reg, t); got != 1 {
 		t.Errorf("drain-duration samples = %d, want exactly 1", got)
 	}
-	if r.server.ActiveSpans() != 0 {
-		t.Errorf("span leak: %d spans open after drain", r.server.ActiveSpans())
+	if c.Ended() != c.Attempts {
+		t.Errorf("call conservation: %d attempts vs %d outcomes after drain", c.Attempts, c.Ended())
 	}
 
 	// OPTIONS (the health-probe method) answers 503 while draining, so

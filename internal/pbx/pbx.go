@@ -114,8 +114,8 @@ type Config struct {
 	Registrar RegistrarConfig
 	// Seed drives the server's randomness (overload drops, nonces).
 	Seed uint64
-	// Telemetry, when non-nil, registers the PBX metric families and
-	// the per-call tracer on the given registry. Nil disables
+	// Telemetry, when non-nil, registers the PBX metric families on
+	// the given registry and keeps the flight recorder. Nil disables
 	// instrumentation entirely (record sites reduce to one nil check).
 	Telemetry *telemetry.Registry
 	// CallLog, when non-nil, receives one JSON line per bridged call at
@@ -143,6 +143,18 @@ type Counters struct {
 	RelayedPackets uint64 // RTP packets forwarded
 	DroppedPackets uint64 // RTP packets dropped by overload
 	PeakChannels   int    // high-water mark of concurrent calls
+
+	// Unanswered, Aborted and Lost count the outcomes the fields above
+	// do not: with Completed, Blocked and Canceled every attempt has
+	// exactly one (Ended), and pbx_calls_total{outcome} reads the six.
+	// Unanswered ("rejected") is Rejected plus the bridges whose
+	// callee's 200 could not be bridged, which Failed counts too.
+	// Aborted ("failed") is the calls answered, then ended without a
+	// completing BYE: deposits reaped, or hung up before their ACK, and
+	// the bridges Failed counts after the ACK.
+	Unanswered uint64
+	Aborted    uint64
+	Lost       uint64 // in flight when the server crashed
 
 	// RejectedPackets counts datagrams that reached a live relay port
 	// from an address no party's SDP named: neither observed nor
@@ -186,6 +198,9 @@ func (c *Counters) Add(o Counters) {
 	c.Completed += o.Completed
 	c.Canceled += o.Canceled
 	c.Failed += o.Failed
+	c.Unanswered += o.Unanswered
+	c.Aborted += o.Aborted
+	c.Lost += o.Lost
 	c.RelayedPackets += o.RelayedPackets
 	c.DroppedPackets += o.DroppedPackets
 	c.PeakChannels += o.PeakChannels
@@ -263,8 +278,10 @@ type Server struct {
 	drainDone    bool
 
 	// calls retains the recent call records and owns the call log's
-	// JSON-lines sink (its own lock; see cdr.go).
-	calls callLog
+	// JSON-lines sink (its own lock; see cdr.go); flight is the flight
+	// recorder (its own lock; see outcome.go).
+	calls  callLog
+	flight flightRing
 
 	// rejectedPkts is Counters.RejectedPackets, kept off mu: it is the
 	// one counter a stranger can drive.
@@ -328,6 +345,7 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	}
 	if cfg.Telemetry != nil {
 		s.tm = newPBXMetrics(cfg.Telemetry, s.admissionName)
+		s.flight.ring = make([]FlightEvent, flightCap)
 		s.publishCounters(cfg.Telemetry)
 		if s.degrade != nil {
 			s.registerDegradation(cfg.Telemetry)
@@ -416,7 +434,7 @@ func (s *Server) maybeFinishDrain() {
 
 // Crash simulates the process dying mid-flight: in-flight bridges and
 // voicemail deposits are dropped without CDRs or farewell signalling,
-// relay ports go dark, every trace span ends as "lost", and the SIP
+// relay ports go dark, every call in flight ends as "lost", and the SIP
 // endpoint's transactions and socket are torn down. Counters and the
 // journal survive — they model what an external observer (and the
 // durable disk) keeps; recovery of the journal's open entries happens
@@ -448,17 +466,25 @@ func (s *Server) Crash() {
 	s.updateChannelGaugesLocked()
 	s.mu.Unlock()
 
+	// Relays close outside s.mu (the relay→server lock order), and
+	// before the outcomes, so that no first-RTP event trails them.
 	for _, br := range bridges {
 		br.state = bridgeTerminated
 		if br.relay != nil {
 			br.relay.close()
 		}
-		s.traceEnd(br.cdr.CallID, telemetry.OutcomeLost)
+	}
+	for _, vm := range vms {
+		vm.close()
+	}
+	s.mu.Lock()
+	for _, br := range bridges {
+		s.endLocked(br.cdr.CallID, outcomeLost, br.cdr.StartedAt, br.cdr.RingingAt, br.okAt, br.byeAt)
 	}
 	for callID, vm := range vms {
-		vm.close()
-		s.traceEnd(callID, telemetry.OutcomeLost)
+		s.endLocked(callID, outcomeLost, vm.start, vm.ringingAt, vm.okAt, vm.byeAt)
 	}
+	s.mu.Unlock()
 	s.ep.Crash()
 }
 

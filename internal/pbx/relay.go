@@ -12,7 +12,6 @@ import (
 	"repro/internal/media"
 	"repro/internal/rtp"
 	"repro/internal/sdp"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -64,10 +63,8 @@ type relay struct {
 	toCalleeBuf     []byte
 	toCallerBuf     []byte
 
-	// aCallID keys the call's trace span; rtpMarked gates the one-shot
-	// first-RTP stage mark so the per-packet cost stays a bool check.
-	aCallID   string
-	rtpMarked bool
+	// aCallID names the call in the flight recorder's first-RTP event.
+	aCallID string
 
 	// scratch is the per-packet parse target, guarded by mu; the
 	// observers read values only, so nothing aliases it after forward
@@ -284,17 +281,17 @@ func (r *relay) forward(src string, data []byte, obs *media.QoSMeter, out func(s
 		transcoded = true
 	}
 	r.forwarded++
-	first := !r.rtpMarked
-	r.rtpMarked = true
+	if r.forwarded == 1 && r.aCallID != "" {
+		// Under r.mu while the relay is open: the call's outcome, which
+		// removeBridge records after closing the relay, comes later.
+		r.s.flight.record(now, r.aCallID, stageFirstRTP)
+	}
 	r.mu.Unlock()
 	if tm := r.s.tm; tm != nil {
 		tm.relayPkts.Inc()
 		tm.relayBytes.Add(uint64(len(wire)))
 		if transcoded {
 			tm.relayTranscoded.Inc()
-		}
-		if first {
-			r.s.traceMark(r.aCallID, telemetry.StageFirstRTP)
 		}
 	}
 	out(dst, wire)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/sip"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -26,8 +27,10 @@ import (
 // leg pool's one epoll loop relaying every call's media with a
 // recvmmsg and a sendto a packet. It checks that the loop
 // is the only goroutine reading relay legs however many calls are up,
-// that it dropped and rejected nothing, and closes with the buffer-pool
-// ownership invariant on every socket the run opened.
+// that it dropped and rejected nothing, that /metrics conserves calls
+// (as many outcomes as INVITEs, none open) once the load stops, and
+// closes with the buffer-pool ownership invariant on every socket the
+// run opened.
 func TestLoopbackSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
@@ -203,6 +206,30 @@ func TestLoopbackSoak(t *testing.T) {
 		t.Errorf("Pb=%v out of range", pb)
 	}
 	mu.Unlock()
+
+	// Quiesced: on the server's own /metrics view, every INVITE has its
+	// one outcome and no call is open.
+	var scrape telemetry.PromIndex
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var buf bytes.Buffer
+		if err := w.Registry.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := telemetry.ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scrape = telemetry.IndexSamples(samples)
+		if scrape.Sum(mCallsTotal) == scrape.Sum(mInvites) || time.Now().After(deadline) {
+			break
+		}
+	}
+	if ended, invites := scrape.Sum(mCallsTotal), scrape.Sum(mInvites); ended != invites || invites == 0 {
+		t.Errorf("/metrics: %v outcomes on %s for %v %s", ended, mCallsTotal, invites, mInvites)
+	}
+	if open := scrape.Sum(mActiveSpans); open != 0 {
+		t.Errorf("/metrics: %s = %v at quiesce", mActiveSpans, open)
+	}
 
 	// Tear down, then verify the ownership invariant: every buffer the
 	// pools handed out came back.

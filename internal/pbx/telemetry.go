@@ -35,6 +35,11 @@ const (
 	mDraining      = "pbx_draining"
 	mDrainDur      = "pbx_drain_duration_seconds"
 	mDrainRejects  = "pbx_drain_rejected_total"
+	mCallsTotal    = "pbx_calls_total"
+	mActiveSpans   = "pbx_trace_active_spans"
+	mCallSetup     = "pbx_call_setup_seconds"
+	mPostDial      = "pbx_post_dial_delay_seconds"
+	mCallTeardown  = "pbx_call_teardown_seconds"
 
 	// Degradation-ladder families (registered only while the ladder is
 	// enabled, so ladder-free runs expose an unchanged surface).
@@ -50,12 +55,12 @@ const (
 	mNonceCache = "pbx_nonce_cache_total"
 )
 
-// pbxMetrics holds the server's pre-resolved telemetry handles plus
-// the per-call tracer: the levels, distributions and breakdowns that
-// Counters does not keep. The families that count what Counters
-// already counts are pull views of it (publishCounters). All are
-// registered once in New; record sites are nil-guarded so a PBX
-// without a registry pays only a pointer check.
+// pbxMetrics holds the server's pre-resolved telemetry handles: the
+// levels, distributions and breakdowns that Counters does not keep.
+// The families that count what Counters already counts are pull views
+// of it (publishCounters). All are registered once in New; record
+// sites are nil-guarded so a PBX without a registry pays only a
+// pointer check.
 type pbxMetrics struct {
 	admitOK *telemetry.Counter // admission verdicts for the active policy
 	admitNo *telemetry.Counter
@@ -68,6 +73,11 @@ type pbxMetrics struct {
 	mosScore    *telemetry.Histogram
 	mosMeasured *telemetry.Histogram
 	rttHist     *telemetry.Histogram
+
+	// Call timing, observed where each attempt ends (endLocked).
+	setup    *telemetry.Histogram // INVITE to the 200 OK forwarded
+	postDial *telemetry.Histogram // INVITE to the first 1xx forwarded
+	teardown *telemetry.Histogram // BYE to the record's close
 
 	relayPkts       *telemetry.Counter
 	relayBytes      *telemetry.Counter
@@ -90,8 +100,13 @@ type pbxMetrics struct {
 
 	// Registrar plane (nil unless the registrar is enabled).
 	bindings *telemetry.Gauge
+}
 
-	tracer *telemetry.Tracer
+// latencyBuckets is the layout (seconds) of the call-timing and drain
+// histograms: 1 ms to 60 s, roughly 1-2-5 per decade.
+var latencyBuckets = []float64{
+	0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
+	0.1, 0.2, 0.5, 1, 2, 5, 10, 30, 60,
 }
 
 // read returns v evaluated under s.mu, at scrape time.
@@ -119,6 +134,15 @@ func (s *Server) publishCounters(reg *telemetry.Registry) {
 	reg.CounterFunc(mTranscoded, "bridges established with a transcoding media path",
 		s.count(&s.counters.TranscodedCalls))
 	reg.CounterFunc(mDrainRejects, "INVITEs 503'd while draining", s.count(&s.counters.DrainRejected))
+	for o := outcome(0); o < numOutcomes; o++ {
+		reg.CounterFunc(mCallsTotal, "call spans ended, by outcome",
+			s.count(s.counters.byOutcome(o)), telemetry.L("outcome", outcomeNames[o]))
+	}
+	// A call is open from its INVITE to its outcome: a live bridge
+	// (filed under both legs' Call-IDs) or a live voicemail deposit.
+	reg.GaugeFunc(mActiveSpans, "call spans currently open", s.read(func() float64 {
+		return float64(len(s.bridges)/2 + len(s.vmSessions))
+	}))
 }
 
 // registerRegistrar adds the REGISTER-plane families. Called from New
@@ -202,9 +226,11 @@ func newPBXMetrics(reg *telemetry.Registry, policy string) *pbxMetrics {
 
 		draining: reg.Gauge(mDraining, "1 while the server is in administrative drain"),
 		drainDur: reg.Histogram(mDrainDur,
-			"drain start to last channel released", telemetry.SetupBuckets),
+			"drain start to last channel released", latencyBuckets),
 
-		tracer: telemetry.NewTracer(reg, 0),
+		setup:    reg.Histogram(mCallSetup, "INVITE to 200 OK call-setup time", latencyBuckets),
+		postDial: reg.Histogram(mPostDial, "INVITE to 180 Ringing post-dial delay", latencyBuckets),
+		teardown: reg.Histogram(mCallTeardown, "BYE to CDR-close teardown time", latencyBuckets),
 	}
 	for d := range tm.cdrs {
 		tm.cdrs[d] = reg.Counter(mCDR, "call detail records by disposition",
@@ -225,26 +251,6 @@ func (tm *pbxMetrics) callsByCodec(pt int) *telemetry.Counter {
 		return c
 	}
 	return tm.otherCodec
-}
-
-// traceBegin/-Mark/-End are nil-safe tracer shims stamped with the
-// endpoint clock, so sim and real-UDP runs share one time base.
-func (s *Server) traceBegin(callID string) {
-	if s.tm != nil {
-		s.tm.tracer.Begin(callID, s.ep.Clock().Now())
-	}
-}
-
-func (s *Server) traceMark(callID string, stage telemetry.Stage) {
-	if s.tm != nil {
-		s.tm.tracer.Mark(callID, stage, s.ep.Clock().Now())
-	}
-}
-
-func (s *Server) traceEnd(callID string, outcome telemetry.Outcome) {
-	if s.tm != nil {
-		s.tm.tracer.End(callID, outcome, s.ep.Clock().Now())
-	}
 }
 
 // updateChannelGaugesLocked mirrors the channel pool into the gauges.
@@ -281,24 +287,4 @@ func (s *Server) recordCDRMetricsLocked(cdr CDR) {
 	if cdr.RTT > 0 {
 		s.tm.rttHist.Observe(cdr.RTT.Seconds())
 	}
-}
-
-// ActiveSpans returns the number of open call trace spans — a leak
-// detector for chaos invariants: after a drained run every traced
-// INVITE must have reached a terminal outcome. Zero when telemetry is
-// disabled.
-func (s *Server) ActiveSpans() int {
-	if s.tm == nil {
-		return 0
-	}
-	return s.tm.tracer.Active()
-}
-
-// TraceEvents returns the tracer's flight-recorder ring (oldest
-// first), nil when telemetry is disabled.
-func (s *Server) TraceEvents() []telemetry.SpanEvent {
-	if s.tm == nil {
-		return nil
-	}
-	return s.tm.tracer.Events()
 }

@@ -147,6 +147,12 @@ func TestPulledFamiliesSumIncarnations(t *testing.T) {
 		{mEstablished, nil, c.Established},
 		{mTranscoded, nil, c.TranscodedCalls},
 		{mDrainRejects, nil, c.DrainRejected},
+		{mCallsTotal, []string{"outcome", "completed"}, c.Completed},
+		{mCallsTotal, []string{"outcome", "blocked"}, c.Blocked},
+		{mCallsTotal, []string{"outcome", "rejected"}, c.Unanswered},
+		{mCallsTotal, []string{"outcome", "canceled"}, c.Canceled},
+		{mCallsTotal, []string{"outcome", "failed"}, c.Aborted},
+		{mCallsTotal, []string{"outcome", "lost"}, c.Lost},
 		{mThrottleSignals, nil, c.ThrottleSignals},
 		{mDegradeTransitions, nil, transitions},
 		{mRegisters, []string{"outcome", "accepted"}, c.Registers - c.RegisterRemovals},
@@ -172,7 +178,7 @@ func TestPulledFamiliesSumIncarnations(t *testing.T) {
 // nothing.
 func TestPulledReadsAllocFree(t *testing.T) {
 	reg, _ := twoIncarnations(t)
-	for _, name := range []string{"sip_messages_total", mRegisters, mInvites} {
+	for _, name := range []string{"sip_messages_total", mRegisters, mInvites, mCallsTotal} {
 		read := reg.ValueFunc(name)
 		if read == nil || read() == 0 {
 			t.Fatalf("%s: nothing to read", name)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/rtp"
 	"repro/internal/sdp"
 	"repro/internal/sip"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -32,24 +31,28 @@ type Voicemail struct {
 
 // vmSession is a live deposit in progress.
 type vmSession struct {
-	s        *Server
-	caller   string
-	callee   string
-	start    time.Duration
-	answered time.Duration
-	tr       transport.Transport
-	recv     *rtp.Receiver
-	port     int
+	s      *Server
+	caller string
+	callee string
+	// The INVITE's arrival (start), the 180 and the 200 sent, the
+	// caller's ACK (answered) and BYE; zero means the call never got
+	// there.
+	start, ringingAt, okAt, answered, byeAt time.Duration
+
+	tr   transport.Transport
+	recv *rtp.Receiver
+	port int
 }
 
-// answerVoicemail runs the PBX-as-callee flow for an unreachable user.
-// Admission was already charged by the caller in handleInvite.
-func (s *Server) answerVoicemail(tx *sip.ServerTx, req *sip.Message, src, callee string, offer *sdp.Session) {
+// answerVoicemail runs the PBX-as-callee flow for an unreachable user
+// whose INVITE arrived at start. Admission was already charged by the
+// caller in handleInvite.
+func (s *Server) answerVoicemail(tx *sip.ServerTx, req *sip.Message, src, callee string, offer *sdp.Session, start time.Duration) {
 	vm := &vmSession{
 		s:      s,
 		caller: req.From.URI.User,
 		callee: callee,
-		start:  s.ep.Clock().Now(),
+		start:  start,
 		recv:   rtp.NewReceiver(),
 	}
 
@@ -80,34 +83,42 @@ func (s *Server) answerVoicemail(tx *sip.ServerTx, req *sip.Message, src, callee
 		port = 4900
 	}
 
-	s.mu.Lock()
-	s.vmSessions[req.CallID] = vm
-	s.mu.Unlock()
-
-	localTag := s.ep.NewTag()
-	ringing := req.Response(sip.StatusRinging)
-	ringing.To.Tag = localTag
-	tx.Respond(ringing)
-	s.traceMark(req.CallID, telemetry.StageRinging)
-
+	// The answer is settled before anything rings: an offer the deposit
+	// cannot take is refused outright.
 	answer, err := offer.Answer("voicemail", s.host, port, []int{0, 8})
 	if err != nil {
-		s.mu.Lock()
-		delete(s.vmSessions, req.CallID)
-		s.mu.Unlock()
 		vm.close()
+		if vm.tr != nil {
+			s.mu.Lock()
+			s.freeRelayPortLocked(vm.port)
+			s.mu.Unlock()
+		}
 		s.releaseChannel()
 		s.rejectInvite(tx, req, req.Response(sip.StatusInternalError), false)
 		return
 	}
+
+	localTag := s.ep.NewTag()
+	ringing := req.Response(sip.StatusRinging)
+	ringing.To.Tag = localTag
 	ok := req.Response(sip.StatusOK)
 	ok.To.Tag = localTag
 	contact := sip.NameAddr{URI: sip.NewURI("voicemail", s.host, portOf(s.ep.Addr()))}
 	ok.Contact = &contact
 	ok.ContentType = sdp.ContentType
 	ok.Body = answer.Marshal()
+
+	// The PBX rings and answers at once: both stamps are the moment the
+	// deposit goes live.
+	s.mu.Lock()
+	vm.ringingAt = s.ep.Clock().Now()
+	vm.okAt = vm.ringingAt
+	s.vmSessions[req.CallID] = vm
+	s.mu.Unlock()
+	s.flight.record(vm.ringingAt, req.CallID, stageRinging)
+	s.flight.record(vm.okAt, req.CallID, stageAnswered)
+	tx.Respond(ringing)
 	tx.Respond(ok)
-	s.traceMark(req.CallID, telemetry.StageAnswered)
 
 	// Abandoned deposits (no ACK / no BYE) are reaped at the cap.
 	cap := s.cfg.VoicemailMaxDuration
@@ -126,15 +137,12 @@ const TransactionGrace = 40 * time.Second
 func (s *Server) ackVoicemail(callID string) bool {
 	s.mu.Lock()
 	vm, ok := s.vmSessions[callID]
-	established := ok && vm.answered == 0
-	if established {
+	if ok && vm.answered == 0 {
 		vm.answered = s.ep.Clock().Now()
 		s.counters.Established++
+		s.flight.record(vm.answered, callID, stageAcked)
 	}
 	s.mu.Unlock()
-	if established {
-		s.traceMark(callID, telemetry.StageAcked)
-	}
 	return ok
 }
 
@@ -142,10 +150,13 @@ func (s *Server) ackVoicemail(callID string) bool {
 // callID was a voicemail session.
 func (s *Server) byeVoicemail(callID string) bool {
 	s.mu.Lock()
-	_, ok := s.vmSessions[callID]
+	vm, ok := s.vmSessions[callID]
+	if ok && vm.byeAt == 0 {
+		vm.byeAt = s.ep.Clock().Now()
+		s.flight.record(vm.byeAt, callID, stageBye)
+	}
 	s.mu.Unlock()
 	if ok {
-		s.traceMark(callID, telemetry.StageBye)
 		s.finishVoicemail(callID, true)
 	}
 	return ok
@@ -176,10 +187,12 @@ func (s *Server) finishVoicemail(callID string, completed bool) {
 		s.voicemails[vm.callee] = append(s.voicemails[vm.callee], rec)
 		s.vmNotified[vm.callee] = false
 		s.counters.VoicemailDeposits++
-		if completed {
-			s.counters.Completed++
-		}
 	}
+	o := outcomeFailed
+	if completed && vm.answered > 0 {
+		o = outcomeCompleted
+	}
+	s.endLocked(callID, o, vm.start, vm.ringingAt, vm.okAt, vm.byeAt)
 	if s.channels > 0 {
 		s.channels--
 	}
@@ -187,13 +200,7 @@ func (s *Server) finishVoicemail(callID string, completed bool) {
 		s.freeRelayPortLocked(vm.port)
 	}
 	s.updateChannelGaugesLocked()
-	answered := vm.answered > 0
 	s.mu.Unlock()
-	outcome := telemetry.OutcomeFailed
-	if completed && answered {
-		outcome = telemetry.OutcomeCompleted
-	}
-	s.traceEnd(callID, outcome)
 	vm.close()
 	s.maybeFinishDrain()
 }

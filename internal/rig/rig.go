@@ -217,7 +217,6 @@ type Books struct {
 	ActiveChannels     int
 	ActiveTransactions int
 	UnackedInvites     int // the 2xx-ACK index; drains with the transactions
-	ActiveSpans        int
 	// Journal is the CDR journal's record totals, Committed its durable
 	// records in commit order — the host's call ledger.
 	Journal   pbx.JournalStats
@@ -234,7 +233,6 @@ func Audit(host string, incarnations ...*pbx.Server) Books {
 		b.ActiveChannels += srv.ActiveChannels()
 		b.ActiveTransactions += srv.ActiveTransactions()
 		b.UnackedInvites += srv.UnackedInvites()
-		b.ActiveSpans += srv.ActiveSpans()
 	}
 	j := incarnations[len(incarnations)-1].Journal()
 	b.Journal, b.Committed = j.Stats(), j.Committed()
@@ -246,10 +244,11 @@ func Audit(host string, incarnations ...*pbx.Server) Books {
 //
 //   - the packet pool balances: every packet taken went back exactly
 //     once, whichever shard released it;
-//   - every admitted call released its channel, every transaction (and
-//     with them the 2xx-ACK index) is gone after the drain tail, every
-//     traced INVITE reached a terminal outcome — across all
-//     incarnations, so a crash must not strand a span in "open";
+//   - every admitted call released its channel, and every transaction
+//     (and with them the 2xx-ACK index) is gone after the drain tail;
+//   - calls are conserved: summed over all incarnations, the outcomes
+//     counted add up to the attempts — every INVITE the server counted
+//     ended exactly once, a crash's in-flight calls as "lost";
 //   - the journal balances: every begin has exactly one end (normal or
 //     LOST), none is double-ended, and its records agree with the
 //     counters;
@@ -278,8 +277,8 @@ func Invariants(poolGets, poolPuts uint64, load sipp.Results, pbxes ...Books) []
 		if b.UnackedInvites != 0 {
 			fail("ACK index leak: %d un-ACKed INVITEs indexed after drain", b.UnackedInvites)
 		}
-		if b.ActiveSpans != 0 {
-			fail("span leak: %d call trace spans still open after drain", b.ActiveSpans)
+		if c := b.Counters; c.Ended() != c.Attempts {
+			fail("call conservation: %d attempts vs %d outcomes", c.Attempts, c.Ended())
 		}
 		j := b.Journal
 		var completed, established, lost uint64

@@ -67,12 +67,12 @@ func TestInvariantsNameEachViolation(t *testing.T) {
 		r, server, done := testbed(t, shards)
 
 		// Mid-run, with the wire idle between two 20 ms frames: calls
-		// hold channels, their spans and journal entries are open, their
-		// transactions alive.
+		// hold channels, have no outcome yet, their journal entries are
+		// open and their transactions alive.
 		if err := r.Group.Run(8*time.Second + 10*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		if bad := audit(r, server); !names(bad, "channel leak", "transaction leak", "span leak", "journal imbalance") {
+		if bad := audit(r, server); !names(bad, "channel leak", "transaction leak", "call conservation", "journal imbalance") {
 			t.Errorf("shards=%d mid-run: %v", shards, bad)
 		}
 

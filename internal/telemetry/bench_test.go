@@ -1,15 +1,11 @@
 package telemetry
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // The benchmarks below enforce the registry's zero-alloc contract: the
-// record path (counter/gauge/histogram) and the span lifecycle must
-// stay at 0 allocs/op so enabling telemetry cannot regress the
-// engine's hot-path guarantee. make bench snapshots them; bench-check
-// gates allocs/op rises.
+// record path (counter/gauge/histogram) must stay at 0 allocs/op so
+// enabling telemetry cannot regress the engine's hot-path guarantee.
+// make bench snapshots them; bench-check gates allocs/op rises.
 
 func BenchmarkTelemetryCounterInc(b *testing.B) {
 	reg := NewRegistry()
@@ -33,29 +29,11 @@ func BenchmarkTelemetryGaugeSet(b *testing.B) {
 
 func BenchmarkTelemetryHistogramObserve(b *testing.B) {
 	reg := NewRegistry()
-	h := reg.Histogram("bench_hist", "", SetupBuckets)
+	h := reg.Histogram("bench_hist", "", ExponentialBuckets(0.001, 2, 15))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%100) / 100)
-	}
-}
-
-func BenchmarkTelemetrySpanLifecycle(b *testing.B) {
-	reg := NewRegistry()
-	tr := NewTracer(reg, 256)
-	// Prime the span pool and the Call-ID so steady state is measured.
-	tr.Begin("bench-call", 0)
-	tr.End("bench-call", OutcomeCompleted, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := time.Duration(i)
-		tr.Begin("bench-call", at)
-		tr.Mark("bench-call", StageRinging, at+1)
-		tr.Mark("bench-call", StageAnswered, at+2)
-		tr.Mark("bench-call", StageBye, at+3)
-		tr.End("bench-call", OutcomeCompleted, at+4)
 	}
 }
 
@@ -65,10 +43,7 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("za_counter", "")
 	g := reg.Gauge("za_gauge", "")
-	h := reg.Histogram("za_hist", "", SetupBuckets)
-	tr := NewTracer(reg, 64)
-	tr.Begin("za-call", 0)
-	tr.End("za-call", OutcomeCompleted, 0)
+	h := reg.Histogram("za_hist", "", ExponentialBuckets(0.001, 2, 15))
 
 	checks := []struct {
 		name string
@@ -77,11 +52,6 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 		{"counter", func() { c.Inc() }},
 		{"gauge", func() { g.Set(1) }},
 		{"histogram", func() { h.Observe(0.03) }},
-		{"span", func() {
-			tr.Begin("za-call", 1)
-			tr.Mark("za-call", StageAnswered, 2)
-			tr.End("za-call", OutcomeCompleted, 3)
-		}},
 	}
 	for _, chk := range checks {
 		if allocs := testing.AllocsPerRun(200, chk.fn); allocs != 0 {

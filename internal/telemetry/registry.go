@@ -1,7 +1,6 @@
 // Package telemetry is the testbed's continuous-observation plane: a
 // metrics registry (counters, gauges, fixed-bucket histograms) whose
-// record path is lock-free and allocation-free, plus a per-call trace
-// span system (span.go) keyed by SIP Call-ID.
+// record path is lock-free and allocation-free.
 //
 // The registry separates a slow registration path (named families,
 // label sets, bucket layouts — taken once at wiring time, under a

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -177,25 +176,20 @@ func TestConcurrentWriters(t *testing.T) {
 	c := reg.Counter("c", "")
 	g := reg.Gauge("g", "")
 	h := reg.Histogram("h", "", LinearBuckets(0.1, 0.1, 10))
-	tr := NewTracer(reg, 64)
 
 	const workers = 8
 	const iters = 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			id := strings.Repeat("c", w+1)
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(i%10) / 10)
-				tr.Begin(id, time.Duration(i))
-				tr.Mark(id, StageAnswered, time.Duration(i+1))
-				tr.End(id, OutcomeCompleted, time.Duration(i+2))
 			}
-		}(w)
+		}()
 	}
 	done := make(chan struct{})
 	go func() {
@@ -207,7 +201,6 @@ func TestConcurrentWriters(t *testing.T) {
 				reg.Snapshot()
 				var buf bytes.Buffer
 				_ = reg.WritePrometheus(&buf)
-				tr.Events()
 			}
 		}
 	}()
@@ -219,88 +212,6 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	if got := h.Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
-	}
-	if got := tr.Active(); got != 0 {
-		t.Fatalf("active spans = %d, want 0", got)
-	}
-}
-
-func TestTracerLifecycle(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewTracer(reg, 16)
-	tr.Begin("call-1", 1*time.Second)
-	tr.Mark("call-1", StageRinging, 1200*time.Millisecond)
-	tr.Mark("call-1", StageAnswered, 1500*time.Millisecond)
-	tr.Mark("call-1", StageAnswered, 9*time.Second) // first write wins
-	tr.Mark("call-1", StageBye, 5*time.Second)
-	tr.End("call-1", OutcomeCompleted, 5100*time.Millisecond)
-	tr.End("call-1", OutcomeFailed, 6*time.Second) // idempotent no-op
-
-	snap := reg.Snapshot()
-	if got := snap.Scalar("pbx_trace_active_spans"); got != 0 {
-		t.Fatalf("active spans gauge = %v, want 0", got)
-	}
-	f := snap.Family("pbx_calls_total")
-	if f == nil {
-		t.Fatalf("pbx_calls_total missing")
-	}
-	completed := 0.0
-	for _, m := range f.Metrics {
-		for _, l := range m.Labels {
-			if l.Key == "outcome" && l.Value == "completed" && m.Value != nil {
-				completed = *m.Value
-			}
-		}
-	}
-	if completed != 1 {
-		t.Fatalf("completed outcome = %v, want 1", completed)
-	}
-	hist := reg.FindHistogram("pbx_call_setup_seconds")
-	if hist.Count() != 1 {
-		t.Fatalf("setup count = %d, want 1", hist.Count())
-	}
-	if got := hist.Sum(); got < 0.499 || got > 0.501 {
-		t.Fatalf("setup sum = %v, want 0.5", got)
-	}
-	pdd := reg.FindHistogram("pbx_post_dial_delay_seconds")
-	if got := pdd.Sum(); got < 0.199 || got > 0.201 {
-		t.Fatalf("pdd sum = %v, want 0.2", got)
-	}
-	td := reg.FindHistogram("pbx_call_teardown_seconds")
-	if got := td.Sum(); got < 0.099 || got > 0.101 {
-		t.Fatalf("teardown sum = %v, want 0.1", got)
-	}
-
-	// Unknown Call-ID marks/ends are no-ops.
-	tr.Mark("ghost", StageBye, time.Second)
-	tr.End("ghost", OutcomeCompleted, time.Second)
-	if tr.Active() != 0 {
-		t.Fatalf("ghost call created a span")
-	}
-}
-
-func TestTracerEventRing(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewTracer(reg, 4)
-	tr.Begin("a", 1)
-	tr.End("a", OutcomeBlocked, 2)
-	tr.Begin("b", 3)
-	tr.End("b", OutcomeCompleted, 4)
-	ev := tr.Events()
-	if len(ev) != 4 {
-		t.Fatalf("ring len = %d, want 4", len(ev))
-	}
-	// Oldest-first and wrapped correctly after exactly ringCap events.
-	wantStages := []string{"invite", "blocked", "invite", "completed"}
-	for i, e := range ev {
-		if e.Stage != wantStages[i] {
-			t.Fatalf("event[%d].Stage = %q, want %q (all %+v)", i, e.Stage, wantStages[i], ev)
-		}
-	}
-	tr.Begin("c", 5) // overwrites the oldest
-	ev = tr.Events()
-	if len(ev) != 4 || ev[0].Stage != "blocked" || ev[3].CallID != "c" {
-		t.Fatalf("ring after wrap = %+v", ev)
 	}
 }
 
