@@ -65,7 +65,9 @@ fuzz-smoke:
 # its journal (journal.go) and the file where each attempt ends
 # (outcome.go: the outcome counts, the call-timing histograms, the
 # flight recorder): every CSV, WAL, JSON and metric view of a call is
-# read from them. So does the wire data plane, file by file:
+# read from them. So does the voicemail deposit (voicemail.go), the
+# one call whose far end is the PBX itself. So does the wire data
+# plane, file by file:
 # the recvmmsg reader (batch_linux.go), the listener socket (udp.go,
 # sharded.go) and the relay's leg pool (legpool.go, legpool_linux.go)
 # move every datagram pbxd reads or sends. So do the files that publish
@@ -73,7 +75,7 @@ fuzz-smoke:
 # (registry.go) that sums them: /metrics is read off them.
 # COVER_FILES lists package:file,file,… — each file measured from its
 # own package's tests.
-COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome \
+COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome,voicemail \
 	transport:batch_linux,udp,sharded,legpool,legpool_linux \
 	sip:telemetry cluster:telemetry telemetry:registry
 cover:

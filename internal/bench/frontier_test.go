@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/pbx"
@@ -11,14 +13,20 @@ import (
 // the surge operating point the graceful-degradation ladder must carry
 // strictly more MOS-weighted minutes than the static 503 baseline, and
 // it must do so by actually using the ladder (reaching the
-// upstream-throttle rung and shedding load client-side).
+// upstream-throttle rung and shedding load client-side). The seed-1
+// table, the one EXPERIMENTS.md quotes, is pinned byte for byte.
 func TestLadderDominatesStatic(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 160} {
 		tbl, err := RunStrategyFrontier(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		WriteStrategyFrontier(os.Stderr, tbl)
+		var out bytes.Buffer
+		WriteStrategyFrontier(&out, tbl)
+		os.Stderr.Write(out.Bytes())
+		if seed == 1 {
+			checkGolden(t, filepath.Join("testdata", "frontier_seed1.txt"), out.Bytes())
+		}
 
 		static := tbl.Row("static")
 		ladder := tbl.Row("ladder")
@@ -40,5 +48,26 @@ func TestLadderDominatesStatic(t *testing.T) {
 			t.Errorf("seed %d: static baseline ran degraded: peak=%v throttled=%d",
 				seed, static.PeakStage, static.Throttled)
 		}
+	}
+}
+
+// checkGolden pins got against the golden file; UPDATE_GOLDEN=1
+// rewrites it.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from %s:\n got:\n%s\n want:\n%s", golden, got, want)
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/sip"
 )
 
-// bridge is one B2BUA call: the caller-facing leg (A, where the PBX is
-// UAS) and the callee-facing leg (B, where the PBX is UAC), glued by
-// an RTP relay.
+// bridge is one call: the caller-facing leg (A, where the PBX is UAS)
+// and its far end — the callee-facing leg (B, where the PBX is UAC),
+// glued by an RTP relay, or for a voicemail deposit the mailbox.
 type bridge struct {
 	s *Server
 
@@ -38,7 +38,8 @@ type bridge struct {
 	bSeq       uint32
 	bTx        *sip.ClientTx // the outbound INVITE, for CANCEL
 
-	relay *relay
+	relay   *relay
+	mailbox *mailbox // a voicemail deposit's far end (no relay, no B leg)
 
 	// Codec negotiation outcome (valid once the B leg answered).
 	aOfferPTs     []int // caller's offered payload types
@@ -72,9 +73,7 @@ const (
 func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 	now := s.ep.Clock().Now()
 	s.mu.Lock()
-	_, bridged := s.bridges[req.CallID]
-	_, depositing := s.vmSessions[req.CallID]
-	if bridged || depositing {
+	if _, live := s.bridges[req.CallID]; live {
 		// An INVITE on a live Call-ID is no new call. Until in-dialog
 		// requests are relayed, refuse it and leave the session as it
 		// was (RFC 3261 §14.2): no attempt, no channel, no record.
@@ -150,10 +149,9 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 		// Unreachable user: voicemail answers when enabled and the
 		// user is provisioned; otherwise 404.
 		if _, err := s.dir.Lookup(callee); err == nil && s.cfg.Voicemail {
-			if ok, _, _ := s.admitCall(tx, req, offer); !ok {
-				return
+			if ok, predicted, stage := s.admitCall(tx, req, offer); ok {
+				s.answerVoicemail(tx, req, src, callee, offer, now, predicted, stage)
 			}
-			s.answerVoicemail(tx, req, src, callee, offer, now)
 			return
 		}
 		s.rejectInvite(tx, req, req.Response(sip.StatusNotFound), false)
@@ -171,36 +169,7 @@ func (s *Server) handleInvite(tx *sip.ServerTx, req *sip.Message, src string) {
 // registered contact or a trunk gateway) for an INVITE that arrived at
 // start. Admission must already have been charged.
 func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calleeContact string, offer *sdp.Session, start time.Duration, predicted float64, stage DegradationStage) {
-	// The record outlives the call, so its names must not keep the parsed
-	// INVITE's text alive: one copy holds all three.
-	ids := req.CallID + req.From.URI.User + callee
-	nCallID, nCaller := len(req.CallID), len(req.CallID)+len(req.From.URI.User)
-	br := &bridge{
-		s: s,
-		cdr: CDR{
-			CallID:       ids[:nCallID],
-			Caller:       ids[nCallID:nCaller],
-			Callee:       ids[nCaller:],
-			StartedAt:    start,
-			PredictedMOS: predicted,
-			Admission:    s.admissionName,
-			Backend:      s.cfg.Instance,
-		},
-		aTx:       tx,
-		aInvite:   req,
-		aLocalTag: s.ep.NewTag(),
-		aRemote:   src,
-
-		scoreProfile: s.cfg.ScoreCodec,
-		degradeStage: stage,
-	}
-	if s.degrade != nil {
-		br.cdr.Degradation = stage.String()
-	}
-	br.aOfferPTs = offer.PayloadTypes
-	if req.Contact != nil {
-		br.aRemote = req.Contact.URI.HostPort()
-	}
+	br := s.newBridge(tx, req, src, callee, offer, start, predicted, stage)
 
 	// 100 Trying toward the caller — the "100 TRY" row of Table I.
 	trying := req.Response(sip.StatusTrying)
@@ -274,17 +243,61 @@ func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calle
 	bInvite.ContentType = sdp.ContentType
 	bInvite.Body = bOffer.Marshal()
 
+	s.openCall(br)
+	br.bTx = s.ep.SendRequest(calleeContact, bInvite, func(resp *sip.Message) {
+		s.handleBLegResponse(br, resp)
+	})
+}
+
+// newBridge opens the record of a call to callee whose INVITE arrived
+// at start and was admitted with the predicted MOS at ladder rung
+// stage: the A leg and the record, with no far end yet.
+func (s *Server) newBridge(tx *sip.ServerTx, req *sip.Message, src, callee string, offer *sdp.Session, start time.Duration, predicted float64, stage DegradationStage) *bridge {
+	// The record outlives the call, so its names must not keep the parsed
+	// INVITE's text alive: one copy holds all three.
+	ids := req.CallID + req.From.URI.User + callee
+	nCallID, nCaller := len(req.CallID), len(req.CallID)+len(req.From.URI.User)
+	br := &bridge{
+		s: s,
+		cdr: CDR{
+			CallID:       ids[:nCallID],
+			Caller:       ids[nCallID:nCaller],
+			Callee:       ids[nCaller:],
+			StartedAt:    start,
+			PredictedMOS: predicted,
+			Admission:    s.admissionName,
+			Backend:      s.cfg.Instance,
+		},
+		aTx:       tx,
+		aInvite:   req,
+		aLocalTag: s.ep.NewTag(),
+		aRemote:   src,
+		aOfferPTs: offer.PayloadTypes,
+
+		scoreProfile: s.cfg.ScoreCodec,
+		degradeStage: stage,
+	}
+	if s.degrade != nil {
+		br.cdr.Degradation = stage.String()
+	}
+	if req.Contact != nil {
+		br.aRemote = req.Contact.URI.HostPort()
+	}
+	return br
+}
+
+// openCall files br in the live-call table under each leg's Call-ID
+// and journals its admission.
+func (s *Server) openCall(br *bridge) {
 	s.mu.Lock()
 	s.bridges[br.cdr.CallID] = br
-	s.bridges[br.bCallID] = br
+	if br.bCallID != "" {
+		s.bridges[br.bCallID] = br
+	}
 	s.mu.Unlock()
 	if j := s.cfg.Journal; j != nil {
 		j.Begin(br.cdr.CallID, br.cdr.Caller, br.cdr.Callee, br.cdr.StartedAt)
 	}
-
-	br.bTx = s.ep.SendRequest(calleeContact, bInvite, func(resp *sip.Message) {
-		s.handleBLegResponse(br, resp)
-	})
 }
 
 // cancelBLeg propagates a caller's CANCEL to the pending callee leg.
@@ -486,7 +499,7 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 		}
 		answer, err := sdp.Parse(resp.Body)
 		if err != nil {
-			s.terminateBridge(br, true)
+			s.terminateBridge(br)
 			return
 		}
 		// Rung 2 backstop: the degraded B-leg offer already excluded the
@@ -502,11 +515,11 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 			fwd := br.aInvite.Response(sip.StatusNotAcceptableHere)
 			fwd.To.Tag = br.aLocalTag
 			br.aTx.Respond(fwd)
-			s.terminateBridge(br, true)
+			s.terminateBridge(br)
 			return
 		}
 		if !s.negotiateBridgeCodecs(br, answer) {
-			s.terminateBridge(br, true)
+			s.terminateBridge(br)
 			return
 		}
 		if br.relay != nil {
@@ -662,11 +675,7 @@ func (s *Server) handleAck(req *sip.Message) {
 	s.mu.Lock()
 	br := s.bridges[req.CallID]
 	s.mu.Unlock()
-	if br == nil {
-		s.ackVoicemail(req.CallID)
-		return
-	}
-	if br.state != bridgeProceeding || req.CallID != br.cdr.CallID {
+	if br == nil || br.state != bridgeProceeding || req.CallID != br.cdr.CallID {
 		return
 	}
 	br.state = bridgeEstablished
@@ -691,9 +700,7 @@ func (s *Server) handleBye(tx *sip.ServerTx, req *sip.Message) {
 	s.mu.Unlock()
 	tx.Respond(req.Response(sip.StatusOK))
 	if br == nil {
-		if !s.byeVoicemail(req.CallID) {
-			s.countError()
-		}
+		s.countError()
 		return
 	}
 	if first {
@@ -703,9 +710,10 @@ func (s *Server) handleBye(tx *sip.ServerTx, req *sip.Message) {
 	s.removeBridge(br, true)
 }
 
-// forwardBye sends BYE on the leg opposite the one that hung up.
+// forwardBye sends BYE on the leg opposite the one that hung up; a
+// deposit's far end is the mailbox, which needs none.
 func (s *Server) forwardBye(br *bridge, hungUpA bool) {
-	if br.state == bridgeTerminated {
+	if br.state == bridgeTerminated || br.mailbox != nil {
 		return
 	}
 	if hungUpA {
@@ -730,28 +738,37 @@ func (s *Server) forwardBye(br *bridge, hungUpA bool) {
 }
 
 // terminateBridge ends an active call abnormally (media failure).
-func (s *Server) terminateBridge(br *bridge, failed bool) {
-	if failed {
-		s.mu.Lock()
-		s.counters.Failed++
-		s.mu.Unlock()
-	}
+func (s *Server) terminateBridge(br *bridge) {
+	s.mu.Lock()
+	s.counters.Failed++
+	s.mu.Unlock()
 	s.removeBridge(br, false)
 }
 
-// removeBridge releases the channel and the relay, closes the call's
+// closeMedia stops the call's media: the relay, or the mailbox port.
+// Callers do not hold s.mu (the relay→server lock order).
+func (br *bridge) closeMedia() {
+	if br.relay != nil {
+		br.relay.close()
+	}
+	if m := br.mailbox; m != nil && m.tr != nil {
+		m.tr.Close()
+	}
+}
+
+// removeBridge releases the channel and the call's media, closes its
 // record, ends its attempt and hands that one record to every sink: the
-// metrics, the ladder's MOS sensor, the recent-calls ring and call log
-// and the journal.
+// metrics, the ladder's MOS sensor, the recent-calls ring and call log,
+// the journal and, for an answered deposit, the mailbox.
 func (s *Server) removeBridge(br *bridge, completed bool) {
 	if br.state == bridgeTerminated {
 		return
 	}
 	br.state = bridgeTerminated
 
+	br.closeMedia()
 	var relayFwd, relayDrop, relayTrans uint64
 	if br.relay != nil {
-		br.relay.close()
 		relayFwd, relayDrop = br.relay.stats()
 		relayTrans = br.relay.transcodedPkts()
 	}
@@ -768,6 +785,9 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 		s.counters.DroppedPackets += relayDrop
 		s.counters.TranscodedPkts += relayTrans
 	}
+	if m := br.mailbox; m != nil && m.tr != nil {
+		s.freeRelayPortLocked(m.port)
+	}
 	// Return the transcoding surcharge to the CPU budget.
 	releasedLoad := false
 	if br.transcodeCost > 0 {
@@ -780,6 +800,9 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 	}
 	load := s.transcodeLoad
 	cdr := s.closeCDRLocked(br, completed)
+	if br.mailbox != nil && cdr.AnsweredAt > 0 {
+		s.depositLocked(cdr)
+	}
 	o := cdr.Disposition.outcome()
 	if br.canceled {
 		o = outcomeCanceled

@@ -162,7 +162,8 @@ func (c CDR) MarshalJSON() ([]byte, error) {
 }
 
 // closeCDRLocked ends a bridge's record at teardown: the end tick, the
-// disposition, the talk time and, when the call was relayed, the QoS.
+// disposition, the talk time and, when the call was relayed, the QoS —
+// for a deposit, the caller's stream as the mailbox received it.
 // Callers hold s.mu.
 func (s *Server) closeCDRLocked(br *bridge, completed bool) CDR {
 	cdr := &br.cdr
@@ -187,6 +188,10 @@ func (s *Server) closeCDRLocked(br *bridge, completed bool) CDR {
 		cdr.MOS = s.scoreStreamsAs(br.scoreProfile, cdr.FromCaller, cdr.FromCallee)
 		cdr.MeasuredMOS = worseMOS(qa.MOS, qb.MOS)
 		cdr.RTT = max(qa.RTT, qb.RTT)
+	}
+	if br.mailbox != nil {
+		// Closed with the call's media (removeBridge): quiescent too.
+		cdr.FromCaller = br.mailbox.recv.Snapshot()
 	}
 	return *cdr
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/sip"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -85,7 +87,7 @@ func TestMessageOfflineWithoutStoreGets404(t *testing.T) {
 }
 
 func TestVoicemailDeposit(t *testing.T) {
-	r := newRig(t, 1, Config{Voicemail: true, RelayRTP: true})
+	r := newRig(t, 1, Config{Voicemail: true, RelayRTP: true, Journal: NewCDRJournal()})
 	r.server.Directory().Provision("u", 1, 1) // u1 provisioned, offline
 
 	call := r.phones[0].Invite("u1")
@@ -125,6 +127,16 @@ func TestVoicemailDeposit(t *testing.T) {
 	}
 	if c := r.server.CountersSnapshot(); c.VoicemailDeposits != 1 {
 		t.Errorf("deposit counter = %d", c.VoicemailDeposits)
+	}
+	// The deposit is a call like any other: one ANSWERED record whose
+	// caller stream is the recording, journaled from begin to end.
+	if calls := r.server.RecentCalls(); len(calls) != 1 || calls[0].Disposition != Answered ||
+		calls[0].FromCaller.Received != vm.Packets {
+		t.Errorf("records %+v, want one ANSWERED with %d packets from the caller", calls, vm.Packets)
+	}
+	if st := r.server.Journal().Stats(); st.Begins != 1 || st.Answers != 1 || st.Ends != 1 ||
+		st.Open != 0 || st.DoubleEnds != 0 {
+		t.Errorf("journal %+v, want one begin, answer and end", st)
 	}
 
 	// The recipient registers and receives the MWI notification.
@@ -207,29 +219,109 @@ func TestVoicemailCountsAgainstCapacity(t *testing.T) {
 	}
 }
 
-func TestVoicemailAbandonedDepositReaped(t *testing.T) {
-	// A caller that never ACKs and never BYEs: the reaper must release
-	// the channel and store nothing.
-	r := newRig(t, 1, Config{Voicemail: true, VoicemailMaxDuration: 30 * time.Second})
-	r.server.Directory().Provision("u", 1, 1)
-
-	// Handcraft an INVITE that goes unanswered-by-ACK: use a raw
-	// endpoint so no ACK is generated for the 200.
+// rawInvite sends u1 an INVITE offering payload types pts from a raw
+// endpoint at rude:5060, which never ACKs; its final response lands
+// in *final.
+func rawInvite(r *rig, pts string, final **sip.Message) {
 	ep := sip.NewEndpoint(transport.NewSim(r.net, "rude:5060"), r.clock)
 	invite := sip.NewRequest(sip.INVITE, sip.NewURI("u1", "pbx", 5060),
 		sip.NameAddr{URI: sip.NewURI("rude", "rude", 5060), Tag: "t1"},
 		sip.NameAddr{URI: sip.NewURI("u1", "pbx", 5060)},
 		"rude-call", 1)
 	invite.ContentType = "application/sdp"
-	invite.Body = []byte("v=0\r\nc=IN IP4 rude\r\nm=audio 4000 RTP/AVP 0\r\n")
-	ep.SendRequest("pbx:5060", invite, nil)
+	invite.Body = []byte("v=0\r\nc=IN IP4 rude\r\nm=audio 4000 RTP/AVP " + pts + "\r\n")
+	ep.SendRequest("pbx:5060", invite, func(resp *sip.Message) {
+		if resp.StatusCode >= 200 {
+			*final = resp
+		}
+	})
+}
+
+func TestVoicemailAbandonedDepositReaped(t *testing.T) {
+	// A caller that never ACKs and never BYEs: the reaper must release
+	// the channel and store nothing, and the call ends unanswered like a
+	// bridge whose caller never ACKed.
+	r := newRig(t, 1, Config{Voicemail: true, VoicemailMaxDuration: 30 * time.Second})
+	r.server.Directory().Provision("u", 1, 1)
+	var final *sip.Message
+	rawInvite(r, "0", &final)
 
 	r.sched.Run(r.sched.Now() + 10*time.Minute)
+	if final == nil || final.StatusCode != sip.StatusOK {
+		t.Fatalf("deposit answered %+v, want 200", final)
+	}
 	if n := r.server.ActiveChannels(); n != 0 {
 		t.Errorf("abandoned deposit leaked channel: %d", n)
 	}
 	if len(r.server.Voicemails("u1")) != 0 {
 		t.Error("unanswered deposit stored")
+	}
+	if c := r.server.CountersSnapshot(); c.Unanswered != 1 || c.Ended() != c.Attempts {
+		t.Errorf("counters %+v, want the one attempt ended rejected", c)
+	}
+	if calls := r.server.RecentCalls(); len(calls) != 1 || calls[0].Disposition != NoAnswer {
+		t.Errorf("records %+v, want one NO ANSWER", calls)
+	}
+}
+
+// TestVoicemailRefusesOfferWithoutG711: the mailbox records G.711
+// only, so an offer the PBX could bridge (G.729) but a deposit cannot
+// answer gets 500 before anything rings, and gives its channel back.
+func TestVoicemailRefusesOfferWithoutG711(t *testing.T) {
+	r := newRig(t, 1, Config{Voicemail: true, RelayRTP: true, Codecs: codec.AllPayloadTypes()})
+	r.server.Directory().Provision("u", 1, 1)
+	var final *sip.Message
+	rawInvite(r, "18", &final)
+
+	r.sched.Run(r.sched.Now() + time.Minute)
+	if final == nil || final.StatusCode != sip.StatusInternalError {
+		t.Fatalf("G.729-only deposit answered %+v, want 500", final)
+	}
+	c := r.server.CountersSnapshot()
+	if c.Rejected != 1 || c.Unanswered != 1 || c.Ended() != c.Attempts {
+		t.Errorf("counters %+v, want the one attempt ended rejected", c)
+	}
+	if ch, ports := r.server.ActiveChannels(), relayPortsHeld(r.server); ch != 0 || ports != 0 {
+		t.Errorf("%d channels, %d ports held after the refusal", ch, ports)
+	}
+}
+
+// TestVoicemailDepositCrashRecoveredLost: a deposit in flight when the
+// server crashes leaves its journal entry open, and the next
+// incarnation's recovery closes it LOST like any other call.
+func TestVoicemailDepositCrashRecoveredLost(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	j := NewCDRJournal()
+	cfg := Config{Voicemail: true, RelayRTP: true, Journal: j, Telemetry: reg}
+	r := newRig(t, 1, cfg)
+	r.server.Directory().Provision("u", 1, 1)
+	var crashAt time.Duration
+	call := r.phones[0].Invite("u1")
+	call.OnEstablished = func(*sip.Call) {
+		r.clock.AfterFunc(5*time.Second, func() {
+			crashAt = r.clock.Now()
+			r.server.Crash()
+		})
+	}
+	r.sched.Run(r.sched.Now() + time.Minute)
+	if c := r.server.CountersSnapshot(); c.Lost != 1 || c.Ended() != c.Attempts || len(r.server.Voicemails("u1")) != 0 {
+		t.Fatalf("counters %+v, want the deposit lost and nothing stored", c)
+	}
+
+	// The restart: a fresh server on the same address, journal and registry.
+	ep := sip.NewEndpoint(transport.NewSim(r.net, "pbx:5060"), r.clock)
+	next := New(ep, r.server.Directory(), nil, cfg)
+	defer next.Close()
+	lost := next.RecoverJournal(crashAt)
+	if len(lost) != 1 || lost[0].CallID != call.CallID || lost[0].Disposition != Lost ||
+		lost[0].AnsweredAt == 0 || lost[0].Duration != crashAt-lost[0].AnsweredAt {
+		t.Fatalf("recovered %+v, want the answered deposit LOST at %v", lost, crashAt)
+	}
+	if n := series(reg.Snapshot(), mCDR, "disposition", "lost"); n != 1 {
+		t.Errorf("%s{disposition=\"lost\"} = %v, want 1", mCDR, n)
+	}
+	if st := j.Stats(); st.Open != 0 || st.Begins != st.Ends {
+		t.Errorf("journal %+v, want balanced after recovery", st)
 	}
 }
 

@@ -147,11 +147,12 @@ type Counters struct {
 	// Unanswered, Aborted and Lost count the outcomes the fields above
 	// do not: with Completed, Blocked and Canceled every attempt has
 	// exactly one (Ended), and pbx_calls_total{outcome} reads the six.
-	// Unanswered ("rejected") is Rejected plus the bridges whose
-	// callee's 200 could not be bridged, which Failed counts too.
-	// Aborted ("failed") is the calls answered, then ended without a
-	// completing BYE: deposits reaped, or hung up before their ACK, and
-	// the bridges Failed counts after the ACK.
+	// Unanswered ("rejected") is Rejected plus the calls that ended
+	// before the caller's ACK for another reason: a callee's 200 that
+	// could not be bridged (which Failed counts too), a BYE before the
+	// ACK, a voicemail deposit never ACKed. Aborted ("failed") is the
+	// calls ACKed, then ended without a completing BYE: deposits reaped
+	// at their cap, and the bridges Failed counts after the ACK.
 	Unanswered uint64
 	Aborted    uint64
 	Lost       uint64 // in flight when the server crashed
@@ -239,7 +240,6 @@ type Server struct {
 	offline       map[string][]StoredMessage
 	voicemails    map[string][]Voicemail
 	vmNotified    map[string]bool
-	vmSessions    map[string]*vmSession
 	channels      int
 	admissionName string  // Config.Admission's label, for metrics and call records
 	codecs        []int   // supported payload types (Config.Codecs or {0,8})
@@ -320,7 +320,6 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 		offline:    make(map[string][]StoredMessage),
 		voicemails: make(map[string][]Voicemail),
 		vmNotified: make(map[string]bool),
-		vmSessions: make(map[string]*vmSession),
 		nextPort:   cfg.RTPPortBase,
 		meter:      cpu.NewMeter(cfg.CPU),
 		rng:        stats.NewRNG(cfg.Seed ^ 0xa57e7a57),
@@ -432,9 +431,10 @@ func (s *Server) maybeFinishDrain() {
 	}
 }
 
-// Crash simulates the process dying mid-flight: in-flight bridges and
-// voicemail deposits are dropped without CDRs or farewell signalling,
-// relay ports go dark, every call in flight ends as "lost", and the SIP
+// Crash simulates the process dying mid-flight: in-flight calls —
+// bridges and voicemail deposits alike — are dropped without CDRs or
+// farewell signalling, media ports go dark, every call in flight ends
+// as "lost" (its journal entry left open for RecoverJournal), and the SIP
 // endpoint's transactions and socket are torn down. Counters and the
 // journal survive — they model what an external observer (and the
 // durable disk) keeps; recovery of the journal's open entries happens
@@ -450,41 +450,27 @@ func (s *Server) Crash() {
 	if s.sampler != nil {
 		s.sampler.Stop()
 	}
-	seen := make(map[*bridge]bool, len(s.bridges))
-	var bridges []*bridge
-	for _, br := range s.bridges {
-		if !seen[br] {
-			seen[br] = true
-			bridges = append(bridges, br)
+	var calls []*bridge
+	for id, br := range s.bridges {
+		if id == br.cdr.CallID { // each call once, under its A leg
+			calls = append(calls, br)
 		}
 	}
 	s.bridges = make(map[string]*bridge)
-	vms := s.vmSessions
-	s.vmSessions = make(map[string]*vmSession)
 	s.channels = 0
 	s.transcodeLoad = 0
 	s.updateChannelGaugesLocked()
 	s.mu.Unlock()
 
-	// Relays close outside s.mu (the relay→server lock order), and
-	// before the outcomes, so that no first-RTP event trails them.
-	for _, br := range bridges {
+	// Media closes outside s.mu (the relay→server lock order), and
+	// before the outcome, so that no first-RTP event trails it.
+	for _, br := range calls {
 		br.state = bridgeTerminated
-		if br.relay != nil {
-			br.relay.close()
-		}
-	}
-	for _, vm := range vms {
-		vm.close()
-	}
-	s.mu.Lock()
-	for _, br := range bridges {
+		br.closeMedia()
+		s.mu.Lock()
 		s.endLocked(br.cdr.CallID, outcomeLost, br.cdr.StartedAt, br.cdr.RingingAt, br.okAt, br.byeAt)
+		s.mu.Unlock()
 	}
-	for callID, vm := range vms {
-		s.endLocked(callID, outcomeLost, vm.start, vm.ringingAt, vm.okAt, vm.byeAt)
-	}
-	s.mu.Unlock()
 	s.ep.Crash()
 }
 
@@ -727,8 +713,9 @@ func (s *Server) handleRequest(tx *sip.ServerTx, req *sip.Message, src string) {
 		}
 		tx.Respond(resp)
 	default:
-		s.countError()
-		tx.Respond(req.Response(sip.StatusInternalError))
+		// RFC 3261 §8.2.1: a method the server does not implement is the
+		// sender's concern, not an error of the server's.
+		tx.Respond(req.Response(sip.StatusNotImplemented))
 	}
 }
 

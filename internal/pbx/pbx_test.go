@@ -435,6 +435,34 @@ func TestByeForUnknownDialogCounted(t *testing.T) {
 	}
 }
 
+// TestUnknownMethodNotImplemented: a method the PBX does not implement
+// gets 501 (RFC 3261 §8.2.1) and is no error of the server's: it feeds
+// neither the CPU model's error rate nor, through it, the relay's
+// overload drop.
+func TestUnknownMethodNotImplemented(t *testing.T) {
+	r := newRig(t, 1, Config{})
+	for _, m := range []sip.Method{"INFO", "UPDATE"} {
+		info := sip.NewRequest(m, sip.NewURI("u0", "pbx", 5060),
+			sip.NameAddr{URI: sip.NewURI("u0", "host0", 5060), Tag: "t1"},
+			sip.NameAddr{URI: sip.NewURI("u0", "pbx", 5060)},
+			"stranger-"+string(m), 1)
+		var status int
+		r.phones[0].Endpoint().SendRequest("pbx:5060", info, func(resp *sip.Message) { status = resp.StatusCode })
+		// Read the per-second error window between two sampler ticks.
+		var errs uint64
+		start := r.sched.Now()
+		r.clock.AfterFunc(100*time.Millisecond, func() {
+			r.server.mu.Lock()
+			errs = r.server.errorsWindow
+			r.server.mu.Unlock()
+		})
+		r.sched.Run(start + time.Second)
+		if status != sip.StatusNotImplemented || errs != 0 {
+			t.Errorf("%s: status %d, %d errors counted; want 501 and none", m, status, errs)
+		}
+	}
+}
+
 // TestCountersAddCoversEveryField guards Add against a counter added to
 // the struct and forgotten in the sum.
 func TestCountersAddCoversEveryField(t *testing.T) {

@@ -138,10 +138,10 @@ func (s *Server) publishCounters(reg *telemetry.Registry) {
 		reg.CounterFunc(mCallsTotal, "call spans ended, by outcome",
 			s.count(s.counters.byOutcome(o)), telemetry.L("outcome", outcomeNames[o]))
 	}
-	// A call is open from its INVITE to its outcome: a live bridge
-	// (filed under both legs' Call-IDs) or a live voicemail deposit.
+	// A call is open from its INVITE to its outcome: the conservation
+	// law, read as a gauge.
 	reg.GaugeFunc(mActiveSpans, "call spans currently open", s.read(func() float64 {
-		return float64(len(s.bridges)/2 + len(s.vmSessions))
+		return float64(s.counters.Attempts) - float64(s.counters.Ended())
 	}))
 }
 

@@ -38,6 +38,7 @@ const (
 	StatusNotAcceptableHere  = 488
 	StatusTemporarilyDenied  = 403
 	StatusInternalError      = 500
+	StatusNotImplemented     = 501
 	StatusServiceUnavailable = 503
 	StatusDeclined           = 603
 )
@@ -73,6 +74,8 @@ func ReasonPhrase(code int) string {
 		return "Not Acceptable Here"
 	case StatusInternalError:
 		return "Server Internal Error"
+	case StatusNotImplemented:
+		return "Not Implemented"
 	case StatusServiceUnavailable:
 		return "Service Unavailable"
 	case StatusDeclined:
