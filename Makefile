@@ -72,12 +72,14 @@ fuzz-smoke:
 # sharded.go) and the relay's leg pool (legpool.go, legpool_linux.go)
 # move every datagram pbxd reads or sends. So do the files that publish
 # the pbx, sip and cluster counts as metric families, and the registry
-# (registry.go) that sums them: /metrics is read off them.
+# (registry.go) that sums them: /metrics is read off them. So do
+# pbxd's wiring (wire.go), which adds the wire-only families, and the
+# per-second sampler (sampler.go), the one series every run reports.
 # COVER_FILES lists package:file,file,… — each file measured from its
 # own package's tests.
-COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome,voicemail \
+COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome,voicemail,wire \
 	transport:batch_linux,udp,sharded,legpool,legpool_linux \
-	sip:telemetry cluster:telemetry telemetry:registry
+	sip:telemetry cluster:telemetry telemetry:registry monitor:sampler
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null
 	@total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { gsub(/%/,"",$$3); print $$3 }'); \

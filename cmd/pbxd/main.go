@@ -150,15 +150,20 @@ func main() {
 	signal.Notify(stop, os.Interrupt)
 	tick := time.NewTicker(5 * time.Second)
 	defer tick.Stop()
+	// cpu= is the share of one core pbxd used since the previous line,
+	// measured by getrusage: not the CPU model's figure.
+	lastAt, lastCPU := time.Now(), pbx.ProcessCPUSeconds()
 	for {
 		select {
-		case <-tick.C:
+		case now := <-tick.C:
 			if !*quiet {
+				cpuNow := pbx.ProcessCPUSeconds()
+				share := 100 * (cpuNow - lastCPU) / now.Sub(lastAt).Seconds()
+				lastAt, lastCPU = now, cpuNow
 				c := server.CountersSnapshot()
-				_, mean, _ := server.CPUBand()
 				st := tr.Stats()
-				fmt.Printf("pbxd: active=%d attempts=%d established=%d blocked=%d relayed=%d cpu~%.1f%% sip_rx=%d(%d batches) sip_tx=%d\n",
-					server.ActiveChannels(), c.Attempts, c.Established, c.Blocked, c.RelayedPackets, mean,
+				fmt.Printf("pbxd: active=%d attempts=%d established=%d blocked=%d relayed=%d cpu=%.1f%% sip_rx=%d(%d batches) sip_tx=%d\n",
+					server.ActiveChannels(), c.Attempts, c.Established, c.Blocked, c.RelayedPackets, share,
 					st.RxPackets, st.RxBatches, st.TxPackets)
 			}
 		case <-stop:

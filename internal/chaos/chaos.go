@@ -104,10 +104,8 @@ type Result struct {
 	// Signaling holds the server endpoint's wire counters
 	// (retransmissions, timeouts, parse errors).
 	Signaling sip.Stats
-	// Timeline is the per-second wire activity; Capture the Table-I
-	// style totals.
-	Timeline *monitor.Timeline
-	Capture  *monitor.Capture
+	// Capture is the Table-I style wire totals.
+	Capture *monitor.Capture
 	// Links maps "src->dst" to that direction's link counters.
 	Links map[string]netsim.LinkStats
 	// NoRoute counts packets that hit an unbound port (partitions).
@@ -151,7 +149,6 @@ func Run(sc Scenario) (*Result, error) {
 		net.SetDuplexLink(PBXHost, ServerHost, sc.Fault.ServerLink)
 	}
 	capture := rig.PerShard(r, monitor.NewCapture, nil)
-	timeline := rig.PerShard(r, monitor.NewTimeline, nil)
 
 	dir := directory.New()
 	if err := provision(dir, sc.Load.Target); err != nil {
@@ -212,7 +209,6 @@ func Run(sc Scenario) (*Result, error) {
 		Load:        load,
 		Books:       rig.Audit("", server),
 		Signaling:   server.SignalingStats(),
-		Timeline:    timeline(),
 		Capture:     capture(),
 		NoRoute:     net.NoRoute(),
 		Degradation: server.DegradationTimeline(),

@@ -149,16 +149,10 @@ func TestMillionEndpointStorm(t *testing.T) {
 		Desc:      "N=1M steady-state storm with jittered refreshes",
 		Seed:      20150525,
 		DirShards: 64,
-		// A registrar sized for a 1M population must also size its
-		// nonce cache for it: with the default 64k cap, every cached
-		// nonce is FIFO-evicted long before its ~3.6-minute refresh
-		// and the whole population eats a stale re-challenge per
-		// cycle (still correct, but an extra round trip per refresh).
-		PBX: pbx.Config{Registrar: pbx.RegistrarConfig{
-			Enabled:     true,
-			NonceCap:    2_000_000,
-			NonceShards: 64,
-		}},
+		// pbx.New sizes the nonce cache for the 1M population (two
+		// nonces a user): at the default 64k cap every cached nonce
+		// would be FIFO-evicted long before its ~3.6-minute refresh.
+		PBX: pbx.Config{Registrar: pbx.RegistrarConfig{Enabled: true}},
 		Load: sipp.RegisterConfig{
 			Endpoints:       1_000_000,
 			Expires:         240 * time.Second,

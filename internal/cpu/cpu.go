@@ -13,8 +13,6 @@
 // the overload knee.
 package cpu
 
-import "repro/internal/stats"
-
 // Model converts observed PBX activity into a utilization percentage
 // and, above the overload knee, a packet drop probability. The zero
 // value is not useful; use DefaultModel or fill every field.
@@ -92,50 +90,4 @@ func (m Model) DropProbability(utilization float64) float64 {
 		frac = 1
 	}
 	return frac * m.MaxDropProbability
-}
-
-// Meter tracks a live utilization estimate over a simulation run,
-// sampling the model at a fixed cadence and keeping the summary that
-// Table I reports as a band.
-type Meter struct {
-	model   Model
-	samples stats.Summary
-	current float64
-}
-
-// NewMeter creates a meter over model.
-func NewMeter(model Model) *Meter { return &Meter{model: model} }
-
-// Sample records the utilization for the current activity snapshot
-// and returns it.
-func (mt *Meter) Sample(activeCalls int, attemptsPerSec, errorsPerSec float64) float64 {
-	return mt.SampleWith(activeCalls, attemptsPerSec, errorsPerSec, 0)
-}
-
-// SampleWith is Sample with an extra load term in percent (see
-// Model.UtilizationWith).
-func (mt *Meter) SampleWith(activeCalls int, attemptsPerSec, errorsPerSec, extraPercent float64) float64 {
-	u := mt.model.UtilizationWith(activeCalls, attemptsPerSec, errorsPerSec, extraPercent)
-	mt.current = u
-	mt.samples.Add(u)
-	return u
-}
-
-// DropProbability returns the drop probability at the current sample.
-func (mt *Meter) DropProbability() float64 { return mt.model.DropProbability(mt.current) }
-
-// Band returns the [p10, p90]-like band (mean ± stddev, clamped) that
-// corresponds to the "X% to Y%" ranges in Table I, plus the mean.
-func (mt *Meter) Band() (lo, mean, hi float64) {
-	mean = mt.samples.Mean()
-	dev := mt.samples.Stddev()
-	lo = mean - dev
-	if lo < 0 {
-		lo = 0
-	}
-	hi = mean + dev
-	if hi > 100 {
-		hi = 100
-	}
-	return lo, mean, hi
 }

@@ -91,30 +91,3 @@ func TestDropProbabilityDegenerateKnee(t *testing.T) {
 		t.Errorf("knee at 100 should never drop, got %v", p)
 	}
 }
-
-func TestMeterBand(t *testing.T) {
-	mt := NewMeter(DefaultModel())
-	// Activity ramping 35..45 active calls.
-	for calls := 35; calls <= 45; calls++ {
-		mt.Sample(calls, 0.33, 0)
-	}
-	lo, mean, hi := mt.Band()
-	if !(lo < mean && mean < hi) {
-		t.Errorf("band [%v, %v, %v] not ordered", lo, mean, hi)
-	}
-	if mt.samples.N() != 11 {
-		t.Errorf("samples = %d", mt.samples.N())
-	}
-}
-
-func TestMeterDropFollowsCurrent(t *testing.T) {
-	mt := NewMeter(DefaultModel())
-	mt.Sample(10, 0.1, 0)
-	if mt.DropProbability() != 0 {
-		t.Error("drops at light load")
-	}
-	mt.Sample(300, 2, 1)
-	if mt.DropProbability() == 0 {
-		t.Error("no drops at heavy load")
-	}
-}

@@ -67,11 +67,12 @@ type Session struct {
 	frame   []byte
 
 	// Scratch state reused every frame (guarded by mu): the outbound
-	// packet header, its wire form, and the inbound parse target. The
-	// transport contract permits reusing the send buffer because Send
-	// either copies (netsim) or writes synchronously (UDP).
+	// packet header, its wire form, and the inbound RTP and RTCP parse
+	// targets. The transport contract permits reusing the send buffer
+	// because Send either copies (netsim) or writes synchronously (UDP).
 	outPkt rtp.Packet
 	inPkt  rtp.Packet
+	rtcpIn rtp.RTCPInfo
 	wire   []byte
 
 	recv *rtp.Receiver
@@ -284,22 +285,19 @@ func (s *Session) handleInbound(src string, data []byte) {
 }
 
 func (s *Session) handleRTCP(now time.Duration, data []byte) {
-	sr, rr, err := rtp.ParseRTCP(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil {
+	info := &s.rtcpIn
+	if rtp.ParseRTCPInfo(data, info) != nil {
 		s.bad++
 		return
 	}
 	s.rtcpReceived++
-	var blocks []rtp.ReportBlock
-	if sr != nil {
-		s.recv.NoteSenderReport(now, sr)
-		blocks = sr.Blocks
-	} else {
-		blocks = rr.Blocks
+	if info.Type == rtp.RTCPSenderReport {
+		s.recv.NoteSR(now, info.SSRC, info.NTPTime)
 	}
-	for _, b := range blocks {
+	for i := 0; i < info.NumBlocks(); i++ {
+		b := info.Block(i)
 		if b.SSRC != s.cfg.SSRC {
 			continue // feedback about someone else's stream
 		}

@@ -43,8 +43,7 @@ type Sample struct {
 // budget is unaffected (a full Registry.Snapshot per tick would not be).
 //
 // The clock is the single time source shared with the PBX's call
-// stamps and the wire Timeline, so simulated and real-UDP runs yield comparable
-// series.
+// stamps, so simulated and real-UDP runs yield comparable series.
 type Sampler struct {
 	clock transport.Clock
 	timer transport.RearmTimer
@@ -57,17 +56,8 @@ type Sampler struct {
 	rtp      func() float64
 	drops    func() float64
 
-	setup       *telemetry.Histogram
-	setupBounds []float64
-	cur, prev   []uint64 // histogram scratch, preallocated
-	delta       []uint64
-	prevCount   uint64
-
-	measured       *telemetry.Histogram
-	measuredBounds []float64
-	mCur, mPrev    []uint64
-	mDelta         []uint64
-	mPrevCount     uint64
+	setup    histDelta // INVITE→200 setup seconds
+	measured histDelta // sensor-measured MOS at teardown
 
 	prevOffered, prevBlocked, prevAnswered float64
 	prevRetrans, prevRTP, prevDrops        float64
@@ -108,24 +98,57 @@ func NewSampler(reg *telemetry.Registry, clock transport.Clock) *Sampler {
 		retrans:  reader(reg, "sip_retransmissions_total"),
 		rtp:      reader(reg, "rtp_relay_packets_total"),
 		drops:    reader(reg, "rtp_relay_dropped_total"),
-		setup:    reg.FindHistogram("pbx_call_setup_seconds"),
-		measured: reg.FindHistogram("pbx_call_mos_measured"),
-	}
-	if sp.setup != nil {
-		n := sp.setup.NumBuckets()
-		sp.setupBounds = sp.setup.Bounds()
-		sp.cur = make([]uint64, n)
-		sp.prev = make([]uint64, n)
-		sp.delta = make([]uint64, n)
-	}
-	if sp.measured != nil {
-		n := sp.measured.NumBuckets()
-		sp.measuredBounds = sp.measured.Bounds()
-		sp.mCur = make([]uint64, n)
-		sp.mPrev = make([]uint64, n)
-		sp.mDelta = make([]uint64, n)
+		setup:    newHistDelta(reg.FindHistogram("pbx_call_setup_seconds")),
+		measured: newHistDelta(reg.FindHistogram("pbx_call_mos_measured")),
 	}
 	return sp
+}
+
+// histDelta turns a cumulative histogram into per-tick bucket counts.
+// Its three bucket slices are allocated once; a tick loads into cur,
+// differences against prev and swaps the two, allocating nothing.
+type histDelta struct {
+	h                *telemetry.Histogram // nil: family not registered
+	bounds           []float64
+	cur, prev, delta []uint64
+	prevCount        uint64
+}
+
+func newHistDelta(h *telemetry.Histogram) histDelta {
+	if h == nil {
+		return histDelta{}
+	}
+	n := h.NumBuckets()
+	return histDelta{
+		h:      h,
+		bounds: h.Bounds(),
+		cur:    make([]uint64, n),
+		prev:   make([]uint64, n),
+		delta:  make([]uint64, n),
+	}
+}
+
+// tick returns how many observations arrived since the last tick;
+// when that is non-zero, quantile reads over just those.
+func (d *histDelta) tick() uint64 {
+	if d.h == nil {
+		return 0
+	}
+	count, _ := d.h.Load(d.cur)
+	n := count - d.prevCount
+	if n > 0 {
+		for i := range d.cur {
+			d.delta[i] = d.cur[i] - d.prev[i]
+		}
+	}
+	d.cur, d.prev = d.prev, d.cur
+	d.prevCount = count
+	return n
+}
+
+// quantile is the q-quantile of the last tick's observations.
+func (d *histDelta) quantile(q float64) float64 {
+	return telemetry.QuantileFromCounts(d.bounds, d.delta, q)
 }
 
 // SetObserver installs the per-sample hook (the SLO evaluator, a run
@@ -173,32 +196,13 @@ func (sp *Sampler) observe(now time.Duration) {
 		s.Blocking = float64(s.Blocked) / float64(s.Offered)
 	}
 
-	if sp.setup != nil {
-		count, _ := sp.setup.Load(sp.cur)
-		s.SetupN = count - sp.prevCount
-		if s.SetupN > 0 {
-			for i := range sp.cur {
-				sp.delta[i] = sp.cur[i] - sp.prev[i]
-			}
-			s.SetupP50 = telemetry.QuantileFromCounts(sp.setupBounds, sp.delta, 0.50)
-			s.SetupP90 = telemetry.QuantileFromCounts(sp.setupBounds, sp.delta, 0.90)
-			s.SetupP99 = telemetry.QuantileFromCounts(sp.setupBounds, sp.delta, 0.99)
-		}
-		sp.cur, sp.prev = sp.prev, sp.cur
-		sp.prevCount = count
+	if s.SetupN = sp.setup.tick(); s.SetupN > 0 {
+		s.SetupP50 = sp.setup.quantile(0.50)
+		s.SetupP90 = sp.setup.quantile(0.90)
+		s.SetupP99 = sp.setup.quantile(0.99)
 	}
-
-	if sp.measured != nil {
-		count, _ := sp.measured.Load(sp.mCur)
-		s.MeasuredN = count - sp.mPrevCount
-		if s.MeasuredN > 0 {
-			for i := range sp.mCur {
-				sp.mDelta[i] = sp.mCur[i] - sp.mPrev[i]
-			}
-			s.MeasuredP50 = telemetry.QuantileFromCounts(sp.measuredBounds, sp.mDelta, 0.50)
-		}
-		sp.mCur, sp.mPrev = sp.mPrev, sp.mCur
-		sp.mPrevCount = count
+	if s.MeasuredN = sp.measured.tick(); s.MeasuredN > 0 {
+		s.MeasuredP50 = sp.measured.quantile(0.50)
 	}
 
 	sp.lastT = now

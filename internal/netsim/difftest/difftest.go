@@ -108,8 +108,6 @@ func DiffScenario(sc chaos.Scenario, shards int) []string {
 	d.eq("Books", a.Books, b.Books)
 	d.eq("Signaling", a.Signaling, b.Signaling)
 	d.eq("Capture", a.Capture.Row(), b.Capture.Row())
-	d.eq("Timeline", a.Timeline.Buckets(), b.Timeline.Buckets())
-	d.eq("TimelineTotals", a.Timeline.Totals(), b.Timeline.Totals())
 	d.eq("Links", a.Links, b.Links)
 	d.eq("NoRoute", a.NoRoute, b.NoRoute)
 	d.eq("CPUBand", [3]float64{a.CPULo, a.CPUMean, a.CPUHi}, [3]float64{b.CPULo, b.CPUMean, b.CPUHi})

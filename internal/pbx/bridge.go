@@ -499,7 +499,7 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 		}
 		answer, err := sdp.Parse(resp.Body)
 		if err != nil {
-			s.terminateBridge(br)
+			s.removeBridge(br, false)
 			return
 		}
 		// Rung 2 backstop: the degraded B-leg offer already excluded the
@@ -515,11 +515,11 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 			fwd := br.aInvite.Response(sip.StatusNotAcceptableHere)
 			fwd.To.Tag = br.aLocalTag
 			br.aTx.Respond(fwd)
-			s.terminateBridge(br)
+			s.removeBridge(br, false)
 			return
 		}
 		if !s.negotiateBridgeCodecs(br, answer) {
-			s.terminateBridge(br)
+			s.removeBridge(br, false)
 			return
 		}
 		if br.relay != nil {
@@ -735,14 +735,6 @@ func (s *Server) forwardBye(br *bridge, hungUpA bool) {
 			br.cdr.CallID, 1)
 		s.ep.SendRequest(br.aRemote, bye, nil)
 	}
-}
-
-// terminateBridge ends an active call abnormally (media failure).
-func (s *Server) terminateBridge(br *bridge) {
-	s.mu.Lock()
-	s.counters.Failed++
-	s.mu.Unlock()
-	s.removeBridge(br, false)
 }
 
 // closeMedia stops the call's media: the relay, or the mailbox port.

@@ -109,7 +109,7 @@ func (c DegradationConfig) withDefaults() DegradationConfig {
 // DegradationSignals is one tick's sensor snapshot, produced by the
 // server's per-second sampler from the PR 8 measurement plane.
 type DegradationSignals struct {
-	// CPU is the sampled utilization percentage (the cpu.Meter value).
+	// CPU is the CPU model's utilization percentage at this tick.
 	CPU float64
 	// DropRate is the fraction of relayed RTP packets the overload
 	// model dropped since the previous tick (0..1).

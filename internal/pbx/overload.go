@@ -66,10 +66,10 @@ type admissionState struct {
 	// Channels is the number of calls currently holding a channel.
 	Channels int
 	// OccupancyEWMA is the smoothed channel occupancy (EWMA of Channels
-	// over the meter's 1 s samples).
+	// over the CPU model's 1 s samples).
 	OccupancyEWMA float64
 	// AttemptsRate and ErrorsRate are the smoothed per-second INVITE
-	// arrival and error rates (EWMA over the meter's 1 s samples).
+	// arrival and error rates (EWMA over the CPU model's 1 s samples).
 	AttemptsRate float64
 	ErrorsRate   float64
 	// ProjectedCPU is the modelled utilization with one more call

@@ -139,7 +139,6 @@ type Counters struct {
 	Rejected       uint64 // rejected for other reasons (404, 401…)
 	Completed      uint64 // ended via BYE
 	Canceled       uint64 // abandoned by the caller before answer
-	Failed         uint64 // ended abnormally (timeouts)
 	RelayedPackets uint64 // RTP packets forwarded
 	DroppedPackets uint64 // RTP packets dropped by overload
 	PeakChannels   int    // high-water mark of concurrent calls
@@ -149,10 +148,9 @@ type Counters struct {
 	// exactly one (Ended), and pbx_calls_total{outcome} reads the six.
 	// Unanswered ("rejected") is Rejected plus the calls that ended
 	// before the caller's ACK for another reason: a callee's 200 that
-	// could not be bridged (which Failed counts too), a BYE before the
-	// ACK, a voicemail deposit never ACKed. Aborted ("failed") is the
-	// calls ACKed, then ended without a completing BYE: deposits reaped
-	// at their cap, and the bridges Failed counts after the ACK.
+	// could not be bridged, a BYE before the ACK, a voicemail deposit
+	// never ACKed. Aborted ("failed") is the calls ACKed, then ended
+	// without a completing BYE: deposits reaped at their cap.
 	Unanswered uint64
 	Aborted    uint64
 	Lost       uint64 // in flight when the server crashed
@@ -198,7 +196,6 @@ func (c *Counters) Add(o Counters) {
 	c.Rejected += o.Rejected
 	c.Completed += o.Completed
 	c.Canceled += o.Canceled
-	c.Failed += o.Failed
 	c.Unanswered += o.Unanswered
 	c.Aborted += o.Aborted
 	c.Lost += o.Lost
@@ -247,13 +244,13 @@ type Server struct {
 	nextPort      int
 	freePorts     []int
 	counters      Counters
-	meter         *cpu.Meter
+	cpuUtil       float64 // the CPU model's utilization at the last tick
 	cpuSamples    []cpuSample
 	rng           *stats.RNG
 	nonceSeq      uint64
 	nonces        *directory.NonceCache
 
-	// per-second rate tracking for the CPU meter
+	// per-second rate tracking for the CPU model
 	attemptsWindow uint64
 	errorsWindow   uint64
 	// registersWindow meters REGISTER arrivals for the registrar's
@@ -321,7 +318,6 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 		voicemails: make(map[string][]Voicemail),
 		vmNotified: make(map[string]bool),
 		nextPort:   cfg.RTPPortBase,
-		meter:      cpu.NewMeter(cfg.CPU),
 		rng:        stats.NewRNG(cfg.Seed ^ 0xa57e7a57),
 	}
 	s.codecs = cfg.Codecs
@@ -334,9 +330,12 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	}
 	// The nonce cache backs the strict registrar auth flow whether or
 	// not the registrar plane is tuned: a REGISTER must answer a nonce
-	// this server actually issued.
-	s.nonces = directory.NewNonceCache(nonceShards(cfg.Registrar),
-		directory.DefaultNonceWindow, cfg.Registrar.NonceCap)
+	// this server actually issued. It holds two nonces for each
+	// provisioned user: with fewer, a large population's cached nonces
+	// are FIFO-evicted before their refresh comes round, and every
+	// refresh eats a stale re-challenge.
+	s.nonces = directory.NewNonceCache(directory.DefaultShards,
+		directory.DefaultNonceWindow, max(directory.DefaultNonceCap, 2*dir.Users()))
 	if cfg.Registrar.Enabled {
 		// Event-driven binding expiry on the server's clock: the sim
 		// timing wheel in scenarios, the wall clock in pbxd.
@@ -474,14 +473,14 @@ func (s *Server) Crash() {
 	s.ep.Crash()
 }
 
-// cpuSample is one meter reading with the load context needed to
+// cpuSample is one model reading with the load context needed to
 // isolate the busy plateau afterwards.
 type cpuSample struct {
 	util     float64
 	channels int
 }
 
-// scheduleSample drives the once-per-second CPU meter.
+// scheduleSample drives the once-per-second CPU model sample.
 func (s *Server) scheduleSample() {
 	timer := s.ep.Clock().AfterFunc(time.Second, func() {
 		s.mu.Lock()
@@ -496,8 +495,9 @@ func (s *Server) scheduleSample() {
 		s.attemptsEWMA = (1-alpha)*s.attemptsEWMA + alpha*float64(s.attemptsWindow)
 		s.errorsEWMA = (1-alpha)*s.errorsEWMA + alpha*float64(s.errorsWindow)
 		s.channelsEWMA = (1-alpha)*s.channelsEWMA + alpha*float64(s.channels)
-		u := s.meter.SampleWith(s.channels, s.attemptsEWMA, s.errorsEWMA, s.transcodeLoad)
-		s.dropP.Store(math.Float64bits(s.meter.DropProbability()))
+		u := s.cfg.CPU.UtilizationWith(s.channels, s.attemptsEWMA, s.errorsEWMA, s.transcodeLoad)
+		s.cpuUtil = u
+		s.dropP.Store(math.Float64bits(s.cfg.CPU.DropProbability(u)))
 		s.cpuSamples = append(s.cpuSamples, cpuSample{util: u, channels: s.channels})
 		s.attemptsWindow = 0
 		s.errorsWindow = 0
@@ -589,14 +589,15 @@ func (s *Server) CPUBand() (float64, float64, float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	threshold := (s.counters.PeakChannels*9 + 9) / 10 // ceil(0.9·peak)
-	var sum stats.Summary
+	var sum, all stats.Summary
 	for _, smp := range s.cpuSamples {
+		all.Add(smp.util)
 		if smp.channels >= threshold {
 			sum.Add(smp.util)
 		}
 	}
 	if sum.N() == 0 {
-		return s.meter.Band()
+		sum = all
 	}
 	mean := sum.Mean()
 	dev := sum.Stddev()

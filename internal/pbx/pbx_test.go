@@ -2,10 +2,12 @@ package pbx
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/directory"
 	"repro/internal/media"
 	"repro/internal/mos"
@@ -393,6 +395,62 @@ func TestCPUMeterSamplesDuringRun(t *testing.T) {
 	// One call ≈ base + small load; far below the paper's 60% ceiling.
 	if hi >= 60 {
 		t.Errorf("one call saturates modelled CPU: %v", hi)
+	}
+}
+
+// TestCPUBandPlateauAndFallback: the band is read over the samples
+// taken at ≥ 90 % of peak occupancy; when no sample caught the peak, it
+// is read over the whole run, in sample order.
+func TestCPUBandPlateauAndFallback(t *testing.T) {
+	r := newRig(t, 0, Config{})
+	s := r.server
+	m := cpu.DefaultModel()
+	var plateau, all stats.Summary
+	// Replace the rig's registration ticks with a ramp of 35..45 calls.
+	s.mu.Lock()
+	s.cpuSamples = nil
+	for calls := 35; calls <= 45; calls++ {
+		u := m.Utilization(calls, 0.33, 0)
+		s.cpuSamples = append(s.cpuSamples, cpuSample{util: u, channels: calls})
+		all.Add(u)
+		if calls >= 41 { // ceil(0.9 · 45)
+			plateau.Add(u)
+		}
+	}
+	s.mu.Unlock()
+
+	for _, tc := range []struct {
+		peak int
+		want *stats.Summary
+	}{{45, &plateau}, {60, &all}} { // a peak of 60 fell between samples
+		s.mu.Lock()
+		s.counters.PeakChannels = tc.peak
+		s.mu.Unlock()
+		lo, mean, hi := s.CPUBand()
+		m, dev := tc.want.Mean(), tc.want.Stddev()
+		if lo != m-dev || mean != m || hi != m+dev {
+			t.Errorf("peak %d: band [%v %v %v], want mean %v ± %v",
+				tc.peak, lo, mean, hi, m, dev)
+		}
+		if !(lo < mean && mean < hi) {
+			t.Errorf("peak %d: band [%v, %v, %v] not ordered", tc.peak, lo, mean, hi)
+		}
+	}
+}
+
+// TestDropProbabilityFollowsLastSample: the relay's overload drop
+// probability is the CPU model's at the server's last per-second
+// sample — none below the knee, a linear share of the maximum above.
+func TestDropProbabilityFollowsLastSample(t *testing.T) {
+	for _, tc := range []struct{ base, want float64 }{
+		{7, 0},       // idle, under the knee at 45 %
+		{72.5, 0.02}, // halfway from the knee to 100 %: half of 0.04
+	} {
+		r := newRig(t, 0, Config{CPU: cpu.Model{BasePercent: tc.base, OverloadKnee: 45, MaxDropProbability: 0.04}})
+		r.sched.Run(3 * time.Second)
+		if got := math.Float64frombits(r.server.dropP.Load()); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("base %v%%: drop probability %v, want %v", tc.base, got, tc.want)
+		}
 	}
 }
 

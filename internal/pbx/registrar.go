@@ -24,12 +24,6 @@ type RegistrarConfig struct {
 	// Block rung — losing a refresh costs reachability, not just one
 	// call attempt.
 	MaxRegistersPerSec int
-	// NonceCap bounds the nonce cache entries across shards (default
-	// directory.DefaultNonceCap).
-	NonceCap int
-	// NonceShards is the nonce cache's power-of-two shard count
-	// (default directory.DefaultShards).
-	NonceShards int
 }
 
 const (
@@ -49,13 +43,6 @@ const (
 	minExpires = time.Second
 	maxExpires = 24 * time.Hour
 )
-
-func nonceShards(rc RegistrarConfig) int {
-	if rc.NonceShards > 0 {
-		return rc.NonceShards
-	}
-	return directory.DefaultShards
-}
 
 // NonceStats exposes the digest nonce cache counters (hit rate, stale
 // re-challenges, evictions) for run results and capacity tables.

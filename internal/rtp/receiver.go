@@ -126,15 +126,9 @@ type Stats struct {
 	MeanTransit time.Duration
 }
 
-// NoteSenderReport records receipt of an SR from the observed source,
-// enabling LSR/DLSR fields in subsequent report blocks (and therefore
-// RTT measurement at the original sender).
-func (r *Receiver) NoteSenderReport(now time.Duration, sr *SenderReport) {
-	r.NoteSR(now, sr.SSRC, sr.NTPTime)
-}
-
-// NoteSR is the allocation-free variant of NoteSenderReport for callers
-// decoding through an RTCPInfo view.
+// NoteSR records receipt of an SR (its sender's SSRC and NTP time)
+// from the observed source, enabling LSR/DLSR fields in subsequent
+// report blocks (and therefore RTT measurement at the original sender).
 func (r *Receiver) NoteSR(now time.Duration, ssrc uint32, ntp uint64) {
 	if r.started && ssrc != r.ssrc {
 		return

@@ -110,63 +110,6 @@ var (
 	ErrRTCPType     = errors.New("rtp: unsupported rtcp packet type")
 )
 
-// ParseRTCP decodes an SR or RR. Exactly one of the returns is non-nil
-// on success.
-func ParseRTCP(data []byte) (*SenderReport, *ReceiverReport, error) {
-	if len(data) < 8 {
-		return nil, nil, ErrRTCPTooShort
-	}
-	if data[0]>>6 != Version {
-		return nil, nil, ErrBadVersion
-	}
-	count := int(data[0] & 0x1F)
-	switch data[1] {
-	case RTCPSenderReport:
-		need := 28 + 24*count
-		if len(data) < need {
-			return nil, nil, ErrRTCPTooShort
-		}
-		sr := &SenderReport{
-			SSRC:        binary.BigEndian.Uint32(data[4:]),
-			NTPTime:     binary.BigEndian.Uint64(data[8:]),
-			RTPTime:     binary.BigEndian.Uint32(data[16:]),
-			PacketCount: binary.BigEndian.Uint32(data[20:]),
-			OctetCount:  binary.BigEndian.Uint32(data[24:]),
-			Blocks:      parseBlocks(data[28:], count),
-		}
-		return sr, nil, nil
-	case RTCPReceiverReport:
-		need := 8 + 24*count
-		if len(data) < need {
-			return nil, nil, ErrRTCPTooShort
-		}
-		rr := &ReceiverReport{
-			SSRC:   binary.BigEndian.Uint32(data[4:]),
-			Blocks: parseBlocks(data[8:], count),
-		}
-		return nil, rr, nil
-	default:
-		return nil, nil, ErrRTCPType
-	}
-}
-
-func parseBlocks(data []byte, count int) []ReportBlock {
-	blocks := make([]ReportBlock, count)
-	for i := range blocks {
-		off := i * 24
-		blocks[i] = ReportBlock{
-			SSRC:             binary.BigEndian.Uint32(data[off:]),
-			FractionLost:     data[off+4],
-			CumulativeLost:   uint32(data[off+5])<<16 | uint32(data[off+6])<<8 | uint32(data[off+7]),
-			HighestSeq:       binary.BigEndian.Uint32(data[off+8:]),
-			Jitter:           binary.BigEndian.Uint32(data[off+12:]),
-			LastSR:           binary.BigEndian.Uint32(data[off+16:]),
-			DelaySinceLastSR: binary.BigEndian.Uint32(data[off+20:]),
-		}
-	}
-	return blocks
-}
-
 // RoundTrip computes the RTT from a reception block echoed back to the
 // original sender: RTT = now − LSR − DLSR (all in NTP middle-32
 // units of 1/65536 s). It returns 0 if the block carries no LSR.

@@ -27,16 +27,16 @@ func TestSenderReportRoundTrip(t *testing.T) {
 	if !IsRTCP(wire) {
 		t.Fatal("marshalled SR not recognized as RTCP")
 	}
-	sr, rr, err := ParseRTCP(wire)
-	if err != nil || rr != nil || sr == nil {
-		t.Fatalf("parse: sr=%v rr=%v err=%v", sr, rr, err)
+	var sr RTCPInfo
+	if err := ParseRTCPInfo(wire, &sr); err != nil || sr.Type != RTCPSenderReport {
+		t.Fatalf("parse: %+v err=%v", sr, err)
 	}
 	if sr.SSRC != in.SSRC || sr.NTPTime != in.NTPTime || sr.RTPTime != in.RTPTime ||
 		sr.PacketCount != in.PacketCount || sr.OctetCount != in.OctetCount {
 		t.Errorf("header: %+v", sr)
 	}
-	if len(sr.Blocks) != 1 || sr.Blocks[0] != in.Blocks[0] {
-		t.Errorf("blocks: %+v", sr.Blocks)
+	if sr.NumBlocks() != 1 || sr.Block(0) != in.Blocks[0] {
+		t.Errorf("blocks: %d, first %+v", sr.NumBlocks(), sr.Block(0))
 	}
 }
 
@@ -54,11 +54,11 @@ func TestReceiverReportRoundTrip(t *testing.T) {
 				DelaySinceLastSR: dlsr,
 			}},
 		}
-		sr, rr, err := ParseRTCP(in.Marshal(nil))
-		if err != nil || sr != nil || rr == nil {
+		var rr RTCPInfo
+		if err := ParseRTCPInfo(in.Marshal(nil), &rr); err != nil || rr.Type != RTCPReceiverReport {
 			return false
 		}
-		return rr.SSRC == in.SSRC && len(rr.Blocks) == 1 && rr.Blocks[0] == in.Blocks[0]
+		return rr.SSRC == in.SSRC && rr.NumBlocks() == 1 && rr.Block(0) == in.Blocks[0]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -67,8 +67,8 @@ func TestReceiverReportRoundTrip(t *testing.T) {
 
 func TestEmptyReceiverReport(t *testing.T) {
 	rr := &ReceiverReport{SSRC: 5}
-	_, out, err := ParseRTCP(rr.Marshal(nil))
-	if err != nil || out == nil || len(out.Blocks) != 0 {
+	var out RTCPInfo
+	if err := ParseRTCPInfo(rr.Marshal(nil), &out); err != nil || out.Type != RTCPReceiverReport || out.NumBlocks() != 0 {
 		t.Fatalf("empty RR: %+v err=%v", out, err)
 	}
 }
@@ -90,24 +90,25 @@ func TestIsRTCPDistinguishesRTP(t *testing.T) {
 }
 
 func TestParseRTCPErrors(t *testing.T) {
-	if _, _, err := ParseRTCP([]byte{0x80, 200}); err != ErrRTCPTooShort {
+	var info RTCPInfo
+	if err := ParseRTCPInfo([]byte{0x80, 200}, &info); err != ErrRTCPTooShort {
 		t.Errorf("short: %v", err)
 	}
 	bad := make([]byte, 8)
 	bad[0] = 1 << 6
 	bad[1] = 200
-	if _, _, err := ParseRTCP(bad); err != ErrBadVersion {
+	if err := ParseRTCPInfo(bad, &info); err != ErrBadVersion {
 		t.Errorf("version: %v", err)
 	}
 	sdes := make([]byte, 8)
 	sdes[0] = 2 << 6
 	sdes[1] = 202
-	if _, _, err := ParseRTCP(sdes); err != ErrRTCPType {
+	if err := ParseRTCPInfo(sdes, &info); err != ErrRTCPType {
 		t.Errorf("type: %v", err)
 	}
 	// Truncated block.
 	trunc := (&SenderReport{Blocks: []ReportBlock{{}}}).Marshal(nil)
-	if _, _, err := ParseRTCP(trunc[:30]); err != ErrRTCPTooShort {
+	if err := ParseRTCPInfo(trunc[:30], &info); err != ErrRTCPTooShort {
 		t.Errorf("truncated: %v", err)
 	}
 }
@@ -202,18 +203,18 @@ func TestNoteSenderReportEnablesLSR(t *testing.T) {
 	if b.LastSR != 0 {
 		t.Errorf("LSR without SR = %#x", b.LastSR)
 	}
-	sr := &SenderReport{SSRC: 9, NTPTime: NTPTime(2 * time.Second)}
-	r.NoteSenderReport(2*time.Second, sr)
+	ntp := NTPTime(2 * time.Second)
+	r.NoteSR(2*time.Second, 9, ntp)
 	b = r.ReportBlock(3 * time.Second)
-	if b.LastSR != MiddleNTP(sr.NTPTime) {
-		t.Errorf("LSR = %#x, want %#x", b.LastSR, MiddleNTP(sr.NTPTime))
+	if b.LastSR != MiddleNTP(ntp) {
+		t.Errorf("LSR = %#x, want %#x", b.LastSR, MiddleNTP(ntp))
 	}
 	if b.DelaySinceLastSR != 65536 {
 		t.Errorf("DLSR = %d, want 65536 (1s)", b.DelaySinceLastSR)
 	}
 	// SRs from foreign SSRCs are ignored.
-	r.NoteSenderReport(4*time.Second, &SenderReport{SSRC: 1000, NTPTime: NTPTime(4 * time.Second)})
-	if b := r.ReportBlock(5 * time.Second); b.LastSR != MiddleNTP(sr.NTPTime) {
+	r.NoteSR(4*time.Second, 1000, NTPTime(4*time.Second))
+	if b := r.ReportBlock(5 * time.Second); b.LastSR != MiddleNTP(ntp) {
 		t.Error("foreign SR overwrote LSR state")
 	}
 }
@@ -227,9 +228,10 @@ func BenchmarkSenderReportMarshal(b *testing.B) {
 }
 
 func TestRTPParsersNeverPanic(t *testing.T) {
+	var info RTCPInfo
 	f := func(data []byte) bool {
 		_, _ = Parse(data)
-		_, _, _ = ParseRTCP(data)
+		_ = ParseRTCPInfo(data, &info)
 		_ = IsRTCP(data)
 		return true
 	}

@@ -5,9 +5,8 @@ import "encoding/binary"
 // RTCPInfo is an in-place view of one SR or RR: the header fields are
 // decoded eagerly, the report blocks stay in the wire buffer and are
 // decoded on demand by Block. Parsing into a reused RTCPInfo allocates
-// nothing — the relay hot path observes RTCP through this view without
-// breaking its 0 allocs/op contract (ParseRTCP builds []ReportBlock
-// slices instead). The view aliases data, so it is only valid until the
+// nothing, so the relay hot path and every media session decode RTCP
+// through it. The view aliases data, so it is only valid until the
 // caller releases or reuses the datagram buffer.
 type RTCPInfo struct {
 	Type        uint8 // RTCPSenderReport or RTCPReceiverReport
