@@ -75,11 +75,15 @@ fuzz-smoke:
 # (registry.go) that sums them: /metrics is read off them. So do
 # pbxd's wiring (wire.go), which adds the wire-only families, and the
 # per-second sampler (sampler.go), the one series every run reports.
+# So does the chaos harness (chaos.go): its one Run carries every fault
+# script, and its CheckInvariants is what every chaos scenario is judged
+# by.
 # COVER_FILES lists package:file,file,… — each file measured from its
 # own package's tests.
 COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome,voicemail,wire \
 	transport:batch_linux,udp,sharded,legpool,legpool_linux \
-	sip:telemetry cluster:telemetry telemetry:registry monitor:sampler
+	sip:telemetry cluster:telemetry telemetry:registry monitor:sampler \
+	chaos:chaos
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null
 	@total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { gsub(/%/,"",$$3); print $$3 }'); \

@@ -5,13 +5,11 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/erlang"
-	"repro/internal/netsim"
 	"repro/internal/pbx"
-	"repro/internal/rig"
 	"repro/internal/sipp"
-	"repro/internal/stats"
 )
 
 // ClusterPoint is one (servers, policy) cell of the scale-out study.
@@ -43,46 +41,40 @@ func RunClusterScaling(a float64, perServer, maxServers int, seed uint64) (Clust
 			if k == 1 && policy == cluster.LeastBusy {
 				continue // identical to round-robin with one server
 			}
-			measured, err := runClusterOnce(a, perServer, k, policy, hold, seed+uint64(k)*31)
+			// Each cell is a fault-free farm whose blocking counts only
+			// once its books balance.
+			cell := seed + uint64(k)*31
+			res, err := chaos.Run(chaos.Scenario{
+				Name: fmt.Sprintf("cluster-%d-%s", k, policy),
+				Seed: cell,
+				PBX:  pbx.Config{MaxChannels: perServer, Seed: cell},
+				Farm: chaos.Farm{Servers: k, Policy: policy},
+				Load: sipp.Config{
+					Rate:   a / hold.Seconds(),
+					Window: 150 * time.Second,
+					Warmup: 60 * time.Second,
+					Hold:   hold,
+					Seed:   cell ^ 0xc1,
+				},
+			})
+			if err == nil {
+				if bad := res.CheckInvariants(); len(bad) > 0 {
+					err = fmt.Errorf("invariants violated: %v", bad)
+				}
+			}
 			if err != nil {
-				return out, err
+				return out, fmt.Errorf("bench: cluster experiment: %w", err)
 			}
 			out.Points = append(out.Points, ClusterPoint{
 				Servers:       k,
 				Policy:        policy,
-				Measured:      measured,
+				Measured:      res.Load.BlockingProbability,
 				PooledErlangB: erlang.B(erlang.Erlangs(a), k*perServer),
 				SplitErlangB:  erlang.B(erlang.Erlangs(a/float64(k)), perServer),
 			})
 		}
 	}
 	return out, nil
-}
-
-func runClusterOnce(a float64, perServer, servers int, policy cluster.Policy, hold time.Duration, seed uint64) (float64, error) {
-	r := rig.NewSim(1, seed, nil, stats.NewRNG(seed), netsim.LinkProfile{Delay: time.Millisecond})
-	cl := cluster.New(r, cluster.Config{
-		Servers:   servers,
-		PerServer: pbx.Config{MaxChannels: perServer, Seed: seed},
-		Policy:    policy,
-	})
-	defer cl.Close()
-	if err := rig.AddUsers(cl.Directory(), "uac", "uas"); err != nil {
-		return 0, err
-	}
-
-	gen := r.Generator("sippc", "sipps", cl.Addr(), sipp.Config{
-		Rate:   a / hold.Seconds(),
-		Window: 150 * time.Second,
-		Warmup: 60 * time.Second,
-		Hold:   hold,
-		Seed:   seed ^ 0xc1,
-	})
-	res, err := r.RunLoad(gen, nil)
-	if err != nil {
-		return 0, fmt.Errorf("bench: cluster experiment: %w", err)
-	}
-	return res.BlockingProbability, nil
 }
 
 // WriteClusterScaling renders the study.

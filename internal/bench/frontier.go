@@ -74,6 +74,7 @@ func RunStrategyFrontier(seed uint64) (StrategyFrontierTable, error) {
 }
 
 func frontierRow(strategy string, res *chaos.Result) StrategyFrontierRow {
+	srv := res.Backends[0]
 	row := StrategyFrontierRow{
 		Strategy:    strategy,
 		Established: res.Load.Established,
@@ -81,9 +82,9 @@ func frontierRow(strategy string, res *chaos.Result) StrategyFrontierRow {
 		Throttled:   res.Load.Throttled,
 		Failed:      res.Load.Failed,
 		Goodput:     res.Goodput(chaos.GoodMOS),
-		CPUMean:     res.CPUMean,
+		CPUMean:     srv.CPUMean,
 	}
-	for _, cdr := range res.Committed {
+	for _, cdr := range srv.Committed {
 		if cdr.AnsweredAt == 0 {
 			continue
 		}
@@ -98,7 +99,7 @@ func frontierRow(strategy string, res *chaos.Result) StrategyFrontierRow {
 	if row.CarriedMinutes > 0 {
 		row.MeanMOS = row.MOSMinutes / row.CarriedMinutes
 	}
-	for _, tr := range res.Degradation {
+	for _, tr := range srv.Degradation {
 		if tr.To > row.PeakStage {
 			row.PeakStage = tr.To
 		}

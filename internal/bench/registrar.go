@@ -85,8 +85,8 @@ func RegistrarCapacityTable(opts RegistrarOptions) RegistrarCapacity {
 	storm := chaos.RegisterStorm(opts.Seed)
 	avalanche := chaos.RegisterAvalanche(opts.Seed)
 	out := RegistrarCapacity{
-		StormEndpoints:     storm.Load.Endpoints,
-		AvalancheEndpoints: avalanche.Load.Endpoints,
+		StormEndpoints:     storm.Register.Endpoints,
+		AvalancheEndpoints: avalanche.Register.Endpoints,
 		Cores:              runtime.NumCPU(),
 		Wire:               opts.Wire,
 	}
@@ -95,18 +95,18 @@ func RegistrarCapacityTable(opts RegistrarOptions) RegistrarCapacity {
 
 		sc := chaos.RegisterStorm(opts.Seed)
 		sc.DirShards = k
-		if res, err := chaos.RunRegistration(sc); err == nil {
-			window := sc.Load.Ramp + sc.Load.Window
+		if res, err := chaos.Run(sc); err == nil {
+			window := sc.Register.Ramp + sc.Register.Window
 			if window > 0 {
-				p.SimPerSec = float64(res.Load.Registers) / window.Seconds()
+				p.SimPerSec = float64(res.Register.Registers) / window.Seconds()
 			}
 		}
 
 		av := chaos.RegisterAvalanche(opts.Seed)
 		av.DirShards = k
-		if res, err := chaos.RunRegistration(av); err == nil {
-			p.DrainTime = res.Load.DrainTime
-			p.Peak503 = res.Load.PeakShedPerSec
+		if res, err := chaos.Run(av); err == nil {
+			p.DrainTime = res.Register.DrainTime
+			p.Peak503 = res.Register.PeakShedPerSec
 		}
 
 		p.StorePerSec = storeRegisterRate(k, opts.StoreDuration)

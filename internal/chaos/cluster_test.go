@@ -13,7 +13,7 @@ import (
 
 // lostRecords counts the LOST records among a backend's committed CDRs:
 // the calls recovery closed after a crash.
-func lostRecords(b BackendReport) int {
+func lostRecords(b Backend) int {
 	n := 0
 	for _, c := range b.Committed {
 		if c.Disposition == pbx.Lost {
@@ -23,24 +23,12 @@ func lostRecords(b BackendReport) int {
 	return n
 }
 
-func mustRunCluster(t *testing.T, sc ClusterScenario) *ClusterResult {
-	t.Helper()
-	res, err := RunCluster(sc)
-	if err != nil {
-		t.Fatalf("cluster scenario %s: %v", sc.Name, err)
-	}
-	if bad := res.CheckInvariants(); len(bad) > 0 {
-		t.Fatalf("cluster scenario %s violated invariants: %v", sc.Name, bad)
-	}
-	return res
-}
-
 // TestClusterConservationCountsThrottled: a call the client held back
 // on an advertised overload window is one of an attempt's outcomes in
 // a cluster run as in a single-server one (ladder rung 3 behind a
 // balancer).
 func TestClusterConservationCountsThrottled(t *testing.T) {
-	res := &ClusterResult{Load: sipp.Results{Attempts: 3, Established: 2, Throttled: 1}}
+	res := &Result{Load: sipp.Results{Attempts: 3, Established: 2, Throttled: 1}}
 	if bad := res.CheckInvariants(); len(bad) > 0 {
 		t.Errorf("attempts 3 = established 2 + throttled 1: %v", bad)
 	}
@@ -69,7 +57,7 @@ func eventAt(events []cluster.Event, kind string, backend int) (cluster.Event, b
 // the crash is accounted as exactly one LOST CDR.
 func TestCrashFailoverScenario(t *testing.T) {
 	sc := CrashFailover(1)
-	res := mustRunCluster(t, sc)
+	res := mustRun(t, sc)
 
 	t.Logf("timeline: %s", res.TimelineSummary())
 	t.Logf("load: attempts=%d established=%d blocked=%d failed=%d retries=%d",
@@ -89,7 +77,7 @@ func TestCrashFailoverScenario(t *testing.T) {
 	}
 	// Detection must land within the probe budget: FailThreshold strikes
 	// of (interval + timeout), plus one interval of phase slack.
-	h := sc.Health
+	h := sc.Farm.Health
 	budget := time.Duration(h.FailThreshold)*(h.ProbeInterval+h.ProbeTimeout) + h.ProbeInterval
 	if lat := down.At - crash.At; lat <= 0 || lat > budget {
 		t.Errorf("markdown latency %v outside (0, %v]", lat, budget)
@@ -198,7 +186,7 @@ func histCount(snap telemetry.Snapshot, name string) uint64 {
 // ports go dark with the process, the callee-side media watchdog reaps
 // the orphaned legs, and the accounting still balances.
 func TestCrashMediaScenario(t *testing.T) {
-	res := mustRunCluster(t, CrashMedia(3))
+	res := mustRun(t, CrashMedia(3))
 	t.Logf("timeline: %s", res.TimelineSummary())
 	if res.Load.Established == 0 {
 		t.Fatal("no calls established")
@@ -221,7 +209,7 @@ func TestCrashMediaScenario(t *testing.T) {
 // and the probe plane pulls it from rotation because its OPTIONS
 // answer 503 while draining.
 func TestDrainRollingScenario(t *testing.T) {
-	res := mustRunCluster(t, DrainRolling(5))
+	res := mustRun(t, DrainRolling(5))
 	t.Logf("timeline: %s", res.TimelineSummary())
 
 	if _, ok := eventAt(res.Events, "drain", 0); !ok {
@@ -254,8 +242,8 @@ func TestDrainRollingScenario(t *testing.T) {
 // accounting, run after run. This is the determinism contract extended
 // across process crashes.
 func TestGoldenCrashTimeline(t *testing.T) {
-	first := mustRunCluster(t, CrashFailover(7))
-	second := mustRunCluster(t, CrashFailover(7))
+	first := mustRun(t, CrashFailover(7))
+	second := mustRun(t, CrashFailover(7))
 
 	a, b := first.TimelineSummary(), second.TimelineSummary()
 	if a != b {
@@ -274,5 +262,36 @@ func TestGoldenCrashTimeline(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Errorf("pinned timeline missing %q event", want)
 		}
+	}
+}
+
+// TestFarmUnderEveryOp runs one script of every op kind against a farm
+// carrying calls and registrations at once: a backend partitioned,
+// another crashed and restarted, a third drained, and a re-REGISTER
+// avalanche through the balancer — and the books still balance, the
+// store holding every endpoint and both call phones.
+func TestFarmUnderEveryOp(t *testing.T) {
+	sc := CrashFailover(3)
+	sc.Register = sipp.RegisterConfig{
+		Endpoints: 200, Expires: 10 * time.Minute, Ramp: 5 * time.Second,
+		Window: 50 * time.Second, DisableRefresh: true,
+	}
+	sc.Fault.Ops = append(sc.Fault.Ops,
+		Op{At: 10 * time.Second, Kind: Partition, Backend: 2, For: 3 * time.Second},
+		Op{At: 42 * time.Second, Kind: Avalanche, For: 2 * time.Second},
+		Op{At: 50 * time.Second, Kind: Drain, Backend: 1},
+	)
+	res := mustRun(t, sc)
+	t.Logf("timeline:\n%s", res.TimelineSummary())
+	for _, want := range []cluster.Event{{Kind: "crash"}, {Kind: "restart"}, {Kind: "drain", Backend: 1}} {
+		if _, ok := eventAt(res.Events, want.Kind, want.Backend); !ok {
+			t.Errorf("no %s event for backend %d", want.Kind, want.Backend)
+		}
+	}
+	if res.Register.Reregisters != sc.Register.Endpoints {
+		t.Errorf("avalanche re-registered %d of %d", res.Register.Reregisters, sc.Register.Endpoints)
+	}
+	if res.Registered != sc.Register.Endpoints+2 {
+		t.Errorf("store holds %d users, want %d endpoints + 2 phones", res.Registered, sc.Register.Endpoints)
 	}
 }

@@ -12,26 +12,14 @@ import (
 	"repro/internal/sipp"
 )
 
-func mustRunRegistration(t *testing.T, sc RegistrationScenario) *RegistrationResult {
-	t.Helper()
-	res, err := RunRegistration(sc)
-	if err != nil {
-		t.Fatalf("RunRegistration(%s): %v", sc.Name, err)
-	}
-	if bad := res.CheckInvariants(); len(bad) != 0 {
-		t.Fatalf("%s invariants violated:\n%s\n%s", sc.Name, bad, res.TimelineSummary())
-	}
-	return res
-}
-
 // TestRegisterStormScenario drives the steady-state storm: 2000
 // endpoints register through the ramp and hold their bindings with
 // jittered refreshes for a minute of virtual time. The refresh path
 // must ride the nonce cache — after the initial challenge an endpoint
 // never sees another 401.
 func TestRegisterStormScenario(t *testing.T) {
-	res := mustRunRegistration(t, RegisterStorm(1))
-	l := res.Load
+	res := mustRun(t, RegisterStorm(1))
+	l := res.Register
 	if l.Refreshes == 0 {
 		t.Fatal("storm produced no refreshes")
 	}
@@ -41,10 +29,10 @@ func TestRegisterStormScenario(t *testing.T) {
 	if l.StaleRetries != 0 {
 		t.Fatalf("storm hit %d stale re-challenges, want 0 (nonce cache must hold)", l.StaleRetries)
 	}
-	if res.Nonces.Misses != 0 || res.Nonces.BadAuth != 0 {
-		t.Fatalf("nonce cache: %+v, want no misses and no bad auth", res.Nonces)
+	if res.Backends[0].Nonces.Misses != 0 || res.Backends[0].Nonces.BadAuth != 0 {
+		t.Fatalf("nonce cache: %+v, want no misses and no bad auth", res.Backends[0].Nonces)
 	}
-	if got := res.Counters[0].RegisterChallenges; got != uint64(l.Endpoints) {
+	if got := res.Backends[0].Incarnations[0].RegisterChallenges; got != uint64(l.Endpoints) {
 		t.Errorf("challenges = %d, want exactly one per endpoint (%d)", got, l.Endpoints)
 	}
 }
@@ -57,10 +45,10 @@ func TestRegisterStormScenario(t *testing.T) {
 // endpoint left behind (CheckInvariants in mustRunRegistration pins
 // drain time and the 503 peak).
 func TestRegisterAvalancheScenario(t *testing.T) {
-	res := mustRunRegistration(t, RegisterAvalanche(1))
-	l := res.Load
-	if len(res.Counters) != 2 {
-		t.Fatalf("got %d PBX incarnations, want 2 (crash + restart)", len(res.Counters))
+	res := mustRun(t, RegisterAvalanche(1))
+	l := res.Register
+	if len(res.Backends[0].Incarnations) != 2 {
+		t.Fatalf("got %d PBX incarnations, want 2 (crash + restart)", len(res.Backends[0].Incarnations))
 	}
 	if l.StaleRetries == 0 {
 		t.Fatal("restart produced no stale re-challenges; the nonce cache did not reset")
@@ -77,10 +65,10 @@ func TestRegisterAvalancheScenario(t *testing.T) {
 	if l.DrainTime <= 2*time.Second {
 		t.Fatalf("drain %s suspiciously fast for a capped wave", l.DrainTime)
 	}
-	if res.Counters[1].RegisterStale == 0 {
+	if res.Backends[0].Incarnations[1].RegisterStale == 0 {
 		t.Error("restarted incarnation recorded no stale challenges")
 	}
-	if res.Counters[1].RegisterShed == 0 {
+	if res.Backends[0].Incarnations[1].RegisterShed == 0 {
 		t.Error("restarted incarnation recorded no shed REGISTERs")
 	}
 }
@@ -94,12 +82,12 @@ func TestRegisterAvalancheScenario(t *testing.T) {
 // UPDATE_GOLDEN=1).
 func TestGoldenAvalancheTimeline(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 160} {
-		var base *RegistrationResult
+		var base *Result
 		var baseJSON []byte
 		for _, shards := range []int{1, 2, 4} {
 			sc := RegisterAvalanche(seed)
 			sc.DirShards = shards
-			res := mustRunRegistration(t, sc)
+			res := mustRun(t, sc)
 			js, err := res.Telemetry.MarshalIndent()
 			if err != nil {
 				t.Fatalf("telemetry marshal: %v", err)
@@ -112,13 +100,13 @@ func TestGoldenAvalancheTimeline(t *testing.T) {
 				t.Errorf("seed=%d: timeline differs between dirShards=1 and dirShards=%d:\n got:\n%s\n want:\n%s",
 					seed, shards, got, want)
 			}
-			if fmt.Sprintf("%+v", res.Counters) != fmt.Sprintf("%+v", base.Counters) {
+			if fmt.Sprintf("%+v", res.Backends[0].Incarnations) != fmt.Sprintf("%+v", base.Backends[0].Incarnations) {
 				t.Errorf("seed=%d dirShards=%d: registrar counters differ: %+v vs %+v",
-					seed, shards, res.Counters, base.Counters)
+					seed, shards, res.Backends[0].Incarnations, base.Backends[0].Incarnations)
 			}
-			if res.Nonces != base.Nonces {
+			if res.Backends[0].Nonces != base.Backends[0].Nonces {
 				t.Errorf("seed=%d dirShards=%d: nonce stats differ: %+v vs %+v",
-					seed, shards, res.Nonces, base.Nonces)
+					seed, shards, res.Backends[0].Nonces, base.Backends[0].Nonces)
 			}
 			if !bytes.Equal(js, baseJSON) {
 				t.Errorf("seed=%d dirShards=%d: telemetry snapshot differs from dirShards=1", seed, shards)
@@ -144,7 +132,7 @@ func TestMillionEndpointStorm(t *testing.T) {
 	if os.Getenv("REGISTER_MILLION") == "" {
 		t.Skip("set REGISTER_MILLION=1 to run the N=1M registration storm")
 	}
-	sc := RegistrationScenario{
+	sc := Scenario{
 		Name:      "million-storm",
 		Desc:      "N=1M steady-state storm with jittered refreshes",
 		Seed:      20150525,
@@ -153,7 +141,7 @@ func TestMillionEndpointStorm(t *testing.T) {
 		// nonces a user): at the default 64k cap every cached nonce
 		// would be FIFO-evicted long before its ~3.6-minute refresh.
 		PBX: pbx.Config{Registrar: pbx.RegistrarConfig{Enabled: true}},
-		Load: sipp.RegisterConfig{
+		Register: sipp.RegisterConfig{
 			Endpoints:       1_000_000,
 			Expires:         240 * time.Second,
 			Ramp:            120 * time.Second,
@@ -162,8 +150,8 @@ func TestMillionEndpointStorm(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	res := mustRunRegistration(t, sc)
-	l := res.Load
+	res := mustRun(t, sc)
+	l := res.Register
 	if l.Refreshes == 0 {
 		t.Fatal("million-endpoint storm produced no refreshes")
 	}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
@@ -148,9 +149,9 @@ func SignalingPartition(seed uint64) Scenario {
 		Name: "signaling-partition",
 		Desc: "5s signalling blackout at t=20s; retransmissions must heal",
 		Seed: seed,
-		Fault: Fault{
-			Partitions: []Partition{{Start: 20 * time.Second, Duration: 5 * time.Second}},
-		},
+		Fault: Fault{Ops: []Op{
+			{At: 20 * time.Second, Kind: Partition, For: 5 * time.Second},
+		}},
 		PBX: pbx.Config{
 			MaxChannels: 50,
 		},
@@ -212,6 +213,23 @@ func Smoke(seed uint64) Scenario {
 		},
 		Load: load,
 	}
+}
+
+// PBXCrash is Smoke with the lone PBX killed at t = 12 s and
+// restarted at t = 20 s: the calls in flight at the crash surface as
+// LOST records, and INVITEs sent into the outage time out. The
+// callee-side media watchdog is what ends the orphaned callee legs,
+// which would otherwise keep streaming into the dead relay.
+func PBXCrash(seed uint64) Scenario {
+	sc := Smoke(seed)
+	sc.Name = "pbx-crash"
+	sc.Desc = "smoke load; the lone PBX crashes mid-window and restarts"
+	sc.Load.MediaTimeout = 3 * time.Second
+	sc.Fault.Ops = []Op{
+		{At: 12 * time.Second, Kind: Crash},
+		{At: 20 * time.Second, Kind: Restart},
+	}
+	return sc
 }
 
 // surgeDegradation is the ladder tuning the surge scenarios share.
@@ -338,10 +356,177 @@ func frontierDegradation() *pbx.DegradationConfig {
 	return d
 }
 
+// CrashFailover is the acceptance scenario: three 8-channel backends
+// behind a least-busy balancer carry A = 20 E (B(20,24) ≈ 7%); at
+// t = 20 s — peak load — backend 0 is killed, and restarted at
+// t = 38 s. Health probes (1 s cadence, 1 s timeout, 3 strikes) must
+// mark it down within the probe threshold; placement shifts to the
+// two survivors (16 channels, B(20,16) ≈ 17% — the blocking spike);
+// after restart the backend re-enters through probe + slow-start.
+// Blackholed INVITEs fail over via timeout retry; every call
+// interrupted by the crash must surface as exactly one LOST CDR.
+func CrashFailover(seed uint64) Scenario {
+	return Scenario{
+		Name: "crash-failover",
+		Desc: "crash 1 of 3 backends at peak, health-probe markdown, failover, restart with slow-start",
+		Seed: seed,
+		PBX:  pbx.Config{MaxChannels: 8},
+		Farm: Farm{
+			Servers: 3,
+			Policy:  cluster.LeastBusy,
+			Health: cluster.HealthConfig{
+				ProbeInterval: time.Second,
+				ProbeTimeout:  time.Second,
+				FailThreshold: 3,
+				SlowStart:     5 * time.Second,
+			},
+		},
+		Load: sipp.Config{
+			Rate:          2,
+			Window:        60 * time.Second,
+			Hold:          10 * time.Second,
+			Arrivals:      sipp.ArrivalPoisson,
+			HoldDist:      sipp.HoldExponential,
+			RetryMax:      2,
+			RetryBase:     500 * time.Millisecond,
+			RetryTimeouts: true,
+		},
+		Fault: Fault{Ops: []Op{
+			{At: 20 * time.Second, Kind: Crash, Backend: 0},
+			{At: 38 * time.Second, Kind: Restart, Backend: 0},
+		}},
+	}
+}
+
+// CrashMedia exercises the crash path with packetized RTP through the
+// relays: when backend 0 dies its relay ports go dark mid-call, the
+// callee-side media watchdog detects the stalled stream and hangs up,
+// and the restarted backend absorbs the stray BYEs.
+func CrashMedia(seed uint64) Scenario {
+	return Scenario{
+		Name: "crash-media",
+		Desc: "backend crash with live RTP relays; media watchdog reaps orphaned callee legs",
+		Seed: seed,
+		PBX:  pbx.Config{MaxChannels: 4},
+		Farm: Farm{
+			Servers: 3,
+			Policy:  cluster.LeastBusy,
+			Health: cluster.HealthConfig{
+				ProbeInterval: 500 * time.Millisecond,
+				ProbeTimeout:  500 * time.Millisecond,
+				FailThreshold: 2,
+				SlowStart:     2 * time.Second,
+			},
+		},
+		Load: sipp.Config{
+			Rate:          0.8,
+			Window:        30 * time.Second,
+			Hold:          6 * time.Second,
+			Media:         sipp.MediaPacketized,
+			MediaTimeout:  3 * time.Second,
+			RetryMax:      1,
+			RetryBase:     500 * time.Millisecond,
+			RetryTimeouts: true,
+		},
+		Fault: Fault{Ops: []Op{
+			{At: 12 * time.Second, Kind: Crash, Backend: 0},
+			{At: 22 * time.Second, Kind: Restart, Backend: 0},
+		}},
+	}
+}
+
+// DrainRolling drains one backend of three under steady load: new
+// placements shift to its peers while its established calls complete,
+// the drain-duration histogram records the window, and the probe
+// plane marks the draining server down (its OPTIONS answer 503).
+func DrainRolling(seed uint64) Scenario {
+	return Scenario{
+		Name: "drain-rolling",
+		Desc: "administrative drain of one backend under load; calls finish, placement shifts",
+		Seed: seed,
+		PBX:  pbx.Config{MaxChannels: 8},
+		Farm: Farm{
+			Servers: 3,
+			Policy:  cluster.LeastBusy,
+			Health: cluster.HealthConfig{
+				ProbeInterval: time.Second,
+				ProbeTimeout:  time.Second,
+				FailThreshold: 2,
+				SlowStart:     2 * time.Second,
+			},
+		},
+		Load: sipp.Config{
+			Rate:     1.5,
+			Window:   45 * time.Second,
+			Hold:     8 * time.Second,
+			HoldDist: sipp.HoldExponential,
+			RetryMax: 1,
+		},
+		Fault: Fault{Ops: []Op{
+			{At: 15 * time.Second, Kind: Drain, Backend: 0},
+		}},
+	}
+}
+
+// RegisterStorm is the steady-state registration scenario: a
+// population registering through the ramp and holding its bindings
+// with jittered refreshes for the whole window.
+func RegisterStorm(seed uint64) Scenario {
+	return Scenario{
+		Name:      "register-storm",
+		Desc:      "steady-state registration load with jittered refreshes",
+		Seed:      seed,
+		DirShards: 4,
+		Register: sipp.RegisterConfig{
+			Endpoints: 2000,
+			Prefix:    "u",
+			Expires:   30 * time.Second,
+			Ramp:      5 * time.Second,
+			Window:    55 * time.Second,
+		},
+	}
+}
+
+// RegisterAvalanche is the cold-restart scenario: the registrar dies
+// under a fully registered population, restarts with an empty nonce
+// cache, and the whole population re-registers in a wave that the
+// admission lane's rate cap + Retry-After spreading must drain
+// without livelock.
+func RegisterAvalanche(seed uint64) Scenario {
+	return Scenario{
+		Name:      "register-avalanche",
+		Desc:      "cold-restart re-REGISTER avalanche through the rate-capped admission lane",
+		Seed:      seed,
+		DirShards: 4,
+		PBX: pbx.Config{
+			Registrar: pbx.RegistrarConfig{
+				Enabled:            true,
+				MaxRegistersPerSec: 2500,
+			},
+		},
+		Register: sipp.RegisterConfig{
+			Endpoints:      10000,
+			Prefix:         "u",
+			Expires:        10 * time.Minute,
+			Ramp:           8 * time.Second,
+			Window:         52 * time.Second,
+			DisableRefresh: true,
+		},
+		Fault: Fault{Ops: []Op{
+			{At: 15 * time.Second, Kind: Crash},
+			{At: 18 * time.Second, Kind: Restart},
+			{At: 20 * time.Second, Kind: Avalanche, For: 4 * time.Second},
+		}},
+		MaxDrain:   30 * time.Second,
+		MaxPeak503: 6000,
+	}
+}
+
 // Catalog lists every named scenario for documentation and tooling.
 func Catalog(seed uint64) []Scenario {
 	return []Scenario{
 		Smoke(seed),
+		PBXCrash(seed),
 		OverloadBaseline(seed),
 		OverloadControlled(seed),
 		DirtyLink(seed),

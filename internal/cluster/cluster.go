@@ -273,13 +273,6 @@ func (c *Cluster) Incarnations(i int) []*pbx.Server {
 	return append(append([]*pbx.Server(nil), n.past...), n.srv)
 }
 
-// Journal returns backend i's CDR journal.
-func (c *Cluster) Journal(i int) *pbx.CDRJournal {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[i].journal
-}
-
 // OpenAtCrash returns the journal entries that were open (in-flight
 // calls) at backend i's most recent crash.
 func (c *Cluster) OpenAtCrash(i int) int {
@@ -328,21 +321,6 @@ func (c *Cluster) CountersSnapshot() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counters
-}
-
-// TotalCounters sums the backends' PBX counters across every
-// incarnation (a crashed instance's counters model what an external
-// observer collected before the crash).
-func (c *Cluster) TotalCounters() pbx.Counters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total pbx.Counters
-	for _, n := range c.nodes {
-		for _, srv := range append(append([]*pbx.Server(nil), n.past...), n.srv) {
-			total.Add(srv.CountersSnapshot())
-		}
-	}
-	return total
 }
 
 // StopProbes halts the health-probe plane: pending probe timers are
@@ -654,10 +632,14 @@ func (c *Cluster) handleRequest(tx *sip.ServerTx, req *sip.Message, src string) 
 	case sip.ACK:
 		// ACK to our 302 final: absorbed by the transaction layer;
 		// nothing to do at the TU.
-	default:
+	case sip.BYE:
+		// A redirect server joins no dialog (RFC 3261 §12.2.2).
 		resp := req.Response(481)
 		resp.ReasonStr = "Call/Transaction Does Not Exist"
 		tx.Respond(resp)
+	default:
+		// RFC 3261 §8.2.1: a method the balancer does not implement.
+		tx.Respond(req.Response(sip.StatusNotImplemented))
 	}
 }
 

@@ -70,7 +70,12 @@ func TestClusterBasicCallFlow(t *testing.T) {
 		t.Errorf("registers proxied = %d", bc.RegistersProxied)
 	}
 	// Round-robin: both backends carried calls.
-	tot := cl.TotalCounters()
+	var tot pbx.Counters
+	for i := range cl.Backends() {
+		for _, srv := range cl.Incarnations(i) {
+			tot.Add(srv.CountersSnapshot())
+		}
+	}
 	if int(tot.Established) != res.Established {
 		t.Errorf("backend established %d vs %d", tot.Established, res.Established)
 	}
@@ -153,19 +158,27 @@ func TestClusterScalingReducesBlocking(t *testing.T) {
 	}
 }
 
+// TestBalancerRejectsUnknownMethods: the balancer holds no dialog, so
+// a BYE finds none (481, RFC 3261 §12.2.2); a method it does not
+// implement gets 501 (§8.2.1).
 func TestBalancerRejectsUnknownMethods(t *testing.T) {
 	r := rig.NewSim(1, 0, nil, stats.NewRNG(5), netsim.LinkProfile{})
 	sched, net, clock := r.Group.Shard(0), r.Net, r.Clock("x")
 	cl := New(r, Config{Servers: 1})
 	defer cl.Close()
 	ep := sip.NewEndpoint(transport.NewSim(net, "x:5060"), clock)
-	bye := sip.NewRequest(sip.BYE, sip.NewURI("u", "balancer", 5060),
-		sip.NameAddr{URI: sip.NewURI("a", "x", 5060), Tag: "t"},
-		sip.NameAddr{URI: sip.NewURI("u", "balancer", 5060)}, "cid", 1)
-	var status int
-	ep.SendRequest(cl.Addr(), bye, func(r *sip.Message) { status = r.StatusCode })
-	sched.Run(time.Minute)
-	if status != 481 {
-		t.Errorf("BYE to balancer got %d, want 481", status)
+	for _, c := range []struct {
+		method sip.Method
+		want   int
+	}{{sip.BYE, 481}, {sip.MESSAGE, sip.StatusNotImplemented}, {"INFO", sip.StatusNotImplemented}} {
+		req := sip.NewRequest(c.method, sip.NewURI("u", "balancer", 5060),
+			sip.NameAddr{URI: sip.NewURI("a", "x", 5060), Tag: "t"},
+			sip.NameAddr{URI: sip.NewURI("u", "balancer", 5060)}, "cid-"+string(c.method), 1)
+		var status int
+		ep.SendRequest(cl.Addr(), req, func(r *sip.Message) { status = r.StatusCode })
+		sched.Run(sched.Now() + time.Minute)
+		if status != c.want {
+			t.Errorf("%s to balancer got %d, want %d", c.method, status, c.want)
+		}
 	}
 }

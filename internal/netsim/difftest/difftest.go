@@ -87,9 +87,11 @@ func ExperimentEvents(cfg core.ExperimentConfig) uint64 {
 	return core.Run(cfg).Events
 }
 
-// DiffScenario runs a chaos scenario at both shard counts and compares every
-// observation the harness records, including the fault-plane artifacts
-// (link counters, no-route drops, leak detectors).
+// DiffScenario runs a chaos scenario at both shard counts and compares
+// every observation the harness records: the generators' views, each
+// PBX host's books, incarnations and live views, the balancer and its
+// failover timeline, the fault-plane artifacts (link counters,
+// no-route drops), the location store and the observation plane.
 func DiffScenario(sc chaos.Scenario, shards int) []string {
 	single := sc
 	single.Shards = 1
@@ -104,77 +106,18 @@ func DiffScenario(sc chaos.Scenario, shards int) []string {
 
 	var d diff
 	d.healthy(a, b)
-	d.eq("Load", a.Load, b.Load)
-	d.eq("Books", a.Books, b.Books)
-	d.eq("Signaling", a.Signaling, b.Signaling)
-	d.eq("Capture", a.Capture.Row(), b.Capture.Row())
-	d.eq("Links", a.Links, b.Links)
-	d.eq("NoRoute", a.NoRoute, b.NoRoute)
-	d.eq("CPUBand", [3]float64{a.CPULo, a.CPUMean, a.CPUHi}, [3]float64{b.CPULo, b.CPUMean, b.CPUHi})
-	d.eq("Degradation", a.Degradation, b.Degradation)
-	d.eq("Series", a.Series, b.Series)
-	aj, ajErr := a.Telemetry.MarshalIndent()
-	bj, bjErr := b.Telemetry.MarshalIndent()
-	d.eq("Telemetry marshal error", ajErr, bjErr)
-	d.json("Telemetry", aj, bj)
-	return d.fields
-}
-
-// DiffRegistration runs a registration chaos scenario at both shard counts
-// and compares the generator's view, every incarnation's counters, the
-// nonce-cache counters, the location store's end state and the
-// telemetry snapshot.
-func DiffRegistration(sc chaos.RegistrationScenario, shards int) []string {
-	single := sc
-	single.Shards = 1
-	sharded := sc
-	sharded.Shards = shards
-
-	a, aerr := chaos.RunRegistration(single)
-	b, berr := chaos.RunRegistration(sharded)
-	if aerr != nil || berr != nil {
-		return []string{fmt.Sprintf("run error: shards=1: %v, sharded: %v", aerr, berr)}
-	}
-
-	var d diff
-	d.healthy(a, b)
 	d.eq("TimelineSummary", a.TimelineSummary(), b.TimelineSummary())
 	d.eq("Load", a.Load, b.Load)
-	d.eq("Counters", a.Counters, b.Counters)
-	d.eq("Nonces", a.Nonces, b.Nonces)
-	d.eq("Store", [2]int64{int64(a.Registered), a.LiveBindings}, [2]int64{int64(b.Registered), b.LiveBindings})
-	d.eq("NoRoute", a.NoRoute, b.NoRoute)
-	d.eq("PBX", a.PBX, b.PBX)
-	aj, ajErr := a.Telemetry.MarshalIndent()
-	bj, bjErr := b.Telemetry.MarshalIndent()
-	d.eq("Telemetry marshal error", ajErr, bjErr)
-	d.json("Telemetry", aj, bj)
-	return d.fields
-}
-
-// DiffCluster runs a cluster chaos scenario at both shard counts and
-// compares the failover timeline, balancer counters, per-backend
-// accounting and the observation plane.
-func DiffCluster(sc chaos.ClusterScenario, shards int) []string {
-	single := sc
-	single.Shards = 1
-	sharded := sc
-	sharded.Shards = shards
-
-	a, aerr := chaos.RunCluster(single)
-	b, berr := chaos.RunCluster(sharded)
-	if aerr != nil || berr != nil {
-		return []string{fmt.Sprintf("run error: shards=1: %v, sharded: %v", aerr, berr)}
-	}
-
-	var d diff
-	d.healthy(a, b)
-	d.eq("TimelineSummary", a.TimelineSummary(), b.TimelineSummary())
-	d.eq("Load", a.Load, b.Load)
+	d.eq("Register", a.Register, b.Register)
+	d.eq("Backends", a.Backends, b.Backends)
 	d.eq("Balancer", a.Balancer, b.Balancer)
 	d.eq("Events", a.Events, b.Events)
-	d.eq("Backends", a.Backends, b.Backends)
+	if a.Capture != nil && b.Capture != nil {
+		d.eq("Capture", a.Capture.Row(), b.Capture.Row())
+	}
+	d.eq("Links", a.Links, b.Links)
 	d.eq("NoRoute", a.NoRoute, b.NoRoute)
+	d.eq("Store", [2]int64{int64(a.Registered), a.LiveBindings}, [2]int64{int64(b.Registered), b.LiveBindings})
 	d.eq("Series", a.Series, b.Series)
 	aj, ajErr := a.Telemetry.MarshalIndent()
 	bj, bjErr := b.Telemetry.MarshalIndent()

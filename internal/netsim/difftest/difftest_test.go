@@ -165,15 +165,15 @@ func TestDiffDegradationTimeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Degradation) == 0 {
+			if len(res.Backends[0].Degradation) == 0 {
 				t.Fatal("surge produced no ladder transitions")
 			}
 			if seed == 1 {
-				if len(res.Degradation) != len(goldenDegradationTimeline) {
+				if len(res.Backends[0].Degradation) != len(goldenDegradationTimeline) {
 					t.Fatalf("timeline has %d transitions, golden has %d: %v",
-						len(res.Degradation), len(goldenDegradationTimeline), res.Degradation)
+						len(res.Backends[0].Degradation), len(goldenDegradationTimeline), res.Backends[0].Degradation)
 				}
-				for i, tr := range res.Degradation {
+				for i, tr := range res.Backends[0].Degradation {
 					want := goldenDegradationTimeline[i]
 					if tr.At != want.at || tr.From != want.from || tr.To != want.to {
 						t.Errorf("transition %d = %v %v->%v, golden %v %v->%v",
@@ -202,7 +202,7 @@ func TestDiffRegistration(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			for _, shards := range []int{2, 4} {
-				for _, d := range DiffRegistration(chaos.RegisterAvalanche(seed), shards) {
+				for _, d := range DiffScenario(chaos.RegisterAvalanche(seed), shards) {
 					t.Errorf("shards=%d %s", shards, d)
 				}
 			}
@@ -226,7 +226,7 @@ func TestDiffChaosSmokeShards2(t *testing.T) {
 // exercises barrier-applied crash/restart ops, cross-shard probe-plane
 // silence and the CDR journal recovery path.
 func TestDiffClusterScenarios(t *testing.T) {
-	cases := []chaos.ClusterScenario{
+	cases := []chaos.Scenario{
 		chaos.CrashFailover(7),
 		chaos.CrashMedia(7),
 		chaos.DrainRolling(7),
@@ -236,7 +236,7 @@ func TestDiffClusterScenarios(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, shards := range []int{2, 4} {
-				for _, d := range DiffCluster(sc, shards) {
+				for _, d := range DiffScenario(sc, shards) {
 					t.Errorf("shards=%d %s", shards, d)
 				}
 			}

@@ -96,25 +96,6 @@ func (r *Sim) RegisterGenerator(host, proxy string, cfg sipp.RegisterConfig) *si
 	return must(sipp.NewRegister(r.Clock(host), r.listen, host+":5062", proxy, cfg))
 }
 
-// RunLoad starts gen and advances the clock, ten minutes at a time,
-// until it is done; atDone, when not nil, runs at that instant as part
-// of the generator's last event. It returns the generator's books and
-// its error, or the scheduler's.
-func (r *Sim) RunLoad(gen *sipp.Generator, atDone func()) (sipp.Results, error) {
-	var out *sipp.Results
-	var genErr error
-	gen.Start(func(res sipp.Results, err error) {
-		out, genErr = &res, err
-		if atDone != nil {
-			atDone()
-		}
-	})
-	if err := r.RunUntil(func() bool { return out != nil }, 10*time.Minute); err != nil {
-		return sipp.Results{}, err
-	}
-	return *out, genErr
-}
-
 // AddUsers gives each name an account under the testbed's password
 // convention, "pw-<name>", which the generators and phones assume.
 func AddUsers(dir *directory.Directory, names ...string) error {

@@ -140,8 +140,14 @@ func TestSameGeneratorOnBothSubstrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := r.PBX("pbx", dir, pbx.Config{MaxChannels: 2, RelayRTP: true, Seed: 7})
-	sim, err := r.RunLoad(r.Generator("sippc", "sipps", server.Addr(), cfg), nil)
-	if err != nil {
+	var sim *sipp.Results
+	r.Generator("sippc", "sipps", server.Addr(), cfg).Start(func(res sipp.Results, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		sim = &res
+	})
+	if err := r.RunUntil(func() bool { return sim != nil }, 10*time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if wire.Attempts == 0 || wire.Attempts != sim.Attempts {
