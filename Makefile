@@ -153,6 +153,8 @@ bench-check:
 # (W=wire_calls, wire_register or wire_media) with a CPU profile pulled
 # from the child pbxd inside the saturated phase, written to
 # benchmark/out/profile-$(W).pprof and printed as `pprof -top -cum`.
-# A reading aid, not a verify gate.
+# KIND=heap pulls the live heap instead, at the point where the
+# benchmark reads maxrss_mb: benchmark/out/heap-$(W).pprof, printed by
+# in-use bytes. A reading aid, not a verify gate.
 wire-profile:
-	GO=$(GO) ./wire-profile.sh $(W)
+	GO=$(GO) ./wire-profile.sh $(W) $(KIND)

@@ -806,3 +806,88 @@ func TestSchedulerOrderMatchesReference(t *testing.T) {
 		t.Logf("seed %d: %d items (%d handoffs), %d fired", seed, len(keys), handoffs, len(fired))
 	}
 }
+
+// wheelPointers is the pointer capacity the wheel holds on to: every
+// slot's array plus the spare list's.
+func wheelPointers(s *Scheduler) int {
+	n := 0
+	for i := range s.slots {
+		n += cap(s.slots[i].items)
+	}
+	for _, a := range s.spare {
+		n += cap(a)
+	}
+	return n
+}
+
+// tickRunner fires once a tick and schedules itself one tick ahead.
+type tickRunner struct{ s *Scheduler }
+
+func (r *tickRunner) RunEvent(now time.Duration) { r.s.AtRunner(now+1<<tickShift, r) }
+
+// TestWheelLendsSlotBuffers drives a moving window — 64 events a tick,
+// each firing one tick after it was scheduled — through three wheel
+// revolutions, and requires the wheel to keep arrays only for the ticks
+// that hold events: a slot the cursor has consumed lends its array to
+// the next slot that fills, rather than keeping one as large as its
+// busiest tick for the rest of the run. The same window runs once more
+// through a two-shard group, where every event arrives as a cross-shard
+// handoff.
+func TestWheelLendsSlotBuffers(t *testing.T) {
+	const (
+		perTick = 64
+		tick    = time.Duration(1) << tickShift
+		until   = 3 * wheelSize * tick
+		limit   = 4 * perTick
+	)
+
+	s := NewScheduler()
+	for i := 0; i < perTick; i++ {
+		s.AtRunner(tick, &tickRunner{s})
+	}
+	if _, err := s.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Fired(), uint64(perTick*(3*wheelSize)); got != want {
+		t.Fatalf("fired %d events, want %d", got, want)
+	}
+	if n := wheelPointers(s); n > limit {
+		t.Errorf("single scheduler: the wheel holds %d pointers after %d ticks of %d events, want ≤ %d",
+			n, 3*wheelSize, perTick, limit)
+	}
+	// Warmed up, the window allocates nothing: the lent arrays carry it.
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Run(s.Now() + tick); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perEvent := allocs / perTick; perEvent != 0 {
+		t.Errorf("warmed-up window: %v allocs per event, want 0", perEvent)
+	}
+
+	// Two shards, one host each: every packet crosses to the other
+	// shard and is sent straight back, a one-tick hop each way.
+	g := NewShardGroup(2)
+	n := NewShardedNetwork(g, stats.NewRNG(1), map[string]int{"a": 0, "b": 1})
+	n.SetDefaultProfile(LinkProfile{Delay: tick})
+	a, b := Addr{"a", 1}, Addr{"b", 1}
+	payload := []byte("x")
+	n.Bind(a, HandlerFunc(func(time.Duration, *Packet) { n.Send(a, b, payload) }))
+	n.Bind(b, HandlerFunc(func(time.Duration, *Packet) { n.Send(b, a, payload) }))
+	for i := 0; i < perTick; i++ {
+		n.Send(a, b, payload)
+		n.Send(b, a, payload)
+	}
+	if err := g.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.Fired(), uint64(2*perTick*(3*wheelSize)); got != want {
+		t.Fatalf("shard group fired %d events, want %d", got, want)
+	}
+	for i := 0; i < g.N(); i++ {
+		if n := wheelPointers(g.Shard(i)); n > limit {
+			t.Errorf("shard %d: the wheel holds %d pointers after %d ticks of %d handoffs, want ≤ %d",
+				i, n, 3*wheelSize, perTick, limit)
+		}
+	}
+}

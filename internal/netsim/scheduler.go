@@ -71,7 +71,10 @@ func (it *schedItem) cancelled() bool { return it.fn == nil && it.r == nil }
 
 // slot is one wheel bucket. Items [0:idx) have been consumed; the
 // pending tail [idx:] is kept sorted by (at, schedAt, ord) on every
-// insert (push), so the cursor consumes it front to back.
+// insert (push), so the cursor consumes it front to back. A slot with
+// nothing pending holds no array: the cursor lends a consumed slot's
+// array to the scheduler's spare list, and the slot's next push
+// borrows one back.
 type slot struct {
 	items []*schedItem
 	idx   int
@@ -157,6 +160,11 @@ type Scheduler struct {
 
 	overflow []*schedItem // binary heap by (at, schedAt, ord)
 	free     []*schedItem
+	// spare holds the emptied arrays of consumed slots (length 0, every
+	// entry nil) for the next slot that becomes occupied, so the wheel
+	// keeps arrays for the ticks that hold events, not for every tick it
+	// has ever used.
+	spare [][]*schedItem
 }
 
 // NewScheduler returns a scheduler with virtual time at zero.
@@ -254,12 +262,26 @@ func (s *Scheduler) insert(it *schedItem) {
 		}
 	}
 	if t-s.cursorTick < wheelSize {
-		s.slots[t&wheelMask].push(it)
-		s.occ[(t&wheelMask)>>6] |= 1 << uint(t&63)
-		s.wheelCount++
+		s.wheelPush(t, it)
 	} else {
 		s.overflowPush(it)
 	}
+}
+
+// wheelPush puts it into the slot of tick t, which must lie within the
+// wheel horizon. A slot without an array borrows a spare one first.
+func (s *Scheduler) wheelPush(t int64, it *schedItem) {
+	sl := &s.slots[t&wheelMask]
+	if sl.items == nil {
+		if n := len(s.spare); n > 0 {
+			sl.items = s.spare[n-1]
+			s.spare[n-1] = nil
+			s.spare = s.spare[:n-1]
+		}
+	}
+	sl.push(it)
+	s.occ[(t&wheelMask)>>6] |= 1 << uint(t&63)
+	s.wheelCount++
 }
 
 // At schedules fn at absolute virtual time at. Scheduling in the past
@@ -358,9 +380,7 @@ func (s *Scheduler) advanceCursor() bool {
 				if t >= limit || (ok && t > next) {
 					break
 				}
-				s.slots[t&wheelMask].push(s.overflowPop())
-				s.occ[(t&wheelMask)>>6] |= 1 << uint(t&63)
-				s.wheelCount++
+				s.wheelPush(t, s.overflowPop())
 				if !ok || t < next {
 					next, ok = t, true
 				}
@@ -394,8 +414,11 @@ func (s *Scheduler) peek() *schedItem {
 			return it
 		}
 		if sl.idx > 0 {
-			// Slot fully consumed: reset for its next revolution.
-			sl.items = sl.items[:0]
+			// Slot fully consumed: pop and the reaping above have
+			// cleared every entry, so the array goes to the spare list
+			// empty and the slot waits for its next push without one.
+			s.spare = append(s.spare, sl.items[:0])
+			sl.items = nil
 			sl.idx = 0
 			s.occ[(s.cursorTick&wheelMask)>>6] &^= 1 << uint(s.cursorTick&63)
 		}
