@@ -77,13 +77,14 @@ fuzz-smoke:
 # per-second sampler (sampler.go), the one series every run reports.
 # So does the chaos harness (chaos.go): its one Run carries every fault
 # script, and its CheckInvariants is what every chaos scenario is judged
-# by.
+# by. So does the CPU model (cpu.go), whose zero value must stay no
+# model: it is what every server on real sockets runs.
 # COVER_FILES lists package:file,file,… — each file measured from its
 # own package's tests.
 COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome,voicemail,wire \
 	transport:batch_linux,udp,sharded,legpool,legpool_linux \
 	sip:telemetry cluster:telemetry telemetry:registry monitor:sampler \
-	chaos:chaos
+	chaos:chaos cpu:cpu
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null
 	@total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { gsub(/%/,"",$$3); print $$3 }'); \

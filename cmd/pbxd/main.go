@@ -43,7 +43,7 @@ func main() {
 		rtpBase  = flag.Int("rtp-base", 10000, "first RTP relay port")
 		quiet    = flag.Bool("quiet", false, "suppress periodic stats")
 		occ      = flag.Float64("occupancy", 0, "shed load at this fraction of capacity with 503+Retry-After (0 = hard cap)")
-		degrade  = flag.Bool("degrade", false, "enable the graceful-degradation ladder (codec downgrade, passthrough-only, upstream throttle, block)")
+		degrade  = flag.Bool("degrade", false, "enable the graceful-degradation ladder (codec downgrade, passthrough-only, upstream throttle, block), which degrades on measured call quality")
 		admin    = flag.String("admin", "127.0.0.1:9690", "admin HTTP address serving /metrics, /healthz, /debug/vars, /debug/calls, /debug/flight and /debug/pprof (empty = disabled)")
 		shards   = flag.Int("shards", 1, "SO_REUSEPORT listener shards on the SIP port (1 = single socket)")
 		callLog  = flag.String("call-log", "", "append one JSON call event per teardown to this file (empty = ring buffer only)")

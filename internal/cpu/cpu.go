@@ -15,7 +15,8 @@ package cpu
 
 // Model converts observed PBX activity into a utilization percentage
 // and, above the overload knee, a packet drop probability. The zero
-// value is not useful; use DefaultModel or fill every field.
+// value is no model: it reads 0 % and never drops. Use DefaultModel or
+// fill every field.
 type Model struct {
 	// BasePercent is the idle daemon overhead.
 	BasePercent float64
@@ -51,19 +52,16 @@ func DefaultModel() Model {
 	}
 }
 
-// Utilization returns the modelled CPU percentage for the given
-// instantaneous activity: concurrently active calls, call attempts per
-// second, and error responses per second. The result is clamped to
-// [0, 100].
-func (m Model) Utilization(activeCalls int, attemptsPerSec, errorsPerSec float64) float64 {
-	return m.UtilizationWith(activeCalls, attemptsPerSec, errorsPerSec, 0)
-}
-
-// UtilizationWith is Utilization plus an extra load term in percent —
-// the hook for activity the linear per-call model does not cover, such
-// as the codec-dependent DSP cost of transcoding bridges. The extra
-// term participates in the same [0, 100] clamp.
+// UtilizationWith returns the modelled CPU percentage for the given
+// instantaneous activity — concurrently active calls, call attempts per
+// second, error responses per second — plus an extra load term in
+// percent, the hook for activity the linear per-call model does not
+// cover, such as the codec-dependent DSP cost of transcoding bridges.
+// The result is clamped to [0, 100]; the zero Model returns 0.
 func (m Model) UtilizationWith(activeCalls int, attemptsPerSec, errorsPerSec, extraPercent float64) float64 {
+	if m == (Model{}) {
+		return 0
+	}
 	u := m.BasePercent +
 		m.PerCallPercent*float64(activeCalls) +
 		m.PerAttemptPercent*attemptsPerSec +

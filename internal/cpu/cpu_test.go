@@ -26,7 +26,7 @@ func TestTableIBands(t *testing.T) {
 		{"A=240", 165, 240.0 / 120, 0.58, 55, 60},
 	}
 	for _, c := range cases {
-		u := m.Utilization(c.active, c.attempts, c.errors)
+		u := m.UtilizationWith(c.active, c.attempts, c.errors, 0)
 		mid := (c.bandLo + c.bandHi) / 2
 		if u < mid-7 || u > mid+7 {
 			t.Errorf("%s: util %.1f%%, paper band [%g, %g]", c.name, u, c.bandLo, c.bandHi)
@@ -42,9 +42,9 @@ func TestUtilizationMonotone(t *testing.T) {
 	f := func(calls uint8, att uint8) bool {
 		c := int(calls)
 		a := float64(att) / 50
-		return m.Utilization(c+1, a, 0) >= m.Utilization(c, a, 0) &&
-			m.Utilization(c, a+0.1, 0) >= m.Utilization(c, a, 0) &&
-			m.Utilization(c, a, 1) >= m.Utilization(c, a, 0)
+		return m.UtilizationWith(c+1, a, 0, 0) >= m.UtilizationWith(c, a, 0, 0) &&
+			m.UtilizationWith(c, a+0.1, 0, 0) >= m.UtilizationWith(c, a, 0, 0) &&
+			m.UtilizationWith(c, a, 1, 0) >= m.UtilizationWith(c, a, 0, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -53,14 +53,14 @@ func TestUtilizationMonotone(t *testing.T) {
 
 func TestUtilizationClamped(t *testing.T) {
 	m := DefaultModel()
-	if u := m.Utilization(100000, 1000, 1000); u != 100 {
+	if u := m.UtilizationWith(100000, 1000, 1000, 0); u != 100 {
 		t.Errorf("util = %v, want clamp at 100", u)
 	}
-	if u := m.Utilization(0, 0, 0); u != m.BasePercent {
+	if u := m.UtilizationWith(0, 0, 0, 0); u != m.BasePercent {
 		t.Errorf("idle util = %v", u)
 	}
 	neg := Model{BasePercent: -5}
-	if u := neg.Utilization(0, 0, 0); u != 0 {
+	if u := neg.UtilizationWith(0, 0, 0, 0); u != 0 {
 		t.Errorf("negative util not clamped: %v", u)
 	}
 }
@@ -89,5 +89,25 @@ func TestDropProbabilityDegenerateKnee(t *testing.T) {
 	m := Model{OverloadKnee: 100, MaxDropProbability: 0.5}
 	if p := m.DropProbability(150); p != 0 {
 		t.Errorf("knee at 100 should never drop, got %v", p)
+	}
+}
+
+// TestZeroModelIsNoModel: the zero Model reads 0 % for any activity and
+// any extra term, and never drops a packet.
+func TestZeroModelIsNoModel(t *testing.T) {
+	var m Model
+	f := func(calls uint16, att, errs, extra uint8) bool {
+		return m.UtilizationWith(int(calls), float64(att), float64(errs), float64(extra)) == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if u := m.UtilizationWith(100000, 1000, 1000, 100); u != 0 {
+		t.Errorf("zero model at saturation reads %v%%, want 0", u)
+	}
+	for _, u := range []float64{0, 50, 100, 1000} {
+		if p := m.DropProbability(u); p != 0 {
+			t.Errorf("zero model drops %v at %v%%", p, u)
+		}
 	}
 }

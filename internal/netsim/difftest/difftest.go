@@ -50,18 +50,20 @@ func (d *diff) json(name string, a, b []byte) {
 }
 
 // DiffExperiment runs cfg at both shard counts — cfg.Shards forced to 1
-// and to shards — and returns one entry per differing result field
-// (empty = bit-identical). Elapsed and Config are excluded: wall time
-// legitimately differs, and Config records the Shards knob itself.
+// and to shards — and returns DiffResults of the two runs.
 func DiffExperiment(cfg core.ExperimentConfig, shards int) []string {
 	single := cfg
 	single.Shards = 1
 	sharded := cfg
 	sharded.Shards = shards
+	return DiffResults(core.Run(single), core.Run(sharded))
+}
 
-	a := core.Run(single)
-	b := core.Run(sharded)
-
+// DiffResults returns one entry per result field in which a one-shard
+// run a and a sharded run b of the same experiment differ (empty =
+// bit-identical). Elapsed and Config are excluded: wall time
+// legitimately differs, and Config records the Shards knob itself.
+func DiffResults(a, b core.ExperimentResult) []string {
 	var d diff
 	d.eq("Load", a.Load, b.Load)
 	d.eq("Server", a.Server, b.Server)
@@ -78,13 +80,6 @@ func DiffExperiment(cfg core.ExperimentConfig, shards int) []string {
 	d.eq("Telemetry marshal error", aerr, berr)
 	d.json("Telemetry", aj, bj)
 	return d.fields
-}
-
-// ExperimentEvents runs cfg at the shard count it names and returns the
-// fired-event count, for pinning sharded runs against the golden totals
-// internal/core pins at one shard.
-func ExperimentEvents(cfg core.ExperimentConfig) uint64 {
-	return core.Run(cfg).Events
 }
 
 // DiffScenario runs a chaos scenario at both shard counts and compares

@@ -37,27 +37,31 @@ func goldenConfigs() map[string]func(seed uint64) core.ExperimentConfig {
 
 // TestDiffGoldenConfigs runs every golden configuration at three seeds
 // under shards=2 and shards=4, demanding bit-identical results against
-// the one-shard run and the pinned golden event totals. The flow-model
-// seed-1 cell doubles as the telemetry-snapshot golden (core pins its
-// JSON byte-for-byte at one shard; the diff harness pins sharded ==
-// one shard, so the sharded snapshot is transitively pinned to the
-// file).
+// the one-shard run and the pinned golden event totals. Each seed's
+// one-shard run is made once and diffed against both sharded runs. The
+// flow-model seed-1 cell doubles as the telemetry-snapshot golden (core
+// pins its JSON byte-for-byte at one shard; the diff harness pins
+// sharded == one shard, so the sharded snapshot is transitively pinned
+// to the file).
 func TestDiffGoldenConfigs(t *testing.T) {
 	for name, mk := range goldenConfigs() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{1, 42, 160} {
+				cfg := mk(seed)
+				cfg.Shards = 1
+				single := core.Run(cfg)
 				for _, shards := range []int{2, 4} {
-					cfg := mk(seed)
-					if diffs := DiffExperiment(cfg, shards); len(diffs) > 0 {
+					cfg.Shards = shards
+					sharded := core.Run(cfg)
+					if diffs := DiffResults(single, sharded); len(diffs) > 0 {
 						for _, d := range diffs {
 							t.Errorf("seed=%d shards=%d %s", seed, shards, d)
 						}
 						return
 					}
-					cfg.Shards = shards
-					if got, want := ExperimentEvents(cfg), goldenEvents[name][seed]; got != want {
+					if got, want := sharded.Events, goldenEvents[name][seed]; got != want {
 						t.Errorf("seed=%d shards=%d events=%d, golden pin %d", seed, shards, got, want)
 					}
 				}

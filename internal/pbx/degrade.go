@@ -109,7 +109,8 @@ func (c DegradationConfig) withDefaults() DegradationConfig {
 // DegradationSignals is one tick's sensor snapshot, produced by the
 // server's per-second sampler from the PR 8 measurement plane.
 type DegradationSignals struct {
-	// CPU is the CPU model's utilization percentage at this tick.
+	// CPU is the CPU model's utilization percentage at this tick; 0 on
+	// a server with no model.
 	CPU float64
 	// DropRate is the fraction of relayed RTP packets the overload
 	// model dropped since the previous tick (0..1).

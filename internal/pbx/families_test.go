@@ -16,12 +16,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestWireFamiliesAreSimPlusFive pins the observability contract that
+// TestWireFamiliesAreSimPlusFour pins the observability contract that
 // sim and wire export the same metric families: with one Config, the
 // pbx_*, sip_* and rtp_relay_* families of pbxd's wiring are the sim
-// rig's plus exactly the five that wire.go adds, and the wire also
+// rig's plus exactly the four that wire.go adds, and the wire also
 // exports its process CPU (an external test: rig imports pbx).
-func TestWireFamiliesAreSimPlusFive(t *testing.T) {
+func TestWireFamiliesAreSimPlusFour(t *testing.T) {
 	cfg := pbx.Config{
 		RelayRTP:    true,
 		Registrar:   pbx.RegistrarConfig{Enabled: true},
@@ -46,7 +46,7 @@ func TestWireFamiliesAreSimPlusFive(t *testing.T) {
 	// The SLO evaluator core.Run attaches to a sim run, as ListenWire
 	// does to the wire.
 	monitor.NewSLO(r.Reg, monitor.DefaultSLORules())
-	want := append(families(r.Reg), "pbx_cpu_model_percent", "rtp_relay_rejected_total",
+	want := append(families(r.Reg), "rtp_relay_rejected_total",
 		"sip_active_transactions", "sip_lingering_transactions", "sip_tx_reaper_runs_total")
 	sort.Strings(want)
 
@@ -56,7 +56,7 @@ func TestWireFamiliesAreSimPlusFive(t *testing.T) {
 	}
 	defer w.Close()
 	if got := families(w.Registry); !reflect.DeepEqual(got, want) {
-		t.Errorf("wire families:\n  %v\nwant the sim's plus wire.go's five:\n  %v", got, want)
+		t.Errorf("wire families:\n  %v\nwant the sim's plus wire.go's four:\n  %v", got, want)
 	}
 	snap := w.Registry.Snapshot()
 	if f := snap.Family("process_cpu_seconds_total"); f == nil || f.Kind != telemetry.KindCounter {

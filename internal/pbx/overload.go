@@ -73,7 +73,8 @@ type admissionState struct {
 	AttemptsRate float64
 	ErrorsRate   float64
 	// ProjectedCPU is the modelled utilization with one more call
-	// admitted, from the raw per-second attempt/error windows.
+	// admitted, from the raw per-second attempt/error windows; 0 on a
+	// server with no CPU model.
 	ProjectedCPU float64
 	// PredictedMOS is the E-model score this call is predicted to get if
 	// admitted: the offered codec's profile at a nominal mouth-to-ear

@@ -9,9 +9,9 @@
 //   - a finite channel pool (default 165, the measured capacity of the
 //     paper's host) rejects INVITEs with 503 Service Unavailable when
 //     exhausted — the blocked calls of Table I;
-//   - a calibrated CPU model (internal/cpu) tracks utilization and,
-//     past the overload knee, drops relayed RTP packets — the "packet
-//     errors" the paper reports at A = 240;
+//   - a calibrated CPU model (internal/cpu), when Config.CPU sets one,
+//     tracks utilization and, past the overload knee, drops relayed
+//     RTP packets — the "packet errors" the paper reports at A = 240;
 //   - a registrar with digest authentication fronts the user
 //     directory, the LDAP role of Sec. II-A;
 //   - every completed call produces a CDR with both directions' RTP
@@ -51,7 +51,9 @@ type Config struct {
 	// MaxChannels caps concurrent calls; 0 means unlimited. The
 	// paper's host measured ≈165.
 	MaxChannels int
-	// CPU is the host load model; the zero value selects DefaultModel.
+	// CPU is the host load model. The zero value is no model: projected
+	// CPU, the relay's overload drop and the ladder's CPU term read 0.
+	// rig.PBX gives every simulated PBX cpu.DefaultModel.
 	CPU cpu.Model
 	// Admission is the INVITE admission row, measured against
 	// MaxChannels (see overload.go). The zero value is the hard cap.
@@ -244,7 +246,6 @@ type Server struct {
 	nextPort      int
 	freePorts     []int
 	counters      Counters
-	cpuUtil       float64 // the CPU model's utilization at the last tick
 	cpuSamples    []cpuSample
 	rng           *stats.RNG
 	nonceSeq      uint64
@@ -299,9 +300,6 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	}
 	if cfg.RTPPortBase == 0 {
 		cfg.RTPPortBase = 10000
-	}
-	if cfg.CPU == (cpu.Model{}) {
-		cfg.CPU = cpu.DefaultModel()
 	}
 	if cfg.ScoreCodec.Name == "" {
 		cfg.ScoreCodec = mos.G711PLC
@@ -495,10 +493,12 @@ func (s *Server) scheduleSample() {
 		s.attemptsEWMA = (1-alpha)*s.attemptsEWMA + alpha*float64(s.attemptsWindow)
 		s.errorsEWMA = (1-alpha)*s.errorsEWMA + alpha*float64(s.errorsWindow)
 		s.channelsEWMA = (1-alpha)*s.channelsEWMA + alpha*float64(s.channels)
-		u := s.cfg.CPU.UtilizationWith(s.channels, s.attemptsEWMA, s.errorsEWMA, s.transcodeLoad)
-		s.cpuUtil = u
-		s.dropP.Store(math.Float64bits(s.cfg.CPU.DropProbability(u)))
-		s.cpuSamples = append(s.cpuSamples, cpuSample{util: u, channels: s.channels})
+		var u float64
+		if s.cfg.CPU != (cpu.Model{}) {
+			u = s.cfg.CPU.UtilizationWith(s.channels, s.attemptsEWMA, s.errorsEWMA, s.transcodeLoad)
+			s.dropP.Store(math.Float64bits(s.cfg.CPU.DropProbability(u)))
+			s.cpuSamples = append(s.cpuSamples, cpuSample{util: u, channels: s.channels})
+		}
 		s.attemptsWindow = 0
 		s.errorsWindow = 0
 		s.registersWindow = 0

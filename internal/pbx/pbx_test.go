@@ -366,6 +366,7 @@ func TestCPUPercentAdmission(t *testing.T) {
 	// A tiny CPU budget admits only a handful of calls.
 	r := newRig(t, 20, Config{
 		// base 7% + ~0.2/call + 5%/attempt: admits ~1/burst
+		CPU:       cpu.DefaultModel(),
 		Admission: Admission{CPUPercent: 15},
 	})
 	for i := 0; i < 10; i++ {
@@ -382,7 +383,7 @@ func TestCPUPercentAdmission(t *testing.T) {
 }
 
 func TestCPUMeterSamplesDuringRun(t *testing.T) {
-	r := newRig(t, 2, Config{})
+	r := newRig(t, 2, Config{CPU: cpu.DefaultModel()})
 	call := r.phones[0].Invite("u1")
 	call.OnEstablished = func(c *sip.Call) {
 		r.clock.AfterFunc(60*time.Second, func() { r.phones[0].Hangup(c) })
@@ -410,7 +411,7 @@ func TestCPUBandPlateauAndFallback(t *testing.T) {
 	s.mu.Lock()
 	s.cpuSamples = nil
 	for calls := 35; calls <= 45; calls++ {
-		u := m.Utilization(calls, 0.33, 0)
+		u := m.UtilizationWith(calls, 0.33, 0, 0)
 		s.cpuSamples = append(s.cpuSamples, cpuSample{util: u, channels: calls})
 		all.Add(u)
 		if calls >= 41 { // ceil(0.9 · 45)
@@ -446,7 +447,9 @@ func TestDropProbabilityFollowsLastSample(t *testing.T) {
 		{7, 0},       // idle, under the knee at 45 %
 		{72.5, 0.02}, // halfway from the knee to 100 %: half of 0.04
 	} {
-		r := newRig(t, 0, Config{CPU: cpu.Model{BasePercent: tc.base, OverloadKnee: 45, MaxDropProbability: 0.04}})
+		m := cpu.DefaultModel()
+		m.BasePercent = tc.base
+		r := newRig(t, 0, Config{CPU: m})
 		r.sched.Run(3 * time.Second)
 		if got := math.Float64frombits(r.server.dropP.Load()); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("base %v%%: drop probability %v, want %v", tc.base, got, tc.want)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/sip"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -47,6 +48,7 @@ func twoIncarnations(t *testing.T) (*telemetry.Registry, []*Server) {
 		Telemetry:   reg,
 		MaxChannels: 2,
 		Registrar:   RegistrarConfig{Enabled: true},
+		CPU:         cpu.DefaultModel(),
 		// Thresholds under the idle CPU model: the ladder climbs to
 		// upstream-throttle in its first ticks, so answers and 503s
 		// carry the backoff window; the block rung stays out of reach.

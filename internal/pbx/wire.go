@@ -22,12 +22,7 @@ const (
 	mSIPLingeringTransactions = "sip_lingering_transactions"
 	mSIPReaperRuns            = "sip_tx_reaper_runs_total"
 	mRelayRejected            = "rtp_relay_rejected_total"
-	// The CPU model's utilization, named as a model: on the wire it
-	// feeds admission and the ladder, but it describes the paper's
-	// Xeon, not this host. process_cpu_seconds_total is what pbxd
-	// itself used.
-	mCPUModelPercent   = "pbx_cpu_model_percent"
-	mProcessCPUSeconds = "process_cpu_seconds_total"
+	mProcessCPUSeconds        = "process_cpu_seconds_total"
 )
 
 // Wire is a Server on real UDP sockets — cmd/pbxd minus its flags, and
@@ -49,8 +44,7 @@ type Wire struct {
 // listener shards, serving dir. cfg.Telemetry is replaced by the
 // Wire's own registry, which also carries the listener's and the leg
 // pool's data-plane counters and the per-second sampler's SLO verdicts.
-// The CPU model keeps the caller's fields but its knee moves to 100 %:
-// on real sockets a model of another machine must not drop real media.
+// cfg.CPU is cleared: real sockets run no model of another machine.
 func ListenWire(addr string, shards int, dir *directory.Directory, cfg Config) (*Wire, error) {
 	// The SIP listener runs the batched data plane; with shards > 1 the
 	// kernel spreads inbound flows across that many sockets on the port.
@@ -77,20 +71,11 @@ func ListenWire(addr string, shards int, dir *directory.Directory, cfg Config) (
 	legs := transport.NewLegPool(host)
 	legs.PublishTelemetry(reg)
 	cfg.Telemetry = reg
-	if cfg.CPU == (cpu.Model{}) {
-		cfg.CPU = cpu.DefaultModel()
-	}
-	cfg.CPU.OverloadKnee = 100
+	cfg.CPU = cpu.Model{}
 	server := New(ep, dir, legs.Listen, cfg)
 	reg.CounterFunc(mRelayRejected, "datagrams at a relay port refused, by reason",
 		func() float64 { return float64(server.CountersSnapshot().RejectedPackets) },
 		telemetry.L("reason", "source"))
-	reg.GaugeFunc(mCPUModelPercent, "the CPU model's utilization at its last per-second sample, percent",
-		func() float64 {
-			server.mu.Lock()
-			defer server.mu.Unlock()
-			return server.cpuUtil
-		})
 	reg.CounterFunc(mProcessCPUSeconds, "user and system CPU time this process has used",
 		ProcessCPUSeconds)
 

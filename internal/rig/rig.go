@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/directory"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
@@ -112,6 +113,7 @@ func AddUsers(dir *directory.Directory, names ...string) error {
 // cfg.Telemetry is set. Every sim PBX journals its calls — the journal
 // is the run's CDR ledger (Server.Journal) and what Invariants
 // balances; a caller that carries one across a crash passes its own.
+// A zero cfg.CPU runs cpu.DefaultModel, the paper's Xeon.
 func (r *Sim) PBX(host string, dir *directory.Directory, cfg pbx.Config) *pbx.Server {
 	ep := sip.NewEndpoint(transport.NewSim(r.Net, host+":5060"), r.Clock(host))
 	if cfg.Telemetry != nil {
@@ -119,6 +121,9 @@ func (r *Sim) PBX(host string, dir *directory.Directory, cfg pbx.Config) *pbx.Se
 	}
 	if cfg.Journal == nil {
 		cfg.Journal = pbx.NewCDRJournal()
+	}
+	if cfg.CPU == (cpu.Model{}) {
+		cfg.CPU = cpu.DefaultModel()
 	}
 	return pbx.New(ep, dir, func(port int) (transport.Transport, error) {
 		return r.listen(fmt.Sprintf("%s:%d", host, port))
