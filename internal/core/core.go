@@ -19,6 +19,7 @@ import (
 	"repro/internal/erlang"
 	"repro/internal/media"
 	"repro/internal/monitor"
+	"repro/internal/mos"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
 	"repro/internal/rig"
@@ -358,7 +359,7 @@ func collectMOS(res ExperimentResult) stats.Summary {
 			PathLoss:   1 - (1-cfg.LinkLoss)*(1-drop)*(1-cfg.LinkLoss),
 			PathDelay:  2 * cfg.LinkDelay,
 			PathJitter: 2 * cfg.LinkJitter,
-			Codec:      pbxScoreCodec(),
+			Codec:      mos.G711PLC, // the PBX's CDR profile
 		}, nil)
 		s.Add(rep.MOS)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/erlang"
-	"repro/internal/mos"
 	"repro/internal/stats"
 )
 
@@ -16,10 +15,6 @@ import (
 func serverDropAt(utilization float64) float64 {
 	return cpu.DefaultModel().DropProbability(utilization)
 }
-
-// pbxScoreCodec is the E-model profile the PBX CDRs use, kept in one
-// place so flow-mode scoring matches packetized-mode scoring.
-func pbxScoreCodec() mos.Codec { return mos.G711PLC }
 
 // Replications is the aggregate of n independent runs of the same
 // configuration with different seeds.

@@ -69,8 +69,7 @@ func relayForward(tb testing.TB, transcode bool) (s *Server, op func(i int), che
 		}
 	}
 	check = func(n int) {
-		fwd, drop := r.stats()
-		trans := r.transcodedPkts()
+		fwd, drop, trans := r.forwarded.Load(), r.dropped.Load(), r.transcoded.Load()
 		if fwd+drop != uint64(n) || delivered != int(fwd) || transcode && trans != fwd {
 			tb.Fatalf("forwarded %d dropped %d transcoded %d delivered %d of %d",
 				fwd, drop, trans, delivered, n)

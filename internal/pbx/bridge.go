@@ -274,7 +274,7 @@ func (s *Server) newBridge(tx *sip.ServerTx, req *sip.Message, src, callee strin
 		aRemote:   src,
 		aOfferPTs: offer.PayloadTypes,
 
-		scoreProfile: s.cfg.ScoreCodec,
+		scoreProfile: mos.G711PLC,
 		degradeStage: stage,
 	}
 	if s.degrade != nil {
@@ -347,7 +347,6 @@ func (s *Server) admitCall(tx *sip.ServerTx, req *sip.Message, offer *sdp.Sessio
 	if s.channels > s.counters.PeakChannels {
 		s.counters.PeakChannels = s.channels
 	}
-	s.updateChannelGaugesLocked()
 	s.mu.Unlock()
 	if s.tm != nil {
 		s.tm.admitOK.Inc()
@@ -408,7 +407,7 @@ const predictMOSNominalDelay = 80 * time.Millisecond
 // so the prediction is optimistic — the quality floor built on it sheds
 // late rather than early. Callers hold s.mu.
 func (s *Server) predictMOSLocked(offer *sdp.Session, projectedCPU float64) float64 {
-	profile := s.cfg.ScoreCodec
+	profile := mos.G711PLC
 	if offer != nil {
 		if pt, ok := codec.Negotiate(offer.PayloadTypes, s.codecs); ok {
 			if c, known := codec.ByPayloadType(pt); known {
@@ -466,7 +465,6 @@ func (s *Server) releaseChannel() {
 	if s.channels > 0 {
 		s.channels--
 	}
-	s.updateChannelGaugesLocked()
 	s.mu.Unlock()
 	s.maybeFinishDrain()
 }
@@ -617,7 +615,7 @@ func (s *Server) negotiateBridgeCodecs(br *bridge, answer *sdp.Session) bool {
 	} else if cbr.APayloadType != codec.G711U.PayloadType &&
 		cbr.APayloadType != codec.G711A.PayloadType {
 		br.scoreProfile = a.MOS()
-	} // G.711 passthrough keeps the configured default profile.
+	} // G.711 passthrough keeps the concealment-aware G.711 default.
 	if br.relay != nil {
 		br.relay.setBridgeCodecs(cbr)
 	}
@@ -626,15 +624,11 @@ func (s *Server) negotiateBridgeCodecs(br *bridge, answer *sdp.Session) bool {
 		s.transcodeLoad += br.transcodeCost
 		s.counters.TranscodedCalls++
 	}
-	load := s.transcodeLoad
 	s.mu.Unlock()
 	if s.tm != nil {
 		s.tm.callsByCodec(a.PayloadType).Inc()
-		if cbr.Transcode {
-			if cbr.BPayloadType != cbr.APayloadType {
-				s.tm.callsByCodec(b.PayloadType).Inc()
-			}
-			s.tm.transcodeLoad.Set(load)
+		if cbr.Transcode && cbr.BPayloadType != cbr.APayloadType {
+			s.tm.callsByCodec(b.PayloadType).Inc()
 		}
 	}
 	return true
@@ -759,11 +753,6 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 	br.state = bridgeTerminated
 
 	br.closeMedia()
-	var relayFwd, relayDrop, relayTrans uint64
-	if br.relay != nil {
-		relayFwd, relayDrop = br.relay.stats()
-		relayTrans = br.relay.transcodedPkts()
-	}
 	s.mu.Lock()
 	delete(s.bridges, br.cdr.CallID)
 	delete(s.bridges, br.bCallID)
@@ -773,24 +762,19 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 	if br.relay != nil {
 		s.freeRelayPortLocked(br.relay.aPort)
 		s.freeRelayPortLocked(br.relay.bPort)
-		s.counters.RelayedPackets += relayFwd
-		s.counters.DroppedPackets += relayDrop
-		s.counters.TranscodedPkts += relayTrans
+		br.relay.foldLocked(&s.counters)
 	}
 	if m := br.mailbox; m != nil && m.tr != nil {
 		s.freeRelayPortLocked(m.port)
 	}
 	// Return the transcoding surcharge to the CPU budget.
-	releasedLoad := false
 	if br.transcodeCost > 0 {
 		s.transcodeLoad -= br.transcodeCost
 		if s.transcodeLoad < 0 {
 			s.transcodeLoad = 0
 		}
 		br.transcodeCost = 0
-		releasedLoad = true
 	}
-	load := s.transcodeLoad
 	cdr := s.closeCDRLocked(br, completed)
 	if br.mailbox != nil && cdr.AnsweredAt > 0 {
 		s.depositLocked(cdr)
@@ -813,12 +797,8 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 			s.mosTickCalls++
 		}
 	}
-	s.updateChannelGaugesLocked()
 	s.mu.Unlock()
 	s.calls.append(cdr)
-	if releasedLoad && s.tm != nil {
-		s.tm.transcodeLoad.Set(load)
-	}
 	if j := s.cfg.Journal; j != nil {
 		j.End(cdr)
 	}

@@ -17,7 +17,7 @@ import (
 // Asterisk's capabilities ("call management (call detail records)"),
 // and the one record kept per call. The bridge fills it as the call
 // happens; teardown stamps the end, the disposition and the QoS, and
-// every sink reads that one value (views: CSV, WAL, JSON, metrics).
+// every sink reads that one value (views: CSV, JSON, metrics).
 //
 // For completed calls it carries both RTP directions' statistics and
 // the E-model MOS that VoIPmonitor produced in the paper's testbed —
@@ -76,8 +76,7 @@ type CDR struct {
 
 // Disposition is what happened to a call, decided once: at teardown,
 // or by journal recovery (LOST, this model's extension). Its views are
-// the CSV string (String), the WAL token, the metric label and the
-// call's outcome.
+// the CSV string (String), the metric label and the call's outcome.
 type Disposition uint8
 
 const (
@@ -93,11 +92,11 @@ var dispositionNames = [numDispositions]string{"NO ANSWER", "ANSWERED", "FAILED"
 // String is the Asterisk CSV spelling, which the JSON view shares.
 func (d Disposition) String() string { return dispositionNames[d] }
 
-// token is the WAL's space-free spelling.
-func (d Disposition) token() string { return strings.ReplaceAll(d.String(), " ", "-") }
-
-// label is the pbx_cdr_total{disposition} value.
-func (d Disposition) label() string { return strings.ToLower(d.token()) }
+// label is the pbx_cdr_total{disposition} value: lower case, a hyphen
+// for the space.
+func (d Disposition) label() string {
+	return strings.ToLower(strings.ReplaceAll(d.String(), " ", "-"))
+}
 
 // outcome is the call's outcome. A NO ANSWER call the caller
 // abandoned ends "canceled" instead (removeBridge).
@@ -105,16 +104,6 @@ func (d Disposition) outcome() outcome {
 	return [numDispositions]outcome{
 		outcomeRejected, outcomeCompleted, outcomeFailed, outcomeLost,
 	}[d]
-}
-
-// parseDisposition reads a WAL token back.
-func parseDisposition(token string) (Disposition, bool) {
-	for d := NoAnswer; d < numDispositions; d++ {
-		if d.token() == token {
-			return d, true
-		}
-	}
-	return 0, false
 }
 
 // MarshalJSON is the wide-event view: the line Config.CallLog receives

@@ -84,25 +84,21 @@ func mediaCall(r *rig, caller *sip.Phone, callee string, hold time.Duration) {
 }
 
 // callViews runs the pinned calls and returns, per rig, the call log's
-// JSON lines, the /debug/calls body, the CSV export and the WAL text.
-func callViews(t *testing.T) (lines []string, bodies, csvs, wals []string) {
+// JSON lines, the /debug/calls body and the CSV export.
+func callViews(t *testing.T) (lines, bodies, csvs []string) {
 	t.Helper()
 	run := func(r *rig, log *bytes.Buffer) {
 		var body bytes.Buffer
 		if err := json.NewEncoder(&body).Encode(r.server.RecentCalls()); err != nil {
 			t.Fatal(err)
 		}
-		var csvOut, wal strings.Builder
+		var csvOut strings.Builder
 		if err := WriteCSV(&csvOut, r.cdrs()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.server.Journal().WriteTo(&wal); err != nil {
 			t.Fatal(err)
 		}
 		lines = append(lines, strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")...)
 		bodies = append(bodies, body.String())
 		csvs = append(csvs, csvOut.String())
-		wals = append(wals, wal.String())
 	}
 
 	// A transcoded call (G.729 caller, G.711 callee) with media, and an
@@ -130,14 +126,13 @@ func callViews(t *testing.T) (lines []string, bodies, csvs, wals []string) {
 	mediaCall(r, r.phones[0], "u1", 8*time.Second)
 	r.sched.Run(r.sched.Now() + time.Minute)
 	run(r, &log2)
-	return lines, bodies, csvs, wals
+	return lines, bodies, csvs
 }
 
 // TestCallRecordViewsPinned pins every view of the same calls: the JSON
-// line on the call log, the /debug/calls body, the CSV export and the
-// WAL text.
+// line on the call log, the /debug/calls body and the CSV export.
 func TestCallRecordViewsPinned(t *testing.T) {
-	lines, bodies, csvs, wals := callViews(t)
+	lines, bodies, csvs := callViews(t)
 	wantLines := []string{
 		`{"t":14.001,"call_id":"c5@host2:5060","caller":"u2","callee":"u9","admission":"channel-cap","backend":"pbx-a","pdd_s":0.002,"mos_predicted":4.369083751936,"disposition":"NO ANSWER"}`,
 		`{"t":22.005,"call_id":"c5@host0:5060","caller":"u0","callee":"u1","codec_a":"G.729A","codec_b":"G.711u","transcoded":true,"admission":"channel-cap","backend":"pbx-a","pdd_s":0.002,"setup_s":0.004,"duration_s":12,"jitter_s":0.001228496,"loss":0.021666666666666667,"mos":3.694482545550269,"mos_measured":4.050627184751105,"mos_predicted":4.034539942336001,"disposition":"ANSWERED"}`,
@@ -172,16 +167,6 @@ func TestCallRecordViewsPinned(t *testing.T) {
 		"src,dst,start,duration_s,disposition,mos,rtp_from_caller,rtp_from_callee,loss_from_caller,loss_from_callee,mos_measured,mos_predicted,rtt_s\n" +
 			"u0,u1,5.001,8.000,ANSWERED,4.38,400,400,0.0000,0.0000,4.38,4.37,0.0000\n",
 	}
-	wantWAL := []string{
-		"B 10001000000 c5@host0:5060 u0 u1\n" +
-			"B 10001000000 c5@host2:5060 u2 u9\n" +
-			"A 10005000000 c5@host0:5060\n" +
-			"E 14001000000 c5@host2:5060 NO-ANSWER 0\n" +
-			"E 22005000000 c5@host0:5060 ANSWERED 12000000000\n",
-		"B 5001000000 c5@host0:5060 u0 u1\n" +
-			"A 5005000000 c5@host0:5060\n" +
-			"E 13005000000 c5@host0:5060 ANSWERED 8000000000\n",
-	}
 	for i := range bodies {
 		if bodies[i] != wantBodies[i] {
 			t.Errorf("/debug/calls body %d:\n got %s\nwant %s", i, bodies[i], wantBodies[i])
@@ -189,25 +174,21 @@ func TestCallRecordViewsPinned(t *testing.T) {
 		if csvs[i] != wantCSV[i] {
 			t.Errorf("CSV %d:\n got %q\nwant %q", i, csvs[i], wantCSV[i])
 		}
-		if wals[i] != wantWAL[i] {
-			t.Errorf("WAL %d:\n got %q\nwant %q", i, wals[i], wantWAL[i])
-		}
 	}
 }
 
-// TestCDRDisposition: each disposition's four views — the CSV string,
-// the WAL token, the pbx_cdr_total label and the call's outcome — and
-// the WAL token reads back.
+// TestCDRDisposition: each disposition's three views — the CSV string,
+// the pbx_cdr_total label and the call's outcome.
 func TestCDRDisposition(t *testing.T) {
 	cases := []struct {
-		d               Disposition
-		csv, wal, label string
-		outcome         outcome
+		d          Disposition
+		csv, label string
+		outcome    outcome
 	}{
-		{NoAnswer, "NO ANSWER", "NO-ANSWER", "no-answer", outcomeRejected},
-		{Answered, "ANSWERED", "ANSWERED", "answered", outcomeCompleted},
-		{Failed, "FAILED", "FAILED", "failed", outcomeFailed},
-		{Lost, "LOST", "LOST", "lost", outcomeLost},
+		{NoAnswer, "NO ANSWER", "no-answer", outcomeRejected},
+		{Answered, "ANSWERED", "answered", outcomeCompleted},
+		{Failed, "FAILED", "failed", outcomeFailed},
+		{Lost, "LOST", "lost", outcomeLost},
 	}
 	if len(cases) != int(numDispositions) {
 		t.Fatalf("%d cases for %d dispositions", len(cases), numDispositions)
@@ -216,21 +197,12 @@ func TestCDRDisposition(t *testing.T) {
 		if got := c.d.String(); got != c.csv {
 			t.Errorf("%d: CSV %q, want %q", c.d, got, c.csv)
 		}
-		if got := c.d.token(); got != c.wal {
-			t.Errorf("%s: WAL token %q, want %q", c.d, got, c.wal)
-		}
 		if got := c.d.label(); got != c.label {
 			t.Errorf("%s: metric label %q, want %q", c.d, got, c.label)
 		}
 		if got := c.d.outcome(); got != c.outcome {
 			t.Errorf("%s: outcome %s, want %s", c.d, outcomeNames[got], outcomeNames[c.outcome])
 		}
-		if got, ok := parseDisposition(c.wal); !ok || got != c.d {
-			t.Errorf("parseDisposition(%q) = %v, %v", c.wal, got, ok)
-		}
-	}
-	if _, ok := parseDisposition("NO ANSWER"); ok {
-		t.Error("parseDisposition accepted the CSV spelling")
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/cpu"
 	"repro/internal/directory"
-	"repro/internal/mos"
 	"repro/internal/sip"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -92,10 +91,6 @@ type Config struct {
 	// transcoded bridges, advertise an upstream backoff window, and
 	// finally block. Nil, the server behaves exactly as before.
 	Degradation *DegradationConfig
-	// ScoreCodec selects the E-model codec profile for CDR MOS values.
-	// Default is mos.G711PLC, matching VoIPmonitor's concealment-aware
-	// G.711 scoring.
-	ScoreCodec mos.Codec
 	// RemoteMediaClocks declares that RTP senders stamp timestamps from
 	// their own clocks (real endpoints over the wire). The relay's
 	// transit-time estimates are then cross-clock offsets, not one-way
@@ -103,7 +98,7 @@ type Config struct {
 	// round trips instead. Leave false in the simulator, where senders
 	// and the PBX share one clock base and transit is a real delay.
 	RemoteMediaClocks bool
-	// Journal, when non-nil, write-ahead logs every call's lifecycle
+	// Journal, when non-nil, records every call's lifecycle
 	// (begin at admission, answer at ACK, end at teardown) so records
 	// interrupted by a crash can be recovered. The journal models the
 	// durable disk: it is owned by the caller and survives Server
@@ -142,7 +137,9 @@ type Counters struct {
 	Completed      uint64 // ended via BYE
 	Canceled       uint64 // abandoned by the caller before answer
 	RelayedPackets uint64 // RTP packets forwarded
+	RelayedBytes   uint64 // bytes of the RTP packets forwarded
 	DroppedPackets uint64 // RTP packets dropped by overload
+	RelayedRTCP    uint64 // RTCP reports forwarded
 	PeakChannels   int    // high-water mark of concurrent calls
 
 	// Unanswered, Aborted and Lost count the outcomes the fields above
@@ -202,7 +199,9 @@ func (c *Counters) Add(o Counters) {
 	c.Aborted += o.Aborted
 	c.Lost += o.Lost
 	c.RelayedPackets += o.RelayedPackets
+	c.RelayedBytes += o.RelayedBytes
 	c.DroppedPackets += o.DroppedPackets
+	c.RelayedRTCP += o.RelayedRTCP
 	c.PeakChannels += o.PeakChannels
 	c.RejectedPackets += o.RejectedPackets
 	c.TranscodedCalls += o.TranscodedCalls
@@ -301,9 +300,6 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	if cfg.RTPPortBase == 0 {
 		cfg.RTPPortBase = 10000
 	}
-	if cfg.ScoreCodec.Name == "" {
-		cfg.ScoreCodec = mos.G711PLC
-	}
 	host, _, _ := strings.Cut(ep.Addr(), ":")
 	s := &Server{
 		ep:         ep,
@@ -390,9 +386,6 @@ func (s *Server) Drain() {
 	}
 	s.draining = true
 	s.drainStart = s.ep.Clock().Now()
-	if s.tm != nil {
-		s.tm.draining.Set(1)
-	}
 	s.mu.Unlock()
 	s.maybeFinishDrain()
 }
@@ -456,15 +449,18 @@ func (s *Server) Crash() {
 	s.bridges = make(map[string]*bridge)
 	s.channels = 0
 	s.transcodeLoad = 0
-	s.updateChannelGaugesLocked()
 	s.mu.Unlock()
 
 	// Media closes outside s.mu (the relay→server lock order), and
-	// before the outcome, so that no first-RTP event trails it.
+	// before the outcome, so that no first-RTP event trails it; a
+	// closed relay's counts go into Counters, as at teardown.
 	for _, br := range calls {
 		br.state = bridgeTerminated
 		br.closeMedia()
 		s.mu.Lock()
+		if br.relay != nil {
+			br.relay.foldLocked(&s.counters)
+		}
 		s.endLocked(br.cdr.CallID, outcomeLost, br.cdr.StartedAt, br.cdr.RingingAt, br.okAt, br.byeAt)
 		s.mu.Unlock()
 	}
@@ -518,8 +514,8 @@ func (s *Server) scheduleSample() {
 // evaluateDegradationLocked feeds one sampler tick into the ladder:
 // the fresh CPU reading, the relay drop rate since the previous tick,
 // and the mean measured MOS of the calls that tore down since then.
-// Transitions land in the controller's timeline and the stage gauge.
-// Callers hold s.mu. A no-op while the ladder is disabled.
+// Transitions land in the controller's timeline. Callers hold s.mu.
+// A no-op while the ladder is disabled.
 func (s *Server) evaluateDegradationLocked(util float64) {
 	if s.degrade == nil {
 		return
@@ -535,10 +531,7 @@ func (s *Server) evaluateDegradationLocked(util float64) {
 		sig.MOS = s.mosTickSum / float64(s.mosTickCalls)
 		s.mosTickSum, s.mosTickCalls = 0, 0
 	}
-	stage := s.degrade.Evaluate(s.ep.Clock().Now(), sig)
-	if s.tm != nil && s.tm.degradeStage != nil {
-		s.tm.degradeStage.SetInt(int(stage))
-	}
+	s.degrade.Evaluate(s.ep.Clock().Now(), sig)
 }
 
 // degradeStageLocked is the current rung (StageNormal when the ladder

@@ -107,7 +107,7 @@ func BenchmarkRelayForwardRealUDP(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(1, "events/run")
 
-			fwd, drop := r.stats()
+			fwd, drop := r.forwarded.Load(), r.dropped.Load()
 			if fwd != uint64(b.N+1) || drop != 0 {
 				b.Fatalf("forwarded %d dropped %d of %d", fwd, drop, b.N+1)
 			}

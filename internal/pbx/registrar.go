@@ -129,7 +129,6 @@ func (s *Server) handleRegister(tx *sip.ServerTx, req *sip.Message, src string) 
 		s.counters.Registers++
 		s.counters.RegisterRemovals++
 		s.mu.Unlock()
-		s.recordRegisterAccepted()
 		resp := req.Response(sip.StatusOK)
 		resp.Expires = 0
 		tx.Respond(resp)
@@ -168,7 +167,6 @@ func (s *Server) handleRegister(tx *sip.ServerTx, req *sip.Message, src string) 
 		s.counters.RegisterRemovals++
 	}
 	s.mu.Unlock()
-	s.recordRegisterAccepted()
 	resp := req.Response(sip.StatusOK)
 	resp.Contact = req.Contact
 	resp.Expires = expSec
@@ -205,11 +203,4 @@ func (s *Server) registerAuthFail(tx *sip.ServerTx, req *sip.Message) {
 	s.counters.RegisterAuthFail++
 	s.mu.Unlock()
 	tx.Respond(req.Response(sip.StatusTemporarilyDenied))
-}
-
-// recordRegisterAccepted refreshes the bindings gauge after a 200.
-func (s *Server) recordRegisterAccepted() {
-	if s.tm != nil && s.tm.bindings != nil {
-		s.tm.bindings.SetInt(int(s.dir.LiveBindings()))
-	}
 }

@@ -7,9 +7,11 @@ import (
 	"net/netip"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/media"
+	"repro/internal/mos"
 	"repro/internal/rtp"
 	"repro/internal/sdp"
 	"repro/internal/transport"
@@ -43,10 +45,17 @@ type relay struct {
 	fromCaller *media.QoSMeter
 	fromCallee *media.QoSMeter
 
-	forwarded  uint64
-	dropped    uint64
-	transcoded uint64
-	closed     bool
+	closed bool
+
+	// The relay's counts: written under mu as packets pass, read
+	// without it — the server's pull families read them under s.mu,
+	// which overloadDrop takes under mu — and folded into Counters at
+	// teardown (foldLocked).
+	forwarded  atomic.Uint64 // RTP packets sent on
+	bytes      atomic.Uint64 // bytes of those packets, as sent
+	dropped    atomic.Uint64 // RTP packets shed by the overload model
+	transcoded atomic.Uint64 // RTP packets rewritten between codecs
+	rtcp       atomic.Uint64 // RTCP reports sent on
 
 	// Negotiated bridge codecs, set once the B leg answered. aPT/bPT
 	// are the audio payload types on the caller- and callee-facing
@@ -113,8 +122,8 @@ func (s *Server) newRelay(br *bridge, offer *sdp.Session) (*relay, error) {
 		bTr:        bTr,
 		aCallID:    callID,
 		callerAddr: mediaAddr(offer.Host, offer.Port),
-		fromCaller: media.NewQoSMeter(s.cfg.ScoreCodec),
-		fromCallee: media.NewQoSMeter(s.cfg.ScoreCodec),
+		fromCaller: media.NewQoSMeter(mos.G711PLC),
+		fromCallee: media.NewQoSMeter(mos.G711PLC),
 	}
 	r.fromCaller.SetRemoteClocks(s.cfg.RemoteMediaClocks)
 	r.fromCallee.SetRemoteClocks(s.cfg.RemoteMediaClocks)
@@ -223,10 +232,8 @@ func (r *relay) forward(src string, data []byte, obs *media.QoSMeter, out func(s
 			echo = r.fromCaller
 		}
 		obs.ObserveRTCP(now, data, echo)
+		r.rtcp.Add(1)
 		r.mu.Unlock()
-		if tm := r.s.tm; tm != nil {
-			tm.relayRTCP.Inc()
-		}
 		out(dst, data)
 		return
 	}
@@ -253,11 +260,8 @@ func (r *relay) forward(src string, data []byte, obs *media.QoSMeter, out func(s
 		if observed {
 			obs.NoteShed()
 		}
-		r.dropped++
+		r.dropped.Add(1)
 		r.mu.Unlock()
-		if tm := r.s.tm; tm != nil {
-			tm.relayDrops.Inc()
-		}
 		return
 	}
 	// Transcoding bridge: rewrite the in-leg audio frame into the out
@@ -265,7 +269,6 @@ func (r *relay) forward(src string, data []byte, obs *media.QoSMeter, out func(s
 	// SSRC preserved (every preset runs 20 ms at an 8 kHz RTP clock).
 	// The marshal buffer is reused; netsim/UDP transports copy on send.
 	wire := data
-	transcoded := false
 	if r.transcode && parsed && r.scratch.PayloadType == inPT {
 		r.scratch.PayloadType = outPT
 		if toCaller {
@@ -277,23 +280,15 @@ func (r *relay) forward(src string, data []byte, obs *media.QoSMeter, out func(s
 			wire = r.scratch.Marshal(r.toCalleeBuf[:0])
 			r.toCalleeBuf = wire
 		}
-		r.transcoded++
-		transcoded = true
+		r.transcoded.Add(1)
 	}
-	r.forwarded++
-	if r.forwarded == 1 && r.aCallID != "" {
+	r.bytes.Add(uint64(len(wire)))
+	if r.forwarded.Add(1) == 1 && r.aCallID != "" {
 		// Under r.mu while the relay is open: the call's outcome, which
 		// removeBridge records after closing the relay, comes later.
 		r.s.flight.record(now, r.aCallID, stageFirstRTP)
 	}
 	r.mu.Unlock()
-	if tm := r.s.tm; tm != nil {
-		tm.relayPkts.Inc()
-		tm.relayBytes.Add(uint64(len(wire)))
-		if transcoded {
-			tm.relayTranscoded.Inc()
-		}
-	}
 	out(dst, wire)
 }
 
@@ -312,18 +307,14 @@ func (r *relay) overloadDrop() bool {
 	return s.rng.Float64() < p
 }
 
-// stats snapshots the relay counters.
-func (r *relay) stats() (forwarded, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.forwarded, r.dropped
-}
-
-// transcodedPkts snapshots the rewrite counter.
-func (r *relay) transcodedPkts() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.transcoded
+// foldLocked adds the relay's counts to c, once the relay is closed
+// and counts nothing more. Callers hold s.mu.
+func (r *relay) foldLocked(c *Counters) {
+	c.RelayedPackets += r.forwarded.Load()
+	c.RelayedBytes += r.bytes.Load()
+	c.DroppedPackets += r.dropped.Load()
+	c.TranscodedPkts += r.transcoded.Load()
+	c.RelayedRTCP += r.rtcp.Load()
 }
 
 func (r *relay) close() {

@@ -175,7 +175,7 @@ func TestRelayAcceptsMediaOnlyFromSDPAddress(t *testing.T) {
 				rig.fromCallee(audio(seq))
 			}
 			rig.settle("the parties' next packets", func() bool { return rig.calleeGot() == 10 && rig.callerGot() == 10 })
-			if fwd, drop := rig.r.stats(); fwd != 20 || drop != 0 || rejected() != 3 {
+			if fwd, drop := rig.r.forwarded.Load(), rig.r.dropped.Load(); fwd != 20 || drop != 0 || rejected() != 3 {
 				t.Errorf("forwarded %d, dropped %d, rejected %d; want 20, 0 and 3", fwd, drop, rejected())
 			}
 			rig.r.mu.Lock()

@@ -1,6 +1,8 @@
 package pbx
 
 import (
+	"sync/atomic"
+
 	"repro/internal/codec"
 	"repro/internal/rtp"
 	"repro/internal/telemetry"
@@ -56,16 +58,14 @@ const (
 )
 
 // pbxMetrics holds the server's pre-resolved telemetry handles: the
-// levels, distributions and breakdowns that Counters does not keep.
-// The families that count what Counters already counts are pull views
-// of it (publishCounters). All are registered once in New; record
-// sites are nil-guarded so a PBX without a registry pays only a
-// pointer check.
+// distributions, admission verdicts and breakdowns that no struct of
+// the server keeps. Every family whose fact the server already keeps
+// is a pull view of it (publishCounters). All are registered once in
+// New; record sites are nil-guarded so a PBX without a registry pays
+// only a pointer check.
 type pbxMetrics struct {
 	admitOK *telemetry.Counter // admission verdicts for the active policy
 	admitNo *telemetry.Counter
-	active  *telemetry.Gauge
-	peak    *telemetry.Gauge
 
 	cdrs        [numDispositions]*telemetry.Counter // by Disposition
 	jitter      *telemetry.Histogram
@@ -79,27 +79,14 @@ type pbxMetrics struct {
 	postDial *telemetry.Histogram // INVITE to the first 1xx forwarded
 	teardown *telemetry.Histogram // BYE to the record's close
 
-	relayPkts       *telemetry.Counter
-	relayBytes      *telemetry.Counter
-	relayDrops      *telemetry.Counter
-	relayTranscoded *telemetry.Counter
-	relayRTCP       *telemetry.Counter
+	// Answered bridges by negotiated leg codec.
+	byCodec    map[int]*telemetry.Counter
+	otherCodec *telemetry.Counter
 
-	// Codec plane: answered bridges by negotiated leg codec and the
-	// active transcode surcharge.
-	byCodec       map[int]*telemetry.Counter
-	otherCodec    *telemetry.Counter
-	transcodeLoad *telemetry.Gauge
-
-	draining *telemetry.Gauge
 	drainDur *telemetry.Histogram
 
-	// Degradation ladder (nil unless the ladder is enabled).
-	degradeStage *telemetry.Gauge
+	// Calls by admitting ladder rung (nil unless the ladder is enabled).
 	callsByStage [degradationStageCount]*telemetry.Counter
-
-	// Registrar plane (nil unless the registrar is enabled).
-	bindings *telemetry.Gauge
 }
 
 // latencyBuckets is the layout (seconds) of the call-timing and drain
@@ -123,9 +110,28 @@ func (s *Server) count(field *uint64) func() float64 {
 	return s.read(func() float64 { return float64(*field) })
 }
 
-// publishCounters registers the families that read Counters. A second
+// relayCount returns a reader of one relay count: its Counters total,
+// folded in from the relays of ended calls, plus every live relay's
+// own count. A call is filed under both Call-IDs and read under its A
+// leg only. The relay counts are atomics because the read holds s.mu,
+// which a relay takes under its own lock (overloadDrop).
+func (s *Server) relayCount(folded *uint64, live func(*relay) *atomic.Uint64) func() float64 {
+	return s.read(func() float64 {
+		n := *folded
+		for id, br := range s.bridges {
+			if br.relay != nil && id == br.cdr.CallID {
+				n += live(br.relay).Load()
+			}
+		}
+		return float64(n)
+	})
+}
+
+// publishCounters registers the families that read what the server
+// keeps: Counters, its live relays' counts and its levels. A second
 // server on the same registry — a farm's next backend, a crashed
-// server's restart — adds its reads to the same series.
+// server's restart — adds its counts to the same series, and its
+// levels replace the older server's.
 func (s *Server) publishCounters(reg *telemetry.Registry) {
 	reg.CounterFunc(mInvites, "new-call INVITEs received", s.count(&s.counters.Attempts))
 	reg.CounterFunc(mBlocked, "calls shed by admission control (503)", s.count(&s.counters.Blocked))
@@ -143,6 +149,32 @@ func (s *Server) publishCounters(reg *telemetry.Registry) {
 	reg.GaugeFunc(mActiveSpans, "call spans currently open", s.read(func() float64 {
 		return float64(s.counters.Attempts) - float64(s.counters.Ended())
 	}))
+
+	c := &s.counters
+	reg.CounterFunc(mRelayPkts, "RTP packets forwarded by call relays",
+		s.relayCount(&c.RelayedPackets, func(r *relay) *atomic.Uint64 { return &r.forwarded }))
+	reg.CounterFunc(mRelayBytes, "RTP payload bytes forwarded by call relays",
+		s.relayCount(&c.RelayedBytes, func(r *relay) *atomic.Uint64 { return &r.bytes }))
+	reg.CounterFunc(mRelayDrops, "RTP packets dropped by the overload model",
+		s.relayCount(&c.DroppedPackets, func(r *relay) *atomic.Uint64 { return &r.dropped }))
+	reg.CounterFunc(mRelayTrans, "RTP packets payload-converted by transcoding bridges",
+		s.relayCount(&c.TranscodedPkts, func(r *relay) *atomic.Uint64 { return &r.transcoded }))
+	reg.CounterFunc(mRelayRTCP, "RTCP reports forwarded (and QoS-tapped) by call relays",
+		s.relayCount(&c.RelayedRTCP, func(r *relay) *atomic.Uint64 { return &r.rtcp }))
+
+	reg.GaugeFunc(mActive, "calls currently holding a channel",
+		s.read(func() float64 { return float64(s.channels) }))
+	reg.GaugeFunc(mPeak, "high-water mark of concurrent calls",
+		s.read(func() float64 { return float64(c.PeakChannels) }))
+	reg.GaugeFunc(mTranscodeLoad, "CPU percent currently charged to active transcoding bridges",
+		s.read(func() float64 { return s.transcodeLoad }))
+	reg.GaugeFunc(mDraining, "1 while the server is in administrative drain",
+		s.read(func() float64 {
+			if s.draining {
+				return 1
+			}
+			return 0
+		}))
 }
 
 // registerRegistrar adds the REGISTER-plane families. Called from New
@@ -163,7 +195,8 @@ func (s *Server) registerRegistrar(reg *telemetry.Registry) {
 	} {
 		reg.CounterFunc(mRegisters, "REGISTER requests by outcome", o.read, telemetry.L("outcome", o.label))
 	}
-	s.tm.bindings = reg.Gauge(mBindings, "contact bindings currently stored")
+	reg.GaugeFunc(mBindings, "contact bindings currently stored",
+		func() float64 { return float64(s.dir.LiveBindings()) })
 	// A stale re-challenge is the nonce cache's stale verdict and a 403
 	// its bad one: the registrar counts both already.
 	result := func(r string) telemetry.Label { return telemetry.L("result", r) }
@@ -180,8 +213,8 @@ func (s *Server) registerRegistrar(reg *telemetry.Registry) {
 // exactly the pre-ladder metric surface, keeping the golden telemetry
 // snapshots byte-identical.
 func (s *Server) registerDegradation(reg *telemetry.Registry) {
-	s.tm.degradeStage = reg.Gauge(mDegradeStage,
-		"current degradation-ladder rung (0=normal .. 4=block)")
+	reg.GaugeFunc(mDegradeStage, "current degradation-ladder rung (0=normal .. 4=block)",
+		s.read(func() float64 { return float64(s.degrade.Stage()) }))
 	reg.CounterFunc(mDegradeTransitions, "degradation-ladder stage transitions",
 		s.read(func() float64 { return float64(len(s.degrade.timeline)) }))
 	for i := range s.tm.callsByStage {
@@ -199,8 +232,6 @@ func newPBXMetrics(reg *telemetry.Registry, policy string) *pbxMetrics {
 			telemetry.L("policy", policy), telemetry.L("verdict", "admit")),
 		admitNo: reg.Counter(mAdmission, "admission decisions by policy and verdict",
 			telemetry.L("policy", policy), telemetry.L("verdict", "reject")),
-		active: reg.Gauge(mActive, "calls currently holding a channel"),
-		peak:   reg.Gauge(mPeak, "high-water mark of concurrent calls"),
 
 		jitter: reg.Histogram(mJitter, "per-direction RFC 3550 jitter at CDR close",
 			telemetry.ExponentialBuckets(0.0005, 2, 12)), // 0.5ms .. ~1s
@@ -213,18 +244,8 @@ func newPBXMetrics(reg *telemetry.Registry, policy string) *pbxMetrics {
 		rttHist: reg.Histogram(mRTT, "RTCP LSR/DLSR round-trip delay at CDR close",
 			telemetry.ExponentialBuckets(0.001, 2, 12)), // 1ms .. ~4s
 
-		relayPkts:       reg.Counter(mRelayPkts, "RTP packets forwarded by call relays"),
-		relayBytes:      reg.Counter(mRelayBytes, "RTP payload bytes forwarded by call relays"),
-		relayDrops:      reg.Counter(mRelayDrops, "RTP packets dropped by the overload model"),
-		relayTranscoded: reg.Counter(mRelayTrans, "RTP packets payload-converted by transcoding bridges"),
-		relayRTCP:       reg.Counter(mRelayRTCP, "RTCP reports forwarded (and QoS-tapped) by call relays"),
-
 		otherCodec: reg.Counter(mCallsByCodec, "answered bridges by negotiated leg codec",
 			telemetry.L("codec", "other")),
-		transcodeLoad: reg.Gauge(mTranscodeLoad,
-			"CPU percent currently charged to active transcoding bridges"),
-
-		draining: reg.Gauge(mDraining, "1 while the server is in administrative drain"),
 		drainDur: reg.Histogram(mDrainDur,
 			"drain start to last channel released", latencyBuckets),
 
@@ -251,15 +272,6 @@ func (tm *pbxMetrics) callsByCodec(pt int) *telemetry.Counter {
 		return c
 	}
 	return tm.otherCodec
-}
-
-// updateChannelGaugesLocked mirrors the channel pool into the gauges.
-// Callers hold s.mu.
-func (s *Server) updateChannelGaugesLocked() {
-	if s.tm != nil {
-		s.tm.active.SetInt(s.channels)
-		s.tm.peak.SetInt(s.counters.PeakChannels)
-	}
 }
 
 // recordCDRMetricsLocked feeds one closing CDR into the quality

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/cpu"
 	"repro/internal/sip"
 	"repro/internal/telemetry"
@@ -36,17 +37,19 @@ func series(snap telemetry.Snapshot, name string, kv ...string) float64 {
 	return total
 }
 
-// twoIncarnations runs a server with registrar, ladder and drain on one
-// registry, crashes it, and runs its restart on the same registry and
-// address: the two incarnations are returned oldest first, with the
-// registry both publish into. Both endpoints publish their sip_*
-// families there too.
+// twoIncarnations runs a server with registrar, ladder, drain and RTP
+// relay on one registry, crashes it, and runs its restart on the same
+// registry and address, which it leaves carrying one call with media:
+// the two incarnations are returned oldest first, with the registry
+// both publish into. Both endpoints publish their sip_* families there
+// too.
 func twoIncarnations(t *testing.T) (*telemetry.Registry, []*Server) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	cfg := Config{
 		Telemetry:   reg,
 		MaxChannels: 2,
+		RelayRTP:    true,
 		Registrar:   RegistrarConfig{Enabled: true},
 		CPU:         cpu.DefaultModel(),
 		// Thresholds under the idle CPU model: the ladder climbs to
@@ -97,6 +100,8 @@ func twoIncarnations(t *testing.T) (*telemetry.Registry, []*Server) {
 	}
 	r.sched.Run(r.sched.Now() + 5*time.Second)
 	calls()
+	mediaCall(r, r.phones[0], "u3", time.Hour)
+	r.sched.Run(r.sched.Now() + 5*time.Second)
 	return reg, []*Server{first, r.server}
 }
 
@@ -177,10 +182,10 @@ func TestPulledFamiliesSumIncarnations(t *testing.T) {
 
 // TestPulledReadsAllocFree pins the cost of watching: with two servers
 // publishing into one registry, a read of a pulled family allocates
-// nothing.
+// nothing — a live relay's count and a level included.
 func TestPulledReadsAllocFree(t *testing.T) {
 	reg, _ := twoIncarnations(t)
-	for _, name := range []string{"sip_messages_total", mRegisters, mInvites, mCallsTotal} {
+	for _, name := range []string{"sip_messages_total", mRegisters, mInvites, mCallsTotal, mRelayPkts, mActive} {
 		read := reg.ValueFunc(name)
 		if read == nil || read() == 0 {
 			t.Fatalf("%s: nothing to read", name)
@@ -188,5 +193,69 @@ func TestPulledReadsAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() { read() }); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
+	}
+}
+
+// TestBindingsFollowExpiry: pbx_bindings reads the directory, so a
+// binding that expires leaves the family when it leaves the directory.
+func TestBindingsFollowExpiry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r := newRig(t, 2, Config{Telemetry: reg, Registrar: RegistrarConfig{Enabled: true}})
+	r.phones[1].Register(2*time.Second, nil)
+	r.sched.Run(r.sched.Now() + 10*time.Second)
+	live := r.server.Directory().LiveBindings()
+	if got := reg.Snapshot().Scalar(mBindings); live != 1 || got != float64(live) {
+		t.Errorf("%s = %v, LiveBindings = %d; want both 1", mBindings, got, live)
+	}
+}
+
+// TestTranscodeLoadAfterCrash: a crash releases the transcoding
+// surcharge of the calls it cuts, and pbx_transcode_load_percent reads
+// the released load.
+func TestTranscodeLoadAfterCrash(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r := newCodecRig(t, Config{RelayRTP: true, Codecs: codec.AllPayloadTypes(), Telemetry: reg},
+		[]int{18}, []int{0, 8})
+	mediaCall(r, r.phones[0], "u1", time.Minute)
+	r.sched.Run(r.sched.Now() + 5*time.Second)
+	want := codec.TranscodeCostPercent(codec.G729, codec.G711U)
+	if got := reg.Snapshot().Scalar(mTranscodeLoad); got != want {
+		t.Fatalf("mid-call %s = %v, want %v", mTranscodeLoad, got, want)
+	}
+	r.server.Crash()
+	r.sched.Run(r.sched.Now() + time.Second)
+	load := r.server.TranscodeLoad()
+	if got := reg.Snapshot().Scalar(mTranscodeLoad); load != 0 || got != load {
+		t.Errorf("after the crash %s = %v, TranscodeLoad = %v; want both 0", mTranscodeLoad, got, load)
+	}
+}
+
+// TestOneRelayBookAcrossCrash: the relay families read Counters plus
+// the live relays, and a crash folds the relays it cuts into Counters,
+// so family and Counters agree after it and the family never falls.
+func TestOneRelayBookAcrossCrash(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r := newRig(t, 2, Config{RelayRTP: true, Telemetry: reg})
+	mediaCall(r, r.phones[0], "u1", time.Minute)
+	pkts, bytes := reg.ValueFunc(mRelayPkts), reg.ValueFunc(mRelayBytes)
+	start, last := r.sched.Now(), 0.0
+	for step := 1; step <= 100; step++ {
+		r.sched.Run(start + time.Duration(step)*100*time.Millisecond)
+		if step == 50 {
+			r.server.Crash()
+		}
+		v := pkts()
+		if v < last {
+			t.Fatalf("%s fell from %v to %v at %v", mRelayPkts, last, v, r.sched.Now())
+		}
+		last = v
+	}
+	c := r.server.CountersSnapshot()
+	if c.RelayedPackets == 0 || last != float64(c.RelayedPackets) {
+		t.Errorf("%s = %v, Counters.RelayedPackets = %d; want equal and non-zero",
+			mRelayPkts, last, c.RelayedPackets)
+	}
+	if got := bytes(); got != float64(c.RelayedBytes) {
+		t.Errorf("%s = %v, Counters.RelayedBytes = %d", mRelayBytes, got, c.RelayedBytes)
 	}
 }

@@ -1,6 +1,8 @@
 package pbx
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +17,9 @@ import (
 // media and pushing the ladder up its rungs on pressure 1.0. pbxd's
 // relay must forward every packet, the ladder (on, at its default
 // thresholds) must stay at normal, and the CPU band must read nothing.
+// A scraper reads every family while the calls come and go, as
+// /metrics does: the relay's packet count, read from the live relays
+// without their locks, never falls, and it ends where Counters does.
 func TestWireRunsNoModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
@@ -42,6 +47,28 @@ func TestWireRunsNoModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	pkts := w.Registry.ValueFunc(mRelayPkts)
+	stop, fell := make(chan struct{}), make(chan string, 1)
+	go func() {
+		defer close(fell)
+		for last := 0.0; ; time.Sleep(time.Millisecond) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w.Registry.Snapshot()
+			v := pkts()
+			if v < last {
+				fell <- fmt.Sprintf("%s fell from %v to %v", mRelayPkts, last, v)
+				return
+			}
+			last = v
+		}
+	}()
+	stopScraper := sync.OnceValue(func() string { close(stop); return <-fell })
+	t.Cleanup(func() { stopScraper() })
+
 	done := make(chan error, 1)
 	gen.Start(func(_ sipp.Results, err error) { done <- err })
 	select {
@@ -55,6 +82,9 @@ func TestWireRunsNoModel(t *testing.T) {
 	if err := gen.Close(); err != nil {
 		t.Errorf("generator close: %v", err)
 	}
+	if msg := stopScraper(); msg != "" {
+		t.Error(msg)
+	}
 	if err := w.Close(); err != nil {
 		t.Errorf("wire close: %v", err)
 	}
@@ -63,6 +93,9 @@ func TestWireRunsNoModel(t *testing.T) {
 	t.Logf("%d attempts, %d relayed, %d dropped", c.Attempts, c.RelayedPackets, c.DroppedPackets)
 	if c.RelayedPackets == 0 {
 		t.Fatal("no RTP crossed the relay")
+	}
+	if got := pkts(); got != float64(c.RelayedPackets) {
+		t.Errorf("%s = %v, Counters.RelayedPackets = %d", mRelayPkts, got, c.RelayedPackets)
 	}
 	if dropped := w.Registry.Snapshot().Scalar(mRelayDrops); c.DroppedPackets != 0 || dropped != 0 {
 		t.Errorf("relay dropped %d packets (%s = %v) with no CPU model", c.DroppedPackets, mRelayDrops, dropped)

@@ -128,9 +128,6 @@ type Config struct {
 	MediaTimeout time.Duration
 	// Target is the callee extension all calls dial.
 	Target string
-	// ScoreCodec is the E-model profile for per-call MOS
-	// (default mos.G711PLC, VoIPmonitor-style).
-	ScoreCodec mos.Codec
 	// CodecMix, when non-empty, draws each logical call's offered
 	// codec preference list from these weighted shares (retries keep
 	// the call's draw). Empty offers the phone default (G.711 µ/A).
@@ -304,9 +301,6 @@ func New(clock transport.Clock, listen Listen, caller, callee Bind, proxy string
 	if cfg.Target == "" {
 		cfg.Target = "uas"
 	}
-	if cfg.ScoreCodec.Name == "" {
-		cfg.ScoreCodec = mos.G711PLC
-	}
 	g := &Generator{
 		serial: serial{clock: clock},
 		cfg:    cfg,
@@ -465,17 +459,17 @@ func (g *Generator) startSession(c *sip.Call) *media.Session {
 	return sess
 }
 
-// scoreProfile picks the E-model profile for one leg's report: the
-// configured default for single-codec runs, the negotiated codec's own
-// profile under a mix.
+// scoreProfile picks the E-model profile for one leg's report:
+// VoIPmonitor's concealment-aware G.711 for single-codec runs, the
+// negotiated codec's own profile under a mix.
 func (g *Generator) scoreProfile(c *sip.Call) mos.Codec {
 	if len(g.cfg.CodecMix) == 0 {
-		return g.cfg.ScoreCodec
+		return mos.G711PLC
 	}
 	if cd, ok := codec.ByPayloadType(c.Media().PayloadType); ok {
 		return cd.MOS()
 	}
-	return g.cfg.ScoreCodec
+	return mos.G711PLC
 }
 
 // drawCodec picks a share from the mix. Only multi-share mixes draw

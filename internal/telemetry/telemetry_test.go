@@ -191,8 +191,12 @@ func TestConcurrentWriters(t *testing.T) {
 			}
 		}()
 	}
+	// The reader is joined before the test returns: left running, it
+	// would still be allocating inside a later test's AllocsPerRun.
 	done := make(chan struct{})
+	readerDone := make(chan struct{})
 	go func() {
+		defer close(readerDone)
 		for {
 			select {
 			case <-done:
@@ -206,6 +210,7 @@ func TestConcurrentWriters(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
+	<-readerDone
 
 	if got := c.Value(); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
