@@ -78,12 +78,15 @@ fuzz-smoke:
 # So does the chaos harness (chaos.go): its one Run carries every fault
 # script, and its CheckInvariants is what every chaos scenario is judged
 # by. So does the CPU model (cpu.go), whose zero value must stay no
-# model: it is what every server on real sockets runs.
+# model: it is what every server on real sockets runs. So does the SIP
+# transaction layer (endpoint.go, transaction.go, and linger.go, the
+# log lingering transactions are kept in): every message pbxd sends or
+# absorbs goes through it.
 # COVER_FILES lists package:file,file,… — each file measured from its
 # own package's tests.
 COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome,voicemail,wire \
 	transport:batch_linux,udp,sharded,legpool,legpool_linux \
-	sip:telemetry cluster:telemetry telemetry:registry monitor:sampler \
+	sip:telemetry,endpoint,transaction,linger cluster:telemetry telemetry:registry monitor:sampler \
 	chaos:chaos cpu:cpu
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null

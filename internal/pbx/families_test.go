@@ -16,12 +16,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestWireFamiliesAreSimPlusFour pins the observability contract that
+// TestWireFamiliesAreSimPlusFive pins the observability contract that
 // sim and wire export the same metric families: with one Config, the
 // pbx_*, sip_* and rtp_relay_* families of pbxd's wiring are the sim
-// rig's plus exactly the four that wire.go adds, and the wire also
+// rig's plus exactly the five that wire.go adds, and the wire also
 // exports its process CPU (an external test: rig imports pbx).
-func TestWireFamiliesAreSimPlusFour(t *testing.T) {
+func TestWireFamiliesAreSimPlusFive(t *testing.T) {
 	cfg := pbx.Config{
 		RelayRTP:    true,
 		Registrar:   pbx.RegistrarConfig{Enabled: true},
@@ -47,7 +47,7 @@ func TestWireFamiliesAreSimPlusFour(t *testing.T) {
 	// does to the wire.
 	monitor.NewSLO(r.Reg, monitor.DefaultSLORules())
 	want := append(families(r.Reg), "rtp_relay_rejected_total",
-		"sip_active_transactions", "sip_lingering_transactions", "sip_tx_reaper_runs_total")
+		"sip_active_transactions", "sip_lingering_bytes", "sip_lingering_transactions", "sip_tx_reaper_runs_total")
 	sort.Strings(want)
 
 	w, err := pbx.ListenWire("127.0.0.1:0", 1, directory.New(), cfg)

@@ -15,11 +15,13 @@ import (
 
 // These families exist on the wall-clock wiring only: the wire then
 // shows what in-process runs read off Endpoint.ActiveTransactions,
-// LingeringTransactions and ReaperRuns and Counters.RejectedPackets,
-// and the simulator's telemetry snapshots keep their families.
+// LingeringTransactions, LingeringBytes and ReaperRuns and
+// Counters.RejectedPackets, and the simulator's telemetry snapshots
+// keep their families.
 const (
 	mSIPActiveTransactions    = "sip_active_transactions"
 	mSIPLingeringTransactions = "sip_lingering_transactions"
+	mSIPLingeringBytes        = "sip_lingering_bytes"
 	mSIPReaperRuns            = "sip_tx_reaper_runs_total"
 	mRelayRejected            = "rtp_relay_rejected_total"
 	mProcessCPUSeconds        = "process_cpu_seconds_total"
@@ -59,8 +61,10 @@ func ListenWire(addr string, shards int, dir *directory.Directory, cfg Config) (
 	transport.PublishTelemetry(reg, "sip", tr)
 	reg.GaugeFunc(mSIPActiveTransactions, "live client and server transactions, lingering ones included",
 		func() float64 { return float64(ep.ActiveTransactions()) })
-	reg.GaugeFunc(mSIPLingeringTransactions, "transactions in their Completed linger, queued for the reaper",
+	reg.GaugeFunc(mSIPLingeringTransactions, "transactions in their Completed linger, kept as log entries until the reaper passes them",
 		func() float64 { return float64(ep.LingeringTransactions()) })
+	reg.GaugeFunc(mSIPLingeringBytes, "bytes of the log lingering transactions are kept in",
+		func() float64 { return float64(ep.LingeringBytes()) })
 	reg.CounterFunc(mSIPReaperRuns, "sweeps of the lingering-transaction reaper",
 		func() float64 { return float64(ep.ReaperRuns()) })
 

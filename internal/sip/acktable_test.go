@@ -1,6 +1,7 @@
 package sip
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -140,12 +141,17 @@ func TestTombstoneDropsRequestAndCallbacks(t *testing.T) {
 		t.Fatal("request dropped before the ACK")
 	}
 	r.ep.handleData("a:5060", wireRequest(ACK, "call-1", "ack1"))
-	if invTx.req != nil || invTx.onAck != nil || invTx.onCancel != nil || invTx.retrans != nil || invTx.destroyTm != nil {
-		t.Errorf("lingering transaction still holds req=%v onAck=%v onCancel=%v timers=%v",
-			invTx.req != nil, invTx.onAck != nil, invTx.onCancel != nil, invTx.retrans != nil || invTx.destroyTm != nil)
+	if invTx.req != nil || invTx.lastWire != nil || invTx.onAck != nil || invTx.onCancel != nil || invTx.retrans != nil || invTx.destroyTm != nil {
+		t.Errorf("lingering transaction still holds req=%v wire=%v onAck=%v onCancel=%v timers=%v",
+			invTx.req != nil, invTx.lastWire != nil, invTx.onAck != nil, invTx.onCancel != nil, invTx.retrans != nil || invTx.destroyTm != nil)
 	}
-	if invTx.lastWire == nil || invTx.key == (txKey{}) || invTx.src == "" {
-		t.Error("tombstone lost its key, source or last response")
+	if _, ok := r.ep.serverTxs[invTx.key]; ok {
+		t.Error("the endpoint still holds the lingering transaction")
+	}
+	// What lingers is the log entry: key, source and last response.
+	e, ok := r.ep.lingering(false, txKey{BranchPrefix + "-inv1", INVITE})
+	if !ok || string(e.addr) != "a:5060" || !bytes.HasPrefix(e.wire, []byte("SIP/2.0 200 ")) {
+		t.Errorf("log entry found=%v source %q wire %q; want a:5060 and the 200", ok, e.addr, e.wire)
 	}
 }
 
@@ -194,9 +200,12 @@ func TestCrashEmptiesAckIndex(t *testing.T) {
 		t.Fatalf("%d INVITEs indexed, %d transactions lingering; want 1 and 100",
 			r.ep.UnackedInvites(), r.ep.LingeringTransactions())
 	}
+	if r.ep.LingeringBytes() == 0 {
+		t.Fatal("100 transactions linger in an empty log")
+	}
 	r.ep.Crash()
-	if tx, idx, q := r.ep.ActiveTransactions(), r.ep.UnackedInvites(), r.ep.LingeringTransactions(); tx != 0 || idx != 0 || q != 0 {
-		t.Errorf("after Crash: %d transactions, %d indexed, %d lingering", tx, idx, q)
+	if tx, idx, q, b := r.ep.ActiveTransactions(), r.ep.UnackedInvites(), r.ep.LingeringTransactions(), r.ep.LingeringBytes(); tx != 0 || idx != 0 || q != 0 || b != 0 {
+		t.Errorf("after Crash: %d transactions, %d indexed, %d lingering in %d B of log", tx, idx, q, b)
 	}
 	// Mid-linger and mid-retransmission, nothing is left armed: not the
 	// reaper, not Timer G or H.

@@ -1,6 +1,7 @@
 package sip
 
 import (
+	"hash/maphash"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,7 +111,7 @@ type Endpoint struct {
 	serverTxs map[txKey]*ServerTx
 	// unacked indexes the INVITE server transactions no ACK has reached
 	// yet, so matching a 2xx ACK is one lookup however many
-	// transactions linger in serverTxs.
+	// transactions linger.
 	unacked map[ackKey]*ServerTx
 
 	// scratch is where every outbound message is rendered, once, and
@@ -118,15 +119,27 @@ type Endpoint struct {
 	// 3261 has them send again.
 	scratch []byte
 
-	// lingerQ is a ring (its length a power of two) of the lingerN
-	// transactions in their Completed linger, oldest at lingerHead.
-	// Every linger lasts CompletedLinger, so arrival order is expiry
-	// order and one timer — armed only while the queue is non-empty —
-	// reaps them all.
-	lingerQ             []lingerEntry
-	lingerHead, lingerN int
-	reaper              transport.RearmTimer
-	reaperRuns          uint64
+	// The linger log (linger.go): chunks is a ring (its length a power
+	// of two) of the chunkN live chunks, the oldest at chunkHead with
+	// serial chunkSerial and its first entry not yet passed at headOff;
+	// freeChunks are the ones reset. idx maps keys to entries, idxUsed
+	// of its slots are taken (stale ones included), and idxSpare is a
+	// cleared table of its size for the next rebuild. lingerN
+	// transactions linger (rewrite entries not counted) in logBytes
+	// bytes, and the reaper — armed only while lingerN > 0 — last ran
+	// at reapedAt: an entry due by then is gone.
+	chunks            [][]byte
+	chunkHead, chunkN int
+	chunkSerial       uint32
+	headOff           int
+	freeChunks        [][]byte
+	idx, idxSpare     []lingerSlot
+	idxUsed           int
+	seed              maphash.Seed
+	lingerN, logBytes int
+	reapedAt          time.Duration
+	reaper            transport.RearmTimer
+	reaperRuns        uint64
 
 	idCounter  uint64
 	sent, recv msgTally
@@ -142,6 +155,7 @@ func NewEndpoint(tr transport.Transport, clock transport.Clock) *Endpoint {
 		clientTxs: make(map[txKey]*ClientTx),
 		serverTxs: make(map[txKey]*ServerTx),
 		unacked:   make(map[ackKey]*ServerTx),
+		seed:      maphash.MakeSeed(),
 		sent:      newMsgTally(),
 		recv:      newMsgTally(),
 	}
@@ -190,7 +204,7 @@ func (ep *Endpoint) Crash() {
 	ep.clientTxs = make(map[txKey]*ClientTx)
 	ep.serverTxs = make(map[txKey]*ServerTx)
 	ep.unacked = make(map[ackKey]*ServerTx)
-	ep.lingerQ, ep.lingerHead, ep.lingerN = nil, 0, 0
+	ep.dropLogLocked()
 	ep.reaper.Stop()
 	ep.mu.Unlock()
 	ep.tr.Close()
@@ -303,6 +317,14 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 	case msg.IsResponse():
 		if ctx, ok := ep.clientTxs[msg.key()]; ok {
 			cb = ctx.handleResponseLocked(msg)
+		} else if e, ok := ep.lingering(true, msg.key()); ok {
+			// A client INVITE that ACKed a non-2xx final ACKs every
+			// retransmission of it (RFC 3261 17.1.1.2) and absorbs
+			// anything else.
+			if msg.StatusCode >= 300 {
+				ep.sent.req[ACK]++
+				ep.tr.Send(string(e.addr), e.wire)
+			}
 		} else {
 			ep.stats.StrayResponses++
 		}
@@ -311,7 +333,7 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 			// ACK for a non-2xx final: same branch as the INVITE.
 			cb = inv.onAck
 			inv.ackedLocked()
-		} else {
+		} else if _, lingers := ep.lingering(false, msg.inviteKey()); !lingers {
 			// ACK for a 2xx carries a new branch (it is its own
 			// transaction, RFC 3261 13.2.2.4): quiet the matching
 			// INVITE server transaction's 2xx retransmissions, then
@@ -321,6 +343,7 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 			}
 			h = ep.handler
 		}
+		// Else a duplicate of a non-2xx ACK: the lingering INVITE absorbs it.
 	case msg.Method == CANCEL:
 		// CANCEL matches the INVITE transaction by branch (RFC 3261
 		// 9.2). The transaction layer answers the CANCEL with 200 (or
@@ -330,7 +353,7 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 			if inv.lastCode < 200 {
 				cb = inv.onCancel
 			}
-		} else {
+		} else if _, ok := ep.lingering(false, msg.inviteKey()); !ok {
 			resp.StatusCode = 481
 			resp.ReasonStr = "Call/Transaction Does Not Exist"
 		}
@@ -341,6 +364,10 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 			// Request retransmission: replay the last response.
 			if old.lastWire != nil {
 				ep.resendLocked(old.src, old.lastWire)
+			}
+		} else if e, ok := ep.lingering(false, key); ok {
+			if len(e.wire) != 0 {
+				ep.resendLocked(string(e.addr), e.wire)
 			}
 		} else {
 			tx = &ServerTx{
@@ -366,73 +393,6 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 	}
 }
 
-// lingerEntry is one queue entry: a transaction (exactly one of the two)
-// and the time its linger runs out.
-type lingerEntry struct {
-	due    time.Duration
-	server *ServerTx
-	client *ClientTx
-}
-
-const (
-	// lingerSweep is the least the reaper waits between two sweeps, so
-	// a stream of transactions that expire microseconds apart costs ten
-	// timer firings a second, not one each.
-	lingerSweep = 100 * time.Millisecond
-	// reapChunk bounds the deletions done in one hold of ep.mu.
-	reapChunk = 1024
-)
-
-// lingerLocked queues a transaction entering its Completed linger and
-// arms the reaper if the queue was empty.
-func (ep *Endpoint) lingerLocked(e lingerEntry) {
-	e.due = ep.clock.Now() + CompletedLinger
-	if ep.lingerN == 0 {
-		ep.reaper.Schedule(CompletedLinger)
-	}
-	if ep.lingerN == len(ep.lingerQ) {
-		// Full: a ring twice the size, the oldest in slot 0.
-		q := make([]lingerEntry, max(64, 2*len(ep.lingerQ)))
-		n := copy(q, ep.lingerQ[ep.lingerHead:])
-		copy(q[n:], ep.lingerQ[:ep.lingerHead])
-		ep.lingerQ, ep.lingerHead = q, 0
-	}
-	ep.lingerQ[(ep.lingerHead+ep.lingerN)&(len(ep.lingerQ)-1)] = e
-	ep.lingerN++
-}
-
-// reap is the reaper timer's callback: it removes every transaction
-// whose linger has run out, letting ep.mu go between chunks, and
-// re-arms for the oldest one left — or not at all when none is.
-func (ep *Endpoint) reap() {
-	for more := true; more; {
-		ep.mu.Lock()
-		ep.reaperRuns++
-		now := ep.clock.Now()
-		n := 0
-		for ; n < reapChunk && ep.lingerN > 0 && ep.lingerQ[ep.lingerHead].due <= now; n++ {
-			e := &ep.lingerQ[ep.lingerHead]
-			if e.server != nil {
-				delete(ep.serverTxs, e.server.key)
-			} else if !e.client.terminated { // Terminate may have come first
-				e.client.terminateLocked()
-			}
-			*e = lingerEntry{}
-			ep.lingerHead = (ep.lingerHead + 1) & (len(ep.lingerQ) - 1)
-			ep.lingerN--
-		}
-		more = n == reapChunk
-		if !more && ep.lingerN > 0 {
-			wait := ep.lingerQ[ep.lingerHead].due - now
-			if wait < lingerSweep {
-				wait = lingerSweep
-			}
-			ep.reaper.Schedule(wait)
-		}
-		ep.mu.Unlock()
-	}
-}
-
 // StatsSnapshot returns a copy of the endpoint counters.
 func (ep *Endpoint) StatsSnapshot() Stats {
 	ep.mu.Lock()
@@ -443,12 +403,13 @@ func (ep *Endpoint) StatsSnapshot() Stats {
 	return out
 }
 
-// ActiveTransactions reports the live client+server transaction count,
-// used by tests to verify transactions are reaped.
+// ActiveTransactions reports the client and server transaction count,
+// lingering ones included, used by tests to verify transactions are
+// reaped.
 func (ep *Endpoint) ActiveTransactions() int {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return len(ep.clientTxs) + len(ep.serverTxs)
+	return len(ep.clientTxs) + len(ep.serverTxs) + ep.lingerN
 }
 
 // LingeringTransactions reports how many of the active transactions
@@ -459,7 +420,16 @@ func (ep *Endpoint) LingeringTransactions() int {
 	return ep.lingerN
 }
 
-// ReaperRuns counts the reaper's sweeps (one per hold of the lock).
+// LingeringBytes reports the size of the linger log: the bytes written
+// to its live chunks, entries the reaper has passed included until
+// their chunk is reset.
+func (ep *Endpoint) LingeringBytes() int {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.logBytes
+}
+
+// ReaperRuns counts the reaper's sweeps.
 func (ep *Endpoint) ReaperRuns() uint64 {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()

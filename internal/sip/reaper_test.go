@@ -36,7 +36,7 @@ func TestLingerersExpireInArrivalOrderBehindOneTimer(t *testing.T) {
 		present := 0
 		for i := 0; i < arrived; i++ {
 			due := time.Duration(i)*step + CompletedLinger
-			_, ok := r.ep.serverTxs[keys[i]]
+			_, ok := r.ep.lingering(false, keys[i])
 			switch {
 			case ok && due+lingerSweep <= now:
 				t.Fatalf("at %v: transaction %d still there, due %v", now, i, due)
@@ -49,7 +49,7 @@ func TestLingerersExpireInArrivalOrderBehindOneTimer(t *testing.T) {
 			}
 		}
 		if got := r.ep.LingeringTransactions(); got != present {
-			t.Fatalf("at %v: %d queued, %d in the table", now, got, present)
+			t.Fatalf("at %v: %d counted, %d in the log", now, got, present)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -145,7 +145,9 @@ func TestSecondFinalLingersOnce(t *testing.T) {
 }
 
 // A lingering transaction owns its key: nothing of the request that
-// opened it stays reachable, however large it was.
+// opened it stays reachable, however large it was. The log holds its
+// entry within lingerPin, and the heap at most 64 B more: its share of
+// the index (≤ 4 slots of 12 B) and of its chunk's unused tail.
 func TestTombstoneOfLargeRequestIsSmall(t *testing.T) {
 	const n = 512
 	pad := strings.Repeat("x", 16<<10)
@@ -154,6 +156,7 @@ func TestTombstoneOfLargeRequestIsSmall(t *testing.T) {
 	defer ep.Close()
 	ep.Handle(func(tx *ServerTx, req *Message, _ string) { tx.Respond(req.Response(StatusOK)) })
 	wires := make([][]byte, n)
+	pin := 0
 	for i := range wires {
 		req := NewRequest(OPTIONS, NewURI("", "b", 5060),
 			NameAddr{URI: NewURI("", "a", 5060), Tag: "ft"},
@@ -161,6 +164,11 @@ func TestTombstoneOfLargeRequestIsSmall(t *testing.T) {
 		req.Via = []Via{{Transport: "UDP", SentBy: "a:5060", Branch: fmt.Sprintf("%s-big%d", BranchPrefix, i)}}
 		req.Other = []Header{{Name: "X-Pad", Value: pad}}
 		wires[i] = req.Marshal()
+		parsed, err := Parse(wires[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin += lingerPin(len(parsed.Response(StatusOK).Marshal()), parsed.key())
 	}
 	before := liveHeap()
 	for _, w := range wires {
@@ -170,9 +178,13 @@ func TestTombstoneOfLargeRequestIsSmall(t *testing.T) {
 	if q := ep.LingeringTransactions(); q != n {
 		t.Fatalf("%d transactions linger, want %d", q, n)
 	}
-	t.Logf("%d lingering transactions opened by 16 KB requests hold %d B each", n, grown/n)
-	if grown > n<<10 {
-		t.Errorf("a tombstone holds %d B, want ≤ 1 KB", grown/n)
+	t.Logf("%d lingering transactions opened by 16 KB requests hold %d B each, %d B of log; pin %d B",
+		n, grown/n, ep.LingeringBytes()/n, pin/n)
+	if got := ep.LingeringBytes(); got > pin {
+		t.Errorf("the log holds %d B a transaction, pinned at %d", got/n, pin/n)
+	}
+	if grown > int64(pin+64*n) {
+		t.Errorf("a tombstone holds %d B of heap, want ≤ %d", grown/n, pin/n+64)
 	}
 	runtime.KeepAlive(wires)
 }

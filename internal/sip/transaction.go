@@ -13,7 +13,10 @@ const (
 	T2 = 4 * time.Second
 	// TimerB/F: transaction timeout, 64·T1.
 	TransactionTimeout = 64 * T1
-	// TimerD: wait for response retransmissions after a non-2xx final.
+	// CompletedLinger stands in for Timers D, I and J: how long a
+	// transaction whose final response has been sent (non-INVITE
+	// server), ACKed (INVITE server) or received and ACKed (non-2xx,
+	// client INVITE) stays to absorb retransmissions.
 	CompletedLinger = 5 * time.Second
 )
 
@@ -31,7 +34,8 @@ type ClientTx struct {
 	interval   time.Duration
 	retransmit transport.Timer
 	timeout    transport.Timer
-	finalSeen  bool
+	// terminated is set once the endpoint has dropped the transaction:
+	// at its final response, its timeout or Terminate.
 	terminated bool
 }
 
@@ -39,18 +43,18 @@ type ClientTx struct {
 func (tx *ClientTx) Request() *Message { return tx.req }
 
 // ServerTx is a server transaction: one received request and the
-// response retransmission state. Once it lingers (lingerLocked) it is a
-// tombstone: key, source and the last response's wire bytes.
+// response retransmission state. Once it lingers (lingerLocked) the
+// endpoint keeps only a log entry for it and drops it.
 type ServerTx struct {
-	ep        *Endpoint
-	key       txKey // owns its strings, see txKey.owned
-	req       *Message
-	src       string
-	isInvite  bool
-	lingering bool
+	ep       *Endpoint
+	key      txKey // owns its strings, see txKey.owned
+	req      *Message
+	src      string
+	isInvite bool
+	// due is when the transaction's linger runs out, 0 before it starts.
+	due       time.Duration
 	lastWire  []byte
 	lastCode  int
-	acked     bool
 	onAck     func(*Message)
 	onCancel  func(*Message)
 	retrans   transport.Timer
@@ -84,54 +88,61 @@ func (tx *ServerTx) Respond(resp *Message) {
 }
 
 func (tx *ServerTx) respondLocked(resp *Message) {
-	// The copy kept for replays reuses the last one's capacity: a final
-	// usually follows a provisional of about its size.
-	tx.lastWire = append(tx.lastWire[:0], tx.ep.sendLocked(tx.src, resp)...)
-	tx.lastCode = resp.StatusCode
-	if resp.StatusCode < 200 {
+	wire := tx.ep.sendLocked(tx.src, resp)
+	if tx.due != 0 {
+		// Lingering: a later response replaces the bytes replayed, not
+		// the deadline.
+		tx.ep.relogLocked(tx, wire)
 		return
 	}
-	if tx.isInvite && !tx.acked {
-		if tx.destroyTm != nil {
-			// A later final replaces the bytes Timer G resends, not the
-			// timers: one chain and one Timer H, as lingerLocked keeps one.
-			return
-		}
-		// Retransmit the final response until ACK (Timer G/H). This
-		// deliberately covers 2xx as well: the B2BUA owns reliability
-		// for both, a documented simplification over RFC 3261 13.3.
-		tx.interval = T1
-		tx.armRetransmitLocked()
-		tx.destroyTm = tx.ep.clock.AfterFunc(TransactionTimeout, func() {
-			tx.ep.mu.Lock()
-			tx.stopTimersLocked()
-			tx.forgetUnackedLocked()
-			delete(tx.ep.serverTxs, tx.key)
-			tx.ep.mu.Unlock()
-		})
-	} else {
+	tx.lastCode = resp.StatusCode
+	if resp.StatusCode >= 200 && !tx.isInvite {
 		// Non-INVITE: linger in Completed to absorb request
 		// retransmissions, then vanish (Timer J).
-		tx.lingerLocked()
+		tx.lingerLocked(wire)
+		return
 	}
+	// The copy kept for replays reuses the last one's capacity: a final
+	// usually follows a provisional of about its size.
+	tx.lastWire = append(tx.lastWire[:0], wire...)
+	if resp.StatusCode < 200 || tx.destroyTm != nil {
+		// A later final replaces the bytes Timer G resends, not the
+		// timers: one chain and one Timer H.
+		return
+	}
+	// Retransmit the final response until ACK (Timer G/H). This
+	// deliberately covers 2xx as well: the B2BUA owns reliability for
+	// both, a documented simplification over RFC 3261 13.3.
+	tx.interval = T1
+	tx.armRetransmitLocked()
+	tx.destroyTm = tx.ep.clock.AfterFunc(TransactionTimeout, func() {
+		tx.ep.mu.Lock()
+		defer tx.ep.mu.Unlock()
+		if tx.due != 0 {
+			return // an ACK came first
+		}
+		tx.stopTimersLocked()
+		tx.forgetUnackedLocked()
+		delete(tx.ep.serverTxs, tx.key)
+	})
 }
 
 // lingerLocked enters the Completed linger (final response sent for a
-// non-INVITE, ACK seen for an INVITE): the transaction stays findable
-// by key to absorb retransmissions until the endpoint's reaper removes
-// it. From here on it is a tombstone. The request, the TU's callbacks
-// and the (stopped) timers are dropped, so nothing that lingers can pin
-// a parsed message or what a callback captured — for the PBX a bridge,
-// its relay and their sockets. A transaction lingers once: a later
-// final response replaces the stored bytes, not the deadline.
-func (tx *ServerTx) lingerLocked() {
-	if tx.lingering {
-		return
-	}
-	tx.lingering = true
+// non-INVITE, ACK seen for an INVITE): the endpoint logs the key, the
+// source and wire, the bytes a retransmitted request gets, and drops
+// the transaction, so nothing that lingers can pin a parsed message or
+// what a callback captured — for the PBX a bridge, its relay and their
+// sockets. The log entry stays findable by key until the reaper passes
+// it.
+func (tx *ServerTx) lingerLocked(wire []byte) {
 	tx.forgetUnackedLocked()
-	tx.req, tx.onAck, tx.onCancel, tx.retrans, tx.destroyTm = nil, nil, nil, nil, nil
-	tx.ep.lingerLocked(lingerEntry{server: tx})
+	kind := lingerServer
+	if tx.isInvite {
+		kind = lingerServerInvite
+	}
+	tx.due = tx.ep.lingerLocked(kind, tx.key, tx.src, wire)
+	delete(tx.ep.serverTxs, tx.key)
+	tx.req, tx.lastWire, tx.onAck, tx.onCancel, tx.retrans, tx.destroyTm = nil, nil, nil, nil, nil, nil
 }
 
 // forgetUnackedLocked takes an INVITE transaction out of the 2xx-ACK
@@ -151,8 +162,8 @@ func (tx *ServerTx) armRetransmitLocked() {
 	tx.retrans = tx.ep.clock.AfterFunc(tx.interval, func() {
 		tx.ep.mu.Lock()
 		defer tx.ep.mu.Unlock()
-		if tx.acked || tx.lastWire == nil {
-			return
+		if tx.lastWire == nil {
+			return // ACKed: lingering
 		}
 		tx.ep.resendLocked(tx.src, tx.lastWire)
 		tx.interval *= 2
@@ -176,9 +187,8 @@ func (tx *ServerTx) stopTimersLocked() {
 // has reached: no more response retransmissions, and a brief linger to
 // absorb duplicate ACKs and requests.
 func (tx *ServerTx) ackedLocked() {
-	tx.acked = true
 	tx.stopTimersLocked()
-	tx.lingerLocked()
+	tx.lingerLocked(tx.lastWire)
 }
 
 // startClientTxLocked sends req as a new client transaction.
@@ -197,7 +207,7 @@ func (ep *Endpoint) startClientTxLocked(dst string, req *Message, onResponse fun
 	tx.armRetransmitLocked()
 	tx.timeout = ep.clock.AfterFunc(TransactionTimeout, func() {
 		ep.mu.Lock()
-		if tx.terminated || tx.finalSeen {
+		if tx.terminated {
 			ep.mu.Unlock()
 			return
 		}
@@ -221,7 +231,7 @@ func (tx *ClientTx) armRetransmitLocked() {
 	tx.retransmit = tx.ep.clock.AfterFunc(tx.interval, func() {
 		tx.ep.mu.Lock()
 		defer tx.ep.mu.Unlock()
-		if tx.terminated || tx.finalSeen {
+		if tx.terminated {
 			return
 		}
 		tx.ep.resendLocked(tx.dst, tx.wire)
@@ -275,31 +285,15 @@ func (tx *ClientTx) handleResponseLocked(resp *Message) func(*Message) {
 		}
 		return tx.onResponse
 	}
-	if tx.finalSeen {
-		// Retransmitted final response: re-ACK non-2xx, swallow.
-		if tx.isInvite && resp.StatusCode >= 300 {
-			tx.ep.sendAckForLocked(tx, resp)
-		}
-		return nil
-	}
-	tx.finalSeen = true
 	tx.stopTimersLocked()
 	if tx.isInvite && resp.StatusCode >= 300 {
 		// The transaction layer ACKs non-2xx finals (RFC 3261 17.1.1.3)
-		// and lingers to absorb retransmissions.
-		tx.ep.sendAckForLocked(tx, resp)
-		tx.ep.lingerLocked(lingerEntry{client: tx})
-	} else {
-		tx.terminateLocked()
+		// and lingers to ACK their retransmissions.
+		ack := NewRequest(ACK, tx.req.RequestURI, tx.req.From, resp.To, tx.req.CallID, tx.req.CSeq.Seq)
+		ack.CSeq.Method = ACK
+		ack.Via = []Via{tx.req.Via[0]}
+		tx.ep.lingerLocked(lingerClientInvite, tx.key, tx.dst, tx.ep.sendLocked(tx.dst, ack))
 	}
+	tx.terminateLocked()
 	return tx.onResponse
-}
-
-// sendAckForLocked emits the transaction-layer ACK for a non-2xx final
-// response: same branch, same CSeq number, method ACK.
-func (ep *Endpoint) sendAckForLocked(tx *ClientTx, resp *Message) {
-	ack := NewRequest(ACK, tx.req.RequestURI, tx.req.From, resp.To, tx.req.CallID, tx.req.CSeq.Seq)
-	ack.CSeq.Method = ACK
-	ack.Via = []Via{tx.req.Via[0]}
-	ep.sendLocked(tx.dst, ack)
 }
