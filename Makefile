@@ -81,12 +81,14 @@ fuzz-smoke:
 # model: it is what every server on real sockets runs. So does the SIP
 # transaction layer (endpoint.go, transaction.go, and linger.go, the
 # log lingering transactions are kept in): every message pbxd sends or
-# absorbs goes through it.
+# absorbs goes through it. So do the client rules on top of it
+# (client.go: the digest REGISTER exchange, the CANCEL, the address
+# split), which every user agent in the tree sends by.
 # COVER_FILES lists package:file,file,… — each file measured from its
 # own package's tests.
 COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome,voicemail,wire \
 	transport:batch_linux,udp,sharded,legpool,legpool_linux \
-	sip:telemetry,endpoint,transaction,linger cluster:telemetry telemetry:registry monitor:sampler \
+	sip:telemetry,endpoint,transaction,linger,client cluster:telemetry telemetry:registry monitor:sampler \
 	chaos:chaos cpu:cpu
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null

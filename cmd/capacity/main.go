@@ -11,7 +11,6 @@
 //	capacity -codec-mix    # mixed-codec transcoding capacity
 //	capacity -shard-scaling # sharded-engine throughput scaling
 //	capacity -registrar    # registrar throughput + avalanche drain vs shards
-//	                         (-registrar-wire adds the loopback-UDP column)
 //
 // -shards N runs the experiment engine partitioned across N shard
 // goroutines (bit-identical results, faster on multi-core hosts).
@@ -47,7 +46,6 @@ func main() {
 		steady    = flag.Bool("steady", false, "Figure 6 in steady-state mode (longer windows, warmup)")
 		scaling   = flag.Bool("shard-scaling", false, "engine scaling: events/sec at shards=1,2,4")
 		registrar = flag.Bool("registrar", false, "registrar throughput and avalanche-drain vs location-store shard count")
-		regWire   = flag.Bool("registrar-wire", false, "add the loopback-UDP column to -registrar (real sockets)")
 		capacity  = flag.Int("capacity", 165, "PBX channel capacity")
 		shards    = flag.Int("shards", 0, "partition each experiment across N schedulers (0 or 1 = one, on the calling goroutine)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel experiment workers")
@@ -180,7 +178,6 @@ func main() {
 	if *all || *registrar {
 		bench.WriteRegistrarCapacity(out, bench.RegistrarCapacityTable(bench.RegistrarOptions{
 			Seed: *seed,
-			Wire: *regWire,
 		}))
 		fmt.Fprintln(out)
 	}

@@ -10,16 +10,14 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/directory"
-	"repro/internal/pbx"
-	"repro/internal/sip"
 	"repro/internal/transport"
 )
 
 // RegistrarPoint is one shard-count row of the registrar capacity
 // study. The sim columns run in virtual time and are bit-identical
 // across shard counts by construction (the shard-invariance property);
-// the store and wire columns run on the wall clock, where shard count
-// is a lock-contention knob and the rates are expected to move.
+// the store column runs on the wall clock, where shard count is a
+// lock-contention knob and the rate is expected to move.
 type RegistrarPoint struct {
 	Shards int
 	// SimPerSec is the sustained 200-OK REGISTER rate of the
@@ -33,9 +31,6 @@ type RegistrarPoint struct {
 	// StorePerSec is the raw location-store register/refresh rate:
 	// GOMAXPROCS workers hammering Directory.Register concurrently.
 	StorePerSec float64
-	// WirePerSec is the full-stack rate over loopback UDP — digest
-	// auth, nonce cache, binding write — when the wire pass is on.
-	WirePerSec float64
 }
 
 // RegistrarCapacity is the registrar throughput / avalanche study.
@@ -43,7 +38,6 @@ type RegistrarCapacity struct {
 	StormEndpoints     int
 	AvalancheEndpoints int
 	Cores              int
-	Wire               bool
 	Points             []RegistrarPoint
 }
 
@@ -56,16 +50,10 @@ type RegistrarOptions struct {
 	// StoreDuration is the wall-clock window for the raw store
 	// measurement per row (default 200ms).
 	StoreDuration time.Duration
-	// Wire enables the loopback-UDP pass (real sockets; off in tests).
-	Wire bool
-	// WireEndpoints and WireDuration size the wire pass (defaults 32
-	// phones, 1s).
-	WireEndpoints int
-	WireDuration  time.Duration
 }
 
 // RegistrarCapacityTable measures registrar throughput and
-// avalanche-drain time at each shard count, sim and wire side by side.
+// avalanche-drain time at each shard count.
 func RegistrarCapacityTable(opts RegistrarOptions) RegistrarCapacity {
 	if len(opts.ShardCounts) == 0 {
 		opts.ShardCounts = []int{1, 4, 16, 64}
@@ -76,19 +64,12 @@ func RegistrarCapacityTable(opts RegistrarOptions) RegistrarCapacity {
 	if opts.StoreDuration == 0 {
 		opts.StoreDuration = 200 * time.Millisecond
 	}
-	if opts.WireEndpoints == 0 {
-		opts.WireEndpoints = 32
-	}
-	if opts.WireDuration == 0 {
-		opts.WireDuration = time.Second
-	}
 	storm := chaos.RegisterStorm(opts.Seed)
 	avalanche := chaos.RegisterAvalanche(opts.Seed)
 	out := RegistrarCapacity{
 		StormEndpoints:     storm.Register.Endpoints,
 		AvalancheEndpoints: avalanche.Register.Endpoints,
 		Cores:              runtime.NumCPU(),
-		Wire:               opts.Wire,
 	}
 	for _, k := range opts.ShardCounts {
 		p := RegistrarPoint{Shards: k}
@@ -110,9 +91,6 @@ func RegistrarCapacityTable(opts RegistrarOptions) RegistrarCapacity {
 		}
 
 		p.StorePerSec = storeRegisterRate(k, opts.StoreDuration)
-		if opts.Wire {
-			p.WirePerSec, _ = wireRegisterRate(k, opts.WireEndpoints, opts.WireDuration)
-		}
 		out.Points = append(out.Points, p)
 	}
 	return out
@@ -147,80 +125,16 @@ func storeRegisterRate(shards int, dur time.Duration) float64 {
 	return float64(ops.Load()) / dur.Seconds()
 }
 
-// wireRegisterRate measures the full-stack REGISTER rate over loopback
-// UDP: pbxd's wiring in-process on a real socket, N phones each looping
-// digest-authenticated registrations (first round pays the 401 detour,
-// every refresh rides the nonce cache preemptively). Every socket and
-// read loop it opens is closed before it returns.
-func wireRegisterRate(shards, endpoints int, dur time.Duration) (float64, error) {
-	dir := directory.NewSharded(shards)
-	dir.Provision("w", 0, endpoints)
-	w, err := pbx.ListenWire("127.0.0.1:0", 1, dir, pbx.Config{
-		Registrar: pbx.RegistrarConfig{Enabled: true},
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
-	clock := transport.NewRealClock()
-
-	phones := make([]*sip.Phone, 0, endpoints)
-	for i := 0; i < endpoints; i++ {
-		ptr, err := transport.ListenUDP("127.0.0.1:0")
-		if err != nil {
-			return 0, err
-		}
-		user := fmt.Sprintf("w%d", i)
-		phone := sip.NewPhone(sip.NewEndpoint(ptr, clock),
-			sip.PhoneConfig{User: user, Password: "pw-" + user, Proxy: w.Listener.LocalAddr()})
-		defer phone.Endpoint().Close()
-		phones = append(phones, phone)
-	}
-
-	deadline := time.Now().Add(dur)
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for _, p := range phones {
-		wg.Add(1)
-		go func(p *sip.Phone) {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				done := make(chan bool, 1)
-				p.Register(time.Hour, func(ok bool) { done <- ok })
-				select {
-				case ok := <-done:
-					if !ok {
-						return
-					}
-					total.Add(1)
-				case <-time.After(2 * time.Second):
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	return float64(total.Load()) / dur.Seconds(), nil
-}
-
 // WriteRegistrarCapacity renders the study. The sim columns are flat
 // across rows on purpose: shard count must not change what the
-// registrar does, only how fast the host can do it — the store and
-// wire columns are where the shards pay rent.
+// registrar does, only how fast the host can do it — the store column
+// is where the shards pay rent.
 func WriteRegistrarCapacity(w io.Writer, rc RegistrarCapacity) {
 	fmt.Fprintf(w, "Registrar capacity: storm N=%d, avalanche N=%d (virtual time), %d core(s)\n",
 		rc.StormEndpoints, rc.AvalancheEndpoints, rc.Cores)
-	head := fmt.Sprintf("%8s%14s%12s%12s%16s", "shards", "sim reg/s", "drain(s)", "peak 503/s", "store ops/s")
-	if rc.Wire {
-		head += fmt.Sprintf("%14s", "wire reg/s")
-	}
-	fmt.Fprintln(w, head)
+	fmt.Fprintf(w, "%8s%14s%12s%12s%16s\n", "shards", "sim reg/s", "drain(s)", "peak 503/s", "store ops/s")
 	for _, p := range rc.Points {
-		row := fmt.Sprintf("%8d%14.0f%12.2f%12d%16.0f",
+		fmt.Fprintf(w, "%8d%14.0f%12.2f%12d%16.0f\n",
 			p.Shards, p.SimPerSec, p.DrainTime.Seconds(), p.Peak503, p.StorePerSec)
-		if rc.Wire {
-			row += fmt.Sprintf("%14.0f", p.WirePerSec)
-		}
-		fmt.Fprintln(w, row)
 	}
 }

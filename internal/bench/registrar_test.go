@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -38,36 +37,5 @@ func TestRegistrarCapacityTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
-	}
-	if strings.Contains(out, "wire reg/s") {
-		t.Errorf("wire column rendered without the wire pass:\n%s", out)
-	}
-}
-
-// TestWireRegisterRateClosesWhatItOpens: the wire pass starts a
-// listener, a leg pool and a socket with its read loop per phone for
-// every row of the table; when it returns they are gone, so a long
-// study does not run out of descriptors.
-func TestWireRegisterRateClosesWhatItOpens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time test")
-	}
-	before := runtime.NumGoroutine()
-	rate, err := wireRegisterRate(4, 8, 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate <= 0 {
-		t.Errorf("no REGISTER completed: %v/s", rate)
-	}
-	// Close waits for every read loop; a timer callback that was already
-	// running when its endpoint closed (the reaper sweeps every 100 ms)
-	// may take a moment more to return.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines before the wire pass, %d after it returned", before, after)
 	}
 }

@@ -706,16 +706,7 @@ func (c *Cluster) redirectInvite(tx *sip.ServerTx, req *sip.Message) {
 
 	resp := req.Response(sip.StatusMovedTemporarily)
 	resp.To.Tag = c.ep.NewTag()
-	host, port := splitAddr(addr)
-	contact := sip.NameAddr{URI: sip.NewURI(req.RequestURI.User, host, port)}
+	contact := sip.NameAddr{URI: sip.AddrURI(req.RequestURI.User, addr)}
 	resp.Contact = &contact
 	tx.Respond(resp)
-}
-
-func splitAddr(addr string) (string, int) {
-	u, err := sip.ParseURI("sip:" + addr)
-	if err != nil {
-		return addr, sip.DefaultPort
-	}
-	return u.Host, u.Port
 }

@@ -1,7 +1,6 @@
 package pbx
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/codec"
@@ -184,7 +183,9 @@ func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calle
 		terminated := req.Response(sip.StatusRequestTerminated)
 		terminated.To.Tag = br.aLocalTag
 		tx.Respond(terminated)
-		s.cancelBLeg(br)
+		if br.bTx != nil {
+			br.bTx.Cancel() // the callee leg is still pending
+		}
 		br.canceled = true
 		s.removeBridge(br, false)
 	})
@@ -233,12 +234,12 @@ func (s *Server) bridgeTo(tx *sip.ServerTx, req *sip.Message, src, callee, calle
 	} else {
 		bOffer = offer
 	}
-	calleeURI := sip.NewURI(callee, hostOf(calleeContact), portOf(calleeContact))
+	calleeURI := sip.AddrURI(callee, calleeContact)
 	bInvite := sip.NewRequest(sip.INVITE, calleeURI,
 		sip.NameAddr{Display: req.From.Display, URI: req.From.URI, Tag: br.bLocalTag},
 		sip.NameAddr{URI: calleeURI},
 		br.bCallID, br.bSeq)
-	contact := sip.NameAddr{URI: sip.NewURI("asterisk", s.host, portOf(s.ep.Addr()))}
+	contact := sip.NameAddr{URI: sip.AddrURI("asterisk", s.ep.Addr())}
 	bInvite.Contact = &contact
 	bInvite.ContentType = sdp.ContentType
 	bInvite.Body = bOffer.Marshal()
@@ -298,18 +299,6 @@ func (s *Server) openCall(br *bridge) {
 	if j := s.cfg.Journal; j != nil {
 		j.Begin(br.cdr.CallID, br.cdr.Caller, br.cdr.Callee, br.cdr.StartedAt)
 	}
-}
-
-// cancelBLeg propagates a caller's CANCEL to the pending callee leg.
-func (s *Server) cancelBLeg(br *bridge) {
-	if br.bTx == nil {
-		return
-	}
-	inv := br.bTx.Request()
-	cancel := sip.NewRequest(sip.CANCEL, inv.RequestURI, inv.From, inv.To, inv.CallID, inv.CSeq.Seq)
-	cancel.CSeq.Method = sip.CANCEL
-	cancel.Via = []sip.Via{inv.Via[0]}
-	s.ep.SendRequest(br.bRemote, cancel, nil)
 }
 
 // admitCall runs admission control — where blocked calls (Table I)
@@ -524,17 +513,16 @@ func (s *Server) handleBLegResponse(br *bridge, resp *sip.Message) {
 			br.relay.setCalleeMedia(answer.Host, answer.Port)
 		}
 		// ACK the B leg.
-		ack := sip.NewRequest(sip.ACK, sip.NewURI(br.cdr.Callee, hostOf(br.bRemote), portOf(br.bRemote)),
+		ack := sip.NewRequest(sip.ACK, sip.AddrURI(br.cdr.Callee, br.bRemote),
 			sip.NameAddr{URI: br.aInvite.From.URI, Tag: br.bLocalTag},
-			sip.NameAddr{URI: sip.NewURI(br.cdr.Callee, hostOf(br.bRemote), portOf(br.bRemote)), Tag: br.bRemoteTag},
+			sip.NameAddr{URI: sip.AddrURI(br.cdr.Callee, br.bRemote), Tag: br.bRemoteTag},
 			br.bCallID, br.bSeq)
-		ack.CSeq.Method = sip.ACK
 		s.ep.SendACK(br.bRemote, ack)
 
 		// Answer the A leg with the relay (or pass-through) SDP.
 		fwd := br.aInvite.Response(sip.StatusOK)
 		fwd.To.Tag = br.aLocalTag
-		contact := sip.NameAddr{URI: sip.NewURI("asterisk", s.host, portOf(s.ep.Addr()))}
+		contact := sip.NameAddr{URI: sip.AddrURI("asterisk", s.ep.Addr())}
 		fwd.Contact = &contact
 		fwd.ContentType = sdp.ContentType
 		if br.relay != nil {
@@ -714,16 +702,16 @@ func (s *Server) forwardBye(br *bridge, hungUpA bool) {
 		// BYE toward the callee on the B leg.
 		br.bSeq++
 		bye := sip.NewRequest(sip.BYE,
-			sip.NewURI(br.cdr.Callee, hostOf(br.bRemote), portOf(br.bRemote)),
+			sip.AddrURI(br.cdr.Callee, br.bRemote),
 			sip.NameAddr{URI: br.aInvite.From.URI, Tag: br.bLocalTag},
-			sip.NameAddr{URI: sip.NewURI(br.cdr.Callee, hostOf(br.bRemote), portOf(br.bRemote)), Tag: br.bRemoteTag},
+			sip.NameAddr{URI: sip.AddrURI(br.cdr.Callee, br.bRemote), Tag: br.bRemoteTag},
 			br.bCallID, br.bSeq)
 		s.ep.SendRequest(br.bRemote, bye, nil)
 	} else {
 		// BYE toward the caller on the A leg (PBX is UAS there, so the
 		// dialog's From is the caller; our in-dialog request flips it).
 		bye := sip.NewRequest(sip.BYE,
-			sip.NewURI(br.cdr.Caller, hostOf(br.aRemote), portOf(br.aRemote)),
+			sip.AddrURI(br.cdr.Caller, br.aRemote),
 			sip.NameAddr{URI: br.aInvite.To.URI, Tag: br.aLocalTag},
 			sip.NameAddr{URI: br.aInvite.From.URI, Tag: br.aInvite.From.Tag},
 			br.cdr.CallID, 1)
@@ -803,24 +791,4 @@ func (s *Server) removeBridge(br *bridge, completed bool) {
 		j.End(cdr)
 	}
 	s.maybeFinishDrain()
-}
-
-func hostOf(addr string) string {
-	h, _, _ := strings.Cut(addr, ":")
-	return h
-}
-
-func portOf(addr string) int {
-	_, p, ok := strings.Cut(addr, ":")
-	if !ok {
-		return sip.DefaultPort
-	}
-	n := 0
-	for _, c := range p {
-		if c < '0' || c > '9' {
-			return sip.DefaultPort
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
 }

@@ -58,7 +58,7 @@ func (s *Server) handleMessage(tx *sip.ServerTx, req *sip.Message) {
 // forwardMessage sends a MESSAGE to a registered contact on the
 // server's behalf. done receives the final status.
 func (s *Server) forwardMessage(from sip.NameAddr, target, contact, body string, done func(status int)) {
-	to := sip.NewURI(target, hostOf(contact), portOf(contact))
+	to := sip.AddrURI(target, contact)
 	fwd := sip.NewRequest(sip.MESSAGE, to,
 		sip.NameAddr{Display: from.Display, URI: from.URI, Tag: s.ep.NewTag()},
 		sip.NameAddr{URI: to},
@@ -89,13 +89,13 @@ func (s *Server) deliverPending(user, contact string) {
 	s.mu.Unlock()
 
 	for _, m := range pending {
-		from := sip.NameAddr{URI: sip.NewURI(m.From, s.host, portOf(s.ep.Addr()))}
+		from := sip.NameAddr{URI: sip.AddrURI(m.From, s.ep.Addr())}
 		s.forwardMessage(from, user, contact, m.Body, nil)
 	}
 	if vmCount > 0 && !notified {
 		// Message-waiting notification, the "callback" hook of the
 		// paper's feature list: the user learns they have deposits.
-		from := sip.NameAddr{Display: "Voicemail", URI: sip.NewURI("voicemail", s.host, portOf(s.ep.Addr()))}
+		from := sip.NameAddr{Display: "Voicemail", URI: sip.AddrURI("voicemail", s.ep.Addr())}
 		body := fmt.Sprintf("You have %d new voice message(s)", vmCount)
 		s.forwardMessage(from, user, contact, body, nil)
 	}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -300,13 +299,12 @@ func New(ep *sip.Endpoint, dir *directory.Directory, factory TransportFactory, c
 	if cfg.RTPPortBase == 0 {
 		cfg.RTPPortBase = 10000
 	}
-	host, _, _ := strings.Cut(ep.Addr(), ":")
 	s := &Server{
 		ep:         ep,
 		dir:        dir,
 		cfg:        cfg,
 		factory:    factory,
-		host:       host,
+		host:       sip.AddrURI("", ep.Addr()).Host,
 		bridges:    make(map[string]*bridge),
 		offline:    make(map[string][]StoredMessage),
 		voicemails: make(map[string][]Voicemail),

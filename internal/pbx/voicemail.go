@@ -77,7 +77,7 @@ func (s *Server) answerVoicemail(tx *sip.ServerTx, req *sip.Message, src, callee
 	ringing.To.Tag = br.aLocalTag
 	ok := req.Response(sip.StatusOK)
 	ok.To.Tag = br.aLocalTag
-	contact := sip.NameAddr{URI: sip.NewURI("voicemail", s.host, portOf(s.ep.Addr()))}
+	contact := sip.NameAddr{URI: sip.AddrURI("voicemail", s.ep.Addr())}
 	ok.Contact = &contact
 	ok.ContentType = sdp.ContentType
 	ok.Body = answer.Marshal()

@@ -1,7 +1,6 @@
 package pbx
 
 import (
-	"strings"
 	"syscall"
 	"time"
 
@@ -71,8 +70,7 @@ func ListenWire(addr string, shards int, dir *directory.Directory, cfg Config) (
 	// Calls borrow their relay legs from one pool, which owns the
 	// sockets, reads all of them from one loop and keeps released
 	// sockets bound for the next call on the port.
-	host, _, _ := strings.Cut(tr.LocalAddr(), ":")
-	legs := transport.NewLegPool(host)
+	legs := transport.NewLegPool(sip.AddrURI("", tr.LocalAddr()).Host)
 	legs.PublishTelemetry(reg)
 	cfg.Telemetry = reg
 	cfg.CPU = cpu.Model{}

@@ -133,7 +133,6 @@ func TestTombstoneDropsRequestAndCallbacks(t *testing.T) {
 		}
 		invTx = tx
 		tx.OnCancel(func(*Message) {})
-		tx.OnAck(func(*Message) {})
 		tx.Respond(req.Response(StatusOK))
 	})
 	r.ep.handleData("a:5060", wireRequest(INVITE, "call-1", "inv1"))
@@ -141,9 +140,9 @@ func TestTombstoneDropsRequestAndCallbacks(t *testing.T) {
 		t.Fatal("request dropped before the ACK")
 	}
 	r.ep.handleData("a:5060", wireRequest(ACK, "call-1", "ack1"))
-	if invTx.req != nil || invTx.lastWire != nil || invTx.onAck != nil || invTx.onCancel != nil || invTx.retrans != nil || invTx.destroyTm != nil {
-		t.Errorf("lingering transaction still holds req=%v wire=%v onAck=%v onCancel=%v timers=%v",
-			invTx.req != nil, invTx.lastWire != nil, invTx.onAck != nil, invTx.onCancel != nil, invTx.retrans != nil || invTx.destroyTm != nil)
+	if invTx.req != nil || invTx.lastWire != nil || invTx.onCancel != nil || invTx.retrans != nil || invTx.destroyTm != nil {
+		t.Errorf("lingering transaction still holds req=%v wire=%v onCancel=%v timers=%v",
+			invTx.req != nil, invTx.lastWire != nil, invTx.onCancel != nil, invTx.retrans != nil || invTx.destroyTm != nil)
 	}
 	if _, ok := r.ep.serverTxs[invTx.key]; ok {
 		t.Error("the endpoint still holds the lingering transaction")

@@ -219,9 +219,6 @@ func (ep *Endpoint) nextID() uint64 {
 	return ep.idCounter
 }
 
-// NewBranch returns a fresh RFC 3261 branch token.
-func (ep *Endpoint) NewBranch() string { return branchToken(ep.tr.LocalAddr(), ep.nextID()) }
-
 // branchToken renders "z9hG4bK-<addr>-<n>".
 func branchToken(addr string, n uint64) string {
 	var a [64]byte // on the stack: the string is the one allocation
@@ -331,7 +328,6 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 	case msg.Method == ACK:
 		if inv, ok := ep.serverTxs[msg.inviteKey()]; ok && inv.isInvite {
 			// ACK for a non-2xx final: same branch as the INVITE.
-			cb = inv.onAck
 			inv.ackedLocked()
 		} else if _, lingers := ep.lingering(false, msg.inviteKey()); !lingers {
 			// ACK for a 2xx carries a new branch (it is its own

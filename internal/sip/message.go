@@ -220,15 +220,6 @@ func (m *Message) Reason() string {
 	return ReasonPhrase(m.StatusCode)
 }
 
-// TransactionKey names the transaction a message belongs to per the
-// RFC 3261 (17.1.3/17.2.3) branch rule: the top Via branch plus the
-// CSeq method. ACK and CANCEL requests keep their own method here (a
-// CANCEL is its own transaction). The endpoint matches on the same
-// pair as a struct (txKey); this string form is for observers.
-func (m *Message) TransactionKey() string {
-	return m.branch() + "|" + string(m.CSeq.Method)
-}
-
 // branch returns the top Via's branch, "" when there is none.
 func (m *Message) branch() string {
 	if len(m.Via) == 0 {

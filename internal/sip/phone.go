@@ -1,8 +1,6 @@
 package sip
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -220,11 +218,7 @@ type Phone struct {
 	portNext   int
 	portFree   []int
 	registered bool
-	// challenge caches the registrar's last digest challenge so a
-	// re-REGISTER authorizes preemptively (one round trip instead of a
-	// 401 detour) while the nonce stays inside the replay window.
-	challenge     DigestChallenge
-	haveChallenge bool
+	acct       Account
 
 	// OnIncoming fires for each new incoming call before ringing.
 	OnIncoming func(c *Call)
@@ -239,7 +233,8 @@ func NewPhone(ep *Endpoint, cfg PhoneConfig) *Phone {
 	if cfg.MediaPort == 0 {
 		cfg.MediaPort = 40000
 	}
-	p := &Phone{ep: ep, cfg: cfg, calls: make(map[string]*Call), portNext: cfg.MediaPort}
+	p := &Phone{ep: ep, cfg: cfg, calls: make(map[string]*Call), portNext: cfg.MediaPort,
+		acct: Account{User: cfg.User, Password: cfg.Password}}
 	ep.Handle(p.handleRequest)
 	return p
 }
@@ -270,10 +265,7 @@ func loadCB[T any](p *Phone, slot *T) T {
 func (p *Phone) User() string { return p.cfg.User }
 
 // host returns this phone's transport host (for SDP c= lines).
-func (p *Phone) host() string {
-	h, _, _ := strings.Cut(p.ep.Addr(), ":")
-	return h
-}
+func (p *Phone) host() string { return p.localURI().Host }
 
 func (p *Phone) allocMediaPort() int {
 	p.mu.Lock()
@@ -294,22 +286,21 @@ func (p *Phone) freeMediaPort(port int) {
 	p.portFree = append(p.portFree, port)
 }
 
-func (p *Phone) localURI() URI {
-	host, _, _ := strings.Cut(p.ep.Addr(), ":")
-	return NewURI(p.cfg.User, host, portOf(p.ep.Addr()))
-}
+func (p *Phone) localURI() URI { return AddrURI(p.cfg.User, p.ep.Addr()) }
 
-func portOf(addr string) int {
-	_, portStr, _ := strings.Cut(addr, ":")
-	port, _ := strconv.Atoi(portStr)
-	return port
-}
-
-// Register sends a REGISTER with the given binding lifetime, handling
-// a digest challenge automatically. done (optional) receives the final
-// outcome.
+// Register runs one digest REGISTER exchange (Endpoint.Register) for
+// the phone's account, binding it at the phone's own address for the
+// given lifetime. done (optional) receives the outcome.
 func (p *Phone) Register(expires time.Duration, done func(ok bool)) {
-	p.sendRegister(int(expires/time.Second), func(ok bool) {
+	req := NewRequest(REGISTER, AddrURI("", p.cfg.Proxy),
+		NameAddr{URI: p.localURI(), Tag: p.ep.NewTag()},
+		NameAddr{URI: p.localURI()},
+		p.ep.NewCallID(), 1)
+	contact := NameAddr{URI: p.localURI()}
+	req.Contact = &contact
+	req.Expires = int(expires / time.Second)
+	p.ep.Register(p.cfg.Proxy, req, &p.acct, nil, func(resp *Message, _ bool) {
+		ok := resp.StatusCode == StatusOK
 		if ok {
 			p.mu.Lock()
 			p.registered = true
@@ -319,59 +310,6 @@ func (p *Phone) Register(expires time.Duration, done func(ok bool)) {
 			done(ok)
 		}
 	})
-}
-
-// sendRegister runs one REGISTER operation, following up to two
-// digest challenges: one for the normal unauthenticated first contact,
-// and one more for a stale=true re-challenge when a preemptively
-// answered nonce has aged out of the registrar's replay window (or the
-// registrar restarted and lost its nonce cache).
-func (p *Phone) sendRegister(expiresSec int, done func(ok bool)) {
-	proxyHost, _, _ := strings.Cut(p.cfg.Proxy, ":")
-	req := NewRequest(REGISTER, NewURI("", proxyHost, portOf(p.cfg.Proxy)),
-		NameAddr{URI: p.localURI(), Tag: p.ep.NewTag()},
-		NameAddr{URI: p.localURI()},
-		p.ep.NewCallID(), 1)
-	contact := NameAddr{URI: p.localURI()}
-	req.Contact = &contact
-	req.Expires = expiresSec
-
-	// Preemptive authorization: a cached challenge lets a refresh
-	// complete in one round trip instead of a 401 detour.
-	p.mu.Lock()
-	if p.haveChallenge {
-		creds := p.challenge.Answer(p.cfg.User, p.cfg.Password, REGISTER, req.RequestURI.String())
-		req.Authorization = creds.Header()
-	}
-	p.mu.Unlock()
-
-	var handle func(req *Message, round int, resp *Message)
-	handle = func(req *Message, round int, resp *Message) {
-		switch {
-		case resp.StatusCode == StatusUnauthorized:
-			ch, ok := ParseDigestChallenge(resp.WWWAuthenticate)
-			if !ok || round >= 2 {
-				done(false)
-				return
-			}
-			p.mu.Lock()
-			p.challenge, p.haveChallenge = ch, true
-			p.mu.Unlock()
-			retry := NewRequest(REGISTER, req.RequestURI, req.From, req.To, req.CallID, req.CSeq.Seq+1)
-			retry.Contact = req.Contact
-			retry.Expires = req.Expires
-			creds := ch.Answer(p.cfg.User, p.cfg.Password, REGISTER, req.RequestURI.String())
-			retry.Authorization = creds.Header()
-			p.ep.SendRequest(p.cfg.Proxy, retry, func(r2 *Message) {
-				handle(retry, round+1, r2)
-			})
-		case resp.StatusCode == StatusOK:
-			done(true)
-		case resp.StatusCode >= 300:
-			done(false)
-		}
-	}
-	p.ep.SendRequest(p.cfg.Proxy, req, func(resp *Message) { handle(req, 1, resp) })
 }
 
 // Registered reports whether a REGISTER succeeded.
@@ -419,7 +357,6 @@ func (p *Phone) codecs() []int {
 }
 
 func (p *Phone) invite(target string, payloadTypes []int, onRinging, onEstablished, onEnded func(*Call)) *Call {
-	proxyHost, _, _ := strings.Cut(p.cfg.Proxy, ":")
 	callID := p.ep.NewCallID()
 	c := &Call{
 		phone:     p,
@@ -439,9 +376,9 @@ func (p *Phone) invite(target string, payloadTypes []int, onRinging, onEstablish
 	p.calls[callID] = c
 	p.mu.Unlock()
 
-	req := NewRequest(INVITE, NewURI(target, proxyHost, portOf(p.cfg.Proxy)),
+	req := NewRequest(INVITE, AddrURI(target, p.cfg.Proxy),
 		NameAddr{URI: p.localURI(), Tag: c.localTag},
-		NameAddr{URI: NewURI(target, proxyHost, portOf(p.cfg.Proxy))},
+		NameAddr{URI: AddrURI(target, p.cfg.Proxy)},
 		callID, c.localSeq)
 	contact := NameAddr{URI: p.localURI()}
 	req.Contact = &contact
@@ -464,12 +401,7 @@ func (p *Phone) Cancel(c *Call) {
 		return
 	}
 	c.cancelled = true
-	inv := c.inviteTx.Request()
-	cancel := NewRequest(CANCEL, inv.RequestURI, inv.From, inv.To, inv.CallID, inv.CSeq.Seq)
-	cancel.CSeq.Method = CANCEL
-	cancel.Via = []Via{inv.Via[0]} // same branch: matches the INVITE tx
-	// The CANCEL gets its own 200; the INVITE's 487 ends the call.
-	p.ep.SendRequest(c.remote, cancel, nil)
+	c.inviteTx.Cancel() // the INVITE's 487 ends the call
 }
 
 func (p *Phone) handleInviteResponse(c *Call, invite *Message, resp *Message) {
@@ -501,7 +433,6 @@ func (p *Phone) handleInviteResponse(c *Call, invite *Message, resp *Message) {
 		// ACK the 2xx (its own transaction per RFC 3261 13.2.2.4).
 		ack := NewRequest(ACK, invite.RequestURI, invite.From,
 			NameAddr{URI: invite.To.URI, Tag: c.remoteTag}, c.CallID, invite.CSeq.Seq)
-		ack.CSeq.Method = ACK
 		p.ep.SendACK(c.remote, ack)
 		if c.state != CallEstablished {
 			c.state = CallEstablished
@@ -545,17 +476,16 @@ func (p *Phone) handleInviteResponse(c *Call, invite *Message, resp *Message) {
 }
 
 // Hangup sends BYE on an established call. On a not-yet-established
-// outgoing call it is a no-op (CANCEL is outside the reproduced flow).
+// outgoing call it is a no-op; use Cancel.
 func (p *Phone) Hangup(c *Call) {
 	if c.state != CallEstablished {
 		return
 	}
 	c.localSeq++
-	bye := NewRequest(BYE, URI{User: "", Host: hostOf(c.remote), Port: portOf(c.remote)},
+	bye := NewRequest(BYE, AddrURI("", c.remote),
 		NameAddr{URI: p.localURI(), Tag: c.localTag},
 		NameAddr{URI: p.localURI(), Tag: c.remoteTag}, // URI unused by peer matching
 		c.CallID, c.localSeq)
-	bye.CSeq.Method = BYE
 	if c.incoming {
 		// Preserve From/To orientation of the dialog.
 		bye.From = NameAddr{URI: p.localURI(), Tag: c.localTag}
@@ -564,11 +494,6 @@ func (p *Phone) Hangup(c *Call) {
 	p.ep.SendRequest(c.remote, bye, func(resp *Message) {
 		p.endCall(c, EndCompleted, resp.StatusCode)
 	})
-}
-
-func hostOf(addr string) string {
-	h, _, _ := strings.Cut(addr, ":")
-	return h
 }
 
 func (p *Phone) endCall(c *Call, cause EndCause, status int) {
@@ -640,8 +565,7 @@ func (p *Phone) handleRequest(tx *ServerTx, req *Message, src string) {
 // (RFC 3428 pager mode: one transaction, no dialog). done, if not nil,
 // receives the final status code.
 func (p *Phone) SendMessage(target, body string, done func(status int)) {
-	proxyHost, _, _ := strings.Cut(p.cfg.Proxy, ":")
-	to := NewURI(target, proxyHost, portOf(p.cfg.Proxy))
+	to := AddrURI(target, p.cfg.Proxy)
 	req := NewRequest(MESSAGE, to,
 		NameAddr{URI: p.localURI(), Tag: p.ep.NewTag()},
 		NameAddr{URI: to},

@@ -55,7 +55,6 @@ type ServerTx struct {
 	due       time.Duration
 	lastWire  []byte
 	lastCode  int
-	onAck     func(*Message)
 	onCancel  func(*Message)
 	retrans   transport.Timer
 	interval  time.Duration
@@ -65,11 +64,6 @@ type ServerTx struct {
 // Request returns the request that opened the transaction, or nil once
 // the transaction lingers.
 func (tx *ServerTx) Request() *Message { return tx.req }
-
-// OnAck installs a callback invoked when the ACK for a final INVITE
-// response arrives on this transaction (non-2xx case; the 2xx ACK is a
-// separate transaction delivered to the endpoint handler).
-func (tx *ServerTx) OnAck(fn func(*Message)) { tx.onAck = fn }
 
 // OnCancel installs a callback invoked when a CANCEL matching this
 // INVITE transaction arrives before a final response. The transaction
@@ -142,7 +136,7 @@ func (tx *ServerTx) lingerLocked(wire []byte) {
 	}
 	tx.due = tx.ep.lingerLocked(kind, tx.key, tx.src, wire)
 	delete(tx.ep.serverTxs, tx.key)
-	tx.req, tx.lastWire, tx.onAck, tx.onCancel, tx.retrans, tx.destroyTm = nil, nil, nil, nil, nil, nil
+	tx.req, tx.lastWire, tx.onCancel, tx.retrans, tx.destroyTm = nil, nil, nil, nil, nil
 }
 
 // forgetUnackedLocked takes an INVITE transaction out of the 2xx-ACK
@@ -290,7 +284,6 @@ func (tx *ClientTx) handleResponseLocked(resp *Message) func(*Message) {
 		// The transaction layer ACKs non-2xx finals (RFC 3261 17.1.1.3)
 		// and lingers to ACK their retransmissions.
 		ack := NewRequest(ACK, tx.req.RequestURI, tx.req.From, resp.To, tx.req.CallID, tx.req.CSeq.Seq)
-		ack.CSeq.Method = ACK
 		ack.Via = []Via{tx.req.Via[0]}
 		tx.ep.lingerLocked(lingerClientInvite, tx.key, tx.dst, tx.ep.sendLocked(tx.dst, ack))
 	}

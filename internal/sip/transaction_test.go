@@ -229,7 +229,7 @@ func TestIDGeneratorsUnique(t *testing.T) {
 	_, epA, _ := simPair(t, netsim.LinkProfile{})
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
-		ids := []string{epA.NewBranch(), epA.NewTag(), epA.NewCallID()}
+		ids := []string{branchToken(epA.Addr(), epA.nextID()), epA.NewTag(), epA.NewCallID()}
 		for _, id := range ids {
 			if seen[id] {
 				t.Fatalf("duplicate id %q", id)

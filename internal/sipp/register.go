@@ -3,7 +3,6 @@ package sipp
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/sip"
@@ -85,12 +84,8 @@ type RegisterResults struct {
 
 // regEndpoint is one logical phone's registration state.
 type regEndpoint struct {
-	user string
-	// challenge caches the registrar's digest challenge for
-	// preemptive authorization (refresh = one round trip).
-	challenge sip.DigestChallenge
-	haveCh    bool
-	timer     transport.Timer // pending refresh
+	acct  sip.Account
+	timer transport.Timer // pending refresh
 	// gen invalidates in-flight operations and scheduled callbacks:
 	// Avalanche bumps it, and any callback carrying an older gen
 	// settles without touching the books. Within one gen, operations
@@ -158,29 +153,14 @@ func NewRegister(clock transport.Clock, listen Listen, addr, proxy string, cfg R
 	}
 	g.eps = make([]regEndpoint, cfg.Endpoints)
 	for i := range g.eps {
-		g.eps[i].user = cfg.Prefix + strconv.Itoa(i)
+		user := cfg.Prefix + strconv.Itoa(i)
+		g.eps[i].acct = sip.Account{User: user, Password: "pw-" + user}
 	}
 	return g, nil
 }
 
 // Close releases the generator's socket.
 func (g *RegisterGenerator) Close() error { return g.ep.Close() }
-
-func regHostOf(addr string) string {
-	if i := strings.LastIndexByte(addr, ':'); i >= 0 {
-		return addr[:i]
-	}
-	return addr
-}
-
-func regPortOf(addr string) int {
-	if i := strings.LastIndexByte(addr, ':'); i >= 0 {
-		if n, err := strconv.Atoi(addr[i+1:]); err == nil {
-			return n
-		}
-	}
-	return 5060
-}
 
 // Start spreads the initial registrations over the ramp and arms the
 // window. done fires when the window has closed, every in-flight
@@ -247,11 +227,10 @@ const (
 	regAvalanche
 )
 
-// register runs one REGISTER operation for endpoint i, following the
-// phone's auth discipline: preemptive authorization from the cached
-// challenge, one 401 round for a fresh challenge, one more for a
-// stale=true re-challenge. gen must match the endpoint's current
-// generation or the call is a dead scheduled callback and no-ops.
+// register runs one REGISTER operation for endpoint i: the digest
+// exchange (sip.Endpoint.Register), then the back-off after a 503 or a
+// timeout. gen must match the endpoint's current generation or the
+// call is a dead scheduled callback and no-ops.
 func (g *RegisterGenerator) register(i int, kind regKind, try int, gen uint32) {
 	e := &g.eps[i]
 	if e.gen != gen {
@@ -259,55 +238,36 @@ func (g *RegisterGenerator) register(i int, kind regKind, try int, gen uint32) {
 	}
 	g.outstanding++
 
-	proxyHost := regHostOf(g.proxy)
-	aor := sip.NewURI(e.user, proxyHost, regPortOf(g.proxy))
-	req := sip.NewRequest(sip.REGISTER, sip.NewURI("", proxyHost, regPortOf(g.proxy)),
+	aor := sip.AddrURI(e.acct.User, g.proxy)
+	req := sip.NewRequest(sip.REGISTER, sip.AddrURI("", g.proxy),
 		sip.NameAddr{URI: aor, Tag: g.ep.NewTag()},
 		sip.NameAddr{URI: aor},
 		g.ep.NewCallID(), 1)
-	contact := sip.NameAddr{URI: sip.NewURI(e.user, regHostOf(g.ep.Addr()), regPortOf(g.ep.Addr()))}
+	contact := sip.NameAddr{URI: sip.AddrURI(e.acct.User, g.ep.Addr())}
 	req.Contact = &contact
 	req.Expires = int(g.cfg.Expires / time.Second)
-	if e.haveCh {
-		creds := e.challenge.Answer(e.user, "pw-"+e.user, sip.REGISTER, req.RequestURI.String())
-		req.Authorization = creds.Header()
-	}
 
-	// handle runs under the lock: it is only ever a transaction's
-	// response callback, which send makes an entry point.
-	send := func(req *sip.Message, onResponse func(*sip.Message)) {
-		g.ep.SendRequest(g.proxy, req, func(resp *sip.Message) { g.do(func() { onResponse(resp) }) })
-	}
-	var handle func(req *sip.Message, round int, resp *sip.Message)
-	handle = func(req *sip.Message, round int, resp *sip.Message) {
-		if e.gen != gen {
-			// A response from the dead incarnation, outrun by an
-			// avalanche wave: settle the op without counting it.
-			g.outstanding--
-			g.maybeFinish()
-			return
-		}
-		switch {
-		case resp.StatusCode == sip.StatusUnauthorized:
-			ch, ok := sip.ParseDigestChallenge(resp.WWWAuthenticate)
-			if !ok || round >= 2 {
-				g.finishOp(i, kind, false)
+	// Every response enters through do. One from a dead incarnation,
+	// outrun by an avalanche wave, settles the op without counting it.
+	enter := func(handle func()) {
+		g.do(func() {
+			if e.gen != gen {
+				g.outstanding--
+				g.maybeFinish()
 				return
 			}
-			e.challenge, e.haveCh = ch, true
-			if ch.Stale {
-				g.results.StaleRetries++
-			}
-			retry := sip.NewRequest(sip.REGISTER, req.RequestURI, req.From, req.To, req.CallID, req.CSeq.Seq+1)
-			retry.Contact = req.Contact
-			retry.Expires = req.Expires
-			creds := ch.Answer(e.user, "pw-"+e.user, sip.REGISTER, req.RequestURI.String())
-			retry.Authorization = creds.Header()
-			send(retry, func(r2 *sip.Message) { handle(retry, round+1, r2) })
-		case resp.StatusCode == sip.StatusOK:
+			handle()
+		})
+	}
+	g.ep.Register(g.proxy, req, &e.acct, enter, func(resp *sip.Message, stale bool) {
+		if stale {
+			g.results.StaleRetries++
+		}
+		switch resp.StatusCode {
+		case sip.StatusOK:
 			g.bumpSample(true)
 			g.finishOp(i, kind, true)
-		case resp.StatusCode == sip.StatusServiceUnavailable || resp.StatusCode == sip.StatusRequestTimeout:
+		case sip.StatusServiceUnavailable, sip.StatusRequestTimeout:
 			if resp.StatusCode == sip.StatusServiceUnavailable {
 				g.results.Shed++
 				g.bumpSample(false)
@@ -327,8 +287,7 @@ func (g *RegisterGenerator) register(i int, kind regKind, try int, gen uint32) {
 		default:
 			g.finishOp(i, kind, false)
 		}
-	}
-	send(req, func(resp *sip.Message) { handle(req, 1, resp) })
+	})
 }
 
 // finishOp settles one endpoint's REGISTER operation. Callers have

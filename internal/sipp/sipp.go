@@ -380,6 +380,28 @@ func (g *Generator) Results() Results {
 	return res
 }
 
+// SettledResults is Results once every established call carries both
+// legs' media reports, polled on the wall clock until timeout; settled
+// says whether they all arrived. The callee hears a call's BYE after
+// the caller has its 200, so on a wall clock the last callee reports
+// land after done: a packetized run's media is read here.
+func (g *Generator) SettledResults(timeout time.Duration) (res Results, settled bool) {
+	deadline := time.Now().Add(timeout)
+	for {
+		res, settled = g.Results(), true
+		for _, rec := range res.Records {
+			if rec.Established && (rec.CallerMedia.Sent == 0 || rec.CalleeMedia.Sent == 0) {
+				settled = false
+				break
+			}
+		}
+		if settled || !time.Now().Before(deadline) {
+			return res, settled
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // wireCalleeMedia makes the answering phone start an RTP session per
 // call in packetized mode.
 func (g *Generator) wireCalleeMedia() {

@@ -56,21 +56,8 @@ func wireRun(t *testing.T, cfg sipp.Config) (sipp.Results, pbx.Counters) {
 	case <-time.After(cfg.Window + 30*time.Second):
 		t.Fatal("generator did not finish")
 	}
-	// The callee hears a call's BYE after the caller has its 200, so the
-	// last callee reports land after done.
-	bothLegs := func(res sipp.Results) bool {
-		for _, rec := range res.Records {
-			if rec.Established && (rec.CallerMedia.Sent == 0 || rec.CalleeMedia.Sent == 0) {
-				return false
-			}
-		}
-		return true
-	}
-	res := gen.Results()
-	for deadline := time.Now().Add(2 * time.Second); !bothLegs(res) && time.Now().Before(deadline); res = gen.Results() {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !bothLegs(res) {
+	res, settled := gen.SettledResults(2 * time.Second)
+	if !settled {
 		t.Error("an established call is missing a leg's media report")
 	}
 
@@ -152,5 +139,75 @@ func TestSameGeneratorOnBothSubstrates(t *testing.T) {
 	}
 	if wire.Attempts == 0 || wire.Attempts != sim.Attempts {
 		t.Errorf("attempts: %d on the wire, %d in the simulator", wire.Attempts, sim.Attempts)
+	}
+}
+
+// TestRegisterGeneratorOnTheWire runs the registration generator on
+// real sockets against pbxd's wiring: three hundred endpoints sign in,
+// refresh once, and re-register in an avalanche, with the endpoint's
+// read loop, the refresh timers and the avalanche all entering the
+// generator on different goroutines. Every operation is settled and
+// counted once, and both of the server's buffer pools balance at Close.
+func TestRegisterGeneratorOnTheWire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time test")
+	}
+	const n = 300
+	dir := directory.New()
+	dir.Provision("u", 0, n)
+	w, err := pbx.ListenWire("127.0.0.1:0", 2, dir,
+		pbx.Config{Registrar: pbx.RegistrarConfig{Enabled: true}, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := transport.NewRealClock()
+	listen := func(addr string) (transport.Transport, error) { return transport.ListenUDP(addr) }
+	// Registered within the 300 ms ramp, each binding is refreshed once
+	// 0.6 s ± 10 % later; the avalanche at 1 s cancels the second
+	// refresh, and its re-registrations leave too little window for a
+	// refresh of their own.
+	gen, err := sipp.NewRegister(clock, listen, "127.0.0.1:0", w.Listener.LocalAddr(), sipp.RegisterConfig{
+		Endpoints: n, Expires: 2 * time.Second, RefreshFraction: 0.3,
+		Ramp: 300 * time.Millisecond, Window: 900 * time.Millisecond, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan sipp.RegisterResults, 1)
+	gen.Start(func(res sipp.RegisterResults) { done <- res })
+	clock.AfterFunc(time.Second, func() { gen.Avalanche(100 * time.Millisecond) })
+	var res sipp.RegisterResults
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("generator did not finish")
+	}
+	t.Logf("wire: %d registers (%d initial, %d refreshes, %d re-registers), %d failed, %d retries, drain %v",
+		res.Registers, res.Initial, res.Refreshes, res.Reregisters, res.Failed, res.Retries, res.DrainTime)
+	if res.Initial != n || res.Reregisters != n || res.Failed != 0 {
+		t.Errorf("want %d initial registrations and %d re-registrations, none failed: %d / %d / %d",
+			n, n, res.Initial, res.Reregisters, res.Failed)
+	}
+	if res.Refreshes == 0 || res.Refreshes > n {
+		t.Errorf("%d refreshes of %d bindings, want one each at most and some", res.Refreshes, n)
+	}
+	if res.Registers != res.Initial+res.Refreshes+res.Reregisters {
+		t.Errorf("%d registers != %d+%d+%d", res.Registers, res.Initial, res.Refreshes, res.Reregisters)
+	}
+	if res.DrainTime <= 0 {
+		t.Errorf("avalanche drain %v", res.DrainTime)
+	}
+
+	if err := gen.Close(); err != nil {
+		t.Errorf("generator close: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("wire close: %v", err)
+	}
+	if gets, puts := w.Listener.PoolStats(); gets != puts {
+		t.Errorf("pbx pool leak: gets=%d puts=%d", gets, puts)
+	}
+	if gets, puts := w.Legs.PoolStats(); gets != puts {
+		t.Errorf("relay leg pool leak: gets=%d puts=%d", gets, puts)
 	}
 }
