@@ -74,7 +74,8 @@ fuzz-smoke:
 # the pbx, sip and cluster counts as metric families, and the registry
 # (registry.go) that sums them: /metrics is read off them. So do
 # pbxd's wiring (wire.go), which adds the wire-only families, and the
-# per-second sampler (sampler.go), the one series every run reports.
+# per-second sampler (sampler.go), the one series every run reports,
+# and Table I's sum over the senders' books (table.go).
 # So does the chaos harness (chaos.go): its one Run carries every fault
 # script, and its CheckInvariants is what every chaos scenario is judged
 # by. So does the CPU model (cpu.go), whose zero value must stay no
@@ -88,7 +89,7 @@ fuzz-smoke:
 # own package's tests.
 COVER_FILES = pbx:overload,degrade,cdr,journal,telemetry,outcome,voicemail,wire \
 	transport:batch_linux,udp,sharded,legpool,legpool_linux \
-	sip:telemetry,endpoint,transaction,linger,client cluster:telemetry telemetry:registry monitor:sampler \
+	sip:telemetry,endpoint,transaction,linger,client cluster:telemetry telemetry:registry monitor:sampler,table \
 	chaos:chaos cpu:cpu
 cover:
 	@$(GO) test -coverprofile=.cover.out ./internal/codec/ ./internal/sdp/ > /dev/null

@@ -273,9 +273,12 @@ type Result struct {
 	// failure/recovery timeline (ops plus probe-observed down / up).
 	Balancer cluster.Counters
 	Events   []cluster.Event
-	// Capture is the Table-I style wire totals of a run that offers
-	// calls (nil otherwise).
-	Capture *monitor.Capture
+	// Capture is Table I read off the senders' books (monitor.Table):
+	// the phones', the registration storm's, the balancer's and every
+	// PBX incarnation's, crashed ones included. Caller is the calling
+	// phone's share of it.
+	Capture monitor.TableRow
+	Caller  sip.Stats
 	// Links maps "src->dst" to that direction's link counters.
 	Links map[string]netsim.LinkStats
 	// NoRoute counts packets that hit an unbound port (partitions, a
@@ -314,15 +317,11 @@ func Run(sc Scenario) (*Result, error) {
 		}
 	}
 	// A registration-only run observes the PBX + SIP families on a
-	// registry of its own and taps no packets: the rig's scheduler
-	// families vary with DirShards (one expiry timer per shard), and
-	// the whole point of that battery is that nothing externally
-	// visible does.
+	// registry of its own: the rig's scheduler families vary with
+	// DirShards (one expiry timer per shard), and the whole point of
+	// that battery is that nothing externally visible does.
 	reg := r.Reg
-	var capture func() *monitor.Capture
-	if calls {
-		capture = rig.PerShard(r, monitor.NewCapture, nil)
-	} else {
+	if !calls {
 		reg = telemetry.NewRegistry()
 	}
 
@@ -450,6 +449,8 @@ func Run(sc Scenario) (*Result, error) {
 	}
 
 	res := &Result{Scenario: sc, Links: map[string]netsim.LinkStats{}}
+	var books []sip.Stats // every SIP sender's, for Table I
+	var rtp uint64
 	called, registered := !calls, !regs
 	var loadErr error
 	if calls {
@@ -519,17 +520,27 @@ func Run(sc Scenario) (*Result, error) {
 		b.CPULo, b.CPUMean, b.CPUHi = live.CPUBand()
 		for _, srv := range incs {
 			b.Incarnations = append(b.Incarnations, srv.CountersSnapshot())
+			books = append(books, srv.SignalingStats())
 		}
+		rtp += b.Counters.RelayedPackets
 		res.Backends = append(res.Backends, b)
 	}
 	if cl != nil {
 		res.Balancer, res.Events = cl.CountersSnapshot(), cl.Events()
+		books = append(books, cl.SignalingStats())
 	}
 	pbxs.Close()
 
-	if capture != nil {
-		res.Capture = capture()
+	if calls {
+		var callee sip.Stats
+		res.Caller, callee = gen.SignalingStats()
+		books = append(books, res.Caller, callee)
+		rtp += gen.Results().RTPSent
 	}
+	if regs {
+		books = append(books, regGen.SignalingStats())
+	}
+	res.Capture = monitor.Table(rtp, books...)
 	res.NoRoute = net.NoRoute()
 	res.PoolGets, res.PoolPuts = net.PoolStats()
 	for _, h := range hosts {

@@ -36,7 +36,7 @@ func TestSmokeScenario(t *testing.T) {
 		t.Errorf("goodput(0) = %d, want every established call (%d)",
 			res.Goodput(0), res.Load.Established)
 	}
-	if res.Capture.SIPTotal() == 0 || res.Capture.RTPPackets() == 0 {
+	if res.Capture.Total == 0 || res.Capture.RTP == 0 {
 		t.Error("capture saw no traffic")
 	}
 }
@@ -84,7 +84,7 @@ func TestOverloadControllerBeatsBaseline(t *testing.T) {
 		t.Errorf("controlled run not reproducible: counters %+v vs %+v",
 			controlled.Backends[0].Counters, again.Backends[0].Counters)
 	}
-	if controlled.Capture.Row() != again.Capture.Row() {
+	if controlled.Capture != again.Capture {
 		t.Error("controlled run not reproducible: wire captures differ")
 	}
 	if !reflect.DeepEqual(controlled.Series, again.Series) {
@@ -116,12 +116,13 @@ func TestSignalingPartitionHeals(t *testing.T) {
 	if res.NoRoute == 0 {
 		t.Error("partition dropped nothing; injection did not happen")
 	}
-	// The blackout swallows INVITEs the client keeps resending: the
-	// wire carries more of them than the PBX ever received or sent on.
-	wire := res.Capture.Row().Invite
-	handled := res.Backends[0].Signaling.Received["INVITE"] + res.Backends[0].Signaling.Sent["INVITE"]
+	// The blackout swallows INVITEs the caller keeps resending: it put
+	// more of them on the wire, originals and retransmissions, than
+	// the PBX ever received. Originals alone would not show it.
+	wire := res.Caller.Sent["INVITE"] + res.Caller.Resent["INVITE"]
+	handled := res.Backends[0].Signaling.Received["INVITE"]
 	if wire <= handled {
-		t.Errorf("wire INVITEs %d <= PBX-handled %d: no retransmissions across a 5s blackout",
+		t.Errorf("caller's wire INVITEs %d <= PBX-received %d: no retransmissions across a 5s blackout",
 			wire, handled)
 	}
 	// The blackout is well inside the transaction timeout: load placed

@@ -253,6 +253,10 @@ func (c *Cluster) buildServer(n *node) *pbx.Server {
 // Addr returns the balancer's signalling address, the proxy phones use.
 func (c *Cluster) Addr() string { return c.ep.Addr() }
 
+// SignalingStats returns the balancer endpoint's SIP books: the
+// redirects, proxied REGISTERs and health probes it sent.
+func (c *Cluster) SignalingStats() sip.Stats { return c.ep.StatsSnapshot() }
+
 // Directory returns the shared user store.
 func (c *Cluster) Directory() *directory.Directory { return c.dir }
 

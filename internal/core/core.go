@@ -1,7 +1,7 @@
 // Package core is the paper's primary contribution in executable form:
 // the capacity-evaluation methodology of Sec. III. It composes the
 // substrates — the discrete-event network, the Asterisk-style PBX, the
-// SIPp-style generator, the Wireshark/VoIPmonitor-style capture, the
+// SIPp-style generator, the Table I counts read off their books, the
 // CPU model and the E-model — into the four-step empirical method of
 // Fig. 5, and pairs it with the Erlang-B analytical model so the two
 // can be compared (Fig. 6).
@@ -119,7 +119,9 @@ type ExperimentResult struct {
 	Load sipp.Results
 	// Server reports the PBX's counters.
 	Server pbx.Counters
-	// Capture reports the wire-level message counts.
+	// Capture is Table I's rows for island 0, read off its senders'
+	// books (monitor.Table): the PBX's and the two phones' SIP
+	// datagrams, the media legs' and the relay's RTP packets.
 	Capture monitor.TableRow
 	// CPU band (lo, mean, hi) as sampled once per second.
 	CPULo, CPUMean, CPUHi float64
@@ -164,7 +166,7 @@ func (r ExperimentResult) AnalyticalBlocking(n int) float64 {
 func islandSalt(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 }
 
 // islandHosts returns the host names of one workload replica. Island 0
-// keeps the canonical names, so its traffic, telemetry and capture are
+// keeps the canonical names, so its traffic, telemetry and Table I are
 // byte-identical to a single-island run.
 func islandHosts(i int) (pbxHost, callerHost, calleeHost string) {
 	if i == 0 {
@@ -204,23 +206,12 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 		Loss:   cfg.LinkLoss,
 	})
 
-	// Measurement tap: the mirrored switch port of the testbed. With
-	// replicas present it keeps island-0 senders only, so the capture
-	// equals the single-island one.
-	var island0 func(*netsim.Packet) bool
 	if nIslands > 1 {
 		r.Net.SetIsolatedShards()
-		island0 = func(pkt *netsim.Packet) bool {
-			switch pkt.Src.Host {
-			case "pbx", "sippc", "sipps":
-				return true
-			}
-			return false
-		}
 	}
-	capture := rig.PerShard(r, monitor.NewCapture, island0)
 
 	var server0 *pbx.Server
+	var gen0 *sipp.Generator
 	results := make([]*sipp.Results, nIslands)
 	var sampler *monitor.Sampler
 	var slo *monitor.SLO
@@ -266,7 +257,7 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 		})
 
 		if i == 0 {
-			server0 = server
+			server0, gen0 = server, gen
 			// Per-second time series, ticking as an event on the PBX's
 			// shard (whole-second window splits make each tick's
 			// cross-shard counter reads deterministic). The SLO evaluator
@@ -320,12 +311,14 @@ func Run(cfg ExperimentConfig) ExperimentResult {
 		Config:       cfg,
 		Load:         *results[0],
 		Server:       server0.CountersSnapshot(),
-		Capture:      capture().Row(),
 		ChannelsUsed: server0.CountersSnapshot().PeakChannels,
 		Events:       r.Group.Fired(),
 		Elapsed:      time.Since(start),
 		CDRs:         server0.Journal().Committed(),
 	}
+	caller, callee := gen0.SignalingStats()
+	res.Capture = monitor.Table(gen0.Results().RTPSent+res.Server.RelayedPackets,
+		server0.SignalingStats(), caller, callee)
 	res.CPULo, res.CPUMean, res.CPUHi = server0.CPUBand()
 	res.MOS = collectMOS(res)
 	res.Telemetry = r.Reg.Snapshot()

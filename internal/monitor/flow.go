@@ -188,18 +188,6 @@ func center(s string, width int) string {
 	return strings.Repeat(" ", left) + s + strings.Repeat(" ", width-left-len(s))
 }
 
-// FilterCall returns a new trace containing only events whose Call-ID
-// is id (one leg of a bridged call).
-func (f *FlowTrace) FilterCall(id string) *FlowTrace {
-	out := &FlowTrace{MaxEvents: f.MaxEvents}
-	for _, e := range f.events {
-		if e.CallID == id {
-			out.events = append(out.events, e)
-		}
-	}
-	return out
-}
-
 // Summary returns "label xN" counts sorted by label, a compact check
 // that a trace matches the expected flow.
 func (f *FlowTrace) Summary() string {

@@ -4,7 +4,28 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/rtp"
+	"repro/internal/sip"
 )
+
+func sipWire(kind string) []byte {
+	from := sip.NameAddr{URI: sip.NewURI("a", "h", 5060), Tag: "t1"}
+	to := sip.NameAddr{URI: sip.NewURI("b", "h", 5060)}
+	if code := map[string]int{"100": 100, "180": 180, "200": 200}[kind]; code != 0 {
+		req := sip.NewRequest(sip.INVITE, to.URI, from, to, "c1", 1)
+		req.Via = []sip.Via{{SentBy: "h:5060", Branch: "z9hG4bK1"}}
+		return req.Response(code).Marshal()
+	}
+	req := sip.NewRequest(sip.Method(kind), to.URI, from, to, "c1", 1)
+	req.Via = []sip.Via{{SentBy: "h:5060", Branch: "z9hG4bK1"}}
+	return req.Marshal()
+}
+
+func rtpWire(seq uint16) []byte {
+	p := rtp.Packet{Sequence: seq, SSRC: 9, Payload: make([]byte, 160)}
+	return p.Marshal(nil)
+}
 
 func traceWithOneCall() *FlowTrace {
 	f := NewFlowTrace()
@@ -105,19 +126,5 @@ func TestFlowSummary(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q: %s", want, s)
 		}
-	}
-}
-
-func TestFlowFilterCall(t *testing.T) {
-	f := NewFlowTrace()
-	f.Observe(0, "a", "b", sipWire("INVITE")) // CallID "c1" per sipWire
-	other := NewFlowTrace()
-	_ = other
-	got := f.FilterCall("c1")
-	if len(got.Events()) != 1 {
-		t.Errorf("filter kept %d", len(got.Events()))
-	}
-	if len(f.FilterCall("nope").Events()) != 0 {
-		t.Error("filter leaked foreign call")
 	}
 }

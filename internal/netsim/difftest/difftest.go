@@ -2,7 +2,7 @@
 // sharded engine: it executes the same experiment once on a group of
 // one shard and once partitioned across several, then compares every
 // externally observable artifact — generator results,
-// PBX counters, the CDR stream, the wire capture, the telemetry
+// PBX counters, the CDR stream, the Table I rows, the telemetry
 // snapshot, the per-second series — demanding bit-identical output.
 //
 // The sharded scheduler's correctness argument is a chain of ordering
@@ -107,9 +107,8 @@ func DiffScenario(sc chaos.Scenario, shards int) []string {
 	d.eq("Backends", a.Backends, b.Backends)
 	d.eq("Balancer", a.Balancer, b.Balancer)
 	d.eq("Events", a.Events, b.Events)
-	if a.Capture != nil && b.Capture != nil {
-		d.eq("Capture", a.Capture.Row(), b.Capture.Row())
-	}
+	d.eq("Capture", a.Capture, b.Capture)
+	d.eq("Caller", a.Caller, b.Caller)
 	d.eq("Links", a.Links, b.Links)
 	d.eq("NoRoute", a.NoRoute, b.NoRoute)
 	d.eq("Store", [2]int64{int64(a.Registered), a.LiveBindings}, [2]int64{int64(b.Registered), b.LiveBindings})

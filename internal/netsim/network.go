@@ -382,18 +382,11 @@ func (n *Network) Handler(addr Addr) Handler {
 
 // AddTap registers an observer for all sent packets. On a sharded
 // network the tap runs on whichever shard sends, so it must be safe for
-// that; observers with mutable state should use AddShardTap and merge.
+// that.
 func (n *Network) AddTap(t Tap) {
 	for _, sh := range n.shards {
 		sh.taps = append(sh.taps, t)
 	}
-}
-
-// AddShardTap registers a tap observing only traffic sent by hosts of
-// one shard — the sharded form of AddTap, letting per-shard observer
-// instances accumulate without sharing state.
-func (n *Network) AddShardTap(shard int, t Tap) {
-	n.shards[shard].taps = append(n.shards[shard].taps, t)
 }
 
 // Send queues a datagram for delivery, resolving the route on every

@@ -278,7 +278,7 @@ func TestFlightRingOrderAndWrap(t *testing.T) {
 func relayPortsHeld(s *Server) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nextPort - s.cfg.RTPPortBase - len(s.freePorts)
+	return s.nextPort - s.cfg.RTPPortBase - (len(s.freePorts) - s.freeHead)
 }
 
 // reInvite sends an INVITE on the live call's Call-ID, CSeq 2 and with

@@ -241,13 +241,16 @@ type Server struct {
 	admissionName string  // Config.Admission's label, for metrics and call records
 	codecs        []int   // supported payload types (Config.Codecs or {0,8})
 	transcodeLoad float64 // CPU percent charged by active transcoding bridges
-	nextPort      int
-	freePorts     []int
-	counters      Counters
-	cpuSamples    []cpuSample
-	rng           *stats.RNG
-	nonceSeq      uint64
-	nonces        *directory.NonceCache
+	// Relay port numbers: nextPort is the next never used; freePorts
+	// queues the returned ones from freeHead on, oldest first.
+	nextPort   int
+	freePorts  []int
+	freeHead   int
+	counters   Counters
+	cpuSamples []cpuSample
+	rng        *stats.RNG
+	nonceSeq   uint64
+	nonces     *directory.NonceCache
 
 	// per-second rate tracking for the CPU model
 	attemptsWindow uint64
@@ -642,11 +645,13 @@ func (s *Server) ActiveTransactions() int { return s.ep.ActiveTransactions() }
 // which must be empty whenever ActiveTransactions is zero.
 func (s *Server) UnackedInvites() int { return s.ep.UnackedInvites() }
 
-// allocRelayPortLocked reserves one relay port number.
+// allocRelayPortLocked reserves one relay port number: the one
+// returned longest ago, so that an ended call's late packets reach a
+// closed port rather than the next call's relay.
 func (s *Server) allocRelayPortLocked() int {
-	if n := len(s.freePorts); n > 0 {
-		p := s.freePorts[n-1]
-		s.freePorts = s.freePorts[:n-1]
+	if s.freeHead < len(s.freePorts) {
+		p := s.freePorts[s.freeHead]
+		s.freeHead++
 		return p
 	}
 	p := s.nextPort
@@ -654,7 +659,16 @@ func (s *Server) allocRelayPortLocked() int {
 	return p
 }
 
-func (s *Server) freeRelayPortLocked(p int) { s.freePorts = append(s.freePorts, p) }
+// freeRelayPortLocked queues p for reuse. Once half the queue's array
+// is spent the live part moves to its front, so the array stays within
+// twice the ports queued.
+func (s *Server) freeRelayPortLocked(p int) {
+	if s.freeHead > 0 && 2*s.freeHead >= len(s.freePorts) {
+		n := copy(s.freePorts, s.freePorts[s.freeHead:])
+		s.freePorts, s.freeHead = s.freePorts[:n], 0
+	}
+	s.freePorts = append(s.freePorts, p)
+}
 
 // newNonce issues a digest nonce.
 func (s *Server) newNonce() string {

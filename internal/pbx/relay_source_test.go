@@ -187,3 +187,43 @@ func TestRelayAcceptsMediaOnlyFromSDPAddress(t *testing.T) {
 		})
 	}
 }
+
+// TestLateMediaReachesNoLiveRelay: relay ports are reused oldest
+// first. Two calls end a second apart and a third starts at once; a
+// packet the second call's caller sends 100 ms after its BYE finds its
+// old relay port closed, where reusing the newest freed port would have
+// handed it to the third call's relay, which rejects it by source.
+func TestLateMediaReachesNoLiveRelay(t *testing.T) {
+	r := newRig(t, 6, Config{RelayRTP: true})
+	invite := func(from, to int) *sip.Call {
+		c := r.phones[from].Invite(fmt.Sprintf("u%d", to))
+		r.sched.Run(r.sched.Now() + 5*time.Second)
+		if c.State() != sip.CallEstablished {
+			t.Fatalf("call u%d→u%d: %v", from, to, c.State())
+		}
+		return c
+	}
+	hangup := func(from int, c *sip.Call) {
+		r.phones[from].Hangup(c)
+		r.sched.Run(r.sched.Now() + time.Second)
+	}
+	first, second := invite(0, 1), invite(2, 3)
+	hangup(0, first)
+	byeAt := r.sched.Now()
+	r.phones[2].Hangup(second)
+	r.phones[4].Invite("u5")
+
+	oldPort := second.Media().RemotePort
+	late := rtp.Packet{PayloadType: 0, SSRC: 0x2222, Payload: make([]byte, 160)}
+	r.clock.AfterFunc(byeAt+100*time.Millisecond-r.sched.Now(), func() {
+		r.net.Send(netsim.Addr{Host: "host2", Port: 4000}, netsim.Addr{Host: "pbx", Port: oldPort}, late.Marshal(nil))
+	})
+	noRoute := r.net.NoRoute()
+	r.sched.Run(r.sched.Now() + 5*time.Second)
+	if got := r.server.CountersSnapshot().RejectedPackets; got != 0 {
+		t.Errorf("a live relay rejected %d late packets of an ended call", got)
+	}
+	if got := r.net.NoRoute() - noRoute; got != 1 {
+		t.Errorf("%d datagrams hit a closed port, want the late packet", got)
+	}
+}

@@ -130,40 +130,6 @@ func (r *Sim) PBX(host string, dir *directory.Directory, cfg pbx.Config) *pbx.Se
 	}, cfg)
 }
 
-// observer is a wire instrument that can be split by shard.
-type observer[T any] interface {
-	Tap() netsim.Tap
-	Merge(T)
-}
-
-// PerShard gives every shard its own instrument from mk — a packet is
-// tapped exactly once, on its sender's shard, so no instrument is
-// shared between goroutines — and returns the function that folds them
-// into one, to be called once after the run. keep, when non-nil,
-// selects the packets the instruments see.
-func PerShard[T observer[T]](r *Sim, mk func() T, keep func(*netsim.Packet) bool) func() T {
-	obs := make([]T, r.Group.N())
-	for s := range obs {
-		obs[s] = mk()
-		tap := obs[s].Tap()
-		if keep != nil {
-			inner := tap
-			tap = func(now time.Duration, pkt *netsim.Packet) {
-				if keep(pkt) {
-					inner(now, pkt)
-				}
-			}
-		}
-		r.Net.AddShardTap(s, tap)
-	}
-	return func() T {
-		for _, o := range obs[1:] {
-			obs[0].Merge(o)
-		}
-		return obs[0]
-	}
-}
-
 // Decide is for an event on host whose consequence touches another
 // shard's state (stopping the sampler, freezing the PBX's CPU meter):
 // fn runs with every shard quiescent — inline on one shard, at the next

@@ -14,13 +14,17 @@ import (
 // tx is nil for ACK requests, which do not open server transactions.
 type RequestHandler func(tx *ServerTx, req *Message, src string)
 
-// Stats counts endpoint-level protocol activity. The authoritative
-// Table I message counts come from the wire monitor; these counters
-// are the endpoint's own books, and its sip_* families read them
-// (UseTelemetry).
+// Stats counts endpoint-level protocol activity: the endpoint's own
+// books, which its sip_* families read (UseTelemetry) and Table I is
+// summed from (monitor.Table). Every datagram the endpoint hands its
+// transport is in Sent or Resent, under its kind.
 type Stats struct {
-	Sent            map[string]uint64 // by method or status class, e.g. "INVITE", "200"
-	Received        map[string]uint64
+	Sent     map[string]uint64 // by method or status code, e.g. "INVITE", "200"
+	Received map[string]uint64
+	// Resent counts the stored bytes sent again: requests a client
+	// transaction retransmitted, finals a server transaction
+	// retransmitted or replayed. Retransmissions is its total.
+	Resent          map[string]uint64
 	ParseErrors     uint64
 	StrayResponses  uint64
 	Retransmissions uint64
@@ -45,6 +49,18 @@ func (t msgTally) add(m *Message) {
 	} else {
 		t.resp[m.StatusCode]++
 	}
+}
+
+// total sums the tally.
+func (t msgTally) total() uint64 {
+	var n uint64
+	for _, v := range t.req {
+		n += v
+	}
+	for _, v := range t.resp {
+		n += v
+	}
+	return n
 }
 
 func (t msgTally) snapshot() map[string]uint64 {
@@ -141,9 +157,9 @@ type Endpoint struct {
 	reaper            transport.RearmTimer
 	reaperRuns        uint64
 
-	idCounter  uint64
-	sent, recv msgTally
-	stats      Stats // Sent and Received stay nil; see StatsSnapshot
+	idCounter          uint64
+	sent, recv, resent msgTally
+	stats              Stats // the tallies' fields stay zero; see StatsSnapshot
 }
 
 // NewEndpoint creates an endpoint on the given transport and clock and
@@ -158,6 +174,7 @@ func NewEndpoint(tr transport.Transport, clock transport.Clock) *Endpoint {
 		seed:      maphash.MakeSeed(),
 		sent:      newMsgTally(),
 		recv:      newMsgTally(),
+		resent:    newMsgTally(),
 	}
 	ep.reaper = transport.NewRearmTimer(clock, ep.reap)
 	tr.SetReceiver(ep.handleData)
@@ -283,9 +300,18 @@ func (ep *Endpoint) sendLocked(dst string, m *Message) []byte {
 	return ep.scratch
 }
 
-// resendLocked retransmits or replays a transaction's stored bytes.
-func (ep *Endpoint) resendLocked(dst string, wire []byte) {
-	ep.stats.Retransmissions++
+// resendLocked retransmits a client transaction's stored request,
+// counting it under its method.
+func (ep *Endpoint) resendLocked(dst string, wire []byte, m Method) {
+	ep.resent.req[m]++
+	ep.tr.Send(dst, wire)
+}
+
+// replayLocked retransmits or replays a server transaction's stored
+// response, counting it under the status code its start line carries
+// ("SIP/2.0 200 …": the endpoint rendered it).
+func (ep *Endpoint) replayLocked(dst string, wire []byte) {
+	ep.resent.resp[int(wire[8]-'0')*100+int(wire[9]-'0')*10+int(wire[10]-'0')]++
 	ep.tr.Send(dst, wire)
 }
 
@@ -359,11 +385,11 @@ func (ep *Endpoint) handleData(src string, data []byte) {
 		if old, ok := ep.serverTxs[key]; ok {
 			// Request retransmission: replay the last response.
 			if old.lastWire != nil {
-				ep.resendLocked(old.src, old.lastWire)
+				ep.replayLocked(old.src, old.lastWire)
 			}
 		} else if e, ok := ep.lingering(false, key); ok {
 			if len(e.wire) != 0 {
-				ep.resendLocked(string(e.addr), e.wire)
+				ep.replayLocked(string(e.addr), e.wire)
 			}
 		} else {
 			tx = &ServerTx{
@@ -396,6 +422,8 @@ func (ep *Endpoint) StatsSnapshot() Stats {
 	out := ep.stats
 	out.Sent = ep.sent.snapshot()
 	out.Received = ep.recv.snapshot()
+	out.Resent = ep.resent.snapshot()
+	out.Retransmissions = ep.resent.total()
 	return out
 }
 

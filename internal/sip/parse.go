@@ -17,11 +17,12 @@ var (
 )
 
 // LooksLikeSIP reports whether data plausibly starts a SIP message —
-// used by taps to separate SIP from RTP on a shared capture, the way a
-// protocol analyzer classifies packets. It runs on every captured
-// packet, so it works on the raw bytes without allocating, and rejects
-// on the first byte what cannot match: every status line and method
-// starts with 'A'–'Z', while RTP starts with 0x80–0xBF.
+// used by a tap (monitor.FlowTrace) to separate SIP from RTP on a
+// shared wire, the way a protocol analyzer classifies packets. It runs
+// on every packet tapped, so it works on the raw bytes without
+// allocating, and rejects on the first byte what cannot match: every
+// status line and method starts with 'A'–'Z', while RTP starts with
+// 0x80–0xBF.
 func LooksLikeSIP(data []byte) bool {
 	if len(data) < 12 || data[0] < 'A' || data[0] > 'Z' {
 		return false

@@ -98,7 +98,7 @@ func (ep *Endpoint) UseTelemetry(reg *telemetry.Registry) {
 		}
 	}
 	reg.CounterFunc(mSIPRetrans, "messages retransmitted or replayed by the transaction layer",
-		read(func() uint64 { return ep.stats.Retransmissions }))
+		read(ep.resent.total))
 	reg.CounterFunc(mSIPTimeouts, "client transactions that timed out (synthesized 408)",
 		read(func() uint64 { return ep.stats.Timeouts }))
 	reg.CounterFunc(mSIPParseErrs, "inbound datagrams that failed to parse",

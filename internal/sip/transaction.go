@@ -159,7 +159,7 @@ func (tx *ServerTx) armRetransmitLocked() {
 		if tx.lastWire == nil {
 			return // ACKed: lingering
 		}
-		tx.ep.resendLocked(tx.src, tx.lastWire)
+		tx.ep.replayLocked(tx.src, tx.lastWire)
 		tx.interval *= 2
 		if tx.interval > T2 {
 			tx.interval = T2
@@ -228,7 +228,7 @@ func (tx *ClientTx) armRetransmitLocked() {
 		if tx.terminated {
 			return
 		}
-		tx.ep.resendLocked(tx.dst, tx.wire)
+		tx.ep.resendLocked(tx.dst, tx.wire, tx.req.Method)
 		tx.interval *= 2
 		if !tx.isInvite && tx.interval > T2 {
 			tx.interval = T2

@@ -291,3 +291,68 @@ func TestTransactionsReaped(t *testing.T) {
 		t.Errorf("server transactions leaked: %d", n)
 	}
 }
+
+// TestResentCountedByKind: the books keep what is sent again apart
+// from what is sent, under its kind. Everything b sends to a in the
+// first second is lost, so a retransmits its OPTIONS and b replays its
+// stored 200 twice (at 0.5 s and 1.5 s, the second getting through);
+// b holds its INVITE final until 1.2 s, after a has retransmitted the
+// INVITE once (Timer A) and before a's next retransmission at 1.5 s.
+func TestResentCountedByKind(t *testing.T) {
+	sched := netsim.NewScheduler()
+	net := netsim.NewNetwork(sched, stats.NewRNG(1))
+	net.SetDefaultProfile(netsim.LinkProfile{Delay: time.Millisecond})
+	clock := transport.SimClock{Sched: sched}
+	epA := NewEndpoint(transport.NewSim(net, "a:5060"), clock)
+	epB := NewEndpoint(transport.NewSim(net, "b:5060"), clock)
+	addrA := netsim.Addr{Host: "a", Port: 5060}
+	saved := net.Handler(addrA)
+	net.Unbind(addrA)
+	clock.AfterFunc(time.Second, func() { net.Bind(addrA, saved) })
+
+	epB.Handle(func(tx *ServerTx, req *Message, src string) {
+		switch req.Method {
+		case OPTIONS:
+			tx.Respond(req.Response(StatusOK))
+		case INVITE:
+			clock.AfterFunc(1200*time.Millisecond, func() {
+				resp := req.Response(StatusBusyHere)
+				resp.To.Tag = "bt"
+				tx.Respond(resp)
+			})
+		}
+	})
+	var optFinal, invFinal int
+	epA.SendRequest("b:5060", options("a", "b"), func(resp *Message) { optFinal = resp.StatusCode })
+	inv := options("a", "b")
+	inv.Method, inv.CSeq.Method, inv.CallID = INVITE, INVITE, "call-inv"
+	epA.SendRequest("b:5060", inv, func(resp *Message) { invFinal = resp.StatusCode })
+	sched.Run(time.Minute)
+	if optFinal != StatusOK || invFinal != StatusBusyHere {
+		t.Fatalf("finals: OPTIONS %d, INVITE %d", optFinal, invFinal)
+	}
+
+	a, b := epA.StatsSnapshot(), epB.StatsSnapshot()
+	for _, c := range []struct {
+		name      string
+		got, want map[string]uint64
+	}{
+		{"a sent", a.Sent, map[string]uint64{"OPTIONS": 1, "INVITE": 1, "ACK": 1}},
+		{"a resent", a.Resent, map[string]uint64{"OPTIONS": 2, "INVITE": 1}},
+		{"b sent", b.Sent, map[string]uint64{"200": 1, "486": 1}},
+		{"b resent", b.Resent, map[string]uint64{"200": 2}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	for name, st := range map[string]Stats{"a": a, "b": b} {
+		var sum uint64
+		for _, v := range st.Resent {
+			sum += v
+		}
+		if st.Retransmissions != sum {
+			t.Errorf("%s: Retransmissions %d, Σ Resent %d", name, st.Retransmissions, sum)
+		}
+	}
+}

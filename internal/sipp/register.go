@@ -162,6 +162,10 @@ func NewRegister(clock transport.Clock, listen Listen, addr, proxy string, cfg R
 // Close releases the generator's socket.
 func (g *RegisterGenerator) Close() error { return g.ep.Close() }
 
+// SignalingStats returns the SIP books of the endpoint every logical
+// endpoint registers through.
+func (g *RegisterGenerator) SignalingStats() sip.Stats { return g.ep.StatsSnapshot() }
+
 // Start spreads the initial registrations over the ramp and arms the
 // window. done fires when the window has closed, every in-flight
 // REGISTER has resolved, and any avalanche wave has drained.

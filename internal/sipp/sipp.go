@@ -335,6 +335,11 @@ func (g *Generator) Close() error {
 	return errors.Join(g.caller.Endpoint().Close(), g.callee.Endpoint().Close())
 }
 
+// SignalingStats returns the caller's and the callee's SIP books.
+func (g *Generator) SignalingStats() (caller, callee sip.Stats) {
+	return g.caller.Endpoint().StatsSnapshot(), g.callee.Endpoint().StatsSnapshot()
+}
+
 // Start registers both phones and schedules the arrival process. done
 // fires when the window has closed and every placed call has ended, or
 // at once, with the error, when a phone fails to register. A run that

@@ -5,9 +5,11 @@ import (
 	"time"
 
 	"repro/internal/directory"
+	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/pbx"
 	"repro/internal/rig"
+	"repro/internal/sip"
 	"repro/internal/sipp"
 	"repro/internal/stats"
 	"repro/internal/transport"
@@ -22,17 +24,18 @@ const (
 )
 
 // wireRun is cmd/sipload against cmd/pbxd in one process: the generator
-// on the wall clock and UDP sockets against pbxd's wiring on loopback.
-// It returns the generator's books once both legs of every call have
-// reported, and the server's counters after Close.
-func wireRun(t *testing.T, cfg sipp.Config) (sipp.Results, pbx.Counters) {
+// on the wall clock and UDP sockets against pbxd's wiring, with
+// capacity channels, on loopback. It returns the generator's books once
+// both legs of every call have reported, the server's counters after
+// Close, and the SIP books of the server and the two phones.
+func wireRun(t *testing.T, cfg sipp.Config, capacity int) (sipp.Results, pbx.Counters, []sip.Stats) {
 	t.Helper()
 	dir := directory.New()
 	if err := rig.AddUsers(dir, "uac", "uas"); err != nil {
 		t.Fatal(err)
 	}
 	w, err := pbx.ListenWire("127.0.0.1:0", 2, dir,
-		pbx.Config{MaxChannels: 2, RelayRTP: true, RTPPortBase: wireRelayPorts, Seed: 7})
+		pbx.Config{MaxChannels: capacity, RelayRTP: true, RTPPortBase: wireRelayPorts, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,33 @@ func wireRun(t *testing.T, cfg sipp.Config) (sipp.Results, pbx.Counters) {
 	if gets, puts := w.Legs.PoolStats(); gets != puts {
 		t.Errorf("relay leg pool leak: gets=%d puts=%d", gets, puts)
 	}
-	return res, w.Server.CountersSnapshot()
+	caller, callee := gen.SignalingStats()
+	return res, w.Server.CountersSnapshot(), []sip.Stats{w.Server.SignalingStats(), caller, callee}
+}
+
+// simRun is wireRun over the simulated network, with the same PBX
+// configuration.
+func simRun(t *testing.T, cfg sipp.Config, capacity int) (sipp.Results, []sip.Stats) {
+	t.Helper()
+	r := rig.NewSim(1, 0, nil, stats.NewRNG(6), netsim.LinkProfile{Delay: time.Millisecond})
+	dir := directory.New()
+	if err := rig.AddUsers(dir, "uac", "uas"); err != nil {
+		t.Fatal(err)
+	}
+	server := r.PBX("pbx", dir, pbx.Config{MaxChannels: capacity, RelayRTP: true, Seed: 7})
+	gen := r.Generator("sippc", "sipps", server.Addr(), cfg)
+	var res *sipp.Results
+	gen.Start(func(got sipp.Results, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		res = &got
+	})
+	if err := r.RunUntil(func() bool { return res != nil }, 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	caller, callee := gen.SignalingStats()
+	return *res, []sip.Stats{server.SignalingStats(), caller, callee}
 }
 
 // TestGeneratorOnTheWire runs the generator where `make race` can see
@@ -86,10 +115,10 @@ func TestGeneratorOnTheWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	res, srv := wireRun(t, sipp.Config{
+	res, srv, _ := wireRun(t, sipp.Config{
 		Rate: 30, Window: 3 * time.Second, Hold: 300 * time.Millisecond,
 		Media: sipp.MediaPacketized, RetryMax: 3, RetryBase: 50 * time.Millisecond, Seed: 5,
-	})
+	}, 2)
 	t.Logf("wire: %d attempts, %d established, %d blocked, %d failed, %d retries, late p99 %v; pbx %d attempts, %d relayed",
 		res.Attempts, res.Established, res.Blocked, res.Failed, res.Retries, res.LateP99, srv.Attempts, srv.RelayedPackets)
 	if res.Established == 0 || res.Blocked == 0 || res.Retries == 0 {
@@ -119,27 +148,52 @@ func TestSameGeneratorOnBothSubstrates(t *testing.T) {
 		Rate: 40, Window: 1500 * time.Millisecond, Hold: 50 * time.Millisecond,
 		Media: sipp.MediaPacketized, Seed: 6,
 	}
-	wire, _ := wireRun(t, cfg)
-
-	r := rig.NewSim(1, 0, nil, stats.NewRNG(6), netsim.LinkProfile{Delay: time.Millisecond})
-	dir := directory.New()
-	if err := rig.AddUsers(dir, "uac", "uas"); err != nil {
-		t.Fatal(err)
-	}
-	server := r.PBX("pbx", dir, pbx.Config{MaxChannels: 2, RelayRTP: true, Seed: 7})
-	var sim *sipp.Results
-	r.Generator("sippc", "sipps", server.Addr(), cfg).Start(func(res sipp.Results, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		sim = &res
-	})
-	if err := r.RunUntil(func() bool { return sim != nil }, 10*time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	wire, _, _ := wireRun(t, cfg, 2)
+	sim, _ := simRun(t, cfg, 2)
 	if wire.Attempts == 0 || wire.Attempts != sim.Attempts {
 		t.Errorf("attempts: %d on the wire, %d in the simulator", wire.Attempts, sim.Attempts)
 	}
+}
+
+// TestSameTableOnBothSubstrates: below capacity nothing the wall clock
+// decides changes a call's messages, so Table I's SIP rows read off the
+// server's and the phones' books are the same over loopback UDP and
+// over the simulated network for one Config and seed. RTP is left out:
+// on the wire the wall clock paces the media. A datagram the wire side
+// had to send again (a slow host can outwait Timer A) is logged, and
+// then the rows of originals are compared.
+func TestSameTableOnBothSubstrates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time test")
+	}
+	cfg := sipp.Config{
+		Rate: 20, Window: 1500 * time.Millisecond, Hold: 50 * time.Millisecond,
+		Media: sipp.MediaPacketized, Seed: 8,
+	}
+	wireRes, _, wire := wireRun(t, cfg, 16)
+	simRes, sim := simRun(t, cfg, 16)
+	if wireRes.Established == 0 || wireRes.Blocked+simRes.Blocked != 0 {
+		t.Fatalf("want calls set up below capacity: established %d, blocked %d on the wire, %d in the simulator",
+			wireRes.Established, wireRes.Blocked, simRes.Blocked)
+	}
+	wireRow, simRow := monitor.Table(0, wire...), monitor.Table(0, sim...)
+	if resent := wireRow.Total - monitor.Table(0, originals(wire)...).Total; resent > 0 {
+		t.Logf("the wire side sent %d datagrams again; comparing originals", resent)
+		wireRow, simRow = monitor.Table(0, originals(wire)...), monitor.Table(0, originals(sim)...)
+	}
+	if wireRow != simRow {
+		t.Errorf("Table I SIP rows differ:\nwire %+v\nsim  %+v", wireRow, simRow)
+	}
+}
+
+// originals drops the books' resent tallies.
+func originals(books []sip.Stats) []sip.Stats {
+	out := make([]sip.Stats, len(books))
+	for i, b := range books {
+		b.Resent = nil
+		out[i] = b
+	}
+	return out
 }
 
 // TestRegisterGeneratorOnTheWire runs the registration generator on

@@ -20,7 +20,7 @@ const maxParkedLegs = 128
 //
 // A leg's Close parks its socket in the pool, still bound and still
 // read, instead of closing it, and the next Listen on that port (pbx
-// recycles port numbers last-in, first-out) takes it back without a
+// recycles port numbers first-in, first-out) takes it back without a
 // syscall or an allocation. A parked socket has no receiver: whatever
 // arrives between Close and the next Listen is read and dropped, as
 // closing the socket would have discarded it. Nothing is bound ahead of

@@ -8,8 +8,8 @@
 //   - the empirical method (Experiment, Run, RunReplications, Sweep):
 //     a complete simulated testbed — SIP stack, Asterisk-style B2BUA
 //     with a channel pool and CPU model, SIPp-style load generator,
-//     RTP media with E-model MOS scoring, and a wire-level capture —
-//     that measures blocking probability and voice quality under an
+//     RTP media with E-model MOS scoring, and Table I's message
+//     counts read off the senders' books — that measures blocking probability and voice quality under an
 //     offered load, reproducing Table I and Figures 3, 6 and 7.
 //
 // Quick start:
